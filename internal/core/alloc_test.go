@@ -150,11 +150,6 @@ func TestAllocsReceiveDispatchBurst(t *testing.T) {
 func TestAllocsEagerRead(t *testing.T) {
 	cfg := cluster.OneLink1G(2)
 	cfg.Seed = 3
-	// Each read re-arms the reply liveness guard; the stopped guard's
-	// canceled event is recycled when its deadline surfaces, so the
-	// event pool reaches steady state only after one DeadInterval of
-	// simulated time. Shrink it so the warmup loop covers that.
-	cfg.Core.DeadInterval = 500 * sim.Microsecond
 	cl, c01, src, dst := allocPair(t, cfg)
 	op := core.Op{Remote: dst, Local: src, Size: 512, Kind: frame.OpRead}
 	var allocs float64

@@ -168,8 +168,8 @@ func TestSamplerTicksAndQuiesce(t *testing.T) {
 		t.Fatalf("ticks = %d; want 3", len(s.Values))
 	}
 	r.Quiesce()
-	// The pending (now-canceled) tick is discarded when popped, so the
-	// queue drains and Run returns instead of re-arming forever.
+	// Quiesce stopped the pending tick, so the queue is empty and Run
+	// returns instead of re-arming forever.
 	env.Run()
 	if !env.Idle() {
 		t.Fatal("quiesce left live events armed; event queue cannot drain")

@@ -14,13 +14,19 @@
 // seeds are bit-for-bit reproducible.
 //
 // Hot-path allocation model: event records are recycled through a
-// per-Env freelist and the priority queue is a concrete *event heap
-// (no container/heap interface boxing). Schedulers that do not need a
+// per-Env freelist and the priority queue is a concrete 4-ary heap
+// whose entries carry the (at, seq) key beside the record pointer, so
+// ordering compares never touch an event. The queue holds exactly the
+// pending events: Stop removes its event at once through the heap index
+// the record tracks and recycles the record, and Rearm of a
+// still-pending handle re-keys that record in place, so a timer that is
+// re-armed a thousand times before it fires occupies one heap entry
+// throughout and allocates nothing. Schedulers that do not need a
 // cancel handle use the SchedAt/SchedAfter family, which allocates
 // nothing in steady state; the Arg variants additionally avoid the
 // per-call closure by passing a single pointer-shaped argument to a
-// long-lived func(any). At/After still return a *Timer handle (one
-// small allocation) and Rearm re-targets an existing handle for free.
+// long-lived func(any). At/After return a *Timer handle (one small
+// allocation).
 package sim
 
 import (
@@ -59,88 +65,105 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros converts a virtual duration to floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// event is one scheduled callback. Events are recycled through the
-// Env freelist; gen increments on every recycle so a stale *Timer
-// handle from a previous life can never cancel the new occupant.
+// event is one scheduled callback. Its (at, seq) key lives in the heap
+// entry that points at it. Events are recycled through the Env
+// freelist the moment they leave the heap; gen increments on every
+// recycle so a stale *Timer handle from a previous life can never
+// cancel the new occupant.
 type event struct {
-	at       Time
-	seq      uint64 // tie-breaker: FIFO among equal-time events
-	fn       func()
-	fnArg    func(any) // set instead of fn by the Arg variants
-	arg      any
-	canceled bool
-	daemon   bool // does not keep Run alive (see AfterDaemon)
-	index    int  // heap index, -1 once popped
-	gen      uint64
+	fn     func()
+	fnArg  func(any) // set instead of fn by the Arg variants
+	arg    any
+	daemon bool // does not keep Run alive (see AfterDaemon)
+	index  int  // position in Env.events while pending
+	gen    uint64
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq). seq is unique,
-// so the order is total and pop order is deterministic.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// heapEntry is one slot of the event queue: the ordering key stored
+// inline, so sifting compares without dereferencing ev.
+type heapEntry struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among equal-time events
+	ev  *event
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+func (a *heapEntry) before(b *heapEntry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
-	ev.index = i
-	h.up(i)
-}
+// eventHeap is a 4-ary min-heap ordered by (at, seq). seq is unique,
+// so the order is total and pop order does not depend on heap shape.
+// Sifting moves a hole instead of swapping: the entry being placed is
+// written once, at its final position.
+type eventHeap []heapEntry
 
-func (h eventHeap) up(i int) {
+const heapArity = 4
+
+// up places x at i or above, shifting larger ancestors down.
+func (h eventHeap) up(i int, x heapEntry) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := (i - 1) / heapArity
+		if !x.before(&h[p]) {
 			break
 		}
-		h.swap(i, parent)
-		i = parent
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
 	}
+	h[i] = x
+	x.ev.index = i
 }
 
-func (h eventHeap) down(i int) {
+// down places x at i or below, shifting the smallest child up.
+func (h eventHeap) down(i int, x heapEntry) {
 	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := heapArity*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
+		m := c
+		for j, end := c+1, min(c+heapArity, n); j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
 		}
-		if !h.less(m, i) {
+		if !h[m].before(&x) {
 			break
 		}
-		h.swap(i, m)
+		h[i] = h[m]
+		h[i].ev.index = i
 		i = m
+	}
+	h[i] = x
+	x.ev.index = i
+}
+
+// place puts x into the vacated slot i, sifting whichever way restores
+// the heap order.
+func (h eventHeap) place(i int, x heapEntry) {
+	if i > 0 && x.before(&h[(i-1)/heapArity]) {
+		h.up(i, x)
+	} else {
+		h.down(i, x)
 	}
 }
 
-// pop removes and returns the earliest event.
-func (h *eventHeap) pop() *event {
+func (h *eventHeap) push(x heapEntry) {
+	*h = append(*h, x)
+	h.up(len(*h)-1, x)
+}
+
+// remove deletes the entry at i, refilling the slot with the last one.
+func (h *eventHeap) remove(i int) {
 	old := *h
-	n := len(old)
-	ev := old[0]
-	old.swap(0, n-1)
-	old[n-1] = nil
-	*h = old[:n-1]
-	if n > 1 {
-		(*h).down(0)
+	n := len(old) - 1
+	last := old[n]
+	old[n] = heapEntry{}
+	*h = old[:n]
+	if i < n {
+		old[:n].place(i, last)
 	}
-	ev.index = -1
-	return ev
 }
 
 // Env is one simulation universe: a clock, an event queue, and a seeded
@@ -150,7 +173,7 @@ type Env struct {
 	seq    uint64
 	events eventHeap
 	free   []*event // recycled event records
-	live   int      // pending events that are neither canceled nor daemon
+	live   int      // pending non-daemon events
 	rng    *rand.Rand
 
 	yield     chan struct{} // process -> scheduler handoff
@@ -176,7 +199,7 @@ func (e *Env) Now() Time { return e.now }
 // It must only be used from inside the simulation (events or processes).
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// Events reports how many events have executed so far.
+// Executed reports how many events have executed so far.
 func (e *Env) Executed() uint64 { return e.executed }
 
 func (e *Env) getEvent() *event {
@@ -189,15 +212,13 @@ func (e *Env) getEvent() *event {
 	return &event{}
 }
 
-// putEvent recycles a popped event. The generation bump invalidates
-// every Timer handle pointing at the old life.
+// putEvent recycles an event that has left the heap. The generation
+// bump invalidates every Timer handle pointing at the old life.
 func (e *Env) putEvent(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.fnArg = nil
 	ev.arg = nil
-	ev.canceled = false
-	ev.daemon = false
 	e.free = append(e.free, ev)
 }
 
@@ -213,30 +234,31 @@ type Timer struct {
 }
 
 // valid reports whether the handle still refers to the life of the
-// event it was created for.
+// event it was created for. A record's generation moves on the moment
+// it fires or is stopped, so a valid handle is exactly a pending one.
 func (t *Timer) valid() bool {
 	return t != nil && t.ev != nil && t.gen == t.ev.gen
 }
 
-// Stop cancels the timer's pending event. Stopping an already-fired or
-// already-stopped timer is a no-op. It reports whether the event was still
-// pending.
+// Stop cancels the timer's pending event, removing it from the queue.
+// Stopping an already-fired or already-stopped timer is a no-op. It
+// reports whether the event was still pending.
 func (t *Timer) Stop() bool {
-	if !t.valid() || t.ev.canceled || t.ev.index < 0 {
+	if !t.valid() {
 		return false
 	}
-	t.ev.canceled = true
-	if !t.ev.daemon {
-		t.env.live--
+	e, ev := t.env, t.ev
+	if !ev.daemon {
+		e.live--
 	}
+	e.events.remove(ev.index)
+	e.putEvent(ev)
 	return true
 }
 
 // Pending reports whether the timer's event has neither fired nor been
 // stopped.
-func (t *Timer) Pending() bool {
-	return t.valid() && !t.ev.canceled && t.ev.index >= 0
-}
+func (t *Timer) Pending() bool { return t.valid() }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the
 // past panics: events must never move the clock backwards.
@@ -283,37 +305,46 @@ func (e *Env) SchedAfterArg(d Time, fn func(any), arg any) {
 }
 
 // Rearm schedules fn to run d nanoseconds from now, reusing t as the
-// cancel handle: a still-pending previous event is stopped first and
-// the handle is re-pointed in place, so a periodically re-armed timer
-// costs one Timer allocation for the lifetime of its owner. A nil t
-// behaves like After.
+// cancel handle. A still-pending previous event is re-keyed in place
+// (new time, fresh sequence number, one sift); otherwise the handle is
+// re-pointed at a newly scheduled event. Either way a periodically
+// re-armed timer costs one Timer allocation for the lifetime of its
+// owner. A nil t behaves like After.
 func (e *Env) Rearm(t *Timer, d Time, fn func()) *Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	if t == nil {
-		return e.After(d, fn)
-	}
-	t.Stop()
-	ev := e.scheduleEvent(e.now+d, fn, nil, nil, false)
-	t.env = e
-	t.ev = ev
-	t.gen = ev.gen
-	return t
+	return e.rearm(t, d, fn, false)
 }
 
 // RearmDaemon is Rearm with daemon semantics (see AfterDaemon): the
 // re-armed event never keeps Run alive by itself. A nil t behaves like
 // AfterDaemon.
 func (e *Env) RearmDaemon(t *Timer, d Time, fn func()) *Timer {
+	return e.rearm(t, d, fn, true)
+}
+
+func (e *Env) rearm(t *Timer, d Time, fn func(), daemon bool) *Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
 	if t == nil {
-		return e.AfterDaemon(d, fn)
+		t = &Timer{}
+	}
+	if t.valid() && t.env == e {
+		ev := t.ev
+		if ev.daemon != daemon {
+			if daemon {
+				e.live--
+			} else {
+				e.live++
+			}
+			ev.daemon = daemon
+		}
+		ev.fn = fn
+		e.events.place(ev.index, heapEntry{at: e.now + d, seq: e.seq, ev: ev})
+		e.seq++
+		return t
 	}
 	t.Stop()
-	ev := e.scheduleEvent(e.now+d, fn, nil, nil, true)
+	ev := e.scheduleEvent(e.now+d, fn, nil, nil, daemon)
 	t.env = e
 	t.ev = ev
 	t.gen = ev.gen
@@ -322,10 +353,9 @@ func (e *Env) RearmDaemon(t *Timer, d Time, fn func()) *Timer {
 
 // AtDaemon schedules a daemon event: it runs like any other event while
 // the simulation is live, but does not by itself keep Run going — Run
-// returns once only daemon (or canceled) events remain. Periodic
-// observers (metric samplers) use daemon events so that a workload
-// driving Run to completion is never kept alive by its own
-// instrumentation.
+// returns once only daemon events remain. Periodic observers (metric
+// samplers) use daemon events so that a workload driving Run to
+// completion is never kept alive by its own instrumentation.
 func (e *Env) AtDaemon(at Time, fn func()) *Timer {
 	ev := e.scheduleEvent(at, fn, nil, nil, true)
 	return &Timer{env: e, ev: ev, gen: ev.gen}
@@ -345,17 +375,15 @@ func (e *Env) scheduleEvent(at Time, fn func(), fnArg func(any), arg any, daemon
 		panic(fmt.Sprintf("sim: event scheduled in the past (%v < %v)", at, e.now))
 	}
 	ev := e.getEvent()
-	ev.at = at
-	ev.seq = e.seq
 	ev.fn = fn
 	ev.fnArg = fnArg
 	ev.arg = arg
 	ev.daemon = daemon
-	e.seq++
 	if !daemon {
 		e.live++
 	}
-	e.events.push(ev)
+	e.events.push(heapEntry{at: at, seq: e.seq, ev: ev})
+	e.seq++
 	return ev
 }
 
@@ -363,10 +391,10 @@ func (e *Env) scheduleEvent(at Time, fn func(), fnArg func(any), arg any, daemon
 // completes. Pending events stay queued and a later Run resumes them.
 func (e *Env) Stop() { e.stopped = true }
 
-// Run executes events until no live (non-daemon, non-canceled) events
-// remain or Stop is called. It returns the time of the last executed
-// event. Daemon events execute while live work is pending but never
-// keep Run going on their own.
+// Run executes events until no live (non-daemon) events remain or Stop
+// is called. It returns the time of the last executed event. Daemon
+// events execute while live work is pending but never keep Run going on
+// their own.
 func (e *Env) Run() Time { return e.run(Time(1<<62-1), true) }
 
 // RunUntil executes events with timestamps <= horizon, advancing the clock
@@ -379,22 +407,16 @@ func (e *Env) RunUntil(horizon Time) Time { return e.run(horizon, false) }
 func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
-		next := e.events[0]
-		if next.canceled {
-			// Free canceled events whenever they surface, even past the
-			// horizon: they are unobservable and only hold memory.
-			e.events.pop()
-			e.putEvent(next)
-			continue
-		}
-		if next.at > horizon || (untilLiveDrained && e.live == 0) {
+		top := e.events[0]
+		if top.at > horizon || (untilLiveDrained && e.live == 0) {
 			break
 		}
-		e.events.pop()
+		e.events.remove(0)
+		next := top.ev
 		if !next.daemon {
 			e.live--
 		}
-		e.now = next.at
+		e.now = top.at
 		e.executed++
 		// Snapshot the callback and recycle the record before running
 		// it: the callback may schedule new events (which can then
@@ -415,23 +437,17 @@ func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 	return e.now
 }
 
-// Idle reports whether no events remain queued.
+// Idle reports whether the queue is empty: no event, daemon or not, is
+// scheduled. Exact and O(1), since stopped events leave the queue at
+// once.
 func (e *Env) Idle() bool { return len(e.events) == 0 }
 
 // PendingLive returns the number of pending events that would keep Run
-// going: scheduled, not canceled, and not daemon.
+// going: scheduled and not daemon.
 func (e *Env) PendingLive() int { return e.live }
 
-// PendingEvents returns the number of scheduled, non-canceled events
-// still queued, daemon or not. Teardown leak gates use it: after every
-// connection is closed and Run has drained, a nonzero count means some
-// timer survived its owner.
-func (e *Env) PendingEvents() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.canceled {
-			n++
-		}
-	}
-	return n
-}
+// PendingEvents returns the number of scheduled events, daemon or not:
+// the length of the queue, exact and O(1). Teardown leak gates use it:
+// after every connection is closed and Run has drained, a nonzero count
+// means some timer survived its owner.
+func (e *Env) PendingEvents() int { return len(e.events) }

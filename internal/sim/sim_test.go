@@ -553,8 +553,19 @@ func TestYield(t *testing.T) {
 	}
 }
 
-func BenchmarkEventDispatch(b *testing.B) {
+func nop() {}
+
+func BenchmarkEventDispatch(b *testing.B) { benchmarkDispatch(b, 0) }
+
+// BenchmarkEventDispatchDeep is the same with 64 k events pending behind
+// the one being dispatched (the benchmark's sim.dispatch_deep_ns).
+func BenchmarkEventDispatchDeep(b *testing.B) { benchmarkDispatch(b, 1<<16) }
+
+func benchmarkDispatch(b *testing.B, pending int) {
 	e := NewEnv(1)
+	for i := 0; i < pending; i++ {
+		e.SchedAt(Time(1<<40)+Time(i), nop)
+	}
 	var fire func()
 	n := 0
 	fire = func() {
@@ -565,7 +576,22 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 	e.After(1, fire)
 	b.ResetTimer()
-	e.Run()
+	e.RunUntil(Time(b.N))
+}
+
+// BenchmarkTimerChurn re-arms one heap timer 1024 times between
+// firings, as an ACK or RTO timer is on every frame (the benchmark's
+// sim.timer_stop_rearm_ns).
+func BenchmarkTimerChurn(b *testing.B) {
+	e := NewEnv(1)
+	var t *Timer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t = e.Rearm(t, Millisecond, nop)
+		if i%1024 == 1023 {
+			e.RunUntil(e.Now() + 2*Millisecond)
+		}
+	}
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {

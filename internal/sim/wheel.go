@@ -34,6 +34,7 @@ type wheelSlot struct {
 	active  int           // entries neither fired nor stopped
 	live    int           // active non-daemon entries
 	timer   *Timer        // the one heap event for this bucket
+	daemon  bool          // daemon-ness timer was scheduled with
 	seq     uint64        // bumped per firing; guards stale bucket events
 }
 
@@ -138,8 +139,10 @@ func (w *Wheel) armOverflow(d Time, fn func(), daemon bool) *WheelTimer {
 
 // syncSlot (re)schedules the bucket's single heap event so that its
 // daemon-ness reflects the bucket's contents: non-daemon while any live
-// timer is armed, daemon while only daemon timers remain, canceled when
-// the bucket empties.
+// timer is armed, daemon while only daemon timers remain, stopped when
+// the bucket empties. The scheduled daemon-ness is kept in the slot:
+// the record behind a stopped or fired handle is recycled at once and
+// says nothing about this bucket.
 func (w *Wheel) syncSlot(si int) {
 	s := &w.slots[si]
 	if s.active == 0 {
@@ -150,12 +153,11 @@ func (w *Wheel) syncSlot(si int) {
 		return
 	}
 	wantDaemon := s.live == 0
-	if s.timer != nil && s.timer.Pending() && s.timer.ev.daemon == wantDaemon {
+	if s.timer.Pending() && s.daemon == wantDaemon {
 		return
 	}
-	if s.timer != nil {
-		s.timer.Stop()
-	}
+	s.timer.Stop()
+	s.daemon = wantDaemon
 	seq := s.seq
 	fire := func() { w.fireSlot(si, seq) }
 	if wantDaemon {
