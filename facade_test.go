@@ -78,7 +78,6 @@ func TestPublicAPIService(t *testing.T) {
 		multiedge.WithReconnect(3),
 		multiedge.WithHeartbeat(multiedge.Millisecond, 5*multiedge.Millisecond),
 		multiedge.WithSchedQueue(),
-		multiedge.WithTimerWheel(50*multiedge.Microsecond),
 		multiedge.WithSeed(7))
 
 	reg := multiedge.NewRegistry()

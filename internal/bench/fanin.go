@@ -17,7 +17,7 @@ import (
 // Fan-in stress: many client connections converging on one server
 // endpoint, the workload ISSUE 4's endpoint-scaling work exists for.
 // Every run drives the scaled configuration (connection scheduler +
-// timer wheel + submission queue), byte-verifies every transfer, and
+// submission queue), byte-verifies every transfer, and
 // closes every connection at the end so the post-run leak gate can
 // assert that the event queue drained and the server's connection table
 // emptied.
@@ -93,9 +93,8 @@ func RunFanin(opts FaninOptions) FaninResult {
 	}
 	cfg := cluster.OneLink1G(1 + clientNodes)
 	cfg.Seed = opts.Seed
-	// The scaled endpoint: O(1) connection scheduler, coalesced timers.
+	// The scaled endpoint: O(1) connection scheduler.
 	cfg.Core.SchedQueue = true
-	cfg.Core.TimerWheelTick = 50 * sim.Microsecond
 	cfg.Core.UseSQ = true
 	// The default 16 MB address space times hundreds of nodes is real
 	// host memory; size it to the working set instead.
@@ -286,7 +285,7 @@ func RenderFanin(connCounts []int, opsPerConn, size int, withChaos bool, obsOpts
 		chaosNote = ", loss/dup chaos bursts on"
 	}
 	fmt.Fprintf(&b, "Fan-in scaling: N client conns -> 1 server endpoint, 1L-1G, %d closed-loop ops/conn x %dB\n", opsPerConn, size)
-	fmt.Fprintf(&b, "(mixed eager-write / eager-read / SQ-batch workloads; SchedQueue+TimerWheel+SQ on%s)\n\n", chaosNote)
+	fmt.Fprintf(&b, "(mixed eager-write / eager-read / SQ-batch workloads; SchedQueue+SQ on%s)\n\n", chaosNote)
 	ok = true
 	var base float64
 	for _, n := range connCounts {

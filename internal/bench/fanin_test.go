@@ -31,7 +31,7 @@ func TestFaninChaosSmall(t *testing.T) {
 }
 
 // TestFaninDeterministic: identical seeds must produce identical traffic
-// reports and timings — the scheduler and timer wheel may not introduce
+// reports and timings — the scheduler may not introduce
 // nondeterminism.
 func TestFaninDeterministic(t *testing.T) {
 	a := RunFanin(FaninOptions{Conns: 12, OpsPerConn: 6, Size: 256, Seed: 9})

@@ -122,9 +122,9 @@ func (c *Config) Validate() error {
 	if c.Core.MaxRetries < 0 {
 		return fmt.Errorf("cluster %q: negative MaxRetries %d", c.Name, c.Core.MaxRetries)
 	}
-	if c.Core.DeadInterval < 0 || c.Core.HeartbeatInterval < 0 || c.Core.TimerWheelTick < 0 {
-		return fmt.Errorf("cluster %q: negative liveness timing (DeadInterval %v, HeartbeatInterval %v, TimerWheelTick %v)",
-			c.Name, c.Core.DeadInterval, c.Core.HeartbeatInterval, c.Core.TimerWheelTick)
+	if c.Core.DeadInterval < 0 || c.Core.HeartbeatInterval < 0 {
+		return fmt.Errorf("cluster %q: negative liveness timing (DeadInterval %v, HeartbeatInterval %v)",
+			c.Name, c.Core.DeadInterval, c.Core.HeartbeatInterval)
 	}
 	if c.Core.HeartbeatInterval > 0 && c.Core.DeadInterval > 0 &&
 		c.Core.HeartbeatInterval >= c.Core.DeadInterval {
@@ -140,7 +140,7 @@ func (c *Config) Validate() error {
 			c.Name, c.Core.ReconnectBackoffMax, c.Core.ReconnectBackoff)
 	}
 	if len(c.Core.QoS) > 0 && !c.Core.SchedQueue {
-		return fmt.Errorf("cluster %q: QoS requires SchedQueue (the fair queues extend the FIFO scheduler)", c.Name)
+		return fmt.Errorf("cluster %q: QoS requires SchedQueue (the classes are the scheduler's queues)", c.Name)
 	}
 	for i, q := range c.Core.QoS {
 		if q.Weight < 1 {

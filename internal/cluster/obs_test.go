@@ -72,7 +72,7 @@ func TestReconnectMetricsMove(t *testing.T) {
 		t.Fatalf("core_rto_expiries_total = %v, %v; want > 0 during an outage", v, ok)
 	}
 	// Endpoint gauges must be present (zero is correct after teardown).
-	for _, g := range []string{"core_active_conns", "core_sched_queue_depth", "core_timer_wheel_entries"} {
+	for _, g := range []string{"core_active_conns", "core_sched_queue_depth"} {
 		if _, ok := snap.Get(g, n0); !ok {
 			t.Fatalf("gauge %s not registered", g)
 		}

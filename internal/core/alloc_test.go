@@ -163,3 +163,38 @@ func TestAllocsEagerRead(t *testing.T) {
 	})
 	gateAllocs(t, "eager read+wait", allocs, 2)
 }
+
+// TestAllocsProductionProfile holds the eager budgets — one allocation
+// per write, two per read — under the profile large endpoints actually
+// run (productionProfile: class scheduler, receive burst, congestion
+// control with rail probes, reconnect journal, adaptive RTO), where
+// every timer arm and every scheduler visit is on the measured path.
+func TestAllocsProductionProfile(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kind   frame.OpType
+		budget float64
+	}{{"write", frame.OpWrite, 1}, {"read", frame.OpRead, 2}} {
+		cfg := cluster.TwoLinkUnordered1G(2)
+		cfg.Seed = 3
+		productionProfile(&cfg)
+		cl, c01, src, dst := allocPair(t, cfg)
+		op := core.Op{Remote: dst, Local: src, Size: 512, Kind: tc.kind}
+		allocs := -1.0
+		// Run, not runMeasured's RunUntil: the rail probes are daemon
+		// ticks and would keep firing through an explicit horizon.
+		cl.Env.Go("measure", func(p *sim.Proc) {
+			for i := 0; i < 128; i++ {
+				c01.MustDo(p, op).Wait(p)
+			}
+			allocs = testing.AllocsPerRun(100, func() {
+				c01.MustDo(p, op).Wait(p)
+			})
+		})
+		cl.Env.Run()
+		if allocs < 0 {
+			t.Fatal("measured workload did not complete")
+		}
+		gateAllocs(t, "production-profile eager "+tc.name+"+wait", allocs, tc.budget)
+	}
+}

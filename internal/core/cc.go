@@ -136,43 +136,6 @@ func (c *Conn) ccOnEcnEcho() {
 	c.ccCut(ccCutEcn)
 }
 
-// ccPickLink chooses the transmit rail by weighted least cost: each
-// eligible rail scores (outstanding+1) × cost, where cost is the rail's
-// smoothed RTT (falling back to the blended conn SRTT before the first
-// per-rail sample, then to a constant) plus the local NIC's
-// serialization backlog. The RTT term sees congestion anywhere along
-// the path — a deep queue in a shared switch inflates it — which pure
-// local-backlog striping (Config.AdaptiveStripe) cannot. Outstanding
-// frames weight the score so load spreads instead of dog-piling the
-// momentarily cheapest rail between RTT updates. Ties resolve by scan
-// order from the round-robin cursor: the pick stays deterministic.
-func (c *Conn) ccPickLink() int {
-	best := -1
-	var bestScore int64
-	for i := 0; i < c.links; i++ {
-		li := (c.rr + i) % c.links
-		if c.deadLinks > 0 && c.deadLinks < c.links && c.linkDead[li] {
-			continue
-		}
-		cost := int64(c.railSrtt[li])
-		if cost == 0 {
-			cost = int64(c.srtt)
-		}
-		if cost == 0 {
-			cost = 1
-		}
-		cost += int64(c.ep.nics[li].OutPort().Backlog())
-		score := int64(c.railOut[li]+1) * cost
-		if best < 0 || score < bestScore {
-			best, bestScore = li, score
-		}
-	}
-	if best >= 0 {
-		c.rr = (best + 1) % c.links
-	}
-	return best
-}
-
 // ---------------------------------------------------------------------
 // Admission backpressure.
 // ---------------------------------------------------------------------

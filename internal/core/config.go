@@ -143,32 +143,26 @@ type Config struct {
 	// Off by default: every existing run stays bit-identical.
 	UseSQ bool
 	// SchedQueue replaces the protocol thread's O(conns) round-robin
-	// scans for control and data work with explicit FIFO service queues:
-	// a connection enqueues itself when it gains work and the thread
-	// pops the head, so per-step cost is O(1) regardless of how many
-	// connections the endpoint carries. Service order is still fair
-	// (a connection re-enqueues at the tail after each frame) but
-	// differs from the scan order, so the flag is off by default to
-	// keep the pinned golden results byte-identical.
+	// scans for control and data work with the class scheduler: a
+	// connection enqueues itself on its class's service queues when it
+	// gains work and the thread pops the next one by deficit-weighted
+	// fair queueing, so per-step cost is O(1) regardless of how many
+	// connections the endpoint carries. With QoS empty there is one
+	// implicit weight-1 class, which is FIFO round-robin (a connection
+	// re-enqueues at the tail after each frame). Service order differs
+	// from the scan order, and on a few connections the scan keeps the
+	// per-node loops phase-locked to their interrupts (DESIGN.md §8 has
+	// the numbers), so the flag is off by default and the pinned golden
+	// results run on the scan.
 	SchedQueue bool
-	// TimerWheelTick coalesces the per-connection ACK, NACK, RTO and
-	// heartbeat timers into one per-endpoint timer wheel with this tick
-	// granularity: the event heap carries at most one event per occupied
-	// tick bucket instead of O(conns) timer events. Firing times round
-	// up to the next tick boundary, which perturbs timer-paced schedules
-	// slightly, so 0 (plain heap timers, the pinned behavior) is the
-	// default. 50µs is a good value for fan-in runs: ~1% of AckDelay
-	// rounding error, and hundreds of conns share each bucket.
-	TimerWheelTick sim.Time
-	// RxBurst, when greater than 1, batches receive delivery: one
-	// protocol-thread wake drains up to RxBurst frames from the NIC
-	// rings and dispatches them back-to-back under a single summed CPU
-	// charge, instead of one scheduler event per frame. This amortizes
-	// event overhead under receive-heavy load at the cost of coarser
+	// RxBurst is how many frames one protocol-thread wake drains from the
+	// NIC rings and dispatches back-to-back under a single summed CPU
+	// charge. 0 and 1 both mean one frame per wake, the frame-at-a-time
+	// NAPI loop every pinned golden runs on; larger values amortize event
+	// overhead under receive-heavy load at the cost of coarser
 	// interleaving between receive and transmit service, which perturbs
-	// schedules; 0 (or 1) keeps the frame-at-a-time NAPI loop, the
-	// pinned byte-identical behavior. Delivery semantics are unchanged
-	// either way (see TestRxBurstParity).
+	// schedules. Delivery semantics do not depend on it (see
+	// TestProfileFaultMatrix).
 	RxBurst int
 	// Reconnect enables the supervised recovery layer: instead of a
 	// terminal Failed state, peer death parks the connection in
@@ -205,14 +199,17 @@ type Config struct {
 	// one traffic class (a tenant), connections and operations are
 	// tagged with a class index (Conn.SetClass / Op.Class), and the
 	// endpoint's scheduler serves data frames by deficit-weighted fair
-	// queueing across classes instead of flat round-robin. Per-class
-	// token-bucket rate limits and submission quotas (see QoSClass)
-	// bound how much of the endpoint a single tenant can occupy, so an
-	// elephant-flow tenant degrades gracefully — throttled or paced —
-	// instead of starving everyone else. Requires SchedQueue (the fair
-	// queues extend the FIFO scheduler; cluster.Config.Validate rejects
-	// QoS without it). Empty (the default) disables the layer entirely
-	// and keeps every pinned golden byte-identical.
+	// queueing across these classes instead of its one implicit class.
+	// Per-class token-bucket rate limits and submission quotas (see
+	// QoSClass) bound how much of the endpoint a single tenant can
+	// occupy, so an elephant-flow tenant degrades gracefully — throttled
+	// or paced — instead of starving everyone else. With two or more
+	// classes the scheduler also paces itself to the wire, so that the
+	// class weights, not the NIC FIFO, decide frame order. Requires
+	// SchedQueue (the classes are the scheduler's queues;
+	// cluster.Config.Validate rejects QoS without it). Empty (the
+	// default) means no admission control, no Stats.Qos* counters and no
+	// qos_* series.
 	QoS []QoSClass
 	// CongestionControl enables the end-to-end congestion layer: an AIMD
 	// congestion window per connection sits between the scheduler and the

@@ -53,10 +53,10 @@ type Conn struct {
 	lastProgress sim.Time // last ack advance, or first transmit of a fresh burst
 	lastHeard    sim.Time // last frame received on this conn
 	lastTx       sim.Time // last frame transmitted on this conn
-	hbTimer      timer
-	readGuard    timer // daemon liveness check while read replies are pending
-	railProbe    timer // per-rail RTT probe tick (multi-rail + CC only)
-	railProbeRR  int   // next rail to probe (rails are probed staggered)
+	hbTimer      *sim.Timer
+	readGuard    *sim.Timer // daemon liveness check while read replies are pending
+	railProbe    *sim.Timer // per-rail RTT probe tick (multi-rail + CC only)
+	railProbeRR  int        // next rail to probe (rails are probed staggered)
 
 	// Transmit side.
 	nextOpID     uint64
@@ -67,7 +67,7 @@ type Conn struct {
 	retransQ     []uint32 // sequence numbers queued for retransmission
 	txFenced     []uint64 // sorted ids of forward-fenced ops not yet fully acked
 	rr           int      // round-robin link cursor
-	rtoTimer     timer
+	rtoTimer     *sim.Timer
 	pendingReads map[uint64]*Handle
 
 	// Transmit side: link-failure handling. A link accumulating repair
@@ -104,8 +104,8 @@ type Conn struct {
 	// vetoing loss detection (see Config.LinkStaleAge).
 	linkLast  []sim.Time
 	unackedRx int
-	ackTimer  timer
-	nackTimer timer
+	ackTimer  *sim.Timer
+	nackTimer *sim.Timer
 	ackDue    bool
 	nackDue   []uint32
 	// nackScratch is the reused NACK-payload encode buffer: sendCtrl
@@ -113,16 +113,19 @@ type Conn struct {
 	// which under sustained loss was an allocation per repair round.
 	nackScratch []byte
 
-	// Long-lived timer callbacks, built once per conn so the hot timer
-	// re-arms (RTO on every transmit, delayed-ACK, NACK age, probe)
-	// schedule no per-arm closures; heap timers additionally reuse their
-	// Timer handle via sim.Env.Rearm (see Endpoint.rearmTimer).
-	onRTOFn   func()
-	ackFn     func()
-	nackFn    func()
-	probeFn   func()
-	cqFlushFn func() // drains cqStage behind an in-flight WaitCQ wake
-	rdGuardFn func() // checkReadLiveness, built once (method values allocate)
+	// Long-lived timer callbacks, built once per conn so the timer
+	// re-arms (RTO on every transmit, delayed-ACK, NACK age, probe,
+	// heartbeat and rail-probe ticks) schedule no per-arm closures and
+	// reuse their Timer handle via sim.Env.Rearm/RearmDaemon. The
+	// optional ones are built on first use (method values allocate).
+	onRTOFn     func()
+	ackFn       func()
+	nackFn      func()
+	probeFn     func()
+	cqFlushFn   func() // drains cqStage behind an in-flight WaitCQ wake
+	rdGuardFn   func() // checkReadLiveness
+	hbFn        func() // heartbeatTick
+	railProbeFn func() // railProbeTick
 
 	// Hot-path object recycling (DESIGN.md §13): per-frame and per-op
 	// records whose lifetimes end inside the protocol thread are kept on
@@ -168,7 +171,7 @@ type Conn struct {
 	reconnTotal   int        // reconnects survived over the conn's lifetime
 	reconnSince   sim.Time   // when the outage was detected (0 = none)
 	reconnTimer   *sim.Timer // dialer-side redial backoff
-	reconnGiveUp  timer      // passive-side bounded wait (daemon)
+	reconnGiveUp  *sim.Timer // passive-side bounded wait (daemon)
 	reconnSpan    *obs.Span  // outage→recovered causal span
 
 	bytesAcked uint64 // payload bytes acknowledged end-to-end, lifetime
@@ -550,14 +553,12 @@ func (c *Conn) Close(p *sim.Proc) {
 // the close handshake itself still needs it (failConn stops it too, via
 // stopCloseTimer).
 func (c *Conn) stopTimers() {
-	for _, t := range []interface{ Stop() bool }{
+	for _, t := range [...]*sim.Timer{
 		c.ackTimer, c.nackTimer, c.rtoTimer, c.hbTimer,
 		c.railProbe, c.probeTimer, c.readGuard, c.connTimer,
 		c.reconnTimer, c.reconnGiveUp,
 	} {
-		if t != nil {
-			t.Stop()
-		}
+		t.Stop() // nil-safe
 	}
 	c.ackDue = false
 	c.nackDue = nil
@@ -582,7 +583,7 @@ func (c *Conn) stopCloseTimer() {
 
 // kick routes every "this conn may have work now" notification to the
 // endpoint: under Config.SchedQueue the conn enqueues itself for O(1)
-// service, otherwise this is just the legacy thread wakeup.
+// service, otherwise this is just the thread wakeup.
 func (c *Conn) kick() { c.ep.kickConn(c) }
 
 // ---------------------------------------------------------------------
@@ -826,43 +827,49 @@ func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 
 // pickLink chooses the transmit link among those not currently declared
 // dead (all links when every one is dead — the last survivors must keep
-// carrying traffic): round-robin by default (the paper's §2.5), or the
-// least-backlog link under Config.AdaptiveStripe.
+// carrying traffic): the first link, scanning from the round-robin
+// cursor, whose score is strictly lowest. The score is what the
+// configuration selects. By default it is constant, so the first
+// eligible link wins — the paper's round-robin (§2.5). Under
+// Config.AdaptiveStripe it is the local NIC's serialization backlog.
+// With the congestion controller on a multi-rail conn it is
+// (outstanding+1) × (rail SRTT + NIC backlog): the RTT term — the rail's
+// smoothed RTT, falling back to the blended conn SRTT before the first
+// per-rail sample, then to a constant — sees congestion anywhere along
+// the path, which local backlog cannot, and the outstanding-frame factor
+// spreads load instead of dog-piling the momentarily cheapest rail
+// between RTT updates. Ties resolve by scan order, so the pick stays
+// deterministic.
 func (c *Conn) pickLink() int {
-	if c.railOut != nil && c.links > 1 {
-		// Congestion-weighted striping (Config.CongestionControl): shift
-		// load away from rails that are slow end-to-end, not just ones
-		// with a deep local queue. See Conn.ccPickLink.
-		if li := c.ccPickLink(); li >= 0 {
-			return li
-		}
-	}
-	if c.ep.cfg.AdaptiveStripe {
-		best := -1
-		var bestBacklog sim.Time
-		for i := 0; i < c.links; i++ {
-			li := (c.rr + i) % c.links
-			if c.deadLinks > 0 && c.deadLinks < c.links && c.linkDead[li] {
-				continue
-			}
-			bl := c.ep.nics[li].OutPort().Backlog()
-			if best < 0 || bl < bestBacklog {
-				best, bestBacklog = li, bl
-			}
-		}
-		if best >= 0 {
-			c.rr = (best + 1) % c.links
-			return best
-		}
-	}
+	weighted := c.railProbing()
+	best := c.rr
+	var bestScore int64 = -1
 	for i := 0; i < c.links; i++ {
-		li := c.rr
-		c.rr = (c.rr + 1) % c.links
-		if c.deadLinks == 0 || c.deadLinks >= c.links || !c.linkDead[li] {
-			return li
+		li := (c.rr + i) % c.links
+		if c.deadLinks > 0 && c.deadLinks < c.links && c.linkDead[li] {
+			continue
+		}
+		var score int64
+		switch {
+		case weighted:
+			cost := int64(c.railSrtt[li])
+			if cost == 0 {
+				cost = int64(c.srtt)
+			}
+			if cost == 0 {
+				cost = 1
+			}
+			cost += int64(c.ep.nics[li].OutPort().Backlog())
+			score = int64(c.railOut[li]+1) * cost
+		case c.ep.cfg.AdaptiveStripe:
+			score = int64(c.ep.nics[li].OutPort().Backlog())
+		}
+		if bestScore < 0 || score < bestScore {
+			best, bestScore = li, score
 		}
 	}
-	return c.rr // unreachable: some link is always eligible
+	c.rr = (best + 1) % c.links
+	return best
 }
 
 // sendFrame encodes a payload-less control frame (ACK/NACK) and
@@ -926,9 +933,7 @@ func (c *Conn) sendFrameOn(h *frame.Header, payload []byte, li int) int {
 	if h.HasAck {
 		c.unackedRx = 0
 		c.ackDue = false
-		if c.ackTimer != nil {
-			c.ackTimer.Stop()
-		}
+		c.ackTimer.Stop()
 	}
 	return li
 }
@@ -1141,22 +1146,25 @@ func (c *Conn) railProbing() bool {
 // difference the probes exist to measure. A daemon timer: an idle
 // probing connection never keeps a finished simulation alive.
 func (c *Conn) armRailProbes() {
-	if !c.railProbing() || (c.railProbe != nil && c.railProbe.Pending()) {
+	if !c.railProbing() || c.railProbe.Pending() {
 		return
 	}
-	tick := c.ep.cfg.ccProbeIvl() / sim.Time(c.links)
-	if tick < 50*sim.Microsecond {
-		tick = 50 * sim.Microsecond
+	if c.railProbeFn == nil {
+		c.railProbeFn = c.railProbeTick
 	}
-	var fire func()
-	fire = func() {
-		if c.closed {
-			return
-		}
-		c.sendRailProbe()
-		c.railProbe = c.ep.afterDaemonTimer(tick, fire)
+	c.railProbe = c.ep.env.RearmDaemon(c.railProbe, c.railProbeIvl(), c.railProbeFn)
+}
+
+func (c *Conn) railProbeIvl() sim.Time {
+	return max(c.ep.cfg.ccProbeIvl()/sim.Time(c.links), 50*sim.Microsecond)
+}
+
+func (c *Conn) railProbeTick() {
+	if c.closed {
+		return
 	}
-	c.railProbe = c.ep.afterDaemonTimer(tick, fire)
+	c.sendRailProbe()
+	c.railProbe = c.ep.env.RearmDaemon(c.railProbe, c.railProbeIvl(), c.railProbeFn)
 }
 
 // sendRailProbe emits one probe on the next live rail in rotation. Seq
@@ -1228,9 +1236,6 @@ func (c *Conn) armRTO() {
 	if c.closed {
 		return
 	}
-	if c.rtoTimer != nil {
-		c.rtoTimer.Stop()
-	}
 	d := c.currentRTO()
 	if di := c.ep.cfg.DeadInterval; di > 0 {
 		if rem := c.lastProgress + di - c.ep.env.Now(); rem < d {
@@ -1240,7 +1245,7 @@ func (c *Conn) armRTO() {
 			}
 		}
 	}
-	c.rtoTimer = c.ep.rearmTimer(c.rtoTimer, d, c.onRTOFn)
+	c.rtoTimer = c.ep.env.Rearm(c.rtoTimer, d, c.onRTOFn)
 }
 
 func (c *Conn) onRTO() {
@@ -1341,7 +1346,7 @@ func (c *Conn) handleAck(ack uint32) {
 	}
 	if c.inflight() > 0 {
 		c.armRTO()
-	} else if c.rtoTimer != nil {
+	} else {
 		c.rtoTimer.Stop()
 	}
 	c.kick() // the window may have opened
@@ -1509,7 +1514,7 @@ func (c *Conn) expireHandle(h *Handle, t *txOp) {
 	}
 	if t != nil && t.opType == frame.OpRead {
 		delete(c.pendingReads, t.id)
-		if len(c.pendingReads) == 0 && c.readGuard != nil {
+		if len(c.pendingReads) == 0 {
 			c.readGuard.Stop()
 		}
 	}
@@ -1633,23 +1638,30 @@ func (c *Conn) startKeepalive() {
 	if hb <= 0 {
 		return
 	}
-	var tick func()
-	tick = func() {
-		if c.closed {
-			return
-		}
-		now := c.ep.env.Now()
-		if di := c.ep.cfg.DeadInterval; di > 0 && now-c.lastHeard >= di {
-			c.peerLost(fmt.Errorf("core: connection to node %d: peer silent for %v: %w",
-				c.remoteNode, now-c.lastHeard, ErrPeerDead), true)
-			return
-		}
-		if now-c.lastTx >= hb {
-			c.sendHeartbeat()
-		}
-		c.hbTimer = c.ep.afterDaemonTimer(hb, tick)
+	if c.hbFn == nil {
+		c.hbFn = c.heartbeatTick
 	}
-	c.hbTimer = c.ep.afterDaemonTimer(hb, tick)
+	c.hbTimer = c.ep.env.RearmDaemon(c.hbTimer, hb, c.hbFn)
+}
+
+// heartbeatTick is the idle-side liveness tick: declare the peer dead
+// after DeadInterval of silence, else send a heartbeat if nothing else
+// was transmitted for a whole interval, and re-arm.
+func (c *Conn) heartbeatTick() {
+	if c.closed {
+		return
+	}
+	hb := c.ep.cfg.HeartbeatInterval
+	now := c.ep.env.Now()
+	if di := c.ep.cfg.DeadInterval; di > 0 && now-c.lastHeard >= di {
+		c.peerLost(fmt.Errorf("core: connection to node %d: peer silent for %v: %w",
+			c.remoteNode, now-c.lastHeard, ErrPeerDead), true)
+		return
+	}
+	if now-c.lastTx >= hb {
+		c.sendHeartbeat()
+	}
+	c.hbTimer = c.ep.env.RearmDaemon(c.hbTimer, hb, c.hbFn)
 }
 
 // sendHeartbeat emits one liveness ctrl frame. Like every control
@@ -1665,13 +1677,13 @@ func (c *Conn) sendHeartbeat() {
 // path nor (with heartbeats off) any other timer would notice the peer
 // dying before the reply.
 func (c *Conn) armReadGuard() {
-	if c.closed || c.ep.cfg.DeadInterval <= 0 || (c.readGuard != nil && c.readGuard.Pending()) {
+	if c.closed || c.ep.cfg.DeadInterval <= 0 || c.readGuard.Pending() {
 		return
 	}
 	if c.rdGuardFn == nil {
 		c.rdGuardFn = c.checkReadLiveness
 	}
-	c.readGuard = c.ep.rearmDaemonTimer(c.readGuard, c.ep.cfg.DeadInterval, c.rdGuardFn)
+	c.readGuard = c.ep.env.RearmDaemon(c.readGuard, c.ep.cfg.DeadInterval, c.rdGuardFn)
 }
 
 func (c *Conn) checkReadLiveness() {
@@ -1685,7 +1697,7 @@ func (c *Conn) checkReadLiveness() {
 			c.remoteNode, silent, ErrPeerDead), true)
 		return
 	}
-	c.readGuard = c.ep.rearmDaemonTimer(c.readGuard, c.lastHeard+di-now, c.rdGuardFn)
+	c.readGuard = c.ep.env.RearmDaemon(c.readGuard, c.lastHeard+di-now, c.rdGuardFn)
 }
 
 // ---------------------------------------------------------------------
@@ -1773,7 +1785,7 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 	if c.missingSince.size() > 0 {
 		c.queueNack(false)
 		c.armNackTimer()
-	} else if c.nackTimer != nil {
+	} else {
 		c.nackTimer.Stop()
 	}
 	c.acceptData(h, payload)
@@ -1845,10 +1857,10 @@ func mergeNacks(a, b []uint32) []uint32 {
 // armNackTimer keeps a gap-age check pending while anything is missing,
 // so NACKs are re-sent if they (or the retransmissions) are lost.
 func (c *Conn) armNackTimer() {
-	if c.closed || (c.nackTimer != nil && c.nackTimer.Pending()) {
+	if c.closed || c.nackTimer.Pending() {
 		return
 	}
-	c.nackTimer = c.ep.rearmTimer(c.nackTimer, c.ep.cfg.NackDelay, c.nackFn)
+	c.nackTimer = c.ep.env.Rearm(c.nackTimer, c.ep.cfg.NackDelay, c.nackFn)
 }
 
 // queueNack schedules an explicit NACK for sequence numbers that have
@@ -1927,8 +1939,8 @@ func (c *Conn) ackPolicy() {
 		c.kick()
 		return
 	}
-	if c.ackTimer == nil || !c.ackTimer.Pending() {
-		c.ackTimer = c.ep.rearmTimer(c.ackTimer, c.ep.cfg.AckDelay, c.ackFn)
+	if !c.ackTimer.Pending() {
+		c.ackTimer = c.ep.env.Rearm(c.ackTimer, c.ep.cfg.AckDelay, c.ackFn)
 	}
 }
 
@@ -2251,7 +2263,7 @@ func (c *Conn) completeRxOp(op *rxOp) {
 	if op.opType == frame.OpReadReply {
 		if h, ok := c.pendingReads[op.local]; ok {
 			delete(c.pendingReads, op.local)
-			if len(c.pendingReads) == 0 && c.readGuard != nil {
+			if len(c.pendingReads) == 0 {
 				// No replies outstanding: cancel the liveness guard so its
 				// (daemon) tick does not advance a drained simulation's
 				// clock under RunUntil.

@@ -32,8 +32,6 @@ type Endpoint struct {
 	acceptAll  bool
 	accepted   sim.Mailbox[*Conn]
 
-	wheel *sim.Wheel // coalesced protocol timers (Config.TimerWheelTick)
-
 	threadActive bool
 	txRR         int // round-robin cursor over connections for send work
 	rxPrefer     int // NIC to poll first (the one that interrupted, NAPI-style)
@@ -43,35 +41,27 @@ type Endpoint struct {
 	// work schedules no per-event closures (see SchedAtArg/SubmitArg).
 	// rxJobFree recycles the per-frame dispatch records.
 	threadStepFn func()
-	ctrlStepFn   func(any) // arg *Conn: ACK/NACK service (SchedQueue + QoS)
-	sendStepFn   func(any) // arg *Conn: data service (SchedQueue)
-	qosSendFn    func(any) // arg *Conn: data service charged to qosDispatchCls
-	legacyCtrlFn func(any) // arg *Conn: legacy scan ctrl service
-	legacySendFn func(any) // arg *Conn: legacy scan data service
-	dispatchFn   func(any) // arg *rxJob: decoded-frame dispatch
+	ctrlStepFn   func(any) // arg *Conn: ACK/NACK service
+	sendStepFn   func(any) // arg *Conn: data service, charged to qosDispatchCls
 	fireSigFn    func(any) // arg *sim.Signal: user wake (handle/CQ completion)
-	burstFn      func()    // drains rxBurst: batched dispatch (Config.RxBurst)
+	burstFn      func()    // drains rxBurst: dispatches the frames of one poll
 	rxJobFree    []*rxJob
 	rxBurst      []*rxJob // frames polled this burst, awaiting dispatch
 
-	qosDispatchCls int // class of the in-flight qosSendFn dispatch
+	qosDispatchCls int // class of the in-flight sendStepFn dispatch
 
-	// Connection scheduler (Config.SchedQueue): FIFO queues of
-	// connections with pending control or data work. A connection sits
-	// in each queue at most once (inCtrlQ/inSendQ); entries are
-	// re-validated on pop, so a conn whose work evaporated (acked,
-	// closed) costs one skip instead of an O(conns) rescan.
-	ctrlQ connFIFO
-	sendQ connFIFO
-
-	// Multi-tenant QoS (Config.QoS): per-class scheduler and quota
-	// state, plus the DWFQ cursors (see qos.go). nil when the layer is
-	// off.
-	qos          []qosClass
-	qosCtrlCur   int  // weighted-round-robin cursor over class ctrl queues
-	qosSendCur   int  // DWFQ cursor over class send queues
-	qosServing   int  // class picked by the last qosPopSend, for the charge
-	qosPaceArmed bool // a wire-pacing wake is already scheduled
+	// Connection scheduler (Config.SchedQueue): per-class FIFO queues of
+	// connections with pending control or data work, plus the DWFQ
+	// cursors and the classes' quota state (see qos.go). Config.QoS
+	// configures the classes; without it the scheduler serves one
+	// implicit weight-1 class, which is plain FIFO round-robin. nil when
+	// SchedQueue is off and threadStep scans connOrder instead.
+	qos        []qosClass
+	qosCtrlCur int        // weighted-round-robin cursor over class ctrl queues
+	qosSendCur int        // DWFQ cursor over class send queues
+	qosServing int        // class picked by the last qosPopSend, for the charge
+	qosPace    *sim.Timer // wire-pacing wake (two or more classes)
+	qosWakeFn  func()     // wakeThread, built once: the pacing and refill wakes
 
 	notifyAll *sim.Mailbox[Notification]
 
@@ -106,7 +96,7 @@ type memRegion struct {
 // rxJob carries one decoded frame from the protocol-CPU charge to its
 // dispatch. Records are recycled through Endpoint.rxJobFree so the
 // steady-state receive path allocates nothing; the frame (and therefore
-// the payload, which aliases fr.Buf) is released by dispatchFn after
+// the payload, which aliases fr.Buf) is released by burstFn after
 // dispatchFrame returns, so any code that buffers a payload past
 // dispatch must copy it first (see the hold paths in conn.go).
 type rxJob struct {
@@ -147,6 +137,9 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		acceptAll:  true,
 	}
 	ep.threadStepFn = ep.threadStep
+	// The two transmit continuations serve both scheduling paths: on the
+	// scan path no class queues exist and kickConn is a bare wake that
+	// returns at once, because the thread is already running.
 	ep.ctrlStepFn = func(x any) {
 		c := x.(*Conn)
 		c.sendCtrl()
@@ -155,32 +148,11 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 	}
 	ep.sendStepFn = func(x any) {
 		c := x.(*Conn)
-		c.sendNextDataFrame()
-		ep.kickConn(c)
-		ep.threadStep()
-	}
-	ep.qosSendFn = func(x any) {
-		c := x.(*Conn)
 		n := c.sendNextDataFrame()
-		ep.qosChargeSend(ep.qosDispatchCls, n)
+		if ep.qos != nil {
+			ep.qosChargeSend(ep.qosDispatchCls, n)
+		}
 		ep.kickConn(c)
-		ep.threadStep()
-	}
-	ep.legacyCtrlFn = func(x any) {
-		x.(*Conn).sendCtrl()
-		ep.threadStep()
-	}
-	ep.legacySendFn = func(x any) {
-		x.(*Conn).sendNextDataFrame()
-		ep.threadStep()
-	}
-	ep.dispatchFn = func(x any) {
-		j := x.(*rxJob)
-		fr, src, h, payload, link, ecn := j.fr, j.src, j.h, j.payload, j.link, j.ecn
-		*j = rxJob{}
-		ep.rxJobFree = append(ep.rxJobFree, j)
-		ep.dispatchFrame(src, h, payload, link, ecn)
-		fr.Release()
 		ep.threadStep()
 	}
 	ep.fireSigFn = func(x any) { x.(*sim.Signal).Fire(ep.env) }
@@ -199,13 +171,10 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		ep.rxBurst = jobs[:0]
 		ep.threadStep()
 	}
-	if cfg.TimerWheelTick > 0 {
-		ep.wheel = sim.NewWheel(env, cfg.TimerWheelTick)
+	if len(cfg.QoS) > 0 && !cfg.SchedQueue {
+		panic("core: Config.QoS requires Config.SchedQueue")
 	}
-	if len(cfg.QoS) > 0 {
-		if !cfg.SchedQueue {
-			panic("core: Config.QoS requires Config.SchedQueue")
-		}
+	if cfg.SchedQueue {
 		ep.initQoS()
 	}
 	if cfg.CongestionControl.Enable && !cfg.SchedQueue {
@@ -248,109 +217,28 @@ func (ep *Endpoint) protoCost(t sim.Time) sim.Time {
 // utilization reporting.
 func (ep *Endpoint) Engine() *sim.Resource { return ep.engine }
 
-// timer is the common handle for protocol timers, satisfied by both
-// plain heap timers (*sim.Timer) and wheel timers (*sim.WheelTimer) so
-// connections need not know which backing Config selected.
-type timer interface {
-	Stop() bool
-	Pending() bool
-}
-
-// afterTimer schedules a protocol timer: through the endpoint's timer
-// wheel when Config.TimerWheelTick is set, else as a plain heap event.
-func (ep *Endpoint) afterTimer(d sim.Time, fn func()) timer {
-	if ep.wheel != nil {
-		return ep.wheel.After(d, fn)
-	}
-	return ep.env.After(d, fn)
-}
-
-// rearmTimer is afterTimer for periodically re-armed protocol timers:
-// on the heap backing it re-points the existing Timer handle in place
-// (sim.Env.Rearm) instead of allocating a fresh one per arm — the RTO
-// timer re-arms on every transmit, so this is a per-frame allocation.
-// The wheel backing already recycles its entries.
-func (ep *Endpoint) rearmTimer(t timer, d sim.Time, fn func()) timer {
-	if ep.wheel != nil {
-		return ep.wheel.After(d, fn)
-	}
-	st, _ := t.(*sim.Timer)
-	return ep.env.Rearm(st, d, fn)
-}
-
-// afterDaemonTimer is afterTimer with daemon semantics: the timer never
-// keeps a drained simulation alive (heartbeats, liveness guards).
-func (ep *Endpoint) afterDaemonTimer(d sim.Time, fn func()) timer {
-	if ep.wheel != nil {
-		return ep.wheel.AfterDaemon(d, fn)
-	}
-	return ep.env.AfterDaemon(d, fn)
-}
-
-// rearmDaemonTimer is afterDaemonTimer for re-armed daemon timers (the
-// read-reply liveness guard arms per read): on the heap backing it
-// re-points the existing Timer handle in place, like rearmTimer.
-func (ep *Endpoint) rearmDaemonTimer(t timer, d sim.Time, fn func()) timer {
-	if ep.wheel != nil {
-		return ep.wheel.AfterDaemon(d, fn)
-	}
-	st, _ := t.(*sim.Timer)
-	return ep.env.RearmDaemon(st, d, fn)
-}
-
 // kickConn notes that c may have gained control or data work and makes
 // sure the protocol thread will look at it: under Config.SchedQueue the
-// connection enqueues itself (once per queue), otherwise the thread's
-// scan will find it. Every conn-side state change that can create work
-// funnels through here via Conn.kick.
+// connection enqueues itself on its class's queues (at most once per
+// queue; entries are re-validated on pop, so a conn whose work
+// evaporated costs one skip instead of an O(conns) rescan), otherwise
+// the thread's scan will find it. Every conn-side state change that can
+// create work funnels through here via Conn.kick.
 func (ep *Endpoint) kickConn(c *Conn) {
-	if ep.qosOn() {
-		ep.qosKickConn(c)
-		ep.wakeThread()
-		return
-	}
-	if ep.cfg.SchedQueue {
+	if ep.qos != nil {
+		q := &ep.qos[c.classIdx()]
 		if !c.inCtrlQ && c.ctrlPending() {
 			c.inCtrlQ = true
-			ep.ctrlQ.push(c)
-			ep.recEvent(c.localID, obs.RecSched, 0, int64(ep.ctrlQ.size()))
+			q.ctrlQ.push(c)
+			ep.recEvent(c.localID, obs.RecSched, 0, int64(q.ctrlQ.size()))
 		}
 		if !c.inSendQ && c.sendable() {
 			c.inSendQ = true
-			ep.sendQ.push(c)
-			ep.recEvent(c.localID, obs.RecSched, 1, int64(ep.sendQ.size()))
+			q.sendQ.push(c)
+			ep.recEvent(c.localID, obs.RecSched, 1, int64(q.sendQ.size()))
 		}
 	}
 	ep.wakeThread()
-}
-
-// popCtrl returns the next connection with a pending explicit ACK/NACK,
-// discarding entries whose work evaporated since they were queued.
-func (ep *Endpoint) popCtrl() *Conn {
-	for {
-		c := ep.ctrlQ.pop()
-		if c == nil {
-			return nil
-		}
-		c.inCtrlQ = false
-		if c.ctrlPending() {
-			return c
-		}
-	}
-}
-
-// popSend returns the next connection with transmittable data work.
-func (ep *Endpoint) popSend() *Conn {
-	for {
-		c := ep.sendQ.pop()
-		if c == nil {
-			return nil
-		}
-		c.inSendQ = false
-		if c.sendable() {
-			return c
-		}
-	}
 }
 
 // removeConn unlinks a torn-down connection from the endpoint: demux
@@ -433,8 +321,8 @@ func (ep *Endpoint) SetObs(r *obs.Registry) {
 			emit(obs.Sample{Name: name, Labels: []obs.Label{nl}, Value: v, Type: obs.TypeGauge})
 		}
 		g("core_active_conns", float64(ep.conns.len()))
-		g("core_sched_queue_depth", float64(ep.ctrlQ.size()+ep.sendQ.size()+ep.qosSchedDepth()))
-		g("core_timer_wheel_entries", float64(ep.wheel.Len()))
+		ctrl, send := ep.qosSchedDepth()
+		g("core_sched_queue_depth", float64(ctrl+send))
 	})
 	if ep.qosOn() {
 		r.AddCollector(ep.qosCollector())
@@ -584,66 +472,21 @@ func (ep *Endpoint) threadStep() {
 		return
 	}
 	// 2. Receive, starting with the NIC that interrupted and sticking
-	// with it until its ring drains (NAPI-style batching). Config.RxBurst
-	// additionally batches several frames under one scheduler wake.
-	if ep.cfg.RxBurst > 1 {
-		if ep.pollRxBurst() {
-			return
-		}
-	} else {
-		for i := 0; i < len(ep.nics); i++ {
-			idx := (ep.rxPrefer + i) % len(ep.nics)
-			if fr := ep.nics[idx].PollRxOne(); fr != nil {
-				ep.rxPrefer = idx
-				ep.processRxFrame(fr, idx)
-				return
-			}
-		}
+	// with it until its ring drains (NAPI-style batching): up to
+	// Config.RxBurst frames, at least one, under one scheduler wake.
+	if ep.pollRxBurst() {
+		return
 	}
 	// 3+4. Send pending control frames (ACK/NACK), then one data frame
-	// from a connection with window space. Under Config.SchedQueue both
-	// come from O(1) FIFO pops; a connection with more work re-enqueues
-	// at the tail, so service stays fair round-robin. The legacy path
-	// scans every connection per step, which is fine for a handful of
-	// conns and byte-identical to the pinned golden runs.
-	if ep.qosOn() {
-		// Multi-tenant scheduling: weighted-fair pops across the class
-		// queues, with each transmitted data frame charged back to the
-		// class it was served for (deficit and token bucket).
-		if c := ep.qosPopCtrl(); c != nil {
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
-			return
-		}
-		if ep.qosSendWork() && ep.qosNICBusy() {
-			// Wire-pacing: with every NIC's transmit queue at the bound,
-			// dispatching now would just bury frames in the NIC FIFO where
-			// DWFQ no longer decides their order. Hold them in the class
-			// queues and come back when the head frame clears the wire.
-			ep.qosArmPace()
-		} else if c := ep.qosPopSend(); c != nil {
-			// The thread loop is strictly serialized (each dispatched
-			// branch calls threadStep again when it finishes), so at most
-			// one data dispatch is in flight and a single field carries
-			// the served class to the charge.
-			ep.qosDispatchCls = ep.qosServing
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.qosSendFn, c)
-			return
-		}
-	} else if ep.cfg.SchedQueue {
-		if c := ep.popCtrl(); c != nil {
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
-			return
-		}
-		if c := ep.popSend(); c != nil {
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.sendStepFn, c)
-			return
-		}
-	} else {
+	// from a connection with window space.
+	if ep.qos == nil {
+		// Scan every connection per step from the round-robin cursor: fine
+		// for a handful of conns, and the order the paper goldens pin.
 		for i := 0; i < len(ep.connOrder); i++ {
 			c := ep.connOrder[(ep.txRR+i)%len(ep.connOrder)]
 			if c.ctrlPending() {
 				ep.txRR = (ep.txRR + i + 1) % len(ep.connOrder)
-				ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.legacyCtrlFn, c)
+				ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
 				return
 			}
 		}
@@ -651,9 +494,33 @@ func (ep *Endpoint) threadStep() {
 			c := ep.connOrder[(ep.txRR+i)%len(ep.connOrder)]
 			if c.sendable() {
 				ep.txRR = (ep.txRR + i + 1) % len(ep.connOrder)
-				ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.legacySendFn, c)
+				ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.sendStepFn, c)
 				return
 			}
+		}
+	} else {
+		// Class scheduler: weighted-fair O(1) pops across the class
+		// queues; a connection with more work re-enqueues at the tail.
+		if c := ep.qosPopCtrl(); c != nil {
+			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
+			return
+		}
+		if ep.qosPaced() {
+			// Wire-pacing: with every NIC's transmit queue at the bound,
+			// dispatching now would just bury frames in the NIC FIFO where
+			// DWFQ no longer decides their order. Hold them in the class
+			// queues and come back when the head frame clears the wire.
+			ep.qosArmPace()
+		} else if c := ep.qosPopSend(); c != nil {
+			// Each transmitted data frame is charged back to the class it
+			// was served for (deficit and token bucket). The thread loop is
+			// strictly serialized (each dispatched branch calls threadStep
+			// again when it finishes), so at most one data dispatch is in
+			// flight and a single field carries the served class to the
+			// charge.
+			ep.qosDispatchCls = ep.qosServing
+			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.sendStepFn, c)
+			return
 		}
 	}
 	// No work: sleep and unmask (re-raises if anything slipped in).
@@ -663,46 +530,17 @@ func (ep *Endpoint) threadStep() {
 	}
 }
 
-// processRxFrame charges the receive cost of one frame, then applies its
-// protocol effects and continues the thread loop. link is the index of
-// the NIC the frame arrived on.
-func (ep *Endpoint) processRxFrame(fr *phys.Frame, link int) {
-	_, src, h, payload, err := frame.Decode(fr.Buf)
-	if err != nil {
-		// Damaged frame that slipped past the FCS model: treat as loss.
-		// The buffer dies here — without the release a pooled frame
-		// leaked on every FCS escape.
-		fr.Release()
-		ep.protoRes().Submit(ep.env, ep.protoCost(ep.costs.FrameRx), ep.threadStepFn)
-		return
-	}
-	var cost sim.Time
-	switch h.Type {
-	case frame.TypeData, frame.TypeReadReq, frame.TypeMultiData:
-		cost = ep.protoCost(ep.costs.FrameRx)
-		if ep.engine == nil {
-			// Host path pays the kernel->user copy; an offloading NIC
-			// DMAs payload directly into user memory.
-			cost += ep.costs.Copy(len(payload))
-		}
-	default:
-		cost = ep.protoCost(ep.costs.AckProc)
-	}
-	j := ep.getRxJob()
-	j.fr, j.src, j.h, j.payload, j.link, j.ecn = fr, src, h, payload, link, fr.Ecn
-	ep.protoRes().SubmitArg(ep.env, cost, ep.dispatchFn, j)
-}
-
-// pollRxBurst drains up to Config.RxBurst frames from the NIC rings and
-// schedules their dispatch as one protocol-thread event charged the sum
-// of the per-frame costs. It reports whether any frame was taken (the
-// caller returns and the burst callback continues the thread loop). The
-// per-frame cost model is identical to processRxFrame's; only the event
-// granularity changes.
+// pollRxBurst drains up to Config.RxBurst frames (at least one) from the
+// NIC rings and schedules their dispatch as one protocol-thread event
+// charged the sum of the per-frame costs. It reports whether any frame
+// was taken (the caller returns and the burst callback continues the
+// thread loop). The per-frame cost model does not depend on the limit;
+// only the event granularity does.
 func (ep *Endpoint) pollRxBurst() bool {
+	limit := max(1, ep.cfg.RxBurst)
 	var cost sim.Time
 	n := 0
-	for n < ep.cfg.RxBurst {
+	for n < limit {
 		var fr *phys.Frame
 		link := -1
 		for i := 0; i < len(ep.nics); i++ {
@@ -729,6 +567,8 @@ func (ep *Endpoint) pollRxBurst() bool {
 		case frame.TypeData, frame.TypeReadReq, frame.TypeMultiData:
 			cost += ep.protoCost(ep.costs.FrameRx)
 			if ep.engine == nil {
+				// Host path pays the kernel->user copy; an offloading NIC
+				// DMAs payload directly into user memory.
 				cost += ep.costs.Copy(len(payload))
 			}
 		default:

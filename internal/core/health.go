@@ -72,13 +72,13 @@ func (c *Conn) healthState() string {
 // Health returns the endpoint's point-in-time health, including every
 // tabled connection in stable (dial/accept) order.
 func (ep *Endpoint) Health() obs.EndpointHealth {
+	ctrl, send := ep.qosSchedDepth()
 	h := obs.EndpointHealth{
-		At:           ep.env.Now(),
-		Node:         ep.node,
-		ActiveConns:  ep.conns.len(),
-		SchedCtrlQ:   ep.ctrlQ.size(),
-		SchedSendQ:   ep.sendQ.size(),
-		WheelEntries: ep.wheel.Len(),
+		At:          ep.env.Now(),
+		Node:        ep.node,
+		ActiveConns: ep.conns.len(),
+		SchedCtrlQ:  ctrl,
+		SchedSendQ:  send,
 	}
 	for _, c := range ep.connOrder {
 		h.Conns = append(h.Conns, c.Health())

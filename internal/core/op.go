@@ -124,7 +124,7 @@ func (c *Conn) checkOp(op Op) error {
 	default:
 		return fmt.Errorf("core: kind %v: %w", op.Kind, ErrBadOpKind)
 	}
-	if op.Class != 0 && len(c.ep.qos) > 0 {
+	if op.Class != 0 && c.ep.qosOn() {
 		if op.Class < 0 || op.Class >= len(c.ep.qos) {
 			return fmt.Errorf("core: class %d with %d configured: %w", op.Class, len(c.ep.qos), ErrBadClass)
 		}

@@ -1,0 +1,245 @@
+package core_test
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"multiedge/internal/chaos"
+	"multiedge/internal/cluster"
+	"multiedge/internal/core"
+	"multiedge/internal/frame"
+	"multiedge/internal/obs"
+	"multiedge/internal/sim"
+)
+
+// matrixFaults are the fabric conditions every profile must survive
+// (applied by matrixRun).
+var matrixFaults = []string{"clean", "loss5", "dup3", "flap"}
+
+// matrixProfiles are the configurations the protocol thread can be put
+// in: its two scheduling paths, the receive burst, a configured class,
+// and what large endpoints actually run.
+var matrixProfiles = []struct {
+	name  string
+	apply func(*cluster.Config)
+}{
+	{"scan", func(*cluster.Config) {}},
+	{"queued", func(c *cluster.Config) { c.Core.SchedQueue = true }},
+	{"queued+burst16", func(c *cluster.Config) {
+		c.Core.SchedQueue = true
+		c.Core.RxBurst = 16
+	}},
+	{"queued+class3", func(c *cluster.Config) {
+		c.Core.SchedQueue = true
+		c.Core.QoS = []core.QoSClass{{Weight: 3}}
+	}},
+	{"production", productionProfile},
+}
+
+// productionProfile is everything on, as the benchmark's fanin workload
+// and the medbench stress modes configure a large endpoint.
+func productionProfile(c *cluster.Config) {
+	c.Core.SchedQueue = true
+	c.Core.RxBurst = 16
+	c.Core.Reconnect = true
+	c.Core.RTOMax = 64 * sim.Millisecond
+	c.Core.CongestionControl = core.CCConfig{Enable: true}
+}
+
+// matrixRun drives one byte-verified bidirectional workload over two
+// rails — a striped multi-frame write, a run of small writes and a large
+// one coming back, then a read of what the first write landed — and
+// returns the traffic report and the time the simulation drained. fault
+// is one of matrixFaults.
+func matrixRun(t *testing.T, profile func(*cluster.Config), fault string) (cluster.NetReport, sim.Time) {
+	t.Helper()
+	cfg := cluster.TwoLinkUnordered1G(2)
+	cfg.Seed = 5
+	profile(&cfg)
+	if fault == "loss5" { // 5 % loss on both rails
+		cfg.Link.LossProb = 0.05
+	}
+	cl, c01, c10 := pairCluster(t, cfg)
+	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
+	r := chaos.New(cl, 11)
+	switch fault {
+	case "dup3": // every 3rd frame on either rail arrives twice
+		for l := 0; l < 2; l++ {
+			r.DuplicateEveryNth(0, 0, 0, l, 3)
+		}
+	case "flap": // rail 1 dies mid-transfer and comes back
+		r.FlapLink(cl.Env.Now()+500*sim.Microsecond, 2*sim.Millisecond, 0, 1)
+	}
+
+	const big, small, back, rd = 300 * 1444, 64, 16 << 10, 4 << 10
+	src0, dst1 := ep0.Alloc(big), ep1.Alloc(big)
+	src1, dst0 := ep1.Alloc(32*small+back), ep0.Alloc(32*small+back)
+	rdst := ep0.Alloc(rd)
+	fill(ep0.Mem()[src0:src0+big], 4)
+	fill(ep1.Mem()[src1:src1+32*small+back], 9)
+	done := 0
+	cl.Env.Go("fwd", func(p *sim.Proc) {
+		c01.MustDo(p, core.Op{Remote: dst1, Local: src0, Size: big, Kind: frame.OpWrite}).Wait(p)
+		c01.MustDo(p, core.Op{Remote: dst1, Local: rdst, Size: rd, Kind: frame.OpRead}).Wait(p)
+		done++
+	})
+	cl.Env.Go("back", func(p *sim.Proc) {
+		var h *core.Handle
+		for i := 0; i < 32; i++ {
+			off := uint64(i * small)
+			h = c10.MustDo(p, core.Op{Remote: dst0 + off, Local: src1 + off, Size: small, Kind: frame.OpWrite})
+			if i%8 == 7 {
+				h.Wait(p)
+			}
+		}
+		off := uint64(32 * small)
+		c10.MustDo(p, core.Op{Remote: dst0 + off, Local: src1 + off, Size: back, Kind: frame.OpWrite}).Wait(p)
+		done++
+	})
+	end := cl.Env.Run()
+	if done != 2 {
+		t.Fatalf("workload did not complete (%d/2 loops)", done)
+	}
+	if !bytes.Equal(ep1.Mem()[dst1:dst1+big], ep0.Mem()[src0:src0+big]) {
+		t.Fatal("forward write corrupted")
+	}
+	if !bytes.Equal(ep0.Mem()[dst0:dst0+32*small+back], ep1.Mem()[src1:src1+32*small+back]) {
+		t.Fatal("reverse writes corrupted")
+	}
+	if !bytes.Equal(ep0.Mem()[rdst:rdst+rd], ep0.Mem()[src0:src0+rd]) {
+		t.Fatal("read-back corrupted")
+	}
+	rep := cl.Collect()
+	if bit := map[string]uint64{"clean": 1, "loss5": rep.LinkErrDrops,
+		"dup3": rep.Proto.Duplicates, "flap": rep.LinkFailDrops}[fault]; bit == 0 {
+		t.Fatalf("fault %q never touched a frame: the cell is vacuous", fault)
+	}
+	return rep, end
+}
+
+// withoutQos blanks the counters that exist only to say "QoS is
+// configured", so a configured class can be compared with the implicit
+// one.
+func withoutQos(r cluster.NetReport) cluster.NetReport {
+	r.Proto.QosOpsAdmitted, r.Proto.QosSchedFrames = 0, 0
+	return r
+}
+
+// TestProfileFaultMatrix runs every profile under every fault: each
+// transfer byte-verified, and two same-seed runs equal in traffic report
+// and end time. Inside each fault it pins the two identities that let
+// one scheduler and one receive loop stand in for the deleted ones: the
+// implicit class is a configured {Weight: 1} in all but its counters,
+// and RxBurst 0 is RxBurst 1.
+func TestProfileFaultMatrix(t *testing.T) {
+	for _, fault := range matrixFaults {
+		fault := fault
+		for _, pr := range matrixProfiles {
+			pr := pr
+			t.Run(pr.name+"/"+fault, func(t *testing.T) {
+				r1, e1 := matrixRun(t, pr.apply, fault)
+				r2, e2 := matrixRun(t, pr.apply, fault)
+				if r1 != r2 || e1 != e2 {
+					t.Fatalf("not deterministic: end %v vs %v, reports equal=%v", e1, e2, r1 == r2)
+				}
+			})
+		}
+		t.Run("identities/"+fault, func(t *testing.T) {
+			queued := func(c *cluster.Config) { c.Core.SchedQueue = true }
+			ri, ei := matrixRun(t, queued, fault)
+			rc, ec := matrixRun(t, func(c *cluster.Config) {
+				queued(c)
+				c.Core.QoS = []core.QoSClass{{Weight: 1}}
+			}, fault)
+			if rc.Proto.QosSchedFrames == 0 {
+				t.Error("configured class counted no scheduled frames: comparison is vacuous")
+			}
+			if withoutQos(rc) != ri || ec != ei {
+				t.Errorf("implicit class differs from configured {Weight: 1}: end %v vs %v, reports equal=%v",
+					ei, ec, withoutQos(rc) == ri)
+			}
+			r0, e0 := matrixRun(t, func(*cluster.Config) {}, fault)
+			rb, eb := matrixRun(t, func(c *cluster.Config) { c.Core.RxBurst = 1 }, fault)
+			if r0 != rb || e0 != eb {
+				t.Errorf("RxBurst 0 differs from RxBurst 1: end %v vs %v, reports equal=%v", e0, eb, r0 == rb)
+			}
+		})
+	}
+}
+
+// TestImplicitClassInvisible: SchedQueue with QoS empty runs on the
+// class scheduler, but nothing observable says "QoS" — no Stats.Qos*
+// counter moves and no qos_* series is registered.
+func TestImplicitClassInvisible(t *testing.T) {
+	cfg := cluster.OneLink1G(2)
+	cfg.Core.SchedQueue = true
+	cfg.Obs = cluster.ObsOptions{Metrics: true, SampleEvery: -1}
+	cl, c01, _ := pairCluster(t, cfg)
+	const n = 64 << 10
+	src, dst := cl.Nodes[0].EP.Alloc(n), cl.Nodes[1].EP.Alloc(n)
+	cl.Env.Go("app", func(p *sim.Proc) {
+		c01.SetClass(2) // stored, ignored: no class table to index
+		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		for i := 0; i < 4; i++ {
+			c01.MustPost(core.Op{Remote: dst, Local: src, Size: 256, Kind: frame.OpWrite, Class: 3})
+		}
+		c01.MustRing(p)
+		drainCQ(p, c01, 4)
+	})
+	cl.Env.Run()
+	st := cl.Collect().Proto
+	if st.DataFramesSent == 0 {
+		t.Fatal("no traffic: test is vacuous")
+	}
+	if st.QosOpsAdmitted|st.QosOpsThrottled|st.QosAdmissionWaits|st.QosRateDeferrals|st.QosSchedFrames != 0 {
+		t.Errorf("Qos counters moved without QoS configured: %+v", st)
+	}
+	for _, s := range cl.Obs.Gather().Samples {
+		if strings.HasPrefix(s.Name, "qos_") {
+			t.Errorf("series %s registered without QoS configured", s.Name)
+		}
+	}
+}
+
+// TestHealthReportsClassQueueDepths: the scheduler depths in a health
+// snapshot are the sums over the class queues, so a backlogged
+// two-class endpoint reports them non-zero, and core_sched_queue_depth
+// is their total.
+func TestHealthReportsClassQueueDepths(t *testing.T) {
+	cfg := cluster.OneLink1G(2)
+	cfg.Core.SchedQueue = true
+	cfg.Core.AckEvery = 1 // every data frame leaves the receiver control work
+	cfg.Core.QoS = []core.QoSClass{{Weight: 1}, {Weight: 2}}
+	cfg.Obs = cluster.ObsOptions{Metrics: true, SampleEvery: -1}
+	cl := cluster.New(cfg)
+	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
+	const conns, n = 8, 64 << 10
+	for i := 0; i < conns; i++ {
+		i := i
+		cl.Env.Go("c", func(p *sim.Proc) {
+			c := ep0.Dial(p, 1, 0)
+			c.SetClass(i % 2)
+			src, dst := ep0.Alloc(n), ep1.Alloc(n)
+			c.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		})
+	}
+	maxCtrl, maxSend := 0, 0
+	var watch func()
+	watch = func() {
+		for node, ep := range []*core.Endpoint{ep0, ep1} {
+			h := ep.Health()
+			maxCtrl, maxSend = max(maxCtrl, h.SchedCtrlQ), max(maxSend, h.SchedSendQ)
+			g, _ := cl.Obs.Gather().Get("core_sched_queue_depth", obs.NodeLabel(node))
+			if int(g) != h.SchedCtrlQ+h.SchedSendQ {
+				t.Fatalf("core_sched_queue_depth = %v, health says %d+%d", g, h.SchedCtrlQ, h.SchedSendQ)
+			}
+		}
+		cl.Env.AfterDaemon(20*sim.Microsecond, watch)
+	}
+	cl.Env.AfterDaemon(0, watch)
+	cl.Env.Run()
+	if maxSend == 0 || maxCtrl == 0 {
+		t.Errorf("backlogged endpoint reported depths ctrl=%d send=%d, want both non-zero", maxCtrl, maxSend)
+	}
+}

@@ -8,16 +8,20 @@ import (
 	"multiedge/internal/sim"
 )
 
-// Multi-tenant quality of service (Config.QoS). The endpoint's FIFO
-// scheduler (Config.SchedQueue) is extended with one control and one
-// data service queue PER CLASS, and the protocol thread picks the next
-// connection by deficit-weighted fair queueing instead of flat
-// round-robin: each visit grants a class Weight × qosQuantum bytes of
-// deficit, every transmitted frame is charged against it, and the
-// cursor only advances once the deficit is spent — so when every class
-// is backlogged, class i holds Weight_i/ΣWeight of the transmit slots
-// regardless of how many connections (or how large the operations) a
-// tenant throws at the endpoint.
+// The connection scheduler (Config.SchedQueue) and multi-tenant quality
+// of service (Config.QoS). The endpoint keeps one control and one data
+// service queue PER CLASS, and the protocol thread picks the next
+// connection by deficit-weighted fair queueing: each visit grants a
+// class Weight × qosQuantum bytes of deficit, every transmitted frame is
+// charged against it, and the cursor only advances once the deficit is
+// spent — so when every class is backlogged, class i holds
+// Weight_i/ΣWeight of the transmit slots regardless of how many
+// connections (or how large the operations) a tenant throws at the
+// endpoint. With Config.QoS empty the scheduler serves one implicit
+// weight-1 class, and DWFQ over a single class is FIFO round-robin over
+// its connections: there is no second, flat scheduler. The implicit
+// class is invisible — no admission, no Stats.Qos* counter, no qos_*
+// series.
 //
 // Two admission-side mechanisms bound what a tenant can occupy before
 // scheduling even starts. A token bucket (RateBps/Burst) paces the
@@ -56,16 +60,19 @@ type qosClass struct {
 	ctrlQ connFIFO // conns with pending explicit ACK/NACK work
 	sendQ connFIFO // conns with transmittable data work
 
+	weight int   // QoSClass.Weight (1 for the implicit class)
+	rate   int64 // QoSClass.RateBps (0 = unlimited)
+
 	deficit    int64 // DWFQ byte deficit (data path)
 	ctrlBudget int   // weighted-round-robin ctrl frames left this visit
 
 	// Token bucket (cfg.RateBps > 0). tokens may go negative: a frame
 	// is admitted whenever tokens > 0 and charged its full size, so an
 	// oversized frame simply delays the class longer.
-	tokens      int64
-	burst       int64
-	lastRefill  sim.Time
-	refillArmed bool
+	tokens     int64
+	burst      int64
+	lastRefill sim.Time
+	refill     *sim.Timer // wake for when the bucket next goes positive
 
 	// Submission quotas: admitted (issued or posted) but uncompleted.
 	pendingOps   int
@@ -80,15 +87,25 @@ type qosClass struct {
 	bytesSent  uint64
 }
 
-// qosOn reports whether the QoS layer is active at this endpoint.
-func (ep *Endpoint) qosOn() bool { return len(ep.qos) > 0 }
+// qosOn reports whether QoS is configured at this endpoint: admission
+// quotas, class tags, Stats.Qos* and the qos_* series apply. The class
+// scheduler itself (ep.qos) exists whenever Config.SchedQueue is set.
+func (ep *Endpoint) qosOn() bool { return len(ep.cfg.QoS) > 0 }
 
-// initQoS builds the per-class scheduler state from Config.QoS.
+// initQoS builds the per-class scheduler state from Config.QoS, or one
+// implicit weight-1 class when no class is configured. The implicit
+// class lives only here, never in cfg.QoS, so qosOn stays false.
 func (ep *Endpoint) initQoS() {
+	ep.qosWakeFn = ep.wakeThread
+	if len(ep.cfg.QoS) == 0 {
+		ep.qos = []qosClass{{weight: 1}}
+		return
+	}
 	ep.qos = make([]qosClass, len(ep.cfg.QoS))
 	for i := range ep.cfg.QoS {
 		cc := &ep.cfg.QoS[i]
 		q := &ep.qos[i]
+		q.weight, q.rate = cc.Weight, cc.RateBps
 		if cc.RateBps > 0 {
 			q.burst = int64(cc.Burst)
 			if q.burst <= 0 {
@@ -253,7 +270,7 @@ func (c *Conn) qosAdmitDo(p *sim.Proc, op Op) (int, error) {
 // resets the anchor so idle time cannot bank extra burst.
 func (ep *Endpoint) qosRefill(cls int) {
 	q := &ep.qos[cls]
-	rate := ep.cfg.QoS[cls].RateBps
+	rate := q.rate
 	if rate <= 0 {
 		return
 	}
@@ -279,10 +296,11 @@ func (ep *Endpoint) qosRefill(cls int) {
 // qosRateOK reports whether class cls may transmit a data frame now,
 // arming a thread wakeup for when the bucket next goes positive if not.
 // The refill timer is a plain (non-daemon) event: a rate-parked class
-// still has work, so the simulation must not drain under it.
+// still has work, so the simulation must not drain under it. One handle
+// per class is re-armed for the endpoint's lifetime.
 func (ep *Endpoint) qosRateOK(cls int) bool {
 	q := &ep.qos[cls]
-	rate := ep.cfg.QoS[cls].RateBps
+	rate := q.rate
 	if rate <= 0 {
 		return true
 	}
@@ -292,15 +310,11 @@ func (ep *Endpoint) qosRateOK(cls int) bool {
 	}
 	q.deferrals++
 	ep.Stats.QosRateDeferrals++
-	if !q.refillArmed {
-		q.refillArmed = true
+	if !q.refill.Pending() {
 		need := 1 - q.tokens
 		d := sim.Time((need*int64(sim.Second) + rate - 1) / rate)
 		ep.recEvent(0, obs.RecRateDefer, int64(cls), int64(d))
-		ep.env.After(d, func() {
-			q.refillArmed = false
-			ep.wakeThread()
-		})
+		q.refill = ep.env.Rearm(q.refill, d, ep.qosWakeFn)
 	}
 	return false
 }
@@ -308,23 +322,6 @@ func (ep *Endpoint) qosRateOK(cls int) bool {
 // ---------------------------------------------------------------------
 // Scheduler (DWFQ pops).
 // ---------------------------------------------------------------------
-
-// qosKickConn enqueues c on its class queues, mirroring the flat
-// SchedQueue bookkeeping (once per queue, lazily re-validated on pop).
-func (ep *Endpoint) qosKickConn(c *Conn) {
-	cls := c.classIdx()
-	q := &ep.qos[cls]
-	if !c.inCtrlQ && c.ctrlPending() {
-		c.inCtrlQ = true
-		q.ctrlQ.push(c)
-		ep.recEvent(c.localID, obs.RecSched, 0, int64(q.ctrlQ.size()))
-	}
-	if !c.inSendQ && c.sendable() {
-		c.inSendQ = true
-		q.sendQ.push(c)
-		ep.recEvent(c.localID, obs.RecSched, 1, int64(q.sendQ.size()))
-	}
-}
 
 // qosPopCtrl picks the next connection with pending control work under
 // weighted round-robin across classes: each visit lets a class send up
@@ -342,7 +339,7 @@ func (ep *Endpoint) qosPopCtrl() *Conn {
 			continue
 		}
 		if q.ctrlBudget <= 0 {
-			q.ctrlBudget = ep.cfg.QoS[ep.qosCtrlCur].Weight
+			q.ctrlBudget = q.weight
 		}
 		for q.ctrlBudget > 0 {
 			c := q.ctrlQ.pop()
@@ -387,7 +384,7 @@ func (ep *Endpoint) qosPopSend() *Conn {
 			continue
 		}
 		if q.deficit <= 0 {
-			q.deficit += int64(ep.cfg.QoS[cls].Weight) * qosQuantum
+			q.deficit += int64(q.weight) * qosQuantum
 		}
 		for {
 			c := q.sendQ.pop()
@@ -412,15 +409,17 @@ func (ep *Endpoint) qosPopSend() *Conn {
 // deficit advances the cursor — the class's turn is over.
 func (ep *Endpoint) qosChargeSend(cls, n int) {
 	q := &ep.qos[cls]
-	q.framesSent++
-	q.bytesSent += uint64(n)
-	ep.Stats.QosSchedFrames++
+	if ep.qosOn() {
+		q.framesSent++
+		q.bytesSent += uint64(n)
+		ep.Stats.QosSchedFrames++
+	}
 	charge := int64(n)
 	if charge < qosMinCharge {
 		charge = qosMinCharge
 	}
 	q.deficit -= charge
-	if ep.cfg.QoS[cls].RateBps > 0 {
+	if q.rate > 0 {
 		q.tokens -= int64(n)
 	}
 	if q.deficit <= 0 && ep.qosSendCur == cls {
@@ -428,9 +427,21 @@ func (ep *Endpoint) qosChargeSend(cls, n int) {
 	}
 }
 
-// qosSendWork reports whether any class has a connection queued for
-// data-path service.
-func (ep *Endpoint) qosSendWork() bool {
+// qosPaced reports whether data service should hold off for the wire:
+// some class has data queued while every NIC's transmit queue is at or
+// past the pacing bound, so a dispatched frame would sit behind backlog
+// the scheduler no longer controls. Pacing keeps the class weights, not
+// the NIC FIFO, in charge of frame order, which only means something
+// with two or more classes; a single class is never paced.
+func (ep *Endpoint) qosPaced() bool {
+	if len(ep.qos) < 2 {
+		return false
+	}
+	for _, n := range ep.nics {
+		if n.OutPort().Queued() < qosNICQueueBound {
+			return false
+		}
+	}
 	for i := range ep.qos {
 		if !ep.qos[i].sendQ.empty() {
 			return true
@@ -439,28 +450,15 @@ func (ep *Endpoint) qosSendWork() bool {
 	return false
 }
 
-// qosNICBusy reports whether every NIC's transmit queue is at or past
-// the pacing bound, meaning a dispatched frame would sit behind wire
-// backlog the scheduler no longer controls.
-func (ep *Endpoint) qosNICBusy() bool {
-	for _, n := range ep.nics {
-		if n.OutPort().Queued() < qosNICQueueBound {
-			return false
-		}
-	}
-	return true
-}
-
 // qosArmPace schedules a wake for roughly when the head frame of the
 // shallowest NIC queue clears the wire, re-entering threadStep to
 // dispatch the next DWFQ pick. The timer is non-daemon — paced frames
-// are real pending work and must keep the simulation alive — and
-// deduplicated so at most one is outstanding per endpoint.
+// are real pending work and must keep the simulation alive — and one
+// handle is re-armed, so at most one wake is outstanding per endpoint.
 func (ep *Endpoint) qosArmPace() {
-	if ep.qosPaceArmed {
+	if ep.qosPace.Pending() {
 		return
 	}
-	ep.qosPaceArmed = true
 	var d sim.Time
 	for _, n := range ep.nics {
 		q := n.OutPort().Queued()
@@ -475,20 +473,17 @@ func (ep *Endpoint) qosArmPace() {
 	if d < sim.Microsecond {
 		d = sim.Microsecond
 	}
-	ep.env.After(d, func() {
-		ep.qosPaceArmed = false
-		ep.wakeThread()
-	})
+	ep.qosPace = ep.env.Rearm(ep.qosPace, d, ep.qosWakeFn)
 }
 
-// qosSchedDepth is the total number of queued scheduler entries across
-// all class queues (the QoS counterpart of ctrlQ.size()+sendQ.size()).
-func (ep *Endpoint) qosSchedDepth() int {
-	d := 0
+// qosSchedDepth returns the number of queued scheduler entries, summed
+// over the class queues: control and data.
+func (ep *Endpoint) qosSchedDepth() (ctrl, send int) {
 	for i := range ep.qos {
-		d += ep.qos[i].ctrlQ.size() + ep.qos[i].sendQ.size()
+		ctrl += ep.qos[i].ctrlQ.size()
+		send += ep.qos[i].sendQ.size()
 	}
-	return d
+	return ctrl, send
 }
 
 // qosCollector publishes the per-class qos_* series at gather time with

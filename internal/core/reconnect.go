@@ -96,7 +96,7 @@ func (c *Conn) enterReconnect(cause error, sendReset bool) {
 	// timer is a daemon — a parked conn must not keep a drained
 	// simulation alive on its own.
 	wait := c.passiveWait()
-	c.reconnGiveUp = ep.afterDaemonTimer(wait, func() {
+	c.reconnGiveUp = ep.env.AfterDaemon(wait, func() {
 		if c.closed || !c.reconnecting {
 			return
 		}

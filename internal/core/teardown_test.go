@@ -102,9 +102,6 @@ func TestTeardownUnderLoad(t *testing.T) {
 			cfg.Seed = 911
 			cfg.Link.LossProb = 0.02
 			cfg.Core.SchedQueue = scaled
-			if scaled {
-				cfg.Core.TimerWheelTick = 50 * sim.Microsecond
-			}
 			cl := cluster.New(cfg)
 			ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 			const conns = 100
@@ -208,48 +205,5 @@ func TestNackStateBoundedUnderOutage(t *testing.T) {
 	}
 	if maxGaps < core.MaxTrackedGapsForTest {
 		t.Errorf("tracked gaps peaked at %d, never reached the cap %d", maxGaps, core.MaxTrackedGapsForTest)
-	}
-}
-
-// TestSchedWheelParityLossy runs the same lossy transfer with the
-// legacy scan + heap timers and with the connection scheduler + timer
-// wheel: both must deliver intact data, and the scaled configuration
-// must be deterministic (two identical-seed runs produce identical
-// traffic reports).
-func TestSchedWheelParityLossy(t *testing.T) {
-	run := func(scaled bool, seed int64) (report cluster.NetReport, end sim.Time, ok bool) {
-		cfg := cluster.TwoLink1G(2)
-		cfg.Seed = seed
-		cfg.Link.LossProb = 0.05
-		cfg.Core.SchedQueue = scaled
-		if scaled {
-			cfg.Core.TimerWheelTick = 50 * sim.Microsecond
-		}
-		cl := cluster.New(cfg)
-		c01, _ := cl.Pair()
-		ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
-		const n = 400 * 1444
-		src, dst := ep0.Alloc(n), ep1.Alloc(n)
-		fill(ep0.Mem()[src:src+uint64(n)], 4)
-		done := false
-		cl.Env.Go("xfer", func(p *sim.Proc) {
-			c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
-			done = true
-		})
-		end = cl.Env.RunUntil(30 * sim.Second)
-		ok = done && bytes.Equal(ep1.Mem()[dst:dst+uint64(n)], ep0.Mem()[src:src+uint64(n)])
-		return cl.Collect(), end, ok
-	}
-	if _, _, ok := run(false, 5); !ok {
-		t.Fatal("legacy path failed the lossy transfer")
-	}
-	r1, e1, ok1 := run(true, 5)
-	if !ok1 {
-		t.Fatal("scheduler+wheel path failed the lossy transfer")
-	}
-	r2, e2, ok2 := run(true, 5)
-	if !ok2 || r1 != r2 || e1 != e2 {
-		t.Fatalf("scheduler+wheel run not deterministic: end %v vs %v, reports equal=%v",
-			e1, e2, r1 == r2)
 	}
 }

@@ -52,20 +52,19 @@ type RailHealth struct {
 // EndpointHealth is one endpoint's point-in-time health, including
 // every tabled connection (in stable table order).
 type EndpointHealth struct {
-	At           sim.Time
-	Node         int
-	ActiveConns  int
-	SchedCtrlQ   int // connections queued for control service
-	SchedSendQ   int // connections queued for data service
-	WheelEntries int // armed timer-wheel entries
-	Conns        []ConnHealth
+	At          sim.Time
+	Node        int
+	ActiveConns int
+	SchedCtrlQ  int // connections queued for control service, all classes
+	SchedSendQ  int // connections queued for data service, all classes
+	Conns       []ConnHealth
 }
 
 // appendJSON renders the snapshot into b as a deterministic JSON
 // object (fixed field order, no maps).
 func (h EndpointHealth) appendJSON(b *strings.Builder) {
-	fmt.Fprintf(b, `{"at_ns":%d,"node":%d,"active_conns":%d,"sched_ctrl_q":%d,"sched_send_q":%d,"wheel_entries":%d,"conns":[`,
-		int64(h.At), h.Node, h.ActiveConns, h.SchedCtrlQ, h.SchedSendQ, h.WheelEntries)
+	fmt.Fprintf(b, `{"at_ns":%d,"node":%d,"active_conns":%d,"sched_ctrl_q":%d,"sched_send_q":%d,"conns":[`,
+		int64(h.At), h.Node, h.ActiveConns, h.SchedCtrlQ, h.SchedSendQ)
 	for i, c := range h.Conns {
 		if i > 0 {
 			b.WriteByte(',')

@@ -175,8 +175,9 @@ func WithReconnect(maxReconnects int) ClusterOption {
 }
 
 // WithSchedQueue replaces the protocol thread's O(conns) round-robin
-// scan with the ready-queue scheduler — required beyond a few hundred
-// connections per node.
+// scan with the class scheduler (one implicit class, served FIFO, unless
+// WithQoS configures more) — required beyond a few hundred connections
+// per node.
 func WithSchedQueue() ClusterOption {
 	return func(c *ClusterConfig) { c.Core.SchedQueue = true }
 }
@@ -201,13 +202,6 @@ func WithHeartbeat(interval, dead Time) ClusterOption {
 	}
 }
 
-// WithTimerWheel coalesces per-connection protocol timers onto a
-// tick-granular wheel — the constant-rate alternative to one sim event
-// per pending timeout.
-func WithTimerWheel(tick Time) ClusterOption {
-	return func(c *ClusterConfig) { c.Core.TimerWheelTick = tick }
-}
-
 // WithQoS enables multi-tenant quality of service with one entry per
 // traffic class (class 0 is the default class): data-frame service is
 // scheduled by deficit-weighted fair queueing across classes, and each
@@ -215,7 +209,7 @@ func WithTimerWheel(tick Time) ClusterOption {
 // of an endpoint one tenant can occupy (over-quota Posts fail fast with
 // ErrThrottled; Do blocks for room). Tag connections with Conn.SetClass
 // or service stubs with WithTenantClass. Implies WithSchedQueue — the
-// fair queues extend the FIFO scheduler.
+// classes are the scheduler's queues.
 func WithQoS(classes ...QoSClass) ClusterOption {
 	return func(c *ClusterConfig) {
 		c.Core.QoS = classes
