@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"multiedge/internal/cluster"
@@ -196,5 +197,64 @@ func TestAllocsProductionProfile(t *testing.T) {
 			t.Fatal("measured workload did not complete")
 		}
 		gateAllocs(t, "production-profile eager "+tc.name+"+wait", allocs, tc.budget)
+	}
+}
+
+// TestConnFootprint ratchets what one end of a connection costs to
+// establish, in live heap bytes and in allocations, on the paper
+// profile and on productionProfile at the default Window of 128: 256
+// dials, both ends counted, the heap read after a collection on either
+// side of the dial storm (the repo benchmark's bytes_per_conn, from
+// inside the tree). Per-connection state is what scaling a server's
+// connection count costs, so the limits move only by editing them here
+// on purpose — down when Conn sheds state, never up.
+func TestConnFootprint(t *testing.T) {
+	const (
+		maxBytes  = 20_000
+		maxAllocs = 24
+		conns     = 256
+	)
+	for _, pr := range []struct {
+		name  string
+		apply func(*cluster.Config)
+	}{{"paper", func(*cluster.Config) {}}, {"production", productionProfile}} {
+		cfg := cluster.TwoLinkUnordered1G(2)
+		pr.apply(&cfg)
+		cl := cluster.New(cfg)
+		ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
+		heap := func() (m runtime.MemStats) {
+			runtime.GC()
+			runtime.ReadMemStats(&m)
+			return m
+		}
+		before := heap()
+		cl.Env.Go("accept", func(p *sim.Proc) {
+			for i := 0; i < conns; i++ {
+				ep1.Accept(p)
+			}
+		})
+		cl.Env.Go("dial", func(p *sim.Proc) {
+			for i := 0; i < conns; i++ {
+				ep0.Dial(p, 1, 0)
+			}
+			cl.Env.Stop()
+		})
+		cl.Env.Run()
+		after := heap()
+		if got := ep0.ActiveConns() + ep1.ActiveConns(); got != 2*conns {
+			t.Fatalf("%s: %d connection ends established, want %d", pr.name, got, 2*conns)
+		}
+		bytes := float64(after.HeapAlloc-before.HeapAlloc) / (2 * conns)
+		allocs := float64(after.Mallocs-before.Mallocs) / (2 * conns)
+		t.Logf("%s: %.0f B and %.1f allocations per Conn (limits %d, %d)", pr.name, bytes, allocs, maxBytes, maxAllocs)
+		if race.Enabled {
+			t.Logf("race detector enabled; skipping the footprint assertions")
+			continue
+		}
+		if bytes > maxBytes || allocs > maxAllocs {
+			t.Errorf("%s: a Conn costs %.0f B and %.1f allocations, limits %d B and %d: keep each piece of connection state once",
+				pr.name, bytes, allocs, maxBytes, maxAllocs)
+		}
+		runtime.KeepAlive(cl)
 	}
 }

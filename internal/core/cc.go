@@ -23,7 +23,7 @@ import (
 //     frame (phys.Frame.Ecn, out of band because the protocol header is
 //     CRC-covered end to end); the receiver echoes marks on its next
 //     ack-bearing frame (frame.Header.EcnEcho); RTO expiry is the
-//     drop-loss signal; per-rail SRTT (conn.go) is the striping signal.
+//     drop-loss signal; per-rail SRTT (rail.rtt) is the striping signal.
 //   - Multiplicative decrease. An ECN echo or an RTO halves cwnd
 //     (floor ccMin), at most once per flight: further signals are
 //     ignored until sndUna passes the sndNxt recorded at the cut, so
@@ -76,8 +76,8 @@ func (c *Conn) ccRetxOK() bool {
 // railDec returns one outstanding-frame charge from rail li. Clamped at
 // zero: epoch resets can zero the counters while late acks still walk.
 func (c *Conn) railDec(li int) {
-	if li >= 0 && li < len(c.railOut) && c.railOut[li] > 0 {
-		c.railOut[li]--
+	if li >= 0 && li < len(c.rails) && c.rails[li].out > 0 {
+		c.rails[li].out--
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // Handle; completion and remote notifications are delivered through the
 // simulation's signal and mailbox primitives.
 //
-// Sequence numbers are 32-bit and assumed not to wrap within one
-// simulation (2^32 frames ≈ 6 TB of traffic, far above any experiment).
+// Sequence numbers are 32-bit and compared in serial-number arithmetic
+// throughout, so a connection may run through the wrap
+// (TestSequenceWrap).
 type Conn struct {
 	ep         *Endpoint
 	localID    uint32
@@ -44,11 +45,9 @@ type Conn struct {
 	// Failure handling: adaptive retransmission timing (Config.RTOMax)
 	// and peer-death detection (Config.MaxRetries / DeadInterval /
 	// HeartbeatInterval).
-	failed       bool  // peer declared dead; failErr says why
-	failErr      error // wraps ErrPeerDead
-	srtt         sim.Time
-	rttvar       sim.Time
-	rto          sim.Time // clamped SRTT+4*RTTVAR estimate (armed in adaptive mode)
+	failed       bool     // peer declared dead; failErr says why
+	failErr      error    // wraps ErrPeerDead
+	rtt          rttEst   // every rail blended; its rto is armed in adaptive mode
 	expiries     int      // consecutive RTO expiries without ack progress
 	lastProgress sim.Time // last ack advance, or first transmit of a fresh burst
 	lastHeard    sim.Time // last frame received on this conn
@@ -70,44 +69,25 @@ type Conn struct {
 	rtoTimer     *sim.Timer
 	pendingReads map[uint64]*Handle
 
-	// Transmit side: link-failure handling. A link accumulating repair
-	// events (NACKed or timed-out frames last sent on it) without any
-	// acknowledged frame in between is declared dead and excluded from
-	// round-robin striping; a probe frame is risked on it periodically
-	// and an acknowledgement of any frame sent on it re-admits it.
-	linkFails  []int      // repair events since the last acked frame, per link
-	linkDead   []bool     // links currently excluded from striping
-	linkDeadAt []sim.Time // when each link was last declared dead
-	deadLinks  int        // count of true entries in linkDead
+	// Per-link state, both directions (see rail).
+	rails      []rail
+	deadLinks  int // count of rails with dead set
 	probeTimer *sim.Timer
 
-	// Receive side: ARQ. The per-seq state lives in window-sized rings
-	// (see seqring.go): accepted-but-unacked dedupe, gap timestamps and
-	// in-flight repair marks all have live spans bounded by the sender's
-	// window, so none of them may grow with connection lifetime.
+	// Receive side: ARQ. Every sequence number in [rcvNxt, maxSeenPlus1)
+	// is either accepted or a gap, and rcv (see rcvSlot) says which in
+	// one window-sized ring: its live span is bounded by the sender's
+	// window, so it cannot grow with connection lifetime.
 	rcvNxt       uint32 // cumulative acknowledgement point
-	rcvSeen      *seqRing[struct{}]
 	maxSeenPlus1 uint32 // 1 + highest sequence number accepted
-	missingSince *seqRing[sim.Time]
-	nackedAt     *seqRing[sim.Time] // last NACK per missing seq (repair in flight)
+	rcv          *seqRing[rcvSlot]
+	gaps         int // gap records in rcv (bounded by maxTrackedGaps)
 	lastNack     sim.Time
-	// linkHigh[l] is 1 + the highest data sequence number that arrived
-	// on link l (0 = nothing yet). Because each physical path preserves
-	// FIFO order, a missing sequence number s can only have been LOST —
-	// rather than queued behind other frames on its path — once every
-	// link has delivered some frame beyond s. This makes loss detection
-	// immune to cross-link queue skew (deep transmit queues on one rail
-	// delay its frames by hundreds of microseconds without any loss).
-	linkHigh []uint32
-	// linkLast[l] is the arrival time of the most recent frame on link
-	// l. A link silent for cfg.LinkStaleAge while gaps exist stops
-	// vetoing loss detection (see Config.LinkStaleAge).
-	linkLast  []sim.Time
-	unackedRx int
-	ackTimer  *sim.Timer
-	nackTimer *sim.Timer
-	ackDue    bool
-	nackDue   []uint32
+	unackedRx    int
+	ackTimer     *sim.Timer
+	nackTimer    *sim.Timer
+	ackDue       bool
+	nackDue      []uint32
 	// nackScratch is the reused NACK-payload encode buffer: sendCtrl
 	// used to allocate a fresh payload per NACK (frame.EncodeNackPayload),
 	// which under sustained loss was an allocation per repair round.
@@ -145,14 +125,15 @@ type Conn struct {
 	ringBufs   []*frame.Buf
 	subScratch []frame.SubOp
 
-	// Receive side: ordering and delivery.
-	applyNxt  uint32 // strict mode: next sequence number to apply
-	strictBuf *seqRing[heldFrame]
-	rxOps     map[uint64]*rxOp
-	frontier  uint64   // all receive ops with id < frontier are complete
-	fenced    []uint64 // sorted ids of incomplete forward-fenced ops
-	held      []heldFrame
-	notifyQ   sim.Mailbox[Notification]
+	// Receive side: ordering and delivery. held is the one reorder
+	// buffer: frames the ordering predicate (canApply) does not admit
+	// yet, whether a fence or Config.Strict is what holds them back.
+	applyNxt uint32 // Config.Strict: next sequence number to apply
+	rxOps    map[uint64]*rxOp
+	frontier uint64   // all receive ops with id < frontier are complete
+	fenced   []uint64 // sorted ids of incomplete forward-fenced ops
+	held     []heldFrame
+	notifyQ  sim.Mailbox[Notification]
 
 	// Submission/completion queues (see op.go): descriptors posted but
 	// not yet issued by a doorbell, and completions awaiting a poll.
@@ -176,26 +157,6 @@ type Conn struct {
 
 	bytesAcked uint64 // payload bytes acknowledged end-to-end, lifetime
 
-	// Per-rail RTT split: the conn-level estimator above blends every
-	// rail into one SRTT, which hides a slow rail behind a fast one.
-	// These track each rail separately — same Jacobson/Karels update,
-	// same Karn filter (never-retransmitted frames only) — purely as
-	// congestion signals and health gauges. The conn-level RTO is still
-	// driven by the blended estimator, so retransmission timing (and the
-	// paper goldens) are unchanged.
-	railSrtt   []sim.Time // per-link smoothed RTT (0 = no sample yet)
-	railRttvar []sim.Time // per-link RTT variance
-	// railNewest/railHave are per-ack-walk scratch picking each rail's
-	// newest non-retransmitted sample (the per-rail counterpart of
-	// handleAck's "newest" Karn tracking); cleared after every walk.
-	// With the congestion controller on, multi-rail conns measure each
-	// rail with dedicated probe/echo frames instead (see armRailProbes):
-	// a cumulative ack only advances once the slowest rail's interleaved
-	// frames arrive, so ack-walk samples collapse every rail onto the
-	// slowest one's round trip.
-	railNewest []sim.Time
-	railHave   []bool
-
 	// Congestion control (Config.CongestionControl). All state is inert
 	// when the feature is off; see cc.go for the AIMD rules.
 	cwnd        int    // congestion window, frames
@@ -203,7 +164,106 @@ type Conn struct {
 	ccRecover   uint32 // no further cut until sndUna reaches this (one cut per flight)
 	ccRetxSent  int    // retransmissions since the last ack progress or RTO
 	ccEcnRx     int    // receiver side: marked frames awaiting an ECN echo
-	railOut     []int  // per-link frames transmitted there and not yet acked
+}
+
+// rail is one physical link's share of a connection's state, transmit
+// and receive side together.
+type rail struct {
+	// Transmit side: link-failure handling. A link accumulating repair
+	// events (NACKed or timed-out frames last sent on it) without any
+	// acknowledged frame in between is declared dead and excluded from
+	// round-robin striping; a probe frame is risked on it periodically
+	// and an acknowledgement of any frame sent on it re-admits it.
+	fails  int      // repair events since the last acked frame
+	dead   bool     // currently excluded from striping
+	deadAt sim.Time // when the link was last declared dead
+	out    int      // frames sent here and not yet acked (congestion control only)
+
+	// Per-rail RTT split: the conn-level estimator blends every rail
+	// into one SRTT, which hides a slow rail behind a fast one. This one
+	// tracks the rail alone — same estimator, same Karn filter
+	// (never-retransmitted frames only) — purely as a congestion signal
+	// and health gauge. The conn-level RTO is still driven by the
+	// blended estimator, so retransmission timing (and the paper
+	// goldens) are unchanged.
+	rtt rttEst
+	// newest/have are per-ack-walk scratch picking the rail's newest
+	// non-retransmitted sample (the per-rail counterpart of handleAck's
+	// "newest" Karn tracking); cleared after every walk. With the
+	// congestion controller on, multi-rail conns measure each rail with
+	// dedicated probe/echo frames instead (see armRailProbes): a
+	// cumulative ack only advances once the slowest rail's interleaved
+	// frames arrive, so ack-walk samples collapse every rail onto the
+	// slowest one's round trip.
+	newest sim.Time
+	have   bool
+
+	// Receive side. high is 1 + the highest data sequence number that
+	// arrived on the link. Because each physical path preserves FIFO
+	// order, a missing sequence number s can only have been LOST — rather
+	// than queued behind other frames on its path — once every link has
+	// delivered some frame beyond s. This makes loss detection immune to
+	// cross-link queue skew (deep transmit queues on one rail delay its
+	// frames by hundreds of microseconds without any loss).
+	high uint32
+	// last is the arrival time of the most recent frame on the link. A
+	// link silent for cfg.LinkStaleAge while gaps exist stops vetoing
+	// loss detection (see Config.LinkStaleAge).
+	last sim.Time
+}
+
+// rcvSlot is the receive window's record of one sequence number: the
+// frame was accepted and awaits the cumulative point, or it is a gap.
+type rcvSlot struct {
+	accepted bool
+	since    sim.Time // gap: when it was first seen missing
+	nacked   sim.Time // gap: when the last NACK named it, repair in flight (0 = never)
+}
+
+// rttEst is a Jacobson/Karels round-trip estimator (RFC 6298
+// coefficients). srtt == 0 means no sample yet.
+type rttEst struct {
+	srtt, rttvar sim.Time
+}
+
+// sample folds one round-trip measurement in: srtt ← 7/8·srtt + 1/8·s,
+// rttvar ← 3/4·rttvar + 1/4·|srtt − s|. It reports whether the sample
+// counted (a non-positive one does not).
+func (e *rttEst) sample(s sim.Time) bool {
+	if s <= 0 {
+		return false
+	}
+	if e.srtt == 0 {
+		e.srtt, e.rttvar = s, s/2
+		return true
+	}
+	d := e.srtt - s
+	if d < 0 {
+		d = -d
+	}
+	e.rttvar = (3*e.rttvar + d) / 4
+	e.srtt = (7*e.srtt + s) / 8
+	return true
+}
+
+// rto is srtt + 4·rttvar clamped to [RTOMin (or RTO when unset), RTOMax];
+// 0 while there is no sample.
+func (e *rttEst) rto(cfg *Config) sim.Time {
+	if e.srtt == 0 {
+		return 0
+	}
+	rto := e.srtt + 4*e.rttvar
+	floor := cfg.RTOMin
+	if floor <= 0 {
+		floor = cfg.RTO
+	}
+	if rto < floor {
+		rto = floor
+	}
+	if cfg.RTOMax > 0 && rto > cfg.RTOMax {
+		rto = cfg.RTOMax
+	}
+	return rto
 }
 
 // txOp is an operation on the send side: the kernel-buffer snapshot of
@@ -360,27 +420,14 @@ func (h *Handle) Err() error { return h.err }
 func newConn(ep *Endpoint, localID uint32, remoteNode, links int) *Conn {
 	c := &Conn{
 		ep: ep, localID: localID, remoteNode: remoteNode, links: links,
-		rto:          ep.cfg.RTO, // adaptive mode starts from the paper's fixed value
 		retrans:      newSeqRing[*txFrame](ep.cfg.Window),
 		pendingReads: make(map[uint64]*Handle),
-		rcvSeen:      newSeqRing[struct{}](ep.cfg.Window),
-		missingSince: newSeqRing[sim.Time](ep.cfg.Window),
-		nackedAt:     newSeqRing[sim.Time](ep.cfg.Window),
-		linkHigh:     make([]uint32, links),
-		linkLast:     make([]sim.Time, links),
-		linkFails:    make([]int, links),
-		linkDead:     make([]bool, links),
-		linkDeadAt:   make([]sim.Time, links),
-		strictBuf:    newSeqRing[heldFrame](ep.cfg.Window),
+		rcv:          newSeqRing[rcvSlot](ep.cfg.Window),
+		rails:        make([]rail, links),
 		rxOps:        make(map[uint64]*rxOp),
-		railSrtt:     make([]sim.Time, links),
-		railRttvar:   make([]sim.Time, links),
-		railNewest:   make([]sim.Time, links),
-		railHave:     make([]bool, links),
 	}
 	if ep.cfg.ccOn() {
 		c.cwnd = ep.cfg.ccInit()
-		c.railOut = make([]int, links)
 	}
 	c.onRTOFn = c.onRTO
 	c.ackFn = func() {
@@ -390,7 +437,7 @@ func newConn(ep *Endpoint, localID uint32, remoteNode, links int) *Conn {
 		}
 	}
 	c.nackFn = func() {
-		if c.closed || c.missingSince.size() == 0 {
+		if c.closed || c.gaps == 0 {
 			return
 		}
 		c.queueNack(true)
@@ -400,8 +447,8 @@ func newConn(ep *Endpoint, localID uint32, remoteNode, links int) *Conn {
 		if c.closed || c.deadLinks == 0 {
 			return
 		}
-		for li := 0; li < c.links; li++ {
-			if c.linkDead[li] {
+		for li := range c.rails {
+			if c.rails[li].dead {
 				c.sendProbe(li)
 			}
 		}
@@ -562,17 +609,22 @@ func (c *Conn) stopTimers() {
 	}
 	c.ackDue = false
 	c.nackDue = nil
-	// Gap-tracking state would re-arm the NACK machinery if any late
-	// frame slipped through; drop it with the timers. Dropping the
-	// in-flight repair timestamps (nackedAt) wholesale is intentional,
-	// not a leak of live repair state: stopTimers only runs on exits
-	// from the live state — local Close, peer close, failConn, and the
-	// reconnect rebirth — after which the old sequence space is dead
-	// (a rebirth starts a fresh epoch with fresh sequence numbers), so
-	// no timestamp keyed by an old seq can ever be consulted again.
-	// TestStopTimersDropsGapState pins this contract.
-	c.missingSince.clear()
-	c.nackedAt.clear()
+	// Gap records would re-arm the NACK machinery if any late frame
+	// slipped through; drop them with the timers (the accepted records
+	// stay: they are the duplicate filter). Dropping the in-flight repair
+	// timestamps wholesale is intentional, not a leak of live repair
+	// state: stopTimers only runs on exits from the live state — local
+	// Close, peer close, failConn, and the reconnect rebirth — after
+	// which the old sequence space is dead (a rebirth starts a fresh
+	// epoch with fresh sequence numbers), so no timestamp keyed by an old
+	// seq can ever be consulted again. TestStopTimersDropsGapState pins
+	// this contract.
+	for s := c.rcvNxt; c.gaps > 0 && s != c.maxSeenPlus1; s++ {
+		if r, ok := c.rcv.get(s); ok && !r.accepted {
+			c.rcv.del(s)
+			c.gaps--
+		}
+	}
 }
 
 func (c *Conn) stopCloseTimer() {
@@ -795,12 +847,12 @@ func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 	}
 	prev := tf.link
 	tf.link = c.sendFrameOn(&h, tf.payload, li)
-	if c.railOut != nil {
+	if c.ep.cfg.ccOn() {
 		if isRetrans {
 			// The frame's outstanding charge moves with it to its new rail.
 			c.railDec(prev)
 		}
-		c.railOut[tf.link]++
+		c.rails[tf.link].out++
 	}
 	tf.txAt = c.ep.env.Now()
 	op.forEachSpan(func(sp *obs.Span) {
@@ -846,21 +898,21 @@ func (c *Conn) pickLink() int {
 	var bestScore int64 = -1
 	for i := 0; i < c.links; i++ {
 		li := (c.rr + i) % c.links
-		if c.deadLinks > 0 && c.deadLinks < c.links && c.linkDead[li] {
+		if c.deadLinks > 0 && c.deadLinks < c.links && c.rails[li].dead {
 			continue
 		}
 		var score int64
 		switch {
 		case weighted:
-			cost := int64(c.railSrtt[li])
+			cost := int64(c.rails[li].rtt.srtt)
 			if cost == 0 {
-				cost = int64(c.srtt)
+				cost = int64(c.rtt.srtt)
 			}
 			if cost == 0 {
 				cost = 1
 			}
 			cost += int64(c.ep.nics[li].OutPort().Backlog())
-			score = int64(c.railOut[li]+1) * cost
+			score = int64(c.rails[li].out+1) * cost
 		case c.ep.cfg.AdaptiveStripe:
 			score = int64(c.ep.nics[li].OutPort().Backlog())
 		}
@@ -887,7 +939,7 @@ func (c *Conn) sendFrame(h *frame.Header, payload []byte) {
 		for i := 0; i < c.links; i++ {
 			li := c.rr
 			c.rr = (c.rr + 1) % c.links
-			if !c.linkDead[li] && now-c.linkLast[li] <= stale {
+			if r := &c.rails[li]; !r.dead && now-r.last <= stale {
 				c.sendFrameOn(h, payload, li)
 				return
 			}
@@ -988,13 +1040,13 @@ func (c *Conn) queueRetrans(seq uint32, cause obs.EventKind) {
 // repairs say nothing about link health and are not counted.
 func (c *Conn) noteLinkRepair(li int) {
 	th := c.ep.cfg.DeadLinkThreshold
-	if th <= 0 || c.ep.cfg.GoBackN || li < 0 || li >= c.links || c.linkDead[li] {
+	if th <= 0 || c.ep.cfg.GoBackN || li < 0 || li >= c.links || c.rails[li].dead {
 		return
 	}
-	c.linkFails[li]++
-	if c.linkFails[li] >= th && c.deadLinks < c.links-1 {
-		c.linkDead[li] = true
-		c.linkDeadAt[li] = c.ep.env.Now()
+	r := &c.rails[li]
+	r.fails++
+	if r.fails >= th && c.deadLinks < c.links-1 {
+		r.dead, r.deadAt = true, c.ep.env.Now()
 		c.deadLinks++
 		c.ep.Stats.LinkDeadEvents++
 		c.ep.trc(c.localID, trace.LinkDead, uint32(li), 0)
@@ -1012,9 +1064,10 @@ func (c *Conn) clearLinkFault(li int, sentAt sim.Time) {
 	if li < 0 || li >= c.links {
 		return
 	}
-	c.linkFails[li] = 0
-	if c.linkDead[li] && sentAt > c.linkDeadAt[li] {
-		c.linkDead[li] = false
+	r := &c.rails[li]
+	r.fails = 0
+	if r.dead && sentAt > r.deadAt {
+		r.dead = false
 		c.deadLinks--
 		c.ep.Stats.LinkRestores++
 		c.ep.trc(c.localID, trace.LinkRestore, uint32(li), 0)
@@ -1038,7 +1091,7 @@ func (c *Conn) armProbeTimer() {
 // acknowledgement unambiguous: no other copy of this sequence number
 // exists anywhere, so a cumulative ACK covering it before any
 // retransmission proves a frame crossed the dead link (handleAck then
-// restores it via the txAt > linkDeadAt test). A lost probe is repaired
+// restores it via the txAt > deadAt test). A lost probe is repaired
 // like any data frame — NACKed or timed out and retransmitted, by then
 // on a live link, which re-attributes the frame before its ACK can
 // arrive.
@@ -1053,78 +1106,31 @@ func (c *Conn) sendProbe(li int) {
 	c.transmit(tf, false)
 }
 
-// updateRTT feeds one ack-derived round-trip sample into the Jacobson
-// estimator (RFC 6298 coefficients: srtt ← 7/8·srtt + 1/8·s, rttvar ←
-// 3/4·rttvar + 1/4·|srtt − s|, rto = srtt + 4·rttvar clamped to
-// [RTOMin, RTOMax]). The estimate is always maintained for statistics;
-// it is only *armed* in adaptive mode (Config.RTOMax > 0).
+// updateRTT feeds one ack-derived round-trip sample into the conn-level
+// estimator. The estimate is always maintained for statistics; it is
+// only *armed* in adaptive mode (Config.RTOMax > 0).
 func (c *Conn) updateRTT(sample sim.Time) {
-	if sample <= 0 {
+	if !c.rtt.sample(sample) {
 		return
 	}
-	if c.srtt == 0 {
-		c.srtt = sample
-		c.rttvar = sample / 2
-	} else {
-		d := c.srtt - sample
-		if d < 0 {
-			d = -d
-		}
-		c.rttvar = (3*c.rttvar + d) / 4
-		c.srtt = (7*c.srtt + sample) / 8
-	}
 	c.ep.Stats.RttSamples++
-	cfg := &c.ep.cfg
-	rto := c.srtt + 4*c.rttvar
-	floor := cfg.RTOMin
-	if floor <= 0 {
-		floor = cfg.RTO
-	}
-	if rto < floor {
-		rto = floor
-	}
-	if cfg.RTOMax > 0 && rto > cfg.RTOMax {
-		rto = cfg.RTOMax
-	}
-	c.rto = rto
 	if c.ep.rtoHist != nil {
-		c.ep.rtoHist.Observe(float64(rto) / 1000)
+		c.ep.rtoHist.Observe(float64(c.rtt.rto(&c.ep.cfg)) / 1000)
 	}
 }
 
 // updateRailRTT applies the per-rail samples gathered during one
-// handleAck walk (railNewest/railHave) and clears the scratch. Same
-// Jacobson/Karels coefficients as updateRTT, but per link and purely
+// handleAck walk (rail.newest/have) and clears the scratch. Purely
 // observational: nothing here arms a timer or feeds the conn-level RTO,
 // so enabling nothing changes nothing.
 func (c *Conn) updateRailRTT() {
 	now := c.ep.env.Now()
-	for li := 0; li < c.links; li++ {
-		if !c.railHave[li] {
-			continue
+	for li := range c.rails {
+		if r := &c.rails[li]; r.have {
+			r.rtt.sample(now - r.newest)
+			r.newest, r.have = 0, false
 		}
-		sample := now - c.railNewest[li]
-		c.railNewest[li], c.railHave[li] = 0, false
-		c.railApply(li, sample)
 	}
-}
-
-// railApply folds one per-rail RTT sample into rail li's estimator.
-func (c *Conn) railApply(li int, sample sim.Time) {
-	if sample <= 0 || li < 0 || li >= c.links {
-		return
-	}
-	if c.railSrtt[li] == 0 {
-		c.railSrtt[li] = sample
-		c.railRttvar[li] = sample / 2
-		return
-	}
-	d := c.railSrtt[li] - sample
-	if d < 0 {
-		d = -d
-	}
-	c.railRttvar[li] = (3*c.railRttvar[li] + d) / 4
-	c.railSrtt[li] = (7*c.railSrtt[li] + sample) / 8
 }
 
 // railProbing reports whether this connection measures rails with
@@ -1134,7 +1140,7 @@ func (c *Conn) railApply(li int, sample sim.Time) {
 // estimate up to the slowest one and erase the split the weighted rail
 // scheduler steers by.
 func (c *Conn) railProbing() bool {
-	return c.railOut != nil && c.links > 1
+	return c.ep.cfg.ccOn() && c.links > 1
 }
 
 // armRailProbes starts the per-rail RTT probe tick on a multi-rail
@@ -1176,7 +1182,7 @@ func (c *Conn) sendRailProbe() {
 	now := c.ep.env.Now()
 	for i := 0; i < c.links; i++ {
 		li := (c.railProbeRR + i) % c.links
-		if c.deadLinks > 0 && c.deadLinks < c.links && c.linkDead[li] {
+		if c.deadLinks > 0 && c.deadLinks < c.links && c.rails[li].dead {
 			continue
 		}
 		c.railProbeRR = (li + 1) % c.links
@@ -1188,27 +1194,6 @@ func (c *Conn) sendRailProbe() {
 	}
 }
 
-// railRTO is the per-rail SRTT+4*RTTVAR estimate clamped like updateRTT,
-// for health snapshots; 0 while the rail has no sample.
-func (c *Conn) railRTO(li int) sim.Time {
-	if li < 0 || li >= len(c.railSrtt) || c.railSrtt[li] == 0 {
-		return 0
-	}
-	cfg := &c.ep.cfg
-	rto := c.railSrtt[li] + 4*c.railRttvar[li]
-	floor := cfg.RTOMin
-	if floor <= 0 {
-		floor = cfg.RTO
-	}
-	if rto < floor {
-		rto = floor
-	}
-	if cfg.RTOMax > 0 && rto > cfg.RTOMax {
-		rto = cfg.RTOMax
-	}
-	return rto
-}
-
 // currentRTO returns the timeout the next expiry timer should use: the
 // fixed Config.RTO outside adaptive mode, otherwise the Jacobson
 // estimate doubled once per consecutive expiry (exponential backoff)
@@ -1218,7 +1203,10 @@ func (c *Conn) currentRTO() sim.Time {
 	if cfg.RTOMax <= 0 {
 		return cfg.RTO
 	}
-	d := c.rto
+	d := c.rtt.rto(cfg)
+	if d == 0 {
+		d = cfg.RTO // adaptive mode starts from the paper's fixed value
+	}
 	for i := 0; i < c.expiries && d < cfg.RTOMax; i++ {
 		d *= 2
 	}
@@ -1322,11 +1310,12 @@ func (c *Conn) handleAck(ack uint32) {
 			if !tf.retx && (!haveNewest || tf.txAt > newestAt) {
 				newestAt, haveNewest = tf.txAt, true
 			}
-			if !tf.retx && !c.railProbing() && tf.link >= 0 && tf.link < c.links &&
-				(!c.railHave[tf.link] || tf.txAt > c.railNewest[tf.link]) {
-				c.railNewest[tf.link], c.railHave[tf.link] = tf.txAt, true
+			if !tf.retx && !c.railProbing() && tf.link >= 0 && tf.link < c.links {
+				if r := &c.rails[tf.link]; !r.have || tf.txAt > r.newest {
+					r.newest, r.have = tf.txAt, true
+				}
 			}
-			if c.railOut != nil {
+			if c.ep.cfg.ccOn() {
 				c.railDec(tf.link)
 			}
 			op := tf.op
@@ -1368,14 +1357,7 @@ func (c *Conn) checkTxOpDone(op *txOp) {
 	if op.completed || !op.sentAll || op.unacked != 0 {
 		return
 	}
-	op.completed = true
-	op.data = nil
-	if op.dataBuf != nil {
-		frame.PutBuf(op.dataBuf)
-		op.dataBuf = nil
-	}
-	c.qosRelease(op)
-	if op.probe {
+	if c.retireTxOp(op) {
 		return // internal probe: no user-visible completion
 	}
 	if op.flags&frame.FenceAfter != 0 {
@@ -1412,31 +1394,30 @@ func (c *Conn) checkTxOpDone(op *txOp) {
 	if op.opType != frame.OpReadReply {
 		op.span.EndAt(c.ep.env.Now())
 	}
-	if op.h != nil {
-		h := op.h
-		if h.dlTimer != nil {
-			h.dlTimer.Stop()
-		}
-		// Waking the user process costs CPU only if someone is blocked
-		// on the handle; a poll-later handle just flips state.
-		if h.done.HasWaiters() {
-			c.ep.cpus.Proto.SubmitArg(c.ep.env, c.ep.costs.UserWake, c.ep.fireSigFn, &h.done)
-		} else {
-			h.done.Fire(c.ep.env)
-		}
-		if h.cq {
-			c.pushCompletion(Completion{OpID: h.opID, Op: h.op})
-		}
+	c.finishHandle(op.h, nil)
+}
+
+// retireTxOp marks a send-side operation completed — done or failed —
+// and releases what it held: the snapshot buffer and the QoS admission
+// charge. It reports whether op was an internal dead-link probe.
+func (c *Conn) retireTxOp(op *txOp) (probe bool) {
+	op.completed = true
+	op.data = nil
+	if op.dataBuf != nil {
+		frame.PutBuf(op.dataBuf)
+		op.dataBuf = nil
 	}
+	c.qosRelease(op)
+	return op.probe
 }
 
 // ---------------------------------------------------------------------
 // Failure handling: peer death, deadlines, liveness (ISSUE 3).
 // ---------------------------------------------------------------------
 
-// finishHandle terminates a handle with err: deadline expiry or
-// connection failure. The waiter (if any) is woken exactly once; a CQ
-// handle also fans the error out as a Completion.
+// finishHandle terminates a handle: err is nil on completion, else the
+// deadline expiry or connection failure. The waiter (if any) is woken
+// exactly once; a CQ handle also fans the outcome out as a Completion.
 func (c *Conn) finishHandle(h *Handle, err error) {
 	if h == nil || h.done.Fired() {
 		return
@@ -1446,6 +1427,8 @@ func (c *Conn) finishHandle(h *Handle, err error) {
 	}
 	h.err = err
 	ep := c.ep
+	// Waking the user process costs CPU only if someone is blocked on
+	// the handle; a poll-later handle just flips state.
 	if h.done.HasWaiters() {
 		ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, ep.fireSigFn, &h.done)
 	} else {
@@ -1463,14 +1446,7 @@ func (c *Conn) failTxOp(t *txOp, cause error) {
 	if t == nil || t.completed {
 		return
 	}
-	t.completed = true
-	t.data = nil
-	if t.dataBuf != nil {
-		frame.PutBuf(t.dataBuf)
-		t.dataBuf = nil
-	}
-	c.qosRelease(t)
-	if t.probe {
+	if c.retireTxOp(t) {
 		return // internal probe: no user-visible completion
 	}
 	now := c.ep.env.Now()
@@ -1596,7 +1572,7 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 	c.retransQ = nil
 	c.txOps = nil
 	c.txFenced = nil
-	c.held = nil
+	c.held = nil // the only reorder buffer: nothing else keeps payload copies
 	// Wake processes parked in WaitNotify with one poison notification
 	// each; with c.failed set, later calls return the poison without
 	// parking. No caller may hang on a dead peer.
@@ -1713,11 +1689,12 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 		c.handleAck(h.Ack)
 	}
 	seq := h.Seq
-	if link < len(c.linkHigh) {
-		if int32(seq+1-c.linkHigh[link]) > 0 {
-			c.linkHigh[link] = seq + 1
+	if link < len(c.rails) {
+		r := &c.rails[link]
+		if int32(seq+1-r.high) > 0 {
+			r.high = seq + 1
 		}
-		c.linkLast[link] = ep.env.Now()
+		r.last = ep.env.Now()
 	}
 	if ep.cfg.GoBackN {
 		if seq != c.rcvNxt {
@@ -1736,7 +1713,8 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 		return
 	}
 	// Selective repeat.
-	if int32(seq-c.rcvNxt) < 0 || c.rcvSeen.has(seq) {
+	slot, tracked := c.rcv.get(seq)
+	if int32(seq-c.rcvNxt) < 0 || slot.accepted {
 		ep.Stats.Duplicates++
 		if len(payload) > 0 {
 			// The payload was applied when the first copy arrived; this
@@ -1746,15 +1724,16 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 		ep.trc(c.localID, trace.RxDuplicate, seq, len(payload))
 		// The sender is resending: our ACKs — and possibly our NACKs —
 		// were lost. Re-advertise both promptly so repair converges.
-		if c.missingSince.size() > 0 {
+		if c.gaps > 0 {
 			c.queueNack(true)
 		}
 		c.forceAck()
 		return
 	}
-	c.rcvSeen.put(seq, struct{}{})
-	c.missingSince.del(seq)
-	c.nackedAt.del(seq)
+	if tracked {
+		c.gaps-- // a gap closes
+	}
+	c.rcv.put(seq, rcvSlot{accepted: true})
 	ep.Stats.Arrivals++
 	if int32(c.maxSeenPlus1-seq) > 0 {
 		ep.Stats.OOOArrivals++
@@ -1763,18 +1742,20 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 		// In-order extension: any sequence numbers it skips over become
 		// missing as of now (bounded by the tracked-gap cap).
 		for s := c.maxSeenPlus1; s != seq; s++ {
-			if !c.rcvSeen.has(s) && int32(s-c.rcvNxt) >= 0 {
-				c.trackGap(s, ep.env.Now())
-			}
+			c.trackGap(s, ep.env.Now())
 		}
 		c.maxSeenPlus1 = seq + 1
 	}
-	// Advance the cumulative point, pruning the dedupe entries it passes:
-	// everything below rcvNxt is rejected by the stale check above, so
-	// the seen-set's live span stays within the window by construction
-	// (TestRcvSeenBounded drives a million lossy frames through this).
-	for c.rcvSeen.has(c.rcvNxt) {
-		c.rcvSeen.del(c.rcvNxt)
+	// Advance the cumulative point, pruning the accepted records it
+	// passes: everything below rcvNxt is rejected by the stale check
+	// above, so the ring's live span stays within the window by
+	// construction (TestRcvWindowAgainstReference drives a million lossy
+	// frames through this).
+	for {
+		if r, _ := c.rcv.get(c.rcvNxt); !r.accepted {
+			break
+		}
+		c.rcv.del(c.rcvNxt)
 		c.rcvNxt++
 	}
 	// Gap / NACK logic (§2.4: negative acknowledgements report lost or
@@ -1782,7 +1763,7 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 	// microseconds as a matter of course, so a sequence number is only
 	// NACKed once it has been missing for a loss-scale age; younger
 	// gaps are reordering, not loss.
-	if c.missingSince.size() > 0 {
+	if c.gaps > 0 {
 		c.queueNack(false)
 		c.armNackTimer()
 	} else {
@@ -1801,7 +1782,7 @@ const (
 	// beyond it are repaired by later rounds: explicit repairs advance
 	// the cumulative ACK, which slides the window over the remainder.
 	maxNack = 64
-	// maxTrackedGaps bounds the receive-side missing-sequence map. A
+	// maxTrackedGaps bounds the receive window's gap records. A
 	// long outage on one rail can open a gap as wide as the sender's
 	// window every round trip; tracking more than this many sequence
 	// numbers buys nothing (a NACK reports at most maxNack anyway) and
@@ -1814,12 +1795,13 @@ const (
 // trackGap records sequence number s as missing since now, subject to
 // the maxTrackedGaps cap.
 func (c *Conn) trackGap(s uint32, now sim.Time) {
-	if c.missingSince.size() >= maxTrackedGaps {
+	if c.gaps >= maxTrackedGaps {
 		c.ep.Stats.NackGapsDropped++
-		c.ep.recEvent(c.localID, obs.RecNackDrop, int64(s), int64(c.missingSince.size()))
+		c.ep.recEvent(c.localID, obs.RecNackDrop, int64(s), int64(c.gaps))
 		return
 	}
-	c.missingSince.put(s, now)
+	c.rcv.put(s, rcvSlot{since: now})
+	c.gaps++
 }
 
 // mergeNacks merges two ascending missing-sequence lists into one
@@ -1881,20 +1863,20 @@ func (c *Conn) queueNack(force bool) {
 	}
 	var missing []uint32
 	for s := c.rcvNxt; int32(c.maxSeenPlus1-s) > 0 && len(missing) < maxNack; s++ {
-		if c.rcvSeen.has(s) {
+		gap, tracked := c.rcv.get(s)
+		if gap.accepted {
 			continue
 		}
-		since, ok := c.missingSince.get(s)
-		if !ok {
+		if !tracked {
 			c.trackGap(s, now)
 			continue
 		}
-		if now-since < minAge {
+		if now-gap.since < minAge {
 			continue
 		}
 		// Don't re-request a sequence number whose repair should still
 		// be in flight (one NACK per round trip, roughly).
-		if at, ok := c.nackedAt.get(s); ok && now-at < 4*c.nackAge() {
+		if gap.nacked > 0 && now-gap.nacked < 4*c.nackAge() {
 			continue
 		}
 		// Per-link FIFO: s can only be lost once every physical path
@@ -1906,9 +1888,9 @@ func (c *Conn) queueNack(force bool) {
 		// hard-failed link would suppress loss detection forever.
 		stale := c.ep.cfg.LinkStaleAge
 		passed := true
-		for li, hi := range c.linkHigh {
-			if int32(hi-s) <= 0 {
-				if stale > 0 && now-c.linkLast[li] > stale {
+		for li := range c.rails {
+			if r := &c.rails[li]; int32(r.high-s) <= 0 {
+				if stale > 0 && now-r.last > stale {
 					continue
 				}
 				passed = false
@@ -1917,7 +1899,8 @@ func (c *Conn) queueNack(force bool) {
 		}
 		if passed {
 			missing = append(missing, s)
-			c.nackedAt.put(s, now)
+			gap.nacked = now
+			c.rcv.put(s, gap)
 		}
 	}
 	if len(missing) > 0 {
@@ -1958,79 +1941,52 @@ func (c *Conn) forceAck() {
 // Receive path: ordering, fences, delivery (IPPS'07 §2.5).
 // ---------------------------------------------------------------------
 
-// acceptData routes an ARQ-accepted frame to delivery. In strict mode
-// frames apply in exact sequence order; otherwise frames apply on
-// arrival unless fence semantics hold them back.
+// acceptData hands an ARQ-accepted frame to the ordering engine: it is
+// performed on arrival unless canApply holds it back, and whatever it
+// unblocks follows.
 func (c *Conn) acceptData(h frame.Header, payload []byte) {
 	ep := c.ep
 	ep.Stats.DataFramesRecv++
 	ep.Stats.DataBytesRecv += uint64(len(payload))
 	ep.trc(c.localID, trace.RxData, h.Seq, len(payload))
-	if ep.cfg.Strict {
-		if h.Seq == c.applyNxt {
-			c.applyFrame(h, payload)
-			c.applyNxt++
-			for {
-				hf, ok := c.strictBuf.get(c.applyNxt)
-				if !ok {
-					break
-				}
-				c.strictBuf.del(c.applyNxt)
-				c.noteUnheld(hf.heldAt)
-				c.applyFrame(hf.h, hf.payload)
-				c.applyNxt++
-			}
-		} else {
-			c.strictBuf.put(h.Seq, heldFrame{h: h, payload: heldCopy(payload), heldAt: ep.env.Now()})
-			ep.Stats.HeldFrames++
-			ep.trc(c.localID, trace.RxHeld, h.Seq, len(payload))
-			c.noteHold(h, payload)
-			if n := c.strictBuf.size(); n > ep.Stats.HoldMax {
-				ep.Stats.HoldMax = n
-			}
-		}
-		return
-	}
-	if h.Type == frame.TypeMultiData {
-		// A coalesced frame never gets a container rxOp (its id is the
-		// last sub-op's id); each sub-op runs the ordering machinery as
-		// its own single-frame write.
-		for _, sh := range c.fanoutMulti(h, payload) {
-			op := c.getRxOp(sh.h)
-			if c.canApply(op) {
-				c.applyFrame(sh.h, sh.payload)
-			} else {
-				c.held = append(c.held, heldFrame{h: sh.h, payload: heldCopy(sh.payload), heldAt: ep.env.Now()})
-				ep.Stats.HeldFrames++
-				ep.trc(c.localID, trace.RxHeld, sh.h.Seq, len(sh.payload))
-				c.noteHold(sh.h, sh.payload)
-				if n := len(c.held); n > ep.Stats.HoldMax {
-					ep.Stats.HoldMax = n
-				}
-			}
-		}
-		c.drainHeld()
-		return
-	}
-	op := c.getRxOp(h)
-	if c.canApply(op) {
-		c.applyFrame(h, payload)
+	if c.tryApply(h, payload) {
 		c.drainHeld()
 	} else {
-		c.held = append(c.held, heldFrame{h: h, payload: heldCopy(payload), heldAt: ep.env.Now()})
-		ep.Stats.HeldFrames++
-		ep.trc(c.localID, trace.RxHeld, h.Seq, len(payload))
-		c.noteHold(h, payload)
-		if n := len(c.held); n > ep.Stats.HoldMax {
-			ep.Stats.HoldMax = n
-		}
+		c.hold(h, payload)
 	}
 }
 
-// heldCopy snapshots a payload that outlives frame dispatch: held and
-// strict-buffered frames are retained after the arrival frame's pooled
-// wire buffer is released back to the pool (see Endpoint dispatch), so
-// they must own their bytes. Immediate applies stay copy-free.
+// tryApply performs one unit of the ARQ's output — an arriving frame or
+// a held one — if the ordering engine admits it now.
+func (c *Conn) tryApply(h frame.Header, payload []byte) bool {
+	if !c.canApply(h) {
+		return false
+	}
+	c.applyFrame(h, payload)
+	if c.ep.cfg.Strict {
+		c.applyNxt++
+	}
+	return true
+}
+
+// hold buffers a frame the ordering engine does not admit yet.
+func (c *Conn) hold(h frame.Header, payload []byte) {
+	ep := c.ep
+	c.held = append(c.held, heldFrame{h: h, payload: heldCopy(payload), heldAt: ep.env.Now()})
+	ep.Stats.HeldFrames++
+	ep.trc(c.localID, trace.RxHeld, h.Seq, len(payload))
+	if sp := c.frameSpan(h.OpType, h.OpID, h.Local); sp != nil {
+		sp.Event(ep.env.Now(), obs.EvRxHold, ep.node, -1, h.Seq, len(payload))
+	}
+	if n := len(c.held); n > ep.Stats.HoldMax {
+		ep.Stats.HoldMax = n
+	}
+}
+
+// heldCopy snapshots a payload that outlives frame dispatch: held
+// frames are retained after the arrival frame's pooled wire buffer is
+// released back to the pool (see Endpoint dispatch), so they must own
+// their bytes. Immediate applies stay copy-free.
 func heldCopy(payload []byte) []byte {
 	if len(payload) == 0 {
 		return nil
@@ -2059,14 +2015,6 @@ func (c *Conn) fanoutMulti(h frame.Header, payload []byte) []heldFrame {
 		}
 	}
 	return out
-}
-
-// noteHold records a receive-side stall (ordering or fence) in the
-// frame's span.
-func (c *Conn) noteHold(h frame.Header, payload []byte) {
-	if sp := c.frameSpan(h.OpType, h.OpID, h.Local); sp != nil {
-		sp.Event(c.ep.env.Now(), obs.EvRxHold, c.ep.node, -1, h.Seq, len(payload))
-	}
 }
 
 // noteUnheld feeds the hold-duration histogram when a buffered frame is
@@ -2125,11 +2073,24 @@ func (c *Conn) removeFenced(id uint64) {
 	}
 }
 
-// canApply implements the fence semantics of §2.5: a frame may be
-// performed unless an earlier forward-fenced operation is incomplete, or
-// its own operation carries a backward fence and any earlier operation
-// is incomplete.
-func (c *Conn) canApply(op *rxOp) bool {
+// canApply is the ordering predicate. By default it is the fence
+// semantics of §2.5: a frame may be performed unless an earlier
+// forward-fenced operation is incomplete, or its own operation carries a
+// backward fence and any earlier operation is incomplete. A coalesced
+// frame never gets a container rxOp (its id is the last sub-op's id):
+// it is always admitted, and applyFrame runs each sub-op through these
+// rules as its own single-frame write. Under Config.Strict the predicate
+// degenerates to exact sequence order, which subsumes the fences (the
+// 2L-1G configuration); a coalesced frame is then held and applied
+// whole.
+func (c *Conn) canApply(h frame.Header) bool {
+	if c.ep.cfg.Strict {
+		return h.Seq == c.applyNxt
+	}
+	if h.Type == frame.TypeMultiData {
+		return true
+	}
+	op := c.getRxOp(h)
 	if len(c.fenced) > 0 && c.fenced[0] < op.id {
 		return false
 	}
@@ -2145,15 +2106,16 @@ func (c *Conn) drainHeld() {
 		progressed := false
 		kept := c.held[:0]
 		for _, hf := range c.held {
-			op := c.getRxOp(hf.h)
-			if c.canApply(op) {
+			if c.tryApply(hf.h, hf.payload) {
 				c.noteUnheld(hf.heldAt)
-				c.applyFrame(hf.h, hf.payload)
 				progressed = true
 			} else {
 				kept = append(kept, hf)
 			}
 		}
+		// Applied frames' payload copies must not stay reachable in the
+		// slots past the new length.
+		clear(c.held[len(kept):])
 		c.held = kept
 		if !progressed {
 			return
@@ -2165,10 +2127,15 @@ func (c *Conn) drainHeld() {
 // or services a read request, then advances operation completion.
 func (c *Conn) applyFrame(h frame.Header, payload []byte) {
 	if h.Type == frame.TypeMultiData {
-		// Strict mode delivers the container frame here in sequence
-		// order; its sub-ops apply back-to-back, preserving issue order.
+		// Sub-ops are ordered one by one, in issue order. Under Strict
+		// they share the sequence number canApply just admitted, so all
+		// of them apply back to back.
 		for _, sh := range c.fanoutMulti(h, payload) {
-			c.applyFrame(sh.h, sh.payload)
+			if c.canApply(sh.h) {
+				c.applyFrame(sh.h, sh.payload)
+			} else {
+				c.hold(sh.h, sh.payload)
+			}
 		}
 		return
 	}
@@ -2270,17 +2237,7 @@ func (c *Conn) completeRxOp(op *rxOp) {
 				c.readGuard.Stop()
 			}
 			h.acked = int(op.applied)
-			if h.dlTimer != nil {
-				h.dlTimer.Stop()
-			}
-			if h.done.HasWaiters() {
-				ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, ep.fireSigFn, &h.done)
-			} else {
-				h.done.Fire(ep.env)
-			}
-			if h.cq {
-				h.c.pushCompletion(Completion{OpID: h.opID, Op: h.op})
-			}
+			c.finishHandle(h, nil)
 		}
 	}
 	if collected {

@@ -696,7 +696,9 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 	case frame.TypeRailProbeEcho:
 		ep.Stats.CtrlRecv++
 		c.handleAck(h.Ack)
-		c.railApply(int(h.Seq), ep.env.Now()-sim.Time(h.OpID))
+		if li := int(h.Seq); li < c.links {
+			c.rails[li].rtt.sample(ep.env.Now() - sim.Time(h.OpID))
+		}
 	case frame.TypeReset:
 		// The peer abandoned the connection (its failure detector fired).
 		// Fail our side too — without echoing a Reset back, which would

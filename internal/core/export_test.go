@@ -25,31 +25,37 @@ func (c *Conn) PendingTimersForTest() int {
 
 // TrackedGapsForTest returns how many missing sequence numbers the
 // receive side currently tracks (bounded by maxTrackedGaps).
-func (c *Conn) TrackedGapsForTest() int { return c.missingSince.size() }
+func (c *Conn) TrackedGapsForTest() int { return c.gaps }
 
-// RcvSeenSizeForTest returns the live size of the receive-side dedupe
-// set plus its overflow spill count. The bounded-growth regression test
-// (TestRcvSeenBounded) asserts the size never exceeds the window-sized
-// ring and that nothing ever spills.
-func (c *Conn) RcvSeenSizeForTest() (size, overflow int) {
-	return c.rcvSeen.size(), c.rcvSeen.overflowLen()
-}
-
-// GapStateForTest exposes the gap-tracking entry for one sequence
-// number (the stopTimers drop-contract test stages and then asserts
-// this state).
+// GapStateForTest exposes the gap record for one sequence number (the
+// stopTimers drop-contract test stages and then asserts this state).
 func (c *Conn) GapStateForTest(s uint32) (missing, nacked bool) {
-	_, m := c.missingSince.get(s)
-	_, n := c.nackedAt.get(s)
-	return m, n
+	r, ok := c.rcv.get(s)
+	return ok && !r.accepted, ok && r.nacked > 0
 }
 
-// SeedGapForTest plants gap-tracking state as if s went missing at t
-// and was NACKed at t, and StopTimersForTest runs the teardown path
-// under test.
+// SeedGapForTest plants a gap record as if s went missing at t and was
+// NACKed at t (so something past s has been accepted), and
+// StopTimersForTest runs the teardown path under test.
 func (c *Conn) SeedGapForTest(s uint32, t sim.Time) {
-	c.missingSince.put(s, t)
-	c.nackedAt.put(s, t)
+	c.rcv.put(s, rcvSlot{since: t, nacked: t})
+	c.gaps++
+	if int32(s+1-c.maxSeenPlus1) > 0 {
+		c.maxSeenPlus1 = s + 1
+	}
+}
+
+// HeldForTest reports the reorder buffer: how many frames it holds, and
+// how many slots of its backing array past that length still reference
+// a payload copy (frames applied long ago that the GC must be free to
+// collect).
+func (c *Conn) HeldForTest() (held, stale int) {
+	for _, hf := range c.held[len(c.held):cap(c.held)] {
+		if hf.payload != nil {
+			stale++
+		}
+	}
+	return len(c.held), stale
 }
 
 // StopTimersForTest invokes the conn's timer/gap teardown directly.
@@ -75,6 +81,18 @@ func (c *Conn) LocalIDForTest() uint32 { return c.localID }
 // frame touched no ARQ state.
 func (c *Conn) RcvStateForTest() (rcvNxt, maxSeenPlus1 uint32) {
 	return c.rcvNxt, c.maxSeenPlus1
+}
+
+// SetSeqBaseForTest moves an established, still idle connection's
+// sequence space so that it starts at base instead of 0: the send and
+// receive cursors and every rail's arrival high-water mark. Set the
+// same base on both ends.
+func (c *Conn) SetSeqBaseForTest(base uint32) {
+	c.sndUna, c.sndNxt, c.ccRecover = base, base, base
+	c.rcvNxt, c.maxSeenPlus1, c.applyNxt = base, base, base
+	for i := range c.rails {
+		c.rails[i].high = base
+	}
 }
 
 // CcStateForTest exposes the live congestion window and the

@@ -17,8 +17,8 @@ func (c *Conn) Health() obs.ConnHealth {
 		State:       c.healthState(),
 		Incarnation: c.incarnation,
 		Reconnects:  c.reconnTotal,
-		SRTTUs:      float64(c.srtt) / 1000,
-		RTTVarUs:    float64(c.rttvar) / 1000,
+		SRTTUs:      float64(c.rtt.srtt) / 1000,
+		RTTVarUs:    float64(c.rtt.rttvar) / 1000,
 		RTOUs:       float64(c.currentRTO()) / 1000,
 		Inflight:    c.inflight(),
 		Window:      c.ep.cfg.Window,
@@ -28,11 +28,12 @@ func (c *Conn) Health() obs.ConnHealth {
 		BytesAcked:  c.bytesAcked,
 	}
 	h.Rails = make([]obs.RailHealth, c.links)
-	for li := 0; li < c.links; li++ {
+	for li := range c.rails {
+		e := &c.rails[li].rtt
 		h.Rails[li] = obs.RailHealth{
-			SRTTUs:   float64(c.railSrtt[li]) / 1000,
-			RTTVarUs: float64(c.railRttvar[li]) / 1000,
-			RTOUs:    float64(c.railRTO(li)) / 1000,
+			SRTTUs:   float64(e.srtt) / 1000,
+			RTTVarUs: float64(e.rttvar) / 1000,
+			RTOUs:    float64(e.rto(&c.ep.cfg)) / 1000,
 		}
 	}
 	// Journal length: what a reconnect would replay — queued/in-flight

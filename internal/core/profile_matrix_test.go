@@ -19,12 +19,14 @@ var matrixFaults = []string{"clean", "loss5", "dup3", "flap"}
 
 // matrixProfiles are the configurations the protocol thread can be put
 // in: its two scheduling paths, the receive burst, a configured class,
-// and what large endpoints actually run.
+// what large endpoints actually run — and the ordering engine's
+// degenerate predicate, strict sequence order.
 var matrixProfiles = []struct {
 	name  string
 	apply func(*cluster.Config)
 }{
 	{"scan", func(*cluster.Config) {}},
+	{"strict", func(c *cluster.Config) { c.Core.Strict = true }},
 	{"queued", func(c *cluster.Config) { c.Core.SchedQueue = true }},
 	{"queued+burst16", func(c *cluster.Config) {
 		c.Core.SchedQueue = true
@@ -47,15 +49,26 @@ func productionProfile(c *cluster.Config) {
 	c.Core.CongestionControl = core.CCConfig{Enable: true}
 }
 
+// matrixResult is what two runs of one cell must agree on.
+type matrixResult struct {
+	rep cluster.NetReport
+	end sim.Time // when the simulation drained
+}
+
 // matrixRun drives one byte-verified bidirectional workload over two
-// rails — a striped multi-frame write, a run of small writes and a large
-// one coming back, then a read of what the first write landed — and
-// returns the traffic report and the time the simulation drained. fault
-// is one of matrixFaults.
-func matrixRun(t *testing.T, profile func(*cluster.Config), fault string) (cluster.NetReport, sim.Time) {
+// rails. Forward: a striped multi-frame write with, right behind it and
+// still in its shadow, a coalesced SQ batch (32 x 64 B posted writes,
+// rung once, drained from the CQ) and a FenceBefore+Notify flag write on
+// whose notification the receiver checks that the big write and all 32
+// slots have already landed; then a read of what the big write landed.
+// Backward: a run of small writes and a large one. It returns the
+// traffic report with the drain time, and both nodes' allocated memory.
+// fault is one of matrixFaults.
+func matrixRun(t *testing.T, profile func(*cluster.Config), fault string) (matrixResult, [2][]byte) {
 	t.Helper()
 	cfg := cluster.TwoLinkUnordered1G(2)
 	cfg.Seed = 5
+	cfg.Core.CoalesceLimit = 64
 	profile(&cfg)
 	if fault == "loss5" { // 5 % loss on both rails
 		cfg.Link.LossProb = 0.05
@@ -73,15 +86,34 @@ func matrixRun(t *testing.T, profile func(*cluster.Config), fault string) (clust
 	}
 
 	const big, small, back, rd = 300 * 1444, 64, 16 << 10, 4 << 10
-	src0, dst1 := ep0.Alloc(big), ep1.Alloc(big)
+	src0, dst1 := ep0.Alloc(big+32*small), ep1.Alloc(big+32*small)
 	src1, dst0 := ep1.Alloc(32*small+back), ep0.Alloc(32*small+back)
-	rdst := ep0.Alloc(rd)
-	fill(ep0.Mem()[src0:src0+big], 4)
+	rdst, flag := ep0.Alloc(rd), ep1.Alloc(8)
+	fill(ep0.Mem()[src0:src0+big+32*small], 4)
 	fill(ep1.Mem()[src1:src1+32*small+back], 9)
-	done := 0
+	done, fenceHeld := 0, false
 	cl.Env.Go("fwd", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst1, Local: src0, Size: big, Kind: frame.OpWrite}).Wait(p)
+		bigW := c01.MustDo(p, core.Op{Remote: dst1, Local: src0, Size: big, Kind: frame.OpWrite})
+		for i := 0; i < 32; i++ {
+			off := uint64(big + i*small)
+			c01.MustPost(core.Op{Remote: dst1 + off, Local: src0 + off, Size: small, Kind: frame.OpWrite})
+		}
+		c01.MustRing(p)
+		flagW := c01.MustDo(p, core.Op{Remote: flag, Local: src0, Size: 8, Kind: frame.OpWrite,
+			Flags: frame.FenceBefore | frame.Notify})
+		bigW.Wait(p)
+		for i := 0; i < 32; i++ {
+			if comp := c01.WaitCQ(p); comp.Err != nil {
+				t.Errorf("batch completion: %v", comp.Err)
+			}
+		}
+		flagW.Wait(p)
 		c01.MustDo(p, core.Op{Remote: dst1, Local: rdst, Size: rd, Kind: frame.OpRead}).Wait(p)
+		done++
+	})
+	cl.Env.Go("flag", func(p *sim.Proc) {
+		c10.WaitNotify(p)
+		fenceHeld = bytes.Equal(ep1.Mem()[dst1:dst1+big+32*small], ep0.Mem()[src0:src0+big+32*small])
 		done++
 	})
 	cl.Env.Go("back", func(p *sim.Proc) {
@@ -98,11 +130,14 @@ func matrixRun(t *testing.T, profile func(*cluster.Config), fault string) (clust
 		done++
 	})
 	end := cl.Env.Run()
-	if done != 2 {
-		t.Fatalf("workload did not complete (%d/2 loops)", done)
+	if done != 3 {
+		t.Fatalf("workload did not complete (%d/3 loops)", done)
 	}
-	if !bytes.Equal(ep1.Mem()[dst1:dst1+big], ep0.Mem()[src0:src0+big]) {
-		t.Fatal("forward write corrupted")
+	if !fenceHeld {
+		t.Fatal("flag notified before the big write and the 32 batch slots had landed")
+	}
+	if !bytes.Equal(ep1.Mem()[dst1:dst1+big+32*small], ep0.Mem()[src0:src0+big+32*small]) {
+		t.Fatal("forward writes corrupted")
 	}
 	if !bytes.Equal(ep0.Mem()[dst0:dst0+32*small+back], ep1.Mem()[src1:src1+32*small+back]) {
 		t.Fatal("reverse writes corrupted")
@@ -115,54 +150,68 @@ func matrixRun(t *testing.T, profile func(*cluster.Config), fault string) (clust
 		"dup3": rep.Proto.Duplicates, "flap": rep.LinkFailDrops}[fault]; bit == 0 {
 		t.Fatalf("fault %q never touched a frame: the cell is vacuous", fault)
 	}
-	return rep, end
+	if rep.Proto.CoalescedSubOps != 32 {
+		t.Fatalf("%d sub-ops coalesced, want the whole batch of 32", rep.Proto.CoalescedSubOps)
+	}
+	return matrixResult{rep, end}, [2][]byte{ep0.Mem()[:ep0.Alloc(0)], ep1.Mem()[:ep1.Alloc(0)]}
 }
 
 // withoutQos blanks the counters that exist only to say "QoS is
 // configured", so a configured class can be compared with the implicit
 // one.
-func withoutQos(r cluster.NetReport) cluster.NetReport {
-	r.Proto.QosOpsAdmitted, r.Proto.QosSchedFrames = 0, 0
+func withoutQos(r matrixResult) matrixResult {
+	r.rep.Proto.QosOpsAdmitted, r.rep.Proto.QosSchedFrames = 0, 0
 	return r
 }
 
 // TestProfileFaultMatrix runs every profile under every fault: each
-// transfer byte-verified, and two same-seed runs equal in traffic report
-// and end time. Inside each fault it pins the two identities that let
-// one scheduler and one receive loop stand in for the deleted ones: the
+// transfer byte-verified, the fence witnessed, and two same-seed runs
+// equal in traffic report and end time. Inside each fault it pins the
+// identities that let one mechanism stand in for the deleted ones: the
 // implicit class is a configured {Weight: 1} in all but its counters,
-// and RxBurst 0 is RxBurst 1.
+// RxBurst 0 is RxBurst 1, and strict sequence order — a predicate of
+// the same ordering engine — leaves both memories as the scan profile
+// does.
 func TestProfileFaultMatrix(t *testing.T) {
 	for _, fault := range matrixFaults {
 		fault := fault
 		for _, pr := range matrixProfiles {
 			pr := pr
 			t.Run(pr.name+"/"+fault, func(t *testing.T) {
-				r1, e1 := matrixRun(t, pr.apply, fault)
-				r2, e2 := matrixRun(t, pr.apply, fault)
-				if r1 != r2 || e1 != e2 {
-					t.Fatalf("not deterministic: end %v vs %v, reports equal=%v", e1, e2, r1 == r2)
+				r1, _ := matrixRun(t, pr.apply, fault)
+				r2, _ := matrixRun(t, pr.apply, fault)
+				if r1 != r2 {
+					t.Fatalf("not deterministic: end %v vs %v, reports equal=%v", r1.end, r2.end, r1.rep == r2.rep)
 				}
 			})
 		}
 		t.Run("identities/"+fault, func(t *testing.T) {
 			queued := func(c *cluster.Config) { c.Core.SchedQueue = true }
-			ri, ei := matrixRun(t, queued, fault)
-			rc, ec := matrixRun(t, func(c *cluster.Config) {
+			ri, _ := matrixRun(t, queued, fault)
+			rc, _ := matrixRun(t, func(c *cluster.Config) {
 				queued(c)
 				c.Core.QoS = []core.QoSClass{{Weight: 1}}
 			}, fault)
-			if rc.Proto.QosSchedFrames == 0 {
+			if rc.rep.Proto.QosSchedFrames == 0 {
 				t.Error("configured class counted no scheduled frames: comparison is vacuous")
 			}
-			if withoutQos(rc) != ri || ec != ei {
+			if withoutQos(rc) != ri {
 				t.Errorf("implicit class differs from configured {Weight: 1}: end %v vs %v, reports equal=%v",
-					ei, ec, withoutQos(rc) == ri)
+					ri.end, rc.end, withoutQos(rc).rep == ri.rep)
 			}
-			r0, e0 := matrixRun(t, func(*cluster.Config) {}, fault)
-			rb, eb := matrixRun(t, func(c *cluster.Config) { c.Core.RxBurst = 1 }, fault)
-			if r0 != rb || e0 != eb {
-				t.Errorf("RxBurst 0 differs from RxBurst 1: end %v vs %v, reports equal=%v", e0, eb, r0 == rb)
+			r0, mem0 := matrixRun(t, func(*cluster.Config) {}, fault)
+			rb, _ := matrixRun(t, func(c *cluster.Config) { c.Core.RxBurst = 1 }, fault)
+			if r0 != rb {
+				t.Errorf("RxBurst 0 differs from RxBurst 1: end %v vs %v, reports equal=%v", r0.end, rb.end, r0.rep == rb.rep)
+			}
+			rs, mems := matrixRun(t, func(c *cluster.Config) { c.Core.Strict = true }, fault)
+			if rs.rep.Proto.HeldFrames == 0 {
+				t.Error("strict order held no frame: comparison is vacuous")
+			}
+			for node := range mem0 {
+				if !bytes.Equal(mem0[node], mems[node]) {
+					t.Errorf("node %d memory differs between strict and scan", node)
+				}
 			}
 		})
 	}

@@ -251,20 +251,16 @@ func (c *Conn) rebirth(inc uint16) {
 	c.retransQ = nil
 	c.expiries = 0
 	c.rr = 0
-	for i := 0; i < c.links; i++ {
-		c.linkFails[i] = 0
-		c.linkDead[i] = false
-		c.linkDeadAt[i] = 0
+	// Link health, the outstanding-frame charges (they refer to frames
+	// that will never be acked) and the arrival marks all die with the
+	// epoch; what was learnt about each rail's round trip carries over.
+	for i := range c.rails {
+		c.rails[i] = rail{rtt: c.rails[i].rtt}
 	}
 	c.deadLinks = 0
-	if c.railOut != nil {
-		// Congestion state dies with the epoch: the outstanding-frame
-		// charges refer to frames that will never be acked, and an outage
-		// says nothing about post-recovery capacity — restart from the
-		// initial window like a fresh conn.
-		for i := range c.railOut {
-			c.railOut[i] = 0
-		}
+	if c.ep.cfg.ccOn() {
+		// An outage says nothing about post-recovery capacity — restart
+		// from the initial window like a fresh conn.
 		c.cwnd = c.ep.cfg.ccInit()
 		c.ccAckCredit, c.ccRetxSent, c.ccEcnRx = 0, 0, 0
 		c.ccRecover = 0
@@ -275,20 +271,14 @@ func (c *Conn) rebirth(inc uint16) {
 	// while completed ones stay so replayed payload for them is dropped,
 	// never re-applied (exactly-once). The frontier survives untouched.
 	c.rcvNxt = 0
-	c.rcvSeen.clear()
 	c.maxSeenPlus1 = 0
-	c.missingSince.clear()
-	c.nackedAt.clear()
+	c.rcv.clear()
+	c.gaps = 0
 	c.lastNack = 0
-	for i := 0; i < c.links; i++ {
-		c.linkHigh[i] = 0
-		c.linkLast[i] = 0
-	}
 	c.unackedRx = 0
 	c.ackDue = false
 	c.nackDue = nil
 	c.applyNxt = 0
-	c.strictBuf.clear()
 	c.held = nil
 	for id, op := range c.rxOps {
 		if !op.complete {

@@ -1,8 +1,9 @@
 package core
 
 // seqRing is a sequence-number-indexed store backing the connection's
-// per-seq ARQ state (retransmit buffers, receive dedupe, gap tracking,
-// strict-order buffering). The live key span of all of these is bounded
+// two per-seq ARQ stores: the retransmit buffers (Conn.retrans) and the
+// receive window (Conn.rcv: accepted-frame dedupe and gap tracking in
+// one record per sequence number). The live key span of both is bounded
 // by the ARQ window plus a handful of probe sequences, so a power-of-two
 // slot array sized to the window serves every steady-state access with
 // no hashing and no allocation; the previous map[uint32] backings

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"multiedge/internal/frame"
@@ -70,83 +71,185 @@ func TestSeqRingBasics(t *testing.T) {
 
 // arqEndpoint builds a minimal endpoint+conn pair for direct receive-path
 // unit tests: frames are injected straight into handleData without a
-// physical network, so a million-frame run stays fast.
-func arqEndpoint(t *testing.T) (*Endpoint, *Conn) {
+// physical network, so a million-frame run stays fast. The clock never
+// moves, so no gap ever ages into a NACK and no timer fires.
+func arqEndpoint(t *testing.T, window int) (*Endpoint, *Conn) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 16
+	cfg.Window = window
 	ep := NewEndpoint(env, 0, cfg, hostmodel.Default(), hostmodel.NewCPUs("n0"), nil)
 	c := newConn(ep, 1, 1, 1)
 	return ep, c
 }
 
-// TestRcvSeenBounded is the bounded-growth regression for the receive
-// dedupe set: one million data frames through a lossy, reordering
-// arrival pattern must never grow rcvSeen beyond the window-sized ring,
-// and nothing may spill to the overflow map. Before the seqRing the
-// map was pruned only as rcvNxt advanced, which kept it bounded in the
-// steady state but churned a map insert+delete per frame; the ring
-// makes the bound structural.
-func TestRcvSeenBounded(t *testing.T) {
-	_, c := arqEndpoint(t)
-	const total = 1_000_000
-	const lossEvery = 97 // drop every 97th first transmission...
-	const repairLag = 40 // ...and deliver it this many frames later
-	ringCap := len(c.rcvSeen.slots)
+// refWindow is the map-based reference the receive window is checked
+// against: the selective-repeat acceptance rules of handleData written
+// the obvious way, one map per set.
+type refWindow struct {
+	rcvNxt, maxSeenPlus1 uint32
+	accepted, gap        map[uint32]bool
+}
 
-	deliver := func(seq uint32) {
-		h := frame.Header{
-			Type: frame.TypeData, ConnID: 1, Seq: seq,
-			OpID: uint64(seq), OpType: frame.OpWrite, Total: 0,
-		}
-		c.handleData(h, nil, 0)
+func (r *refWindow) arrive(seq uint32) {
+	if int32(seq-r.rcvNxt) < 0 || r.accepted[seq] {
+		return // duplicate
 	}
-
-	var pending []uint32 // lost frames awaiting their late delivery
-	maxSize := 0
-	for i := 0; i < total; i++ {
-		seq := uint32(i)
-		if i%lossEvery == 13 {
-			pending = append(pending, seq)
-		} else {
-			deliver(seq)
-		}
-		if len(pending) > 0 && seq-pending[0] >= repairLag {
-			deliver(pending[0])
-			pending = pending[1:]
-		}
-		if i%4096 == 0 {
-			if n, ov := c.RcvSeenSizeForTest(); n > maxSize {
-				maxSize = n
-				if ov != 0 {
-					t.Fatalf("frame %d: rcvSeen spilled %d entries to overflow", i, ov)
-				}
+	r.accepted[seq] = true
+	delete(r.gap, seq)
+	if int32(seq-r.maxSeenPlus1) >= 0 {
+		for s := r.maxSeenPlus1; s != seq; s++ {
+			if len(r.gap) < maxTrackedGaps {
+				r.gap[s] = true
 			}
 		}
+		r.maxSeenPlus1 = seq + 1
 	}
-	for _, s := range pending {
-		deliver(s)
-	}
-	if maxSize > ringCap {
-		t.Fatalf("rcvSeen grew to %d entries, ring holds %d", maxSize, ringCap)
-	}
-	if n, ov := c.RcvSeenSizeForTest(); n != 0 || ov != 0 {
-		t.Fatalf("after full delivery rcvSeen retains %d entries (%d overflow)", n, ov)
-	}
-	if c.rcvNxt != total {
-		t.Fatalf("rcvNxt = %d, want %d", c.rcvNxt, total)
+	for r.accepted[r.rcvNxt] {
+		delete(r.accepted, r.rcvNxt)
+		r.rcvNxt++
 	}
 }
 
+// checkRcvWindow compares the conn's receive window with the reference
+// over [lo, hi): same accepted set, same gap set, the gaps counter equal
+// to the number of gap records and inside its cap, nothing kept below
+// the cumulative point, nothing spilled.
+func checkRcvWindow(t *testing.T, c *Conn, ref *refWindow, lo, hi uint32) {
+	t.Helper()
+	if c.rcvNxt != ref.rcvNxt || c.maxSeenPlus1 != ref.maxSeenPlus1 {
+		t.Fatalf("cursors (%d, %d), reference (%d, %d)", c.rcvNxt, c.maxSeenPlus1, ref.rcvNxt, ref.maxSeenPlus1)
+	}
+	gaps := 0
+	for s := lo; s != hi; s++ {
+		slot, ok := c.rcv.get(s)
+		if ok && int32(s-c.rcvNxt) < 0 {
+			t.Fatalf("seq %d: record survives below rcvNxt %d", s, c.rcvNxt)
+		}
+		if acc := ok && slot.accepted; acc != ref.accepted[s] {
+			t.Fatalf("seq %d: accepted=%v, reference %v", s, acc, ref.accepted[s])
+		}
+		isGap := ok && !slot.accepted
+		if isGap != ref.gap[s] {
+			t.Fatalf("seq %d: gap=%v, reference %v", s, isGap, ref.gap[s])
+		}
+		if isGap {
+			gaps++
+		}
+	}
+	if c.gaps != gaps || c.gaps > maxTrackedGaps {
+		t.Fatalf("gaps counter %d, %d gap records, cap %d", c.gaps, gaps, maxTrackedGaps)
+	}
+	if n := c.rcv.size(); n != gaps+len(ref.accepted) {
+		t.Fatalf("ring holds %d records, want %d gaps + %d accepted", n, gaps, len(ref.accepted))
+	}
+	if ov := c.rcv.overflowLen(); ov != 0 {
+		t.Fatalf("%d records spilled to the overflow map", ov)
+	}
+}
+
+// TestRcvWindowAgainstReference drives the one-ring receive window with
+// what a lossy multi-rail fabric delivers and holds it to refWindow.
+// "random": seeded flights as wide as the ring is sized for (Window + 64
+// probe slack), each in a random order with drops repaired late and
+// duplicates, across the sequence wrap, checked record by record after
+// every arrival; at Window 512 a flight opens more gaps than
+// maxTrackedGaps, so the cap is exercised too. "million": the
+// bounded-growth regression — a million frames through a steady loss
+// pattern never grow the ring's accepted + gap records beyond its slots.
+func TestRcvWindowAgainstReference(t *testing.T) {
+	deliver := func(c *Conn, seq uint32) {
+		c.handleData(frame.Header{Type: frame.TypeData, ConnID: 1, Seq: seq,
+			OpID: uint64(seq), OpType: frame.OpWrite}, nil, 0)
+	}
+	start := func(c *Conn, base uint32) *refWindow {
+		c.rcvNxt, c.maxSeenPlus1 = base, base
+		return &refWindow{rcvNxt: base, maxSeenPlus1: base, accepted: map[uint32]bool{}, gap: map[uint32]bool{}}
+	}
+	t.Run("random", func(t *testing.T) {
+		capped := false
+		for _, window := range []int{128, 512} {
+			_, c := arqEndpoint(t, window)
+			span := uint32(window + seqRingSlack)
+			ref := start(c, -(span * 5 / 2)) // the third flight straddles the wrap
+			rng := rand.New(rand.NewSource(int64(window)))
+			for flight := 0; flight < 20; flight++ {
+				base := c.rcvNxt
+				var order, late []uint32
+				for i := uint32(0); i < span; i++ {
+					switch rng.Intn(10) {
+					case 0: // dropped: arrives only as a repair, after the rest
+						late = append(late, base+i)
+						continue
+					case 1: // duplicated somewhere in the flight
+						order = append(order, base+i)
+					}
+					order = append(order, base+i)
+				}
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				rng.Shuffle(len(late), func(i, j int) { late[i], late[j] = late[j], late[i] })
+				for _, seq := range append(order, late...) {
+					deliver(c, seq)
+					ref.arrive(seq)
+					checkRcvWindow(t, c, ref, base-span, base+span)
+					capped = capped || c.gaps == maxTrackedGaps
+				}
+				if c.rcvNxt != base+span || c.rcv.size() != 0 {
+					t.Fatalf("flight %d fully delivered: rcvNxt %d (want %d), %d records left",
+						flight, c.rcvNxt, base+span, c.rcv.size())
+				}
+			}
+		}
+		if !capped {
+			t.Error("no flight reached maxTrackedGaps: the cap went untested")
+		}
+	})
+	t.Run("million", func(t *testing.T) {
+		_, c := arqEndpoint(t, 128)
+		ref := start(c, 0)
+		const total = 1_000_000
+		const lossEvery = 97 // drop every 97th first transmission...
+		const repairLag = 40 // ...and deliver it this many frames later
+		var pending []uint32 // lost frames awaiting their late delivery
+		arrive := func(seq uint32) {
+			deliver(c, seq)
+			ref.arrive(seq)
+			if c.gaps != len(ref.gap) || c.rcv.size() != len(ref.gap)+len(ref.accepted) ||
+				c.rcv.size() > len(c.rcv.slots) || c.rcv.overflowLen() != 0 {
+				t.Fatalf("seq %d: %d gaps (reference %d), %d of %d slots live (reference %d), %d spilled", seq,
+					c.gaps, len(ref.gap), c.rcv.size(), len(c.rcv.slots), len(ref.gap)+len(ref.accepted), c.rcv.overflowLen())
+			}
+		}
+		for seq := uint32(0); seq < total; seq++ {
+			if seq%lossEvery == 13 {
+				pending = append(pending, seq)
+			} else {
+				arrive(seq)
+			}
+			if len(pending) > 0 && seq-pending[0] >= repairLag {
+				arrive(pending[0])
+				pending = pending[1:]
+			}
+		}
+		for _, s := range pending {
+			arrive(s)
+		}
+		checkRcvWindow(t, c, ref, total-1024, total+1024)
+		if c.rcvNxt != total || c.rcv.size() != 0 {
+			t.Fatalf("after full delivery: rcvNxt %d (want %d), %d records left", c.rcvNxt, total, c.rcv.size())
+		}
+	})
+}
+
 // TestStopTimersDropsGapState pins the stopTimers contract satellite:
-// dropping the in-flight repair timestamps (missingSince/nackedAt)
+// dropping the gap records and their in-flight repair timestamps
 // wholesale on teardown is intentional — stopTimers runs only on exits
 // from the live state, where the old sequence space is dead — and the
 // drop must be total, so no stale-seq timestamp can re-arm the NACK
 // machinery after close, failure or rebirth.
 func TestStopTimersDropsGapState(t *testing.T) {
-	_, c := arqEndpoint(t)
+	_, c := arqEndpoint(t, 128)
 	c.SeedGapForTest(7, 100)
 	c.SeedGapForTest(9, 120)
 	c.nackDue = []uint32{7, 9}

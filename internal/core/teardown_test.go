@@ -207,3 +207,82 @@ func TestNackStateBoundedUnderOutage(t *testing.T) {
 		t.Errorf("tracked gaps peaked at %d, never reached the cap %d", maxGaps, core.MaxTrackedGapsForTest)
 	}
 }
+
+// TestFailedConnDropsHeldFrames pins who owns the payload copies the
+// ordering engine makes. Frames are held behind a lost one under
+// Config.Strict and under a backward fence (a forward fence stalls the
+// sender instead, so the receiver never holds for it). While the conn
+// lives, a drain must not leave applied frames' copies reachable in the
+// buffer's spare capacity; when the peer dies with frames still held,
+// the failed conn must not keep them — there is one reorder buffer, and
+// failConn drops it.
+func TestFailedConnDropsHeldFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		strict bool
+		flags  frame.OpFlags // on the second write of each pair
+	}{{"strict", true, 0}, {"fence", false, frame.FenceBefore}} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cluster.TwoLinkUnordered1G(2)
+			cfg.Core.Strict = tc.strict
+			cfg.Core.HeartbeatInterval = 5 * sim.Millisecond
+			cfg.Core.DeadInterval = 50 * sim.Millisecond
+			cl, c01, c10 := pairCluster(t, cfg)
+			ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
+			const n = 16 * 1444 // 16 frames per write
+			src, dst := ep0.Alloc(2*n), ep1.Alloc(2*n)
+			fill(ep0.Mem()[src:src+2*n], 7)
+			// Data frame `lost` dies on whichever rail carries it: its
+			// first copy only, or (forever) every copy.
+			lost, forever, drops := uint32(3), false, 0
+			for _, nic := range cl.Nodes[0].NICs {
+				nic.OutPort().SetDropFilter(func(f *phys.Frame) bool {
+					typ, seq := decodeType(f)
+					if typ != frame.TypeData || seq != lost || (drops > 0 && !forever) {
+						return false
+					}
+					drops++
+					return true
+				})
+			}
+			pair := func(p *sim.Proc) (a, b *core.Handle) {
+				a = c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+				b = c01.MustDo(p, core.Op{Remote: dst + n, Local: src + n, Size: n, Kind: frame.OpWrite, Flags: tc.flags})
+				return a, b
+			}
+			var heldLive, staleLive, heldStaged int
+			cl.Env.Go("writer", func(p *sim.Proc) {
+				// Seqs 0-31: seq 3 is repaired, everything held behind it
+				// drains.
+				a, b := pair(p)
+				a.Wait(p)
+				b.Wait(p)
+				heldLive, staleLive = c10.HeldForTest()
+				// Seqs 32-63: seq 35 never arrives, then the peer dies.
+				lost, forever = 35, true
+				pair(p)
+				p.Sleep(2 * sim.Millisecond)
+				heldStaged, _ = c10.HeldForTest()
+				killAllRails(cl, 0)
+			})
+			cl.Env.RunUntil(sim.Second)
+			if !bytes.Equal(ep1.Mem()[dst:dst+2*n], ep0.Mem()[src:src+2*n]) {
+				t.Fatal("first pair of writes corrupted")
+			}
+			if st := ep1.Stats; st.HeldFrames == 0 || heldStaged == 0 {
+				t.Fatalf("staging failed: %d frames ever held, %d held at the kill", st.HeldFrames, heldStaged)
+			}
+			if heldLive != 0 || staleLive != 0 {
+				t.Errorf("after the repair drained the buffer: %d frames held, %d payload copies still referenced past its length",
+					heldLive, staleLive)
+			}
+			if !c10.Failed() {
+				t.Fatal("receiver never declared the silent peer dead")
+			}
+			if held, stale := c10.HeldForTest(); held != 0 || stale != 0 {
+				t.Errorf("failed conn keeps %d held frames and %d stale payload copies", held, stale)
+			}
+		})
+	}
+}
