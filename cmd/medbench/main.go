@@ -208,6 +208,29 @@ func main() {
 		return d
 	}
 
+	// stress is the one epilogue of the stress modes: print the report,
+	// write the bench document, export the last run's registry and every
+	// post-mortem, and exit 1 on a failed gate.
+	stress := func(mode string, rep bench.Report) {
+		fmt.Print(rep.Text)
+		doc := bench.NewBenchDoc(mode)
+		doc.Rows = rep.Rows
+		writeBench(stampAllocs(doc))
+		var last *obs.Registry
+		for _, o := range rep.Outcomes {
+			if o.Obs != nil {
+				last = o.Obs
+			}
+		}
+		exportObs(last)
+		for _, o := range rep.Outcomes {
+			exportDump(o.Dump)
+		}
+		if !rep.OK {
+			os.Exit(1)
+		}
+	}
+
 	sizes := bench.Sizes
 	if *quick {
 		sizes = []int{4, 1024, 16384, 262144, 1048576}
@@ -263,43 +286,13 @@ func main() {
 			}
 			counts = trimmed
 		}
-		out, ok, results := bench.RenderFanin(counts, *faninOps, 256, *faninChaos, obsOpts)
-		fmt.Print(out)
-		doc := bench.NewBenchDoc("fanin")
-		for _, r := range results {
-			doc.Rows = append(doc.Rows, r.BenchRow())
-		}
-		writeBench(stampAllocs(doc))
-		if len(results) > 0 {
-			exportObs(results[len(results)-1].Obs)
-			for _, r := range results {
-				exportDump(r.Dump)
-			}
-		}
-		if !ok {
-			os.Exit(1)
-		}
+		stress("fanin", bench.RenderFanin(counts, *faninOps, 256, *faninChaos, obsOpts))
 	case *serveFlag:
 		clients := *serveClients
 		if *quick {
 			clients = 256
 		}
-		out, ok, results := bench.RenderServe(clients, *serveOps, *serveSize, *serveReplicas, obsOpts)
-		fmt.Print(out)
-		doc := bench.NewBenchDoc("serve")
-		for _, r := range results {
-			doc.Rows = append(doc.Rows, r.BenchRow())
-		}
-		writeBench(stampAllocs(doc))
-		if len(results) > 0 {
-			exportObs(results[len(results)-1].Obs)
-			for _, r := range results {
-				exportDump(r.Dump)
-			}
-		}
-		if !ok {
-			os.Exit(1)
-		}
+		stress("serve", bench.RenderServe(clients, *serveOps, *serveSize, *serveReplicas, obsOpts))
 	case *incastFlag:
 		senders := *incastSenders
 		dur := 80 * sim.Millisecond
@@ -307,67 +300,19 @@ func main() {
 			senders = 32
 			dur = 40 * sim.Millisecond
 		}
-		out, ok, incasts, lots := bench.RenderIncast(senders, 8<<10, dur, obsOpts)
-		fmt.Print(out)
-		doc := bench.NewBenchDoc("incast")
-		for _, r := range incasts {
-			doc.Rows = append(doc.Rows, r.BenchRow())
-		}
-		for _, r := range lots {
-			doc.Rows = append(doc.Rows, r.BenchRow())
-		}
-		writeBench(stampAllocs(doc))
-		for _, r := range incasts {
-			if r.Obs != nil {
-				exportObs(r.Obs)
-			}
-			exportDump(r.Dump)
-		}
-		if !ok {
-			os.Exit(1)
-		}
+		stress("incast", bench.RenderIncast(senders, 8<<10, dur, obsOpts))
 	case *noisyFlag:
 		ops := *noisyOps
 		if *quick {
 			ops = 150
 		}
-		out, ok, results := bench.RenderNoisy(ops, *noisyChaos, obsOpts)
-		fmt.Print(out)
-		doc := bench.NewBenchDoc("noisy")
-		for _, r := range results {
-			doc.Rows = append(doc.Rows, r.BenchRow())
-		}
-		writeBench(stampAllocs(doc))
-		if len(results) > 0 {
-			exportObs(results[len(results)-1].Obs)
-			for _, r := range results {
-				exportDump(r.Dump)
-			}
-		}
-		if !ok {
-			os.Exit(1)
-		}
+		stress("noisy", bench.RenderNoisy(ops, *noisyChaos, obsOpts))
 	case *crashloop:
 		cycles := *crashCycles
 		if *quick {
 			cycles = 2
 		}
-		out, ok, results := bench.RenderCrashloop(cycles, sim.Time(*crashDownMs)*sim.Millisecond, 256<<10, obsOpts)
-		fmt.Print(out)
-		doc := bench.NewBenchDoc("crashloop")
-		for _, r := range results {
-			doc.Rows = append(doc.Rows, r.BenchRow())
-		}
-		writeBench(stampAllocs(doc))
-		if len(results) > 0 {
-			exportObs(results[len(results)-1].Obs)
-			for _, r := range results {
-				exportDump(r.Dump)
-			}
-		}
-		if !ok {
-			os.Exit(1)
-		}
+		stress("crashloop", bench.RenderCrashloop(cycles, sim.Time(*crashDownMs)*sim.Millisecond, 256<<10, obsOpts))
 	case *chaosFlag:
 		transfers := 30
 		if *quick {

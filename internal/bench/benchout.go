@@ -161,145 +161,6 @@ func CompareBench(base, cur *BenchDoc) []string {
 	return fails
 }
 
-// BenchRow converts one fan-in measurement into a bench-document row.
-func (r FaninResult) BenchRow() BenchRow {
-	row := BenchRow{
-		Name:       fmt.Sprintf("fanin-%d", r.Conns),
-		Ops:        r.Ops,
-		OpsPerSec:  r.OpsPerSec,
-		GoodputMBs: r.GoodMB,
-		P50Us:      r.P50Us,
-		P95Us:      r.P95Us,
-		P99Us:      r.P99Us,
-		Extra: map[string]float64{
-			"conns":          float64(r.Conns),
-			"client_nodes":   float64(r.ClientNodes),
-			"pending_events": float64(r.PendingEvents),
-			"active_conns":   float64(r.ActiveConns),
-		},
-	}
-	if r.DataOK {
-		row.Extra["data_ok"] = 1
-	} else {
-		row.Extra["data_ok"] = 0
-	}
-	return row
-}
-
-// BenchRow converts one noisy-neighbor phase into a bench-document
-// row. The latency percentiles are the victim tenant's closed-loop op
-// latencies — the figures the QoS isolation ratchet watches.
-func (r NoisyResult) BenchRow() BenchRow {
-	row := BenchRow{
-		Name:      "noisy-" + r.Phase,
-		Ops:       r.VictimOps,
-		OpsPerSec: r.OpsPerSec,
-		P50Us:     r.P50Us,
-		P95Us:     r.P95Us,
-		P99Us:     r.P99Us,
-		Extra: map[string]float64{
-			"flood_ops":          float64(r.FloodOps),
-			"qos_waits":          float64(r.AdmissionWaits),
-			"qos_rate_deferrals": float64(r.RateDeferrals),
-			"pending_events":     float64(r.PendingEvents),
-			"active_conns":       float64(r.ActiveConns),
-		},
-	}
-	if r.DataOK {
-		row.Extra["data_ok"] = 1
-	} else {
-		row.Extra["data_ok"] = 0
-	}
-	return row
-}
-
-// BenchRow converts one incast phase into a bench-document row.
-func (r IncastResult) BenchRow() BenchRow {
-	mode := "ccoff"
-	if r.CC {
-		mode = "ccon"
-	}
-	row := BenchRow{
-		Name:       fmt.Sprintf("incast-%d-%s", r.Senders, mode),
-		Ops:        r.Ops,
-		OpsPerSec:  r.OpsPerSec,
-		GoodputMBs: r.GoodMB,
-		P50Us:      r.P50Us,
-		P95Us:      r.P95Us,
-		P99Us:      r.P99Us,
-		Extra: map[string]float64{
-			"utilization":    r.Utilization,
-			"jain":           r.Jain,
-			"failed_ops":     float64(r.Failed),
-			"peer_deaths":    float64(r.PeerDeaths),
-			"ecn_marks":      float64(r.EcnMarks),
-			"cwnd_cuts":      float64(r.CwndCuts),
-			"switch_drops":   float64(r.SwitchDrops),
-			"retrans":        float64(r.Retrans),
-			"pending_events": float64(r.PendingEvents),
-			"active_conns":   float64(r.ActiveConns),
-		},
-	}
-	if r.DataOK {
-		row.Extra["data_ok"] = 1
-	} else {
-		row.Extra["data_ok"] = 0
-	}
-	return row
-}
-
-// BenchRow converts one parking-lot phase into a bench-document row.
-func (r ParkingLotResult) BenchRow() BenchRow {
-	mode := "rr"
-	if r.Adaptive {
-		mode = "adaptive"
-	}
-	row := BenchRow{
-		Name:       "parkinglot-" + mode,
-		Ops:        r.Ops,
-		OpsPerSec:  r.OpsPerSec,
-		GoodputMBs: r.GoodMB,
-		P50Us:      r.P50Us,
-		P99Us:      r.P99Us,
-		Extra: map[string]float64{
-			"rail1_share":    r.Rail1Share,
-			"bg_ops":         float64(r.BgOps),
-			"pending_events": float64(r.PendingEvents),
-			"active_conns":   float64(r.ActiveConns),
-		},
-	}
-	if r.DataOK {
-		row.Extra["data_ok"] = 1
-	} else {
-		row.Extra["data_ok"] = 0
-	}
-	return row
-}
-
-// BenchRow converts one crash-loop measurement into a bench-document
-// row. Ops/s is streamed transfers over the run's virtual extent; the
-// latency percentiles are recovery latencies (restore to first
-// completed transfer), the figure this harness exists to measure.
-func (r CrashloopResult) BenchRow() BenchRow {
-	row := BenchRow{
-		Name:  fmt.Sprintf("crashloop-di%dms", int64(r.Opts.DeadInterval)/1e6),
-		Ops:   r.Transfers,
-		P50Us: r.RecoverP50.Micros(),
-		P99Us: r.RecoverMax.Micros(),
-		Extra: map[string]float64{
-			"recovered":    float64(r.Recovered),
-			"cycles":       float64(r.Opts.Cycles),
-			"reconnects":   float64(r.Reconnects),
-			"replayed_ops": float64(r.ReplayedOps),
-		},
-	}
-	if r.EndedAt > 0 {
-		row.OpsPerSec = float64(r.Transfers) / r.EndedAt.Seconds()
-		row.GoodputMBs = float64(r.Transfers*r.Opts.Bytes) / 1e6 / r.EndedAt.Seconds()
-	}
-	return row
-}
-
 // BenchRow converts one small-op measurement into a bench-document row.
 func (r SmallOpResult) BenchRow() BenchRow {
 	mode := "eager"
@@ -311,6 +172,9 @@ func (r SmallOpResult) BenchRow() BenchRow {
 		Ops:        r.Count,
 		OpsPerSec:  r.MOpsS * 1e6,
 		GoodputMBs: r.GoodMB,
+		P50Us:      r.P50Us,
+		P95Us:      r.P95Us,
+		P99Us:      r.P99Us,
 		Extra: map[string]float64{
 			"doorbells":        float64(r.Doorbells),
 			"coalesced_frames": float64(r.CoalescedFrames),

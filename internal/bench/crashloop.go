@@ -3,13 +3,9 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"sort"
-	"strings"
 
 	"multiedge/internal/cluster"
-	"multiedge/internal/core"
 	"multiedge/internal/frame"
-	"multiedge/internal/obs"
 	"multiedge/internal/sim"
 )
 
@@ -38,10 +34,13 @@ type CrashloopOptions struct {
 	DisableRecorder bool
 }
 
-// CrashloopResult is one crash-loop measurement plus its gates.
+// CrashloopResult is one crash-loop measurement plus its gates. Ops is
+// the transfers completed and byte-verified, Elapsed the run's whole
+// virtual extent, and the percentiles are recovery latencies (restore to
+// first completed transfer), the figure this harness exists to measure.
 type CrashloopResult struct {
-	Opts      CrashloopOptions
-	Transfers int // transfers completed and byte-verified
+	Outcome
+	Opts CrashloopOptions
 
 	Reconnects      uint64 // completed incarnation renegotiations (both sides)
 	ReplayedOps     uint64
@@ -49,20 +48,8 @@ type CrashloopResult struct {
 	StaleEpochDrops uint64
 
 	Recovered  int      // cycles where service resumed before the give-up horizon
-	RecoverP50 sim.Time // restore → first completed transfer
+	RecoverP50 sim.Time // upper median
 	RecoverMax sim.Time
-	EndedAt    sim.Time // virtual time at run end
-
-	// Gates.
-	DataOK        bool
-	PendingLive   int // live sim events left after teardown (leak)
-	PendingEvents int // total sim events left after teardown
-	ActiveConns   int // conns still tabled on either endpoint (leak)
-
-	// Observability artifacts (see FaninResult).
-	Obs       *obs.Registry
-	Recorders []*obs.Recorder
-	Dump      *obs.PostMortem
 }
 
 const crashloopSlots = 4
@@ -80,64 +67,52 @@ func RunCrashloop(o CrashloopOptions) CrashloopResult {
 	// The budget must outlast Down at the smallest backoff base; the
 	// point of the loop is recovery, not budget exhaustion.
 	cfg.Core.MaxReconnects = 32
-	cfg.Obs = o.Obs
-	cfg.Obs.Recorder = !o.DisableRecorder
-	cl := cluster.New(cfg)
+	st := newStage(cfg, o.Obs, o.DisableRecorder, 0)
+	cl := st.cl
 	c01, _ := cl.Pair()
-
-	// The driver pauses/resumes node 1; note each action so a gate
-	// failure's post-mortem can interleave causes with effects.
-	var faults []obs.TimelineNote
-	fault := func(what string) {
-		faults = append(faults, obs.TimelineNote{At: cl.Env.Now(), Text: what})
-	}
-
-	src := cl.Nodes[0].EP.Alloc(crashloopSlots * o.Bytes)
-	dst := cl.Nodes[1].EP.Alloc(crashloopSlots * o.Bytes)
-	mem0, mem1 := cl.Nodes[0].EP.Mem(), cl.Nodes[1].EP.Mem()
+	sl := newSlots(cl.Nodes[0].EP, cl.Nodes[1].EP, crashloopSlots, o.Bytes)
 
 	var (
 		done         bool
 		dataOK       = true
 		transfers    int
 		waitingSince sim.Time // set by the driver at restore; cleared by the writer
-		recoveries   []sim.Time
 	)
 	cl.Env.Go("crashloop-writer", func(p *sim.Proc) {
 		for i := 0; !done; i++ {
-			off := uint64(i%crashloopSlots) * uint64(o.Bytes)
-			faninFill(mem0[src+off:src+off+uint64(o.Bytes)], byte(3+i))
-			h := c01.MustDo(p, core.Op{Remote: dst + off, Local: src + off,
-				Size: o.Bytes, Kind: frame.OpWrite})
+			local, remote := sl.span(i, 1)
+			fillPattern(local, byte(3+i))
+			h := c01.MustDo(p, sl.op(i, frame.OpWrite, 0))
 			h.Wait(p)
 			if h.Err() != nil {
 				dataOK = false
 				break
 			}
-			if !bytes.Equal(mem1[dst+off:dst+off+uint64(o.Bytes)],
-				mem0[src+off:src+off+uint64(o.Bytes)]) {
+			if !bytes.Equal(remote, local) {
 				dataOK = false
 			}
 			transfers++
 			if waitingSince > 0 {
-				recoveries = append(recoveries, cl.Env.Now()-waitingSince)
+				st.lap(waitingSince)
 				waitingSince = 0
 			}
 		}
 		c01.Close(p)
 	})
+	// The driver pauses/resumes node 1, noting each action so a gate
+	// failure's post-mortem can interleave causes with effects.
 	cl.Env.Go("crashloop-driver", func(p *sim.Proc) {
 		defer func() { done = true }()
 		for cycle := 0; cycle < o.Cycles; cycle++ {
 			p.Sleep(20 * sim.Millisecond) // healthy traffic between crashes
 			cl.PauseNode(1)
-			fault(fmt.Sprintf("cycle %d: pause node 1 for %v", cycle, o.Down))
+			st.note("cycle %d: pause node 1 for %v", cycle, o.Down)
 			p.Sleep(o.Down)
 			cl.ResumeNode(1)
-			fault(fmt.Sprintf("cycle %d: resume node 1", cycle))
-			waitingSince = cl.Env.Now()
-			giveUp := cl.Env.Now() + 10*sim.Second
-			for waitingSince > 0 && cl.Env.Now() < giveUp {
+			st.note("cycle %d: resume node 1", cycle)
+			waitingSince = st.now()
+			giveUp := st.now() + 10*sim.Second
+			for waitingSince > 0 && st.now() < giveUp {
 				p.Sleep(200 * sim.Microsecond)
 			}
 			if waitingSince > 0 {
@@ -149,79 +124,54 @@ func RunCrashloop(o CrashloopOptions) CrashloopResult {
 			}
 		}
 	})
-	var endedAt sim.Time
-	if cl.Obs != nil {
-		// Same live-drain + quiesce pattern as RunFanin: RunUntil would
-		// march sampler daemons to the horizon and trip the leak gates.
-		endedAt = cl.Env.Run()
-		cl.Obs.Quiesce()
-	} else {
-		endedAt = cl.Env.RunUntil(120 * sim.Second)
-	}
+	st.end = st.run()
 
-	st := cl.Nodes[0].EP.Stats
-	st1 := cl.Nodes[1].EP.Stats
+	st0, st1 := cl.Nodes[0].EP.Stats, cl.Nodes[1].EP.Stats
 	r := CrashloopResult{
+		Outcome:         st.outcome("crashloop", transfers, o.Bytes, dataOK && transfers > 0),
 		Opts:            o,
-		Transfers:       transfers,
-		Reconnects:      st.Reconnects + st1.Reconnects,
-		ReplayedOps:     st.ReplayedOps + st1.ReplayedOps,
-		ReplayedBytes:   st.ReplayedBytes + st1.ReplayedBytes,
-		StaleEpochDrops: st.StaleEpochDrops + st1.StaleEpochDrops,
-		Recovered:       len(recoveries),
-		EndedAt:         endedAt,
-		DataOK:          dataOK && transfers > 0,
-		PendingLive:     cl.Env.PendingLive(),
-		PendingEvents:   cl.Env.PendingEvents(),
-		ActiveConns:     cl.Nodes[0].EP.ActiveConns() + cl.Nodes[1].EP.ActiveConns(),
-		Obs:             cl.Obs,
-		Recorders:       cl.Recorders,
+		Reconnects:      st0.Reconnects + st1.Reconnects,
+		ReplayedOps:     st0.ReplayedOps + st1.ReplayedOps,
+		ReplayedBytes:   st0.ReplayedBytes + st1.ReplayedBytes,
+		StaleEpochDrops: st0.StaleEpochDrops + st1.StaleEpochDrops,
+		Recovered:       st.lat.Count(),
 	}
-	if len(recoveries) > 0 {
-		s := append([]sim.Time(nil), recoveries...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		r.RecoverP50 = s[len(s)/2]
-		r.RecoverMax = s[len(s)-1]
+	if n := r.Recovered; n > 0 {
+		// The upper median is rank n/2+1; the half-rank margin keeps the
+		// nearest-rank ceiling clear of float rounding.
+		r.RecoverP50 = st.lat.Percentile(100 * (float64(n/2) + 0.5) / float64(n))
+		r.RecoverMax = st.lat.Percentile(100)
 	}
-	if !r.DataOK || !r.LeakFree() || r.Recovered != o.Cycles {
-		cause := fmt.Sprintf("crashloop gate failure: dataOK=%v recovered=%d/%d pendingLive=%d pendingEvents=%d activeConns=%d",
-			r.DataOK, r.Recovered, o.Cycles, r.PendingLive, r.PendingEvents, r.ActiveConns)
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), faults, cl.Recorders...)
-	}
+	r.P50Us, r.P99Us = r.RecoverP50.Micros(), r.RecoverMax.Micros()
 	return r
 }
 
-// LeakFree reports whether the post-teardown gates all passed.
-func (r CrashloopResult) LeakFree() bool {
-	return r.PendingLive == 0 && r.PendingEvents == 0 && r.ActiveConns == 0
+func (r CrashloopResult) String() string {
+	return fmt.Sprintf("di %7s  backoff %5s  %3d/%d cycles  %5d xfers  reconn %3d  replay %4d ops/%8d B  stale %4d  recover p50 %8.1fus max %8.1fus  %s",
+		r.Opts.DeadInterval, r.Opts.Backoff, r.Recovered, r.Opts.Cycles, r.Ops,
+		r.Reconnects, r.ReplayedOps, r.ReplayedBytes, r.StaleEpochDrops,
+		r.RecoverP50.Micros(), r.RecoverMax.Micros(), r.gateColumns())
 }
 
-func (r CrashloopResult) String() string {
-	gate := "ok"
-	if !r.LeakFree() {
-		gate = fmt.Sprintf("LEAK(live=%d ev=%d conns=%d)", r.PendingLive, r.PendingEvents, r.ActiveConns)
-	}
-	data := "ok"
-	if !r.DataOK {
-		data = "CORRUPT"
-	}
-	return fmt.Sprintf("di %7s  backoff %5s  %3d/%d cycles  %5d xfers  reconn %3d  replay %4d ops/%8d B  stale %4d  recover p50 %8.1fus max %8.1fus  data %-7s leak %s",
-		r.Opts.DeadInterval, r.Opts.Backoff, r.Recovered, r.Opts.Cycles, r.Transfers,
-		r.Reconnects, r.ReplayedOps, r.ReplayedBytes, r.StaleEpochDrops,
-		r.RecoverP50.Micros(), r.RecoverMax.Micros(), data, gate)
+// BenchRow converts one crash-loop measurement into a bench-document
+// row.
+func (r CrashloopResult) BenchRow() BenchRow {
+	return r.benchRow(fmt.Sprintf("crashloop-di%dms", int64(r.Opts.DeadInterval)/1e6), map[string]float64{
+		"recovered":    float64(r.Recovered),
+		"cycles":       float64(r.Opts.Cycles),
+		"reconnects":   float64(r.Reconnects),
+		"replayed_ops": float64(r.ReplayedOps),
+	})
 }
 
 // RenderCrashloop sweeps detection/backoff settings under a fixed
-// downtime, printing one row per setting. ok is false if any run
-// corrupted data, failed to recover a cycle, or leaked post-close state
-// — the caller should exit nonzero. The results slice carries one entry
-// per setting for bench-trajectory output; obsOpts composes the
-// registry into every run (zero value = off).
-func RenderCrashloop(cycles int, down sim.Time, size int, obsOpts cluster.ObsOptions) (out string, ok bool, results []CrashloopResult) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Crash-loop recovery: node 1 crash-restarts %d times (down %v), writer streams %d B transfers, 1L-1G\n", cycles, down, size)
-	fmt.Fprintf(&b, "(Config.Reconnect on; rows where DeadInterval > downtime recover by plain ARQ without an incarnation bump)\n\n")
-	ok = true
+// downtime, printing one row per setting. The report fails if any run
+// corrupted data, failed to recover a cycle, or leaked post-close state;
+// obsOpts composes the registry into every run (zero value = off).
+func RenderCrashloop(cycles int, down sim.Time, size int, obsOpts cluster.ObsOptions) Report {
+	var rep report
+	rep.printf("Crash-loop recovery: node 1 crash-restarts %d times (down %v), writer streams %d B transfers, 1L-1G\n", cycles, down, size)
+	rep.printf("(Config.Reconnect on; rows where DeadInterval > downtime recover by plain ARQ without an incarnation bump)\n\n")
 	for _, c := range []struct{ di, backoff sim.Time }{
 		{10 * sim.Millisecond, sim.Millisecond},
 		{25 * sim.Millisecond, 2 * sim.Millisecond},
@@ -233,17 +183,8 @@ func RenderCrashloop(cycles int, down sim.Time, size int, obsOpts cluster.ObsOpt
 			Cycles: cycles, Down: down, Bytes: size,
 			DeadInterval: c.di, Backoff: c.backoff, Seed: 42, Obs: obsOpts,
 		})
-		results = append(results, r)
-		fmt.Fprintf(&b, "  %s\n", r)
-		if !r.DataOK || !r.LeakFree() || r.Recovered != cycles {
-			ok = false
-			if r.Dump != nil {
-				b.WriteString("\n" + r.Dump.Timeline())
-			}
-		}
+		rep.add(r)
+		rep.gate(r.Recovered == cycles, "di %v recovered %d of %d cycles", c.di, r.Recovered, cycles)
 	}
-	if !ok {
-		fmt.Fprintf(&b, "\nFAIL: a run corrupted data, failed to recover, or leaked post-close state\n")
-	}
-	return b.String(), ok, results
+	return rep.done()
 }

@@ -50,9 +50,9 @@ func TestCrashloopDeterministic(t *testing.T) {
 		DeadInterval: 25 * sim.Millisecond, Backoff: 2 * sim.Millisecond, Seed: 11}
 	a, b := RunCrashloop(o), RunCrashloop(o)
 	// The result now carries non-comparable observability artifacts;
-	// String() renders every measured figure, and EndedAt pins the
+	// String() renders every measured figure, and Elapsed pins the
 	// virtual extent.
-	if a.String() != b.String() || a.EndedAt != b.EndedAt {
+	if a.String() != b.String() || a.Elapsed != b.Elapsed {
 		t.Fatalf("crash loop not deterministic:\n  %s\n  %s", a, b)
 	}
 }

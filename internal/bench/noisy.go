@@ -1,17 +1,12 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 
-	"multiedge/internal/chaos"
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
-	"multiedge/internal/obs"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // Noisy-neighbor isolation: one latency-sensitive victim tenant shares
@@ -61,33 +56,19 @@ type NoisyOptions struct {
 	DisableRecorder bool
 }
 
-// NoisyResult is one phase measurement plus its correctness gates.
+// NoisyResult is one phase measurement plus its correctness gates. Ops,
+// the rate and the percentiles are the victim's, past its warmup; the
+// bench reports its latency, not a goodput.
 type NoisyResult struct {
-	Phase     string // "isolated", "qos-off", "qos-on"
-	QoSOn     bool
-	Flooded   bool
-	VictimOps int // victim operations completed
-	FloodOps  int // flood operations completed before the victim finished
-	Elapsed   sim.Time
-	OpsPerSec float64 // victim closed-loop rate
-	P50Us     float64 // victim op latency percentiles
-	P95Us     float64
-	P99Us     float64
+	Outcome
+	Phase    string // "isolated", "qos-off", "qos-on"
+	QoSOn    bool
+	Flooded  bool
+	FloodOps int // flood operations completed before the victim finished
 
 	// QoS trace (zero when QoS off).
 	AdmissionWaits uint64
 	RateDeferrals  uint64
-
-	// Gates.
-	DataOK        bool
-	PendingEvents int
-	ActiveConns   int
-
-	Net cluster.NetReport
-
-	Obs       *obs.Registry
-	Recorders []*obs.Recorder
-	Dump      *obs.PostMortem
 }
 
 // RunNoisy drives one phase: a victim tenant issuing closed-loop 64 B
@@ -100,220 +81,138 @@ func RunNoisy(opts NoisyOptions) NoisyResult {
 	cfg := cluster.OneLink1G(2)
 	cfg.Seed = opts.Seed
 	cfg.Core.SchedQueue = true // both phases run the O(1) scheduler; QoS swaps RR for DWFQ
+	phase, parties := "isolated", 1
 	if opts.QoS {
 		cfg.Core.QoS = noisyClasses()
 	}
-	cfg.Obs = opts.Obs
-	cfg.Obs.Recorder = !opts.DisableRecorder
-	cl := cluster.New(cfg)
-	server := cl.Nodes[0].EP
-	client := cl.Nodes[1].EP
-
-	var runner *chaos.Runner
-	if opts.Chaos {
-		runner = chaos.New(cl, opts.Seed+1)
-		// A loss burst on the server rail perturbs victim and flood alike;
-		// isolation must hold through the repair traffic.
-		runner.LossBurst(500*sim.Microsecond, 5*sim.Millisecond, 0, 0, 0.02)
-	}
-
-	rec := &trace.LatencyRecorder{}
-	var startSig sim.Signal
-	var start, end sim.Time
-	parties := 1
 	if opts.Flood {
 		parties += noisyFloodConns
-	}
-	dialed := 0
-	victimDone := false
-	floodOps := 0
-	verified := true
-
-	// Victim: closed-loop solicited writes, one at a time, each timed.
-	vRemote := server.Alloc(noisySlots * noisyVictimSize)
-	vLocal := client.Alloc(noisySlots * noisyVictimSize)
-	cl.Env.Go("noisy-victim", func(p *sim.Proc) {
-		c := client.Dial(p, 0, 0)
-		c.SetClass(noisyVictimClass)
-		faninFill(client.Mem()[vLocal:vLocal+uint64(noisySlots*noisyVictimSize)], 11)
-		if dialed++; dialed == parties {
-			startSig.Fire(cl.Env)
-		}
-		p.Wait(&startSig)
-		// Warmup absorbs the flood's start-up transient (its token bucket
-		// opens full) so the percentiles measure steady-state isolation,
-		// matching fanin's measure-past-the-dial-storm convention.
-		for k := 0; k < noisyWarmup+opts.VictimOps; k++ {
-			off := uint64(k % noisySlots * noisyVictimSize)
-			t0 := cl.Env.Now()
-			c.MustDo(p, core.Op{Remote: vRemote + off, Local: vLocal + off,
-				Size: noisyVictimSize, Kind: frame.OpWrite, Flags: frame.Solicit}).Wait(p)
-			if k == noisyWarmup-1 {
-				start = cl.Env.Now()
-			} else if k >= noisyWarmup {
-				rec.Record(cl.Env.Now() - t0)
-			}
-		}
-		end = cl.Env.Now()
-		victimDone = true
-		nb := uint64(noisySlots * noisyVictimSize)
-		if opts.VictimOps < noisySlots {
-			nb = uint64(opts.VictimOps * noisyVictimSize)
-		}
-		if !bytes.Equal(server.Mem()[vRemote:vRemote+nb], client.Mem()[vLocal:vLocal+nb]) {
-			verified = false
-		}
-		c.Close(p)
-	})
-
-	// Flood: greedy pipelined elephants from the same endpoint. Quota
-	// backpressure (QoS on) legitimately blocks them in admission.
-	if opts.Flood {
-		for j := 0; j < noisyFloodConns; j++ {
-			src := client.Alloc(noisyFloodWindow * noisyFloodSize)
-			dst := server.Alloc(noisyFloodWindow * noisyFloodSize)
-			cl.Env.Go(fmt.Sprintf("noisy-flood%d", j), func(p *sim.Proc) {
-				c := client.Dial(p, 0, 0)
-				c.SetClass(noisyFloodClass)
-				if dialed++; dialed == parties {
-					startSig.Fire(cl.Env)
-				}
-				p.Wait(&startSig)
-				var inflight []*core.Handle
-				for k := 0; !victimDone; k++ {
-					off := uint64(k % noisyFloodWindow * noisyFloodSize)
-					inflight = append(inflight, c.MustDo(p, core.Op{Remote: dst + off,
-						Local: src + off, Size: noisyFloodSize, Kind: frame.OpWrite}))
-					if len(inflight) >= noisyFloodWindow {
-						inflight[0].Wait(p)
-						inflight = inflight[1:]
-						floodOps++
-					}
-				}
-				for _, h := range inflight {
-					h.Wait(p)
-					floodOps++
-				}
-				c.Close(p)
-			})
-		}
-	}
-
-	if cl.Obs != nil {
-		cl.Env.Run()
-		cl.Obs.Quiesce()
-	} else {
-		cl.Env.RunUntil(600 * sim.Second)
-	}
-
-	phase := "isolated"
-	if opts.Flood {
 		phase = "qos-off"
 		if opts.QoS {
 			phase = "qos-on"
 		}
 	}
-	r := NoisyResult{
-		Phase:     phase,
-		QoSOn:     opts.QoS,
-		Flooded:   opts.Flood,
-		VictimOps: rec.Count(),
-		FloodOps:  floodOps,
-		DataOK:    verified && victimDone,
-		Net:       cl.Collect(),
+	st := newStage(cfg, opts.Obs, opts.DisableRecorder, parties)
+	cl := st.cl
+	server, client := cl.Nodes[0].EP, cl.Nodes[1].EP
+	if opts.Chaos {
+		// A loss burst on the server rail perturbs victim and flood alike;
+		// isolation must hold through the repair traffic.
+		st.withChaos(opts.Seed+1).LossBurst(500*sim.Microsecond, 5*sim.Millisecond, 0, 0, 0.02)
 	}
-	if end > start && start > 0 {
-		r.Elapsed = end - start
-		r.OpsPerSec = float64(r.VictimOps) / r.Elapsed.Seconds()
-	}
-	r.P50Us = rec.Percentile(50).Micros()
-	r.P95Us = rec.Percentile(95).Micros()
-	r.P99Us = rec.Percentile(99).Micros()
-	r.AdmissionWaits = r.Net.Proto.QosAdmissionWaits
-	r.RateDeferrals = r.Net.Proto.QosRateDeferrals
-	r.PendingEvents = cl.Env.PendingEvents()
-	r.ActiveConns = server.ActiveConns() + client.ActiveConns()
-	r.Obs = cl.Obs
-	r.Recorders = cl.Recorders
-	if !r.DataOK || !r.LeakFree() {
-		var faults []obs.TimelineNote
-		if runner != nil {
-			for _, ev := range runner.Events {
-				faults = append(faults, obs.TimelineNote{At: ev.At, Text: ev.What})
+
+	victimDone, verified := false, false
+	floodOps := 0
+
+	// Victim: closed-loop solicited writes, one at a time, each timed.
+	vs := newSlots(client, server, noisySlots, noisyVictimSize)
+	cl.Env.Go("noisy-victim", func(p *sim.Proc) {
+		c := client.Dial(p, 0, 0)
+		c.SetClass(noisyVictimClass)
+		local, _ := vs.span(0, noisySlots)
+		fillPattern(local, 11)
+		st.arrive(p)
+		// Warmup absorbs the flood's start-up transient (its token bucket
+		// opens full) so the window and the percentiles measure
+		// steady-state isolation, matching fanin's
+		// measure-past-the-dial-storm convention.
+		for k := 0; k < noisyWarmup+opts.VictimOps; k++ {
+			t0 := st.now()
+			c.MustDo(p, vs.op(k, frame.OpWrite, frame.Solicit)).Wait(p)
+			if k == noisyWarmup-1 {
+				st.start = st.now()
+			} else if k >= noisyWarmup {
+				st.lap(t0)
 			}
 		}
-		cause := fmt.Sprintf("noisy gate failure (%s): dataOK=%v pendingEvents=%d activeConns=%d",
-			r.Phase, r.DataOK, r.PendingEvents, r.ActiveConns)
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), faults, cl.Recorders...)
+		st.end = st.now()
+		victimDone = true
+		verified = vs.same(noisyWarmup + opts.VictimOps)
+		c.Close(p)
+	})
+
+	// Flood: greedy pipelined elephants from the same endpoint. Quota
+	// backpressure (QoS on) legitimately blocks them in admission.
+	for j := 0; opts.Flood && j < noisyFloodConns; j++ {
+		fs := newSlots(client, server, noisyFloodWindow, noisyFloodSize)
+		cl.Env.Go(fmt.Sprintf("noisy-flood%d", j), func(p *sim.Proc) {
+			c := client.Dial(p, 0, 0)
+			c.SetClass(noisyFloodClass)
+			st.arrive(p)
+			var inflight []*core.Handle
+			for k := 0; !victimDone; k++ {
+				inflight = append(inflight, c.MustDo(p, fs.op(k, frame.OpWrite, 0)))
+				if len(inflight) >= noisyFloodWindow {
+					inflight[0].Wait(p)
+					inflight = inflight[1:]
+					floodOps++
+				}
+			}
+			for _, h := range inflight {
+				h.Wait(p)
+				floodOps++
+			}
+			c.Close(p)
+		})
 	}
+	st.run()
+
+	r := NoisyResult{
+		Outcome:  st.outcome("noisy ("+phase+")", st.lat.Count(), 0, verified && victimDone),
+		Phase:    phase,
+		QoSOn:    opts.QoS,
+		Flooded:  opts.Flood,
+		FloodOps: floodOps,
+	}
+	r.AdmissionWaits = r.Net.Proto.QosAdmissionWaits
+	r.RateDeferrals = r.Net.Proto.QosRateDeferrals
 	return r
 }
 
-// LeakFree reports whether the post-teardown gates all passed.
-func (r NoisyResult) LeakFree() bool { return r.PendingEvents == 0 && r.ActiveConns == 0 }
-
 func (r NoisyResult) String() string {
-	gate := "ok"
-	if !r.LeakFree() {
-		gate = fmt.Sprintf("LEAK(ev=%d conns=%d)", r.PendingEvents, r.ActiveConns)
-	}
-	data := "ok"
-	if !r.DataOK {
-		data = "CORRUPT"
-	}
-	return fmt.Sprintf("%-8s  %6d victim ops  %9.3fms  %9.0f ops/s  p50 %7.1fus  p95 %7.1fus  p99 %8.1fus  flood %6d ops  waits %4d  defers %5d  data %-7s leak %s",
-		r.Phase, r.VictimOps, r.Elapsed.Micros()/1e3, r.OpsPerSec,
-		r.P50Us, r.P95Us, r.P99Us, r.FloodOps, r.AdmissionWaits, r.RateDeferrals, data, gate)
+	return fmt.Sprintf("%-8s  %6d victim ops  %9.3fms  %9.0f ops/s  p50 %7.1fus  p95 %7.1fus  p99 %8.1fus  flood %6d ops  waits %4d  defers %5d  %s",
+		r.Phase, r.Ops, r.Elapsed.Micros()/1e3, r.OpsPerSec,
+		r.P50Us, r.P95Us, r.P99Us, r.FloodOps, r.AdmissionWaits, r.RateDeferrals, r.gateColumns())
+}
+
+// BenchRow converts one noisy-neighbor phase into a bench-document
+// row. The latency percentiles are the victim tenant's closed-loop op
+// latencies — the figures the QoS isolation ratchet watches.
+func (r NoisyResult) BenchRow() BenchRow {
+	return r.benchRow("noisy-"+r.Phase, map[string]float64{
+		"flood_ops":          float64(r.FloodOps),
+		"qos_waits":          float64(r.AdmissionWaits),
+		"qos_rate_deferrals": float64(r.RateDeferrals),
+	})
 }
 
 // RenderNoisy runs the three noisy-neighbor phases and gates the QoS-on
 // victim p99 against noisyP99Bound times the isolated baseline. The
 // QoS-off phase is the starvation demonstration: its p99 must exceed
-// the QoS-on p99, or the flood was not actually contending. ok is false
-// if any gate, byte-verification or leak check failed.
-func RenderNoisy(victimOps int, withChaos bool, obsOpts cluster.ObsOptions) (out string, ok bool, results []NoisyResult) {
-	var b strings.Builder
+// the QoS-on p99, or the flood was not actually contending. The report
+// fails if any gate, byte-verification or leak check failed.
+func RenderNoisy(victimOps int, withChaos bool, obsOpts cluster.ObsOptions) Report {
+	var rep report
 	chaosNote := ""
 	if withChaos {
 		chaosNote = ", loss burst on"
 	}
-	fmt.Fprintf(&b, "Noisy neighbor: 1 victim conn (class 1, w=8, %dB solicited writes) vs %d flood conns (class 2, w=1, %dKiB, rate-capped) on one endpoint, 1L-1G\n",
+	rep.printf("Noisy neighbor: 1 victim conn (class 1, w=8, %dB solicited writes) vs %d flood conns (class 2, w=1, %dKiB, rate-capped) on one endpoint, 1L-1G\n",
 		noisyVictimSize, noisyFloodConns, noisyFloodSize>>10)
-	fmt.Fprintf(&b, "(%d closed-loop victim ops; QoS classes %+v%s)\n\n", victimOps, noisyClasses(), chaosNote)
-	ok = true
-	phases := []NoisyOptions{
-		{VictimOps: victimOps, QoS: true, Flood: false, Chaos: withChaos, Seed: 42, Obs: obsOpts},
-		{VictimOps: victimOps, QoS: false, Flood: true, Chaos: withChaos, Seed: 42, Obs: obsOpts},
-		{VictimOps: victimOps, QoS: true, Flood: true, Chaos: withChaos, Seed: 42, Obs: obsOpts},
+	rep.printf("(%d closed-loop victim ops; QoS classes %+v%s)\n\n", victimOps, noisyClasses(), chaosNote)
+	phase := func(qos, flood bool) NoisyResult {
+		r := RunNoisy(NoisyOptions{VictimOps: victimOps, QoS: qos, Flood: flood, Chaos: withChaos, Seed: 42, Obs: obsOpts})
+		rep.add(r)
+		return r
 	}
-	for _, po := range phases {
-		r := RunNoisy(po)
-		results = append(results, r)
-		fmt.Fprintf(&b, "  %s\n", r)
-		if !r.DataOK || !r.LeakFree() {
-			ok = false
-			if r.Dump != nil {
-				b.WriteString("\n" + r.Dump.Timeline())
-			}
-		}
-	}
-	iso, off, on := results[0], results[1], results[2]
+	iso, off, on := phase(true, false), phase(false, true), phase(true, true)
 	if iso.P99Us > 0 {
-		fmt.Fprintf(&b, "\n  victim p99 ratio vs isolated:  qos-off %.2fx   qos-on %.2fx  (gate: qos-on <= %.1fx)\n",
+		rep.printf("\n  victim p99 ratio vs isolated:  qos-off %.2fx   qos-on %.2fx  (gate: qos-on <= %.1fx)\n",
 			off.P99Us/iso.P99Us, on.P99Us/iso.P99Us, noisyP99Bound)
 	}
-	if on.P99Us > iso.P99Us*noisyP99Bound {
-		ok = false
-		fmt.Fprintf(&b, "\nFAIL: QoS-on victim p99 %.1fus exceeds %.1fx isolated baseline %.1fus\n",
-			on.P99Us, noisyP99Bound, iso.P99Us)
-	}
-	if off.P99Us <= on.P99Us {
-		ok = false
-		fmt.Fprintf(&b, "\nFAIL: QoS-off victim p99 %.1fus not above QoS-on %.1fus — the flood is not contending\n",
-			off.P99Us, on.P99Us)
-	}
-	if !ok && !strings.Contains(b.String(), "FAIL:") {
-		fmt.Fprintf(&b, "\nFAIL: a phase corrupted data or leaked post-close state\n")
-	}
-	return b.String(), ok, results
+	rep.gate(on.P99Us <= iso.P99Us*noisyP99Bound, "QoS-on victim p99 %.1fus exceeds %.1fx isolated baseline %.1fus",
+		on.P99Us, noisyP99Bound, iso.P99Us)
+	rep.gate(off.P99Us > on.P99Us, "QoS-off victim p99 %.1fus not above QoS-on %.1fus — the flood is not contending",
+		off.P99Us, on.P99Us)
+	return rep.done()
 }

@@ -8,6 +8,7 @@ import (
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
 	"multiedge/internal/sim"
+	"multiedge/internal/trace"
 )
 
 // Small-operation throughput: the workload the submission-queue path
@@ -25,6 +26,9 @@ type SmallOpResult struct {
 	Batch  int // ops per doorbell; 0 = eager per-op issue
 	MOpsS  float64
 	GoodMB float64 // payload goodput, MB/s
+	// Issue-to-drain latency of one doorbell batch (or, on the eager
+	// side, one lane group of 64 writes): one sample per batch.
+	P50Us, P95Us, P99Us float64
 	// Protocol evidence.
 	Doorbells       uint64
 	CoalescedFrames uint64
@@ -50,6 +54,19 @@ func tailSolicit(i, n int) frame.OpFlags {
 	return 0
 }
 
+// postBatch posts writes of slots 0..n-1 through the submission queue,
+// the last one solicited, rings the doorbell once and drains the n
+// completions.
+func postBatch(p *sim.Proc, c *core.Conn, sl slots, n int) {
+	for i := 0; i < n; i++ {
+		c.MustPost(sl.op(i, frame.OpWrite, tailSolicit(i, n)))
+	}
+	c.MustRing(p)
+	for i := 0; i < n; i++ {
+		c.WaitCQ(p)
+	}
+}
+
 // RunSmallOps measures one-way small-write throughput on cfg. batch = 0
 // issues every operation eagerly (Do); batch > 0 routes them through
 // the submission queue, ringing the doorbell every batch posts and
@@ -66,57 +83,40 @@ func RunSmallOps(cfg cluster.Config, size, count, batch int) SmallOpResult {
 	if lanes <= 0 {
 		lanes = 64 // eager pipelining depth, matched to the SQ batch
 	}
-	src := ep0.Alloc(size * lanes)
-	dst := ep1.Alloc(size * lanes)
+	sl := newSlots(ep0, ep1, lanes, size)
 
 	var start, end sim.Time
 	var prev, net cluster.NetReport
+	var lat trace.LatencyRecorder
 	cl.Env.Go("smallops", func(p *sim.Proc) {
 		// Warm up the path.
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+		c01.MustDo(p, sl.op(0, frame.OpWrite, 0)).Wait(p)
 		start = cl.Env.Now()
 		prev = cl.Collect()
-		if batch > 0 {
-			for done := 0; done < count; {
-				n := batch
-				if count-done < n {
-					n = count - done
-				}
+		hs := make([]*core.Handle, 0, lanes)
+		for done := 0; done < count; {
+			n := min(lanes, count-done)
+			t0 := cl.Env.Now()
+			if batch > 0 {
+				postBatch(p, c01, sl, n)
+			} else {
 				for i := 0; i < n; i++ {
-					off := uint64(i * size)
-					c01.MustPost(core.Op{Remote: dst + off, Local: src + off, Size: size,
-						Kind: frame.OpWrite, Flags: tailSolicit(i, n)})
-				}
-				c01.MustRing(p)
-				for i := 0; i < n; i++ {
-					c01.WaitCQ(p)
-				}
-				done += n
-			}
-		} else {
-			hs := make([]*core.Handle, 0, lanes)
-			for done := 0; done < count; {
-				n := lanes
-				if count-done < n {
-					n = count - done
-				}
-				for i := 0; i < n; i++ {
-					off := uint64(i * size)
-					hs = append(hs, c01.MustDo(p, core.Op{Remote: dst + off, Local: src + off, Size: size,
-						Kind: frame.OpWrite, Flags: tailSolicit(i, n)}))
+					hs = append(hs, c01.MustDo(p, sl.op(i, frame.OpWrite, tailSolicit(i, n))))
 				}
 				for _, h := range hs {
 					h.Wait(p)
 				}
 				hs = hs[:0]
-				done += n
 			}
+			lat.Record(cl.Env.Now() - t0)
+			done += n
 		}
 		end = cl.Env.Now()
 		net = cl.Collect().Sub(prev)
 	})
 	cl.Env.RunUntil(600 * sim.Second)
-	r := SmallOpResult{Config: cfg.Name, Size: size, Count: count, Batch: batch}
+	r := SmallOpResult{Config: cfg.Name, Size: size, Count: count, Batch: batch,
+		P50Us: lat.Percentile(50).Micros(), P95Us: lat.Percentile(95).Micros(), P99Us: lat.Percentile(99).Micros()}
 	if elapsed := end - start; elapsed > 0 {
 		r.MOpsS = float64(count) / 1e6 / elapsed.Seconds()
 		r.GoodMB = float64(size*count) / 1e6 / elapsed.Seconds()

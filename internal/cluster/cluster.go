@@ -580,10 +580,7 @@ func (cl *Cluster) Collect() NetReport {
 // Sub returns the difference of two reports (window measurement).
 func (r NetReport) Sub(prev NetReport) NetReport {
 	out := r
-	var p core.Stats
-	p = prev.Proto
-	// Stats.Add has no Sub; do it field-wise via negation-free diff.
-	out.Proto = diffStats(r.Proto, p)
+	out.Proto = r.Proto.Sub(prev.Proto)
 	out.WireFrames -= prev.WireFrames
 	out.WireBytes -= prev.WireBytes
 	out.SwitchDrops -= prev.SwitchDrops
@@ -595,62 +592,4 @@ func (r NetReport) Sub(prev NetReport) NetReport {
 	out.TxIntr -= prev.TxIntr
 	out.NICRxFrames -= prev.NICRxFrames
 	return out
-}
-
-func diffStats(a, b core.Stats) core.Stats {
-	a.OpsStarted -= b.OpsStarted
-	a.OpsCompleted -= b.OpsCompleted
-	a.ReadsServed -= b.ReadsServed
-	a.Notifies -= b.Notifies
-	a.Doorbells -= b.Doorbells
-	a.SQOps -= b.SQOps
-	a.CoalescedFrames -= b.CoalescedFrames
-	a.CoalescedSubOps -= b.CoalescedSubOps
-	a.DataFramesSent -= b.DataFramesSent
-	a.DataBytesSent -= b.DataBytesSent
-	a.CtrlAcksSent -= b.CtrlAcksSent
-	a.CtrlNacksSent -= b.CtrlNacksSent
-	a.Retransmissions -= b.Retransmissions
-	a.LinkDeadEvents -= b.LinkDeadEvents
-	a.LinkRestores -= b.LinkRestores
-	a.DataFramesRecv -= b.DataFramesRecv
-	a.DataBytesRecv -= b.DataBytesRecv
-	a.CtrlRecv -= b.CtrlRecv
-	a.Duplicates -= b.Duplicates
-	a.GbnDropped -= b.GbnDropped
-	a.Arrivals -= b.Arrivals
-	a.OOOArrivals -= b.OOOArrivals
-	a.HeldFrames -= b.HeldFrames
-	a.RttSamples -= b.RttSamples
-	a.RtoExpiries -= b.RtoExpiries
-	a.PeerDeadEvents -= b.PeerDeadEvents
-	a.ResetsSent -= b.ResetsSent
-	a.ResetsRecv -= b.ResetsRecv
-	a.HeartbeatsSent -= b.HeartbeatsSent
-	a.HeartbeatsRecv -= b.HeartbeatsRecv
-	a.OpsFailed -= b.OpsFailed
-	a.OpDeadlinesExpired -= b.OpDeadlinesExpired
-	a.DupFramesDropped -= b.DupFramesDropped
-	a.NackGapsDropped -= b.NackGapsDropped
-	a.StaleEpochDrops -= b.StaleEpochDrops
-	a.Reconnects -= b.Reconnects
-	a.ReconnectsFailed -= b.ReconnectsFailed
-	a.ReplayedOps -= b.ReplayedOps
-	a.ReplayedBytes -= b.ReplayedBytes
-	a.Abandons -= b.Abandons
-	a.QosOpsAdmitted -= b.QosOpsAdmitted
-	a.QosOpsThrottled -= b.QosOpsThrottled
-	a.QosAdmissionWaits -= b.QosAdmissionWaits
-	a.QosRateDeferrals -= b.QosRateDeferrals
-	a.QosSchedFrames -= b.QosSchedFrames
-	a.EcnMarksSeen -= b.EcnMarksSeen
-	a.EcnEchoesSent -= b.EcnEchoesSent
-	a.EcnEchoesRecv -= b.EcnEchoesRecv
-	a.CcCwndCuts -= b.CcCwndCuts
-	a.CcRetxDeferred -= b.CcRetxDeferred
-	a.CcOpsThrottled -= b.CcOpsThrottled
-	a.CcAdmissionWaits -= b.CcAdmissionWaits
-	a.AppProtoTime -= b.AppProtoTime
-	// HoldMax and RtoBackoffMax are peaks, not counters: left as-is.
-	return a
 }

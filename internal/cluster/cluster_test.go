@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -369,3 +370,60 @@ func TestTreeOversubscriptionCongests(t *testing.T) {
 // Collect2 is a helper aliasing Collect for the test above (kept
 // separate to exercise the exported method path).
 func Collect2(cl *Cluster) NetReport { return cl.Collect() }
+
+// TestStatsDeclaredOnce is the cluster half of the core test of the same
+// name: NetReport.Sub differences every counter of the report, protocol
+// counters included, and keeps the two protocol peaks. Filled by
+// reflection, so a counter added to core.Stats is covered the day it is
+// added.
+func TestStatsDeclaredOnce(t *testing.T) {
+	peaks := map[string]bool{"Proto.HoldMax": true, "Proto.RtoBackoffMax": true}
+	type leaf struct {
+		name string
+		path []int
+	}
+	var leaves []leaf
+	var walk func(ty reflect.Type, name string, path []int)
+	walk = func(ty reflect.Type, name string, path []int) {
+		if ty.Kind() != reflect.Struct {
+			leaves = append(leaves, leaf{name, append([]int(nil), path...)})
+			return
+		}
+		for i := 0; i < ty.NumField(); i++ {
+			sub := ty.Field(i).Name
+			if name != "" {
+				sub = name + "." + sub
+			}
+			walk(ty.Field(i).Type, sub, append(path, i))
+		}
+	}
+	walk(reflect.TypeOf(NetReport{}), "", nil)
+	put := func(v reflect.Value, x int64) {
+		if v.CanUint() {
+			v.SetUint(uint64(x))
+		} else {
+			v.SetInt(x)
+		}
+	}
+	get := func(v reflect.Value) int64 {
+		if v.CanUint() {
+			return int64(v.Uint())
+		}
+		return v.Int()
+	}
+	var cur, prev NetReport
+	for i, l := range leaves {
+		put(reflect.ValueOf(&cur).Elem().FieldByIndex(l.path), int64(1000+7*i))
+		put(reflect.ValueOf(&prev).Elem().FieldByIndex(l.path), int64(10+3*i))
+	}
+	d := cur.Sub(prev)
+	for i, l := range leaves {
+		want := int64(1000+7*i) - int64(10+3*i)
+		if peaks[l.name] {
+			want = int64(1000 + 7*i)
+		}
+		if got := get(reflect.ValueOf(d).FieldByIndex(l.path)); got != want {
+			t.Errorf("%s: Sub gave %d, want %d", l.name, got, want)
+		}
+	}
+}

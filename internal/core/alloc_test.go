@@ -122,14 +122,13 @@ func TestAllocsSQBatch(t *testing.T) {
 	gateAllocs(t, "SQ batch post+ring+drain", allocs/batch, 1)
 }
 
-// TestAllocsReceiveDispatchBurst gates the batched receive-dispatch loop
-// (Config.RxBurst) at one allocation per operation: burst jobs, their
-// pooled frames, and the dispatch fan-out must come entirely from
-// freelists once warm.
+// TestAllocsReceiveDispatchBurst gates the receive-dispatch loop over
+// two rails at one allocation per operation: the in-flight receive
+// record, the pooled frames of both NICs, and the dispatch fan-out must
+// allocate nothing once warm.
 func TestAllocsReceiveDispatchBurst(t *testing.T) {
 	cfg := cluster.TwoLink1G(2)
 	cfg.Seed = 3
-	cfg.Core.RxBurst = 4
 	cl, c01, src, dst := allocPair(t, cfg)
 	op := core.Op{Remote: dst, Local: src, Size: 512, Kind: frame.OpWrite}
 	var allocs float64
@@ -141,7 +140,7 @@ func TestAllocsReceiveDispatchBurst(t *testing.T) {
 			c01.MustDo(p, op).Wait(p)
 		})
 	})
-	gateAllocs(t, "write+wait under RxBurst", allocs, 1)
+	gateAllocs(t, "write+wait over two rails", allocs, 1)
 }
 
 // TestAllocsEagerRead documents the read budget: two allocations per

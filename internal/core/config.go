@@ -155,15 +155,6 @@ type Config struct {
 	// the numbers), so the flag is off by default and the pinned golden
 	// results run on the scan.
 	SchedQueue bool
-	// RxBurst is how many frames one protocol-thread wake drains from the
-	// NIC rings and dispatches back-to-back under a single summed CPU
-	// charge. 0 and 1 both mean one frame per wake, the frame-at-a-time
-	// NAPI loop every pinned golden runs on; larger values amortize event
-	// overhead under receive-heavy load at the cost of coarser
-	// interleaving between receive and transmit service, which perturbs
-	// schedules. Delivery semantics do not depend on it (see
-	// TestProfileFaultMatrix).
-	RxBurst int
 	// Reconnect enables the supervised recovery layer: instead of a
 	// terminal Failed state, peer death parks the connection in
 	// Reconnecting, an endpoint supervisor redials with capped

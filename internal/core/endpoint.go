@@ -25,7 +25,7 @@ type Endpoint struct {
 	mem    []byte
 	memBrk uint64
 
-	conns      *connTable        // by local connection id, sharded
+	conns      map[uint32]*Conn  // by local connection id
 	connOrder  []*Conn           // stable iteration order for fairness
 	byPeer     map[peerKey]*Conn // handshake dedupe
 	nextConnID uint32
@@ -39,14 +39,12 @@ type Endpoint struct {
 	// Hot-path scheduling plumbing: the protocol thread's continuations
 	// are built once here and passed by reference, so steady-state frame
 	// work schedules no per-event closures (see SchedAtArg/SubmitArg).
-	// rxJobFree recycles the per-frame dispatch records.
 	threadStepFn func()
 	ctrlStepFn   func(any) // arg *Conn: ACK/NACK service
 	sendStepFn   func(any) // arg *Conn: data service, charged to qosDispatchCls
 	fireSigFn    func(any) // arg *sim.Signal: user wake (handle/CQ completion)
-	burstFn      func()    // drains rxBurst: dispatches the frames of one poll
-	rxJobFree    []*rxJob
-	rxBurst      []*rxJob // frames polled this burst, awaiting dispatch
+	rxStepFn     func()    // dispatches rx, the frame pollRx took
+	rx           rxJob
 
 	qosDispatchCls int // class of the in-flight sendStepFn dispatch
 
@@ -94,11 +92,11 @@ type memRegion struct {
 }
 
 // rxJob carries one decoded frame from the protocol-CPU charge to its
-// dispatch. Records are recycled through Endpoint.rxJobFree so the
-// steady-state receive path allocates nothing; the frame (and therefore
-// the payload, which aliases fr.Buf) is released by burstFn after
-// dispatchFrame returns, so any code that buffers a payload past
-// dispatch must copy it first (see the hold paths in conn.go).
+// dispatch. The thread loop is strictly serialized, so at most one is in
+// flight and Endpoint.rx holds it; the frame (and therefore the payload,
+// which aliases fr.Buf) is released by rxStepFn after dispatchFrame
+// returns, so any code that buffers a payload past dispatch must copy it
+// first (see the hold paths in conn.go).
 type rxJob struct {
 	fr      *phys.Frame
 	src     frame.Addr
@@ -106,15 +104,6 @@ type rxJob struct {
 	payload []byte
 	link    int
 	ecn     bool // congestion-experienced mark carried out of band by fr
-}
-
-func (ep *Endpoint) getRxJob() *rxJob {
-	if n := len(ep.rxJobFree); n > 0 {
-		j := ep.rxJobFree[n-1]
-		ep.rxJobFree = ep.rxJobFree[:n-1]
-		return j
-	}
-	return &rxJob{}
 }
 
 type peerKey struct {
@@ -131,7 +120,7 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 	ep := &Endpoint{
 		env: env, node: node, cfg: cfg, costs: costs, cpus: cpus, nics: nics,
 		mem:        make([]byte, cfg.MemBytes),
-		conns:      newConnTable(),
+		conns:      make(map[uint32]*Conn),
 		byPeer:     make(map[peerKey]*Conn),
 		nextConnID: 1,
 		acceptAll:  true,
@@ -156,19 +145,11 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		ep.threadStep()
 	}
 	ep.fireSigFn = func(x any) { x.(*sim.Signal).Fire(ep.env) }
-	ep.burstFn = func() {
-		jobs := ep.rxBurst
-		for k, j := range jobs {
-			fr, src, h, payload, link, ecn := j.fr, j.src, j.h, j.payload, j.link, j.ecn
-			*j = rxJob{}
-			ep.rxJobFree = append(ep.rxJobFree, j)
-			jobs[k] = nil
-			ep.dispatchFrame(src, h, payload, link, ecn)
-			fr.Release()
-		}
-		// Reset before re-entering the loop: threadStep may start the
-		// next burst, which refills the same backing array.
-		ep.rxBurst = jobs[:0]
+	ep.rxStepFn = func() {
+		j := ep.rx
+		ep.rx = rxJob{}
+		ep.dispatchFrame(j.src, j.h, j.payload, j.link, j.ecn)
+		j.fr.Release()
 		ep.threadStep()
 	}
 	if len(cfg.QoS) > 0 && !cfg.SchedQueue {
@@ -249,10 +230,10 @@ func (ep *Endpoint) kickConn(c *Conn) {
 // stateless acknowledgement so the peer's close handshake still
 // terminates.
 func (ep *Endpoint) removeConn(c *Conn) {
-	if _, ok := ep.conns.get(c.localID); !ok {
+	if _, ok := ep.conns[c.localID]; !ok {
 		return
 	}
-	ep.conns.del(c.localID)
+	delete(ep.conns, c.localID)
 	for i, cc := range ep.connOrder {
 		if cc == c {
 			ep.connOrder = append(ep.connOrder[:i], ep.connOrder[i+1:]...)
@@ -267,7 +248,7 @@ func (ep *Endpoint) removeConn(c *Conn) {
 
 // ActiveConns returns how many connections the endpoint currently
 // carries (closed and failed conns are removed from the table).
-func (ep *Endpoint) ActiveConns() int { return ep.conns.len() }
+func (ep *Endpoint) ActiveConns() int { return len(ep.conns) }
 
 // SetTrace attaches a frame-level event trace (nil disables). Tracing
 // records transmit/receive/reorder/retransmission events for the
@@ -320,7 +301,7 @@ func (ep *Endpoint) SetObs(r *obs.Registry) {
 		g := func(name string, v float64) {
 			emit(obs.Sample{Name: name, Labels: []obs.Label{nl}, Value: v, Type: obs.TypeGauge})
 		}
-		g("core_active_conns", float64(ep.conns.len()))
+		g("core_active_conns", float64(len(ep.conns)))
 		ctrl, send := ep.qosSchedDepth()
 		g("core_sched_queue_depth", float64(ctrl+send))
 	})
@@ -471,10 +452,9 @@ func (ep *Endpoint) threadStep() {
 		ep.protoRes().Submit(ep.env, ep.protoCost(sim.Time(txDone)*ep.costs.TxDone), ep.threadStepFn)
 		return
 	}
-	// 2. Receive, starting with the NIC that interrupted and sticking
-	// with it until its ring drains (NAPI-style batching): up to
-	// Config.RxBurst frames, at least one, under one scheduler wake.
-	if ep.pollRxBurst() {
+	// 2. Receive one frame, starting with the NIC that interrupted and
+	// sticking with it until its ring drains (NAPI-style).
+	if ep.pollRx() {
 		return
 	}
 	// 3+4. Send pending control frames (ACK/NACK), then one data frame
@@ -530,59 +510,43 @@ func (ep *Endpoint) threadStep() {
 	}
 }
 
-// pollRxBurst drains up to Config.RxBurst frames (at least one) from the
-// NIC rings and schedules their dispatch as one protocol-thread event
-// charged the sum of the per-frame costs. It reports whether any frame
-// was taken (the caller returns and the burst callback continues the
-// thread loop). The per-frame cost model does not depend on the limit;
-// only the event granularity does.
-func (ep *Endpoint) pollRxBurst() bool {
-	limit := max(1, ep.cfg.RxBurst)
-	var cost sim.Time
-	n := 0
-	for n < limit {
-		var fr *phys.Frame
-		link := -1
-		for i := 0; i < len(ep.nics); i++ {
-			idx := (ep.rxPrefer + i) % len(ep.nics)
-			if f := ep.nics[idx].PollRxOne(); f != nil {
-				ep.rxPrefer = idx
-				fr, link = f, idx
-				break
-			}
-		}
+// pollRx takes one frame from the NIC rings (the paper's §2.6 loop: poll
+// every NIC, one frame per step) and schedules its dispatch behind the
+// per-frame protocol-CPU charge. It reports whether a frame was taken;
+// the caller returns and the scheduled continuation resumes the thread.
+func (ep *Endpoint) pollRx() bool {
+	for i := 0; i < len(ep.nics); i++ {
+		idx := (ep.rxPrefer + i) % len(ep.nics)
+		fr := ep.nics[idx].PollRxOne()
 		if fr == nil {
-			break
+			continue
 		}
-		n++
+		ep.rxPrefer = idx
 		_, src, h, payload, err := frame.Decode(fr.Buf)
 		if err != nil {
 			// Damaged frame past the FCS model: treated as loss, buffer
 			// dies here, decode cost still charged.
 			fr.Release()
-			cost += ep.protoCost(ep.costs.FrameRx)
-			continue
+			ep.protoRes().Submit(ep.env, ep.protoCost(ep.costs.FrameRx), ep.threadStepFn)
+			return true
 		}
+		var cost sim.Time
 		switch h.Type {
 		case frame.TypeData, frame.TypeReadReq, frame.TypeMultiData:
-			cost += ep.protoCost(ep.costs.FrameRx)
+			cost = ep.protoCost(ep.costs.FrameRx)
 			if ep.engine == nil {
 				// Host path pays the kernel->user copy; an offloading NIC
 				// DMAs payload directly into user memory.
 				cost += ep.costs.Copy(len(payload))
 			}
 		default:
-			cost += ep.protoCost(ep.costs.AckProc)
+			cost = ep.protoCost(ep.costs.AckProc)
 		}
-		j := ep.getRxJob()
-		j.fr, j.src, j.h, j.payload, j.link, j.ecn = fr, src, h, payload, link, fr.Ecn
-		ep.rxBurst = append(ep.rxBurst, j)
+		ep.rx = rxJob{fr: fr, src: src, h: h, payload: payload, link: idx, ecn: fr.Ecn}
+		ep.protoRes().Submit(ep.env, cost, ep.rxStepFn)
+		return true
 	}
-	if n == 0 {
-		return false
-	}
-	ep.protoRes().Submit(ep.env, cost, ep.burstFn)
-	return true
+	return false
 }
 
 // dispatchFrame routes a decoded frame to connection handling. ecn is
@@ -598,7 +562,7 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		ep.handleConnAck(src, h)
 		return
 	}
-	c, ok := ep.conns.get(h.ConnID)
+	c, ok := ep.conns[h.ConnID]
 	if !ok {
 		if h.Type == frame.TypeConnClose {
 			// A retransmitted close for a connection we already tore
@@ -787,7 +751,7 @@ func (ep *Endpoint) Accept(p *sim.Proc) *Conn {
 func (ep *Endpoint) newConn(remoteNode, links int) *Conn {
 	c := newConn(ep, ep.nextConnID, remoteNode, links)
 	ep.nextConnID++
-	ep.conns.put(c.localID, c)
+	ep.conns[c.localID] = c
 	ep.connOrder = append(ep.connOrder, c)
 	return c
 }
@@ -832,7 +796,7 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 }
 
 func (ep *Endpoint) handleConnAck(_ frame.Addr, h frame.Header) {
-	c, ok := ep.conns.get(h.ConnID)
+	c, ok := ep.conns[h.ConnID]
 	if !ok {
 		return
 	}

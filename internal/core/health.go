@@ -77,7 +77,7 @@ func (ep *Endpoint) Health() obs.EndpointHealth {
 	h := obs.EndpointHealth{
 		At:          ep.env.Now(),
 		Node:        ep.node,
-		ActiveConns: ep.conns.len(),
+		ActiveConns: len(ep.conns),
 		SchedCtrlQ:  ctrl,
 		SchedSendQ:  send,
 	}

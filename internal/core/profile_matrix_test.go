@@ -18,9 +18,9 @@ import (
 var matrixFaults = []string{"clean", "loss5", "dup3", "flap"}
 
 // matrixProfiles are the configurations the protocol thread can be put
-// in: its two scheduling paths, the receive burst, a configured class,
-// what large endpoints actually run — and the ordering engine's
-// degenerate predicate, strict sequence order.
+// in: its two scheduling paths, a configured class, what large endpoints
+// actually run — and the ordering engine's degenerate predicate, strict
+// sequence order.
 var matrixProfiles = []struct {
 	name  string
 	apply func(*cluster.Config)
@@ -28,10 +28,6 @@ var matrixProfiles = []struct {
 	{"scan", func(*cluster.Config) {}},
 	{"strict", func(c *cluster.Config) { c.Core.Strict = true }},
 	{"queued", func(c *cluster.Config) { c.Core.SchedQueue = true }},
-	{"queued+burst16", func(c *cluster.Config) {
-		c.Core.SchedQueue = true
-		c.Core.RxBurst = 16
-	}},
 	{"queued+class3", func(c *cluster.Config) {
 		c.Core.SchedQueue = true
 		c.Core.QoS = []core.QoSClass{{Weight: 3}}
@@ -43,7 +39,6 @@ var matrixProfiles = []struct {
 // and the medbench stress modes configure a large endpoint.
 func productionProfile(c *cluster.Config) {
 	c.Core.SchedQueue = true
-	c.Core.RxBurst = 16
 	c.Core.Reconnect = true
 	c.Core.RTOMax = 64 * sim.Millisecond
 	c.Core.CongestionControl = core.CCConfig{Enable: true}
@@ -169,9 +164,8 @@ func withoutQos(r matrixResult) matrixResult {
 // equal in traffic report and end time. Inside each fault it pins the
 // identities that let one mechanism stand in for the deleted ones: the
 // implicit class is a configured {Weight: 1} in all but its counters,
-// RxBurst 0 is RxBurst 1, and strict sequence order — a predicate of
-// the same ordering engine — leaves both memories as the scan profile
-// does.
+// and strict sequence order — a predicate of the same ordering engine —
+// leaves both memories as the scan profile does.
 func TestProfileFaultMatrix(t *testing.T) {
 	for _, fault := range matrixFaults {
 		fault := fault
@@ -199,11 +193,7 @@ func TestProfileFaultMatrix(t *testing.T) {
 				t.Errorf("implicit class differs from configured {Weight: 1}: end %v vs %v, reports equal=%v",
 					ri.end, rc.end, withoutQos(rc).rep == ri.rep)
 			}
-			r0, mem0 := matrixRun(t, func(*cluster.Config) {}, fault)
-			rb, _ := matrixRun(t, func(c *cluster.Config) { c.Core.RxBurst = 1 }, fault)
-			if r0 != rb {
-				t.Errorf("RxBurst 0 differs from RxBurst 1: end %v vs %v, reports equal=%v", r0.end, rb.end, r0.rep == rb.rep)
-			}
+			_, mem0 := matrixRun(t, func(*cluster.Config) {}, fault)
 			rs, mems := matrixRun(t, func(c *cluster.Config) { c.Core.Strict = true }, fault)
 			if rs.rep.Proto.HeldFrames == 0 {
 				t.Error("strict order held no frame: comparison is vacuous")

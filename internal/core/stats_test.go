@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"multiedge/internal/cluster"
@@ -171,6 +173,73 @@ func TestClusterChromeTraceDeterministic(t *testing.T) {
 	for _, want := range []string{`"frame-retx"`, `"nack-repair"`, `"frame-tx"`, `"rx-apply"`} {
 		if !bytes.Contains(a, []byte(want)) {
 			t.Errorf("trace missing %s events", want)
+		}
+	}
+}
+
+// statsPeaks are the Stats fields that are high-water marks, spelled
+// here independently of the obs tags the implementation reads.
+var statsPeaks = map[string]bool{"HoldMax": true, "RtoBackoffMax": true}
+
+// TestStatsDeclaredOnce: every Stats field, whatever is added later, is
+// summed by Add, differenced by Sub and published by Collector — peaks
+// merged by max, kept by Sub and exported as gauges. Both structs are
+// filled by reflection with distinct values, so a field the derived
+// operations skip cannot hide behind a zero.
+func TestStatsDeclaredOnce(t *testing.T) {
+	var a, b core.Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	put := func(v reflect.Value, x int64) {
+		if v.CanUint() {
+			v.SetUint(uint64(x))
+		} else {
+			v.SetInt(x)
+		}
+	}
+	get := func(v reflect.Value) int64 {
+		if v.CanUint() {
+			return int64(v.Uint())
+		}
+		return v.Int()
+	}
+	n := av.NumField()
+	for i := 0; i < n; i++ {
+		put(av.Field(i), int64(1000+7*i))
+		put(bv.Field(i), int64(10+3*i))
+	}
+	sum, rsum := a, b
+	sum.Add(&b)
+	rsum.Add(&a)
+	diff := a.Sub(b)
+	samples := map[string]obs.Sample{}
+	a.Collector(3)(func(s obs.Sample) { samples[s.Name] = s })
+	if len(samples) != n {
+		t.Errorf("collector emitted %d distinct series for %d fields", len(samples), n)
+	}
+	for i := 0; i < n; i++ {
+		f := av.Type().Field(i)
+		x, y := get(av.Field(i)), get(bv.Field(i))
+		wantSum, wantDiff, wantType := x+y, x-y, obs.TypeCounter
+		if statsPeaks[f.Name] {
+			wantSum, wantDiff, wantType = x, x, obs.TypeGauge
+		}
+		for what, got := range map[string]int64{
+			"a.Add(b)": get(reflect.ValueOf(sum).Field(i)),
+			"b.Add(a)": get(reflect.ValueOf(rsum).Field(i)),
+		} {
+			if got != wantSum {
+				t.Errorf("%s: %s = %d, want %d", f.Name, what, got, wantSum)
+			}
+		}
+		if got := get(reflect.ValueOf(diff).Field(i)); got != wantDiff {
+			t.Errorf("%s: a.Sub(b) = %d, want %d", f.Name, got, wantDiff)
+		}
+		series, _, _ := strings.Cut(f.Tag.Get("obs"), ",")
+		s, ok := samples[series]
+		if !ok || s.Value != float64(x) || s.Type != wantType ||
+			len(s.Labels) != 1 || s.Labels[0] != obs.NodeLabel(3) {
+			t.Errorf("%s: series %q collected as %+v (present=%v), want value %d type %v on node 3",
+				f.Name, series, s, ok, x, wantType)
 		}
 	}
 }
