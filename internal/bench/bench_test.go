@@ -161,6 +161,26 @@ func TestAblationGoBackNWastefulUnderLoss(t *testing.T) {
 	}
 }
 
+// TestAckReqWindowBelowAckEvery: a flow-control window below the
+// delayed-ACK threshold used to stream at one window per AckDelay — the
+// receiver's frame count can never reach AckEvery on a flight that short
+// (windows 4 / 8 / 16 / 24 gave 10.7 / 21.4 / 42.8 / 64.1 MB/s). The
+// window-closing frame now asks for its ACK, so such a sender is bound by
+// the round trip instead (170 / 307 / 514 / 664 MB/s). Uses nothing a
+// tree without frame.Header.AckReq lacks, and fails there.
+func TestAckReqWindowBelowAckEvery(t *testing.T) {
+	cfg := cluster.OneLink10G(2)
+	cfg.Core.Window = 16
+	if cfg.Core.Window >= cfg.Core.AckEvery {
+		t.Fatalf("window %d is not below AckEvery %d: the case is vacuous", cfg.Core.Window, cfg.Core.AckEvery)
+	}
+	r := RunOneWay(cfg, 1<<18)
+	t.Logf("window 16: %.1f MB/s", r.ThroughputMBs)
+	if r.ThroughputMBs < 400 {
+		t.Errorf("window 16 streams at %.1f MB/s, want >= 400: each window waited for the delayed ACK", r.ThroughputMBs)
+	}
+}
+
 func TestFigureSpecsCoverPaper(t *testing.T) {
 	figs := AppFigures()
 	if len(figs) != 4 {

@@ -19,13 +19,22 @@ import "multiedge/internal/sim"
 // sweep it.
 type Config struct {
 	// Window is the sliding-window size in frames per connection
-	// direction.
+	// direction. It may be smaller than AckEvery: the frame that spends
+	// such a window while more is queued asks for its acknowledgement
+	// (frame.Header.AckReq), so the sender is bound by the round trip,
+	// not by AckDelay.
 	Window int
 	// AckEvery is the delayed-acknowledgement threshold: an explicit
 	// ACK is sent after this many unacknowledged data frames when no
-	// reverse traffic piggy-backs one (§2.4).
+	// reverse traffic piggy-backs one (§2.4). The sender reads it too,
+	// as the receiver's threshold, to tell a flight that can reach it
+	// from one that cannot (Conn.blockedOnAckOf) — every endpoint of a
+	// cluster runs the same Config.
 	AckEvery int
-	// AckDelay bounds how long an acknowledgement may be deferred.
+	// AckDelay bounds how long an acknowledgement may be deferred. No
+	// sender waits it out on an ACK it is blocked on: operations that
+	// carry Solicit, forward fences and window-closing flights below
+	// AckEvery are acknowledged on arrival.
 	AckDelay sim.Time
 	// NackDelay is the loss-detection timescale: a missing sequence
 	// number is NACKed once it has been absent for NackDelay/4 while

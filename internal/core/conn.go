@@ -87,6 +87,8 @@ type Conn struct {
 	ackTimer     *sim.Timer
 	nackTimer    *sim.Timer
 	ackDue       bool
+	ackOwed      bool   // a prompt ACK is owed once rcvNxt reaches ackOweTo (see promptAck)
+	ackOweTo     uint32 // valid while ackOwed
 	nackDue      []uint32
 	// nackScratch is the reused NACK-payload encode buffer: sendCtrl
 	// used to allocate a fresh payload per NACK (frame.EncodeNackPayload),
@@ -328,6 +330,7 @@ type txFrame struct {
 	offset  uint32
 	payload []byte
 	inQ     bool     // queued for retransmission
+	ackReq  bool     // carries frame.Header.AckReq; a retransmission repeats it
 	link    int      // link of the most recent transmission (failure attribution)
 	txAt    sim.Time // time of the most recent transmission
 	retx    bool     // ever retransmitted: its ack is ambiguous (Karn), no RTT sample
@@ -341,6 +344,7 @@ type rxOp struct {
 	flags    frame.OpFlags
 	total    uint32
 	applied  uint32
+	endSeq   uint32 // 1 + the highest sequence number among the op's frames
 	remote   uint64 // destination address of the operation
 	local    uint64 // ReadReply: the requester's read operation id
 	complete bool
@@ -799,11 +803,44 @@ func (c *Conn) sendNextDataFrame() int {
 		op.sentAll = true
 	}
 	op.unacked++
+	if c.blockedOnAckOf(op) {
+		tf.ackReq = true
+		c.ep.Stats.AckReqSent++
+	}
 	c.retrans.put(tf.seq, tf)
 	c.ep.Stats.DataFramesSent++
 	c.ep.Stats.DataBytesSent += uint64(len(tf.payload))
 	c.transmit(tf, false)
 	return len(tf.payload)
+}
+
+// blockedOnAckOf reports whether the sender cannot move until the frame
+// it has just numbered — the newest fragment of op, the head of txOps —
+// is acknowledged, in a way the receiver's delayed-ACK policy (§2.4)
+// cannot see. Such a frame carries frame.Header.AckReq. Two cases:
+//
+//   - it closes the effective window while more is queued, and the whole
+//     flight is shorter than AckEvery: the receiver's frame threshold can
+//     never fire on it, so without the bit every window costs one
+//     AckDelay (a congestion window in slow start or after a cut, or a
+//     Config.Window below AckEvery). AckEvery is the local value: a
+//     cluster shares one Config (a real implementation would exchange it
+//     in ConnReq);
+//   - it is the last frame of a forward-fenced op: every later op waits
+//     for exactly this acknowledgement. A fence that is also Solicit gets
+//     its prompt ACK from that flag already (a coalesced container
+//     carries only the fence in its own flags, so the bit may ride beside
+//     a Solicit sub-op: both ask for the same one ACK).
+//
+// At the paper's defaults (Window 128 >= AckEvery 32, no congestion
+// window, no bare forward fences in any pinned run) neither holds and
+// the protocol on the wire is the paper's.
+func (c *Conn) blockedOnAckOf(op *txOp) bool {
+	if op.sentAll && op.flags&(frame.FenceAfter|frame.Solicit) == frame.FenceAfter {
+		return true
+	}
+	fl := c.inflight()
+	return fl >= c.effWindow() && fl < c.ep.cfg.AckEvery && (!op.sentAll || len(c.txOps) > 1)
 }
 
 // transmit encodes and hands one frame to the next link in round-robin
@@ -820,7 +857,7 @@ func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 	}
 	h := frame.Header{
 		Type: typ, ConnID: c.remoteID,
-		Seq: tf.seq, Ack: c.rcvNxt, HasAck: true,
+		Seq: tf.seq, Ack: c.rcvNxt, HasAck: true, AckReq: tf.ackReq,
 		OpID: op.id, OpType: op.opType, OpFlags: op.flags,
 		Remote: op.remote, Local: op.local,
 		Offset: tf.offset, Total: op.total,
@@ -1709,7 +1746,7 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 		c.rcvNxt++
 		ep.Stats.Arrivals++
 		c.acceptData(h, payload)
-		c.ackPolicy()
+		c.ackAccepted(&h)
 		return
 	}
 	// Selective repeat.
@@ -1770,7 +1807,7 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 		c.nackTimer.Stop()
 	}
 	c.acceptData(h, payload)
-	c.ackPolicy()
+	c.ackAccepted(&h)
 }
 
 // nackAge is the age a gap must reach before an arrival-triggered NACK;
@@ -1937,6 +1974,38 @@ func (c *Conn) forceAck() {
 	c.kick()
 }
 
+// promptAck serves a sender that is waiting for the acknowledgement of
+// everything below upTo (an AckReq frame, or a Solicit op performed):
+// acknowledge now and, if the cumulative point has not reached upTo —
+// the frame overtook a predecessor on another rail, or follows a gap
+// under repair — owe one more prompt ACK for the arrival that takes it
+// there. The immediate ACK stays even when it covers nothing new:
+// pipelined senders clock on the partial acknowledgement.
+func (c *Conn) promptAck(upTo uint32) {
+	if c.ackOwed && int32(c.ackOweTo-upTo) > 0 {
+		upTo = c.ackOweTo // an earlier, further debt stands
+	}
+	c.ackOwed, c.ackOweTo = int32(upTo-c.rcvNxt) > 0, upTo
+	c.forceAck()
+}
+
+// ackAccepted decides how an accepted data frame is acknowledged: at
+// once if the sender asked (AckReq) or if this arrival brought the
+// cumulative point to where a prompt ACK is owed, else by the
+// delayed-ACK policy.
+func (c *Conn) ackAccepted(h *frame.Header) {
+	switch {
+	case h.AckReq:
+		c.ep.Stats.AckReqRecv++
+		c.promptAck(h.Seq + 1)
+	case c.ackOwed && int32(c.rcvNxt-c.ackOweTo) >= 0:
+		c.ackOwed = false
+		c.forceAck()
+	default:
+		c.ackPolicy()
+	}
+}
+
 // ---------------------------------------------------------------------
 // Receive path: ordering, fences, delivery (IPPS'07 §2.5).
 // ---------------------------------------------------------------------
@@ -2039,6 +2108,7 @@ func (c *Conn) getRxOp(h frame.Header) *rxOp {
 		*op = rxOp{
 			id: h.OpID, opType: h.OpType, flags: h.OpFlags,
 			total: h.Total, remote: h.Remote, local: h.Local,
+			endSeq: h.Seq + 1,
 		}
 		if h.OpID < c.frontier {
 			// A duplicate of an op already completed and garbage
@@ -2141,6 +2211,9 @@ func (c *Conn) applyFrame(h frame.Header, payload []byte) {
 	}
 	ep := c.ep
 	op := c.getRxOp(h)
+	if int32(h.Seq+1-op.endSeq) > 0 {
+		op.endSeq = h.Seq + 1
+	}
 	if sp := c.frameSpan(h.OpType, h.OpID, h.Local); sp != nil {
 		sp.Event(ep.env.Now(), obs.EvRxApply, ep.node, -1, h.Seq, len(payload))
 	}
@@ -2214,9 +2287,12 @@ func (c *Conn) completeRxOp(op *rxOp) {
 	if op.flags&frame.Solicit != 0 {
 		// Solicited acknowledgement: bypass the delayed-ACK policy so
 		// the initiator's completion takes one round trip, not an
-		// AckDelay. The ACK is still cumulative — if unrelated earlier
-		// frames are missing it cannot complete the operation early.
-		c.forceAck()
+		// AckDelay. The ACK is still cumulative — if earlier frames are
+		// missing it cannot complete the operation early, so a second
+		// one follows when the cumulative point passes the op's own last
+		// frame (not maxSeenPlus1: unrelated later losses are not this
+		// op's business).
+		c.promptAck(op.endSeq)
 	}
 	if op.flags&frame.Notify != 0 && op.opType == frame.OpWrite {
 		ep.Stats.Notifies++

@@ -20,19 +20,27 @@ var matrixFaults = []string{"clean", "loss5", "dup3", "flap"}
 // matrixProfiles are the configurations the protocol thread can be put
 // in: its two scheduling paths, a configured class, what large endpoints
 // actually run — and the ordering engine's degenerate predicate, strict
-// sequence order.
+// sequence order. The last two keep the sender window-limited below
+// AckEvery for the whole run (a congestion window in slow start, a small
+// flow-control window), so frame.Header.AckReq meets every fault.
 var matrixProfiles = []struct {
-	name  string
-	apply func(*cluster.Config)
+	name   string
+	apply  func(*cluster.Config)
+	ackReq bool // window-limited below AckEvery: the bit must flow
 }{
-	{"scan", func(*cluster.Config) {}},
-	{"strict", func(c *cluster.Config) { c.Core.Strict = true }},
-	{"queued", func(c *cluster.Config) { c.Core.SchedQueue = true }},
-	{"queued+class3", func(c *cluster.Config) {
+	{name: "scan", apply: func(*cluster.Config) {}},
+	{name: "strict", apply: func(c *cluster.Config) { c.Core.Strict = true }},
+	{name: "queued", apply: func(c *cluster.Config) { c.Core.SchedQueue = true }},
+	{name: "queued+class3", apply: func(c *cluster.Config) {
 		c.Core.SchedQueue = true
 		c.Core.QoS = []core.QoSClass{{Weight: 3}}
 	}},
-	{"production", productionProfile},
+	{name: "production", apply: productionProfile},
+	{name: "production+cwnd4", ackReq: true, apply: func(c *cluster.Config) {
+		productionProfile(c)
+		c.Core.CongestionControl.InitWindow = 4
+	}},
+	{name: "window8", ackReq: true, apply: func(c *cluster.Config) { c.Core.Window = 8 }},
 }
 
 // productionProfile is everything on, as the benchmark's fanin workload
@@ -176,6 +184,9 @@ func TestProfileFaultMatrix(t *testing.T) {
 				r2, _ := matrixRun(t, pr.apply, fault)
 				if r1 != r2 {
 					t.Fatalf("not deterministic: end %v vs %v, reports equal=%v", r1.end, r2.end, r1.rep == r2.rep)
+				}
+				if pr.ackReq && r1.rep.Proto.AckReqSent == 0 {
+					t.Error("no frame carried AckReq: the row is vacuous")
 				}
 			})
 		}

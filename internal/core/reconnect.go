@@ -276,7 +276,7 @@ func (c *Conn) rebirth(inc uint16) {
 	c.gaps = 0
 	c.lastNack = 0
 	c.unackedRx = 0
-	c.ackDue = false
+	c.ackDue, c.ackOwed = false, false
 	c.nackDue = nil
 	c.applyNxt = 0
 	c.held = nil

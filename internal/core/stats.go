@@ -32,6 +32,7 @@ type Stats struct {
 	Retransmissions uint64 `obs:"core_retransmissions_total"`  // data frames transmitted again
 	LinkDeadEvents  uint64 `obs:"core_link_dead_events_total"` // links declared dead by the sender
 	LinkRestores    uint64 `obs:"core_link_restores_total"`    // dead links re-admitted after a probed frame was acked
+	AckReqSent      uint64 `obs:"core_ackreq_sent_total"`      // first transmissions carrying AckReq (the sender is blocked on their ACK)
 
 	// Receive path.
 	DataFramesRecv uint64 `obs:"core_data_frames_recv_total"`
@@ -39,6 +40,7 @@ type Stats struct {
 	CtrlRecv       uint64 `obs:"core_ctrl_recv_total"`
 	Duplicates     uint64 `obs:"core_duplicates_total"`  // frames already received (ARQ dedupe)
 	GbnDropped     uint64 `obs:"core_gbn_dropped_total"` // out-of-order frames dropped by the go-back-N baseline
+	AckReqRecv     uint64 `obs:"core_ackreq_recv_total"` // accepted data frames carrying AckReq
 
 	// Reordering.
 	Arrivals    uint64 `obs:"core_arrivals_total"`     // data-frame arrivals considered for ordering stats

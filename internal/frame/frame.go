@@ -192,6 +192,15 @@ type Header struct {
 	// traffic stays byte-identical.
 	EcnEcho bool
 
+	// AckReq is the transport's own solicit bit, set by the sender on a
+	// data frame whose acknowledgement it is blocked on (its window is
+	// spent below the receiver's AckEvery threshold, or a forward fence
+	// holds everything behind this frame): the receiver acknowledges at
+	// once instead of applying the delayed-ACK policy, and once more when
+	// the cumulative point reaches the frame if it had not yet. Never set
+	// at the paper's defaults (see core.Conn.sendNextDataFrame).
+	AckReq bool
+
 	OpID    uint64 // operation sequence number within the connection
 	OpType  OpType
 	OpFlags OpFlags
@@ -227,7 +236,8 @@ type Header struct {
 const (
 	flagHasAck  = 0x01
 	flagEcnEcho = 0x02
-	flagsKnown  = flagHasAck | flagEcnEcho
+	flagAckReq  = 0x04
+	flagsKnown  = flagHasAck | flagEcnEcho | flagAckReq
 
 	offType    = 0
 	offFlags   = 1
@@ -279,14 +289,7 @@ func Encode(dst, src Addr, h *Header, payload []byte) ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[12:], etherType)
 	p := buf[EthHeaderLen:]
 	p[offType] = byte(h.Type)
-	var fl byte
-	if h.HasAck {
-		fl |= flagHasAck
-	}
-	if h.EcnEcho {
-		fl |= flagEcnEcho
-	}
-	p[offFlags] = fl
+	p[offFlags] = h.flags()
 	p[offOpType] = byte(h.OpType)
 	p[offOpFlags] = byte(h.OpFlags)
 	binary.BigEndian.PutUint32(p[offConnID:], h.ConnID)
@@ -302,6 +305,21 @@ func Encode(dst, src Addr, h *Header, payload []byte) ([]byte, error) {
 	copy(p[HeaderLen:], payload)
 	binary.BigEndian.PutUint32(p[offCRC:], checksum(buf))
 	return buf, nil
+}
+
+// flags packs the header's boolean fields into the wire flags byte.
+func (h *Header) flags() byte {
+	var fl byte
+	if h.HasAck {
+		fl |= flagHasAck
+	}
+	if h.EcnEcho {
+		fl |= flagEcnEcho
+	}
+	if h.AckReq {
+		fl |= flagAckReq
+	}
+	return fl
 }
 
 // MustEncode is Encode for internal fragmenting callers that guarantee
@@ -362,6 +380,7 @@ func Decode(buf []byte) (dst, src Addr, h Header, payload []byte, err error) {
 	}
 	h.HasAck = p[offFlags]&flagHasAck != 0
 	h.EcnEcho = p[offFlags]&flagEcnEcho != 0
+	h.AckReq = p[offFlags]&flagAckReq != 0
 	h.OpType = OpType(p[offOpType])
 	h.OpFlags = OpFlags(p[offOpFlags])
 	h.ConnID = binary.BigEndian.Uint32(p[offConnID:])

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -131,6 +132,39 @@ func TestDecodeBadType(t *testing.T) {
 	buf[EthHeaderLen+offType] = 0
 	if _, _, _, _, err := Decode(buf); err == nil {
 		t.Error("zero-type frame accepted")
+	}
+}
+
+// TestDecodeFlags pins the flags byte: every combination of the three
+// known bits round-trips into its own header field, and a frame with any
+// unknown bit set — checksum valid — is rejected with ErrBadFlags rather
+// than decoded into a header that would re-encode differently.
+func TestDecodeFlags(t *testing.T) {
+	for fl := byte(0); fl <= flagsKnown; fl++ {
+		h := Header{Type: TypeData, Seq: 5, Ack: 3,
+			HasAck: fl&flagHasAck != 0, EcnEcho: fl&flagEcnEcho != 0, AckReq: fl&flagAckReq != 0}
+		buf := MustEncode(1, 2, &h, []byte("x"))
+		if got := buf[EthHeaderLen+offFlags]; got != fl {
+			t.Fatalf("flags %#02x encoded as %#02x", fl, got)
+		}
+		_, _, got, _, err := Decode(buf)
+		if err != nil || got != h {
+			t.Fatalf("flags %#02x: decoded %+v (err %v), want %+v", fl, got, err, h)
+		}
+		if into := MustEncodeInto(make([]byte, BufCap), 1, 2, &h, []byte("x")); !bytes.Equal(into, buf) {
+			t.Fatalf("flags %#02x: EncodeInto differs from Encode", fl)
+		}
+	}
+	for bit := byte(1); bit != 0; bit <<= 1 {
+		if bit&flagsKnown != 0 {
+			continue
+		}
+		buf := MustEncode(1, 2, &Header{Type: TypeData, HasAck: true}, nil)
+		buf[EthHeaderLen+offFlags] |= bit
+		binary.BigEndian.PutUint32(buf[EthHeaderLen+offCRC:], checksum(buf))
+		if _, _, _, _, err := Decode(buf); !errors.Is(err, ErrBadFlags) {
+			t.Errorf("unknown flag bit %#02x: err = %v, want ErrBadFlags", bit, err)
+		}
 	}
 }
 

@@ -41,6 +41,11 @@ func fuzzSeeds() [][]byte {
 	add(Header{Type: TypeMultiData, ConnID: 7, Seq: 45, Incarnation: 2}, multi)
 	add(Header{Type: TypeHeartbeat, ConnID: 7, Ack: 50, HasAck: true}, nil)
 	add(Header{Type: TypeReset, ConnID: 7, Incarnation: 9}, nil)
+	// The two header flag bits beside HasAck: a congestion echo on an ACK,
+	// and a data frame whose sender is blocked on its acknowledgement.
+	add(Header{Type: TypeAck, ConnID: 7, Ack: 100, HasAck: true, EcnEcho: true}, nil)
+	add(Header{Type: TypeData, ConnID: 7, Seq: 46, Ack: 17, HasAck: true, AckReq: true,
+		OpID: 12, OpType: OpWrite, OpFlags: FenceAfter, Remote: 0x1000, Total: 16}, pay[:16])
 	// Maximum-size frame: the MTU boundary.
 	add(Header{Type: TypeData, ConnID: 1, Seq: 1, OpID: 1, OpType: OpWrite,
 		Total: MaxPayload}, make([]byte, MaxPayload))

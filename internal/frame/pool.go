@@ -102,14 +102,7 @@ func EncodeInto(buf []byte, dst, src Addr, h *Header, payload []byte) ([]byte, e
 	binary.BigEndian.PutUint16(buf[12:], etherType)
 	p := buf[EthHeaderLen:]
 	p[offType] = byte(h.Type)
-	var fl byte
-	if h.HasAck {
-		fl |= flagHasAck
-	}
-	if h.EcnEcho {
-		fl |= flagEcnEcho
-	}
-	p[offFlags] = fl
+	p[offFlags] = h.flags()
 	p[offOpType] = byte(h.OpType)
 	p[offOpFlags] = byte(h.OpFlags)
 	binary.BigEndian.PutUint32(p[offConnID:], h.ConnID)
