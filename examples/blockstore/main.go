@@ -25,6 +25,7 @@ func main() {
 	cfg := multiedge.TwoLinkUnordered1G(clients + 1)
 	cfg.Core.MemBytes = blocks*blockSize + (8 << 20)
 	cl := multiedge.NewCluster(cfg)
+	defer cl.Close()
 	conns := cl.FullMesh()
 
 	vol := multiedge.NewVolume(cl, 0, blocks, blockSize, clients)
@@ -94,6 +95,7 @@ func mirrorDemo() {
 	cfg := multiedge.TwoLinkUnordered1G(3)
 	cfg.Core.MemBytes = 16 << 20
 	cl := multiedge.NewCluster(cfg)
+	defer cl.Close()
 	conns := cl.FullMesh()
 	va := multiedge.NewVolume(cl, 0, 256, blockSize, 1)
 	vb := multiedge.NewVolume(cl, 1, 256, blockSize, 1)

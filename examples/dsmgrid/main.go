@@ -21,6 +21,7 @@ func main() {
 	cfg := multiedge.OneLink1G(nodes)
 	cfg.Core.MemBytes = 32 << 20
 	cl := multiedge.NewCluster(cfg)
+	defer cl.Close()
 	sys := multiedge.NewDSM(cl, cl.FullMesh(), multiedge.DSMConfig{SharedBytes: 4 << 20})
 
 	// Two grids (ping-pong), rows homed at their owners.

@@ -29,6 +29,7 @@ func hardFailure() {
 	cfg := multiedge.TwoLinkUnordered1G(2)
 	cfg.Core.MemBytes = 64 << 20
 	cl := multiedge.NewCluster(cfg)
+	defer cl.Close()
 	c01, _ := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 
@@ -73,6 +74,7 @@ func run(loss float64) {
 	cfg.Link.LossProb = loss
 	cfg.Seed = 42
 	cl := multiedge.NewCluster(cfg)
+	defer cl.Close()
 	c01, _ := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 

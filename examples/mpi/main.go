@@ -20,6 +20,7 @@ func main() {
 	cfg := multiedge.TwoLinkUnordered1G(ranks)
 	cfg.Core.MemBytes = 32 << 20
 	cl := multiedge.NewCluster(cfg)
+	defer cl.Close()
 	comms := multiedge.NewComms(cl, cl.FullMesh())
 
 	for _, c := range comms {

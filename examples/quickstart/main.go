@@ -11,6 +11,7 @@ import (
 func main() {
 	// Build the paper's 1L-1G configuration with two nodes.
 	cl := multiedge.NewCluster(multiedge.OneLink1G(2))
+	defer cl.Close()
 
 	// Establish a connection between node 0 and node 1.
 	c01, c10 := cl.Pair()

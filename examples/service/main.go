@@ -21,6 +21,7 @@ func main() {
 	cl := multiedge.NewCluster(cfg,
 		multiedge.WithReconnect(3),
 		multiedge.WithHeartbeat(multiedge.Millisecond, 5*multiedge.Millisecond))
+	defer cl.Close()
 
 	// Register "kv": one 64-KiB region per replica, plus a relay for
 	// clients whose direct path to a backend breaks.

@@ -26,6 +26,7 @@ func run(strict bool) {
 		label = "2L-1G (strictly ordered)"
 	}
 	cl := multiedge.NewCluster(cfg)
+	defer cl.Close()
 	c01, c10 := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 

@@ -15,6 +15,7 @@ func main() {
 	cfg := multiedge.TwoLinkUnordered1G(2)
 	cfg.Link.LossProb = 0.02
 	cl := multiedge.NewCluster(cfg)
+	defer cl.Close()
 	c01, _ := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 

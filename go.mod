@@ -1,3 +1,3 @@
 module multiedge
 
-go 1.22
+go 1.24

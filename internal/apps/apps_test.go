@@ -15,6 +15,7 @@ func runAndVerify(t *testing.T, name string, nodes int, cfg cluster.Config) Resu
 	cfg.Nodes = nodes
 	app := Build(name, SizeTest, nodes)
 	res, sys := Run(cfg, app)
+	t.Cleanup(sys.Cl.Close)
 	if msg := app.Verify(sys); msg != "" {
 		t.Fatalf("%s on %d nodes (%s): %s", name, nodes, cfg.Name, msg)
 	}
@@ -86,11 +87,13 @@ func TestParallelFasterThanSerial(t *testing.T) {
 	for name, mk := range builders {
 		seqApp := mk(1)
 		seqRes, seqSys := Run(cluster.OneLink1G(1), seqApp)
+		t.Cleanup(seqSys.Cl.Close)
 		if msg := seqApp.Verify(seqSys); msg != "" {
 			t.Fatalf("%s seq: %s", name, msg)
 		}
 		parApp := mk(4)
 		parRes, parSys := Run(cluster.OneLink1G(4), parApp)
+		t.Cleanup(parSys.Cl.Close)
 		if msg := parApp.Verify(parSys); msg != "" {
 			t.Fatalf("%s par: %s", name, msg)
 		}
@@ -282,6 +285,7 @@ func TestVerifiersDetectCorruption(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			app := Build(name, SizeTest, 2)
 			_, sys := Run(cluster.OneLink1G(2), app)
+			t.Cleanup(sys.Cl.Close)
 			if msg := app.Verify(sys); msg != "" {
 				t.Fatalf("clean run failed verify: %s", msg)
 			}

@@ -39,6 +39,7 @@ func AppFigures() []FigureSpec {
 func RunApp(cfg cluster.Config, name string, size apps.Size) apps.Result {
 	app := apps.Build(name, size, cfg.Nodes)
 	res, sys := apps.Run(cfg, app)
+	defer sys.Cl.Close() // the DSM service loops would pin the cluster
 	if msg := app.Verify(sys); msg != "" {
 		panic("bench: " + msg)
 	}
@@ -113,7 +114,8 @@ func RunTable1(size apps.Size) []Table1Row {
 	var rows []Table1Row
 	for _, name := range apps.Names {
 		app := apps.Build(name, size, 1)
-		res, _ := apps.Run(cluster.OneLink1G(1), app)
+		res, sys := apps.Run(cluster.OneLink1G(1), app)
+		sys.Cl.Close()
 		rows = append(rows, Table1Row{
 			Name:      name,
 			Problem:   ProblemDesc(name, size),

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -216,6 +217,35 @@ func TestRunFigureSmoke(t *testing.T) {
 	}
 	if s := RenderFigureSummary(pts, 4); !strings.Contains(s, "Barnes") {
 		t.Error("summary missing Barnes")
+	}
+}
+
+// TestRunAppReleasesUniverse: a finished application run leaves nothing
+// behind. The DSM service loops, parked forever once the application
+// returns, used to pin their goroutines and with them the whole cluster
+// of every run.
+func TestRunAppReleasesUniverse(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	var first uint64
+	for run := 0; run < 4; run++ {
+		RunApp(cluster.OneLink1G(4), "FFT", apps.SizeTest)
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		if run == 0 {
+			first = m.HeapAlloc
+		} else if grown := int64(m.HeapAlloc) - int64(first); grown > 8<<20 {
+			t.Errorf("run %d: live heap %d bytes above the first run's", run, grown)
+		}
+	}
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > goroutines; i++ { // an ended coroutine is reaped just after its last switch
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n != goroutines {
+		t.Errorf("%d goroutines after four runs, %d before", n, goroutines)
 	}
 }
 

@@ -30,6 +30,7 @@ func RunBlk(cfg cluster.Config, clients, blockSize, ios int) BlkResult {
 	cfg.Nodes = clients + 1
 	cfg.Core.MemBytes = blocks*blockSize + (8 << 20)
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	conns := cl.FullMesh()
 	v := blk.NewVolume(cl, 0, blocks, blockSize, clients)
 

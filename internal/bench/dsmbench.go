@@ -30,6 +30,7 @@ func buildDSM(cfg cluster.Config, shared int) (*cluster.Cluster, *dsm.System) {
 func RunPageFetch(cfg cluster.Config) DSMResult {
 	cfg.Nodes = 2
 	cl, sys := buildDSM(cfg, 1<<20)
+	defer cl.Close()
 	addr := sys.AllocAt(64*dsm.PageSize, 1) // homed at node 1
 	const iters = 32
 	var total sim.Time
@@ -49,6 +50,7 @@ func RunPageFetch(cfg cluster.Config) DSMResult {
 func RunLockHandoff(cfg cluster.Config) DSMResult {
 	cfg.Nodes = 3 // manager on a third node: full message path
 	cl, sys := buildDSM(cfg, 1<<20)
+	defer cl.Close()
 	const iters = 40
 	var start, end sim.Time
 	for idx, in := range sys.Insts[:2] {
@@ -80,6 +82,7 @@ func RunLockHandoff(cfg cluster.Config) DSMResult {
 func RunDSMBarrier(cfg cluster.Config, nodes int) DSMResult {
 	cfg.Nodes = nodes
 	cl, sys := buildDSM(cfg, 1<<20)
+	defer cl.Close()
 	const iters = 25
 	var start, end sim.Time
 	done := 0

@@ -19,6 +19,7 @@ import (
 func RunLatencyDist(cfg cluster.Config, size, count int) *trace.LatencyRecorder {
 	cfg.Nodes = 2
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	c01, c10 := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 	s0, d0 := ep0.Alloc(size), ep0.Alloc(size)

@@ -84,6 +84,7 @@ func RunPingPong(cfg cluster.Config, size int) MicroResult {
 		warm = 2
 	}
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	c01, c10 := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 	s0, d0 := ep0.Alloc(size), ep0.Alloc(size)
@@ -133,6 +134,7 @@ func RunPingPong(cfg cluster.Config, size int) MicroResult {
 func RunOneWay(cfg cluster.Config, size int) MicroResult {
 	count := onewayCount(size)
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	c01, _ := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 	src := ep0.Alloc(size)
@@ -180,6 +182,7 @@ func RunOneWay(cfg cluster.Config, size int) MicroResult {
 func RunTwoWay(cfg cluster.Config, size int) MicroResult {
 	count := onewayCount(size)
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	c01, c10 := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 	s0, d0 := ep0.Alloc(size), ep0.Alloc(size)
@@ -273,6 +276,7 @@ func RunTreeCrossPair(size int) float64 {
 	cfg := cluster.TreeOneLink1G(4, 2, 1) // nodes 0,1 | 2,3
 	cfg.Core.MemBytes = 64 << 20
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	conns := cl.FullMesh()
 	count := onewayCount(size)
 	src := cl.Nodes[0].EP.Alloc(size)
@@ -303,6 +307,7 @@ func RunTreeCrossPair(size int) float64 {
 func RunTracedOneWay(cfg cluster.Config, size int) string {
 	cfg.Nodes = 2
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	c01, _ := cl.Pair()
 	tr0 := trace.New(cl.Env, 1<<16)
 	tr1 := trace.New(cl.Env, 1<<16)
@@ -339,6 +344,7 @@ func RunLinkFailure(detect bool, total int, failAt, repairAt sim.Time) LinkFailu
 		cfg.Core.DeadLinkThreshold = 0
 	}
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	c01, _ := cl.Pair()
 	src := cl.Nodes[0].EP.Alloc(total)
 	dst := cl.Nodes[1].EP.Alloc(total)

@@ -129,9 +129,10 @@ type Outcome struct {
 	Dump      *obs.PostMortem
 }
 
-// outcome closes the run: figures over the window for ops operations of
-// size payload bytes each, percentiles from the recorded latencies, the
-// leak gates, and a post-mortem named what if a gate failed.
+// outcome closes the run and its cluster: figures over the window for
+// ops operations of size payload bytes each, percentiles from the
+// recorded latencies, the leak gates, and a post-mortem named what if a
+// gate failed.
 func (s *stage) outcome(what string, ops, size int, dataOK bool) Outcome {
 	o := Outcome{
 		Ops:           ops,
@@ -165,6 +166,8 @@ func (s *stage) outcome(what string, ops, size int, dataOK bool) Outcome {
 			what, o.DataOK, o.PendingLive, o.PendingEvents, o.ActiveConns)
 		o.Dump = obs.BuildPostMortem(cause, s.now(), append(faults, s.notes...), s.cl.Recorders...)
 	}
+	// Last: Close empties the event queue the leak gates above read.
+	s.cl.Close()
 	return o
 }
 

@@ -77,6 +77,7 @@ func RunSmallOps(cfg cluster.Config, size, count, batch int) SmallOpResult {
 		cfg.Core.CoalesceLimit = size
 	}
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	c01, _ := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 	lanes := batch

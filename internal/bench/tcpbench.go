@@ -48,6 +48,7 @@ func tcpPair(seed int64, lp phys.LinkParams, nicP phys.NICParams) (*sim.Env, []*
 // measures throughput and sender CPU.
 func RunTCPOneWay(lp phys.LinkParams, nicP phys.NICParams, total int) TCPResult {
 	env, stacks, cpus := tcpPair(1, lp, nicP)
+	defer env.Close()
 	var start, end sim.Time
 	var snapA, snapP sim.Utilization
 	const chunk = 256 << 10
@@ -83,6 +84,7 @@ func RunTCPOneWay(lp phys.LinkParams, nicP phys.NICParams, total int) TCPResult 
 // RunTCPPingPong measures TCP round-trip latency at a message size.
 func RunTCPPingPong(lp phys.LinkParams, nicP phys.NICParams, size, iters int) TCPResult {
 	env, stacks, _ := tcpPair(2, lp, nicP)
+	defer env.Close()
 	var start, end sim.Time
 	env.Go("client", func(p *sim.Proc) {
 		sk := stacks[0].Dial(p, frame.NewAddr(1, 0))

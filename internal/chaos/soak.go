@@ -91,6 +91,7 @@ func RunDeep(o Options) (Result, []Violation, *Artifacts) {
 	cfg.Seed = o.Seed
 	cfg.Obs.Recorder = true
 	cl := cluster.New(cfg)
+	defer cl.Close()
 	c01, c10 := cl.Pair()
 	r := New(cl, o.Seed*1000003+7)
 	if o.Script != nil {

@@ -403,6 +403,13 @@ func New(cfg Config) *Cluster {
 	return cl
 }
 
+// Close ends the cluster's universe: every process still parked
+// (service loops, relays, accept loops) is unwound and the event queue
+// dropped, so the cluster can be collected (see sim.Env.Close). Whoever
+// called New calls it once the run has been read out; counters, memory
+// and the observability registry stay readable afterwards.
+func (cl *Cluster) Close() { cl.Env.Close() }
+
 // RailPorts returns both transmit directions of node's rail link: the
 // NIC's uplink port (node → switch) and the station port on whichever
 // switch serves that address (switch → node). Fault injectors use it to

@@ -20,6 +20,7 @@ func pairCluster(t *testing.T, base cluster.Config) (*cluster.Cluster, *core.Con
 	t.Helper()
 	base.Nodes = 2
 	cl := cluster.New(base)
+	t.Cleanup(cl.Close)
 	c01, c10 := cl.Pair()
 	if !c01.Established() || !c10.Established() {
 		t.Fatal("pair not established")

@@ -2,20 +2,27 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a goroutine that runs cooperatively under
-// the scheduler. At most one process runs at a time; a process only
-// executes between a resume from the scheduler and its next blocking call
-// (Sleep, Wait, Recv) or its return.
+// Proc is a simulated process: a coroutine the event that wakes it
+// switches to directly and that switches back at its next blocking call
+// (Sleep, Wait, Recv, Exec) or its return. No Go scheduler pass and no
+// other thread is involved, and at most one process runs at a time.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	done   Signal
-	dead   bool
-	wake   func() // schedules this process; created once at spawn
+	env  *Env
+	name string
+	done Signal
+
+	// The coroutine (iter.Pull): next resumes the body, yield parks it,
+	// stop makes a parked yield return false. Nil once the process has
+	// ended, so that a retained *Proc pins no stack.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+
+	older, newer *Proc // the ring of live processes through Env.procs
 }
 
 // Name returns the name given at spawn time.
@@ -24,54 +31,105 @@ func (p *Proc) Name() string { return p.name }
 // Env returns the environment this process runs in.
 func (p *Proc) Env() *Env { return p.env }
 
-// Done returns a signal that fires when the process returns.
+// Done returns a signal that fires when the process returns. It does
+// not fire for a process that Env.Close unwinds.
 func (p *Proc) Done() *Signal { return &p.done }
 
-// Dead reports whether the process has returned.
-func (p *Proc) Dead() bool { return p.dead }
+// Dead reports whether the process has returned or been unwound.
+func (p *Proc) Dead() bool { return p.next == nil }
 
 // Go spawns fn as a new simulated process that starts at the current
 // virtual time (after already-queued events at this instant).
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
-	p.wake = func() { e.schedule(p) }
-	e.nprocs++
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				e.procPanic = fmt.Sprintf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
-			p.dead = true
-			e.nprocs--
-			p.done.fire(e)
-			e.yield <- struct{}{}
-		}()
+	p := &Proc{env: e, name: name, older: e.procs.older, newer: &e.procs}
+	e.SchedAfterArg(0, wakeProc, p) // first, so that a closed Env panics before a coroutine exists
+	p.older.newer, p.newer.older = p, p
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
 		fn(p)
-	}()
-	e.SchedAfter(0, p.wake)
+	})
 	return p
 }
 
-// schedule transfers control to p until it blocks or returns. It must be
-// called from scheduler context (inside an event callback).
-func (e *Env) schedule(p *Proc) {
-	if p.dead {
+// procKilled is what park panics with once Close has stopped the
+// process, so that its deferred calls run. Application code must not
+// recover it: a process that did would go on running inside Close.
+type procKilled struct{}
+
+// exit is deferred under every process body and holds the only recover
+// outside tests. A real panic is re-raised with the process name and
+// stack; iter.Pull hands it to the wake event, so it surfaces from Run.
+func (p *Proc) exit() {
+	r := recover()
+	p.release()
+	if _, killed := r.(procKilled); killed {
 		return
 	}
-	p.resume <- struct{}{}
-	<-e.yield
+	p.done.fire(p.env)
+	if r != nil {
+		panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+	}
 }
 
-// park blocks the calling process until the scheduler resumes it.
+// release takes p off the live list and drops its coroutine.
+func (p *Proc) release() {
+	p.older.newer, p.newer.older = p.newer, p.older
+	p.older, p.newer = nil, nil
+	p.next, p.yield, p.stop = nil, nil, nil
+}
+
+// wakeProc is the event that runs a process until it parks or returns.
+// Scheduled with p as its argument, it costs a process no closure.
+func wakeProc(p any) {
+	if next := p.(*Proc).next; next != nil {
+		next()
+	}
+}
+
+// park switches back to the scheduler until the next wake-up.
 func (p *Proc) park() {
-	p.env.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(procKilled{})
+	}
+}
+
+// Procs returns the number of live processes. Once a workload has
+// drained they are all parked for good, and Close is what frees them.
+func (e *Env) Procs() int {
+	n := 0
+	for p := e.procs.older; p != &e.procs; p = p.older {
+		n++
+	}
+	return n
+}
+
+// Close ends the universe: every live process is unwound where it is
+// parked (deferred calls run, the stack is freed, Done does not fire)
+// and the event queue is dropped, which invalidates every Timer. The
+// creator of the Env calls it when done: a process parked forever pins
+// its goroutine and all it can reach. Close is idempotent and must be
+// called from outside Run. What deferred calls schedule or spawn during
+// the unwind is dropped too; scheduling anything after Close panics.
+func (e *Env) Close() {
+	if e.running {
+		panic("sim: Close called from inside Run")
+	}
+	for p := e.procs.older; p != &e.procs; p = e.procs.older {
+		p.stop()
+		if p.next != nil { // never started, so exit did not run
+			p.release()
+		}
+	}
+	for _, h := range e.events {
+		h.ev.gen++
+	}
+	e.events, e.free, e.live, e.closed = nil, nil, 0, true
 }
 
 // Sleep suspends the process for d virtual nanoseconds.
 func (p *Proc) Sleep(d Time) {
-	p.env.SchedAfter(d, p.wake)
+	p.env.SchedAfterArg(d, wakeProc, p)
 	p.park()
 }
 
@@ -111,7 +169,7 @@ func (s *Signal) fire(e *Env) {
 	}
 	s.fired = true
 	for _, p := range s.waiters {
-		e.SchedAfter(0, p.wake)
+		e.SchedAfterArg(0, wakeProc, p)
 	}
 	s.waiters = nil
 	s.w0[0] = nil
@@ -178,7 +236,7 @@ func (m *Mailbox[T]) Send(e *Env, v T) {
 	if len(m.waiters) > 0 {
 		p := m.waiters[0]
 		m.waiters = m.waiters[:copy(m.waiters, m.waiters[1:])]
-		e.SchedAfter(0, p.wake)
+		e.SchedAfterArg(0, wakeProc, p)
 	}
 }
 

@@ -75,7 +75,7 @@ func (r *Resource) SubmitArg(e *Env, work Time, then func(any), arg any) Time {
 // Exec queues a work item and blocks the calling process until it
 // completes.
 func (p *Proc) Exec(r *Resource, work Time) {
-	r.Submit(p.env, work, p.wake)
+	r.SubmitArg(p.env, work, wakeProc, p)
 	p.park()
 }
 

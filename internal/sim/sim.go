@@ -5,13 +5,15 @@
 //
 //   - Event-driven: callbacks scheduled with At/After run inside the
 //     scheduler. Protocol state machines use this style.
-//   - Process-driven: goroutines spawned with Go run cooperatively, one
-//     at a time, and block on Sleep, Signal.Wait or Mailbox.Recv.
-//     Applications and benchmarks use this style.
+//   - Process-driven: functions spawned with Go run as coroutines, one
+//     at a time, and block on Sleep, Signal.Wait, Mailbox.Recv or Exec.
+//     The event that wakes a process switches to it directly and back
+//     when it blocks. Applications and benchmarks use this style.
 //
 // Exactly one entity (the scheduler or a single process) runs at any
 // instant, so simulation state never needs locking, and runs with equal
-// seeds are bit-for-bit reproducible.
+// seeds are bit-for-bit reproducible. A process nobody wakes again stays
+// parked until Close, which whoever creates an Env calls when done.
 //
 // Hot-path allocation model: event records are recycled through a
 // per-Env freelist and the priority queue is a concrete 4-ary heap
@@ -176,20 +178,19 @@ type Env struct {
 	live   int      // pending non-daemon events
 	rng    *rand.Rand
 
-	yield     chan struct{} // process -> scheduler handoff
-	nprocs    int
-	procPanic any
-	stopped   bool
-	executed  uint64
+	procs    Proc // sentinel of the ring of live processes; older is the newest
+	running  bool // inside Run or RunUntil
+	closed   bool
+	stopped  bool
+	executed uint64
 }
 
 // NewEnv creates a simulation environment whose random number generator is
 // seeded with seed. Equal seeds yield identical simulations.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	e := &Env{rng: rand.New(rand.NewSource(seed))}
+	e.procs.older, e.procs.newer = &e.procs, &e.procs
+	return e
 }
 
 // Now returns the current virtual time.
@@ -208,6 +209,10 @@ func (e *Env) getEvent() *event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		return ev
+	}
+	// Close leaves the freelist empty for good: checked off the hot path.
+	if e.closed {
+		panic("sim: event scheduled on a closed Env")
 	}
 	return &event{}
 }
@@ -406,6 +411,8 @@ func (e *Env) RunUntil(horizon Time) Time { return e.run(horizon, false) }
 
 func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 	e.stopped = false
+	e.running = true
+	defer func() { e.running = false }()
 	for len(e.events) > 0 && !e.stopped {
 		top := e.events[0]
 		if top.at > horizon || (untilLiveDrained && e.live == 0) {
@@ -427,11 +434,6 @@ func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 			fnArg(arg)
 		} else {
 			fn()
-		}
-		if e.procPanic != nil {
-			p := e.procPanic
-			e.procPanic = nil
-			panic(p)
 		}
 	}
 	return e.now

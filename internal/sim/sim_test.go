@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -209,12 +211,17 @@ func TestProcDoneSignal(t *testing.T) {
 	}
 }
 
+func boom() { panic("boom") }
+
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEnv(1)
-	e.Go("bad", func(p *Proc) { panic("boom") })
+	e.Go("bad", func(p *Proc) { boom() })
 	defer func() {
-		if recover() == nil {
-			t.Error("process panic did not propagate to Run")
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{`process "bad"`, "boom", "sim.boom("} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic out of Run lacks %q:\n%s", want, msg)
+			}
 		}
 	}()
 	e.Run()
@@ -594,8 +601,11 @@ func BenchmarkTimerChurn(b *testing.B) {
 	}
 }
 
-func BenchmarkProcContextSwitch(b *testing.B) {
+// BenchmarkProcSwitch is one park and resume (the benchmark's
+// sim.proc_switch_ns).
+func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEnv(1)
+	defer e.Close()
 	e.Go("spinner", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
@@ -603,6 +613,17 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkProcSpawn is the whole life of a process that parks once.
+func BenchmarkProcSpawn(b *testing.B) {
+	e := NewEnv(1)
+	defer e.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Go("p", func(p *Proc) { p.Sleep(1) })
+		e.Run()
+	}
 }
 
 func BenchmarkResourceSubmit(b *testing.B) {

@@ -25,6 +25,7 @@
 //	cl := multiedge.NewCluster(cfg,
 //	    multiedge.WithReconnect(0),          // supervised redial + failover
 //	    multiedge.WithHeartbeat(multiedge.Millisecond, 5*multiedge.Millisecond))
+//	defer cl.Close()                         // frees the universe when done
 //	reg := multiedge.NewRegistry()
 //	svc, _ := multiedge.Serve(reg, "kv", 1<<16,
 //	    []*multiedge.Endpoint{cl.Nodes[1].EP, cl.Nodes[2].EP, cl.Nodes[3].EP})
