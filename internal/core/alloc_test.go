@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -209,7 +210,7 @@ func TestAllocsProductionProfile(t *testing.T) {
 // on purpose — down when Conn sheds state, never up.
 func TestConnFootprint(t *testing.T) {
 	const (
-		maxBytes  = 20_000
+		maxBytes  = 4_000
 		maxAllocs = 24
 		conns     = 256
 	)
@@ -255,5 +256,59 @@ func TestConnFootprint(t *testing.T) {
 				pr.name, bytes, allocs, maxBytes, maxAllocs)
 		}
 		runtime.KeepAlive(cl)
+	}
+}
+
+// TestLargeWriteSnapshotRecycled pins the endpoint's snapshot freelist:
+// a steady loop of 256 KiB writes and reads, whose snapshots do not fit a
+// frame buffer, allocates no payload-sized object on either end, and
+// under SetPoolDebug a retired operation's former snapshot is poisoned
+// and then handed to the next operation.
+func TestLargeWriteSnapshotRecycled(t *testing.T) {
+	defer frame.SetPoolDebug(frame.SetPoolDebug(true))
+	cfg := cluster.TwoLinkUnordered1G(2)
+	cfg.Seed = 3
+	cl, c01, _ := pairCluster(t, cfg)
+	const size = 256 << 10
+	src, dst := cl.Nodes[0].EP.Alloc(size), cl.Nodes[1].EP.Alloc(size)
+	fill(cl.Nodes[0].EP.Mem()[src:src+size], 5)
+	write := core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}
+	read := core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpRead}
+	var allocs, perPair float64
+	runMeasured(t, cl, func(p *sim.Proc) {
+		h := c01.MustDo(p, write)
+		snap := h.SnapshotForTest()
+		if len(snap) != size || snap[0] != 5 {
+			t.Fatalf("live snapshot: %d bytes, first %#x", len(snap), snap[0])
+		}
+		h.Wait(p)
+		for i, b := range snap {
+			if b != 0xDB {
+				t.Fatalf("retired snapshot byte %d reads %#x, want the 0xDB poison", i, b)
+			}
+		}
+		if next := c01.MustDo(p, write); &next.SnapshotForTest()[0] != &snap[0] {
+			t.Error("the next write did not reuse the retired snapshot")
+		} else {
+			next.Wait(p)
+		}
+		c01.MustDo(p, read).Wait(p) // the reply snapshot, on the other endpoint
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() {
+			c01.MustDo(p, write).Wait(p)
+			c01.MustDo(p, read).Wait(p)
+		})
+		runtime.ReadMemStats(&after)
+		perPair = float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	})
+	if !bytes.Equal(cl.Nodes[1].EP.Mem()[dst:dst+size], cl.Nodes[0].EP.Mem()[src:src+size]) {
+		t.Error("a recycled snapshot carried the wrong bytes: destination differs from source")
+	}
+	gateAllocs(t, "256 KiB write+wait, read+wait", allocs, 3)
+	t.Logf("%.0f B allocated per write+read pair", perPair)
+	if !race.Enabled && perPair > size/16 {
+		t.Errorf("%.0f B allocated per 256 KiB write+read pair: a snapshot came from the allocator", perPair)
 	}
 }

@@ -81,7 +81,8 @@ type Conn struct {
 	rcvNxt       uint32 // cumulative acknowledgement point
 	maxSeenPlus1 uint32 // 1 + highest sequence number accepted
 	rcv          *seqRing[rcvSlot]
-	gaps         int // gap records in rcv (bounded by maxTrackedGaps)
+	gaps         int  // gap records in rcv (bounded by maxTrackedGaps)
+	untracked    bool // some gap may have no record: the cap or stopTimers dropped one this epoch
 	lastNack     sim.Time
 	unackedRx    int
 	ackTimer     *sim.Timer
@@ -278,10 +279,11 @@ type txOp struct {
 	local  uint64
 	data   []byte
 	// dataBuf, when non-nil, is the pooled buffer backing data (small
-	// write/reply snapshots). It is owned by the txOp until the exactly-
-	// once release where completion or failure drops data; replay
-	// (reconnect.go) touches only incomplete ops, so the snapshot is
-	// still owned whenever retransmission needs it.
+	// write/reply snapshots, sub-op containers); other data comes from
+	// the endpoint's snapshot freelist. Either is owned by the txOp
+	// until the exactly-once release where completion or failure drops
+	// data; replay (reconnect.go) touches only incomplete ops, so the
+	// snapshot is still owned whenever retransmission needs it.
 	dataBuf   *frame.Buf
 	total     uint32
 	sent      uint32
@@ -424,9 +426,9 @@ func (h *Handle) Err() error { return h.err }
 func newConn(ep *Endpoint, localID uint32, remoteNode, links int) *Conn {
 	c := &Conn{
 		ep: ep, localID: localID, remoteNode: remoteNode, links: links,
-		retrans:      newSeqRing[*txFrame](ep.cfg.Window),
+		retrans:      newSeqRing[*txFrame](),
 		pendingReads: make(map[uint64]*Handle),
-		rcv:          newSeqRing[rcvSlot](ep.cfg.Window),
+		rcv:          newSeqRing[rcvSlot](),
 		rails:        make([]rail, links),
 		rxOps:        make(map[uint64]*rxOp),
 	}
@@ -627,6 +629,7 @@ func (c *Conn) stopTimers() {
 		if r, ok := c.rcv.get(s); ok && !r.accepted {
 			c.rcv.del(s)
 			c.gaps--
+			c.untracked = true
 		}
 	}
 }
@@ -1439,11 +1442,8 @@ func (c *Conn) checkTxOpDone(op *txOp) {
 // charge. It reports whether op was an internal dead-link probe.
 func (c *Conn) retireTxOp(op *txOp) (probe bool) {
 	op.completed = true
-	op.data = nil
-	if op.dataBuf != nil {
-		frame.PutBuf(op.dataBuf)
-		op.dataBuf = nil
-	}
+	c.ep.releaseSnapshot(op.data, op.dataBuf)
+	op.data, op.dataBuf = nil, nil
 	c.qosRelease(op)
 	return op.probe
 }
@@ -1833,6 +1833,7 @@ const (
 // the maxTrackedGaps cap.
 func (c *Conn) trackGap(s uint32, now sim.Time) {
 	if c.gaps >= maxTrackedGaps {
+		c.untracked = true
 		c.ep.Stats.NackGapsDropped++
 		c.ep.recEvent(c.localID, obs.RecNackDrop, int64(s), int64(c.gaps))
 		return
@@ -1898,8 +1899,52 @@ func (c *Conn) queueNack(force bool) {
 	if now-c.lastNack < c.nackAge() {
 		return
 	}
+	missing := c.scanMissing(now, minAge)
+	if len(missing) > 0 {
+		c.lastNack = now
+		c.nackDue = mergeNacks(c.nackDue, missing)
+		c.kick()
+	}
+}
+
+// scanMissing walks the receive window for sequence numbers to NACK
+// now: gaps at least minAge old whose last NACK, if any, is a repair
+// round trip behind. It stamps the ones it returns (at most maxNack,
+// ascending) as NACKed at now.
+//
+// Per-link FIFO: s can only be lost once every physical path has
+// delivered a frame beyond it; otherwise it may simply be queued behind
+// other frames on its path. A link silent for LinkStaleAge cannot be
+// hiding s in a draining queue (the drain itself would have delivered
+// something), so it is presumed empty or dead and loses its veto —
+// otherwise a hard-failed link would suppress loss detection forever.
+// Neither a rail's mark nor its staleness depends on s, so the walk
+// ends at the slowest live rail's mark: with one rail a few dozen
+// frames behind the other, that is most of the window not visited per
+// arrival.
+func (c *Conn) scanMissing(now, minAge sim.Time) []uint32 {
+	span := int32(c.maxSeenPlus1 - c.rcvNxt)
+	limit := span // as an offset from rcvNxt, like every bound below
+	stale := c.ep.cfg.LinkStaleAge
+	for li := range c.rails {
+		r := &c.rails[li]
+		if stale > 0 && now-r.last > stale {
+			continue
+		}
+		if d := int32(r.high - c.rcvNxt); d < limit {
+			limit = d
+		}
+	}
+	end := limit
+	if c.untracked {
+		// Beyond the limit the only thing left to do is to pick up gaps
+		// that found no room when they opened.
+		end = span
+	}
+	reNack := 4 * c.nackAge()
 	var missing []uint32
-	for s := c.rcvNxt; int32(c.maxSeenPlus1-s) > 0 && len(missing) < maxNack; s++ {
+	for k := int32(0); k < end && len(missing) < maxNack; k++ {
+		s := c.rcvNxt + uint32(k)
 		gap, tracked := c.rcv.get(s)
 		if gap.accepted {
 			continue
@@ -1908,43 +1953,17 @@ func (c *Conn) queueNack(force bool) {
 			c.trackGap(s, now)
 			continue
 		}
-		if now-gap.since < minAge {
+		// Past the limit a live rail may still deliver s; a young gap is
+		// reordering; and a sequence number whose repair should still be
+		// in flight is not re-requested (one NACK per round trip, roughly).
+		if k >= limit || now-gap.since < minAge || (gap.nacked > 0 && now-gap.nacked < reNack) {
 			continue
 		}
-		// Don't re-request a sequence number whose repair should still
-		// be in flight (one NACK per round trip, roughly).
-		if gap.nacked > 0 && now-gap.nacked < 4*c.nackAge() {
-			continue
-		}
-		// Per-link FIFO: s can only be lost once every physical path
-		// has delivered a frame beyond it; otherwise it may simply be
-		// queued behind other frames on its path. A link silent for
-		// LinkStaleAge cannot be hiding s in a draining queue (the
-		// drain itself would have delivered something), so it is
-		// presumed empty or dead and loses its veto — otherwise a
-		// hard-failed link would suppress loss detection forever.
-		stale := c.ep.cfg.LinkStaleAge
-		passed := true
-		for li := range c.rails {
-			if r := &c.rails[li]; int32(r.high-s) <= 0 {
-				if stale > 0 && now-r.last > stale {
-					continue
-				}
-				passed = false
-				break
-			}
-		}
-		if passed {
-			missing = append(missing, s)
-			gap.nacked = now
-			c.rcv.put(s, gap)
-		}
+		missing = append(missing, s)
+		gap.nacked = now
+		c.rcv.put(s, gap)
 	}
-	if len(missing) > 0 {
-		c.lastNack = now
-		c.nackDue = mergeNacks(c.nackDue, missing)
-		c.kick()
-	}
+	return missing
 }
 
 // ackPolicy implements delayed acknowledgements (§2.4): explicit ACKs
@@ -2332,17 +2351,7 @@ func (c *Conn) serveRead(h frame.Header) {
 		panic(fmt.Sprintf("core: node %d read source [%d,%d) outside memory", ep.node, h.Remote, end))
 	}
 	ep.Stats.ReadsServed++
-	// Small reply snapshots ride a pooled buffer (released with the
-	// reply txOp's data at completion); larger ones fall back to the
-	// heap.
-	var data []byte
-	var dataBuf *frame.Buf
-	if h.Total > 0 && h.Total <= frame.BufCap {
-		dataBuf = frame.GetBuf()
-		data = append(dataBuf.Bytes()[:0], ep.mem[h.Remote:end]...)
-	} else {
-		data = append([]byte(nil), ep.mem[h.Remote:end]...)
-	}
+	data, dataBuf := ep.snapshot(h.Remote, int(h.Total))
 	t := &txOp{
 		id: c.nextOpID, opType: frame.OpReadReply,
 		remote: h.Local, local: h.OpID,

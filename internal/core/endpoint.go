@@ -22,8 +22,9 @@ type Endpoint struct {
 	cpus  hostmodel.CPUs
 	nics  []*phys.NIC
 
-	mem    []byte
-	memBrk uint64
+	mem      []byte
+	memBrk   uint64
+	snapFree [][][]byte // idle large snapshots by size class (see snapshot)
 
 	conns      map[uint32]*Conn  // by local connection id
 	connOrder  []*Conn           // stable iteration order for fairness

@@ -106,3 +106,8 @@ const (
 	MaxNackForTest        = maxNack
 	MaxTrackedGapsForTest = maxTrackedGaps
 )
+
+// SnapshotForTest returns the handle's kernel-buffer snapshot at full
+// capacity while the operation owns one; retained across completion, it
+// shows what retireTxOp left of it.
+func (h *Handle) SnapshotForTest() []byte { return h.t.data[:cap(h.t.data)] }

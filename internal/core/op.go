@@ -170,18 +170,12 @@ func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
 			return nil, err
 		}
 	}
-	// Snapshot the write payload into a pooled buffer when it fits one
-	// frame (the common case for latency-sensitive small ops); the txOp
-	// owns the buffer until completion or failure releases it.
+	// Snapshot the write payload; the txOp owns the buffer until
+	// completion or failure releases it.
 	var data []byte
 	var dataBuf *frame.Buf
 	if op.Kind == frame.OpWrite {
-		if op.Size > 0 && op.Size <= frame.BufCap {
-			dataBuf = frame.GetBuf()
-			data = append(dataBuf.Bytes()[:0], ep.mem[op.Local:op.Local+uint64(op.Size)]...)
-		} else {
-			data = append([]byte(nil), ep.mem[op.Local:op.Local+uint64(op.Size)]...)
-		}
+		data, dataBuf = ep.snapshot(op.Local, op.Size)
 	}
 	copyBytes := 0
 	if op.Kind == frame.OpWrite && !ep.cfg.Offload {
@@ -388,12 +382,7 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 		var d []byte
 		var b *frame.Buf
 		if op.Kind == frame.OpWrite {
-			if op.Size > 0 && op.Size <= frame.BufCap {
-				b = frame.GetBuf()
-				d = append(b.Bytes()[:0], ep.mem[op.Local:op.Local+uint64(op.Size)]...)
-			} else {
-				d = append([]byte(nil), ep.mem[op.Local:op.Local+uint64(op.Size)]...)
-			}
+			d, b = ep.snapshot(op.Local, op.Size)
 			if !ep.cfg.Offload {
 				copyBytes += op.Size
 			}

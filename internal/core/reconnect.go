@@ -273,7 +273,7 @@ func (c *Conn) rebirth(inc uint16) {
 	c.rcvNxt = 0
 	c.maxSeenPlus1 = 0
 	c.rcv.clear()
-	c.gaps = 0
+	c.gaps, c.untracked = 0, false
 	c.lastNack = 0
 	c.unackedRx = 0
 	c.ackDue, c.ackOwed = false, false

@@ -3,23 +3,24 @@ package core
 // seqRing is a sequence-number-indexed store backing the connection's
 // two per-seq ARQ stores: the retransmit buffers (Conn.retrans) and the
 // receive window (Conn.rcv: accepted-frame dedupe and gap tracking in
-// one record per sequence number). The live key span of both is bounded
-// by the ARQ window plus a handful of probe sequences, so a power-of-two
-// slot array sized to the window serves every steady-state access with
-// no hashing and no allocation; the previous map[uint32] backings
-// churned a heap-allocated bucket chain per frame.
+// one record per sequence number). Live keys are consecutive or nearly
+// so, so a power-of-two slot array indexed by the low bits serves every
+// access with no hashing, and steady state allocates nothing; the
+// previous map[uint32] backings churned a heap-allocated bucket chain
+// per frame.
 //
 // Keys are sequence numbers compared in modular (serial-number)
-// arithmetic. Should two live keys ever collide on a slot — possible
-// only if the live span exceeds the ring size, which the window bound
-// prevents — correctness is preserved by spilling the older entry to a
-// lazily allocated overflow map, so the structure is a strict drop-in
-// for the map it replaces rather than a lossy cache.
+// arithmetic. The ring is built for the flight a connection has, not
+// the one it is allowed: it starts at seqRingMin slots and doubles when
+// a put finds its slot held by another live key, so a conn whose
+// congestion window stays at a handful of frames never pays for
+// Config.Window, and a live span wider than any fixed bound (a peer
+// configured with a larger Window, probe sequence numbers beyond it)
+// is still never lost.
 type seqRing[T any] struct {
-	slots    []seqSlot[T]
-	mask     uint32
-	liveSlot int // occupied slots (excludes overflow entries)
-	overflow map[uint32]T
+	slots []seqSlot[T]
+	mask  uint32
+	live  int // occupied slots
 }
 
 type seqSlot[T any] struct {
@@ -28,21 +29,10 @@ type seqSlot[T any] struct {
 	val  T
 }
 
-// seqRingSlack covers sequence numbers assigned beyond the window
-// proper: dead-link probes (sendProbe) advance sndNxt without consuming
-// window space, so a conn repairing several dead rails can hold a live
-// span slightly wider than Config.Window.
-const seqRingSlack = 64
+const seqRingMin = 16
 
-// newSeqRing sizes the ring to the next power of two covering the ARQ
-// window plus probe slack.
-func newSeqRing[T any](window int) *seqRing[T] {
-	need := window + seqRingSlack
-	size := 64
-	for size < need {
-		size *= 2
-	}
-	return &seqRing[T]{slots: make([]seqSlot[T], size), mask: uint32(size - 1)}
+func newSeqRing[T any]() *seqRing[T] {
+	return &seqRing[T]{slots: make([]seqSlot[T], seqRingMin), mask: seqRingMin - 1}
 }
 
 // get returns the value stored under s, if any.
@@ -51,10 +41,6 @@ func (r *seqRing[T]) get(s uint32) (T, bool) {
 	if sl.full && sl.seq == s {
 		return sl.val, true
 	}
-	if r.overflow != nil {
-		v, ok := r.overflow[s]
-		return v, ok
-	}
 	var zero T
 	return zero, false
 }
@@ -62,43 +48,43 @@ func (r *seqRing[T]) get(s uint32) (T, bool) {
 // has reports whether s is present (set-style use).
 func (r *seqRing[T]) has(s uint32) bool {
 	sl := &r.slots[s&r.mask]
-	if sl.full && sl.seq == s {
-		return true
-	}
-	if r.overflow != nil {
-		_, ok := r.overflow[s]
-		return ok
-	}
-	return false
+	return sl.full && sl.seq == s
 }
 
-// put stores v under s, overwriting any previous value. On a slot
-// collision the newer sequence number keeps the slot (it will stay live
-// longest) and the older spills to the overflow map.
+// put stores v under s, overwriting any previous value.
 func (r *seqRing[T]) put(s uint32, v T) {
 	sl := &r.slots[s&r.mask]
+	for sl.full && sl.seq != s {
+		r.grow()
+		sl = &r.slots[s&r.mask]
+	}
 	if !sl.full {
-		sl.seq, sl.val, sl.full = s, v, true
-		r.liveSlot++
-		return
+		sl.seq, sl.full = s, true
+		r.live++
 	}
-	if sl.seq == s {
-		sl.val = v
-		return
-	}
-	if int32(s-sl.seq) > 0 {
-		r.spill(sl.seq, sl.val)
-		sl.seq, sl.val = s, v
-		return
-	}
-	r.spill(s, v)
+	sl.val = v
 }
 
-func (r *seqRing[T]) spill(s uint32, v T) {
-	if r.overflow == nil {
-		r.overflow = make(map[uint32]T)
+// grow doubles the ring until the live keys sit on distinct slots,
+// which distinct 32-bit keys do at the latest under a 32-bit mask.
+func (r *seqRing[T]) grow() {
+	old := r.slots
+retry:
+	for size := 2 * len(old); ; size *= 2 {
+		slots, mask := make([]seqSlot[T], size), uint32(size-1)
+		for i := range old {
+			if !old[i].full {
+				continue
+			}
+			sl := &slots[old[i].seq&mask]
+			if sl.full {
+				continue retry
+			}
+			*sl = old[i]
+		}
+		r.slots, r.mask = slots, mask
+		return
 	}
-	r.overflow[s] = v
 }
 
 // del removes s if present.
@@ -108,32 +94,17 @@ func (r *seqRing[T]) del(s uint32) {
 		var zero T
 		sl.val = zero // drop references for GC
 		sl.full = false
-		r.liveSlot--
-		return
-	}
-	if r.overflow != nil {
-		delete(r.overflow, s)
+		r.live--
 	}
 }
 
 // size returns the number of live entries.
-func (r *seqRing[T]) size() int { return r.liveSlot + len(r.overflow) }
+func (r *seqRing[T]) size() int { return r.live }
 
 // clear empties the ring in place, keeping the slot array.
 func (r *seqRing[T]) clear() {
-	if r.liveSlot > 0 {
-		var zero T
-		for i := range r.slots {
-			if r.slots[i].full {
-				r.slots[i].val = zero
-				r.slots[i].full = false
-			}
-		}
-		r.liveSlot = 0
+	if r.live > 0 {
+		clear(r.slots)
+		r.live = 0
 	}
-	r.overflow = nil
 }
-
-// overflowLen exposes the spill count (tests: it should stay zero in
-// any run whose live span respects the window bound).
-func (r *seqRing[T]) overflowLen() int { return len(r.overflow) }

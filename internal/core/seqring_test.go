@@ -10,10 +10,10 @@ import (
 )
 
 // TestSeqRingBasics pins the map-equivalent semantics of the seqRing:
-// get/put/del/size round-trips, overwrite, and the overflow spill path
-// for live spans wider than the ring.
+// get/put/del/size round-trips, overwrite, and growth for live spans
+// wider than the ring.
 func TestSeqRingBasics(t *testing.T) {
-	r := newSeqRing[int](128)
+	r := newSeqRing[int]()
 	if r.size() != 0 {
 		t.Fatalf("fresh ring size %d", r.size())
 	}
@@ -42,8 +42,8 @@ func TestSeqRingBasics(t *testing.T) {
 		t.Fatalf("clear left size=%d", r.size())
 	}
 
-	// Collision: two live keys one ring-size apart. The newer must win
-	// the slot, the older must survive in overflow — never be dropped.
+	// Collision: two live keys one ring-size apart. The ring doubles and
+	// keeps both — never drops one.
 	n := uint32(len(r.slots))
 	r.put(10, 100)
 	r.put(10+n, 200)
@@ -53,18 +53,25 @@ func TestSeqRingBasics(t *testing.T) {
 	if v, ok := r.get(10 + n); !ok || v != 200 {
 		t.Fatalf("newer colliding key lost: %v,%v", v, ok)
 	}
-	if r.overflowLen() != 1 || r.size() != 2 {
-		t.Fatalf("overflow=%d size=%d", r.overflowLen(), r.size())
+	if len(r.slots) != int(2*n) || r.size() != 2 {
+		t.Fatalf("slots=%d (want %d) size=%d", len(r.slots), 2*n, r.size())
 	}
-	// Older key arriving second spills itself.
-	r.put(20+n, 1)
+	// Older key arriving second, and a collision one doubling does not
+	// resolve: the ring doubles until every live key has its own slot.
+	r.put(20+4*n, 1)
 	r.put(20, 2)
 	if v, ok := r.get(20); !ok || v != 2 {
 		t.Fatalf("older-second key lost: %v,%v", v, ok)
 	}
+	if v, ok := r.get(20 + 4*n); !ok || v != 1 {
+		t.Fatalf("newer-first key lost: %v,%v", v, ok)
+	}
+	if len(r.slots) != int(8*n) || r.size() != 4 || !r.has(10) || !r.has(10+n) {
+		t.Fatalf("slots=%d (want %d) size=%d", len(r.slots), 8*n, r.size())
+	}
 	r.del(10)
 	r.del(10 + n)
-	if r.has(10) || r.has(10+n) {
+	if r.has(10) || r.has(10+n) || r.size() != 2 {
 		t.Fatal("colliding keys survived del")
 	}
 }
@@ -115,7 +122,7 @@ func (r *refWindow) arrive(seq uint32) {
 // checkRcvWindow compares the conn's receive window with the reference
 // over [lo, hi): same accepted set, same gap set, the gaps counter equal
 // to the number of gap records and inside its cap, nothing kept below
-// the cumulative point, nothing spilled.
+// the cumulative point.
 func checkRcvWindow(t *testing.T, c *Conn, ref *refWindow, lo, hi uint32) {
 	t.Helper()
 	if c.rcvNxt != ref.rcvNxt || c.maxSeenPlus1 != ref.maxSeenPlus1 {
@@ -144,20 +151,17 @@ func checkRcvWindow(t *testing.T, c *Conn, ref *refWindow, lo, hi uint32) {
 	if n := c.rcv.size(); n != gaps+len(ref.accepted) {
 		t.Fatalf("ring holds %d records, want %d gaps + %d accepted", n, gaps, len(ref.accepted))
 	}
-	if ov := c.rcv.overflowLen(); ov != 0 {
-		t.Fatalf("%d records spilled to the overflow map", ov)
-	}
 }
 
 // TestRcvWindowAgainstReference drives the one-ring receive window with
 // what a lossy multi-rail fabric delivers and holds it to refWindow.
-// "random": seeded flights as wide as the ring is sized for (Window + 64
-// probe slack), each in a random order with drops repaired late and
+// "random": seeded flights as wide as a sender can make them (Window + 64
+// sequence numbers of probe slack), each in a random order with drops repaired late and
 // duplicates, across the sequence wrap, checked record by record after
 // every arrival; at Window 512 a flight opens more gaps than
 // maxTrackedGaps, so the cap is exercised too. "million": the
 // bounded-growth regression — a million frames through a steady loss
-// pattern never grow the ring's accepted + gap records beyond its slots.
+// pattern never grow the ring beyond the window it was configured for.
 func TestRcvWindowAgainstReference(t *testing.T) {
 	deliver := func(c *Conn, seq uint32) {
 		c.handleData(frame.Header{Type: frame.TypeData, ConnID: 1, Seq: seq,
@@ -171,7 +175,7 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 		capped := false
 		for _, window := range []int{128, 512} {
 			_, c := arqEndpoint(t, window)
-			span := uint32(window + seqRingSlack)
+			span := uint32(window + 64)
 			ref := start(c, -(span * 5 / 2)) // the third flight straddles the wrap
 			rng := rand.New(rand.NewSource(int64(window)))
 			for flight := 0; flight < 20; flight++ {
@@ -216,9 +220,9 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 			deliver(c, seq)
 			ref.arrive(seq)
 			if c.gaps != len(ref.gap) || c.rcv.size() != len(ref.gap)+len(ref.accepted) ||
-				c.rcv.size() > len(c.rcv.slots) || c.rcv.overflowLen() != 0 {
-				t.Fatalf("seq %d: %d gaps (reference %d), %d of %d slots live (reference %d), %d spilled", seq,
-					c.gaps, len(ref.gap), c.rcv.size(), len(c.rcv.slots), len(ref.gap)+len(ref.accepted), c.rcv.overflowLen())
+				len(c.rcv.slots) > 128 {
+				t.Fatalf("seq %d: %d gaps (reference %d), %d of %d slots live (reference %d)", seq,
+					c.gaps, len(ref.gap), c.rcv.size(), len(c.rcv.slots), len(ref.gap)+len(ref.accepted))
 			}
 		}
 		for seq := uint32(0); seq < total; seq++ {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // BufCap is the capacity of a pooled frame buffer: enough for the
@@ -30,25 +31,22 @@ var bufPool = sync.Pool{New: func() any { return &Buf{b: make([]byte, BufCap)} }
 // poolDebug enables release poisoning: returned buffers are filled
 // with 0xDB so any use-after-release surfaces as CRC/decode garbage
 // instead of silent aliasing. Double-release detection is always on.
-var (
-	poolDebugMu sync.Mutex
-	poolDebug   bool
-)
+var poolDebug atomic.Bool
 
 // SetPoolDebug toggles buffer poisoning on release. It returns the
 // previous setting; tests flip it on and restore the old value.
-func SetPoolDebug(on bool) bool {
-	poolDebugMu.Lock()
-	defer poolDebugMu.Unlock()
-	prev := poolDebug
-	poolDebug = on
-	return prev
-}
+func SetPoolDebug(on bool) bool { return poolDebug.Swap(on) }
 
-func poolDebugOn() bool {
-	poolDebugMu.Lock()
-	defer poolDebugMu.Unlock()
-	return poolDebug
+// Poison fills b with the released-buffer pattern when pool debugging
+// is on. Owners of recycled byte storage other than a Buf (core's
+// snapshot pool) call it at their release point, so the
+// use-after-release check covers that storage too.
+func Poison(b []byte) {
+	if poolDebug.Load() {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
 }
 
 // GetBuf acquires a frame buffer from the pool.
@@ -69,11 +67,7 @@ func PutBuf(b *Buf) {
 		panic("frame: PutBuf called twice on the same Buf")
 	}
 	b.free = true
-	if poolDebugOn() {
-		for i := range b.b {
-			b.b[i] = 0xDB
-		}
-	}
+	Poison(b.b)
 	bufPool.Put(b)
 }
 

@@ -163,6 +163,12 @@ type OutPort struct {
 	mangler   Mangler
 	txFn      func(any) // long-lived tx-completion callback (arg: *Frame)
 	deliverFn func(any) // long-lived delivery callback (arg: *Frame)
+	// Both completions are FIFO by construction — avail is monotone and
+	// Delay constant — so they wait in lanes; a mangler delay or a
+	// duplicate that would land before its predecessor falls back to
+	// the heap inside the lane.
+	txLane *sim.Lane
+	wire   *sim.Lane
 
 	// Counters.
 	TxFrames    uint64
@@ -179,7 +185,8 @@ type OutPort struct {
 // NewOutPort creates a transmit port feeding peer. capacity is the
 // drop-tail queue limit in frames (0 = unbounded).
 func NewOutPort(env *sim.Env, name string, params LinkParams, peer Receiver, capacity int) *OutPort {
-	o := &OutPort{env: env, name: name, params: params, peer: peer, capacity: capacity}
+	o := &OutPort{env: env, name: name, params: params, peer: peer, capacity: capacity,
+		txLane: env.NewLane(), wire: env.NewLane()}
 	o.txFn = func(x any) { o.txComplete(x.(*Frame)) }
 	o.deliverFn = func(x any) { o.peer.DeliverFrame(x.(*Frame)) }
 	return o
@@ -300,7 +307,7 @@ func (o *OutPort) Send(f *Frame) bool {
 	}
 	txDone := start + o.params.wireTime(f.Len())
 	o.avail = txDone
-	e.SchedAtArg(txDone, o.txFn, f)
+	o.txLane.SchedAtArg(txDone, o.txFn, f)
 	return true
 }
 
@@ -362,7 +369,7 @@ func (o *OutPort) txComplete(f *Frame) {
 		o.Corrupted++
 	}
 	arrive := o.params.Delay + m.Delay
-	e.SchedAfterArg(arrive, o.deliverFn, deliver)
+	o.wire.SchedAtArg(e.Now()+arrive, o.deliverFn, deliver)
 	dup := m.Dup
 	if o.params.DupProb > 0 && e.Rand().Float64() < o.params.DupProb {
 		dup = true
@@ -371,7 +378,7 @@ func (o *OutPort) txComplete(f *Frame) {
 		// Deliver a clone, never the same *Frame twice: two in-flight
 		// deliveries aliasing one buffer would double-release it.
 		o.Duplicated++
-		e.SchedAfterArg(arrive+o.params.wireTime(f.Len()), o.deliverFn, f.clone())
+		o.wire.SchedAtArg(e.Now()+arrive+o.params.wireTime(f.Len()), o.deliverFn, f.clone())
 	}
 	if corrupt {
 		// The corrupted copy travelled instead of f; f dies here.
@@ -431,10 +438,11 @@ type swInPort struct {
 	sw      *Switch
 	lastFwd sim.Time
 	fwdFn   func(any) // long-lived forwarding callback (arg: *Frame)
+	fwd     *sim.Lane // lastFwd is monotone
 }
 
 func newSwInPort(sw *Switch) *swInPort {
-	p := &swInPort{sw: sw}
+	p := &swInPort{sw: sw, fwd: sw.env.NewLane()}
 	p.fwdFn = func(x any) { p.forward(x.(*Frame)) }
 	return p
 }
@@ -450,7 +458,7 @@ func (p *swInPort) DeliverFrame(f *Frame) {
 		at = p.lastFwd // never reorder frames from the same input port
 	}
 	p.lastFwd = at
-	sw.env.SchedAtArg(at, p.fwdFn, f)
+	p.fwd.SchedAtArg(at, p.fwdFn, f)
 }
 
 func (p *swInPort) forward(f *Frame) {

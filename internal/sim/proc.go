@@ -106,7 +106,8 @@ func (e *Env) Procs() int {
 
 // Close ends the universe: every live process is unwound where it is
 // parked (deferred calls run, the stack is freed, Done does not fire)
-// and the event queue is dropped, which invalidates every Timer. The
+// and the event queue is dropped, lanes included, which invalidates
+// every Timer. The
 // creator of the Env calls it when done: a process parked forever pins
 // its goroutine and all it can reach. Close is idempotent and must be
 // called from outside Run. What deferred calls schedule or spawn during
@@ -124,7 +125,10 @@ func (e *Env) Close() {
 	for _, h := range e.events {
 		h.ev.gen++
 	}
-	e.events, e.free, e.live, e.closed = nil, nil, 0, true
+	for _, l := range e.lanes {
+		l.drop()
+	}
+	e.events, e.free, e.lanes, e.live, e.queued, e.closed = nil, nil, nil, 0, 0, true
 }
 
 // Sleep suspends the process for d virtual nanoseconds.

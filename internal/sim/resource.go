@@ -6,12 +6,14 @@ package sim
 // busy time, from which callers derive utilization over a window.
 //
 // The implementation keeps only the time the resource next becomes free;
-// FIFO order follows from submissions being timestamped monotonically.
+// FIFO order follows from submissions being timestamped monotonically,
+// which is also what lets the completions wait in a Lane.
 type Resource struct {
 	name  string
 	avail Time // when the next submitted work item can start
 	busy  Time // cumulative busy time
 	jobs  uint64
+	lane  *Lane // completion callbacks, in submission order
 }
 
 // NewResource creates a named resource, idle at time zero.
@@ -34,19 +36,9 @@ func (r *Resource) FreeAt() Time { return r.avail }
 // completion time. If then is non-nil it runs at completion. Zero-duration
 // work is legal and completes after earlier queued work.
 func (r *Resource) Submit(e *Env, work Time, then func()) Time {
-	if work < 0 {
-		panic("sim: negative work duration")
-	}
-	start := e.Now()
-	if r.avail > start {
-		start = r.avail
-	}
-	done := start + work
-	r.avail = done
-	r.busy += work
-	r.jobs++
+	done := r.occupy(e, work)
 	if then != nil {
-		e.SchedAt(done, then)
+		r.laneOn(e).SchedAt(done, then)
 	}
 	return done
 }
@@ -55,6 +47,15 @@ func (r *Resource) Submit(e *Env, work Time, then func()) Time {
 // long-lived func(any) and a per-call argument, so hot paths avoid
 // allocating a capturing closure per work item (see Env.SchedAtArg).
 func (r *Resource) SubmitArg(e *Env, work Time, then func(any), arg any) Time {
+	done := r.occupy(e, work)
+	if then != nil {
+		r.laneOn(e).SchedAtArg(done, then, arg)
+	}
+	return done
+}
+
+// occupy books work behind everything queued and returns when it ends.
+func (r *Resource) occupy(e *Env, work Time) Time {
 	if work < 0 {
 		panic("sim: negative work duration")
 	}
@@ -66,10 +67,16 @@ func (r *Resource) SubmitArg(e *Env, work Time, then func(any), arg any) Time {
 	r.avail = done
 	r.busy += work
 	r.jobs++
-	if then != nil {
-		e.SchedAtArg(done, then, arg)
-	}
 	return done
+}
+
+// laneOn returns the completion lane, created on first use: a resource
+// nothing ever waits on costs no lane.
+func (r *Resource) laneOn(e *Env) *Lane {
+	if r.lane == nil || r.lane.env != e {
+		r.lane = e.NewLane()
+	}
+	return r.lane
 }
 
 // Exec queues a work item and blocks the calling process until it

@@ -79,6 +79,7 @@ type event struct {
 	daemon bool // does not keep Run alive (see AfterDaemon)
 	index  int  // position in Env.events while pending
 	gen    uint64
+	lane   *Lane // set on a lane's own entry, which stands for its head record
 }
 
 // heapEntry is one slot of the event queue: the ordering key stored
@@ -176,6 +177,8 @@ type Env struct {
 	events eventHeap
 	free   []*event // recycled event records
 	live   int      // pending non-daemon events
+	lanes  []*Lane
+	queued int // lane records waiting behind their lane's head
 	rng    *rand.Rand
 
 	procs    Proc // sentinel of the ring of live processes; older is the newest
@@ -418,13 +421,20 @@ func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 		if top.at > horizon || (untilLiveDrained && e.live == 0) {
 			break
 		}
-		e.events.remove(0)
+		e.now = top.at
+		e.executed++
 		next := top.ev
+		if next.lane != nil {
+			// A lane's entry stands for its head record; the lane takes
+			// that off and re-keys the entry before the callback runs.
+			fn, arg := next.lane.pop()
+			fn(arg)
+			continue
+		}
+		e.events.remove(0)
 		if !next.daemon {
 			e.live--
 		}
-		e.now = top.at
-		e.executed++
 		// Snapshot the callback and recycle the record before running
 		// it: the callback may schedule new events (which can then
 		// reuse this record) but can no longer observe it.
@@ -441,15 +451,16 @@ func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 
 // Idle reports whether the queue is empty: no event, daemon or not, is
 // scheduled. Exact and O(1), since stopped events leave the queue at
-// once.
+// once and a Lane with anything queued keeps its head there.
 func (e *Env) Idle() bool { return len(e.events) == 0 }
 
 // PendingLive returns the number of pending events that would keep Run
 // going: scheduled and not daemon.
 func (e *Env) PendingLive() int { return e.live }
 
-// PendingEvents returns the number of scheduled events, daemon or not:
-// the length of the queue, exact and O(1). Teardown leak gates use it:
-// after every connection is closed and Run has drained, a nonzero count
-// means some timer survived its owner.
-func (e *Env) PendingEvents() int { return len(e.events) }
+// PendingEvents returns the number of scheduled events, daemon or not,
+// wherever they wait: in the queue or behind the head of a Lane. Exact
+// and O(1). Teardown leak gates use it: after every connection is closed
+// and Run has drained, a nonzero count means some timer survived its
+// owner.
+func (e *Env) PendingEvents() int { return len(e.events) + e.queued }
