@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
@@ -296,6 +297,14 @@ type Cluster struct {
 // New builds a cluster from the configuration. It panics on a
 // configuration Validate rejects; call Validate first to handle
 // configuration errors gracefully.
+//
+// What New allocates is the cluster and nothing else: names are joined
+// with strconv because fmt parks its printer in a sync.Pool, where it
+// survives one collection and dies in the next, and every Resource is
+// bound to the Env here (Resource.On), so that its lane is not made by
+// the first dial. A live-heap reading before and after a later phase
+// then measures that phase whatever the collector's schedule was
+// (TestNewLeavesNothingPooled).
 func New(cfg Config) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -317,7 +326,7 @@ func New(cfg Config) *Cluster {
 		sp.Latency += railSkew * sim.Time(cfg.LinksPerNode-1-l)
 		stationSw[l] = make([]*phys.Switch, cfg.Nodes)
 		if cfg.EdgeGroup <= 0 {
-			sw := phys.NewSwitch(env, fmt.Sprintf("sw%d", l), sp)
+			sw := phys.NewSwitch(env, "sw"+strconv.Itoa(l), sp)
 			cl.Switches = append(cl.Switches, sw)
 			for i := range stationSw[l] {
 				stationSw[l][i] = sw
@@ -336,16 +345,16 @@ func New(cfg Config) *Cluster {
 		}
 		cores := make([]*phys.Switch, spines)
 		for s := range cores {
-			name := fmt.Sprintf("core%d", l)
+			name := "core" + strconv.Itoa(l)
 			if spines > 1 {
-				name = fmt.Sprintf("spine%d.%d", l, s)
+				name = "spine" + strconv.Itoa(l) + "." + strconv.Itoa(s)
 			}
 			cores[s] = phys.NewSwitch(env, name, sp)
 			cl.Switches = append(cl.Switches, cores[s])
 		}
 		groups := (cfg.Nodes + cfg.EdgeGroup - 1) / cfg.EdgeGroup
 		for g := 0; g < groups; g++ {
-			edge := phys.NewSwitch(env, fmt.Sprintf("edge%d.%d", l, g), sp)
+			edge := phys.NewSwitch(env, "edge"+strconv.Itoa(l)+"."+strconv.Itoa(g), sp)
 			cl.Switches = append(cl.Switches, edge)
 			ups := make([]*phys.OutPort, spines)
 			for s, coreSw := range cores {
@@ -379,10 +388,12 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n := &Node{ID: i, CPUs: hostmodel.NewCPUs(fmt.Sprintf("n%d", i))}
+		n := &Node{ID: i, CPUs: hostmodel.NewCPUs("n" + strconv.Itoa(i))}
+		n.CPUs.App.On(env)
+		n.CPUs.Proto.On(env)
 		for l := 0; l < cfg.LinksPerNode; l++ {
 			addr := frame.NewAddr(i, l)
-			nic := phys.NewNIC(env, fmt.Sprintf("n%d/nic%d", i, l), addr, cfg.NIC)
+			nic := phys.NewNIC(env, "n"+strconv.Itoa(i)+"/nic"+strconv.Itoa(l), addr, cfg.NIC)
 			up := stationSw[l][i].AttachStation(addr, nic, cfg.railLink(l), cfg.Switch.QueueCap)
 			nic.AttachUplink(up)
 			if cfg.EcnThreshold > 0 {

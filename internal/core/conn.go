@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"multiedge/internal/frame"
@@ -88,9 +89,9 @@ type Conn struct {
 	ackTimer     *sim.Timer
 	nackTimer    *sim.Timer
 	ackDue       bool
-	ackOwed      bool   // a prompt ACK is owed once rcvNxt reaches ackOweTo (see promptAck)
-	ackOweTo     uint32 // valid while ackOwed
-	nackDue      []uint32
+	ackOwed      bool     // a prompt ACK is owed once rcvNxt reaches ackOweTo (see promptAck)
+	ackOweTo     uint32   // valid while ackOwed
+	nackDue      []uint32 // missing list of the NACK to send; emptied by sendCtrl, storage kept
 	// nackScratch is the reused NACK-payload encode buffer: sendCtrl
 	// used to allocate a fresh payload per NACK (frame.EncodeNackPayload),
 	// which under sustained loss was an allocation per repair round.
@@ -1040,7 +1041,7 @@ func (c *Conn) sendCtrl() {
 		// so no header-only NACK frame is ever emitted.
 		c.nackScratch = frame.AppendNackPayload(c.nackScratch[:0], c.nackDue)
 		pl := c.nackScratch
-		c.nackDue = nil
+		c.nackDue = c.nackDue[:0] // the next scan appends into it
 		c.ep.Stats.CtrlNacksSent++
 		c.ep.trc(c.localID, trace.TxNack, c.rcvNxt, len(pl))
 		c.sendFrame(&h, pl)
@@ -1842,37 +1843,8 @@ func (c *Conn) trackGap(s uint32, now sim.Time) {
 	c.gaps++
 }
 
-// mergeNacks merges two ascending missing-sequence lists into one
-// deduplicated ascending list, capped at maxNack entries. Merging (vs
-// the old overwrite) means a NACK prompted by a duplicate cannot erase
-// still-unrepaired sequence numbers queued by an earlier gap report.
-func mergeNacks(a, b []uint32) []uint32 {
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch d := int32(a[i] - b[j]); {
-		case d == 0:
-			out = append(out, a[i])
-			i++
-			j++
-		case d < 0:
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	if len(out) > maxNack {
-		out = out[:maxNack]
-	}
-	return out
-}
+// seqCmp orders two sequence numbers of one window in serial arithmetic.
+func seqCmp(a, b uint32) int { return int(int32(a - b)) }
 
 // armNackTimer keeps a gap-age check pending while anything is missing,
 // so NACKs are re-sent if they (or the retransmissions) are lost.
@@ -1899,18 +1871,28 @@ func (c *Conn) queueNack(force bool) {
 	if now-c.lastNack < c.nackAge() {
 		return
 	}
-	missing := c.scanMissing(now, minAge)
-	if len(missing) > 0 {
-		c.lastNack = now
-		c.nackDue = mergeNacks(c.nackDue, missing)
-		c.kick()
+	pending := len(c.nackDue)
+	c.nackDue = c.scanMissing(now, minAge, c.nackDue)
+	if len(c.nackDue) == pending {
+		return
 	}
+	c.lastNack = now
+	if pending > 0 {
+		// A NACK is still waiting to go out. Its list stays ascending and
+		// free of repeats, so that a NACK prompted by a duplicate neither
+		// erases nor doubles the still-unrepaired numbers of an earlier one.
+		slices.SortFunc(c.nackDue, seqCmp)
+		c.nackDue = slices.Compact(c.nackDue)
+	}
+	c.kick()
 }
 
 // scanMissing walks the receive window for sequence numbers to NACK
 // now: gaps at least minAge old whose last NACK, if any, is a repair
-// round trip behind. It stamps the ones it returns (at most maxNack,
-// ascending) as NACKed at now.
+// round trip behind. It appends them to missing, ascending, for as long
+// as the list is short of maxNack, and stamps exactly those as NACKed at
+// now: a gap the pending NACK has no room for stays eligible, instead of
+// counting as under repair for 4 nackAge with no frame naming it.
 //
 // Per-link FIFO: s can only be lost once every physical path has
 // delivered a frame beyond it; otherwise it may simply be queued behind
@@ -1922,7 +1904,7 @@ func (c *Conn) queueNack(force bool) {
 // ends at the slowest live rail's mark: with one rail a few dozen
 // frames behind the other, that is most of the window not visited per
 // arrival.
-func (c *Conn) scanMissing(now, minAge sim.Time) []uint32 {
+func (c *Conn) scanMissing(now, minAge sim.Time, missing []uint32) []uint32 {
 	span := int32(c.maxSeenPlus1 - c.rcvNxt)
 	limit := span // as an offset from rcvNxt, like every bound below
 	stale := c.ep.cfg.LinkStaleAge
@@ -1942,7 +1924,6 @@ func (c *Conn) scanMissing(now, minAge sim.Time) []uint32 {
 		end = span
 	}
 	reNack := 4 * c.nackAge()
-	var missing []uint32
 	for k := int32(0); k < end && len(missing) < maxNack; k++ {
 		s := c.rcvNxt + uint32(k)
 		gap, tracked := c.rcv.get(s)
@@ -2082,27 +2063,34 @@ func heldCopy(payload []byte) []byte {
 	return append([]byte(nil), payload...)
 }
 
-// fanoutMulti decodes a MultiData frame into per-sub-op synthetic Data
-// frames that flow through the ordinary ordering, fence and completion
-// machinery. The payload was encoded by our own sender and arrived
-// through the reliable ARQ, so a decode failure is a protocol bug.
-func (c *Conn) fanoutMulti(h frame.Header, payload []byte) []heldFrame {
-	subs, err := frame.DecodeMultiPayload(payload)
+// applyMulti performs a MultiData frame: each sub-op, read in place from
+// the payload, becomes a synthetic single-frame Data write that flows
+// through the ordinary ordering, fence and completion machinery, in
+// issue order. Under Strict the sub-ops share the sequence number
+// canApply just admitted, so all of them apply back to back. The payload
+// was encoded by our own sender and arrived through the reliable ARQ, so
+// a decode failure is a protocol bug.
+func (c *Conn) applyMulti(h frame.Header, payload []byte) {
+	r, err := frame.ReadMultiPayload(payload)
+	for err == nil && r.Len() > 0 {
+		var s frame.SubOp
+		if s, err = r.Next(); err != nil {
+			break
+		}
+		sh := frame.Header{
+			Type: frame.TypeData, ConnID: h.ConnID, Seq: h.Seq,
+			OpID: s.OpID, OpType: frame.OpWrite, OpFlags: s.Flags,
+			Remote: s.Remote, Offset: 0, Total: uint32(len(s.Data)),
+		}
+		if c.canApply(sh) {
+			c.applyFrame(sh, s.Data)
+		} else {
+			c.hold(sh, s.Data)
+		}
+	}
 	if err != nil {
 		panic(fmt.Sprintf("core: node %d bad MultiData payload: %v", c.ep.node, err))
 	}
-	out := make([]heldFrame, len(subs))
-	for i, s := range subs {
-		out[i] = heldFrame{
-			h: frame.Header{
-				Type: frame.TypeData, ConnID: h.ConnID, Seq: h.Seq,
-				OpID: s.OpID, OpType: frame.OpWrite, OpFlags: s.Flags,
-				Remote: s.Remote, Offset: 0, Total: uint32(len(s.Data)),
-			},
-			payload: s.Data,
-		}
-	}
-	return out
 }
 
 // noteUnheld feeds the hold-duration histogram when a buffered frame is
@@ -2216,16 +2204,7 @@ func (c *Conn) drainHeld() {
 // or services a read request, then advances operation completion.
 func (c *Conn) applyFrame(h frame.Header, payload []byte) {
 	if h.Type == frame.TypeMultiData {
-		// Sub-ops are ordered one by one, in issue order. Under Strict
-		// they share the sequence number canApply just admitted, so all
-		// of them apply back to back.
-		for _, sh := range c.fanoutMulti(h, payload) {
-			if c.canApply(sh.h) {
-				c.applyFrame(sh.h, sh.payload)
-			} else {
-				c.hold(sh.h, sh.payload)
-			}
-		}
+		c.applyMulti(h, payload)
 		return
 	}
 	ep := c.ep

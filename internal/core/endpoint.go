@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"multiedge/internal/frame"
 	"multiedge/internal/hostmodel"
@@ -46,6 +47,7 @@ type Endpoint struct {
 	fireSigFn    func(any) // arg *sim.Signal: user wake (handle/CQ completion)
 	rxStepFn     func()    // dispatches rx, the frame pollRx took
 	rx           rxJob
+	nackSeqs     []uint32 // the list of the NACK being handled, decoded in place of a fresh slice
 
 	qosDispatchCls int // class of the in-flight sendStepFn dispatch
 
@@ -172,7 +174,7 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		if ep.cfg.OffloadFactor <= 0 {
 			ep.cfg.OffloadFactor = 1 // pipelined NIC engine at host parity
 		}
-		ep.engine = sim.NewResource(fmt.Sprintf("n%d/nic-engine", node))
+		ep.engine = sim.NewResource("n" + strconv.Itoa(node) + "/nic-engine").On(env)
 	}
 	return ep
 }
@@ -642,8 +644,9 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 	case frame.TypeNack:
 		ep.Stats.CtrlRecv++
 		c.handleAck(h.Ack)
-		if missing, err := frame.DecodeNackPayload(payload); err == nil {
-			c.handleNack(missing)
+		var err error
+		if ep.nackSeqs, err = frame.AppendNackSeqs(ep.nackSeqs[:0], payload); err == nil {
+			c.handleNack(ep.nackSeqs)
 		}
 	case frame.TypeHeartbeat:
 		ep.Stats.CtrlRecv++

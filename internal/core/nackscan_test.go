@@ -197,7 +197,7 @@ func TestNackScanAgainstReference(t *testing.T) {
 			}
 			span := int32(got.maxSeenPlus1 - got.rcvNxt)
 			wasUntracked, hadDrops := got.untracked, got.ep.Stats.NackGapsDropped
-			a, b := got.scanMissing(now, minAge), refScanMissing(want, now, minAge)
+			a, b := got.scanMissing(now, minAge, nil), refScanMissing(want, now, minAge)
 			if !slices.Equal(a, b) {
 				t.Fatalf("seed %d step %d (%d rails, window [%d, %d)): scan NACKs %v, reference %v",
 					seed, step, rails, got.rcvNxt, got.maxSeenPlus1, a, b)
@@ -249,5 +249,61 @@ func TestNackScanAgainstReference(t *testing.T) {
 		if n < 20 {
 			t.Errorf("corner case %q reached %d times", name, n)
 		}
+	}
+}
+
+// TestNackScanStampsOnlyWhatItNames: a gap is marked "repair in flight"
+// only by a scan that puts it on the NACK list. With a NACK of 40
+// sequence numbers still waiting to go out and 40 more gaps come of age,
+// the scan has room for 24: those are named and stamped, and the other
+// 16 stay eligible for the scan after the NACK has left — they used to be
+// stamped too, then cut off the merged list, and so went unreported for
+// 4 nackAge although no frame had named them.
+func TestNackScanStampsOnlyWhatItNames(t *testing.T) {
+	ep, c := arqEndpoint(t, 128)
+	ep.threadActive = true // the protocol thread never runs: no NACK leaves by itself
+	age := c.nackAge()
+	at := func(now sim.Time) {
+		ep.env.SchedAt(now, func() {})
+		ep.env.RunUntil(now)
+	}
+	stamped := func(lo, hi uint32, when sim.Time) (n int) {
+		for s := lo; s < hi; s++ {
+			if gap, _ := c.rcv.get(s); !gap.accepted && gap.nacked == when {
+				n++
+			}
+		}
+		return n
+	}
+	arriveOdd := func(lo, hi uint32, now sim.Time) {
+		for s := lo + 1; s < hi; s += 2 {
+			nackArrive(c, s, 0, now)
+		}
+	}
+	t0, t1, t2, t3 := sim.Time(1), 1+age, 1+2*age, 1+3*age
+	arriveOdd(0, 80, t0) // gaps 0, 2 .. 78
+	at(t1)
+	c.queueNack(false)
+	if len(c.nackDue) != 40 || stamped(0, 80, t1) != 40 {
+		t.Fatalf("first scan: %d named, %d stamped, want 40 and 40", len(c.nackDue), stamped(0, 80, t1))
+	}
+	arriveOdd(80, 160, t1) // gaps 80, 82 .. 158
+	at(t2)
+	c.queueNack(false)
+	if len(c.nackDue) != maxNack || !slices.IsSortedFunc(c.nackDue, seqCmp) {
+		t.Fatalf("second scan: NACK list %v, want %d ascending", c.nackDue, maxNack)
+	}
+	if n := stamped(80, 160, t2); n != 24 || c.nackDue[maxNack-1] != 126 {
+		t.Fatalf("second scan stamped %d of the new gaps and named up to %d; want 24 and 126", n, c.nackDue[maxNack-1])
+	}
+	c.nackDue = c.nackDue[:0] // as sendCtrl leaves it
+	at(t3)
+	c.queueNack(false)
+	want := make([]uint32, 0, 16)
+	for s := uint32(128); s < 160; s += 2 {
+		want = append(want, s)
+	}
+	if !slices.Equal(c.nackDue, want) {
+		t.Fatalf("third scan names %v, want the 16 gaps the second had no room for: %v", c.nackDue, want)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 )
 
 // Addr is a compact link-layer address: node number in the high byte,
@@ -43,7 +44,7 @@ func (a Addr) Port() int { return int(a & 0xff) }
 // Broadcast is the all-stations address.
 const Broadcast Addr = 0xffff
 
-func (a Addr) String() string { return fmt.Sprintf("%d:%d", a.Node(), a.Port()) }
+func (a Addr) String() string { return strconv.Itoa(a.Node()) + ":" + strconv.Itoa(a.Port()) }
 
 // Type identifies the kind of a MultiEdge frame.
 type Type uint8
@@ -499,18 +500,47 @@ func DecodeMultiPayload(p []byte) ([]SubOp, error) {
 	return subs, nil
 }
 
+// MultiReader walks the sub-ops of a MultiData payload in place: what
+// DecodeMultiPayload returns, one sub-op at a time and with no slice
+// built. The receive path uses it; DecodeMultiPayload stays as the
+// reference it is tested against.
+type MultiReader struct {
+	rest []byte
+	left int
+}
+
+// ReadMultiPayload starts a walk over the MultiData payload p.
+func ReadMultiPayload(p []byte) (MultiReader, error) {
+	if len(p) < multiCountLen {
+		return MultiReader{}, ErrTooShort
+	}
+	return MultiReader{rest: p[multiCountLen:], left: int(binary.BigEndian.Uint16(p))}, nil
+}
+
+// Len returns the number of sub-ops not yet read.
+func (r *MultiReader) Len() int { return r.left }
+
+// Next returns the next sub-op, whose Data aliases the payload. It must
+// not be called once Len is zero.
+func (r *MultiReader) Next() (SubOp, error) {
+	p := r.rest
+	if len(p) < SubOpOverhead {
+		return SubOp{}, ErrTooShort
+	}
+	end := SubOpOverhead + int(binary.BigEndian.Uint16(p[17:]))
+	if len(p) < end {
+		return SubOp{}, ErrTooShort
+	}
+	r.rest, r.left = p[end:], r.left-1
+	return SubOp{
+		OpID:   binary.BigEndian.Uint64(p),
+		Flags:  OpFlags(p[8]),
+		Remote: binary.BigEndian.Uint64(p[9:]),
+		Data:   p[SubOpOverhead:end],
+	}, nil
+}
+
 // DecodeNackPayload parses a NACK payload back into sequence numbers.
 func DecodeNackPayload(p []byte) ([]uint32, error) {
-	if len(p) < 2 {
-		return nil, ErrTooShort
-	}
-	n := int(binary.BigEndian.Uint16(p))
-	if len(p) < 2+4*n {
-		return nil, ErrTooShort
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(p[2+4*i:])
-	}
-	return out, nil
+	return AppendNackSeqs(nil, p)
 }

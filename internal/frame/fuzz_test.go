@@ -3,6 +3,8 @@ package frame
 import (
 	"bytes"
 	"testing"
+
+	"multiedge/internal/race"
 )
 
 // fuzzSeeds builds the seed corpus: one well-formed frame per frame
@@ -99,5 +101,105 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 		if re := MustEncode(dst, src, &h, payload); !bytes.Equal(re, s) {
 			t.Fatalf("seed %d round trip mismatch", i)
 		}
+	}
+}
+
+// checkMultiReader holds the in-place walker to DecodeMultiPayload on one
+// payload: the same sub-ops aliasing the same bytes, and an ErrTooShort
+// exactly where the reference reports one.
+func checkMultiReader(t *testing.T, p []byte) {
+	t.Helper()
+	want, wantErr := DecodeMultiPayload(p)
+	var got []SubOp
+	r, err := ReadMultiPayload(p)
+	for err == nil && r.Len() > 0 {
+		var s SubOp
+		if s, err = r.Next(); err == nil {
+			got = append(got, s)
+		}
+	}
+	if err != wantErr {
+		t.Fatalf("payload %x: walker error %v, DecodeMultiPayload %v", p, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("payload %x: walker read %d sub-ops, DecodeMultiPayload %d", p, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.OpID != w.OpID || g.Flags != w.Flags || g.Remote != w.Remote || len(g.Data) != len(w.Data) ||
+			(len(w.Data) > 0 && &g.Data[0] != &w.Data[0]) {
+			t.Fatalf("payload %x: sub-op %d = %+v, DecodeMultiPayload %+v", p, i, g, w)
+		}
+	}
+}
+
+// multiSeeds is every payload of the frame seed corpus, MultiData or
+// not: the walker has to agree with the reference on garbage too.
+func multiSeeds() [][]byte {
+	var seeds [][]byte
+	for _, s := range fuzzSeeds() {
+		if _, _, _, payload, err := Decode(s); err == nil {
+			seeds = append(seeds, payload)
+		}
+	}
+	full := make([]SubOp, 32)
+	for i := range full {
+		full[i] = SubOp{OpID: uint64(i), Flags: OpFlags(i & 7), Remote: uint64(64 * i), Data: make([]byte, i%5)}
+	}
+	p, err := EncodeMultiPayload(full)
+	if err != nil {
+		panic(err)
+	}
+	return append(seeds, p, []byte{0, 0}, []byte{0, 1}, nil)
+}
+
+// FuzzMultiReader: the walker the receive path uses never disagrees with
+// DecodeMultiPayload, whatever the bytes.
+func FuzzMultiReader(f *testing.F) {
+	for _, s := range multiSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(checkMultiReader)
+}
+
+// TestMultiReaderAgainstDecode runs the fuzz body over the seed corpus,
+// every truncation of it and seeded single-byte corruptions (count and
+// length fields included), and pins that a walk allocates nothing.
+func TestMultiReaderAgainstDecode(t *testing.T) {
+	short := 0
+	for _, p := range multiSeeds() {
+		for cut := 0; cut <= len(p); cut++ {
+			checkMultiReader(t, p[:cut])
+			if _, err := DecodeMultiPayload(p[:cut]); err == ErrTooShort {
+				short++
+			}
+		}
+		for i := 0; i < len(p) && i < 64; i++ {
+			q := append([]byte(nil), p...)
+			q[i] ^= byte(1 + i)
+			checkMultiReader(t, q)
+		}
+	}
+	if short < 100 {
+		t.Errorf("only %d truncated payloads were rejected", short)
+	}
+	if race.Enabled {
+		return // alloc counting is skipped under -race
+	}
+	p := multiSeeds()[len(multiSeeds())-4] // the 32-sub-op payload
+	var ids uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		r, err := ReadMultiPayload(p)
+		for err == nil && r.Len() > 0 {
+			var s SubOp
+			s, err = r.Next()
+			ids += s.OpID
+		}
+	})
+	if allocs != 0 || ids == 0 {
+		t.Errorf("walking 32 sub-ops allocates %v times (ids %d), want 0", allocs, ids)
 	}
 }

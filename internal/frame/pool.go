@@ -145,3 +145,20 @@ func AppendNackPayload(dst []byte, missing []uint32) []byte {
 	}
 	return dst
 }
+
+// AppendNackSeqs is DecodeNackPayload into a reusable scratch slice: the
+// sequence numbers a NACK payload names are appended to dst. The
+// receiving endpoint keeps one scratch and allocates nothing per NACK.
+func AppendNackSeqs(dst []uint32, p []byte) ([]uint32, error) {
+	if len(p) < 2 {
+		return dst, ErrTooShort
+	}
+	n := int(binary.BigEndian.Uint16(p))
+	if len(p) < 2+4*n {
+		return dst, ErrTooShort
+	}
+	for i := range n {
+		dst = append(dst, binary.BigEndian.Uint32(p[2+4*i:]))
+	}
+	return dst, nil
+}

@@ -11,7 +11,6 @@
 package phys
 
 import (
-	"fmt"
 	"sync"
 
 	"multiedge/internal/frame"
@@ -481,10 +480,10 @@ func (p *swInPort) forward(f *Frame) {
 // policy, returning the transmit port the station must send into.
 func (sw *Switch) AttachStation(addr frame.Addr, station Receiver, lp LinkParams, queueCap int) *OutPort {
 	// Downlink: switch -> station, with the switch's drop-tail queue.
-	down := NewOutPort(sw.env, fmt.Sprintf("%s->%v", sw.name, addr), lp, station, queueCap)
+	down := NewOutPort(sw.env, sw.name+"->"+addr.String(), lp, station, queueCap)
 	sw.table[addr] = down
 	// Uplink: station -> switch. The station's own ring bounds it.
-	up := NewOutPort(sw.env, fmt.Sprintf("%v->%s", addr, sw.name), lp, newSwInPort(sw), 0)
+	up := NewOutPort(sw.env, addr.String()+"->"+sw.name, lp, newSwInPort(sw), 0)
 	return up
 }
 
@@ -609,7 +608,7 @@ func NewNIC(env *sim.Env, name string, addr frame.Addr, params NICParams) *NIC {
 	}
 	n := &NIC{
 		env: env, name: name, addr: addr, params: params,
-		dma: sim.NewResource(name + "/dma"),
+		dma: sim.NewResource(name + "/dma").On(env),
 	}
 	n.txDmaFn = func(x any) {
 		f := x.(*Frame)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -111,15 +112,31 @@ func (m *heapModel) check() {
 	if e.Now() != m.now {
 		m.fatalf("Now = %v, reference %v", e.Now(), m.now)
 	}
-	h := e.events
-	for i := range h {
-		if h[i].ev.index != i {
-			m.fatalf("heap[%d].ev.index = %d", i, h[i].ev.index)
-		}
-		if i > 0 && h[i].before(&h[(i-1)/heapArity]) {
-			m.fatalf("heap[%d] orders before its parent", i)
+	if err := checkTiers(e); err != nil {
+		m.fatalf("%v", err)
+	}
+}
+
+// checkTiers verifies the shape of both heaps: every entry knows its
+// index and its tier, and no entry orders before its parent.
+func checkTiers(e *Env) error {
+	for far, h := range map[bool]eventHeap{false: e.events, true: e.later} {
+		for i := range h {
+			if h[i].ev.index != i || h[i].ev.far != far {
+				return fmt.Errorf("heap(far=%v)[%d]: ev.index = %d, ev.far = %v", far, i, h[i].ev.index, h[i].ev.far)
+			}
+			if i > 0 && h[i].before(&h[(i-1)/heapArity]) {
+				return fmt.Errorf("heap(far=%v)[%d] orders before its parent", far, i)
+			}
 		}
 	}
+	return nil
+}
+
+// queuedAt reports whether ev is in the queue right now.
+func (e *Env) queuedAt(ev *event) bool {
+	h := *e.tier(ev)
+	return ev.index < len(h) && h[ev.index].ev == ev
 }
 
 var modelDelays = []Time{0, 0, 1, 1, 2, 3, 5, 8, 40, 2000}
@@ -170,7 +187,7 @@ func (m *heapModel) arm(d Time, daemon bool) (*refHandle, func()) {
 // the queue again on behalf of a later arming.
 func (m *heapModel) noteStale(h *refHandle) {
 	ev := h.t.ev
-	if h.t.gen != ev.gen && ev.index < len(m.env.events) && m.env.events[ev.index].ev == ev {
+	if h.t.gen != ev.gen && m.env.queuedAt(ev) {
 		m.cov.staleOccupied++
 	}
 }

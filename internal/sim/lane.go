@@ -5,7 +5,9 @@ package sim
 // constant-delay wire. Only the head record is represented in the event
 // heap, by one entry the lane owns for good; the records queued behind
 // it wait in a ring, so a server with a hundred jobs queued costs the
-// heap one entry, and running the head re-keys that entry in place.
+// heap one entry, and running the head re-keys that entry in place. The
+// entry lives in the hot tier (Env.events) however far ahead its head
+// is, so re-keying it never has to move it between heaps.
 //
 // A lane is a fast path, never an assumption: every record takes its
 // sequence number from the Env when it is scheduled, exactly as SchedAt

@@ -169,17 +169,12 @@ func (p *laneProgram) timerOp() {
 // record's key and an empty lane has none, and queued counts the rest.
 func (p *laneProgram) checkLanes() {
 	e := p.env
-	for i, h := range e.events {
-		if h.ev.index != i {
-			p.t.Fatalf("heap[%d].ev.index = %d", i, h.ev.index)
-		}
-		if i > 0 && h.before(&e.events[(i-1)/heapArity]) {
-			p.t.Fatalf("heap[%d] orders before its parent", i)
-		}
+	if err := checkTiers(e); err != nil {
+		p.t.Fatal(err)
 	}
 	queued := 0
 	for i, l := range p.lanes {
-		in := l.rep.index < len(e.events) && e.events[l.rep.index].ev == &l.rep
+		in := e.queuedAt(&l.rep)
 		if in != (l.n > 0) {
 			p.t.Fatalf("lane %d holds %d records; its entry in the heap: %v", i, l.n, in)
 		}
@@ -372,5 +367,44 @@ func BenchmarkLaneDispatch(b *testing.B) {
 				b.Fatalf("%d completions, want %d", n, b.N)
 			}
 		})
+	}
+}
+
+// On moves a resource's lane from the first submission that carries a
+// callback to the moment the resource is bound: what is built with the
+// universe is not charged to whichever phase first waits on it.
+func TestResourceOnMakesTheLaneAtBuildTime(t *testing.T) {
+	e := NewEnv(1)
+	lazy := NewResource("lazy")
+	if len(e.lanes) != 0 {
+		t.Fatalf("an unbound resource made %d lanes", len(e.lanes))
+	}
+	bound := NewResource("bound").On(e)
+	if len(e.lanes) != 1 || bound.lane == nil || bound.lane.env != e {
+		t.Fatalf("On made %d lanes, lane %v", len(e.lanes), bound.lane)
+	}
+	if bound.On(e) != bound || len(e.lanes) != 1 {
+		t.Fatalf("a second On made a second lane (%d)", len(e.lanes))
+	}
+	var order []string
+	bound.Submit(e, 5, func() { order = append(order, "bound") })
+	if len(e.lanes) != 1 {
+		t.Fatalf("a submission on a bound resource made a lane (%d)", len(e.lanes))
+	}
+	lazy.Submit(e, 7, func() { order = append(order, "lazy") })
+	if len(e.lanes) != 2 {
+		t.Fatalf("the unbound resource has no lane after its first callback (%d)", len(e.lanes))
+	}
+	if hot, later, lane := e.QueueDepth(); hot != 2 || later != 0 || lane != 0 {
+		t.Fatalf("QueueDepth = %d, %d, %d, want the two lane heads in the hot heap", hot, later, lane)
+	}
+	e.Run()
+	if e.Now() != 7 || strings.Join(order, ",") != "bound,lazy" {
+		t.Fatalf("ran %v by %v", order, e.Now())
+	}
+	// Bound to another universe, the resource takes its lane there.
+	e2 := NewEnv(2)
+	if bound.On(e2); len(e2.lanes) != 1 || bound.lane.env != e2 {
+		t.Fatalf("rebinding made %d lanes on the new Env", len(e2.lanes))
 	}
 }

@@ -106,8 +106,8 @@ func (e *Env) Procs() int {
 
 // Close ends the universe: every live process is unwound where it is
 // parked (deferred calls run, the stack is freed, Done does not fire)
-// and the event queue is dropped, lanes included, which invalidates
-// every Timer. The
+// and the event queue is dropped, both tiers and the lanes, which
+// invalidates every Timer. The
 // creator of the Env calls it when done: a process parked forever pins
 // its goroutine and all it can reach. Close is idempotent and must be
 // called from outside Run. What deferred calls schedule or spawn during
@@ -122,13 +122,15 @@ func (e *Env) Close() {
 			p.release()
 		}
 	}
-	for _, h := range e.events {
-		h.ev.gen++
+	for _, tier := range []eventHeap{e.events, e.later} {
+		for _, h := range tier {
+			h.ev.gen++
+		}
 	}
 	for _, l := range e.lanes {
 		l.drop()
 	}
-	e.events, e.free, e.lanes, e.live, e.queued, e.closed = nil, nil, nil, 0, 0, true
+	e.events, e.later, e.free, e.lanes, e.live, e.queued, e.closed = nil, nil, nil, nil, 0, 0, true
 }
 
 // Sleep suspends the process for d virtual nanoseconds.

@@ -70,8 +70,19 @@ func (r *Resource) occupy(e *Env, work Time) Time {
 	return done
 }
 
-// laneOn returns the completion lane, created on first use: a resource
-// nothing ever waits on costs no lane.
+// On creates the resource's completion lane on e now and returns r.
+// Whoever builds a universe binds its resources, so that the lanes are
+// part of what building costs: left to laneOn they are allocated inside
+// whichever phase first waits on the resource, and a live-heap reading
+// around that phase (the benchmark's bytes_per_conn around the first
+// dial) charges them to it.
+func (r *Resource) On(e *Env) *Resource {
+	r.laneOn(e)
+	return r
+}
+
+// laneOn returns the completion lane, created on first use unless On
+// did it: an unbound resource nothing ever waits on costs no lane.
 func (r *Resource) laneOn(e *Env) *Lane {
 	if r.lane == nil || r.lane.env != e {
 		r.lane = e.NewLane()

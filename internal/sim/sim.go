@@ -29,6 +29,14 @@
 // per-call closure by passing a single pointer-shaped argument to a
 // long-lived func(any). At/After return a *Timer handle (one small
 // allocation).
+//
+// The queue has two tiers of the same heap type. What is scheduled less
+// than tierHorizon ahead — wake-ups, interrupts, and every Lane entry —
+// goes to the hot heap; sleeps and timers go to later, where most of
+// them are stopped or re-armed before they fire. Each event keeps its
+// (at, seq) key wherever it waits and run takes the smaller of the two
+// tops, so the order of execution does not depend on the split; the hot
+// heap is only as deep as what is about to happen.
 package sim
 
 import (
@@ -77,7 +85,8 @@ type event struct {
 	fnArg  func(any) // set instead of fn by the Arg variants
 	arg    any
 	daemon bool // does not keep Run alive (see AfterDaemon)
-	index  int  // position in Env.events while pending
+	far    bool // pending in Env.later, not Env.events
+	index  int  // position in its heap while pending
 	gen    uint64
 	lane   *Lane // set on a lane's own entry, which stands for its head record
 }
@@ -169,14 +178,36 @@ func (h *eventHeap) remove(i int) {
 	}
 }
 
+// tierHorizon splits the queue: an event scheduled at least this far
+// ahead waits in Env.later. Outside lanes, scheduling distances are
+// bimodal — under 2 us (wake-ups, interrupts) or over 128 us (think
+// time, RTO, delayed-ACK and heartbeat timers; DESIGN.md §5.7) — so any
+// value in between gives the same split.
+const tierHorizon = 64 * Microsecond
+
+// tier returns the heap ev is pending in.
+func (e *Env) tier(ev *event) *eventHeap {
+	if ev.far {
+		return &e.later
+	}
+	return &e.events
+}
+
+// enqueue puts a new entry into the tier its distance from now selects.
+func (e *Env) enqueue(x heapEntry) {
+	x.ev.far = x.at-e.now >= tierHorizon
+	e.tier(x.ev).push(x)
+}
+
 // Env is one simulation universe: a clock, an event queue, and a seeded
 // random number generator. Create with NewEnv; drive with Run or RunUntil.
 type Env struct {
 	now    Time
 	seq    uint64
-	events eventHeap
-	free   []*event // recycled event records
-	live   int      // pending non-daemon events
+	events eventHeap // hot tier: lane entries and what was scheduled < tierHorizon ahead
+	later  eventHeap // everything scheduled further ahead
+	free   []*event  // recycled event records
+	live   int       // pending non-daemon events
 	lanes  []*Lane
 	queued int // lane records waiting behind their lane's head
 	rng    *rand.Rand
@@ -259,7 +290,7 @@ func (t *Timer) Stop() bool {
 	if !ev.daemon {
 		e.live--
 	}
-	e.events.remove(ev.index)
+	e.tier(ev).remove(ev.index)
 	e.putEvent(ev)
 	return true
 }
@@ -347,8 +378,14 @@ func (e *Env) rearm(t *Timer, d Time, fn func(), daemon bool) *Timer {
 			ev.daemon = daemon
 		}
 		ev.fn = fn
-		e.events.place(ev.index, heapEntry{at: e.now + d, seq: e.seq, ev: ev})
+		x := heapEntry{at: e.now + d, seq: e.seq, ev: ev}
 		e.seq++
+		if h := e.tier(ev); ev.far == (d >= tierHorizon) {
+			h.place(ev.index, x)
+		} else { // the new distance is on the other side of the horizon
+			h.remove(ev.index)
+			e.enqueue(x)
+		}
 		return t
 	}
 	t.Stop()
@@ -390,7 +427,7 @@ func (e *Env) scheduleEvent(at Time, fn func(), fnArg func(any), arg any, daemon
 	if !daemon {
 		e.live++
 	}
-	e.events.push(heapEntry{at: at, seq: e.seq, ev: ev})
+	e.enqueue(heapEntry{at: at, seq: e.seq, ev: ev})
 	e.seq++
 	return ev
 }
@@ -416,8 +453,16 @@ func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 	e.stopped = false
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.events) > 0 && !e.stopped {
-		top := e.events[0]
+	for !e.stopped {
+		// The next event is the smaller of the two tiers' tops.
+		h := &e.events
+		if len(e.later) > 0 && (len(e.events) == 0 || e.later[0].before(&e.events[0])) {
+			h = &e.later
+		}
+		if len(*h) == 0 {
+			break
+		}
+		top := (*h)[0]
 		if top.at > horizon || (untilLiveDrained && e.live == 0) {
 			break
 		}
@@ -431,7 +476,7 @@ func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 			fn(arg)
 			continue
 		}
-		e.events.remove(0)
+		h.remove(0)
 		if !next.daemon {
 			e.live--
 		}
@@ -452,7 +497,7 @@ func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 // Idle reports whether the queue is empty: no event, daemon or not, is
 // scheduled. Exact and O(1), since stopped events leave the queue at
 // once and a Lane with anything queued keeps its head there.
-func (e *Env) Idle() bool { return len(e.events) == 0 }
+func (e *Env) Idle() bool { return len(e.events)+len(e.later) == 0 }
 
 // PendingLive returns the number of pending events that would keep Run
 // going: scheduled and not daemon.
@@ -463,4 +508,10 @@ func (e *Env) PendingLive() int { return e.live }
 // and O(1). Teardown leak gates use it: after every connection is closed
 // and Run has drained, a nonzero count means some timer survived its
 // owner.
-func (e *Env) PendingEvents() int { return len(e.events) + e.queued }
+func (e *Env) PendingEvents() int { return len(e.events) + len(e.later) + e.queued }
+
+// QueueDepth splits PendingEvents by where the events wait: entries of
+// the hot heap (one per non-empty Lane among them), entries of the later
+// heap, and lane records queued behind their lane's head. The first is
+// the depth that scheduling and running a near event sifts through.
+func (e *Env) QueueDepth() (hot, later, lane int) { return len(e.events), len(e.later), e.queued }
