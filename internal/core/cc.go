@@ -150,7 +150,7 @@ func (c *Conn) ccBacklogged() bool {
 		return false
 	}
 	return c.inflight() >= c.effWindow() &&
-		len(c.txOps)+len(c.sq) >= c.ep.cfg.ccBacklog()
+		len(c.txOps)+c.SQLen() >= c.ep.cfg.ccBacklog()
 }
 
 // ccAdmitFast is the fail-fast admission gate (Post): over the window

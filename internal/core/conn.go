@@ -21,6 +21,14 @@ import (
 // Sequence numbers are 32-bit and compared in serial-number arithmetic
 // throughout, so a connection may run through the wrap
 // (TestSequenceWrap).
+//
+// A Conn holds only what it has needed (DESIGN.md "Connection state"):
+// the ARQ rings and the operation maps are made at their first insert,
+// the receive window only at the first frame that does not arrive in
+// order, timer callbacks at their first arm, and the cold groups —
+// submission/completion queues, recovery, notifications, close — sit
+// behind one pointer each, nil until first use. Scratch and freelists
+// live on the Endpoint, whose protocol thread serializes its conns.
 type Conn struct {
 	ep         *Endpoint
 	localID    uint32
@@ -31,8 +39,7 @@ type Conn struct {
 	established sim.Signal
 	connTimer   *sim.Timer
 	closed      bool
-	closedSig   sim.Signal
-	closeTimer  *sim.Timer
+	closing     *closeState // see closeGroup
 
 	// Scheduler membership (Config.SchedQueue): whether the conn is
 	// currently queued for control/data service at the endpoint.
@@ -63,7 +70,7 @@ type Conn struct {
 	txOps        []*txOp // FIFO: head is being fragmented
 	sndUna       uint32  // oldest unacknowledged sequence number
 	sndNxt       uint32  // next sequence number to assign
-	retrans      *seqRing[*txFrame]
+	retrans      seqRing[*txFrame]
 	retransQ     []uint32 // sequence numbers queued for retransmission
 	txFenced     []uint64 // sorted ids of forward-fenced ops not yet fully acked
 	rr           int      // round-robin link cursor
@@ -78,10 +85,12 @@ type Conn struct {
 	// Receive side: ARQ. Every sequence number in [rcvNxt, maxSeenPlus1)
 	// is either accepted or a gap, and rcv (see rcvSlot) says which in
 	// one window-sized ring: its live span is bounded by the sender's
-	// window, so it cannot grow with connection lifetime.
+	// window, so it cannot grow with connection lifetime. A frame that
+	// arrives at rcvNxt while rcv records nothing never touches it (see
+	// handleData), so a conn that never sees reordering never builds it.
 	rcvNxt       uint32 // cumulative acknowledgement point
 	maxSeenPlus1 uint32 // 1 + highest sequence number accepted
-	rcv          *seqRing[rcvSlot]
+	rcv          seqRing[rcvSlot]
 	gaps         int  // gap records in rcv (bounded by maxTrackedGaps)
 	untracked    bool // some gap may have no record: the cap or stopTimers dropped one this epoch
 	lastNack     sim.Time
@@ -92,42 +101,19 @@ type Conn struct {
 	ackOwed      bool     // a prompt ACK is owed once rcvNxt reaches ackOweTo (see promptAck)
 	ackOweTo     uint32   // valid while ackOwed
 	nackDue      []uint32 // missing list of the NACK to send; emptied by sendCtrl, storage kept
-	// nackScratch is the reused NACK-payload encode buffer: sendCtrl
-	// used to allocate a fresh payload per NACK (frame.EncodeNackPayload),
-	// which under sustained loss was an allocation per repair round.
-	nackScratch []byte
 
-	// Long-lived timer callbacks, built once per conn so the timer
-	// re-arms (RTO on every transmit, delayed-ACK, NACK age, probe,
-	// heartbeat and rail-probe ticks) schedule no per-arm closures and
-	// reuse their Timer handle via sim.Env.Rearm/RearmDaemon. The
-	// optional ones are built on first use (method values allocate).
+	// Long-lived timer callbacks, built at the first arm so the re-arms
+	// (RTO on every transmit, delayed-ACK, NACK age, probe, heartbeat
+	// and rail-probe ticks) schedule no per-arm closures and reuse their
+	// Timer handle via sim.Env.Rearm/RearmDaemon. A method value
+	// allocates, so a conn that never arms a timer never pays for it.
 	onRTOFn     func()
-	ackFn       func()
-	nackFn      func()
-	probeFn     func()
-	cqFlushFn   func() // drains cqStage behind an in-flight WaitCQ wake
+	ackFn       func() // ackTick
+	nackFn      func() // nackTick
+	probeFn     func() // probeTick
 	rdGuardFn   func() // checkReadLiveness
 	hbFn        func() // heartbeatTick
 	railProbeFn func() // railProbeTick
-
-	// Hot-path object recycling (DESIGN.md §13): per-frame and per-op
-	// records whose lifetimes end inside the protocol thread are kept on
-	// freelists instead of churning the heap. Fields are reset at reuse,
-	// never at free — failure paths (failConn) legitimately visit an op
-	// through both its window frames and the txOps queue, and the
-	// completed-flag guard must survive the first visit.
-	tfFree []*txFrame
-	rxFree []*rxOp
-
-	// Doorbell-path scratch (see RingOn/enqueueMulti): the batch
-	// snapshot-pointer slices and the MultiData sub-op encode slice are
-	// reused across rings, so a steady SQ loop allocates nothing beyond
-	// the per-op handles.
-	sqScratch  []Op
-	ringData   [][]byte
-	ringBufs   []*frame.Buf
-	subScratch []frame.SubOp
 
 	// Receive side: ordering and delivery. held is the one reorder
 	// buffer: frames the ordering predicate (canApply) does not admit
@@ -137,27 +123,18 @@ type Conn struct {
 	frontier uint64   // all receive ops with id < frontier are complete
 	fenced   []uint64 // sorted ids of incomplete forward-fenced ops
 	held     []heldFrame
-	notifyQ  sim.Mailbox[Notification]
+	notifyQ  *sim.Mailbox[Notification] // see notifyGroup
 
-	// Submission/completion queues (see op.go): descriptors posted but
-	// not yet issued by a doorbell, and completions awaiting a poll.
-	sq      []Op
-	cq      sim.Mailbox[Completion]
-	cqStage []Completion // records staged behind an in-flight WaitCQ wake
-	cqFlush bool         // a UserWake flush of cqStage is scheduled
+	queues *queueState // submission/completion queues (see op.go); see queueGroup
 
-	// Recovery (Config.Reconnect): connection incarnations and the
-	// supervised reconnect state machine (see reconnect.go).
-	incarnation   uint16     // live epoch stamped into every frame (0 = feature off)
-	pendingIncarn uint16     // epoch the dialer's redial is negotiating
-	dialer        bool       // this side ran Dial and owns redialing
-	reconnecting  bool       // parked: old epoch condemned, handshake pending
-	reconnAttempt int        // redial attempts this outage (dialer side)
-	reconnTotal   int        // reconnects survived over the conn's lifetime
-	reconnSince   sim.Time   // when the outage was detected (0 = none)
-	reconnTimer   *sim.Timer // dialer-side redial backoff
-	reconnGiveUp  *sim.Timer // passive-side bounded wait (daemon)
-	reconnSpan    *obs.Span  // outage→recovered causal span
+	// Recovery (Config.Reconnect): the live epoch, stamped into every
+	// frame, and the two flags every Dial sets and every dispatch reads
+	// stay inline; the reconnect state machine's own state is built at
+	// the first outage (see reconnect.go).
+	incarnation  uint16         // live epoch (0 = feature off)
+	dialer       bool           // this side ran Dial and owns redialing
+	reconnecting bool           // parked: old epoch condemned, handshake pending
+	recov        *recoveryState // see recoveryGroup
 
 	bytesAcked uint64 // payload bytes acknowledged end-to-end, lifetime
 
@@ -168,6 +145,80 @@ type Conn struct {
 	ccRecover   uint32 // no further cut until sndUna reaches this (one cut per flight)
 	ccRetxSent  int    // retransmissions since the last ack progress or RTO
 	ccEcnRx     int    // receiver side: marked frames awaiting an ECN echo
+}
+
+// closeState is the graceful-close handshake of a conn being closed
+// locally (see Close).
+type closeState struct {
+	sig   sim.Signal // fired when the handshake completes or gives up
+	timer *sim.Timer // ConnClose retransmission
+}
+
+// queueState is a conn's submission and completion queues (see op.go):
+// descriptors posted but not yet issued by a doorbell, and completions
+// awaiting a poll.
+type queueState struct {
+	sq      []Op
+	cq      sim.Mailbox[Completion]
+	stage   []Completion // records staged behind an in-flight WaitCQ wake
+	flush   bool         // a UserWake flush of stage is scheduled
+	flushFn func()       // drains stage behind an in-flight WaitCQ wake
+}
+
+// recoveryState is the supervised reconnect state machine's per-conn
+// state (Config.Reconnect, see reconnect.go).
+type recoveryState struct {
+	pendingIncarn uint16     // epoch the dialer's redial is negotiating
+	attempt       int        // redial attempts this outage (dialer side)
+	total         int        // reconnects survived over the conn's lifetime
+	since         sim.Time   // when the outage was detected (0 = none)
+	timer         *sim.Timer // dialer-side redial backoff
+	giveUp        *sim.Timer // passive-side bounded wait (daemon)
+	span          *obs.Span  // outage→recovered causal span
+}
+
+// closeGroup, queueGroup, recoveryGroup and notifyGroup build their
+// group at first use.
+func (c *Conn) closeGroup() *closeState {
+	if c.closing == nil {
+		c.closing = &closeState{}
+	}
+	return c.closing
+}
+
+func (c *Conn) queueGroup() *queueState {
+	if c.queues == nil {
+		q := &queueState{}
+		q.flushFn = func() {
+			q.flush = false
+			stage := q.stage
+			q.stage = nil
+			for _, s := range stage {
+				q.cq.Send(c.ep.env, s)
+			}
+			// Hand the drained backing array back for the next staging run
+			// (Send only schedules wakes, so nothing re-staged mid-loop).
+			if q.stage == nil {
+				q.stage = stage[:0]
+			}
+		}
+		c.queues = q
+	}
+	return c.queues
+}
+
+func (c *Conn) recoveryGroup() *recoveryState {
+	if c.recov == nil {
+		c.recov = &recoveryState{}
+	}
+	return c.recov
+}
+
+func (c *Conn) notifyGroup() *sim.Mailbox[Notification] {
+	if c.notifyQ == nil {
+		c.notifyQ = &sim.Mailbox[Notification]{}
+	}
+	return c.notifyQ
 }
 
 // rail is one physical link's share of a connection's state, transmit
@@ -427,73 +478,64 @@ func (h *Handle) Err() error { return h.err }
 func newConn(ep *Endpoint, localID uint32, remoteNode, links int) *Conn {
 	c := &Conn{
 		ep: ep, localID: localID, remoteNode: remoteNode, links: links,
-		retrans:      newSeqRing[*txFrame](),
-		pendingReads: make(map[uint64]*Handle),
-		rcv:          newSeqRing[rcvSlot](),
-		rails:        make([]rail, links),
-		rxOps:        make(map[uint64]*rxOp),
+		rails: make([]rail, links),
 	}
 	if ep.cfg.ccOn() {
 		c.cwnd = ep.cfg.ccInit()
 	}
-	c.onRTOFn = c.onRTO
-	c.ackFn = func() {
-		if !c.closed && c.unackedRx > 0 {
-			c.ackDue = true
-			c.kick()
-		}
-	}
-	c.nackFn = func() {
-		if c.closed || c.gaps == 0 {
-			return
-		}
-		c.queueNack(true)
-		c.armNackTimer()
-	}
-	c.probeFn = func() {
-		if c.closed || c.deadLinks == 0 {
-			return
-		}
-		for li := range c.rails {
-			if c.rails[li].dead {
-				c.sendProbe(li)
-			}
-		}
-	}
-	c.cqFlushFn = func() {
-		c.cqFlush = false
-		stage := c.cqStage
-		c.cqStage = nil
-		for _, s := range stage {
-			c.cq.Send(c.ep.env, s)
-		}
-		// Hand the drained backing array back for the next staging run
-		// (Send only schedules wakes, so nothing re-staged mid-loop).
-		if c.cqStage == nil {
-			c.cqStage = stage[:0]
-		}
-	}
 	return c
 }
 
-// newTxFrame pulls a transmit-frame record from the conn's freelist
-// (frames die in handleAck or failConn, strictly inside the protocol
-// thread, so recycling is race-free by construction).
+// ackTick is the delayed-ACK timer's callback.
+func (c *Conn) ackTick() {
+	if !c.closed && c.unackedRx > 0 {
+		c.ackDue = true
+		c.kick()
+	}
+}
+
+// nackTick is the NACK-age timer's callback.
+func (c *Conn) nackTick() {
+	if c.closed || c.gaps == 0 {
+		return
+	}
+	c.queueNack(true)
+	c.armNackTimer()
+}
+
+// probeTick is the dead-link probe timer's callback.
+func (c *Conn) probeTick() {
+	if c.closed || c.deadLinks == 0 {
+		return
+	}
+	for li := range c.rails {
+		if c.rails[li].dead {
+			c.sendProbe(li)
+		}
+	}
+}
+
+// newTxFrame pulls a transmit-frame record from the endpoint's freelist
+// (frames die in handleAck, failConn or rebirth, strictly inside the
+// protocol thread, so recycling is race-free by construction).
 func (c *Conn) newTxFrame(op *txOp, seq, offset uint32) *txFrame {
-	if n := len(c.tfFree); n > 0 {
-		tf := c.tfFree[n-1]
-		c.tfFree = c.tfFree[:n-1]
+	ep := c.ep
+	if n := len(ep.tfFree); n > 0 {
+		tf := ep.tfFree[n-1]
+		ep.tfFree = ep.tfFree[:n-1]
 		*tf = txFrame{op: op, seq: seq, offset: offset}
 		return tf
 	}
 	return &txFrame{op: op, seq: seq, offset: offset}
 }
 
-// freeTxFrame recycles tf. Fields are reset at reuse, not here: the
-// caller may still be reading them (failConn frees mid-walk), and no
-// reuse can interleave before the protocol-thread step returns.
+// freeTxFrame recycles tf. It is zeroed on the freelist, which would
+// otherwise pin the op, its handle and its payload snapshot for as long
+// as the record waits; every caller (handleAck, failConn, rebirth) is
+// done with tf's fields when it frees it.
 func (c *Conn) freeTxFrame(tf *txFrame) {
-	c.tfFree = append(c.tfFree, tf)
+	*tf = txFrame{}
+	c.ep.tfFree = append(c.ep.tfFree, tf)
 }
 
 // RemoteNode returns the peer's node id.
@@ -534,7 +576,12 @@ func (c *Conn) Reconnecting() bool { return c.reconnecting }
 
 // Reconnects returns how many supervised reconnects the connection has
 // survived over its lifetime.
-func (c *Conn) Reconnects() int { return c.reconnTotal }
+func (c *Conn) Reconnects() int {
+	if c.recov == nil {
+		return 0
+	}
+	return c.recov.total
+}
 
 // Incarnation returns the connection's live epoch — the value stamped
 // into every frame it sends. Zero means incarnations are unused
@@ -571,6 +618,7 @@ func (c *Conn) Close(p *sim.Proc) {
 	c.stopTimers()
 	c.ep.recEvent(c.localID, obs.RecClosed, 0, 0)
 	ep := c.ep
+	cl := c.closeGroup()
 	attempts := 0
 	var retry func()
 	send := func() {
@@ -581,22 +629,22 @@ func (c *Conn) Close(p *sim.Proc) {
 		ep.nics[0].Transmit(&phys.Frame{Buf: buf, Dst: dst, Src: ep.nics[0].Addr()})
 	}
 	retry = func() {
-		if c.closedSig.Fired() {
+		if cl.sig.Fired() {
 			return
 		}
 		if mr := ep.cfg.MaxRetries; mr > 0 && attempts > mr {
 			// The peer never acknowledged the close: give up unilaterally
 			// rather than retrying forever against a dead host.
 			ep.removeConn(c)
-			c.closedSig.Fire(ep.env)
+			cl.sig.Fire(ep.env)
 			return
 		}
 		attempts++
 		send()
-		c.closeTimer = ep.env.After(ep.cfg.ConnRetry, retry)
+		cl.timer = ep.env.After(ep.cfg.ConnRetry, retry)
 	}
 	ep.env.After(0, retry)
-	p.Wait(&c.closedSig)
+	p.Wait(&cl.sig)
 }
 
 // stopTimers cancels every protocol timer the connection owns and clears
@@ -610,9 +658,12 @@ func (c *Conn) stopTimers() {
 	for _, t := range [...]*sim.Timer{
 		c.ackTimer, c.nackTimer, c.rtoTimer, c.hbTimer,
 		c.railProbe, c.probeTimer, c.readGuard, c.connTimer,
-		c.reconnTimer, c.reconnGiveUp,
 	} {
 		t.Stop() // nil-safe
+	}
+	if r := c.recov; r != nil {
+		r.timer.Stop()
+		r.giveUp.Stop()
 	}
 	c.ackDue = false
 	c.nackDue = nil
@@ -636,8 +687,8 @@ func (c *Conn) stopTimers() {
 }
 
 func (c *Conn) stopCloseTimer() {
-	if c.closeTimer != nil {
-		c.closeTimer.Stop()
+	if c.closing != nil {
+		c.closing.timer.Stop()
 	}
 }
 
@@ -676,16 +727,21 @@ func (c *Conn) frameSpan(opType frame.OpType, opID, local uint64) *obs.Span {
 // returned (and peer death is also observable via Failed/Err).
 func (c *Conn) WaitNotify(p *sim.Proc) Notification {
 	if c.failed {
-		if n, ok := c.notifyQ.TryRecv(); ok {
+		if n, ok := c.PollNotify(); ok {
 			return n
 		}
 		return Notification{From: c.remoteNode, Len: -1}
 	}
-	return c.notifyQ.Recv(p)
+	return c.notifyGroup().Recv(p)
 }
 
 // PollNotify returns a pending notification without blocking.
-func (c *Conn) PollNotify() (Notification, bool) { return c.notifyQ.TryRecv() }
+func (c *Conn) PollNotify() (Notification, bool) {
+	if c.notifyQ == nil {
+		return Notification{}, false
+	}
+	return c.notifyQ.TryRecv()
+}
 
 // ---------------------------------------------------------------------
 // Transmit path.
@@ -1035,12 +1091,12 @@ func (c *Conn) sendFrameOn(h *frame.Header, payload []byte, li int) int {
 func (c *Conn) sendCtrl() {
 	if len(c.nackDue) > 0 {
 		h := frame.Header{Type: frame.TypeNack, ConnID: c.remoteID, Ack: c.rcvNxt, HasAck: true}
-		// Encode into the conn's scratch buffer: a fresh payload slice
+		// Encode into the endpoint's scratch buffer: a fresh payload slice
 		// per NACK was an allocation on every repair round. An empty
 		// missing list never reaches here (the branch requires entries),
 		// so no header-only NACK frame is ever emitted.
-		c.nackScratch = frame.AppendNackPayload(c.nackScratch[:0], c.nackDue)
-		pl := c.nackScratch
+		c.ep.nackScratch = frame.AppendNackPayload(c.ep.nackScratch[:0], c.nackDue)
+		pl := c.ep.nackScratch
 		c.nackDue = c.nackDue[:0] // the next scan appends into it
 		c.ep.Stats.CtrlNacksSent++
 		c.ep.trc(c.localID, trace.TxNack, c.rcvNxt, len(pl))
@@ -1123,6 +1179,9 @@ func (c *Conn) clearLinkFault(li int, sentAt sim.Time) {
 func (c *Conn) armProbeTimer() {
 	if c.closed || (c.probeTimer != nil && c.probeTimer.Pending()) {
 		return
+	}
+	if c.probeFn == nil {
+		c.probeFn = c.probeTick
 	}
 	c.probeTimer = c.ep.env.Rearm(c.probeTimer, c.ep.cfg.LinkProbeInterval, c.probeFn)
 }
@@ -1273,6 +1332,9 @@ func (c *Conn) armRTO() {
 				d = 0
 			}
 		}
+	}
+	if c.onRTOFn == nil {
+		c.onRTOFn = c.onRTO
 	}
 	c.rtoTimer = c.ep.env.Rearm(c.rtoTimer, d, c.onRTOFn)
 }
@@ -1558,9 +1620,9 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 	// A conn that dies mid-reconnect closes its outage span: the outage
 	// ended, just not with a recovery.
 	c.reconnecting = false
-	if c.reconnSpan != nil {
-		c.reconnSpan.EndAt(ep.env.Now())
-		c.reconnSpan = nil
+	if r := c.recov; r != nil && r.span != nil {
+		r.span.EndAt(ep.env.Now())
+		r.span = nil
 	}
 	if sendReset && c.established.Fired() {
 		c.sendResetFrames()
@@ -1595,16 +1657,18 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 	// Posted-but-unrung descriptors never received ids; their error
 	// completions carry OpID 0 and the original Op for correlation. Each
 	// still holds the admission quota Post charged — return it.
-	for _, op := range c.sq {
-		ep.Stats.OpsFailed++
-		if ep.qosOn() {
-			ep.qosUncharge(c.opClass(op), 1, op.Size)
+	if q := c.queues; q != nil {
+		for _, op := range q.sq {
+			ep.Stats.OpsFailed++
+			if ep.qosOn() {
+				ep.qosUncharge(c.opClass(op), 1, op.Size)
+			}
+			c.pushCompletion(Completion{Op: op, Err: cause})
 		}
-		c.pushCompletion(Completion{Op: op, Err: cause})
-	}
-	if n := len(c.sq); n > 0 {
-		c.sq = nil
-		ep.noteSQDepth(-n)
+		if n := len(q.sq); n > 0 {
+			q.sq = nil
+			ep.noteSQDepth(-n)
+		}
 	}
 	c.retrans.clear()
 	c.retransQ = nil
@@ -1614,7 +1678,7 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 	// Wake processes parked in WaitNotify with one poison notification
 	// each; with c.failed set, later calls return the poison without
 	// parking. No caller may hang on a dead peer.
-	for c.notifyQ.HasWaiters() {
+	for c.notifyQ != nil && c.notifyQ.HasWaiters() {
 		c.notifyQ.Send(ep.env, Notification{From: c.remoteNode, Len: -1})
 	}
 	ep.removeConn(c)
@@ -1750,7 +1814,20 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 		c.ackAccepted(&h)
 		return
 	}
-	// Selective repeat.
+	// Selective repeat. The frame the cumulative point waits for, while
+	// the window records nothing, would be recorded and pruned at once:
+	// it just advances rcvNxt (maxSeenPlus1 == rcvNxt whenever rcv is
+	// empty, as its highest accepted record outlives every gap below it),
+	// and the ring is built only by a frame that arrives out of order.
+	if seq == c.rcvNxt && c.rcv.size() == 0 {
+		c.rcvNxt++
+		c.maxSeenPlus1 = c.rcvNxt
+		ep.Stats.Arrivals++
+		c.nackTimer.Stop()
+		c.acceptData(h, payload)
+		c.ackAccepted(&h)
+		return
+	}
 	slot, tracked := c.rcv.get(seq)
 	if int32(seq-c.rcvNxt) < 0 || slot.accepted {
 		ep.Stats.Duplicates++
@@ -1851,6 +1928,9 @@ func seqCmp(a, b uint32) int { return int(int32(a - b)) }
 func (c *Conn) armNackTimer() {
 	if c.closed || c.nackTimer.Pending() {
 		return
+	}
+	if c.nackFn == nil {
+		c.nackFn = c.nackTick
 	}
 	c.nackTimer = c.ep.env.Rearm(c.nackTimer, c.ep.cfg.NackDelay, c.nackFn)
 }
@@ -1960,6 +2040,9 @@ func (c *Conn) ackPolicy() {
 		return
 	}
 	if !c.ackTimer.Pending() {
+		if c.ackFn == nil {
+			c.ackFn = c.ackTick
+		}
 		c.ackTimer = c.ep.env.Rearm(c.ackTimer, c.ep.cfg.AckDelay, c.ackFn)
 	}
 }
@@ -2106,9 +2189,10 @@ func (c *Conn) noteUnheld(heldAt sim.Time) {
 func (c *Conn) getRxOp(h frame.Header) *rxOp {
 	op, ok := c.rxOps[h.OpID]
 	if !ok {
-		if n := len(c.rxFree); n > 0 {
-			op = c.rxFree[n-1]
-			c.rxFree = c.rxFree[:n-1]
+		ep := c.ep
+		if n := len(ep.rxFree); n > 0 {
+			op = ep.rxFree[n-1]
+			ep.rxFree = ep.rxFree[:n-1]
 		} else {
 			op = &rxOp{}
 		}
@@ -2121,6 +2205,9 @@ func (c *Conn) getRxOp(h frame.Header) *rxOp {
 			// A duplicate of an op already completed and garbage
 			// collected cannot occur (ARQ dedupes), but guard anyway.
 			op.complete = true
+		}
+		if c.rxOps == nil {
+			c.rxOps = make(map[uint64]*rxOp)
 		}
 		c.rxOps[h.OpID] = op
 		if op.flags&frame.FenceAfter != 0 && !op.complete {
@@ -2279,7 +2366,7 @@ func (c *Conn) completeRxOp(op *rxOp) {
 		if f == op {
 			collected = true
 		} else {
-			c.rxFree = append(c.rxFree, f)
+			ep.rxFree = append(ep.rxFree, f)
 		}
 	}
 	if op.flags&frame.Solicit != 0 {
@@ -2295,9 +2382,9 @@ func (c *Conn) completeRxOp(op *rxOp) {
 	if op.flags&frame.Notify != 0 && op.opType == frame.OpWrite {
 		ep.Stats.Notifies++
 		n := Notification{From: c.remoteNode, OpID: op.id, Addr: op.remote, Len: int(op.total)}
-		q := &c.notifyQ
-		if ep.notifyAll != nil {
-			q = ep.notifyAll
+		q := ep.notifyAll
+		if q == nil {
+			q = c.notifyGroup()
 		}
 		ep.cpus.Proto.Submit(ep.env, ep.costs.UserWake, func() { q.Send(ep.env, n) })
 	}
@@ -2315,7 +2402,7 @@ func (c *Conn) completeRxOp(op *rxOp) {
 		}
 	}
 	if collected {
-		c.rxFree = append(c.rxFree, op)
+		ep.rxFree = append(ep.rxFree, op)
 	}
 }
 

@@ -47,7 +47,19 @@ type Endpoint struct {
 	fireSigFn    func(any) // arg *sim.Signal: user wake (handle/CQ completion)
 	rxStepFn     func()    // dispatches rx, the frame pollRx took
 	rx           rxJob
-	nackSeqs     []uint32 // the list of the NACK being handled, decoded in place of a fresh slice
+
+	// Scratch and freelists shared by the endpoint's conns (DESIGN.md
+	// §13). The protocol thread serializes them: nothing here is held
+	// across a park, except by RingOn, which takes its slices off the
+	// endpoint for the walk and hands them back after it.
+	nackSeqs    []uint32      // the list of the NACK being handled, decoded in place of a fresh slice
+	nackScratch []byte        // the payload of the NACK being sent (see sendCtrl)
+	tfFree      []*txFrame    // acknowledged or abandoned transmit-frame records
+	rxFree      []*rxOp       // frontier-collected receive-op records
+	sqScratch   []Op          // spare submission-queue backing (see RingOn)
+	ringData    [][]byte      // RingOn's write snapshots
+	ringBufs    []*frame.Buf  // and their pooled backings
+	subScratch  []frame.SubOp // enqueueMulti's encode input
 
 	qosDispatchCls int // class of the in-flight sendStepFn dispatch
 
@@ -599,9 +611,9 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		// handshake completes here too: the peer has committed to
 		// teardown, and its side answers our retransmitted ConnClose
 		// statelessly even after it forgets the conn.
-		if c.closed && !c.failed && !c.closedSig.Fired() {
+		if cl := c.closing; c.closed && !c.failed && cl != nil && !cl.sig.Fired() {
 			c.stopCloseTimer()
-			c.closedSig.Fire(ep.env)
+			cl.sig.Fire(ep.env)
 		}
 		c.closed = true
 		c.stopTimers()
@@ -614,9 +626,9 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		return
 	}
 	if h.Type == frame.TypeConnCloseAck {
-		if !c.closedSig.Fired() {
+		if cl := c.closeGroup(); !cl.sig.Fired() {
 			c.stopCloseTimer()
-			c.closedSig.Fire(ep.env)
+			cl.sig.Fire(ep.env)
 			ep.removeConn(c)
 		}
 		return
@@ -805,7 +817,7 @@ func (ep *Endpoint) handleConnAck(_ frame.Addr, h frame.Header) {
 		return
 	}
 	if c.established.Fired() {
-		if ep.cfg.Reconnect && c.reconnecting && c.dialer && h.Incarnation == c.pendingIncarn {
+		if ep.cfg.Reconnect && c.reconnecting && c.dialer && h.Incarnation == c.recoveryGroup().pendingIncarn {
 			// The acceptor answered our redial: the successor epoch is
 			// live on both sides. Duplicate acks (h.Incarnation already
 			// installed, reconnecting false) fall through harmlessly.

@@ -11,11 +11,17 @@ import "multiedge/internal/sim"
 // against.
 func (c *Conn) PendingTimersForTest() int {
 	n := 0
-	for _, t := range []interface{ Pending() bool }{
+	timers := []*sim.Timer{
 		c.ackTimer, c.nackTimer, c.rtoTimer, c.hbTimer,
-		c.probeTimer, c.readGuard, c.connTimer, c.closeTimer,
-		c.reconnTimer, c.reconnGiveUp,
-	} {
+		c.probeTimer, c.readGuard, c.connTimer,
+	}
+	if c.closing != nil {
+		timers = append(timers, c.closing.timer)
+	}
+	if c.recov != nil {
+		timers = append(timers, c.recov.timer, c.recov.giveUp)
+	}
+	for _, t := range timers {
 		if t != nil && t.Pending() {
 			n++
 		}
@@ -100,6 +106,18 @@ func (c *Conn) SetSeqBaseForTest(base uint32) {
 // RTO, so the loss-burst regression can assert the wire invariant
 // retxSent <= cwnd while recovery is in flight.
 func (c *Conn) CcStateForTest() (cwnd, retxSent int) { return c.cwnd, c.ccRetxSent }
+
+// BuiltStateForTest says which pieces of a conn's by-use state exist:
+// the receive window's ring, and the SQ/CQ, recovery, notification and
+// close groups.
+type BuiltStateForTest struct{ Rcv, Queues, Recovery, Notify, Close bool }
+
+func (c *Conn) BuiltStateForTest() BuiltStateForTest {
+	return BuiltStateForTest{
+		Rcv: c.rcv.slots != nil, Queues: c.queues != nil, Recovery: c.recov != nil,
+		Notify: c.notifyQ != nil, Close: c.closing != nil,
+	}
+}
 
 // MaxNackForTest and MaxTrackedGapsForTest expose the protocol caps.
 const (

@@ -16,15 +16,15 @@ func (c *Conn) Health() obs.ConnHealth {
 		Peer:        c.remoteNode,
 		State:       c.healthState(),
 		Incarnation: c.incarnation,
-		Reconnects:  c.reconnTotal,
+		Reconnects:  c.Reconnects(),
 		SRTTUs:      float64(c.rtt.srtt) / 1000,
 		RTTVarUs:    float64(c.rtt.rttvar) / 1000,
 		RTOUs:       float64(c.currentRTO()) / 1000,
 		Inflight:    c.inflight(),
 		Window:      c.ep.cfg.Window,
 		Cwnd:        c.cwnd,
-		SQDepth:     len(c.sq),
-		CQDepth:     c.cq.Len(),
+		SQDepth:     c.SQLen(),
+		CQDepth:     c.CQLen(),
 		BytesAcked:  c.bytesAcked,
 	}
 	h.Rails = make([]obs.RailHealth, c.links)

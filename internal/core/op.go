@@ -240,6 +240,9 @@ func (c *Conn) enqueueOp(op Op, data []byte, dataBuf *frame.Buf, viaCQ bool) *Ha
 		h.cq = true
 	}
 	if op.Kind == frame.OpRead {
+		if c.pendingReads == nil {
+			c.pendingReads = make(map[uint64]*Handle)
+		}
 		c.pendingReads[t.id] = t.h
 	}
 	if op.Flags&frame.FenceAfter != 0 {
@@ -322,7 +325,8 @@ func (c *Conn) Post(op Op) error {
 			return fmt.Errorf("core: class %d to node %d: %w", cls, c.remoteNode, ErrThrottled)
 		}
 	}
-	c.sq = append(c.sq, op)
+	q := c.queueGroup()
+	q.sq = append(q.sq, op)
 	c.ep.noteSQDepth(1)
 	return nil
 }
@@ -358,25 +362,28 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 	if c.closed {
 		return 0, fmt.Errorf("core: doorbell on closed connection to node %d: %w", c.remoteNode, ErrClosed)
 	}
-	n := len(c.sq)
+	n := c.SQLen()
 	if n == 0 {
 		return 0, nil
 	}
-	batch := c.sq
-	// Hand the previous ring's batch backing to the SQ for the next
-	// Post run; descriptors posted while this ring's Exec blocks land
-	// there, untouched by the walk below.
-	c.sq = c.sqScratch
-	c.sqScratch = nil
-	ep := c.ep
+	q, ep := c.queues, c.ep
+	batch := q.sq
+	// Hand the endpoint's spare batch backing to the SQ for the next Post
+	// run; descriptors posted while this ring's Exec blocks land there,
+	// untouched by the walk below. Every scratch slice is taken off the
+	// endpoint for the walk and handed back after it, so a ring of
+	// another conn during the Exec park finds the slot empty and
+	// allocates its own instead of sharing this one.
+	q.sq = ep.sqScratch
+	ep.sqScratch = nil
 	ep.noteSQDepth(-n)
 	// Snapshot write payloads at ring time (the doorbell is the issue
 	// point), before the batched cost is charged — mirroring DoOn's
-	// snapshot-before-Exec order. The snapshot-pointer slices are conn
-	// scratch (reused ring to ring); small payloads snapshot into pooled
-	// buffers whose ownership transfers to the issued txOps.
-	data, bufs := c.ringData[:0], c.ringBufs[:0]
-	c.ringData, c.ringBufs = nil, nil
+	// snapshot-before-Exec order. The snapshot-pointer slices are
+	// endpoint scratch (reused ring to ring); small payloads snapshot
+	// into pooled buffers whose ownership transfers to the issued txOps.
+	data, bufs := ep.ringData[:0], ep.ringBufs[:0]
+	ep.ringData, ep.ringBufs = nil, nil
 	copyBytes := 0
 	for _, op := range batch {
 		var d []byte
@@ -433,9 +440,12 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 		i++
 	}
 	// Recycle the walk's scratch: the batch backing feeds the next ring's
-	// Post run, the snapshot-pointer slices the next ring's walk.
-	c.sqScratch = batch[:0]
-	c.ringData, c.ringBufs = data[:0], bufs[:0]
+	// Post run, the snapshot-pointer slices the next ring's walk. The
+	// snapshots belong to the issued ops now; the spare slice must not
+	// keep them reachable.
+	clear(data)
+	ep.sqScratch = batch[:0]
+	ep.ringData, ep.ringBufs = data[:0], bufs[:0]
 	return n, nil
 }
 
@@ -471,7 +481,7 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 	// subs is encode-input scratch (reused across rings); recs is owned
 	// by the txOp and allocated per batch — one allocation amortized
 	// over the whole coalesce run.
-	subs := c.subScratch[:0]
+	subs := ep.subScratch[:0]
 	recs := make([]multiSub, len(ops))
 	fenced := false
 	for i, op := range ops {
@@ -497,7 +507,7 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 	if err != nil {
 		panic(err) // Ring's packer keeps the batch under MaxPayload
 	}
-	c.subScratch = subs[:0]
+	ep.subScratch = subs[:0]
 	t := &txOp{
 		id: recs[len(recs)-1].id, opType: frame.OpWrite,
 		data: payload, dataBuf: pb, total: uint32(len(payload)), subs: recs,
@@ -526,17 +536,30 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 }
 
 // SQLen returns the number of descriptors posted but not yet rung.
-func (c *Conn) SQLen() int { return len(c.sq) }
+func (c *Conn) SQLen() int {
+	if c.queues == nil {
+		return 0
+	}
+	return len(c.queues.sq)
+}
 
 // CQLen returns the number of completions waiting to be polled.
-func (c *Conn) CQLen() int { return c.cq.Len() }
+func (c *Conn) CQLen() int {
+	if c.queues == nil {
+		return 0
+	}
+	return c.queues.cq.Len()
+}
 
 // PollCQ returns the oldest pending completion without blocking. Polling
 // is free: the protocol thread deposits completion records into the
 // user-visible queue as part of acknowledgement processing, and reading
 // them needs no kernel crossing.
 func (c *Conn) PollCQ() (Completion, bool) {
-	comp, ok := c.cq.TryRecv()
+	if c.queues == nil {
+		return Completion{}, false
+	}
+	comp, ok := c.queues.cq.TryRecv()
 	if ok {
 		c.ep.noteCQDepth(-1)
 	}
@@ -547,7 +570,7 @@ func (c *Conn) PollCQ() (Completion, bool) {
 // it. A blocked waiter is woken by the protocol CPU at UserWake cost,
 // like a handle Wait.
 func (c *Conn) WaitCQ(p *sim.Proc) Completion {
-	comp := c.cq.Recv(p)
+	comp := c.queueGroup().cq.Recv(p)
 	c.ep.noteCQDepth(-1)
 	return comp
 }
@@ -560,16 +583,16 @@ func (c *Conn) WaitCQ(p *sim.Proc) Completion {
 // completes a whole batch wakes the waiter once, and the waiter reads
 // the rest of the queue without further kernel involvement.
 func (c *Conn) pushCompletion(comp Completion) {
-	ep := c.ep
+	ep, q := c.ep, c.queueGroup()
 	ep.noteCQDepth(1)
-	if !c.cq.HasWaiters() && !c.cqFlush {
-		c.cq.Send(ep.env, comp)
+	if !q.cq.HasWaiters() && !q.flush {
+		q.cq.Send(ep.env, comp)
 		return
 	}
-	c.cqStage = append(c.cqStage, comp)
-	if c.cqFlush {
+	q.stage = append(q.stage, comp)
+	if q.flush {
 		return
 	}
-	c.cqFlush = true
-	ep.cpus.Proto.Submit(ep.env, ep.costs.UserWake, c.cqFlushFn)
+	q.flush = true
+	ep.cpus.Proto.Submit(ep.env, ep.costs.UserWake, q.flushFn)
 }

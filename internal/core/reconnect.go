@@ -73,14 +73,14 @@ func (c *Conn) enterReconnect(cause error, sendReset bool) {
 		return
 	}
 	_ = cause // the outage is transient by intent; errors surface only on give-up
-	ep := c.ep
+	ep, r := c.ep, c.recoveryGroup()
 	ep.recEvent(c.localID, obs.RecReconnect, int64(c.incarnation), 0)
 	c.reconnecting = true
-	c.reconnSince = ep.env.Now()
-	c.reconnAttempt = 0
+	r.since = ep.env.Now()
+	r.attempt = 0
 	c.stopTimers()
-	if c.reconnSpan == nil && ep.obs.SpansEnabled() {
-		c.reconnSpan = ep.obs.StartLayerSpan(ep.node, "core", "reconnect", 0)
+	if r.span == nil && ep.obs.SpansEnabled() {
+		r.span = ep.obs.StartLayerSpan(ep.node, "core", "reconnect", 0)
 	}
 	if sendReset {
 		// Tell the peer the epoch is condemned so it parks promptly too
@@ -88,7 +88,7 @@ func (c *Conn) enterReconnect(cause error, sendReset bool) {
 		c.sendResetFrames()
 	}
 	if c.dialer {
-		c.pendingIncarn = nextIncarnation(c.incarnation)
+		r.pendingIncarn = nextIncarnation(c.incarnation)
 		c.scheduleRedial(0)
 		return
 	}
@@ -96,7 +96,7 @@ func (c *Conn) enterReconnect(cause error, sendReset bool) {
 	// timer is a daemon — a parked conn must not keep a drained
 	// simulation alive on its own.
 	wait := c.passiveWait()
-	c.reconnGiveUp = ep.env.AfterDaemon(wait, func() {
+	r.giveUp = ep.env.AfterDaemon(wait, func() {
 		if c.closed || !c.reconnecting {
 			return
 		}
@@ -126,7 +126,7 @@ func (c *Conn) passiveWait() sim.Time {
 }
 
 func (c *Conn) scheduleRedial(d sim.Time) {
-	c.reconnTimer = c.ep.env.After(d, c.redial)
+	c.recov.timer = c.ep.env.After(d, c.redial)
 }
 
 // redial sends one reconnect ConnReq carrying the proposed incarnation
@@ -138,23 +138,23 @@ func (c *Conn) redial() {
 	if c.closed || !c.reconnecting {
 		return
 	}
-	ep := c.ep
-	if c.reconnAttempt >= ep.cfg.reconnectBudget() {
+	ep, r := c.ep, c.recov
+	if r.attempt >= ep.cfg.reconnectBudget() {
 		ep.Stats.ReconnectsFailed++
 		c.failConn(fmt.Errorf("core: connection to node %d: reconnect failed after %d attempts: %w",
-			c.remoteNode, c.reconnAttempt, ErrPeerDead), false)
+			c.remoteNode, r.attempt, ErrPeerDead), false)
 		return
 	}
-	c.reconnAttempt++
-	ep.recEvent(c.localID, obs.RecRedial, int64(c.reconnAttempt), int64(c.pendingIncarn))
+	r.attempt++
+	ep.recEvent(c.localID, obs.RecRedial, int64(r.attempt), int64(r.pendingIncarn))
 	h := frame.Header{Type: frame.TypeConnReq, ConnID: c.localID,
-		OpID: uint64(c.links), Incarnation: c.pendingIncarn}
+		OpID: uint64(c.links), Incarnation: r.pendingIncarn}
 	dst := frame.NewAddr(c.remoteNode, 0)
 	buf := frame.MustEncode(dst, ep.nics[0].Addr(), &h, nil)
 	ep.nics[0].Transmit(&phys.Frame{Buf: buf, Dst: dst, Src: ep.nics[0].Addr()})
 	base, max := ep.cfg.reconnectBackoff()
 	d := base
-	for i := 1; i < c.reconnAttempt && d < max; i++ {
+	for i := 1; i < r.attempt && d < max; i++ {
 		d *= 2
 	}
 	if d > max {
@@ -173,12 +173,13 @@ func (c *Conn) acceptReconnect(inc uint16) {
 		return
 	}
 	if !c.reconnecting {
+		r := c.recoveryGroup()
 		c.ep.recEvent(c.localID, obs.RecReconnect, int64(c.incarnation), 1)
 		c.reconnecting = true
-		c.reconnSince = c.ep.env.Now()
+		r.since = c.ep.env.Now()
 		c.stopTimers()
-		if c.reconnSpan == nil && c.ep.obs.SpansEnabled() {
-			c.reconnSpan = c.ep.obs.StartLayerSpan(c.ep.node, "core", "reconnect", 0)
+		if r.span == nil && c.ep.obs.SpansEnabled() {
+			r.span = c.ep.obs.StartLayerSpan(c.ep.node, "core", "reconnect", 0)
 		}
 	}
 	c.rebirth(inc)
@@ -187,7 +188,7 @@ func (c *Conn) acceptReconnect(inc uint16) {
 // completeReconnect runs on the dialer when the ConnAck for its
 // proposed incarnation arrives.
 func (c *Conn) completeReconnect() {
-	c.rebirth(c.pendingIncarn)
+	c.rebirth(c.recov.pendingIncarn)
 }
 
 // rebirth installs epoch inc: journal every incomplete send-side
@@ -196,14 +197,10 @@ func (c *Conn) completeReconnect() {
 // original operation ids. Iteration orders are deterministic (sequence
 // walk, FIFO slice, sorted ids) so recovery runs replay bit-identically.
 func (c *Conn) rebirth(inc uint16) {
-	ep := c.ep
+	ep, r := c.ep, c.recoveryGroup()
 	now := ep.env.Now()
-	if c.reconnTimer != nil {
-		c.reconnTimer.Stop()
-	}
-	if c.reconnGiveUp != nil {
-		c.reconnGiveUp.Stop()
-	}
+	r.timer.Stop()
+	r.giveUp.Stop()
 
 	// Journal: in-window frames' ops first (oldest outstanding work),
 	// then queued ops, then reads whose requests were fully acked — their
@@ -310,22 +307,22 @@ func (c *Conn) rebirth(inc uint16) {
 
 	c.incarnation = inc
 	ep.recEvent(c.localID, obs.RecRebirth, int64(inc), int64(len(journal)))
-	c.pendingIncarn = 0
+	r.pendingIncarn = 0
 	c.reconnecting = false
-	c.reconnTotal++
+	r.total++
 	ep.Stats.Reconnects++
-	if ep.reconnHist != nil && c.reconnSince > 0 {
-		ep.reconnHist.Observe(float64(now-c.reconnSince) / 1000)
+	if ep.reconnHist != nil && r.since > 0 {
+		ep.reconnHist.Observe(float64(now-r.since) / 1000)
 	}
 	if ep.redialHist != nil && c.dialer {
-		ep.redialHist.Observe(float64(c.reconnAttempt))
+		ep.redialHist.Observe(float64(r.attempt))
 	}
-	c.reconnAttempt = 0
-	if c.reconnSpan != nil {
-		c.reconnSpan.EndAt(now)
-		c.reconnSpan = nil
+	r.attempt = 0
+	if r.span != nil {
+		r.span.EndAt(now)
+		r.span = nil
 	}
-	c.reconnSince = 0
+	r.since = 0
 	c.startKeepalive() // resets lastHeard/lastTx/lastProgress, re-arms the hb tick
 	c.kick()
 }

@@ -11,7 +11,8 @@ package core
 //
 // Keys are sequence numbers compared in modular (serial-number)
 // arithmetic. The ring is built for the flight a connection has, not
-// the one it is allowed: it starts at seqRingMin slots and doubles when
+// the one it is allowed: the zero value is an empty ring with no slots,
+// the first put makes seqRingMin of them, and it doubles when
 // a put finds its slot held by another live key, so a conn whose
 // congestion window stays at a handful of frames never pays for
 // Config.Window, and a live span wider than any fixed bound (a peer
@@ -20,7 +21,7 @@ package core
 type seqRing[T any] struct {
 	slots []seqSlot[T]
 	mask  uint32
-	live  int // occupied slots
+	live  int32 // occupied slots
 }
 
 type seqSlot[T any] struct {
@@ -31,15 +32,13 @@ type seqSlot[T any] struct {
 
 const seqRingMin = 16
 
-func newSeqRing[T any]() *seqRing[T] {
-	return &seqRing[T]{slots: make([]seqSlot[T], seqRingMin), mask: seqRingMin - 1}
-}
-
-// get returns the value stored under s, if any.
+// get returns the value stored under s, if any. Every read and del is
+// safe on a ring whose slots were never made: it is empty.
 func (r *seqRing[T]) get(s uint32) (T, bool) {
-	sl := &r.slots[s&r.mask]
-	if sl.full && sl.seq == s {
-		return sl.val, true
+	if r.live > 0 {
+		if sl := &r.slots[s&r.mask]; sl.full && sl.seq == s {
+			return sl.val, true
+		}
 	}
 	var zero T
 	return zero, false
@@ -47,12 +46,18 @@ func (r *seqRing[T]) get(s uint32) (T, bool) {
 
 // has reports whether s is present (set-style use).
 func (r *seqRing[T]) has(s uint32) bool {
+	if r.live == 0 {
+		return false
+	}
 	sl := &r.slots[s&r.mask]
 	return sl.full && sl.seq == s
 }
 
 // put stores v under s, overwriting any previous value.
 func (r *seqRing[T]) put(s uint32, v T) {
+	if r.slots == nil {
+		r.slots, r.mask = make([]seqSlot[T], seqRingMin), seqRingMin-1
+	}
 	sl := &r.slots[s&r.mask]
 	for sl.full && sl.seq != s {
 		r.grow()
@@ -89,6 +94,9 @@ retry:
 
 // del removes s if present.
 func (r *seqRing[T]) del(s uint32) {
+	if r.live == 0 {
+		return
+	}
 	sl := &r.slots[s&r.mask]
 	if sl.full && sl.seq == s {
 		var zero T
@@ -99,7 +107,7 @@ func (r *seqRing[T]) del(s uint32) {
 }
 
 // size returns the number of live entries.
-func (r *seqRing[T]) size() int { return r.live }
+func (r *seqRing[T]) size() int { return int(r.live) }
 
 // clear empties the ring in place, keeping the slot array.
 func (r *seqRing[T]) clear() {

@@ -13,7 +13,7 @@ import (
 // get/put/del/size round-trips, overwrite, and growth for live spans
 // wider than the ring.
 func TestSeqRingBasics(t *testing.T) {
-	r := newSeqRing[int]()
+	r := &seqRing[int]{}
 	if r.size() != 0 {
 		t.Fatalf("fresh ring size %d", r.size())
 	}
@@ -99,13 +99,17 @@ type refWindow struct {
 	accepted, gap        map[uint32]bool
 }
 
-func (r *refWindow) arrive(seq uint32) {
+// arrive applies one arrival and reports how handleData must have
+// classified it: a duplicate, or accepted below the highest sequence
+// number seen so far (out of order).
+func (r *refWindow) arrive(seq uint32) (dup, ooo bool) {
 	if int32(seq-r.rcvNxt) < 0 || r.accepted[seq] {
-		return // duplicate
+		return true, false
 	}
 	r.accepted[seq] = true
 	delete(r.gap, seq)
-	if int32(seq-r.maxSeenPlus1) >= 0 {
+	ooo = int32(seq-r.maxSeenPlus1) < 0
+	if !ooo {
 		for s := r.maxSeenPlus1; s != seq; s++ {
 			if len(r.gap) < maxTrackedGaps {
 				r.gap[s] = true
@@ -117,6 +121,47 @@ func (r *refWindow) arrive(seq uint32) {
 		delete(r.accepted, r.rcvNxt)
 		r.rcvNxt++
 	}
+	return false, ooo
+}
+
+// deliverData injects one header-only data frame into handleData.
+func deliverData(c *Conn, seq uint32) {
+	c.handleData(frame.Header{Type: frame.TypeData, ConnID: 1, Seq: seq,
+		OpID: uint64(seq), OpType: frame.OpWrite}, nil, 0)
+}
+
+// arriveBoth delivers seq to the conn and to the reference, holds the
+// conn's duplicate / out-of-order / arrival counters and its ACK state
+// to the reference's verdict, and reports whether the arrival was one
+// the in-order path serves: at rcvNxt with nothing recorded.
+func arriveBoth(t *testing.T, c *Conn, ref *refWindow, seq uint32) (fast bool) {
+	t.Helper()
+	fast = seq == c.rcvNxt && c.rcv.size() == 0
+	st := c.ep.Stats
+	c.ackDue = false
+	deliverData(c, seq)
+	dup, ooo := ref.arrive(seq)
+	got := c.ep.Stats
+	switch {
+	case got.Duplicates-st.Duplicates != count(dup):
+		t.Fatalf("seq %d: duplicate counted %d times, reference says %v", seq, got.Duplicates-st.Duplicates, dup)
+	case got.Arrivals-st.Arrivals != count(!dup):
+		t.Fatalf("seq %d: arrival counted %d times, reference duplicate=%v", seq, got.Arrivals-st.Arrivals, dup)
+	case got.OOOArrivals-st.OOOArrivals != count(ooo):
+		t.Fatalf("seq %d: out-of-order counted %d times, reference says %v", seq, got.OOOArrivals-st.OOOArrivals, ooo)
+	case dup && !c.ackDue:
+		t.Fatalf("seq %d: a duplicate was not re-acknowledged", seq)
+	}
+	return fast
+}
+
+// count is 1 for true: how many times an event the reference predicts
+// must have been counted.
+func count(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // checkRcvWindow compares the conn's receive window with the reference
@@ -153,30 +198,32 @@ func checkRcvWindow(t *testing.T, c *Conn, ref *refWindow, lo, hi uint32) {
 	}
 }
 
-// TestRcvWindowAgainstReference drives the one-ring receive window with
-// what a lossy multi-rail fabric delivers and holds it to refWindow.
-// "random": seeded flights as wide as a sender can make them (Window + 64
-// sequence numbers of probe slack), each in a random order with drops repaired late and
-// duplicates, across the sequence wrap, checked record by record after
-// every arrival; at Window 512 a flight opens more gaps than
-// maxTrackedGaps, so the cap is exercised too. "million": the
-// bounded-growth regression — a million frames through a steady loss
-// pattern never grow the ring beyond the window it was configured for.
+// startRef moves c's receive window to base and returns a reference
+// window at the same point.
+func startRef(c *Conn, base uint32) *refWindow {
+	c.rcvNxt, c.maxSeenPlus1 = base, base
+	return &refWindow{rcvNxt: base, maxSeenPlus1: base, accepted: map[uint32]bool{}, gap: map[uint32]bool{}}
+}
+
+// TestRcvWindowAgainstReference drives the receive window — the in-order
+// path and the ring behind it — with what a lossy multi-rail fabric
+// delivers and holds it to refWindow. "random": seeded flights as wide as
+// a sender can make them (Window + 64 sequence numbers of probe slack),
+// each in a random order or, one in three, in order, with drops repaired
+// late and duplicates, across the sequence wrap, checked record by record
+// and counter by counter after every arrival; at Window 512 a flight
+// opens more gaps than maxTrackedGaps, so the cap is exercised too.
+// "million": the bounded-growth regression — a million frames through a
+// steady loss pattern never grow the ring beyond the window it was
+// configured for. Both runs must take each path many times.
 func TestRcvWindowAgainstReference(t *testing.T) {
-	deliver := func(c *Conn, seq uint32) {
-		c.handleData(frame.Header{Type: frame.TypeData, ConnID: 1, Seq: seq,
-			OpID: uint64(seq), OpType: frame.OpWrite}, nil, 0)
-	}
-	start := func(c *Conn, base uint32) *refWindow {
-		c.rcvNxt, c.maxSeenPlus1 = base, base
-		return &refWindow{rcvNxt: base, maxSeenPlus1: base, accepted: map[uint32]bool{}, gap: map[uint32]bool{}}
-	}
 	t.Run("random", func(t *testing.T) {
 		capped := false
+		fast, ring := 0, 0
 		for _, window := range []int{128, 512} {
 			_, c := arqEndpoint(t, window)
 			span := uint32(window + 64)
-			ref := start(c, -(span * 5 / 2)) // the third flight straddles the wrap
+			ref := startRef(c, -(span * 5 / 2)) // the third flight straddles the wrap
 			rng := rand.New(rand.NewSource(int64(window)))
 			for flight := 0; flight < 20; flight++ {
 				base := c.rcvNxt
@@ -191,11 +238,16 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 					}
 					order = append(order, base+i)
 				}
-				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				if rng.Intn(3) > 0 {
+					rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				}
 				rng.Shuffle(len(late), func(i, j int) { late[i], late[j] = late[j], late[i] })
 				for _, seq := range append(order, late...) {
-					deliver(c, seq)
-					ref.arrive(seq)
+					if arriveBoth(t, c, ref, seq) {
+						fast++
+					} else {
+						ring++
+					}
 					checkRcvWindow(t, c, ref, base-span, base+span)
 					capped = capped || c.gaps == maxTrackedGaps
 				}
@@ -208,17 +260,23 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 		if !capped {
 			t.Error("no flight reached maxTrackedGaps: the cap went untested")
 		}
+		t.Logf("%d in-order arrivals, %d through the ring", fast, ring)
+		if fast < 20 || ring < 20 {
+			t.Errorf("%d in-order and %d ring arrivals: a path went untested", fast, ring)
+		}
 	})
 	t.Run("million", func(t *testing.T) {
 		_, c := arqEndpoint(t, 128)
-		ref := start(c, 0)
+		ref := startRef(c, 0)
 		const total = 1_000_000
 		const lossEvery = 97 // drop every 97th first transmission...
 		const repairLag = 40 // ...and deliver it this many frames later
 		var pending []uint32 // lost frames awaiting their late delivery
+		fast := 0
 		arrive := func(seq uint32) {
-			deliver(c, seq)
-			ref.arrive(seq)
+			if arriveBoth(t, c, ref, seq) {
+				fast++
+			}
 			if c.gaps != len(ref.gap) || c.rcv.size() != len(ref.gap)+len(ref.accepted) ||
 				len(c.rcv.slots) > 128 {
 				t.Fatalf("seq %d: %d gaps (reference %d), %d of %d slots live (reference %d)", seq,
@@ -243,6 +301,100 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 		if c.rcvNxt != total || c.rcv.size() != 0 {
 			t.Fatalf("after full delivery: rcvNxt %d (want %d), %d records left", c.rcvNxt, total, c.rcv.size())
 		}
+		if fast < total/2 || fast > total-2*total/lossEvery {
+			t.Errorf("%d of %d arrivals took the in-order path", fast, total)
+		}
+	})
+}
+
+// TestRcvInOrderCorners pins the in-order path where it meets the ring:
+// it resumes once the last gap closes, it drops and re-ACKs a duplicate,
+// it runs across the 32-bit wrap, it takes over from a window whose
+// untracked flag outlives its gaps, and teardown and rebirth are safe on
+// a conn that never built a ring. Every arrival is held to refWindow.
+func TestRcvInOrderCorners(t *testing.T) {
+	noRing := func(t *testing.T, c *Conn) {
+		t.Helper()
+		if c.rcv.slots != nil {
+			t.Fatalf("the receive window was built (%d slots)", len(c.rcv.slots))
+		}
+	}
+	run := func(t *testing.T, c *Conn, ref *refWindow, wantFast bool, seqs ...uint32) {
+		t.Helper()
+		for _, s := range seqs {
+			if fast := arriveBoth(t, c, ref, s); fast != wantFast {
+				t.Fatalf("seq %d: in-order path %v, want %v", s, fast, wantFast)
+			}
+			checkRcvWindow(t, c, ref, ref.rcvNxt-512, ref.rcvNxt+512)
+		}
+	}
+	t.Run("resumes after the last gap closes", func(t *testing.T) {
+		_, c := arqEndpoint(t, 128)
+		ref := startRef(c, 0)
+		run(t, c, ref, true, 0, 1)
+		noRing(t, c)
+		run(t, c, ref, false, 4, 3, 2) // two gaps open, then close
+		if c.rcv.size() != 0 || c.rcvNxt != 5 {
+			t.Fatalf("after the gaps closed: %d records, rcvNxt %d", c.rcv.size(), c.rcvNxt)
+		}
+		run(t, c, ref, true, 5, 6, 7)
+	})
+	t.Run("duplicate below rcvNxt", func(t *testing.T) {
+		_, c := arqEndpoint(t, 128)
+		ref := startRef(c, 100)
+		run(t, c, ref, true, 100, 101, 102, 103)
+		run(t, c, ref, false, 103, 100) // dropped, re-ACKed
+		run(t, c, ref, true, 104)
+		noRing(t, c)
+	})
+	t.Run("across the wrap", func(t *testing.T) {
+		_, c := arqEndpoint(t, 128)
+		ref := startRef(c, ^uint32(0)-7)
+		var seqs []uint32
+		for s := ^uint32(0) - 7; s != 9; s++ {
+			seqs = append(seqs, s)
+		}
+		run(t, c, ref, true, seqs...)
+		run(t, c, ref, false, ^uint32(0))
+		noRing(t, c)
+		if c.rcvNxt != 9 || c.maxSeenPlus1 != 9 {
+			t.Fatalf("cursors (%d, %d) after the wrap, want (9, 9)", c.rcvNxt, c.maxSeenPlus1)
+		}
+	})
+	t.Run("untracked gaps, empty ring", func(t *testing.T) {
+		ep, c := arqEndpoint(t, 512)
+		ref := startRef(c, 1000)
+		run(t, c, ref, false, 1300) // 300 gaps, 44 past the cap
+		if !c.untracked || c.gaps != maxTrackedGaps {
+			t.Fatalf("untracked %v, %d gaps: the cap was not reached", c.untracked, c.gaps)
+		}
+		for s := uint32(1000); s < 1300; s++ {
+			run(t, c, ref, false, s)
+		}
+		if c.rcv.size() != 0 || c.rcvNxt != 1301 || !c.untracked {
+			t.Fatalf("%d records, rcvNxt %d, untracked %v: want an empty window with the flag still set",
+				c.rcv.size(), c.rcvNxt, c.untracked)
+		}
+		if m := c.scanMissing(ep.env.Now(), 0, nil); len(m) != 0 || c.rcv.size() != 0 {
+			t.Fatalf("the scan of an empty window named %v and left %d records", m, c.rcv.size())
+		}
+		run(t, c, ref, true, 1301, 1302)
+		run(t, c, ref, false, 1304, 1303)
+		run(t, c, ref, true, 1305)
+	})
+	t.Run("stopTimers and rebirth without a ring", func(t *testing.T) {
+		_, c := arqEndpoint(t, 128)
+		ref := startRef(c, 0)
+		run(t, c, ref, true, 0, 1, 2)
+		c.stopTimers()
+		noRing(t, c)
+		c.rebirth(2)
+		if c.rcvNxt != 0 || c.maxSeenPlus1 != 0 || c.gaps != 0 || c.untracked {
+			t.Fatalf("rebirth left (%d, %d), %d gaps, untracked %v", c.rcvNxt, c.maxSeenPlus1, c.gaps, c.untracked)
+		}
+		ref = startRef(c, 0)
+		run(t, c, ref, true, 0, 1)
+		noRing(t, c)
 	})
 }
 

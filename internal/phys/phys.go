@@ -510,7 +510,7 @@ func (sw *Switch) ConnectSwitch(peer *Switch, lp LinkParams, queueCap int) *OutP
 func (sw *Switch) Route(addr frame.Addr, o *OutPort) { sw.table[addr] = o }
 
 // Host is the protocol layer's view from a NIC: interrupts delivered in
-// scheduler context. The host then polls the NIC (PollRx, TakeTxDone).
+// scheduler context. The host then polls the NIC (PollRxOne, TakeTxDone).
 type Host interface {
 	Interrupt(n *NIC)
 }
@@ -567,7 +567,7 @@ func Myri10GNICParams() NICParams {
 
 // NIC models one Ethernet interface: a transmit path (DMA then wire) and
 // a receive path (DMA into host buffers, then a maskable interrupt). The
-// host drains received frames with PollRx and transmit completions with
+// host drains received frames with PollRxOne and transmit completions with
 // TakeTxDone, mirroring the paper's interrupt-avoidance scheme: the
 // interrupt handler masks the NIC, a kernel thread polls until no events
 // remain, then unmasks.
@@ -715,19 +715,6 @@ func (n *NIC) Unmask() {
 	if n.RxPending() || n.txDone > 0 {
 		n.raise(false)
 	}
-}
-
-// PollRx drains and returns all frames DMA'd into host buffers so far.
-func (n *NIC) PollRx() []*Frame {
-	if n.rxHead == len(n.rxRing) {
-		return nil
-	}
-	out := append([]*Frame(nil), n.rxRing[n.rxHead:]...)
-	for i := n.rxHead; i < len(n.rxRing); i++ {
-		n.rxRing[i] = nil
-	}
-	n.rxRing, n.rxHead = n.rxRing[:0], 0
-	return out
 }
 
 // PollRxOne removes and returns the oldest frame in the host receive
