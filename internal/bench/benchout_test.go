@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"multiedge/internal/cluster"
+	"multiedge/internal/obs"
 	"multiedge/internal/sim"
 )
 
@@ -147,30 +148,39 @@ func TestCompareBenchRatchet(t *testing.T) {
 	}
 }
 
-// TestRecorderZeroPerturbation: the flight recorder is pure observation
-// — the same fan-in run with and without it must produce identical
-// measurements and identical network reports.
+// TestRecorderZeroPerturbation: recording is pure observation — the same
+// fan-in run with the flight recorder, and with a recorder taking every
+// kind plus span recording, must produce the measurements and the
+// network report of the run with instrumentation off.
 func TestRecorderZeroPerturbation(t *testing.T) {
-	opts := FaninOptions{Conns: 32, OpsPerConn: 8, Size: 256, Seed: 9, Chaos: true}
-	withRec := RunFanin(opts)
-	opts.DisableRecorder = true
-	without := RunFanin(opts)
-	if withRec.Recorders == nil || without.Recorders != nil {
+	base := FaninOptions{Conns: 32, OpsPerConn: 8, Size: 256, Seed: 9, Chaos: true}
+	off := base
+	off.DisableRecorder = true
+	without := RunFanin(off)
+	if without.Recorders != nil {
 		t.Fatal("DisableRecorder plumbing broken")
 	}
-	if withRec.String() != without.String() {
-		t.Fatalf("recorder perturbed the run:\n  on:  %s\n  off: %s", withRec, without)
-	}
-	if withRec.Net != without.Net {
-		t.Fatalf("recorder perturbed the network report:\n  on:  %+v\n  off: %+v",
-			withRec.Net, without.Net)
-	}
-	total := uint64(0)
-	for _, r := range withRec.Recorders {
-		total += r.Recorded()
-	}
-	if total == 0 {
-		t.Fatal("recorders attached but nothing recorded")
+	all := base
+	all.recordAll = true
+	all.Obs = cluster.ObsOptions{Spans: true, SampleEvery: -1}
+	for name, opts := range map[string]FaninOptions{"flight": base, "every kind + spans": all} {
+		with := RunFanin(opts)
+		if with.String() != without.String() {
+			t.Fatalf("%s perturbed the run:\n  on:  %s\n  off: %s", name, with, without)
+		}
+		if with.Net != without.Net {
+			t.Fatalf("%s perturbed the network report:\n  on:  %+v\n  off: %+v", name, with.Net, without.Net)
+		}
+		total := uint64(0)
+		for _, r := range with.Recorders {
+			total += r.Recorded()
+		}
+		if total == 0 {
+			t.Fatalf("%s: recorders attached but nothing recorded", name)
+		}
+		if opts.recordAll && (with.Recorders[0].Count(obs.EvFrameTx) == 0 || len(with.Obs.Spans()) == 0) {
+			t.Fatalf("%s: no frame events or no spans recorded", name)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"multiedge/internal/cluster"
 	"multiedge/internal/frame"
+	"multiedge/internal/obs"
 	"multiedge/internal/sim"
 )
 
@@ -30,6 +31,8 @@ type FaninOptions struct {
 	// unless DisableRecorder (for overhead A/B measurements).
 	Obs             cluster.ObsOptions
 	DisableRecorder bool
+
+	recordAll bool // record every kind, not only the flight recorder's
 }
 
 // FaninResult is one fan-in measurement plus its correctness gates.
@@ -64,6 +67,12 @@ func RunFanin(opts FaninOptions) FaninResult {
 	cfg.Core.MemBytes = conns*faninSlots*opts.Size + (1 << 20)
 	st := newStage(cfg, opts.Obs, opts.DisableRecorder, conns)
 	cl := st.cl
+	if opts.recordAll {
+		for i, n := range cl.Nodes {
+			cl.Recorders[i] = obs.NewRecorder(n.ID, 0, obs.AllKinds)
+			n.EP.SetRecorder(cl.Recorders[i])
+		}
+	}
 	server := cl.Nodes[0].EP
 
 	if opts.Chaos {

@@ -2,13 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // RunLatencyDist runs count ping-pong round trips of size bytes and
@@ -16,7 +17,7 @@ import (
 // *distribution* the paper's mean-only Figure 2(a) hides: multi-rail
 // jitter widens the body, and NACK repair after a loss puts a
 // NackDelay-scale bump in the tail.
-func RunLatencyDist(cfg cluster.Config, size, count int) *trace.LatencyRecorder {
+func RunLatencyDist(cfg cluster.Config, size, count int) *LatencyRecorder {
 	cfg.Nodes = 2
 	cl := cluster.New(cfg)
 	defer cl.Close()
@@ -25,7 +26,7 @@ func RunLatencyDist(cfg cluster.Config, size, count int) *trace.LatencyRecorder 
 	s0, d0 := ep0.Alloc(size), ep0.Alloc(size)
 	s1, d1 := ep1.Alloc(size), ep1.Alloc(size)
 
-	rec := &trace.LatencyRecorder{}
+	rec := &LatencyRecorder{}
 	const warm = 8
 	cl.Env.Go("pong", func(p *sim.Proc) {
 		for i := 0; i < warm+count; i++ {
@@ -77,4 +78,53 @@ func RenderLatencyDist(count int) string {
 		}
 	}
 	return b.String()
+}
+
+// LatencyRecorder collects operation latency samples and reports exact
+// percentiles (the samples are sorted on demand; with deterministic
+// simulation the distribution itself is reproducible bit-for-bit).
+// Useful where a mean hides the story: NACK-repair tails, multi-rail
+// jitter.
+type LatencyRecorder struct {
+	samples []sim.Time
+	sorted  bool
+}
+
+// Record adds one sample.
+func (l *LatencyRecorder) Record(d sim.Time) {
+	l.samples = append(l.samples, d)
+	l.sorted = false
+}
+
+// Count returns how many samples were recorded.
+func (l *LatencyRecorder) Count() int { return len(l.samples) }
+
+// Percentile returns the p-th percentile (0 < p <= 100) using the
+// nearest-rank method; zero with no samples.
+func (l *LatencyRecorder) Percentile(p float64) sim.Time {
+	n := len(l.samples)
+	if n == 0 {
+		return 0
+	}
+	if !l.sorted {
+		sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
+		l.sorted = true
+	}
+	if p <= 0 {
+		return l.samples[0]
+	}
+	rank := int(math.Ceil(p / 100 * float64(n)))
+	return l.samples[min(max(rank, 1), n)-1]
+}
+
+// Mean returns the arithmetic mean of the samples.
+func (l *LatencyRecorder) Mean() sim.Time {
+	if len(l.samples) == 0 {
+		return 0
+	}
+	var sum sim.Time
+	for _, s := range l.samples {
+		sum += s
+	}
+	return sum / sim.Time(len(l.samples))
 }

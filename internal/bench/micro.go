@@ -12,7 +12,6 @@ import (
 	"multiedge/internal/frame"
 	"multiedge/internal/obs"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // MicroResult is one micro-benchmark measurement point.
@@ -301,18 +300,19 @@ func RunTreeCrossPair(size int) float64 {
 	return float64(size*count) / 1e6 / (end - start).Seconds()
 }
 
-// RunTracedOneWay runs a one-way transfer with frame-level tracing
-// attached to both endpoints and renders the receive-side summary and a
-// 1-ms-bucket timeline (the paper's traffic-over-time analysis).
+// RunTracedOneWay runs a one-way transfer with the frame-level traffic
+// view (obs.TrafficKinds) recorded at both endpoints and renders both
+// summaries and the receiver's 1-ms-bucket timeline (the paper's
+// traffic-over-time analysis).
 func RunTracedOneWay(cfg cluster.Config, size int) string {
 	cfg.Nodes = 2
 	cl := cluster.New(cfg)
 	defer cl.Close()
 	c01, _ := cl.Pair()
-	tr0 := trace.New(cl.Env, 1<<16)
-	tr1 := trace.New(cl.Env, 1<<16)
-	cl.Nodes[0].EP.SetTrace(tr0)
-	cl.Nodes[1].EP.SetTrace(tr1)
+	tr0 := obs.NewRecorder(0, 1<<16, obs.TrafficKinds)
+	tr1 := obs.NewRecorder(1, 1<<16, obs.TrafficKinds)
+	cl.Nodes[0].EP.SetRecorder(tr0)
+	cl.Nodes[1].EP.SetRecorder(tr1)
 	src := cl.Nodes[0].EP.Alloc(size)
 	dst := cl.Nodes[1].EP.Alloc(size)
 	cl.Env.Go("xfer", func(p *sim.Proc) {

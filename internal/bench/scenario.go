@@ -12,7 +12,6 @@ import (
 	"multiedge/internal/frame"
 	"multiedge/internal/obs"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // The scenario harness: what the stress modes (fan-in, serve, noisy
@@ -30,8 +29,8 @@ const stageHorizon = 600 * sim.Second
 // stage is one scenario run in progress.
 type stage struct {
 	cl    *cluster.Cluster
-	chaos *chaos.Runner         // fault timeline, nil unless withChaos
-	lat   trace.LatencyRecorder // the latencies the percentiles are read from
+	chaos *chaos.Runner   // fault timeline, nil unless withChaos
+	lat   LatencyRecorder // the latencies the percentiles are read from
 
 	startSig   sim.Signal
 	waiting    int      // parties yet to reach the start barrier

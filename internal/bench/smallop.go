@@ -8,7 +8,6 @@ import (
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // Small-operation throughput: the workload the submission-queue path
@@ -88,7 +87,7 @@ func RunSmallOps(cfg cluster.Config, size, count, batch int) SmallOpResult {
 
 	var start, end sim.Time
 	var prev, net cluster.NetReport
-	var lat trace.LatencyRecorder
+	var lat LatencyRecorder
 	cl.Env.Go("smallops", func(p *sim.Proc) {
 		// Warm up the path.
 		c01.MustDo(p, sl.op(0, frame.OpWrite, 0)).Wait(p)

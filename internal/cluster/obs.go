@@ -46,7 +46,7 @@ func (cl *Cluster) wireObs() {
 	o := cl.Cfg.Obs
 	if o.Recorder {
 		for _, n := range cl.Nodes {
-			rec := obs.NewRecorder(n.ID, o.RecorderEvents)
+			rec := obs.NewRecorder(n.ID, o.RecorderEvents, obs.FlightKinds)
 			n.EP.SetRecorder(rec)
 			cl.Recorders = append(cl.Recorders, rec)
 		}

@@ -79,11 +79,11 @@ func TestReconnectMetricsMove(t *testing.T) {
 	}
 
 	// The flight recorder must hold the same story: park, redial, rebirth.
-	var kinds []obs.RecKind
+	var kinds []obs.Kind
 	for _, ev := range cl.Recorders[0].Events() {
 		kinds = append(kinds, ev.Kind)
 	}
-	for _, want := range []obs.RecKind{obs.RecReconnect, obs.RecRedial, obs.RecRebirth} {
+	for _, want := range []obs.Kind{obs.EvReconnect, obs.EvRedial, obs.EvRebirth} {
 		found := false
 		for _, k := range kinds {
 			if k == want {

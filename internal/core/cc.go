@@ -51,7 +51,7 @@ import (
 // QoS quota wait cadence (qosAdmitPoll).
 const ccAdmitPoll = 20 * sim.Microsecond
 
-// Cut causes, recorded in RecCwndCut's B field.
+// Cut causes, recorded in EvCwndCut's B field.
 const (
 	ccCutEcn = iota // ECN echo: queues are deep somewhere on the path
 	ccCutRto        // retransmission timeout: presumed drop loss
@@ -98,7 +98,7 @@ func (c *Conn) ccCut(cause int64) {
 	c.ccRecover = c.sndNxt
 	c.ccAckCredit = 0
 	c.ep.Stats.CcCwndCuts++
-	c.ep.recEvent(c.localID, obs.RecCwndCut, int64(c.cwnd), cause)
+	c.ep.emit(c.localID, obs.EvCwndCut, int64(c.cwnd), cause)
 }
 
 // ccOnAck credits forward progress: the retransmission budget re-opens
@@ -160,7 +160,7 @@ func (c *Conn) ccAdmitFast() error {
 		return nil
 	}
 	c.ep.Stats.CcOpsThrottled++
-	c.ep.recEvent(c.localID, obs.RecCcBlock, int64(c.cwnd), 0)
+	c.ep.emit(c.localID, obs.EvCcBlock, int64(c.cwnd), 0)
 	return fmt.Errorf("core: congestion window backlog to node %d: %w", c.remoteNode, ErrThrottled)
 }
 
@@ -173,7 +173,7 @@ func (c *Conn) ccAdmitDo(p *sim.Proc, op Op) error {
 	}
 	ep := c.ep
 	ep.Stats.CcAdmissionWaits++
-	ep.recEvent(c.localID, obs.RecCcBlock, int64(c.cwnd), 1)
+	ep.emit(c.localID, obs.EvCcBlock, int64(c.cwnd), 1)
 	for {
 		p.Sleep(ccAdmitPoll)
 		if c.failed {

@@ -9,7 +9,6 @@ import (
 	"multiedge/internal/obs"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // Conn is one end of a MultiEdge point-to-point connection. All
@@ -364,19 +363,6 @@ type multiSub struct {
 	span *obs.Span
 }
 
-// forEachSpan visits the operation's span — or every sub-op span of a
-// coalesced batch — for transmit/ack/retransmit event recording.
-func (op *txOp) forEachSpan(f func(*obs.Span)) {
-	if op.span != nil {
-		f(op.span)
-	}
-	for i := range op.subs {
-		if op.subs[i].span != nil {
-			f(op.subs[i].span)
-		}
-	}
-}
-
 // txFrame is one transmitted-but-unacknowledged frame.
 type txFrame struct {
 	op      *txOp
@@ -616,7 +602,7 @@ func (c *Conn) Close(p *sim.Proc) {
 	}
 	c.closed = true
 	c.stopTimers()
-	c.ep.recEvent(c.localID, obs.RecClosed, 0, 0)
+	c.ep.emit(c.localID, obs.EvClosed, 0, 0)
 	ep := c.ep
 	cl := c.closeGroup()
 	attempts := 0
@@ -928,15 +914,11 @@ func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 		if c.ep.cfg.ccOn() {
 			c.ccRetxSent++
 		}
-		c.ep.trc(c.localID, trace.TxRetransmit, tf.seq, len(tf.payload))
-	} else {
-		if c.inflight() == 1 {
-			// Sole outstanding frame: a fresh burst after an idle gap.
-			// Progress tracking (DeadInterval) anchors here, not at the
-			// last acknowledgement of the previous burst.
-			c.lastProgress = c.ep.env.Now()
-		}
-		c.ep.trc(c.localID, trace.TxData, tf.seq, len(tf.payload))
+	} else if c.inflight() == 1 {
+		// Sole outstanding frame: a fresh burst after an idle gap.
+		// Progress tracking (DeadInterval) anchors here, not at the last
+		// acknowledgement of the previous burst.
+		c.lastProgress = c.ep.env.Now()
 	}
 	li := -1 // normal round-robin pick
 	if tf.op.probe && !isRetrans {
@@ -952,19 +934,17 @@ func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 		c.rails[tf.link].out++
 	}
 	tf.txAt = c.ep.env.Now()
-	op.forEachSpan(func(sp *obs.Span) {
-		if isRetrans {
-			sp.Event(tf.txAt, obs.EvFrameRetx, c.ep.node, tf.link, tf.seq, len(tf.payload))
-		} else {
-			if tf.offset == 0 {
-				// First transmission of the op's first frame: the protocol
-				// CPU has dequeued the operation. The gap from span start
-				// is initiation + send-queue + CPU contention time.
-				sp.Event(tf.txAt, obs.EvProtoDequeue, c.ep.node, -1, tf.seq, 0)
-			}
-			sp.Event(tf.txAt, obs.EvFrameTx, c.ep.node, tf.link, tf.seq, len(tf.payload))
+	k := obs.EvFrameRetx
+	if !isRetrans {
+		k = obs.EvFrameTx
+		if tf.offset == 0 {
+			// First transmission of the op's first frame: the protocol CPU
+			// has dequeued the operation. The gap from span start is
+			// initiation + send-queue + CPU contention time.
+			c.ep.emit(c.localID, obs.EvProtoDequeue, int64(tf.seq), 0, spanOf{op: op, link: -1})
 		}
-	})
+	}
+	c.ep.emit(c.localID, k, int64(tf.seq), int64(len(tf.payload)), spanOf{op: op, link: tf.link})
 	// Only user traffic keeps probing alive: a probe transmission must
 	// not re-arm the timer, or an idle connection with a dead link would
 	// sustain a probe → loss → RTO-repair → probe loop forever.
@@ -1065,7 +1045,7 @@ func (c *Conn) sendFrameOn(h *frame.Header, payload []byte, li int) int {
 		// *reaction* that Config.CongestionControl gates.
 		h.EcnEcho = true
 		c.ep.Stats.EcnEchoesSent++
-		c.ep.recEvent(c.localID, obs.RecEcnEcho, int64(c.ccEcnRx), 0)
+		c.ep.emit(c.localID, obs.EvEcnEcho, int64(c.ccEcnRx), 0)
 		c.ccEcnRx = 0
 	}
 	nic := c.ep.nics[li]
@@ -1099,14 +1079,14 @@ func (c *Conn) sendCtrl() {
 		pl := c.ep.nackScratch
 		c.nackDue = c.nackDue[:0] // the next scan appends into it
 		c.ep.Stats.CtrlNacksSent++
-		c.ep.trc(c.localID, trace.TxNack, c.rcvNxt, len(pl))
+		c.ep.emit(c.localID, obs.EvTxNack, int64(c.rcvNxt), int64(len(pl)))
 		c.sendFrame(&h, pl)
 		return
 	}
 	if c.ackDue {
 		h := frame.Header{Type: frame.TypeAck, ConnID: c.remoteID, Ack: c.rcvNxt, HasAck: true}
 		c.ep.Stats.CtrlAcksSent++
-		c.ep.trc(c.localID, trace.TxAck, c.rcvNxt, 0)
+		c.ep.emit(c.localID, obs.EvTxAck, int64(c.rcvNxt), 0)
 		c.sendFrame(&h, nil)
 	}
 }
@@ -1116,16 +1096,14 @@ func (c *Conn) sendCtrl() {
 // to the link the frame was last transmitted on, feeding dead-link
 // detection. cause records why the repair was scheduled (NACK vs RTO)
 // in the operation's span.
-func (c *Conn) queueRetrans(seq uint32, cause obs.EventKind) {
+func (c *Conn) queueRetrans(seq uint32, cause obs.Kind) {
 	tf, ok := c.retrans.get(seq)
 	if !ok || tf.inQ {
 		return
 	}
 	tf.inQ = true
 	c.retransQ = append(c.retransQ, seq)
-	tf.op.forEachSpan(func(sp *obs.Span) {
-		sp.Event(c.ep.env.Now(), cause, c.ep.node, tf.link, seq, len(tf.payload))
-	})
+	c.ep.emit(c.localID, cause, int64(seq), int64(len(tf.payload)), spanOf{op: tf.op, link: tf.link})
 	c.noteLinkRepair(tf.link)
 }
 
@@ -1146,8 +1124,7 @@ func (c *Conn) noteLinkRepair(li int) {
 		r.dead, r.deadAt = true, c.ep.env.Now()
 		c.deadLinks++
 		c.ep.Stats.LinkDeadEvents++
-		c.ep.trc(c.localID, trace.LinkDead, uint32(li), 0)
-		c.ep.recEvent(c.localID, obs.RecLinkDead, int64(li), int64(c.deadLinks))
+		c.ep.emit(c.localID, obs.EvLinkDead, int64(li), int64(c.deadLinks))
 		c.armProbeTimer()
 	}
 }
@@ -1167,8 +1144,7 @@ func (c *Conn) clearLinkFault(li int, sentAt sim.Time) {
 		r.dead = false
 		c.deadLinks--
 		c.ep.Stats.LinkRestores++
-		c.ep.trc(c.localID, trace.LinkRestore, uint32(li), 0)
-		c.ep.recEvent(c.localID, obs.RecLinkRestore, int64(li), int64(c.deadLinks))
+		c.ep.emit(c.localID, obs.EvLinkRestore, int64(li), int64(c.deadLinks))
 	}
 }
 
@@ -1353,7 +1329,7 @@ func (c *Conn) onRTO() {
 	if c.ep.backoffHist != nil {
 		c.ep.backoffHist.Observe(float64(c.expiries))
 	}
-	c.ep.recEvent(c.localID, obs.RecRtoExpiry, int64(c.expiries), int64(c.inflight()))
+	c.ep.emit(c.localID, obs.EvRtoExpiry, int64(c.expiries), int64(c.inflight()))
 	if (cfg.MaxRetries > 0 && c.expiries > cfg.MaxRetries) ||
 		(cfg.DeadInterval > 0 && now-c.lastProgress >= cfg.DeadInterval) {
 		c.peerLost(fmt.Errorf("core: connection to node %d: no ack progress after %d timeouts over %v: %w",
@@ -1406,9 +1382,7 @@ func (c *Conn) handleAck(ack uint32) {
 			if tf.op.h != nil && tf.op.opType == frame.OpWrite {
 				tf.op.h.acked += len(tf.payload)
 			}
-			tf.op.forEachSpan(func(sp *obs.Span) {
-				sp.Event(c.ep.env.Now(), obs.EvAck, c.ep.node, tf.link, s, len(tf.payload))
-			})
+			c.ep.emit(c.localID, obs.EvAck, int64(s), int64(len(tf.payload)), spanOf{op: tf.op, link: tf.link})
 			c.clearLinkFault(tf.link, tf.txAt)
 			if !tf.retx && (!haveNewest || tf.txAt > newestAt) {
 				newestAt, haveNewest = tf.txAt, true
@@ -1613,8 +1587,7 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 	c.failErr = cause
 	c.closed = true
 	ep.Stats.PeerDeadEvents++
-	ep.trc(c.localID, trace.PeerDead, 0, 0)
-	ep.recEvent(c.localID, obs.RecFailed, int64(c.expiries), int64(c.inflight()))
+	ep.emit(c.localID, obs.EvFailed, int64(c.expiries), int64(c.inflight()))
 	c.stopTimers()
 	c.stopCloseTimer()
 	// A conn that dies mid-reconnect closes its outage span: the outage
@@ -1836,7 +1809,7 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 			// copy is dropped here, before the ordering/apply machinery.
 			ep.Stats.DupFramesDropped++
 		}
-		ep.trc(c.localID, trace.RxDuplicate, seq, len(payload))
+		ep.emit(c.localID, obs.EvRxDup, int64(seq), int64(len(payload)))
 		// The sender is resending: our ACKs — and possibly our NACKs —
 		// were lost. Re-advertise both promptly so repair converges.
 		if c.gaps > 0 {
@@ -1852,7 +1825,7 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 	ep.Stats.Arrivals++
 	if int32(c.maxSeenPlus1-seq) > 0 {
 		ep.Stats.OOOArrivals++
-		ep.trc(c.localID, trace.RxOutOfOrder, seq, len(payload))
+		ep.emit(c.localID, obs.EvRxOOO, int64(seq), int64(len(payload)))
 	} else {
 		// In-order extension: any sequence numbers it skips over become
 		// missing as of now (bounded by the tracked-gap cap).
@@ -1913,7 +1886,7 @@ func (c *Conn) trackGap(s uint32, now sim.Time) {
 	if c.gaps >= maxTrackedGaps {
 		c.untracked = true
 		c.ep.Stats.NackGapsDropped++
-		c.ep.recEvent(c.localID, obs.RecNackDrop, int64(s), int64(c.gaps))
+		c.ep.emit(c.localID, obs.EvNackDrop, int64(s), int64(c.gaps))
 		return
 	}
 	c.rcv.put(s, rcvSlot{since: now})
@@ -2100,7 +2073,7 @@ func (c *Conn) acceptData(h frame.Header, payload []byte) {
 	ep := c.ep
 	ep.Stats.DataFramesRecv++
 	ep.Stats.DataBytesRecv += uint64(len(payload))
-	ep.trc(c.localID, trace.RxData, h.Seq, len(payload))
+	ep.emit(c.localID, obs.EvRxData, int64(h.Seq), int64(len(payload)))
 	if c.tryApply(h, payload) {
 		c.drainHeld()
 	} else {
@@ -2126,10 +2099,7 @@ func (c *Conn) hold(h frame.Header, payload []byte) {
 	ep := c.ep
 	c.held = append(c.held, heldFrame{h: h, payload: heldCopy(payload), heldAt: ep.env.Now()})
 	ep.Stats.HeldFrames++
-	ep.trc(c.localID, trace.RxHeld, h.Seq, len(payload))
-	if sp := c.frameSpan(h.OpType, h.OpID, h.Local); sp != nil {
-		sp.Event(ep.env.Now(), obs.EvRxHold, ep.node, -1, h.Seq, len(payload))
-	}
+	ep.emit(c.localID, obs.EvRxHold, int64(h.Seq), int64(len(payload)), spanOf{rx: c.frameSpan(h.OpType, h.OpID, h.Local)})
 	if n := len(c.held); n > ep.Stats.HoldMax {
 		ep.Stats.HoldMax = n
 	}
@@ -2189,6 +2159,14 @@ func (c *Conn) noteUnheld(heldAt sim.Time) {
 func (c *Conn) getRxOp(h frame.Header) *rxOp {
 	op, ok := c.rxOps[h.OpID]
 	if !ok {
+		if h.OpID < c.frontier {
+			// The op was performed and its record collected, but its ACK
+			// was lost, so the sender replays it after a reconnect (the
+			// ARQ restarted, nothing dedupes it). The answer is a
+			// completed record for this frame alone: one in the table
+			// would sit below the frontier, where nothing collects it.
+			return &rxOp{id: h.OpID, opType: h.OpType, flags: h.OpFlags, local: h.Local, complete: true}
+		}
 		ep := c.ep
 		if n := len(ep.rxFree); n > 0 {
 			op = ep.rxFree[n-1]
@@ -2201,16 +2179,11 @@ func (c *Conn) getRxOp(h frame.Header) *rxOp {
 			total: h.Total, remote: h.Remote, local: h.Local,
 			endSeq: h.Seq + 1,
 		}
-		if h.OpID < c.frontier {
-			// A duplicate of an op already completed and garbage
-			// collected cannot occur (ARQ dedupes), but guard anyway.
-			op.complete = true
-		}
 		if c.rxOps == nil {
 			c.rxOps = make(map[uint64]*rxOp)
 		}
 		c.rxOps[h.OpID] = op
-		if op.flags&frame.FenceAfter != 0 && !op.complete {
+		if op.flags&frame.FenceAfter != 0 {
 			op.isFenced = true
 			c.insertFenced(op.id)
 		}
@@ -2299,9 +2272,7 @@ func (c *Conn) applyFrame(h frame.Header, payload []byte) {
 	if int32(h.Seq+1-op.endSeq) > 0 {
 		op.endSeq = h.Seq + 1
 	}
-	if sp := c.frameSpan(h.OpType, h.OpID, h.Local); sp != nil {
-		sp.Event(ep.env.Now(), obs.EvRxApply, ep.node, -1, h.Seq, len(payload))
-	}
+	ep.emit(c.localID, obs.EvRxApply, int64(h.Seq), int64(len(payload)), spanOf{rx: c.frameSpan(h.OpType, h.OpID, h.Local)})
 	switch h.Type {
 	case frame.TypeReadReq:
 		c.serveRead(h)
@@ -2309,11 +2280,15 @@ func (c *Conn) applyFrame(h frame.Header, payload []byte) {
 		return
 	case frame.TypeData:
 		if op.complete {
-			// Last line of defence: the ARQ already suppresses duplicates,
-			// so a payload for a completed operation must never be
-			// re-applied over newer data.
+			// A replay of an op performed before a reconnect (see
+			// getRxOp): its payload must never be re-applied over newer
+			// data, but its last frame still earns a Solicit op the prompt
+			// ACK its first performance sent (completeRxOp) and lost.
 			if len(payload) > 0 {
 				ep.Stats.DupFramesDropped++
+			}
+			if op.flags&frame.Solicit != 0 && h.Offset+uint32(len(payload)) >= h.Total {
+				c.promptAck(h.Seq + 1)
 			}
 			return
 		}
@@ -2341,12 +2316,11 @@ func (c *Conn) completeRxOp(op *rxOp) {
 	}
 	op.complete = true
 	ep := c.ep
-	if sp := c.frameSpan(op.opType, op.id, op.local); sp != nil {
-		sp.Event(ep.env.Now(), obs.EvRxComplete, ep.node, -1, 0, int(op.applied))
-		if op.opType == frame.OpReadReply {
-			// The requester's read is done when the reply data has landed.
-			sp.EndAt(ep.env.Now())
-		}
+	sp := c.frameSpan(op.opType, op.id, op.local)
+	ep.emit(c.localID, obs.EvRxComplete, 0, int64(op.applied), spanOf{rx: sp})
+	if op.opType == frame.OpReadReply {
+		// The requester's read is done when the reply data has landed.
+		sp.EndAt(ep.env.Now())
 	}
 	if op.isFenced {
 		c.removeFenced(op.id)
@@ -2426,10 +2400,8 @@ func (c *Conn) serveRead(h frame.Header) {
 	}
 	// The reply txOp continues the requester's read span: its frame
 	// transmissions, retransmits and ACKs all belong to that read.
-	if sp := c.frameSpan(h.OpType, h.OpID, h.Local); sp != nil {
-		sp.Event(ep.env.Now(), obs.EvReadServe, ep.node, -1, h.Seq, int(h.Total))
-		t.span = sp
-	}
+	t.span = c.frameSpan(h.OpType, h.OpID, h.Local)
+	ep.emit(c.localID, obs.EvReadServe, int64(h.Seq), int64(h.Total), spanOf{rx: t.span})
 	c.nextOpID++
 	c.txOps = append(c.txOps, t)
 	ep.Stats.OpsStarted++

@@ -3,16 +3,16 @@ package core_test
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
+	"multiedge/internal/chaos"
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
+	"multiedge/internal/obs"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // pairCluster builds a 2-node cluster with the given tweaks applied.
@@ -910,42 +910,111 @@ func TestRegistrationNotRequiredForReceive(t *testing.T) {
 	}
 }
 
-func TestTraceCapturesProtocolEvents(t *testing.T) {
-	cfg := cluster.TwoLinkUnordered1G(0)
-	cfg.Link.LossProb = 0.03
+// TestEventsMatchStats pins the event vocabulary to the counters: every
+// kind that has a Stats counter with the same meaning counts exactly
+// what the counter counts, on every node, in one run that reaches each
+// of them — two rails at 3 % loss under congestion control, a big write,
+// a coalesced SQ batch, a fenced write, a read, a rail that dies and
+// comes back, and a peer that dies under one conn and never answers a
+// second dial.
+func TestEventsMatchStats(t *testing.T) {
+	cfg := cluster.TwoLinkUnordered1G(3)
 	cfg.Seed = 21
-	cl, c01, _ := pairCluster(t, cfg)
-	tr0 := trace.New(cl.Env, 1<<14)
-	tr1 := trace.New(cl.Env, 1<<14)
-	cl.Nodes[0].EP.SetTrace(tr0)
-	cl.Nodes[1].EP.SetTrace(tr1)
-	const n = 256 * 1024
-	src := cl.Nodes[0].EP.Alloc(n)
-	dst := cl.Nodes[1].EP.Alloc(n)
+	cfg.Link.LossProb = 0.03
+	cfg.Core.CoalesceLimit = 64
+	cfg.Core.SchedQueue = true
+	cfg.Core.CongestionControl = core.CCConfig{Enable: true}
+	cfg.Core.MaxRetries = 30
+	cl := cluster.New(cfg)
+	t.Cleanup(cl.Close)
+	recs := make([]*obs.Recorder, len(cl.Nodes))
+	for i, n := range cl.Nodes {
+		recs[i] = obs.NewRecorder(i, 0, obs.AllKinds)
+		n.EP.SetRecorder(recs[i])
+	}
+	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
+	const big, small, rd = 400 * 1444, 64, 16 << 10
+	src, dst := ep0.Alloc(big+32*small), ep1.Alloc(big+32*small)
+	rdst, flag := ep0.Alloc(rd), ep1.Alloc(8)
+	// Rail 1 of node 0 goes dark in the middle of the big write, long
+	// enough for its repairs to condemn it, and comes back; every 7th
+	// frame on rail 0 arrives twice.
+	r := chaos.New(cl, 3)
+	r.FlapLink(2*sim.Millisecond, 20*sim.Millisecond, 0, 1)
+	r.DuplicateEveryNth(0, 0, 0, 0, 7)
+	done := false
 	cl.Env.Go("app", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		c01, c02 := ep0.Dial(p, 1, 0), ep0.Dial(p, 2, 0)
+		bigW := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: big, Kind: frame.OpWrite})
+		for i := 0; i < 32; i++ {
+			off := uint64(big + i*small)
+			c01.MustPost(core.Op{Remote: dst + off, Local: src + off, Size: small, Kind: frame.OpWrite})
+		}
+		c01.MustRing(p)
+		c01.MustDo(p, core.Op{Remote: flag, Local: src, Size: 8, Kind: frame.OpWrite,
+			Flags: frame.FenceBefore | frame.FenceAfter}).Wait(p)
+		bigW.Wait(p)
+		drainCQ(p, c01, 32)
+		c01.MustDo(p, core.Op{Remote: dst, Local: rdst, Size: rd, Kind: frame.OpRead}).Wait(p)
+		// Traffic once the rail is back lets a probe re-admit it.
+		p.Sleep(25*sim.Millisecond - cl.Env.Now())
+		for i := 0; i < 8; i++ {
+			c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: big, Kind: frame.OpWrite})
+			c01.MustDo(p, core.Op{Remote: flag, Local: src, Size: 8, Kind: frame.OpWrite,
+				Flags: frame.FenceBefore}).Wait(p)
+		}
+		// Node 2 dies under an in-flight write, then ignores a fresh dial.
+		cl.PauseNode(2)
+		h := c02.MustDo(p, core.Op{Remote: 0, Local: src, Size: 4096, Kind: frame.OpWrite})
+		if h.Wait(p); h.Err() == nil {
+			t.Error("write to a dead peer succeeded")
+		}
+		if c := ep0.Dial(p, 2, 0); !c.Failed() {
+			t.Error("dial to a dead peer succeeded")
+		}
+		done = true
 	})
 	cl.Env.RunUntil(30 * sim.Second)
-	if tr0.Count(trace.TxData) == 0 {
-		t.Error("no tx-data events traced")
+	if !done {
+		t.Fatal("workload did not finish")
 	}
-	if tr0.Count(trace.TxRetransmit) == 0 {
-		t.Error("no retransmissions traced despite loss")
+	pairs := []struct {
+		kind  obs.Kind
+		stat  func(*core.Stats) uint64
+		bytes bool // compare the kind's byte total instead of its count
+	}{
+		{obs.EvFrameTx, func(s *core.Stats) uint64 { return s.DataFramesSent }, false},
+		{obs.EvFrameRetx, func(s *core.Stats) uint64 { return s.Retransmissions }, false},
+		{obs.EvTxAck, func(s *core.Stats) uint64 { return s.CtrlAcksSent }, false},
+		{obs.EvTxNack, func(s *core.Stats) uint64 { return s.CtrlNacksSent }, false},
+		{obs.EvRxData, func(s *core.Stats) uint64 { return s.DataFramesRecv }, false},
+		{obs.EvRxData, func(s *core.Stats) uint64 { return s.DataBytesRecv }, true},
+		{obs.EvRxDup, func(s *core.Stats) uint64 { return s.Duplicates }, false},
+		{obs.EvRxOOO, func(s *core.Stats) uint64 { return s.OOOArrivals }, false},
+		{obs.EvRxHold, func(s *core.Stats) uint64 { return s.HeldFrames }, false},
+		{obs.EvLinkDead, func(s *core.Stats) uint64 { return s.LinkDeadEvents }, false},
+		{obs.EvLinkRestore, func(s *core.Stats) uint64 { return s.LinkRestores }, false},
+		{obs.EvFailed, func(s *core.Stats) uint64 { return s.PeerDeadEvents }, false},
+		{obs.EvRtoExpiry, func(s *core.Stats) uint64 { return s.RtoExpiries }, false},
+		{obs.EvDoorbell, func(s *core.Stats) uint64 { return s.Doorbells }, false},
+		{obs.EvCwndCut, func(s *core.Stats) uint64 { return s.CcCwndCuts }, false},
 	}
-	if tr1.Count(trace.RxData) == 0 || tr1.Count(trace.RxOutOfOrder) == 0 {
-		t.Error("receive-side events missing")
-	}
-	// Cross-check trace against protocol counters.
-	if tr0.Count(trace.TxRetransmit) != cl.Nodes[0].EP.Stats.Retransmissions {
-		t.Errorf("trace retransmits %d != stats %d",
-			tr0.Count(trace.TxRetransmit), cl.Nodes[0].EP.Stats.Retransmissions)
-	}
-	if tr1.Count(trace.RxOutOfOrder) != cl.Nodes[1].EP.Stats.OOOArrivals {
-		t.Errorf("trace OOO %d != stats %d",
-			tr1.Count(trace.RxOutOfOrder), cl.Nodes[1].EP.Stats.OOOArrivals)
-	}
-	if !strings.Contains(tr1.Summary(), "rx-ooo") {
-		t.Error("summary rendering broken")
+	for _, pr := range pairs {
+		var events, stat uint64
+		for i, n := range cl.Nodes {
+			ev, st := recs[i].Count(pr.kind), pr.stat(&n.EP.Stats)
+			if pr.bytes {
+				ev = recs[i].Bytes(pr.kind)
+			}
+			if ev != st {
+				t.Errorf("node %d: %v %d, its Stats counter %d (bytes %v)", i, pr.kind, ev, st, pr.bytes)
+			}
+			events, stat = events+ev, stat+st
+		}
+		if events == 0 {
+			t.Errorf("%v never happened: the pair is vacuous", pr.kind)
+		}
+		t.Logf("%-12v %8d (bytes %v)", pr.kind, events, pr.bytes)
 	}
 }
 

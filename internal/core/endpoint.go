@@ -9,7 +9,6 @@ import (
 	"multiedge/internal/obs"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // Endpoint is one node's instance of the MultiEdge protocol layer: the
@@ -82,9 +81,7 @@ type Endpoint struct {
 
 	engine *sim.Resource // NIC protocol engine (Config.Offload)
 
-	tracer *trace.Trace // optional frame-level event trace
-
-	rec *obs.Recorder // optional flight recorder (nil = off)
+	rec *obs.Recorder // optional event recorder (nil = off)
 
 	obs          *obs.Registry  // optional metrics/span registry (nil = off)
 	holdHist     *obs.Histogram // receive-side hold duration, µs
@@ -226,12 +223,12 @@ func (ep *Endpoint) kickConn(c *Conn) {
 		if !c.inCtrlQ && c.ctrlPending() {
 			c.inCtrlQ = true
 			q.ctrlQ.push(c)
-			ep.recEvent(c.localID, obs.RecSched, 0, int64(q.ctrlQ.size()))
+			ep.emit(c.localID, obs.EvSched, 0, int64(q.ctrlQ.size()))
 		}
 		if !c.inSendQ && c.sendable() {
 			c.inSendQ = true
 			q.sendQ.push(c)
-			ep.recEvent(c.localID, obs.RecSched, 1, int64(q.sendQ.size()))
+			ep.emit(c.localID, obs.EvSched, 1, int64(q.sendQ.size()))
 		}
 	}
 	ep.wakeThread()
@@ -265,31 +262,54 @@ func (ep *Endpoint) removeConn(c *Conn) {
 // carries (closed and failed conns are removed from the table).
 func (ep *Endpoint) ActiveConns() int { return len(ep.conns) }
 
-// SetTrace attaches a frame-level event trace (nil disables). Tracing
-// records transmit/receive/reorder/retransmission events for the
-// paper-style network-traffic analysis.
-func (ep *Endpoint) SetTrace(t *trace.Trace) { ep.tracer = t }
+// SetRecorder attaches an event recorder (nil disables): the flight
+// recorder (obs.FlightKinds) or the frame-level traffic view
+// (obs.TrafficKinds). Recording is a nil-checked store into a
+// preallocated ring — no allocation, no RNG, no scheduled events — so
+// the recorder observes without perturbing the simulation and stress
+// harnesses leave it on unconditionally.
+func (ep *Endpoint) SetRecorder(r *obs.Recorder) { ep.rec = r }
 
-// trc records one trace event if tracing is enabled.
-func (ep *Endpoint) trc(conn uint32, k trace.Kind, seq uint32, n int) {
-	if ep.tracer != nil {
-		ep.tracer.Add(ep.node, conn, k, seq, n)
+// Recorder returns the attached recorder (nil when off).
+func (ep *Endpoint) Recorder() *obs.Recorder { return ep.rec }
+
+// spanOf names the operation spans an event belongs to: a send-side op's
+// — its own span or each coalesced sub-op's — for a frame on rail link
+// (-1 for none), or one receive-side span.
+type spanOf struct {
+	op   *txOp
+	link int
+	rx   *obs.Span
+}
+
+// emit reports one protocol occurrence; every site in this package makes
+// exactly this one call per occurrence, so the event vocabulary is
+// obs.Kind and nothing else. The attached recorder keeps the event if
+// it was built for k, and with spans on the event is appended to the
+// spans named by in (at most one spanOf). With neither a recorder nor a
+// registry attached it inlines to two nil checks.
+func (ep *Endpoint) emit(conn uint32, k obs.Kind, a, b int64, in ...spanOf) {
+	if ep.rec != nil || ep.obs != nil {
+		ep.deliver(conn, k, a, b, in)
 	}
 }
 
-// SetRecorder attaches a flight recorder (nil disables). Recording is a
-// nil-checked store into a preallocated ring — no allocation, no RNG,
-// no scheduled events — so the recorder observes without perturbing the
-// simulation and stress harnesses leave it on unconditionally.
-func (ep *Endpoint) SetRecorder(r *obs.Recorder) { ep.rec = r }
-
-// Recorder returns the attached flight recorder (nil when off).
-func (ep *Endpoint) Recorder() *obs.Recorder { return ep.rec }
-
-// recEvent records one flight-recorder event if recording is enabled.
-func (ep *Endpoint) recEvent(conn uint32, k obs.RecKind, a, b int64) {
-	if ep.rec != nil {
-		ep.rec.Record(ep.env.Now(), conn, k, a, b)
+// deliver is emit's out-of-line half.
+func (ep *Endpoint) deliver(conn uint32, k obs.Kind, a, b int64, in []spanOf) {
+	now := ep.env.Now()
+	if ep.rec.Takes(k) {
+		ep.rec.Record(now, conn, k, a, b)
+	}
+	if len(in) == 0 || !ep.obs.SpansEnabled() {
+		return
+	}
+	if s := in[0]; s.op == nil {
+		s.rx.Event(now, k, ep.node, -1, uint32(a), int(b))
+	} else {
+		s.op.span.Event(now, k, ep.node, s.link, uint32(a), int(b))
+		for i := range s.op.subs {
+			s.op.subs[i].span.Event(now, k, ep.node, s.link, uint32(a), int(b))
+		}
 	}
 }
 
@@ -600,7 +620,7 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		// matching-incarnation frames are equally stale.
 		if h.Incarnation != c.incarnation || c.reconnecting {
 			ep.Stats.StaleEpochDrops++
-			ep.recEvent(c.localID, obs.RecStaleDrop, int64(h.Incarnation), int64(c.incarnation))
+			ep.emit(c.localID, obs.EvStaleDrop, int64(h.Incarnation), int64(c.incarnation))
 			return
 		}
 	}
@@ -617,7 +637,7 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		}
 		c.closed = true
 		c.stopTimers()
-		ep.recEvent(c.localID, obs.RecClosed, 1, 0)
+		ep.emit(c.localID, obs.EvClosed, 1, 0)
 		ah := frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
 			Incarnation: h.Incarnation}
 		buf := frame.MustEncode(src, ep.nics[0].Addr(), &ah, nil)
@@ -705,7 +725,7 @@ func (ep *Endpoint) Dial(p *sim.Proc, remoteNode int, links int) *Conn {
 		links = len(ep.nics)
 	}
 	c := ep.newConn(remoteNode, links)
-	ep.recEvent(c.localID, obs.RecDial, int64(links), int64(remoteNode))
+	ep.emit(c.localID, obs.EvDial, int64(links), int64(remoteNode))
 	c.dialer = true // this side owns redialing under Config.Reconnect
 	if ep.cfg.Reconnect {
 		c.incarnation = 1 // first epoch; 0 means "incarnations unused"
@@ -731,8 +751,7 @@ func (ep *Endpoint) Dial(p *sim.Proc, remoteNode int, links int) *Conn {
 				remoteNode, attempts, ErrPeerDead)
 			c.closed = true
 			ep.Stats.PeerDeadEvents++
-			ep.trc(c.localID, trace.PeerDead, 0, 0)
-			ep.recEvent(c.localID, obs.RecFailed, int64(attempts), 0)
+			ep.emit(c.localID, obs.EvFailed, int64(attempts), 0)
 			ep.removeConn(c)
 			c.established.Fire(ep.env)
 			return
@@ -787,7 +806,7 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 		c.remoteID = h.ConnID
 		c.incarnation = h.Incarnation // adopt the dialer's epoch (0 = feature off)
 		ep.byPeer[key] = c
-		ep.recEvent(c.localID, obs.RecEstablished, int64(c.incarnation), int64(src.Node()))
+		ep.emit(c.localID, obs.EvEstablished, int64(c.incarnation), int64(src.Node()))
 		c.established.Fire(ep.env)
 		c.startKeepalive()
 		ep.accepted.Send(ep.env, c)
@@ -829,7 +848,7 @@ func (ep *Endpoint) handleConnAck(_ frame.Addr, h frame.Header) {
 	if c.connTimer != nil {
 		c.connTimer.Stop()
 	}
-	ep.recEvent(c.localID, obs.RecEstablished, int64(c.incarnation), int64(c.remoteNode))
+	ep.emit(c.localID, obs.EvEstablished, int64(c.incarnation), int64(c.remoteNode))
 	c.established.Fire(ep.env)
 	c.startKeepalive()
 }

@@ -77,6 +77,18 @@ func (c *Conn) CtrlStateForTest() (ackDue bool, nacks int) {
 	return c.ackDue, len(c.nackDue)
 }
 
+// RxOpsBelowFrontierForTest counts receive-op records for ids the
+// completion frontier has already passed: records nothing collects.
+func (c *Conn) RxOpsBelowFrontierForTest() int {
+	n := 0
+	for id := range c.rxOps {
+		if id < c.frontier {
+			n++
+		}
+	}
+	return n
+}
+
 // LocalIDForTest returns the connection's demultiplex id — the ConnID
 // an incoming frame must carry to reach it. The stale-epoch property
 // test crafts raw frames against it.

@@ -101,7 +101,7 @@ func (c *Conn) Abandon() {
 		return
 	}
 	c.ep.Stats.Abandons++
-	c.ep.recEvent(c.localID, obs.RecAbandon, int64(c.incarnation), int64(c.inflight()))
+	c.ep.emit(c.localID, obs.EvAbandon, int64(c.incarnation), int64(c.inflight()))
 	c.failConn(fmt.Errorf("core: connection to node %d abandoned by caller: %w",
 		c.remoteNode, ErrPeerDead), !c.reconnecting)
 }

@@ -406,7 +406,7 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 	if ep.doorbellHist != nil {
 		ep.doorbellHist.Observe(float64(n))
 	}
-	ep.recEvent(c.localID, obs.RecDoorbell, int64(n), 0)
+	ep.emit(c.localID, obs.EvDoorbell, int64(n), 0)
 	// Walk the batch in issue order, coalescing runs of small writes
 	// into shared MultiData frames.
 	lim := ep.cfg.CoalesceLimit

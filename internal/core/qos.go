@@ -218,7 +218,7 @@ func (c *Conn) qosAdmitFast(op Op) (int, bool) {
 	if !ep.qosHasRoom(cls, op.Size) {
 		ep.qos[cls].throttled++
 		ep.Stats.QosOpsThrottled++
-		ep.recEvent(c.localID, obs.RecThrottled, int64(cls), 0)
+		ep.emit(c.localID, obs.EvThrottled, int64(cls), 0)
 		return cls, false
 	}
 	ep.qosCharge(cls, op.Size)
@@ -238,7 +238,7 @@ func (c *Conn) qosAdmitDo(p *sim.Proc, op Op) (int, error) {
 	}
 	ep.qos[cls].waits++
 	ep.Stats.QosAdmissionWaits++
-	ep.recEvent(c.localID, obs.RecThrottled, int64(cls), 1)
+	ep.emit(c.localID, obs.EvThrottled, int64(cls), 1)
 	for {
 		p.Sleep(qosAdmitPoll)
 		if c.failed {
@@ -313,7 +313,7 @@ func (ep *Endpoint) qosRateOK(cls int) bool {
 	if !q.refill.Pending() {
 		need := 1 - q.tokens
 		d := sim.Time((need*int64(sim.Second) + rate - 1) / rate)
-		ep.recEvent(0, obs.RecRateDefer, int64(cls), int64(d))
+		ep.emit(0, obs.EvRateDefer, int64(cls), int64(d))
 		q.refill = ep.env.Rearm(q.refill, d, ep.qosWakeFn)
 	}
 	return false

@@ -55,7 +55,7 @@ func (c *Conn) peerLost(cause error, sendReset bool) {
 	if sendReset {
 		reset = 1
 	}
-	c.ep.recEvent(c.localID, obs.RecPeerDead, reset, int64(c.expiries))
+	c.ep.emit(c.localID, obs.EvPeerDead, reset, int64(c.expiries))
 	if c.ep.cfg.Reconnect && c.established.Fired() && !c.failed {
 		c.enterReconnect(cause, sendReset)
 		return
@@ -74,7 +74,7 @@ func (c *Conn) enterReconnect(cause error, sendReset bool) {
 	}
 	_ = cause // the outage is transient by intent; errors surface only on give-up
 	ep, r := c.ep, c.recoveryGroup()
-	ep.recEvent(c.localID, obs.RecReconnect, int64(c.incarnation), 0)
+	ep.emit(c.localID, obs.EvReconnect, int64(c.incarnation), 0)
 	c.reconnecting = true
 	r.since = ep.env.Now()
 	r.attempt = 0
@@ -146,7 +146,7 @@ func (c *Conn) redial() {
 		return
 	}
 	r.attempt++
-	ep.recEvent(c.localID, obs.RecRedial, int64(r.attempt), int64(r.pendingIncarn))
+	ep.emit(c.localID, obs.EvRedial, int64(r.attempt), int64(r.pendingIncarn))
 	h := frame.Header{Type: frame.TypeConnReq, ConnID: c.localID,
 		OpID: uint64(c.links), Incarnation: r.pendingIncarn}
 	dst := frame.NewAddr(c.remoteNode, 0)
@@ -174,7 +174,7 @@ func (c *Conn) acceptReconnect(inc uint16) {
 	}
 	if !c.reconnecting {
 		r := c.recoveryGroup()
-		c.ep.recEvent(c.localID, obs.RecReconnect, int64(c.incarnation), 1)
+		c.ep.emit(c.localID, obs.EvReconnect, int64(c.incarnation), 1)
 		c.reconnecting = true
 		r.since = c.ep.env.Now()
 		c.stopTimers()
@@ -306,7 +306,7 @@ func (c *Conn) rebirth(inc uint16) {
 	c.txOps = journal
 
 	c.incarnation = inc
-	ep.recEvent(c.localID, obs.RecRebirth, int64(inc), int64(len(journal)))
+	ep.emit(c.localID, obs.EvRebirth, int64(inc), int64(len(journal)))
 	r.pendingIncarn = 0
 	c.reconnecting = false
 	r.total++

@@ -8,6 +8,8 @@ import (
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
+	"multiedge/internal/obs"
+	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
 
@@ -164,6 +166,69 @@ func TestReconnectExactlyOnceNotify(t *testing.T) {
 	// The replayed payload had to be dropped by the completed-op record.
 	if cl.Nodes[1].EP.Stats.DupFramesDropped == 0 {
 		t.Error("replayed payload was not deduplicated at the receiver")
+	}
+}
+
+// TestReconnectReplayedSolicitAcksPromptly: a Solicit write is performed
+// and its record collected, but every ACK for it is lost, so the sender
+// replays it after a reconnect with an op id below the receiver's
+// completion frontier. The receiver must drop the payload and still send
+// the prompt ACK Solicit asks for — the replayed op completes one round
+// trip after the sender's rebirth, not one AckDelay — and must keep no
+// record below its frontier.
+func TestReconnectReplayedSolicitAcksPromptly(t *testing.T) {
+	cfg := reconnectConfig()
+	cfg.Obs.Recorder = true
+	cl, c01, c10 := pairCluster(t, cfg)
+	const n = 1024
+	src := cl.Nodes[0].EP.Alloc(n)
+	dst := cl.Nodes[1].EP.Alloc(n)
+	fill(cl.Nodes[0].EP.Mem()[src:src+n], 3)
+	// The reverse direction (node1 -> node0) dies before the write and
+	// comes back after the sender has parked: the data lands, its ACKs
+	// do not.
+	reverse := append([]*phys.OutPort{cl.RailPorts(1, 0)[0]}, cl.RailPorts(0, 0)[1:]...)
+	cl.Env.After(sim.Millisecond, func() {
+		for _, p := range reverse {
+			p.Fail()
+		}
+	})
+	cl.Env.After(200*sim.Millisecond, func() {
+		for _, p := range reverse {
+			p.Restore()
+		}
+	})
+	var doneAt sim.Time
+	cl.Env.Go("writer", func(p *sim.Proc) {
+		p.Sleep(2 * sim.Millisecond)
+		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite, Flags: frame.Solicit})
+		if h.Wait(p); h.Err() != nil {
+			t.Errorf("write returned %v, want recovery across the ack outage", h.Err())
+		}
+		doneAt = cl.Env.Now()
+	})
+	cl.Env.RunUntil(10 * sim.Second)
+	if !bytes.Equal(cl.Nodes[1].EP.Mem()[dst:dst+n], cl.Nodes[0].EP.Mem()[src:src+n]) {
+		t.Fatal("data corrupted")
+	}
+	if cl.Nodes[1].EP.Stats.DupFramesDropped == 0 {
+		t.Fatal("the write was not replayed onto a performed op: the test is vacuous")
+	}
+	var rebirth sim.Time
+	for _, ev := range cl.Recorders[0].Events() {
+		if ev.Kind == obs.EvRebirth {
+			rebirth = ev.At
+		}
+	}
+	if rebirth == 0 || doneAt < rebirth {
+		t.Fatalf("sender reborn at %v, write done at %v: no replay", rebirth, doneAt)
+	}
+	t.Logf("replayed op completed %v after the sender's rebirth", doneAt-rebirth)
+	if d := doneAt - rebirth; d >= cfg.Core.AckDelay/2 {
+		t.Errorf("replayed Solicit op completed %v after the rebirth, want one round trip (AckDelay %v)", d, cfg.Core.AckDelay)
+	}
+	if k := c10.RxOpsBelowFrontierForTest(); k != 0 {
+		t.Errorf("%d receive-op records left below the frontier", k)
 	}
 }
 

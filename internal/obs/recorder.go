@@ -9,143 +9,116 @@ import (
 	"multiedge/internal/sim"
 )
 
-// Flight recorder: a fixed-size, allocation-free ring buffer of typed
-// protocol events, one per endpoint. Unlike metrics (aggregates) and
-// spans (per-operation causal traces, opt-in and allocating), the
-// recorder is cheap enough to leave on unconditionally in every stress
-// harness: recording one event is a bounds-checked store into a
-// preallocated array plus two integer increments — no allocation, no
-// RNG, no scheduled event — so it can never perturb the simulation or
-// its determinism. When a chaos invariant, leak gate or peer-death path
-// fires, the rings are frozen into a PostMortem: a cause-tagged dump of
-// the last events per connection, as JSON and as a human-readable
-// timeline.
+// Recorder: a fixed-size, allocation-free ring buffer of protocol events
+// (Kind), one per endpoint, built for a set of kinds. The flight
+// recorder (FlightKinds) is cheap enough to leave on unconditionally in
+// every stress harness: recording one event is a bounds-checked store
+// into a preallocated array plus a few integer updates — no allocation,
+// no RNG, no scheduled event — so it can never perturb the simulation
+// or its determinism. When a chaos invariant, leak gate or peer-death
+// path fires, the rings are frozen into a PostMortem: a cause-tagged
+// dump of the last events per connection, as JSON and as a
+// human-readable timeline. The traffic view (TrafficKinds) renders the
+// same ring as per-kind totals and a bucketed timeline.
 
-// RecKind classifies one flight-recorder event. The A/B payload fields
-// are kind-specific (documented per constant).
-type RecKind uint8
-
-const (
-	RecDial        RecKind = iota + 1 // conn created by Dial; A = links
-	RecEstablished                    // handshake complete; A = incarnation
-	RecClosed                         // graceful teardown; A = 1 if peer-initiated
-	RecFailed                         // terminal failure (ErrPeerDead path)
-	RecPeerDead                       // local peer-death verdict; A = 1 if a Reset is sent
-	RecRtoExpiry                      // retransmission timeout fired; A = backoff depth, B = inflight
-	RecReconnect                      // parked in Reconnecting (epoch condemned)
-	RecRedial                         // supervised redial sent; A = attempt
-	RecRebirth                        // successor epoch installed; A = incarnation, B = replayed ops
-	RecNackDrop                       // missing-list cap hit; A = seq, B = tracked gaps
-	RecDoorbell                       // SQ doorbell rung; A = descriptors issued
-	RecSched                          // conn enqueued on the scheduler; A = 0 ctrl / 1 send, B = queue depth
-	RecLinkDead                       // link excluded from striping; A = link
-	RecLinkRestore                    // dead link re-admitted; A = link
-	RecStaleDrop                      // frame fenced for a dead incarnation; A = frame epoch, B = live epoch
-	RecAbandon                        // conn terminally failed by Conn.Abandon; A = incarnation, B = inflight
-	RecThrottled                      // QoS admission backpressure; A = class, B = 0 fail-fast / 1 blocking wait
-	RecRateDefer                      // QoS class parked on an empty token bucket; A = class, B = refill delay
-	RecCwndCut                        // congestion window halved; A = new cwnd, B = 0 ECN echo / 1 RTO
-	RecEcnEcho                        // ECN marks echoed on an ack-bearing frame; A = marks covered
-	RecCcBlock                        // congestion-window backpressure; A = cwnd, B = 0 fail-fast / 1 blocking wait
-	recKindCount
-)
-
-var recKindNames = [recKindCount]string{
-	"?", "dial", "established", "closed", "failed", "peer-dead",
-	"rto-expiry", "reconnect", "redial", "rebirth", "nack-drop",
-	"doorbell", "sched", "link-dead", "link-restore", "stale-drop",
-	"abandon", "throttled", "rate-defer", "cwnd-cut", "ecn-echo",
-	"cc-block",
-}
-
-// String returns the event kind's wire name ("rto-expiry", ...).
-func (k RecKind) String() string {
-	if k >= recKindCount {
-		return "?"
-	}
-	return recKindNames[k]
-}
-
-// recStateTransition reports whether k changes the connection's
-// lifecycle state — the events a post-mortem timeline must always keep
-// for the victim connection.
-func recStateTransition(k RecKind) bool {
+// stateTransition reports whether k changes the connection's lifecycle
+// state — the events a post-mortem timeline must always keep for the
+// victim connection.
+func stateTransition(k Kind) bool {
 	switch k {
-	case RecDial, RecEstablished, RecClosed, RecFailed, RecPeerDead,
-		RecReconnect, RecRebirth:
+	case EvDial, EvEstablished, EvClosed, EvFailed, EvPeerDead,
+		EvReconnect, EvRebirth:
 		return true
 	}
 	return false
 }
 
-// RecNoConn marks endpoint-level events not tied to one connection.
-const RecNoConn = ^uint32(0)
+// NoConn marks endpoint-level events not tied to one connection.
+const NoConn = ^uint32(0)
 
-// RecEvent is one recorded protocol event. 32 bytes, stored by value in
-// the ring: recording allocates nothing.
-type RecEvent struct {
+// Event is one recorded protocol event. 32 bytes, stored by value in the
+// ring: recording allocates nothing.
+type Event struct {
 	At   sim.Time
 	A, B int64
 	Conn uint32
-	Kind RecKind
+	Kind Kind
 }
 
-// Recorder is one endpoint's flight-recorder ring. The zero-size ring is
-// invalid; create with NewRecorder. A nil *Recorder is the disabled
-// state: Record is a nil-check no-op, so instrumented code holds one
-// unconditionally.
+// Recorder is one endpoint's event ring. The zero-size ring is invalid;
+// create with NewRecorder. A nil *Recorder is the disabled state: Record
+// is a nil-check no-op, so instrumented code holds one unconditionally.
 type Recorder struct {
-	node int
-	buf  []RecEvent
-	n    uint64 // events ever recorded; n - len(buf) of them overwritten
+	node        int
+	kinds       KindSet
+	buf         []Event
+	n           uint64 // events ever recorded; n - len(buf) of them overwritten
+	count       [kindCount]uint64
+	bytes       [kindCount]uint64 // sums of B over byteKinds
+	first, last sim.Time
 }
 
 // DefaultRecorderEvents is the per-endpoint ring capacity harnesses use
 // unless configured otherwise (32 KiB per endpoint at 32 B/event).
 const DefaultRecorderEvents = 1024
 
-// NewRecorder creates a flight recorder for node with a ring of the
-// given capacity (DefaultRecorderEvents if size <= 0).
-func NewRecorder(node, size int) *Recorder {
+// NewRecorder creates a recorder for node that keeps the given kinds in
+// a ring of the given capacity (DefaultRecorderEvents if size <= 0).
+func NewRecorder(node, size int, kinds KindSet) *Recorder {
 	if size <= 0 {
 		size = DefaultRecorderEvents
 	}
-	return &Recorder{node: node, buf: make([]RecEvent, 0, size)}
+	return &Recorder{node: node, kinds: kinds, buf: make([]Event, 0, size)}
 }
 
-// Record appends one event, overwriting the oldest once the ring is
-// full. Nil-safe and allocation-free.
-func (r *Recorder) Record(at sim.Time, conn uint32, k RecKind, a, b int64) {
-	if r == nil {
+// Record appends one event if the recorder was built for its kind,
+// overwriting the oldest once the ring is full. The per-kind totals keep
+// counting what falls off. Nil-safe and allocation-free.
+func (r *Recorder) Record(at sim.Time, conn uint32, k Kind, a, b int64) {
+	if !r.Takes(k) {
 		return
 	}
-	ev := RecEvent{At: at, A: a, B: b, Conn: conn, Kind: k}
+	ev := Event{At: at, A: a, B: b, Conn: conn, Kind: k}
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
 	} else {
 		r.buf[r.n%uint64(len(r.buf))] = ev
 	}
-	r.n++
-}
-
-// Node returns the node the recorder is attached to (-1 on nil).
-func (r *Recorder) Node() int {
-	if r == nil {
-		return -1
+	if r.n == 0 {
+		r.first = at
 	}
-	return r.node
+	r.n++
+	r.last = at
+	r.count[k]++
+	if byteKinds.Has(k) {
+		r.bytes[k] += uint64(b)
+	}
 }
 
-// Len returns how many events the ring currently holds.
-func (r *Recorder) Len() int {
-	if r == nil {
+// Takes reports whether the recorder keeps kind k (false on nil), so a
+// caller can skip building an event nobody records.
+func (r *Recorder) Takes(k Kind) bool { return r != nil && r.kinds.Has(k) }
+
+// Count returns how many events of kind k were recorded, including
+// those the ring has since overwritten (0 on nil).
+func (r *Recorder) Count(k Kind) uint64 {
+	if r == nil || k >= kindCount {
 		return 0
 	}
-	return len(r.buf)
+	return r.count[k]
 }
 
-// Recorded returns how many events were ever recorded; Recorded - Len
-// of them have been overwritten.
+// Bytes returns the payload bytes recorded for kind k (0 on nil, and for
+// kinds whose B is not a byte count).
+func (r *Recorder) Bytes(k Kind) uint64 {
+	if r == nil || k >= kindCount {
+		return 0
+	}
+	return r.bytes[k]
+}
+
+// Recorded returns how many events were ever recorded; all but the
+// ring's capacity of them may have been overwritten.
 func (r *Recorder) Recorded() uint64 {
 	if r == nil {
 		return 0
@@ -155,17 +128,74 @@ func (r *Recorder) Recorded() uint64 {
 
 // Events returns the ring's contents in recording order (oldest first).
 // The slice is freshly allocated; the ring keeps recording.
-func (r *Recorder) Events() []RecEvent {
+func (r *Recorder) Events() []Event {
 	if r == nil || len(r.buf) == 0 {
 		return nil
 	}
-	out := make([]RecEvent, 0, len(r.buf))
+	out := make([]Event, 0, len(r.buf))
 	if len(r.buf) < cap(r.buf) || r.n == uint64(len(r.buf)) {
 		return append(out, r.buf...)
 	}
 	head := int(r.n % uint64(len(r.buf))) // oldest surviving event
 	out = append(out, r.buf[head:]...)
 	return append(out, r.buf[:head]...)
+}
+
+// Summary renders the per-kind totals of every kind recorded at least
+// once, with the span of time they cover.
+func (r *Recorder) Summary() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "trace: %v .. %v\n", r.first, r.last)
+	for k := Kind(1); k < kindCount; k++ {
+		if r.count[k] > 0 {
+			fmt.Fprintf(&b, "  %-11s %8d events %12d bytes\n", k, r.count[k], r.bytes[k])
+		}
+	}
+	return b.String()
+}
+
+// Timeline renders the ring's events bucketed by the given interval: a
+// header naming every kind the recorder takes, then one row of per-kind
+// counts per bucket — a text version of the paper's traffic-over-time
+// analysis. Columns are as wide as the longest name plus one.
+func (r *Recorder) Timeline(bucket sim.Time) string {
+	evs := r.Events()
+	if len(evs) == 0 {
+		return "trace: no events\n"
+	}
+	var kinds []Kind
+	w := 0
+	for k := Kind(1); k < kindCount; k++ {
+		if r.kinds.Has(k) {
+			kinds = append(kinds, k)
+			w = max(w, len(k.String())+1)
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%12s", "t")
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "%*s", w, k)
+	}
+	fmt.Fprintln(&b)
+	var row [kindCount]int
+	flush := func(at sim.Time) {
+		fmt.Fprintf(&b, "%12v", at)
+		for _, k := range kinds {
+			fmt.Fprintf(&b, "%*d", w, row[k])
+		}
+		fmt.Fprintln(&b)
+		row = [kindCount]int{}
+	}
+	cur := evs[0].At / bucket * bucket
+	for _, ev := range evs {
+		for ev.At >= cur+bucket {
+			flush(cur)
+			cur += bucket
+		}
+		row[ev.Kind]++
+	}
+	flush(cur)
+	return b.String()
 }
 
 // TimelineNote is one non-recorder entry merged into a post-mortem
@@ -181,7 +211,7 @@ type NodeEvents struct {
 	Node        int
 	Recorded    uint64 // events ever recorded on this node
 	Overwritten uint64 // events lost to ring wraparound
-	Events      []RecEvent
+	Events      []Event
 }
 
 // PostMortem is a frozen, cause-tagged flight-recorder dump, built when
@@ -220,7 +250,7 @@ func BuildPostMortem(cause string, at sim.Time, faults []TimelineNote, recs ...*
 		keep := make([]bool, len(all))
 		for i := len(all) - 1; i >= 0; i-- {
 			ev := all[i]
-			if recStateTransition(ev.Kind) || tail[ev.Conn] < postMortemLastN {
+			if stateTransition(ev.Kind) || tail[ev.Conn] < postMortemLastN {
 				keep[i] = true
 				tail[ev.Conn]++
 			}
@@ -263,7 +293,7 @@ func (pm *PostMortem) JSON() []byte {
 				b.WriteByte(',')
 			}
 			conn := strconv.FormatUint(uint64(ev.Conn), 10)
-			if ev.Conn == RecNoConn {
+			if ev.Conn == NoConn {
 				conn = "-1"
 			}
 			fmt.Fprintf(&b, "\n{\"at_ns\":%d,\"conn\":%s,\"kind\":\"%s\",\"a\":%d,\"b\":%d}",
@@ -290,7 +320,7 @@ func (pm *PostMortem) Timeline() string {
 	for _, n := range pm.Nodes {
 		for _, ev := range n.Events {
 			conn := "conn " + strconv.FormatUint(uint64(ev.Conn), 10)
-			if ev.Conn == RecNoConn {
+			if ev.Conn == NoConn {
 				conn = "endpoint"
 			}
 			lines = append(lines, line{ev.At, fmt.Sprintf("n%-3d %-8s %-12s a=%d b=%d",

@@ -18,41 +18,11 @@ type SpanID struct {
 	Op   uint64
 }
 
-// EventKind classifies one child event inside a span.
-type EventKind uint8
-
-// Span event kinds, in causal order of a typical operation.
-const (
-	EvProtoDequeue EventKind = iota + 1 // protocol CPU picked the op off the send queue
-	EvFrameTx                           // one data frame handed to a rail (Link = rail)
-	EvFrameRetx                         // retransmission of Seq on Link
-	EvNackRepair                        // NACK from peer scheduled a repair of Seq
-	EvRtoRepair                         // retransmission timeout scheduled a repair of Seq
-	EvAck                               // sender saw Seq acknowledged
-	EvRxHold                            // receiver buffered Seq out of order / behind a fence
-	EvRxApply                           // receiver applied Seq to memory
-	EvReadServe                         // responder started serving a read request
-	EvRxComplete                        // receiver retired the whole operation
-	evKindCount
-)
-
-var evKindNames = [evKindCount]string{
-	"?", "proto-dequeue", "frame-tx", "frame-retx", "nack-repair",
-	"rto-repair", "ack", "rx-hold", "rx-apply", "read-serve", "rx-complete",
-}
-
-// String returns the event kind's wire name ("frame-tx", ...).
-func (k EventKind) String() string {
-	if k >= evKindCount {
-		return "?"
-	}
-	return evKindNames[k]
-}
-
-// SpanEvent is one timestamped child event of a span.
+// SpanEvent is one timestamped child event of a span: a protocol event
+// (Kind) scoped to one operation, with its A and B as Seq and Len.
 type SpanEvent struct {
 	At   sim.Time
-	Kind EventKind
+	Kind Kind
 	Node int // node where the event happened
 	Link int // rail index for frame events, -1 otherwise
 	Seq  uint32
@@ -129,7 +99,7 @@ const layerConn = ^uint32(0)
 
 // Event appends a child event. Nil-safe: instrumented code can hold a
 // nil *Span and call this unconditionally.
-func (s *Span) Event(at sim.Time, kind EventKind, node, link int, seq uint32, n int) {
+func (s *Span) Event(at sim.Time, kind Kind, node, link int, seq uint32, n int) {
 	if s == nil {
 		return
 	}
