@@ -61,7 +61,6 @@ func RunFanin(opts FaninOptions) FaninResult {
 	cfg.Seed = opts.Seed
 	// The scaled endpoint: O(1) connection scheduler.
 	cfg.Core.SchedQueue = true
-	cfg.Core.UseSQ = true
 	// The default 16 MB address space times hundreds of nodes is real
 	// host memory; size it to the working set instead.
 	cfg.Core.MemBytes = conns*faninSlots*opts.Size + (1 << 20)

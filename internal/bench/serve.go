@@ -151,7 +151,6 @@ func RunServe(opts ServeOptions) ServeResult {
 	// retries, and idle-side liveness so parked sessions notice a dead
 	// replica too.
 	cfg.Core.SchedQueue = true
-	cfg.Core.UseSQ = true
 	// Detection and failover tuned for heavy incast: thousands of
 	// sessions queue tens of milliseconds behind each other on the
 	// backend rails, so the dead-peer verdict (and the failover budget

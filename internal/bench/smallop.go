@@ -72,7 +72,6 @@ func postBatch(p *sim.Proc, c *core.Conn, sl slots, n int) {
 // draining the completion queue per batch.
 func RunSmallOps(cfg cluster.Config, size, count, batch int) SmallOpResult {
 	if batch > 0 {
-		cfg.Core.UseSQ = true
 		cfg.Core.CoalesceLimit = size
 	}
 	cl := cluster.New(cfg)

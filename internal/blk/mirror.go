@@ -65,26 +65,6 @@ func (c *Client) writeAsync(p *sim.Proc, block int, data []byte) *core.Handle {
 	})
 }
 
-// writeSQ is writeAsync through the submission queue (Core.UseSQ): the
-// data write and its fenced solicited commit record are posted together
-// and issued under a single doorbell; the two completions surface on
-// the leg connection's completion queue.
-func (c *Client) writeSQ(p *sim.Proc, block int, data []byte) {
-	mem := c.ep.Mem()
-	copy(mem[c.stage:c.stage+uint64(c.v.BlockSize)], data)
-	c.c.MustPost(core.Op{Remote: c.blockAddr(block), Local: c.stage, Size: c.v.BlockSize, Kind: frame.OpWrite})
-	c.seq++
-	putCommit(mem[c.rec:], c.seq, block)
-	c.Stats.Writes++
-	c.Stats.Commits++
-	c.Stats.BytesWrite += uint64(c.v.BlockSize)
-	c.c.MustPost(core.Op{
-		Remote: c.commitAddr(), Local: c.rec, Size: CommitRecordSize,
-		Kind: frame.OpWrite, Flags: frame.FenceBefore | frame.Solicit,
-	})
-	c.c.MustRing(p)
-}
-
 // Write stores the block on every healthy leg, concurrently, and
 // returns when all their commits are acknowledged. With a leg down it
 // degrades to single-leg writes (Rebuild copies the backlog later).
@@ -94,32 +74,15 @@ func (m *Mirror) Write(p *sim.Proc, block int, data []byte) {
 	if m.down[0] && m.down[1] {
 		panic("blk: mirror write with both legs down")
 	}
-	if ep.Config().UseSQ {
-		// Issue both legs (data + commit under one doorbell each) before
-		// waiting anything, so the legs proceed concurrently; then drain
-		// the two completions per leg from each connection's CQ.
-		for i, leg := range m.legs {
-			if !m.down[i] {
-				leg.writeSQ(p, block, data)
-			}
+	var hs [2]*core.Handle
+	for i, leg := range m.legs {
+		if !m.down[i] {
+			hs[i] = leg.writeAsync(p, block, data)
 		}
-		for i, leg := range m.legs {
-			if !m.down[i] {
-				leg.c.WaitCQ(p)
-				leg.c.WaitCQ(p)
-			}
-		}
-	} else {
-		var hs [2]*core.Handle
-		for i, leg := range m.legs {
-			if !m.down[i] {
-				hs[i] = leg.writeAsync(p, block, data)
-			}
-		}
-		for _, h := range hs {
-			if h != nil {
-				h.Wait(p)
-			}
+	}
+	for _, h := range hs {
+		if h != nil {
+			h.Wait(p)
 		}
 	}
 	sp.EndAt(ep.Env().Now())

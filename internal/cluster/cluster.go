@@ -132,13 +132,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster %q: HeartbeatInterval %v must be shorter than DeadInterval %v or idle peers are declared dead between beats",
 			c.Name, c.Core.HeartbeatInterval, c.Core.DeadInterval)
 	}
-	if c.Core.MaxReconnects < 0 || c.Core.ReconnectBackoff < 0 || c.Core.ReconnectBackoffMax < 0 {
-		return fmt.Errorf("cluster %q: negative reconnect budget (MaxReconnects %d, ReconnectBackoff %v, ReconnectBackoffMax %v)",
-			c.Name, c.Core.MaxReconnects, c.Core.ReconnectBackoff, c.Core.ReconnectBackoffMax)
-	}
-	if c.Core.ReconnectBackoffMax > 0 && c.Core.ReconnectBackoffMax < c.Core.ReconnectBackoff {
-		return fmt.Errorf("cluster %q: ReconnectBackoffMax %v below initial backoff %v",
-			c.Name, c.Core.ReconnectBackoffMax, c.Core.ReconnectBackoff)
+	if c.Core.MaxReconnects < 0 || c.Core.ReconnectBackoff < 0 {
+		return fmt.Errorf("cluster %q: negative reconnect budget (MaxReconnects %d, ReconnectBackoff %v)",
+			c.Name, c.Core.MaxReconnects, c.Core.ReconnectBackoff)
 	}
 	if len(c.Core.QoS) > 0 && !c.Core.SchedQueue {
 		return fmt.Errorf("cluster %q: QoS requires SchedQueue (the classes are the scheduler's queues)", c.Name)
@@ -168,27 +164,15 @@ func (c *Config) Validate() error {
 	if cc.Enable && !c.Core.SchedQueue {
 		return fmt.Errorf("cluster %q: CongestionControl requires SchedQueue (the window gates the scheduler's transmit slots)", c.Name)
 	}
-	if !cc.Enable && (cc.InitWindow != 0 || cc.MinWindow != 0 || cc.MaxWindow != 0 || cc.Backlog != 0 || cc.ProbeInterval != 0) {
+	if !cc.Enable && cc.InitWindow != 0 {
 		return fmt.Errorf("cluster %q: CongestionControl window bounds without Enable do nothing", c.Name)
 	}
-	if cc.InitWindow < 0 || cc.MinWindow < 0 || cc.MaxWindow < 0 || cc.Backlog < 0 {
-		return fmt.Errorf("cluster %q: negative CongestionControl bound (InitWindow %d, MinWindow %d, MaxWindow %d, Backlog %d)",
-			c.Name, cc.InitWindow, cc.MinWindow, cc.MaxWindow, cc.Backlog)
+	if cc.InitWindow < 0 {
+		return fmt.Errorf("cluster %q: negative CongestionControl bound (InitWindow %d)", c.Name, cc.InitWindow)
 	}
-	if cc.ProbeInterval < 0 {
-		return fmt.Errorf("cluster %q: negative CongestionControl ProbeInterval %v", c.Name, cc.ProbeInterval)
-	}
-	if cc.MaxWindow > 0 && cc.MinWindow > cc.MaxWindow {
-		return fmt.Errorf("cluster %q: CongestionControl MinWindow %d above MaxWindow %d",
-			c.Name, cc.MinWindow, cc.MaxWindow)
-	}
-	if cc.MaxWindow > 0 && cc.InitWindow > cc.MaxWindow {
-		return fmt.Errorf("cluster %q: CongestionControl InitWindow %d above MaxWindow %d",
-			c.Name, cc.InitWindow, cc.MaxWindow)
-	}
-	if cc.MaxWindow > c.Core.Window {
-		return fmt.Errorf("cluster %q: CongestionControl MaxWindow %d above the ARQ window %d (the extra slots could never be used)",
-			c.Name, cc.MaxWindow, c.Core.Window)
+	if cc.InitWindow > c.Core.Window {
+		return fmt.Errorf("cluster %q: CongestionControl InitWindow %d above Window %d (the congestion window's cap)",
+			c.Name, cc.InitWindow, c.Core.Window)
 	}
 	return nil
 }

@@ -209,27 +209,17 @@ func TestValidateCongestionControl(t *testing.T) {
 	}{
 		{"cc-off", OneLink1G(2), ""},
 		{"cc-valid-defaults", ccCfg(true, core.CCConfig{Enable: true}), ""},
-		{"cc-valid-full-knobs", ccCfg(true, core.CCConfig{
-			Enable: true, InitWindow: 8, MinWindow: 2, MaxWindow: 64, Backlog: 32}), ""},
+		{"cc-valid-full-knobs", ccCfg(true, core.CCConfig{Enable: true, InitWindow: 8}), ""},
 		{"ecn-valid", mut(OneLink1G(2), func(c *Config) { c.EcnThreshold = 8 }), ""},
 		{"clos-valid", mut(TreeOneLink1G(8, 4, 1), func(c *Config) { c.Spines = 2 }), ""},
 		{"cc-needs-schedqueue", ccCfg(false, core.CCConfig{Enable: true}),
 			"CongestionControl requires SchedQueue"},
 		{"cc-knobs-without-enable", ccCfg(true, core.CCConfig{InitWindow: 8}),
 			"without Enable do nothing"},
-		{"cc-negative-bound", ccCfg(true, core.CCConfig{Enable: true, MinWindow: -1}),
+		{"cc-negative-bound", ccCfg(true, core.CCConfig{Enable: true, InitWindow: -1}),
 			"negative CongestionControl bound"},
-		{"cc-probe-valid", ccCfg(true, core.CCConfig{Enable: true, ProbeInterval: 2 * sim.Millisecond}), ""},
-		{"cc-probe-without-enable", ccCfg(true, core.CCConfig{ProbeInterval: sim.Millisecond}),
-			"without Enable do nothing"},
-		{"cc-negative-probe-interval", ccCfg(true, core.CCConfig{Enable: true, ProbeInterval: -sim.Millisecond}),
-			"negative CongestionControl ProbeInterval"},
-		{"cc-zero-via-min-above-max", ccCfg(true, core.CCConfig{Enable: true, MinWindow: 8, MaxWindow: 4}),
-			"MinWindow 8 above MaxWindow 4"},
-		{"cc-init-above-max", ccCfg(true, core.CCConfig{Enable: true, InitWindow: 9, MaxWindow: 4}),
-			"InitWindow 9 above MaxWindow 4"},
-		{"cc-max-above-arq-window", ccCfg(true, core.CCConfig{Enable: true, MaxWindow: 256}),
-			"above the ARQ window"},
+		{"cc-init-above-max", mut(ccCfg(true, core.CCConfig{Enable: true, InitWindow: 9}),
+			func(c *Config) { c.Core.Window = 4 }), "InitWindow 9 above Window 4"},
 		{"negative-spines", mut(OneLink1G(2), func(c *Config) { c.Spines = -1 }),
 			"negative Spines"},
 		{"spines-without-edges", mut(OneLink1G(4), func(c *Config) { c.Spines = 2 }),

@@ -25,14 +25,14 @@ import (
 //     ack-bearing frame (frame.Header.EcnEcho); RTO expiry is the
 //     drop-loss signal; per-rail SRTT (rail.rtt) is the striping signal.
 //   - Multiplicative decrease. An ECN echo or an RTO halves cwnd
-//     (floor ccMin), at most once per flight: further signals are
+//     (floor ccMinWindow), at most once per flight: further signals are
 //     ignored until sndUna passes the sndNxt recorded at the cut, so
 //     one congested round trip costs one halving, not one per ack.
 //     ECN cuts fire while queues are merely deep — throttling before
 //     drop-tail loss, so a saturated fabric degrades to bounded queueing
 //     delay instead of to RTO storms and ErrPeerDead cascades.
 //   - Additive increase. Each cwnd acked frames grow the window by one
-//     (the classic one-per-RTT slope), capped at ccMax.
+//     (the classic one-per-RTT slope), capped at Config.Window.
 //   - Loss recovery is paced too: at most cwnd retransmissions may
 //     leave between acts of forward progress (ack advance or RTO), so a
 //     loss burst can never put more repair traffic on the wire than a
@@ -91,10 +91,7 @@ func (c *Conn) ccCut(cause int64) {
 	if int32(c.sndUna-c.ccRecover) < 0 {
 		return // still inside the flight the previous cut charged
 	}
-	c.cwnd /= 2
-	if m := c.ep.cfg.ccMin(); c.cwnd < m {
-		c.cwnd = m
-	}
+	c.cwnd = max(c.cwnd/2, ccMinWindow)
 	c.ccRecover = c.sndNxt
 	c.ccAckCredit = 0
 	c.ep.Stats.CcCwndCuts++
@@ -108,7 +105,7 @@ func (c *Conn) ccOnAck(acked int) {
 	c.ccRetxSent = 0
 	c.ccAckCredit += acked
 	for c.ccAckCredit >= c.cwnd {
-		if c.cwnd >= c.ep.cfg.ccMax() {
+		if c.cwnd >= c.ep.cfg.Window {
 			c.ccAckCredit = 0
 			return
 		}
@@ -150,7 +147,7 @@ func (c *Conn) ccBacklogged() bool {
 		return false
 	}
 	return c.inflight() >= c.effWindow() &&
-		len(c.txOps)+c.SQLen() >= c.ep.cfg.ccBacklog()
+		len(c.txOps)+c.SQLen() >= ccBacklog
 }
 
 // ccAdmitFast is the fail-fast admission gate (Post): over the window

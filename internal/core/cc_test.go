@@ -14,13 +14,14 @@ import (
 )
 
 // ccPair builds an established 2-node pair with congestion control on
-// (which requires the connection scheduler) and the given window knobs.
-func ccPair(t *testing.T, cc core.CCConfig) (*cluster.Cluster, *core.Conn) {
+// (which requires the connection scheduler), the given initial
+// congestion window and the flow-control window that caps it.
+func ccPair(t *testing.T, initWindow, window int) (*cluster.Cluster, *core.Conn) {
 	t.Helper()
 	cfg := cluster.OneLink1G(2)
 	cfg.Core.SchedQueue = true
-	cc.Enable = true
-	cfg.Core.CongestionControl = cc
+	cfg.Core.Window = window
+	cfg.Core.CongestionControl = core.CCConfig{Enable: true, InitWindow: initWindow}
 	cl, c01, _ := pairCluster(t, cfg)
 	return cl, c01
 }
@@ -40,9 +41,9 @@ func blackhole(ports []*phys.OutPort) (restore func()) {
 
 // TestCCWindowGrowsOnCleanAcks: on a loss-free pair the additive
 // increase opens the window — one slot per cwnd acked frames — up to
-// MaxWindow, and nothing ever cuts it.
+// Window, and nothing ever cuts it.
 func TestCCWindowGrowsOnCleanAcks(t *testing.T) {
-	cl, c01 := ccPair(t, core.CCConfig{InitWindow: 2, MinWindow: 2, MaxWindow: 8})
+	cl, c01 := ccPair(t, 2, 8)
 	src := cl.Nodes[0].EP.Alloc(128 << 10)
 	dst := cl.Nodes[1].EP.Alloc(128 << 10)
 	cl.Env.Go("app", func(p *sim.Proc) {
@@ -73,9 +74,8 @@ func TestCCLossBurstBoundedByCwnd(t *testing.T) {
 	// whole outstanding window for repair, so without the budget each
 	// burst would be the full flight.
 	cfg.Core.GoBackN = true
-	cfg.Core.CongestionControl = core.CCConfig{
-		Enable: true, InitWindow: 16, MinWindow: 2, MaxWindow: 32,
-	}
+	cfg.Core.Window = 32
+	cfg.Core.CongestionControl = core.CCConfig{Enable: true, InitWindow: 16}
 	cl, c01, _ := pairCluster(t, cfg)
 
 	type txEv struct {
@@ -193,14 +193,16 @@ func TestCCEcnEchoCutsWindow(t *testing.T) {
 // ErrThrottled immediately — the PR-8 quota semantics — and admission
 // reopens when the flight drains.
 func TestCCPostFailFast(t *testing.T) {
-	cl, c01 := ccPair(t, core.CCConfig{InitWindow: 2, MinWindow: 2, MaxWindow: 2, Backlog: 1})
+	cl, c01 := ccPair(t, 2, 2)
 	src := cl.Nodes[0].EP.Alloc(8 << 10)
 	dst := cl.Nodes[1].EP.Alloc(8 << 10)
 	op := core.Op{Remote: dst, Local: src, Size: 1 << 10, Kind: frame.OpWrite}
 
 	restore := blackhole(cl.RailPorts(0, 0)[:1]) // eat data, keep nothing back
 	cl.Env.Go("app", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
+		// One single-frame op per cwnd slot, and a full backlog behind them.
+		posted := 2 + core.CCBacklogForTest
+		for i := 0; i < posted; i++ {
 			if err := c01.Post(op); err != nil {
 				t.Errorf("post %d before the window filled: %v", i, err)
 			}
@@ -213,7 +215,7 @@ func TestCCPostFailFast(t *testing.T) {
 			t.Errorf("post against an exhausted window = %v; want ErrThrottled", err)
 		}
 		restore()
-		drainCQ(p, c01, 3)
+		drainCQ(p, c01, posted)
 		// The flight drained: admission reopens.
 		if err := c01.Post(op); err != nil {
 			t.Errorf("post after drain: %v", err)
@@ -235,19 +237,23 @@ func TestCCPostFailFast(t *testing.T) {
 // of failing, and an Op.Deadline bounds that wait with
 // ErrDeadlineExceeded.
 func TestCCDoBlocksAndHonorsDeadline(t *testing.T) {
-	cl, c01 := ccPair(t, core.CCConfig{InitWindow: 2, MinWindow: 2, MaxWindow: 2, Backlog: 1})
+	cl, c01 := ccPair(t, 2, 2)
 	src := cl.Nodes[0].EP.Alloc(16 << 10)
 	dst := cl.Nodes[1].EP.Alloc(16 << 10)
 	op := core.Op{Remote: dst, Local: src, Size: 1 << 10, Kind: frame.OpWrite}
 
 	restore := blackhole(cl.RailPorts(0, 0)[:1])
 	cl.Env.Go("pin", func(p *sim.Proc) {
-		// 4KiB = 3 frames: 2 fill cwnd into the blackhole, 1 queues
-		// behind them, so the connection is window-exhausted AND
-		// backlogged.
-		pin := op
-		pin.Size = 4 << 10
-		c01.MustDo(p, pin).Wait(p)
+		// Single-frame ops: 2 fill cwnd into the blackhole and a full
+		// backlog queues behind them, so the connection is
+		// window-exhausted AND backlogged. Posted, because Do would
+		// itself block at the backlog bound.
+		pinned := 2 + core.CCBacklogForTest
+		for i := 0; i < pinned; i++ {
+			c01.MustPost(op)
+		}
+		c01.MustRing(p)
+		drainCQ(p, c01, pinned)
 	})
 	cl.Env.Go("app", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)

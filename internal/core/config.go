@@ -47,20 +47,17 @@ type Config struct {
 	// acknowledgement progress happens for this long while frames are
 	// outstanding, the sender retransmits the last transmitted frame.
 	// With adaptive mode enabled (RTOMax > 0) this becomes the initial
-	// timeout only; the effective value tracks the measured RTT.
+	// timeout and the floor of the adaptive one.
 	RTO sim.Time
 	// RTOMax enables adaptive retransmission timing: when positive, the
 	// effective timeout follows a per-connection Jacobson estimate
 	// (SRTT + 4*RTTVAR from ack timestamps, Karn-filtered to first
 	// transmissions), doubles on each consecutive expiry, and is clamped
-	// to [RTOMin, RTOMax]. Zero keeps the paper's fixed RTO — the
-	// default, because the go-back-N ablation's repair cadence is part
-	// of the pinned results (its clean runs are RTO-paced).
+	// to [RTO, RTOMax], so adaptation can only slow a timer down. Zero
+	// keeps the paper's fixed RTO — the default, because the go-back-N
+	// ablation's repair cadence is part of the pinned results (its clean
+	// runs are RTO-paced).
 	RTOMax sim.Time
-	// RTOMin floors the adaptive timeout. Zero falls back to RTO, so
-	// enabling adaptation can only slow a timer down unless a tighter
-	// floor is requested explicitly.
-	RTOMin sim.Time
 	// MaxRetries is the peer-failure retry budget: after this many
 	// consecutive timeout expiries without any acknowledgement progress
 	// the connection transitions to Failed and every queued or in-flight
@@ -84,8 +81,6 @@ type Config struct {
 	// 0 (the default) disables heartbeats entirely, so benchmark runs
 	// carry no extra frames.
 	HeartbeatInterval sim.Time
-	// ConnRetry is the connection-setup retransmission interval.
-	ConnRetry sim.Time
 	// Strict applies every frame in exact sequence order at the
 	// receiver, buffering out-of-order arrivals (the paper's 2L-1G
 	// configuration, where all operations are strictly ordered).
@@ -111,25 +106,19 @@ type Config struct {
 	// address space.
 	MemBytes int
 	// Offload models the paper's §6 future-work hybrid: per-frame
-	// protocol processing runs on a NIC engine instead of the host
-	// protocol CPU (each unit of work costs OffloadFactor more on the
-	// slower embedded cores, but the host is freed), and payload moves
-	// by direct DMA between user memory and the wire (no host copies
-	// are charged).
+	// protocol processing runs on a pipelined NIC engine at host parity
+	// instead of the host protocol CPU (the host is freed), and payload
+	// moves by direct DMA between user memory and the wire (no host
+	// copies are charged).
 	Offload bool
-	// OffloadFactor scales per-frame work on the NIC engine (default 2).
-	OffloadFactor int
 	// DeadLinkThreshold is the number of repair events (frames NACKed or
 	// timed out) attributed to one link without an intervening
 	// acknowledged frame on it, after which the sender declares the link
 	// dead and stops striping new frames onto it. 0 disables detection.
 	// Dead links are probed with a single in-flight frame every
-	// LinkProbeInterval and re-admitted as soon as any frame sent on
+	// linkProbeInterval and re-admitted as soon as any frame sent on
 	// them is acknowledged, so a repaired cable heals transparently.
 	DeadLinkThreshold int
-	// LinkProbeInterval is how often a dead link is risked one data
-	// frame to discover that it has come back.
-	LinkProbeInterval sim.Time
 	// LinkStaleAge is the receive-side counterpart of failure handling:
 	// the per-link FIFO loss-detection rule normally refuses to NACK a
 	// sequence number until every link has delivered a later frame, but
@@ -144,12 +133,15 @@ type Config struct {
 	// never need registration). Off by default for the paper's
 	// transparent mode.
 	EnforceRegistration bool
-	// UseSQ routes the upper layers' many-small-ops phases (DSM
-	// write-notice flushes, message control/credit updates, mirror
-	// commit records) through the submission-queue path: descriptors
-	// are posted cheaply and issued under one batched doorbell charge
-	// (Conn.Post / Conn.Ring) instead of a full kernel crossing each.
-	// Off by default: every existing run stays bit-identical.
+	// UseSQ does nothing.
+	//
+	// Deprecated: no layer reads it. Core never did, and the upper
+	// layers (dsm, msg, blk) always issue with Conn.Do; whether an
+	// operation goes through the submission queue is the caller's choice
+	// per operation (Conn.Post/Conn.Ring). It remains only because the
+	// benchmark's profiles still set it by name, and a name they cannot
+	// find makes their heap reading for bytes_per_conn unreliable. It
+	// goes once they stop naming it.
 	UseSQ bool
 	// SchedQueue replaces the protocol thread's O(conns) round-robin
 	// scans for control and data work with the class scheduler: a
@@ -185,10 +177,9 @@ type Config struct {
 	// real. 0 (with Reconnect on) means the default budget of 8.
 	MaxReconnects int
 	// ReconnectBackoff is the initial supervisor redial delay; each
-	// failed attempt doubles it up to ReconnectBackoffMax. Zero values
-	// default to ConnRetry and 32*ConnRetry respectively.
-	ReconnectBackoff    sim.Time
-	ReconnectBackoffMax sim.Time
+	// failed attempt doubles it up to reconnectBackoffCap times the
+	// initial delay. Zero defaults to connRetry.
+	ReconnectBackoff sim.Time
 	// CoalesceLimit enables small-op frame coalescing on the doorbell
 	// path: consecutive posted writes of at most this many bytes to the
 	// same peer share MultiData frames, amortizing per-frame protocol
@@ -227,37 +218,59 @@ type Config struct {
 }
 
 // CCConfig parameterizes the per-connection AIMD congestion controller.
-// The zero value disables the layer; with Enable set, zero-valued bounds
-// take the documented defaults.
+// The zero value disables the layer. The window's floor and cap, the
+// admission backlog and the rail probe interval are the constants
+// ccMinWindow, Config.Window, ccBacklog and ccProbeInterval.
 type CCConfig struct {
 	// Enable turns the congestion controller on.
 	Enable bool
-	// InitWindow is the initial congestion window in frames. 0 defaults
-	// to 16 (slow enough that 64 fan-in senders do not instantly
-	// overflow a commodity switch queue, fast enough to probe up within
-	// a few RTTs).
+	// InitWindow is the initial congestion window in frames, at most
+	// Config.Window. 0 defaults to 16 (slow enough that 64 fan-in
+	// senders do not instantly overflow a commodity switch queue, fast
+	// enough to probe up within a few RTTs).
 	InitWindow int
-	// MinWindow floors the window under repeated cuts so a connection
-	// always keeps probing. 0 defaults to 2.
-	MinWindow int
-	// MaxWindow caps additive increase. 0 defaults to Config.Window
-	// (the flow-control window already bounds the wire; cwnd beyond it
-	// is meaningless).
-	MaxWindow int
-	// Backlog bounds how many operations a connection may queue while
+}
+
+// Protocol constants: values no caller varies, kept in one place so the
+// Config surface holds only what runs actually set.
+const (
+	// connRetry is the connection-setup (and close-handshake)
+	// retransmission interval, and the default first redial delay of the
+	// reconnect supervisor: about a hundred LAN round trips, so a lost
+	// ConnReq costs little and a slow peer is not flooded.
+	connRetry = 5 * sim.Millisecond
+	// linkProbeInterval is how often a dead link is risked one data frame
+	// to discover that it has come back: five of the paper's RTOs, so a
+	// still-dead cable costs one repair per 10 ms and a healed one
+	// rejoins within that.
+	linkProbeInterval = 10 * sim.Millisecond
+	// reconnectBackoffCap caps the doubling redial delay at this many
+	// times the first one (five doublings): 160 ms at the 5 ms default,
+	// so a peer that stays down is redialed a few times a second, and
+	// the default budget of 8 attempts spans 635 ms.
+	reconnectBackoffCap = 32
+	// ccMinWindow floors the congestion window under repeated cuts, so a
+	// connection always keeps probing the path. The cap is Config.Window:
+	// the flow-control window already bounds the wire, so a congestion
+	// window beyond it is meaningless.
+	ccMinWindow = 2
+	// ccBacklog bounds how many operations a connection may queue while
 	// its congestion window is exhausted before admission backpressure
-	// (blocking Do / fail-fast Post) engages. 0 defaults to 64.
-	Backlog int
-	// ProbeInterval is how often a multi-rail connection measures each
+	// (blocking Do / fail-fast Post) engages. It is half the default
+	// Window, so single-frame ops parked behind a closed congestion
+	// window never outnumber what the flow-control window can carry
+	// once it reopens.
+	ccBacklog = 64
+	// ccProbeInterval is how often a multi-rail connection measures each
 	// rail's own round trip with a probe/echo exchange. Cumulative
 	// acknowledgements cannot split rails — the ack only advances when
 	// the slowest rail's interleaved frames have arrived, so every rail
 	// appears equally slow — and the weighted rail scheduler needs the
-	// true split to steer load off a congested rail. 0 defaults to
-	// 1ms; probes run only while the controller is enabled and the
-	// connection stripes more than one link.
-	ProbeInterval sim.Time
-}
+	// true split to steer load off a congested rail. Probes run only
+	// while the controller is enabled and the connection stripes more
+	// than one link.
+	ccProbeInterval = sim.Millisecond
+)
 
 // ccOn reports whether the congestion controller is enabled.
 func (c *Config) ccOn() bool { return c.CongestionControl.Enable }
@@ -268,42 +281,7 @@ func (c *Config) ccInit() int {
 	if cw <= 0 {
 		cw = 16
 	}
-	if max := c.ccMax(); cw > max {
-		cw = max
-	}
-	return cw
-}
-
-// ccMin returns the effective congestion-window floor.
-func (c *Config) ccMin() int {
-	if m := c.CongestionControl.MinWindow; m > 0 {
-		return m
-	}
-	return 2
-}
-
-// ccMax returns the effective congestion-window cap.
-func (c *Config) ccMax() int {
-	if m := c.CongestionControl.MaxWindow; m > 0 {
-		return m
-	}
-	return c.Window
-}
-
-// ccProbeIvl returns the effective per-rail probe interval.
-func (c *Config) ccProbeIvl() sim.Time {
-	if p := c.CongestionControl.ProbeInterval; p > 0 {
-		return p
-	}
-	return sim.Millisecond
-}
-
-// ccBacklog returns the op backlog bound admission backpressure uses.
-func (c *Config) ccBacklog() int {
-	if b := c.CongestionControl.Backlog; b > 0 {
-		return b
-	}
-	return 64
+	return min(cw, c.Window)
 }
 
 // QoSClass configures one traffic class (tenant) of the QoS layer.
@@ -350,17 +328,11 @@ func (c *Config) reconnectBudget() int {
 
 // reconnectBackoff returns the initial redial delay and its cap.
 func (c *Config) reconnectBackoff() (base, max sim.Time) {
-	base, max = c.ReconnectBackoff, c.ReconnectBackoffMax
+	base = c.ReconnectBackoff
 	if base <= 0 {
-		base = c.ConnRetry
+		base = connRetry
 	}
-	if base <= 0 {
-		base = 5 * sim.Millisecond
-	}
-	if max <= 0 {
-		max = 32 * base
-	}
-	return base, max
+	return base, reconnectBackoffCap * base
 }
 
 // DefaultConfig returns the configuration used throughout the paper's
@@ -373,10 +345,8 @@ func DefaultConfig() Config {
 		NackDelay:         200 * sim.Microsecond,
 		RTO:               2 * sim.Millisecond,
 		DeadInterval:      sim.Second,
-		ConnRetry:         5 * sim.Millisecond,
 		MemBytes:          16 << 20,
 		DeadLinkThreshold: 16,
-		LinkProbeInterval: 10 * sim.Millisecond,
 		LinkStaleAge:      1600 * sim.Microsecond,
 	}
 }

@@ -300,20 +300,13 @@ func (e *rttEst) sample(s sim.Time) bool {
 	return true
 }
 
-// rto is srtt + 4·rttvar clamped to [RTOMin (or RTO when unset), RTOMax];
-// 0 while there is no sample.
+// rto is srtt + 4·rttvar clamped to [RTO, RTOMax]; 0 while there is no
+// sample.
 func (e *rttEst) rto(cfg *Config) sim.Time {
 	if e.srtt == 0 {
 		return 0
 	}
-	rto := e.srtt + 4*e.rttvar
-	floor := cfg.RTOMin
-	if floor <= 0 {
-		floor = cfg.RTO
-	}
-	if rto < floor {
-		rto = floor
-	}
+	rto := max(e.srtt+4*e.rttvar, cfg.RTO)
 	if cfg.RTOMax > 0 && rto > cfg.RTOMax {
 		rto = cfg.RTOMax
 	}
@@ -627,7 +620,7 @@ func (c *Conn) Close(p *sim.Proc) {
 		}
 		attempts++
 		send()
-		cl.timer = ep.env.After(ep.cfg.ConnRetry, retry)
+		cl.timer = ep.env.After(connRetry, retry)
 	}
 	ep.env.After(0, retry)
 	p.Wait(&cl.sig)
@@ -1159,7 +1152,7 @@ func (c *Conn) armProbeTimer() {
 	if c.probeFn == nil {
 		c.probeFn = c.probeTick
 	}
-	c.probeTimer = c.ep.env.Rearm(c.probeTimer, c.ep.cfg.LinkProbeInterval, c.probeFn)
+	c.probeTimer = c.ep.env.Rearm(c.probeTimer, linkProbeInterval, c.probeFn)
 }
 
 // sendProbe transmits a fresh zero-size write frame whose FIRST copy is
@@ -1221,7 +1214,7 @@ func (c *Conn) railProbing() bool {
 
 // armRailProbes starts the per-rail RTT probe tick on a multi-rail
 // connection with the congestion controller enabled. Each tick probes
-// ONE rail, rotating, at ProbeInterval/links — every rail is measured
+// ONE rail, rotating, at ccProbeInterval/links — every rail is measured
 // once per interval, but never two rails in the same instant: probes
 // launched together contend for the shared protocol CPU at both ends,
 // and that serialized per-frame cost swamps and reorders the very path
@@ -1238,7 +1231,7 @@ func (c *Conn) armRailProbes() {
 }
 
 func (c *Conn) railProbeIvl() sim.Time {
-	return max(c.ep.cfg.ccProbeIvl()/sim.Time(c.links), 50*sim.Microsecond)
+	return max(ccProbeInterval/sim.Time(c.links), 50*sim.Microsecond)
 }
 
 func (c *Conn) railProbeTick() {

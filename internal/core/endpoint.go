@@ -180,9 +180,8 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		n.SetHost(ep)
 	}
 	if cfg.Offload {
-		if ep.cfg.OffloadFactor <= 0 {
-			ep.cfg.OffloadFactor = 1 // pipelined NIC engine at host parity
-		}
+		// A pipelined NIC engine at host parity: per-frame work costs
+		// there what it costs on the host protocol CPU.
 		ep.engine = sim.NewResource("n" + strconv.Itoa(node) + "/nic-engine").On(env)
 	}
 	return ep
@@ -195,15 +194,6 @@ func (ep *Endpoint) protoRes() *sim.Resource {
 		return ep.engine
 	}
 	return ep.cpus.Proto
-}
-
-// protoCost scales a unit of per-frame protocol work for the executing
-// engine (embedded NIC cores are slower than the host CPU).
-func (ep *Endpoint) protoCost(t sim.Time) sim.Time {
-	if ep.engine != nil {
-		return t * sim.Time(ep.cfg.OffloadFactor)
-	}
-	return t
 }
 
 // Engine exposes the NIC protocol engine (nil unless offloading), for
@@ -389,7 +379,7 @@ func (ep *Endpoint) Mem() []byte { return ep.mem }
 // never need registration (data is delivered directly into the virtual
 // address space, IPPS'07 §2.2).
 func (ep *Endpoint) RegisterMemory(addr uint64, size int) {
-	if size <= 0 || addr+uint64(size) > uint64(len(ep.mem)) {
+	if size <= 0 || !within(addr, size, uint64(len(ep.mem))) {
 		panic("core: RegisterMemory: region outside address space")
 	}
 	ep.regions = append(ep.regions, memRegion{addr: addr, size: size})
@@ -406,13 +396,14 @@ func (ep *Endpoint) DeregisterMemory(addr uint64) {
 }
 
 // registered reports whether [addr, addr+size) lies inside one
-// registered region. Zero-size buffers are always permitted.
+// registered region. Zero-size buffers are always permitted; a negative
+// size is left to checkOp's size check.
 func (ep *Endpoint) registered(addr uint64, size int) bool {
-	if size == 0 {
+	if size <= 0 {
 		return true
 	}
 	for _, r := range ep.regions {
-		if addr >= r.addr && addr+uint64(size) <= r.addr+uint64(r.size) {
+		if addr >= r.addr && within(addr-r.addr, size, uint64(r.size)) {
 			return true
 		}
 	}
@@ -456,7 +447,7 @@ func (ep *Endpoint) Interrupt(n *phys.NIC) {
 		// On-NIC event dispatch, not a host interrupt.
 		intr = 100 * sim.Nanosecond
 	}
-	ep.protoRes().Submit(ep.env, ep.protoCost(intr), nil)
+	ep.protoRes().Submit(ep.env, intr, nil)
 	ep.wakeThread()
 }
 
@@ -472,7 +463,7 @@ func (ep *Endpoint) wakeThread() {
 		// The NIC engine polls; no kernel-thread wakeup is paid.
 		wake = 100 * sim.Nanosecond
 	}
-	ep.protoRes().Submit(ep.env, ep.protoCost(wake), ep.threadStepFn)
+	ep.protoRes().Submit(ep.env, wake, ep.threadStepFn)
 }
 
 // threadStep performs one unit of protocol work and reschedules itself
@@ -484,7 +475,7 @@ func (ep *Endpoint) threadStep() {
 		txDone += n.TakeTxDone()
 	}
 	if txDone > 0 {
-		ep.protoRes().Submit(ep.env, ep.protoCost(sim.Time(txDone)*ep.costs.TxDone), ep.threadStepFn)
+		ep.protoRes().Submit(ep.env, sim.Time(txDone)*ep.costs.TxDone, ep.threadStepFn)
 		return
 	}
 	// 2. Receive one frame, starting with the NIC that interrupted and
@@ -501,7 +492,7 @@ func (ep *Endpoint) threadStep() {
 			c := ep.connOrder[(ep.txRR+i)%len(ep.connOrder)]
 			if c.ctrlPending() {
 				ep.txRR = (ep.txRR + i + 1) % len(ep.connOrder)
-				ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
+				ep.protoRes().SubmitArg(ep.env, ep.costs.AckProc, ep.ctrlStepFn, c)
 				return
 			}
 		}
@@ -509,7 +500,7 @@ func (ep *Endpoint) threadStep() {
 			c := ep.connOrder[(ep.txRR+i)%len(ep.connOrder)]
 			if c.sendable() {
 				ep.txRR = (ep.txRR + i + 1) % len(ep.connOrder)
-				ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.sendStepFn, c)
+				ep.protoRes().SubmitArg(ep.env, ep.costs.FrameTx, ep.sendStepFn, c)
 				return
 			}
 		}
@@ -517,7 +508,7 @@ func (ep *Endpoint) threadStep() {
 		// Class scheduler: weighted-fair O(1) pops across the class
 		// queues; a connection with more work re-enqueues at the tail.
 		if c := ep.qosPopCtrl(); c != nil {
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
+			ep.protoRes().SubmitArg(ep.env, ep.costs.AckProc, ep.ctrlStepFn, c)
 			return
 		}
 		if ep.qosPaced() {
@@ -534,7 +525,7 @@ func (ep *Endpoint) threadStep() {
 			// flight and a single field carries the served class to the
 			// charge.
 			ep.qosDispatchCls = ep.qosServing
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.sendStepFn, c)
+			ep.protoRes().SubmitArg(ep.env, ep.costs.FrameTx, ep.sendStepFn, c)
 			return
 		}
 	}
@@ -562,20 +553,20 @@ func (ep *Endpoint) pollRx() bool {
 			// Damaged frame past the FCS model: treated as loss, buffer
 			// dies here, decode cost still charged.
 			fr.Release()
-			ep.protoRes().Submit(ep.env, ep.protoCost(ep.costs.FrameRx), ep.threadStepFn)
+			ep.protoRes().Submit(ep.env, ep.costs.FrameRx, ep.threadStepFn)
 			return true
 		}
 		var cost sim.Time
 		switch h.Type {
 		case frame.TypeData, frame.TypeReadReq, frame.TypeMultiData:
-			cost = ep.protoCost(ep.costs.FrameRx)
+			cost = ep.costs.FrameRx
 			if ep.engine == nil {
 				// Host path pays the kernel->user copy; an offloading NIC
 				// DMAs payload directly into user memory.
 				cost += ep.costs.Copy(len(payload))
 			}
 		default:
-			cost = ep.protoCost(ep.costs.AckProc)
+			cost = ep.costs.AckProc
 		}
 		ep.rx = rxJob{fr: fr, src: src, h: h, payload: payload, link: idx, ecn: fr.Ecn}
 		ep.protoRes().Submit(ep.env, cost, ep.rxStepFn)
@@ -758,7 +749,7 @@ func (ep *Endpoint) Dial(p *sim.Proc, remoteNode int, links int) *Conn {
 		}
 		attempts++
 		send()
-		c.connTimer = ep.env.After(ep.cfg.ConnRetry, retry)
+		c.connTimer = ep.env.After(connRetry, retry)
 	}
 	ep.env.After(0, retry)
 	p.Wait(&c.established)

@@ -131,10 +131,13 @@ func (c *Conn) BuiltStateForTest() BuiltStateForTest {
 	}
 }
 
-// MaxNackForTest and MaxTrackedGapsForTest expose the protocol caps.
+// MaxNackForTest, MaxTrackedGapsForTest, ConnRetryForTest and
+// CCBacklogForTest expose the protocol constants (read-only).
 const (
 	MaxNackForTest        = maxNack
 	MaxTrackedGapsForTest = maxTrackedGaps
+	ConnRetryForTest      = connRetry
+	CCBacklogForTest      = ccBacklog
 )
 
 // SnapshotForTest returns the handle's kernel-buffer snapshot at full

@@ -63,7 +63,7 @@ var (
 	// ErrOversized: transfer larger than MaxOpSize.
 	ErrOversized = errors.New("transfer exceeds MaxOpSize")
 	// ErrBadRange: the local buffer lies outside the endpoint's address
-	// space.
+	// space, or the remote range outside the peer's (Config.MemBytes).
 	ErrBadRange = errors.New("address range outside memory")
 	// ErrUnregistered: Config.EnforceRegistration is on and the local
 	// buffer is not inside a registered region.
@@ -110,19 +110,24 @@ func (c *Conn) checkOp(op Op) error {
 	if op.Size > MaxOpSize {
 		return fmt.Errorf("core: size %d > %d: %w", op.Size, MaxOpSize, ErrOversized)
 	}
+	var local, remote string
 	switch op.Kind {
 	case frame.OpWrite:
-		if op.Local+uint64(op.Size) > uint64(len(c.ep.mem)) {
-			return fmt.Errorf("core: write source [%d,%d) outside the %d-byte memory: %w",
-				op.Local, op.Local+uint64(op.Size), len(c.ep.mem), ErrBadRange)
-		}
+		local, remote = "write source", "write destination"
 	case frame.OpRead:
-		if op.Local+uint64(op.Size) > uint64(len(c.ep.mem)) {
-			return fmt.Errorf("core: read destination [%d,%d) outside the %d-byte memory: %w",
-				op.Local, op.Local+uint64(op.Size), len(c.ep.mem), ErrBadRange)
-		}
+		local, remote = "read destination", "read source"
 	default:
 		return fmt.Errorf("core: kind %v: %w", op.Kind, ErrBadOpKind)
+	}
+	if mem := uint64(len(c.ep.mem)); !within(op.Local, op.Size, mem) {
+		return fmt.Errorf("core: %s [%d,+%d) outside the %d-byte memory: %w",
+			local, op.Local, op.Size, mem, ErrBadRange)
+	}
+	// Every endpoint of a cluster runs the same Config, so MemBytes is the
+	// peer's address space too.
+	if mem := uint64(c.ep.cfg.MemBytes); !within(op.Remote, op.Size, mem) {
+		return fmt.Errorf("core: %s [%d,+%d) outside the peer's %d-byte memory: %w",
+			remote, op.Remote, op.Size, mem, ErrBadRange)
 	}
 	if op.Class != 0 && c.ep.qosOn() {
 		if op.Class < 0 || op.Class >= len(c.ep.qos) {
@@ -130,6 +135,13 @@ func (c *Conn) checkOp(op Op) error {
 		}
 	}
 	return nil
+}
+
+// within reports whether [addr, addr+size) lies inside [0, limit). It
+// compares without forming addr+size, which wraps for addresses near
+// the top of the 64-bit space; size must not be negative.
+func within(addr uint64, size int, limit uint64) bool {
+	return addr <= limit && uint64(size) <= limit-addr
 }
 
 // Do initiates op eagerly on the connection and returns its progress
@@ -447,15 +459,6 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 	ep.sqScratch = batch[:0]
 	ep.ringData, ep.ringBufs = data[:0], bufs[:0]
 	return n, nil
-}
-
-// MustRingOn is RingOn with the MustRing panic-on-error contract.
-func (c *Conn) MustRingOn(p *sim.Proc, cpu *sim.Resource) int {
-	n, err := c.RingOn(p, cpu)
-	if err != nil {
-		panic(err)
-	}
-	return n
 }
 
 // multiPayloadBase is the fixed MultiData payload overhead (the sub-op

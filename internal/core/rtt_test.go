@@ -8,7 +8,7 @@ import (
 
 // TestRttEst pins the one round-trip estimator without a cluster: the
 // first sample, the RFC 6298 coefficients on a hand-computed series, the
-// [RTOMin-or-RTO, RTOMax] clamp, and that the conn-level estimator and a
+// [RTO, RTOMax] clamp, and that the conn-level estimator and a
 // rail's, fed the same samples, are the same estimator.
 func TestRttEst(t *testing.T) {
 	var e rttEst
@@ -39,10 +39,10 @@ func TestRttEst(t *testing.T) {
 		want         sim.Time
 	}{
 		{"unclamped", 1000, 500, Config{RTO: 2000}, 3000},
-		{"floor falls back to RTO", 100, 50, Config{RTO: 2000}, 2000},
-		{"floor RTOMin", 100, 50, Config{RTO: 2000, RTOMin: 500}, 500},
-		{"RTOMin below the estimate", 1000, 500, Config{RTO: 2000, RTOMin: 500}, 3000},
-		{"cap RTOMax", 1000, 500, Config{RTO: 2000, RTOMin: 500, RTOMax: 2500}, 2500},
+		{"floor RTO", 100, 50, Config{RTO: 2000}, 2000},
+		{"low RTO floor", 100, 50, Config{RTO: 500}, 500},
+		{"RTO below the estimate", 1000, 500, Config{RTO: 500}, 3000},
+		{"cap RTOMax", 1000, 500, Config{RTO: 500, RTOMax: 2500}, 2500},
 		{"RTOMax 0 is no cap", 1 << 30, 1 << 29, Config{RTO: 2000}, 3 << 30},
 	} {
 		e := rttEst{tc.srtt, tc.rttvar}
@@ -54,7 +54,7 @@ func TestRttEst(t *testing.T) {
 	// One estimator serves the connection, every rail and the health
 	// snapshot: fed alike, they read alike.
 	_, c := arqEndpoint(t, 128)
-	c.ep.cfg.RTOMin, c.ep.cfg.RTOMax = 50*sim.Microsecond, 64*sim.Millisecond // adaptive: the estimate is what gets armed
+	c.ep.cfg.RTO, c.ep.cfg.RTOMax = 50*sim.Microsecond, 64*sim.Millisecond // adaptive: the estimate is what gets armed
 	for _, s := range []sim.Time{80_000, 95_000, 60_000, 2_000_000, 70_000} {
 		c.updateRTT(s)
 		c.rails[0].rtt.sample(s)

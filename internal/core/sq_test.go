@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"multiedge/internal/cluster"
@@ -11,11 +12,10 @@ import (
 	"multiedge/internal/sim"
 )
 
-// sqCluster builds a 2-node cluster with the submission-queue path and
-// small-op coalescing enabled on top of base.
+// sqCluster builds a 2-node cluster with small-op coalescing enabled on
+// top of base.
 func sqCluster(t *testing.T, base cluster.Config, coalesce int) (*cluster.Cluster, *core.Conn, *core.Conn) {
 	t.Helper()
-	base.Core.UseSQ = true
 	base.Core.CoalesceLimit = coalesce
 	return pairCluster(t, base)
 }
@@ -218,7 +218,6 @@ func TestSQDeterminism(t *testing.T) {
 		cfg := cluster.TwoLinkUnordered1G(0)
 		cfg.Link.LossProb = 0.02
 		cfg.Seed = 41
-		cfg.Core.UseSQ = true
 		cfg.Core.CoalesceLimit = 64
 		cfg.Nodes = 2
 		cl := cluster.New(cfg)
@@ -252,37 +251,48 @@ func TestSQDeterminism(t *testing.T) {
 }
 
 func TestSQDisabledIsBitIdentical(t *testing.T) {
-	// The SQ machinery must be invisible when unused: a run of eager-path
-	// traffic on a UseSQ-enabled cluster is bit-identical to the same run
-	// with the flag off.
-	run := func(useSQ bool) (sim.Time, core.Stats) {
+	// The SQ machinery must be invisible when unused: eager-path traffic,
+	// small writes included, runs bit-identically whether coalescing of
+	// rung batches is configured or not.
+	run := func(coalesce int) (sim.Time, core.Stats) {
 		cfg := cluster.TwoLinkUnordered1G(0)
 		cfg.Link.LossProb = 0.02
 		cfg.Seed = 31
-		cfg.Core.UseSQ = useSQ
-		cfg.Core.CoalesceLimit = 64
+		cfg.Core.CoalesceLimit = coalesce
 		cfg.Nodes = 2
 		cl := cluster.New(cfg)
+		defer cl.Close()
 		c01, _ := cl.Pair()
-		const n = 128 * 1024
+		const n, small = 128 * 1024, 48
 		src := cl.Nodes[0].EP.Alloc(n)
 		dst := cl.Nodes[1].EP.Alloc(n)
 		cl.Env.Go("app", func(p *sim.Proc) {
-			c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+			h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+			for i := 0; i < 32; i++ {
+				off := uint64(i * small)
+				h = c01.MustDo(p, core.Op{Remote: dst + off, Local: src + off, Size: small, Kind: frame.OpWrite})
+			}
+			h.Wait(p)
 		})
 		end := cl.Env.RunUntil(10 * sim.Second)
 		return end, cl.Nodes[0].EP.Stats
 	}
-	t1, s1 := run(false)
-	t2, s2 := run(true)
+	t1, s1 := run(0)
+	t2, s2 := run(64)
 	if t1 != t2 || s1 != s2 {
-		t.Fatalf("eager path disturbed by SQ config: %v vs %v\n%+v\nvs\n%+v", t1, t2, s1, s2)
+		t.Fatalf("eager path disturbed by CoalesceLimit: %v vs %v\n%+v\nvs\n%+v", t1, t2, s1, s2)
+	}
+	if s1.CoalescedFrames != 0 {
+		t.Fatalf("eager ops were coalesced: %+v", s1)
 	}
 }
 
 func TestOpErrors(t *testing.T) {
 	// The error-returning issue paths reject invalid ops with sentinel
-	// errors instead of panicking.
+	// errors instead of panicking — the issuer now or the peer later. A
+	// local range near the top of the 64-bit space must not wrap the
+	// bound check, and the remote range is checked against the peer's
+	// memory (every endpoint runs the same MemBytes).
 	cl, c01, _ := pairCluster(t, cluster.OneLink1G(0))
 	src := cl.Nodes[0].EP.Alloc(64)
 	dst := cl.Nodes[1].EP.Alloc(64)
@@ -294,6 +304,10 @@ func TestOpErrors(t *testing.T) {
 			want error
 		}{
 			{"bad range", core.Op{Remote: dst, Local: memEnd - 8, Size: 64, Kind: frame.OpWrite}, core.ErrBadRange},
+			{"local wraps, write", core.Op{Remote: dst, Local: math.MaxUint64 - 15, Size: 64, Kind: frame.OpWrite}, core.ErrBadRange},
+			{"local wraps, read", core.Op{Remote: dst, Local: math.MaxUint64 - 15, Size: 64, Kind: frame.OpRead}, core.ErrBadRange},
+			{"remote past memory, write", core.Op{Remote: 1 << 40, Local: src, Size: 64, Kind: frame.OpWrite}, core.ErrBadRange},
+			{"remote past memory, read", core.Op{Remote: 1 << 40, Local: src, Size: 64, Kind: frame.OpRead}, core.ErrBadRange},
 			{"bad kind", core.Op{Remote: dst, Local: src, Size: 8, Kind: frame.OpType(99)}, core.ErrBadOpKind},
 			{"negative size", core.Op{Remote: dst, Local: src, Size: -1, Kind: frame.OpWrite}, core.ErrBadSize},
 			{"oversized", core.Op{Remote: dst, Local: src, Size: core.MaxOpSize + 1, Kind: frame.OpWrite}, core.ErrOversized},

@@ -287,13 +287,12 @@ func (s *Stats) Add(o Stats) {
 
 // Instance is one node's DSM runtime.
 type Instance struct {
-	sys    *System
-	node   *cluster.Node
-	self   int
-	n      int
-	conns  []*core.Conn // by peer node id; nil at self
-	env    *sim.Env
-	sqPend []int // outstanding SQ completions per peer (Core.UseSQ)
+	sys   *System
+	node  *cluster.Node
+	self  int
+	n     int
+	conns []*core.Conn // by peer node id; nil at self
+	env   *sim.Env
 
 	shared       uint64 // base of the shared mirror in endpoint memory
 	pages        int
@@ -359,7 +358,6 @@ func newInstance(sys *System, node *cluster.Node, conns []*core.Conn, n, pages i
 		barNotices:   make(map[uint32]uint64),
 		sinceBarrier: make(map[uint32]uint64),
 		maxNotices:   pages,
-		sqPend:       make([]int, n),
 	}
 	ep := node.EP
 	in.shared = ep.Alloc(pages * PageSize)
@@ -538,36 +536,6 @@ func (in *Instance) WSlice(p *sim.Proc, addr uint64, n int) []byte {
 }
 
 // ---------------------------------------------------------------------
-// Submission-queue plumbing (Core.UseSQ).
-// ---------------------------------------------------------------------
-
-// useSQ reports whether many-small-ops phases route through the
-// submission-queue path instead of eager per-op issue.
-func (in *Instance) useSQ() bool { return in.sys.Cl.Cfg.Core.UseSQ }
-
-// ringSQ rings the doorbell on the connection to peer on the given CPU,
-// records the issued descriptors as pending completions, and reaps any
-// completions that have already landed (polling is free).
-func (in *Instance) ringSQ(p *sim.Proc, cpu *sim.Resource, to int) {
-	in.sqPend[to] += in.conns[to].MustRingOn(p, cpu)
-	for in.sqPend[to] > 0 {
-		if _, ok := in.conns[to].PollCQ(); !ok {
-			break
-		}
-		in.sqPend[to]--
-	}
-}
-
-// drainSQ blocks until every descriptor rung on the connection to peer
-// has completed — the SQ path's equivalent of waiting a handle set.
-func (in *Instance) drainSQ(p *sim.Proc, to int) {
-	for in.sqPend[to] > 0 {
-		in.conns[to].WaitCQ(p)
-		in.sqPend[to]--
-	}
-}
-
-// ---------------------------------------------------------------------
 // Diff flush (release-time propagation to homes).
 // ---------------------------------------------------------------------
 
@@ -589,8 +557,6 @@ func (in *Instance) flushDiffs(p *sim.Proc) []uint32 {
 	var hs []*core.Handle
 	var diffCost sim.Time
 	batches := make(map[int][]diffBatch)
-	useSQ := in.useSQ()
-	sqHomes := make([]bool, in.n) // homes with posted-but-unrung descriptors
 	for _, pg := range pgs {
 		notices = append(notices, uint32(pg)<<8|uint32(in.self))
 		home := in.home(pg)
@@ -608,21 +574,12 @@ func (in *Instance) flushDiffs(p *sim.Proc) []uint32 {
 		runs := diffRuns(twin, cur)
 		if len(runs) <= directRunMax {
 			// Few contiguous changes: deposit them straight into the
-			// home's memory (no home-side software). Under UseSQ the runs
-			// are posted now and issued below under one doorbell per home.
+			// home's memory (no home-side software).
 			for _, r := range runs {
-				if useSQ {
-					in.conns[home].MustPost(core.Op{
-						Remote: pa + uint64(r.off), Local: pa + uint64(r.off),
-						Size: r.n, Kind: frame.OpWrite,
-					})
-					sqHomes[home] = true
-				} else {
-					hs = append(hs, in.conns[home].MustDo(p, core.Op{
-						Remote: pa + uint64(r.off), Local: pa + uint64(r.off),
-						Size: r.n, Kind: frame.OpWrite,
-					}))
-				}
+				hs = append(hs, in.conns[home].MustDo(p, core.Op{
+					Remote: pa + uint64(r.off), Local: pa + uint64(r.off),
+					Size: r.n, Kind: frame.OpWrite,
+				}))
 				in.Stats.DiffOps++
 				in.Stats.DiffBytes += uint64(r.n)
 			}
@@ -654,21 +611,11 @@ func (in *Instance) flushDiffs(p *sim.Proc) []uint32 {
 		in.B.Overhead += diffCost
 		p.Exec(in.node.CPUs.App, diffCost)
 	}
-	for home, posted := range sqHomes {
-		if posted {
-			in.ringSQ(p, in.node.CPUs.App, home)
-		}
-	}
 	if len(batches) > 0 {
 		in.sendDiffBatches(p, batches)
 	}
 	for _, h := range hs {
 		h.Wait(p)
-	}
-	for home, posted := range sqHomes {
-		if posted {
-			in.drainSQ(p, home)
-		}
 	}
 	return notices
 }

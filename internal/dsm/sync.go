@@ -84,7 +84,6 @@ func (in *Instance) sendMsg(p *sim.Proc, to, class, lock int, epoch uint32, noti
 	}
 	c := in.conns[to]
 	mem := in.mem()
-	useSQ := in.useSQ()
 	if len(notices) > 0 {
 		if len(notices) > in.maxNotices {
 			panic("dsm: notice array overflow")
@@ -92,15 +91,10 @@ func (in *Instance) sendMsg(p *sim.Proc, to, class, lock int, epoch uint32, noti
 		for i, e := range notices {
 			binary.LittleEndian.PutUint32(mem[in.outNotice+uint64(4*i):], e)
 		}
-		op := core.Op{
+		c.MustDoOn(p, cpu, core.Op{
 			Remote: in.noticeAddr(in.inboxNotice, in.self, to, class),
 			Local:  in.outNotice, Size: 4 * len(notices), Kind: frame.OpWrite,
-		}
-		if useSQ {
-			c.MustPost(op)
-		} else {
-			c.MustDoOn(p, cpu, op)
-		}
+		})
 	}
 	b := mem[in.outCtrl : in.outCtrl+ctrlSlotBytes]
 	b[0] = byte(class)
@@ -109,18 +103,11 @@ func (in *Instance) sendMsg(p *sim.Proc, to, class, lock int, epoch uint32, noti
 	binary.LittleEndian.PutUint32(b[9:], uint32(len(notices)))
 	// Backward fence: performed only after the notice write above (and
 	// anything else outstanding on this connection) has been performed.
-	op := core.Op{
+	c.MustDoOn(p, cpu, core.Op{
 		Remote: in.slotAddr(in.inboxCtrl, in.self, to, class),
 		Local:  in.outCtrl, Size: ctrlSlotBytes, Kind: frame.OpWrite,
 		Flags: frame.FenceBefore | frame.Notify,
-	}
-	if useSQ {
-		// Notice array and control slot issue under a single doorbell.
-		c.MustPost(op)
-		in.ringSQ(p, cpu, to)
-	} else {
-		c.MustDoOn(p, cpu, op)
-	}
+	})
 	in.Stats.RemoteMsgs++
 }
 

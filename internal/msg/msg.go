@@ -84,10 +84,6 @@ type Comm struct {
 	// Receiver-side per peer: slots consumed since last credit return.
 	rxConsumed []int
 
-	// Outstanding SQ completions per peer (Core.UseSQ): slot and credit
-	// writes ring the doorbell and reap completions opportunistically.
-	sqPend []int
-
 	// Matching engine.
 	unexpected []*inMsg
 	posted     []*postedRecv
@@ -135,7 +131,6 @@ func New(cl *cluster.Cluster, conns [][]*core.Conn) []*Comm {
 			node: i, n: n, ep: ep, conns: conns[i], env: ep.Env(),
 			txSlot: make([]int, n), txCredits: make([]int, n),
 			rxConsumed: make([]int, n),
-			sqPend:     make([]int, n),
 			pendingFin: make(map[uint32]*sim.Signal),
 		}
 		peers := n - 1
@@ -288,31 +283,11 @@ func (c *Comm) writeSlot(p *sim.Proc, to, s int, kind int, tag int, size int, se
 	binary.LittleEndian.PutUint32(b[12:], seq)
 	binary.LittleEndian.PutUint64(b[16:], addr)
 	copy(b[slotHdr:], payload)
-	op := core.Op{
+	c.conns[to].MustDo(p, core.Op{
 		Remote: c.slotAddr(c.node, to, s), Local: c.outSlot,
 		Size: slotHdr + len(payload), Kind: frame.OpWrite,
 		Flags: frame.FenceBefore | frame.Notify,
-	}
-	if c.ep.Config().UseSQ {
-		c.conns[to].MustPost(op)
-		c.ringSQ(p, c.ep.CPUs().App, to)
-	} else {
-		c.conns[to].MustDo(p, op)
-	}
-}
-
-// ringSQ rings the doorbell to peer `to` and reaps any completions that
-// have already landed (the layer never blocks on slot or credit writes
-// — the receiver's notification is the synchronization point — so
-// opportunistic polling is all the CQ maintenance needed).
-func (c *Comm) ringSQ(p *sim.Proc, cpu *sim.Resource, to int) {
-	c.sqPend[to] += c.conns[to].MustRingOn(p, cpu)
-	for c.sqPend[to] > 0 {
-		if _, ok := c.conns[to].PollCQ(); !ok {
-			break
-		}
-		c.sqPend[to]--
-	}
+	})
 }
 
 func (c *Comm) sendEager(p *sim.Proc, to, tag int, data []byte) {
@@ -491,14 +466,8 @@ func (c *Comm) creditSlot(p *sim.Proc, from int) {
 	binary.LittleEndian.PutUint32(b[4:], uint32(batch))
 	// Credits bypass the ring: a plain fenced+notifying write into the
 	// sender's credit word.
-	op := core.Op{
+	c.conns[from].MustDoOn(p, c.ep.CPUs().Proto, core.Op{
 		Remote: c.creditAddr(c.node, from), Local: c.outCredit, Size: 8,
 		Kind: frame.OpWrite, Flags: frame.FenceBefore | frame.Notify,
-	}
-	if c.ep.Config().UseSQ {
-		c.conns[from].MustPost(op)
-		c.ringSQ(p, c.ep.CPUs().Proto, from)
-	} else {
-		c.conns[from].MustDoOn(p, c.ep.CPUs().Proto, op)
-	}
+	})
 }

@@ -278,9 +278,7 @@ func TestServiceRelayRouting(t *testing.T) {
 // TestServiceCallBatch: the SQ path issues a batch under one doorbell
 // and the batch degrades to eager calls when the backend dies.
 func TestServiceCallBatch(t *testing.T) {
-	cfg := recoveryConfig(3)
-	cfg.Core.UseSQ = true
-	cl := cluster.New(cfg)
+	cl := cluster.New(recoveryConfig(3))
 	reg := svc.NewRegistry()
 	const region = 64 * 1024
 	if _, err := reg.Register("kv", region, cl.Nodes[1].EP, cl.Nodes[2].EP); err != nil {

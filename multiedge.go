@@ -101,7 +101,9 @@ type (
 	Handle = core.Handle
 	// Op describes one remote operation for Conn.Do and Conn.Post,
 	// mirroring the paper's RDMA_operation(connection, remote_va,
-	// local_va, size, op, flags) primitive as an options struct.
+	// local_va, size, op, flags) primitive as an options struct. Do
+	// issues it at once; Post queues it for the next Conn.Ring, which
+	// issues a batch under one doorbell. The caller picks per operation.
 	Op = core.Op
 	// Completion reports one finished submission-queue operation on a
 	// connection's completion queue (Conn.PollCQ / Conn.WaitCQ).
@@ -181,13 +183,6 @@ func WithReconnect(maxReconnects int) ClusterOption {
 // per node.
 func WithSchedQueue() ClusterOption {
 	return func(c *ClusterConfig) { c.Core.SchedQueue = true }
-}
-
-// WithSubmissionQueues routes operations through per-connection
-// submission/completion queues (Post/Ring/WaitCQ) instead of eager
-// per-op dispatch.
-func WithSubmissionQueues() ClusterOption {
-	return func(c *ClusterConfig) { c.Core.UseSQ = true }
 }
 
 // WithHeartbeat enables idle-side liveness: established connections
