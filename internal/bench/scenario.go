@@ -116,6 +116,7 @@ type Outcome struct {
 	PendingLive   int  // live sim events left after teardown
 	PendingEvents int  // all sim events left after teardown, daemons included
 	ActiveConns   int  // conns still tabled on any endpoint
+	Procs         int  // processes still parked after teardown (a waiter nothing answers)
 	DaemonsLinger bool // leak gate reads PendingLive (see stage.daemonsLinger)
 
 	Net cluster.NetReport
@@ -141,6 +142,7 @@ func (s *stage) outcome(what string, ops, size int, dataOK bool) Outcome {
 		DataOK:        dataOK,
 		PendingLive:   s.cl.Env.PendingLive(),
 		PendingEvents: s.cl.Env.PendingEvents(),
+		Procs:         s.cl.Env.Procs(),
 		DaemonsLinger: s.daemonsLinger,
 		Net:           s.cl.Collect(),
 		Obs:           s.cl.Obs,
@@ -161,8 +163,8 @@ func (s *stage) outcome(what string, ops, size int, dataOK bool) Outcome {
 				faults = append(faults, obs.TimelineNote{At: ev.At, Text: ev.What})
 			}
 		}
-		cause := fmt.Sprintf("%s gate failure: dataOK=%v pendingLive=%d pendingEvents=%d activeConns=%d",
-			what, o.DataOK, o.PendingLive, o.PendingEvents, o.ActiveConns)
+		cause := fmt.Sprintf("%s gate failure: dataOK=%v pendingLive=%d pendingEvents=%d activeConns=%d procs=%d",
+			what, o.DataOK, o.PendingLive, o.PendingEvents, o.ActiveConns, o.Procs)
 		o.Dump = obs.BuildPostMortem(cause, s.now(), append(faults, s.notes...), s.cl.Recorders...)
 	}
 	// Last: Close empties the event queue the leak gates above read.
@@ -171,14 +173,15 @@ func (s *stage) outcome(what string, ops, size int, dataOK bool) Outcome {
 }
 
 // LeakFree reports whether teardown left nothing behind: after every
-// conn closed, no event may remain queued and no endpoint may still
-// table a connection.
+// conn closed, no event may remain queued, no endpoint may still table a
+// connection, and no process may still be parked — a waiter nothing
+// will ever answer leaves no event and no conn behind.
 func (o Outcome) LeakFree() bool {
 	pending := o.PendingEvents
 	if o.DaemonsLinger {
 		pending = o.PendingLive
 	}
-	return pending == 0 && o.ActiveConns == 0
+	return pending == 0 && o.ActiveConns == 0 && o.Procs == 0
 }
 
 // Passed reports whether the run verified its data and leaked nothing.
@@ -191,7 +194,7 @@ func (o Outcome) gateColumns() string {
 		data = "CORRUPT"
 	}
 	if !o.LeakFree() {
-		leak = fmt.Sprintf("LEAK(live=%d ev=%d conns=%d)", o.PendingLive, o.PendingEvents, o.ActiveConns)
+		leak = fmt.Sprintf("LEAK(live=%d ev=%d conns=%d procs=%d)", o.PendingLive, o.PendingEvents, o.ActiveConns, o.Procs)
 	}
 	return fmt.Sprintf("data %-7s leak %s", data, leak)
 }

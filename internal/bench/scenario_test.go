@@ -10,9 +10,9 @@ import (
 )
 
 // TestOutcomeGates pins the one leak rule and the one pass rule every
-// stress mode shares: any queued event or tabled conn is a leak, except
-// that a run whose teardown may park daemon timers (serve) is judged on
-// live events only.
+// stress mode shares: any queued event, tabled conn or parked process is
+// a leak, except that a run whose teardown may park daemon timers
+// (serve) is judged on live events only.
 func TestOutcomeGates(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
@@ -26,6 +26,8 @@ func TestOutcomeGates(t *testing.T) {
 		{"live event, daemons may linger", Outcome{DataOK: true, PendingLive: 1, PendingEvents: 3, DaemonsLinger: true}, false, false},
 		{"tabled conn", Outcome{DataOK: true, ActiveConns: 1}, false, false},
 		{"tabled conn, daemons may linger", Outcome{DataOK: true, ActiveConns: 1, DaemonsLinger: true}, false, false},
+		{"parked process", Outcome{DataOK: true, Procs: 1}, false, false},
+		{"parked process, daemons may linger", Outcome{DataOK: true, Procs: 1, DaemonsLinger: true}, false, false},
 		{"corrupt data", Outcome{}, true, false},
 	} {
 		if got := tc.o.LeakFree(); got != tc.leakFree {

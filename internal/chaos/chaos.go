@@ -18,8 +18,6 @@ import (
 	"math/rand"
 
 	"multiedge/internal/cluster"
-	"multiedge/internal/core"
-	"multiedge/internal/frame"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
@@ -268,106 +266,6 @@ func (r *Runner) BlackholePair(from, to sim.Time, a, b int) {
 		for l := 0; l < r.cl.Cfg.LinksPerNode; l++ {
 			r.railEffect(from, to, node, l, between)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Tenant floods (workload based).
-// ---------------------------------------------------------------------
-
-// Flood schedules an elephant flood: at time at, conns connections are
-// dialed from node from to node to, each tagged with QoS class cls, and
-// each streams size-byte writes with a small pipeline of outstanding
-// operations until time until, when the connections drain and close.
-// The flood is pure workload — it draws nothing from the Runner's
-// random stream, so adding one to an existing timeline leaves every
-// previously scheduled fault bit-identical. Quota backpressure is part
-// of the scenario: a flood class with MaxQueued blocks in admission
-// until room appears, exactly like a real greedy tenant.
-func (r *Runner) Flood(at, until sim.Time, from, to, cls, conns, size int) {
-	const window = 4
-	r.logOnly(at, fmt.Sprintf("flood n%d→n%d class %d ×%d (%dB until %v)",
-		from, to, cls, conns, size, until))
-	for i := 0; i < conns; i++ {
-		src := r.cl.Nodes[from].EP.Alloc(size)
-		dst := r.cl.Nodes[to].EP.Alloc(size)
-		r.cl.Env.AtDaemon(at, func() {
-			r.cl.Env.Go(fmt.Sprintf("flood-n%d-n%d", from, to), func(p *sim.Proc) {
-				c := r.cl.Nodes[from].EP.Dial(p, to, 0)
-				if c.Failed() {
-					return
-				}
-				if cls > 0 {
-					c.SetClass(cls)
-				}
-				var inflight []*core.Handle
-				for r.cl.Env.Now() < until && !c.Failed() {
-					h, err := c.Do(p, core.Op{Remote: dst, Local: src,
-						Size: size, Kind: frame.OpWrite})
-					if err != nil {
-						break
-					}
-					inflight = append(inflight, h)
-					if len(inflight) >= window {
-						inflight[0].Wait(p)
-						inflight = inflight[1:]
-					}
-				}
-				for _, h := range inflight {
-					h.Wait(p)
-				}
-				c.Close(p)
-			})
-		})
-	}
-}
-
-// Incast schedules a synchronized fan-in burst: at time at, every node
-// in senders dials node to simultaneously and streams size-byte writes
-// with a small pipeline until time until, when the connections drain
-// and close. All senders start on the same tick — the synchronized
-// arrival wave that collapses the receiver's switch downlink queue —
-// which is exactly the bottleneck pattern congestion control
-// (core.Config.CongestionControl + cluster.Config.EcnThreshold) exists
-// to survive. Like Flood, the primitive is pure workload: it draws
-// nothing from the Runner's random stream, so adding one to an existing
-// timeline leaves every previously scheduled fault bit-identical.
-func (r *Runner) Incast(at, until sim.Time, senders []int, to, cls, size int) {
-	const window = 4
-	r.logOnly(at, fmt.Sprintf("incast ×%d→n%d class %d (%dB until %v)",
-		len(senders), to, cls, size, until))
-	for _, from := range senders {
-		from := from
-		src := r.cl.Nodes[from].EP.Alloc(size)
-		dst := r.cl.Nodes[to].EP.Alloc(size)
-		r.cl.Env.AtDaemon(at, func() {
-			r.cl.Env.Go(fmt.Sprintf("incast-n%d-n%d", from, to), func(p *sim.Proc) {
-				c := r.cl.Nodes[from].EP.Dial(p, to, 0)
-				if c.Failed() {
-					return
-				}
-				if cls > 0 {
-					c.SetClass(cls)
-				}
-				var inflight []*core.Handle
-				for r.cl.Env.Now() < until && !c.Failed() {
-					h, err := c.Do(p, core.Op{Remote: dst, Local: src,
-						Size: size, Kind: frame.OpWrite})
-					if err != nil {
-						break
-					}
-					inflight = append(inflight, h)
-					if len(inflight) >= window {
-						inflight[0].Wait(p)
-						inflight = inflight[1:]
-					}
-				}
-				for _, h := range inflight {
-					h.Wait(p)
-				}
-				c.Close(p)
-			})
-		})
 	}
 }
 

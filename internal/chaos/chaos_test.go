@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"multiedge/internal/cluster"
-	"multiedge/internal/core"
 	"multiedge/internal/sim"
 )
 
@@ -220,114 +219,6 @@ func TestSoakReproducible(t *testing.T) {
 		}
 		if a != b {
 			t.Fatalf("seed %d: results differ between identical runs:\n%+v\n%+v", seed, a, b)
-		}
-	}
-}
-
-func TestFloodReproducible(t *testing.T) {
-	// A tenant flood is pure workload on the simulation clock: composed
-	// with a link flap under QoS, identical seeds must still produce
-	// bit-identical results. The flood (class 1, rate-capped and
-	// quota-bounded) contends with the verified victim stream (class 0)
-	// at node 0's endpoint, and the victim still completes.
-	mk := func(seed int64) Options {
-		cfg := cluster.OneLink1G(2)
-		cfg.Core.DeadInterval = 5 * sim.Second
-		cfg.Core.SchedQueue = true
-		cfg.Core.QoS = []core.QoSClass{
-			{Weight: 8},
-			{Weight: 1, RateBps: 100e6, MaxQueued: 32, MaxQueuedBytes: 1 << 20},
-		}
-		return Options{
-			Config:    cfg,
-			Seed:      seed,
-			Transfers: 20,
-			Bytes:     8 << 10,
-			Gap:       5 * sim.Millisecond,
-			Horizon:   30 * sim.Second,
-			Script: func(r *Runner) {
-				r.Flood(sim.Millisecond, 200*sim.Millisecond, 0, 1, 1, 4, 16<<10)
-				r.FlapLink(50*sim.Millisecond, 20*sim.Millisecond, 0, 0)
-			},
-		}
-	}
-	for _, seed := range []int64{seedBase(t), seedBase(t) + 1} {
-		a, avs := Run(mk(seed))
-		b, _ := Run(mk(seed))
-		for _, v := range avs {
-			t.Errorf("seed %d: violation %s", seed, v)
-		}
-		if a.Report != b.Report {
-			t.Fatalf("seed %d: reports differ between identical flood runs:\n%+v\n%+v",
-				seed, a.Report, b.Report)
-		}
-		if a != b {
-			t.Fatalf("seed %d: results differ between identical flood runs:\n%+v\n%+v",
-				seed, a, b)
-		}
-		if a.Completed != 20 || !a.DataOK {
-			t.Errorf("seed %d: victim stream %d/20 complete, dataOK=%v under flood",
-				seed, a.Completed, a.DataOK)
-		}
-		if a.Report.Proto.QosSchedFrames == 0 || a.Report.Proto.QosOpsAdmitted == 0 {
-			t.Errorf("seed %d: flood left no QoS trace (sched frames %d, admitted %d)",
-				seed, a.Report.Proto.QosSchedFrames, a.Report.Proto.QosOpsAdmitted)
-		}
-	}
-}
-
-func TestIncastReproducible(t *testing.T) {
-	// An incast storm is pure workload on the simulation clock — the
-	// synchronized senders draw nothing from the Runner's random
-	// stream — so composed with a loss burst under congestion control,
-	// identical seeds must still produce bit-identical results. Eight
-	// senders converge on node 1 through a marking fabric while the
-	// verified victim stream (node 0 → 1) shares the bottleneck.
-	mk := func(seed int64) Options {
-		cfg := cluster.OneLink1G(10)
-		cfg.Core.DeadInterval = 5 * sim.Second
-		cfg.Core.SchedQueue = true
-		cfg.Core.CongestionControl = core.CCConfig{Enable: true}
-		cfg.EcnThreshold = 16
-		return Options{
-			Config:    cfg,
-			Seed:      seed,
-			Transfers: 10,
-			Bytes:     8 << 10,
-			Gap:       10 * sim.Millisecond,
-			Horizon:   30 * sim.Second,
-			Script: func(r *Runner) {
-				r.Incast(sim.Millisecond, 80*sim.Millisecond,
-					[]int{2, 3, 4, 5, 6, 7, 8, 9}, 1, 0, 8<<10)
-				r.LossBurst(20*sim.Millisecond, 25*sim.Millisecond, 1, 0, 0.05)
-			},
-		}
-	}
-	for _, seed := range []int64{seedBase(t), seedBase(t) + 1} {
-		a, avs := Run(mk(seed))
-		b, _ := Run(mk(seed))
-		for _, v := range avs {
-			t.Errorf("seed %d: violation %s", seed, v)
-		}
-		if a.Report != b.Report {
-			t.Fatalf("seed %d: reports differ between identical incast runs:\n%+v\n%+v",
-				seed, a.Report, b.Report)
-		}
-		if a != b {
-			t.Fatalf("seed %d: results differ between identical incast runs:\n%+v\n%+v",
-				seed, a, b)
-		}
-		if a.Completed != 10 || !a.DataOK {
-			t.Errorf("seed %d: victim stream %d/10 complete, dataOK=%v under incast",
-				seed, a.Completed, a.DataOK)
-		}
-		if a.Report.EcnMarks == 0 || a.Report.Proto.CcCwndCuts == 0 {
-			t.Errorf("seed %d: incast left no congestion trace (marks %d, cuts %d)",
-				seed, a.Report.EcnMarks, a.Report.Proto.CcCwndCuts)
-		}
-		if a.Report.Proto.PeerDeadEvents != 0 {
-			t.Errorf("seed %d: %d spurious peer-death verdicts under congestion control",
-				seed, a.Report.Proto.PeerDeadEvents)
 		}
 	}
 }

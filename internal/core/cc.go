@@ -47,10 +47,6 @@ import (
 // false, cwnd is 0/inert, effWindow is Config.Window, and no paths
 // behave differently.
 
-// ccAdmitPoll is the blocking-admission polling interval, matching the
-// QoS quota wait cadence (qosAdmitPoll).
-const ccAdmitPoll = 20 * sim.Microsecond
-
 // Cut causes, recorded in EvCwndCut's B field.
 const (
 	ccCutEcn = iota // ECN echo: queues are deep somewhere on the path
@@ -161,30 +157,16 @@ func (c *Conn) ccAdmitFast() error {
 	return fmt.Errorf("core: congestion window backlog to node %d: %w", c.remoteNode, ErrThrottled)
 }
 
-// ccAdmitDo is the blocking admission gate (Do/DoOn): the caller sleeps
-// in the same deterministic poll loop as qosAdmitDo until the window
-// opens, the connection dies, or Op.Deadline passes.
+// ccAdmitDo is the blocking admission gate (Do/DoOn): the caller waits
+// (admitWait) until the window opens, the connection dies, or
+// Op.Deadline passes.
 func (c *Conn) ccAdmitDo(p *sim.Proc, op Op) error {
 	if !c.ccBacklogged() {
 		return nil
 	}
-	ep := c.ep
-	ep.Stats.CcAdmissionWaits++
-	ep.emit(c.localID, obs.EvCcBlock, int64(c.cwnd), 1)
-	for {
-		p.Sleep(ccAdmitPoll)
-		if c.failed {
-			return fmt.Errorf("core: operation on failed connection to node %d: %w", c.remoteNode, c.failErr)
-		}
-		if c.closed {
-			return fmt.Errorf("core: operation on closed connection to node %d: %w", c.remoteNode, ErrClosed)
-		}
-		if op.Deadline > 0 && ep.env.Now() >= op.Deadline {
-			ep.Stats.OpDeadlinesExpired++
-			return fmt.Errorf("core: congestion admission to node %d: %w", c.remoteNode, ErrDeadlineExceeded)
-		}
-		if !c.ccBacklogged() {
-			return nil
-		}
-	}
+	c.ep.Stats.CcAdmissionWaits++
+	c.ep.emit(c.localID, obs.EvCcBlock, int64(c.cwnd), 1)
+	return c.admitWait(p, op, func() bool { return !c.ccBacklogged() }, func() error {
+		return fmt.Errorf("core: congestion admission to node %d: %w", c.remoteNode, ErrDeadlineExceeded)
+	})
 }

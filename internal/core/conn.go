@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"multiedge/internal/frame"
 	"multiedge/internal/obs"
@@ -52,8 +51,8 @@ type Conn struct {
 	// Failure handling: adaptive retransmission timing (Config.RTOMax)
 	// and peer-death detection (Config.MaxRetries / DeadInterval /
 	// HeartbeatInterval).
-	failed       bool     // peer declared dead; failErr says why
-	failErr      error    // wraps ErrPeerDead
+	failed       bool     // peer declared dead, or the dial gave up
+	endErr       error    // why the conn left the live state: wraps ErrPeerDead if failed, else ErrClosed
 	rtt          rttEst   // every rail blended; its rto is armed in adaptive mode
 	expiries     int      // consecutive RTO expiries without ack progress
 	lastProgress sim.Time // last ack advance, or first transmit of a fresh burst
@@ -450,8 +449,9 @@ func (h *Handle) OpID() uint64 { return h.opID }
 
 // Err returns the operation's terminal error: nil while in flight or
 // after success; wrapping ErrPeerDead when the connection failed with
-// the operation pending, or ErrDeadlineExceeded when Op.Deadline
-// released the waiter first. Check after Wait returns.
+// the operation pending, ErrClosed when it closed, or
+// ErrDeadlineExceeded when Op.Deadline released the waiter first. Check
+// after Wait returns.
 func (h *Handle) Err() error { return h.err }
 
 func newConn(ep *Endpoint, localID uint32, remoteNode, links int) *Conn {
@@ -495,7 +495,7 @@ func (c *Conn) probeTick() {
 }
 
 // newTxFrame pulls a transmit-frame record from the endpoint's freelist
-// (frames die in handleAck, failConn or rebirth, strictly inside the
+// (frames die in handleAck or dropWindow, strictly inside the
 // protocol thread, so recycling is race-free by construction).
 func (c *Conn) newTxFrame(op *txOp, seq, offset uint32) *txFrame {
 	ep := c.ep
@@ -510,7 +510,7 @@ func (c *Conn) newTxFrame(op *txOp, seq, offset uint32) *txFrame {
 
 // freeTxFrame recycles tf. It is zeroed on the freelist, which would
 // otherwise pin the op, its handle and its payload snapshot for as long
-// as the record waits; every caller (handleAck, failConn, rebirth) is
+// as the record waits; every caller (handleAck, dropWindow) is
 // done with tf's fields when it frees it.
 func (c *Conn) freeTxFrame(tf *txFrame) {
 	*tf = txFrame{}
@@ -545,7 +545,12 @@ func (c *Conn) Failed() bool { return c.failed }
 
 // Err returns why the connection failed (wrapping ErrPeerDead), or nil
 // while it is healthy or merely closed.
-func (c *Conn) Err() error { return c.failErr }
+func (c *Conn) Err() error {
+	if !c.failed {
+		return nil
+	}
+	return c.endErr
+}
 
 // Reconnecting reports whether the connection is parked awaiting a
 // supervised reconnect (Config.Reconnect): the old epoch is condemned,
@@ -574,11 +579,13 @@ func (c *Conn) RTO() sim.Time { return c.currentRTO() }
 
 // Close tears the connection down gracefully: it blocks until every
 // locally issued operation has completed, then exchanges a close
-// handshake with the peer (retried under loss). Initiating operations
-// on a closed connection panics; late frames for it are discarded.
+// handshake with the peer (retried under loss). Operations initiated on
+// a closed connection fail with ErrClosed; late frames for it are
+// discarded. Descriptors posted but never rung fail with ErrClosed when
+// the handshake ends.
 //
-// Close is bounded: if the peer dies mid-drain the failure machinery
-// fails the outstanding operations and Close returns, and a close
+// Close is bounded: if the peer dies or closes mid-drain, the teardown
+// ends the outstanding operations and Close returns, and a close
 // handshake the peer never acknowledges gives up after the MaxRetries
 // budget instead of retrying forever.
 func (c *Conn) Close(p *sim.Proc) {
@@ -586,53 +593,36 @@ func (c *Conn) Close(p *sim.Proc) {
 		return
 	}
 	// Drain: all issued operations fully acknowledged — or the peer
-	// declared dead, which fails them all and unblocks the closer.
-	for !c.failed && (len(c.txOps) > 0 || c.inflight() > 0 || len(c.pendingReads) > 0) {
+	// declared dead or closed first, which ended them all.
+	for !c.closed && (len(c.txOps) > 0 || c.inflight() > 0 || len(c.pendingReads) > 0) {
 		p.Sleep(50 * sim.Microsecond)
 	}
-	if c.failed {
-		return // nothing left to hand-shake with; failConn cleaned up
+	if c.closed {
+		return // nothing left to hand-shake with; the teardown ran
 	}
+	// From here every operation that reaches the conn ends with this
+	// cause; the teardown runs when the handshake ends.
 	c.closed = true
+	c.endErr = fmt.Errorf("core: connection to node %d closed: %w", c.remoteNode, ErrClosed)
 	c.stopTimers()
 	c.ep.emit(c.localID, obs.EvClosed, 0, 0)
-	ep := c.ep
 	cl := c.closeGroup()
-	attempts := 0
-	var retry func()
-	send := func() {
-		h := frame.Header{Type: frame.TypeConnClose, ConnID: c.remoteID, OpID: uint64(c.localID),
-			Incarnation: c.incarnation}
-		dst := frame.NewAddr(c.remoteNode, 0)
-		buf := frame.MustEncode(dst, ep.nics[0].Addr(), &h, nil)
-		ep.nics[0].Transmit(&phys.Frame{Buf: buf, Dst: dst, Src: ep.nics[0].Addr()})
-	}
-	retry = func() {
-		if cl.sig.Fired() {
-			return
-		}
-		if mr := ep.cfg.MaxRetries; mr > 0 && attempts > mr {
-			// The peer never acknowledged the close: give up unilaterally
-			// rather than retrying forever against a dead host.
-			ep.removeConn(c)
-			cl.sig.Fire(ep.env)
-			return
-		}
-		attempts++
-		send()
-		cl.timer = ep.env.After(connRetry, retry)
-	}
-	ep.env.After(0, retry)
-	p.Wait(&cl.sig)
+	h := frame.Header{Type: frame.TypeConnClose, ConnID: c.remoteID, OpID: uint64(c.localID),
+		Incarnation: c.incarnation}
+	c.ep.handshake(p, c.remoteNode, &h, &cl.sig, &cl.timer, func(int) {
+		// The peer never acknowledged the close: give up unilaterally
+		// rather than retrying forever against a dead host.
+		c.teardown(c.endErr)
+		cl.sig.Fire(c.ep.env)
+	})
 }
 
 // stopTimers cancels every protocol timer the connection owns and clears
-// the pending-ctrl state that would arm new ones. It runs on every exit
-// from the live state — local Close, peer-initiated close, and failConn —
-// so a torn-down conn can never fire a callback or emit a frame again,
-// and no stray event keeps the simulation alive. closeTimer is exempt:
-// the close handshake itself still needs it (failConn stops it too, via
-// stopCloseTimer).
+// the pending-ctrl state that would arm new ones. It runs when a local
+// Close starts its handshake (whose retransmission timer is armed only
+// afterwards), on entering Reconnecting, and in every teardown, so a
+// torn-down conn can never fire a callback or emit a frame again, and
+// no stray event keeps the simulation alive.
 func (c *Conn) stopTimers() {
 	for _, t := range [...]*sim.Timer{
 		c.ackTimer, c.nackTimer, c.rtoTimer, c.hbTimer,
@@ -644,14 +634,17 @@ func (c *Conn) stopTimers() {
 		r.timer.Stop()
 		r.giveUp.Stop()
 	}
+	if cl := c.closing; cl != nil {
+		cl.timer.Stop()
+	}
 	c.ackDue = false
 	c.nackDue = nil
 	// Gap records would re-arm the NACK machinery if any late frame
 	// slipped through; drop them with the timers (the accepted records
 	// stay: they are the duplicate filter). Dropping the in-flight repair
 	// timestamps wholesale is intentional, not a leak of live repair
-	// state: stopTimers only runs on exits from the live state — local
-	// Close, peer close, failConn, and the reconnect rebirth — after
+	// state: stopTimers only runs on exits from the live state — a local
+	// Close, a teardown, entering Reconnecting — after
 	// which the old sequence space is dead (a rebirth starts a fresh
 	// epoch with fresh sequence numbers), so no timestamp keyed by an old
 	// seq can ever be consulted again. TestStopTimersDropsGapState pins
@@ -662,12 +655,6 @@ func (c *Conn) stopTimers() {
 			c.gaps--
 			c.untracked = true
 		}
-	}
-}
-
-func (c *Conn) stopCloseTimer() {
-	if c.closing != nil {
-		c.closing.timer.Stop()
 	}
 }
 
@@ -701,11 +688,12 @@ func (c *Conn) frameSpan(opType frame.OpType, opID, local uint64) *obs.Span {
 }
 
 // WaitNotify blocks until a notification arrives on the connection.
-// When the connection fails it never blocks forever: queued
+// Once the connection is closed or failed it never blocks: queued
 // notifications drain first, then a poison Notification with Len < 0 is
-// returned (and peer death is also observable via Failed/Err).
+// returned (peer death is also observable via Failed/Err). A waiter
+// parked when the connection ends gets the poison from the teardown.
 func (c *Conn) WaitNotify(p *sim.Proc) Notification {
-	if c.failed {
+	if c.closed {
 		if n, ok := c.PollNotify(); ok {
 			return n
 		}
@@ -1510,7 +1498,7 @@ func (c *Conn) finishHandle(h *Handle, err error) {
 // buffers and delivering error completions to every waiter — the
 // handle, the CQ, and each sub-op of a coalesced batch.
 func (c *Conn) failTxOp(t *txOp, cause error) {
-	if t == nil || t.completed {
+	if t.completed {
 		return
 	}
 	if c.retireTxOp(t) {
@@ -1564,25 +1552,20 @@ func (c *Conn) expireHandle(h *Handle, t *txOp) {
 	c.finishHandle(h, fmt.Errorf("core: op %d to node %d: %w", h.opID, c.remoteNode, ErrDeadlineExceeded))
 }
 
-// failConn transitions the connection to the Failed state: every queued
-// and in-flight operation, pending read and posted descriptor completes
-// with cause (which wraps ErrPeerDead), all timers stop, and — when the
-// failure was detected locally — a Reset ctrl frame tells the peer on
-// every rail so its side fails promptly too instead of burning its own
-// retry budget. Iteration orders are deterministic (sequence walk, FIFO
-// slices, sorted read ids) so failure runs replay bit-identically.
+// failConn transitions the connection to the Failed state: what each
+// failure exit owns — the PeerDeadEvents count, EvFailed, the end of an
+// outage span and, when the failure was detected locally, a Reset ctrl
+// frame on every rail so the peer fails promptly too instead of burning
+// its own retry budget — and then the teardown, with cause (which wraps
+// ErrPeerDead).
 func (c *Conn) failConn(cause error, sendReset bool) {
 	if c.closed {
 		return
 	}
 	ep := c.ep
 	c.failed = true
-	c.failErr = cause
-	c.closed = true
 	ep.Stats.PeerDeadEvents++
 	ep.emit(c.localID, obs.EvFailed, int64(c.expiries), int64(c.inflight()))
-	c.stopTimers()
-	c.stopCloseTimer()
 	// A conn that dies mid-reconnect closes its outage span: the outage
 	// ended, just not with a recovery.
 	c.reconnecting = false
@@ -1593,33 +1576,29 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 	if sendReset && c.established.Fired() {
 		c.sendResetFrames()
 	}
-	// Outstanding window frames, then queued operations. Each frame
-	// record is recycled after its op is failed (the op-level completed
-	// guard makes the second visit through txOps a no-op).
-	for s := c.sndUna; s != c.sndNxt; s++ {
-		if tf, ok := c.retrans.get(s); ok {
-			c.failTxOp(tf.op, cause)
-			c.freeTxFrame(tf)
-		}
+	c.teardown(cause)
+}
+
+// teardown is how a conn ends, whichever of the five exits it takes:
+// local Close (handshake acknowledged or given up), the peer's ConnClose,
+// failConn, and a dial that gives up (DESIGN.md §7 "How a connection
+// ends"). The conn leaves the live state with cause unless an earlier
+// exit already set one, and every operation that reaches it later ends
+// the same way (Conn.issue). Then, once: every timer stops; every
+// outstanding operation, pending read and unrung descriptor ends with
+// the cause, handing back its quota charge, snapshot and frame records;
+// WaitNotify waiters get their poison; and the conn leaves the
+// endpoint's tables. Iteration orders are deterministic (sequence walk,
+// FIFO slices, sorted read ids) so failure runs replay bit-identically.
+func (c *Conn) teardown(cause error) {
+	if !c.closed {
+		c.closed, c.endErr = true, cause
 	}
-	for _, t := range c.txOps {
-		c.failTxOp(t, cause)
-	}
-	// Reads whose requests were fully acknowledged (their txOps are gone;
-	// only the reply was pending).
-	if len(c.pendingReads) > 0 {
-		ids := make([]uint64, 0, len(c.pendingReads))
-		for id := range c.pendingReads {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			h := c.pendingReads[id]
-			delete(c.pendingReads, id)
-			ep.Stats.OpsFailed++
-			c.finishHandle(h, cause)
-		}
-	}
+	cause = c.endErr
+	ep := c.ep
+	c.stopTimers()
+	c.outstanding(func(t *txOp) { c.failTxOp(t, cause) })
+	c.dropWindow()
 	// Posted-but-unrung descriptors never received ids; their error
 	// completions carry OpID 0 and the original Op for correlation. Each
 	// still holds the admission quota Post charged — return it.
@@ -1636,18 +1615,67 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 			ep.noteSQDepth(-n)
 		}
 	}
-	c.retrans.clear()
-	c.retransQ = nil
 	c.txOps = nil
 	c.txFenced = nil
 	c.held = nil // the only reorder buffer: nothing else keeps payload copies
 	// Wake processes parked in WaitNotify with one poison notification
-	// each; with c.failed set, later calls return the poison without
-	// parking. No caller may hang on a dead peer.
+	// each; with c.closed set, later calls return the poison without
+	// parking. No caller may hang on a conn that ended.
 	for c.notifyQ != nil && c.notifyQ.HasWaiters() {
 		c.notifyQ.Send(ep.env, Notification{From: c.remoteNode, Len: -1})
 	}
 	ep.removeConn(c)
+}
+
+// outstanding visits every send-side operation the conn still owes its
+// callers, each once, in the order a teardown ends them: the ops of the
+// window's frames, oldest first; then the queued ops with no frame in
+// the window; then, sorted by id, a stand-in built from the handle for
+// each read whose request was acknowledged and whose reply is still
+// due. The teardown, rebirth, Journal and Health all take this one
+// walk. visit may end the op it is given; it must not add work.
+func (c *Conn) outstanding(visit func(*txOp)) {
+	// An op's frames are numbered back to back, so only a dead-link probe
+	// (one frame, an op of its own) can sit between two of them.
+	var last *txOp
+	for s := c.sndUna; s != c.sndNxt; s++ {
+		if tf, ok := c.retrans.get(s); ok && tf.op != last {
+			if !tf.op.probe {
+				last = tf.op
+			}
+			visit(tf.op)
+		}
+	}
+	// unacked counts an op's frames in the window: those ops came above.
+	for _, t := range c.txOps {
+		if !t.completed && t.unacked == 0 {
+			visit(t)
+		}
+	}
+	var acked []uint64
+	for id, h := range c.pendingReads {
+		if h.t.completed {
+			acked = append(acked, id)
+		}
+	}
+	slices.Sort(acked)
+	for _, id := range acked {
+		h := c.pendingReads[id]
+		visit(&txOp{id: id, opType: frame.OpRead, flags: h.op.Flags,
+			remote: h.op.Remote, local: h.op.Local, total: uint32(h.size), h: h})
+	}
+}
+
+// dropWindow recycles every frame record in the transmit window once a
+// teardown or a rebirth has taken from it what it needs.
+func (c *Conn) dropWindow() {
+	for s := c.sndUna; s != c.sndNxt; s++ {
+		if tf, ok := c.retrans.get(s); ok {
+			c.freeTxFrame(tf)
+		}
+	}
+	c.retrans.clear()
+	c.retransQ = nil
 }
 
 // sendResetFrames tells the peer on every rail that this side has
@@ -2396,7 +2424,6 @@ func (c *Conn) serveRead(h frame.Header) {
 	t.span = c.frameSpan(h.OpType, h.OpID, h.Local)
 	ep.emit(c.localID, obs.EvReadServe, int64(h.Seq), int64(h.Total), spanOf{rx: t.span})
 	c.nextOpID++
-	c.txOps = append(c.txOps, t)
 	ep.Stats.OpsStarted++
-	c.kick()
+	c.issue(t)
 }

@@ -225,12 +225,12 @@ func (ep *Endpoint) kickConn(c *Conn) {
 }
 
 // removeConn unlinks a torn-down connection from the endpoint: demux
-// table, fairness order and handshake dedupe. Scheduler queue entries
-// are left to lazy invalidation (closed conns fail the pop re-check).
-// Idempotent; frames that arrive for a removed connection are dropped
-// at dispatch, except retransmitted ConnClose frames, which get a
-// stateless acknowledgement so the peer's close handshake still
-// terminates.
+// table, fairness order and handshake dedupe. Only Conn.teardown calls
+// it. Scheduler queue entries are left to lazy invalidation (closed
+// conns fail the pop re-check). Idempotent; frames that arrive for a
+// removed connection are dropped at dispatch, except retransmitted
+// ConnClose frames, which get a stateless acknowledgement so the peer's
+// close handshake still terminates.
 func (ep *Endpoint) removeConn(c *Conn) {
 	if _, ok := ep.conns[c.localID]; !ok {
 		return
@@ -596,10 +596,8 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 			// is built purely from the incoming header, echoing its
 			// incarnation) so the peer's handshake terminates instead
 			// of retrying into silence.
-			ah := frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
-				Incarnation: h.Incarnation}
-			buf := frame.MustEncode(src, ep.nics[0].Addr(), &ah, nil)
-			ep.nics[0].Transmit(&phys.Frame{Buf: buf, Dst: src, Src: ep.nics[0].Addr()})
+			ep.sendHandshake(src, &frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
+				Incarnation: h.Incarnation})
 		}
 		return // stale frame for a connection we do not know
 	}
@@ -616,31 +614,25 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		}
 	}
 	if h.Type == frame.TypeConnClose {
-		// Peer-initiated teardown: acknowledge (idempotently — the
-		// close may be retransmitted), stop every timer the conn owns,
-		// and drop it from the tables. In a simultaneous close our own
+		// Peer-initiated close: acknowledge (idempotently — the close may
+		// be retransmitted) and tear the conn down; what it still owes
+		// its callers ends with ErrClosed. In a simultaneous close our own
 		// handshake completes here too: the peer has committed to
 		// teardown, and its side answers our retransmitted ConnClose
 		// statelessly even after it forgets the conn.
-		if cl := c.closing; c.closed && !c.failed && cl != nil && !cl.sig.Fired() {
-			c.stopCloseTimer()
+		if cl := c.closing; cl != nil && !cl.sig.Fired() {
 			cl.sig.Fire(ep.env)
 		}
-		c.closed = true
-		c.stopTimers()
 		ep.emit(c.localID, obs.EvClosed, 1, 0)
-		ah := frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
-			Incarnation: h.Incarnation}
-		buf := frame.MustEncode(src, ep.nics[0].Addr(), &ah, nil)
-		ep.nics[0].Transmit(&phys.Frame{Buf: buf, Dst: src, Src: ep.nics[0].Addr()})
-		ep.removeConn(c)
+		ep.sendHandshake(src, &frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
+			Incarnation: h.Incarnation})
+		c.teardown(fmt.Errorf("core: connection to node %d closed by peer: %w", c.remoteNode, ErrClosed))
 		return
 	}
 	if h.Type == frame.TypeConnCloseAck {
-		if cl := c.closeGroup(); !cl.sig.Fired() {
-			c.stopCloseTimer()
+		if cl := c.closing; cl != nil && !cl.sig.Fired() {
 			cl.sig.Fire(ep.env)
-			ep.removeConn(c)
+			c.teardown(c.endErr)
 		}
 		return
 	}
@@ -721,39 +713,53 @@ func (ep *Endpoint) Dial(p *sim.Proc, remoteNode int, links int) *Conn {
 	if ep.cfg.Reconnect {
 		c.incarnation = 1 // first epoch; 0 means "incarnations unused"
 	}
+	h := frame.Header{Type: frame.TypeConnReq, ConnID: c.localID, OpID: uint64(links),
+		Incarnation: c.incarnation}
+	ep.handshake(p, remoteNode, &h, &c.established, &c.connTimer, func(attempts int) {
+		// The peer never answered: fail the dial instead of retrying
+		// forever. The waiter is released; callers detect the outcome
+		// via Conn.Failed / Conn.Err (operations on the conn error out).
+		c.failed = true
+		ep.Stats.PeerDeadEvents++
+		ep.emit(c.localID, obs.EvFailed, int64(attempts), 0)
+		c.teardown(fmt.Errorf("core: dial to node %d: no answer after %d attempts: %w",
+			remoteNode, attempts, ErrPeerDead))
+		c.established.Fire(ep.env)
+	})
+	return c
+}
+
+// handshake sends h to node's first NIC now and every connRetry until
+// done fires, and blocks p until it does. With a MaxRetries budget set,
+// giveUp(attempts) runs instead of the send after that many retries and
+// must fire done. *timer is the pending retry, for the teardown to stop.
+func (ep *Endpoint) handshake(p *sim.Proc, node int, h *frame.Header, done *sim.Signal, timer **sim.Timer, giveUp func(attempts int)) {
+	dst := frame.NewAddr(node, 0)
 	attempts := 0
 	var retry func()
-	send := func() {
-		h := frame.Header{Type: frame.TypeConnReq, ConnID: c.localID, OpID: uint64(links),
-			Incarnation: c.incarnation}
-		buf := frame.MustEncode(frame.NewAddr(remoteNode, 0), ep.nics[0].Addr(), &h, nil)
-		ep.nics[0].Transmit(&phys.Frame{Buf: buf, Dst: frame.NewAddr(remoteNode, 0), Src: ep.nics[0].Addr()})
-	}
 	retry = func() {
-		if c.established.Fired() {
+		if done.Fired() {
 			return
 		}
 		if mr := ep.cfg.MaxRetries; mr > 0 && attempts > mr {
-			// The peer never answered: fail the dial instead of retrying
-			// forever. The waiter is released; callers detect the outcome
-			// via Conn.Failed / Conn.Err (operations on the conn error out).
-			c.failed = true
-			c.failErr = fmt.Errorf("core: dial to node %d: no answer after %d attempts: %w",
-				remoteNode, attempts, ErrPeerDead)
-			c.closed = true
-			ep.Stats.PeerDeadEvents++
-			ep.emit(c.localID, obs.EvFailed, int64(attempts), 0)
-			ep.removeConn(c)
-			c.established.Fire(ep.env)
+			giveUp(attempts)
 			return
 		}
 		attempts++
-		send()
-		c.connTimer = ep.env.After(connRetry, retry)
+		ep.sendHandshake(dst, h)
+		*timer = ep.env.After(connRetry, retry)
 	}
 	ep.env.After(0, retry)
-	p.Wait(&c.established)
-	return c
+	p.Wait(done)
+}
+
+// sendHandshake transmits one connection-management frame (ConnReq,
+// ConnAck, ConnClose, ConnCloseAck) from the first NIC: these frames
+// belong to no conn's striping and carry no payload.
+func (ep *Endpoint) sendHandshake(dst frame.Addr, h *frame.Header) {
+	nic := ep.nics[0]
+	buf := frame.MustEncode(dst, nic.Addr(), h, nil)
+	nic.Transmit(&phys.Frame{Buf: buf, Dst: dst, Src: nic.Addr()})
 }
 
 // GlobalNotify switches notification delivery from per-connection
@@ -815,10 +821,8 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 		c.acceptReconnect(h.Incarnation)
 	}
 	// Always (re-)send the ConnAck: the previous one may have been lost.
-	ah := frame.Header{Type: frame.TypeConnAck, ConnID: h.ConnID, OpID: uint64(c.localID),
-		Incarnation: c.incarnation}
-	buf := frame.MustEncode(src, ep.nics[0].Addr(), &ah, nil)
-	ep.nics[0].Transmit(&phys.Frame{Buf: buf, Dst: src, Src: ep.nics[0].Addr()})
+	ep.sendHandshake(src, &frame.Header{Type: frame.TypeConnAck, ConnID: h.ConnID, OpID: uint64(c.localID),
+		Incarnation: c.incarnation})
 }
 
 func (ep *Endpoint) handleConnAck(_ frame.Addr, h frame.Header) {

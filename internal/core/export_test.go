@@ -144,3 +144,19 @@ const (
 // capacity while the operation owns one; retained across completion, it
 // shows what retireTxOp left of it.
 func (h *Handle) SnapshotForTest() []byte { return h.t.data[:cap(h.t.data)] }
+
+// QosPendingForTest returns the admission charges class cls still
+// holds: operations admitted but not yet finished, and their bytes.
+func (ep *Endpoint) QosPendingForTest(cls int) (ops, bytes int) {
+	return ep.qos[cls].pendingOps, ep.qos[cls].pendingBytes
+}
+
+// IdleSnapshotsForTest counts the large snapshot buffers handed back to
+// the endpoint's freelist and waiting there for reuse.
+func (ep *Endpoint) IdleSnapshotsForTest() int {
+	n := 0
+	for _, free := range ep.snapFree {
+		n += len(free)
+	}
+	return n
+}

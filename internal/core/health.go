@@ -25,6 +25,7 @@ func (c *Conn) Health() obs.ConnHealth {
 		Cwnd:        c.cwnd,
 		SQDepth:     c.SQLen(),
 		CQDepth:     c.CQLen(),
+		JournalOps:  len(c.Journal()),
 		BytesAcked:  c.bytesAcked,
 	}
 	h.Rails = make([]obs.RailHealth, c.links)
@@ -34,22 +35,6 @@ func (c *Conn) Health() obs.ConnHealth {
 			SRTTUs:   float64(e.srtt) / 1000,
 			RTTVarUs: float64(e.rttvar) / 1000,
 			RTOUs:    float64(e.rto(&c.ep.cfg)) / 1000,
-		}
-	}
-	// Journal length: what a reconnect would replay — queued/in-flight
-	// send ops plus pending reads whose requests were already fully
-	// acknowledged (a read mid-request appears in txOps too; dedupe).
-	h.JournalOps = len(c.txOps)
-	for id := range c.pendingReads {
-		inTx := false
-		for _, t := range c.txOps {
-			if t.id == id {
-				inTx = true
-				break
-			}
-		}
-		if !inTx {
-			h.JournalOps++
 		}
 	}
 	return h

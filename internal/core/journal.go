@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"multiedge/internal/obs"
 	"multiedge/internal/sim"
@@ -37,50 +38,24 @@ func (c *Conn) Journal() []Op {
 		id uint64
 		op Op
 	}
-	seen := make(map[uint64]bool)
 	var recs []rec
-	addTx := func(t *txOp) {
-		if t == nil || t.completed || t.probe || seen[t.id] {
-			return
-		}
-		seen[t.id] = true
-		if t.subs != nil {
-			for i := range t.subs {
-				recs = append(recs, rec{id: t.subs[i].id, op: t.subs[i].op})
+	c.outstanding(func(t *txOp) {
+		switch {
+		case t.probe:
+		case t.subs != nil:
+			for _, s := range t.subs {
+				recs = append(recs, rec{id: s.id, op: s.op})
 			}
-			return
-		}
-		if t.h != nil {
+		case t.h != nil:
 			recs = append(recs, rec{id: t.id, op: t.h.op})
-			return
+		default:
+			recs = append(recs, rec{id: t.id, op: Op{
+				Remote: t.remote, Local: t.local, Size: int(t.total),
+				Kind: t.opType, Flags: t.flags,
+			}})
 		}
-		recs = append(recs, rec{id: t.id, op: Op{
-			Remote: t.remote, Local: t.local, Size: int(t.total),
-			Kind: t.opType, Flags: t.flags,
-		}})
-	}
-	for s := c.sndUna; s != c.sndNxt; s++ {
-		if tf, ok := c.retrans.get(s); ok {
-			addTx(tf.op)
-		}
-	}
-	for _, t := range c.txOps {
-		addTx(t)
-	}
-	if len(c.pendingReads) > 0 {
-		ids := make([]uint64, 0, len(c.pendingReads))
-		for id := range c.pendingReads {
-			if !seen[id] {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			seen[id] = true
-			recs = append(recs, rec{id: id, op: c.pendingReads[id].op})
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
+	})
+	slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.id, b.id) })
 	ops := make([]Op, len(recs))
 	for i, r := range recs {
 		ops[i] = r.op

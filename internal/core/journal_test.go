@@ -52,6 +52,52 @@ func TestJournalSnapshot(t *testing.T) {
 	}
 }
 
+// TestJournalOpsIsJournalLength samples a stream of 20 back-to-back
+// 8 KiB writes every 5 µs: Health's JournalOps must be len(Journal()) at
+// every sample, including while an op's frames are all sent and only
+// their acknowledgement is outstanding.
+func TestJournalOpsIsJournalLength(t *testing.T) {
+	cl, c01, _ := pairCluster(t, cluster.OneLink1G(0))
+	const ops, n = 20, 8 << 10
+	src, dst := cl.Nodes[0].EP.Alloc(ops*n), cl.Nodes[1].EP.Alloc(ops*n)
+	done := false
+	cl.Env.Go("writer", func(p *sim.Proc) {
+		hs := make([]*core.Handle, ops)
+		for i := range hs {
+			off := uint64(i * n)
+			hs[i] = c01.MustDo(p, core.Op{Remote: dst + off, Local: src + off, Size: n, Kind: frame.OpWrite})
+		}
+		for _, h := range hs {
+			h.Wait(p)
+		}
+		done = true
+	})
+	samples, busy, off := 0, 0, 0
+	var sample func()
+	sample = func() {
+		if done {
+			return
+		}
+		samples++
+		got, want := c01.Health().JournalOps, len(c01.Journal())
+		if want > 0 {
+			busy++
+		}
+		if got != want {
+			off++
+		}
+		cl.Env.AfterDaemon(5*sim.Microsecond, sample)
+	}
+	sample()
+	cl.Env.RunUntil(sim.Second)
+	if !done || busy < 100 {
+		t.Fatalf("staging: done=%v, %d of %d samples saw outstanding work", done, busy, samples)
+	}
+	if off != 0 {
+		t.Errorf("Health().JournalOps != len(Journal()) in %d of %d samples", off, samples)
+	}
+}
+
 // TestJournalAbandonReplayOnNewConn is the replay-onto-new-conn story a
 // replicated service layer builds on: a backend dies mid-transfer, the
 // parked connection's journal is snapshotted, the connection abandoned

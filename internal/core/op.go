@@ -95,11 +95,8 @@ func (c *Conn) checkOp(op Op) error {
 	if !c.established.Fired() {
 		return fmt.Errorf("core: operation on unestablished connection to node %d: %w", c.remoteNode, ErrNotEstablished)
 	}
-	if c.failed {
-		return fmt.Errorf("core: operation on failed connection to node %d: %w", c.remoteNode, c.failErr)
-	}
-	if c.closed {
-		return fmt.Errorf("core: operation on closed connection to node %d: %w", c.remoteNode, ErrClosed)
+	if err := c.endedErr(); err != nil {
+		return err
 	}
 	if c.ep.cfg.EnforceRegistration && !c.ep.registered(op.Local, op.Size) {
 		return fmt.Errorf("core: local buffer [%d,%d): %w", op.Local, op.Local+uint64(op.Size), ErrUnregistered)
@@ -133,6 +130,18 @@ func (c *Conn) checkOp(op Op) error {
 		if op.Class < 0 || op.Class >= len(c.ep.qos) {
 			return fmt.Errorf("core: class %d with %d configured: %w", op.Class, len(c.ep.qos), ErrBadClass)
 		}
+	}
+	return nil
+}
+
+// endedErr is why no operation may start on a conn that left the live
+// state, and nil while it is live.
+func (c *Conn) endedErr() error {
+	if c.failed {
+		return fmt.Errorf("core: operation on failed connection to node %d: %w", c.remoteNode, c.endErr)
+	}
+	if c.closed {
+		return fmt.Errorf("core: operation on closed connection to node %d: %w", c.remoteNode, ErrClosed)
 	}
 	return nil
 }
@@ -178,7 +187,7 @@ func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
 		// Blocking admission: over-quota issuers wait here for room —
 		// graceful backpressure — honoring Op.Deadline. The charge taken
 		// rides the txOp (enqueueOp) and is released on completion.
-		if _, err := c.qosAdmitDo(p, op); err != nil {
+		if err := c.qosAdmitDo(p, op); err != nil {
 			return nil, err
 		}
 	}
@@ -201,6 +210,34 @@ func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
 	}
 	p.Exec(cpu, cost)
 	return c.enqueueOp(op, data, dataBuf, false), nil
+}
+
+// admitPoll is the blocking-admission polling interval: a Do caller a
+// gate holds back re-checks at this cadence (the same deterministic
+// sleep-poll pattern Conn.Close uses to drain).
+const admitPoll = 20 * sim.Microsecond
+
+// admitWait is the blocking wait of both Do admission gates, the QoS
+// quota (qosAdmitDo) and the congestion backlog (ccAdmitDo): the caller
+// sleeps in a deterministic poll loop until room holds, the connection
+// leaves the live state, or Op.Deadline passes, which ends the wait
+// with the gate's own error, late().
+func (c *Conn) admitWait(p *sim.Proc, op Op, room func() bool, late func() error) error {
+	for {
+		p.Sleep(admitPoll)
+		if err := c.endedErr(); err != nil {
+			return err
+		}
+		if op.Deadline > 0 && c.ep.env.Now() >= op.Deadline {
+			// The operation never started (no OpsStarted/OpsFailed): only
+			// the deadline-release counter ticks, like any expired waiter.
+			c.ep.Stats.OpDeadlinesExpired++
+			return late()
+		}
+		if room() {
+			return nil
+		}
+	}
 }
 
 // MustDo is Do for callers that guarantee the operation is valid; it
@@ -251,19 +288,6 @@ func (c *Conn) enqueueOp(op Op, data []byte, dataBuf *frame.Buf, viaCQ bool) *Ha
 	if viaCQ {
 		h.cq = true
 	}
-	if op.Kind == frame.OpRead {
-		if c.pendingReads == nil {
-			c.pendingReads = make(map[uint64]*Handle)
-		}
-		c.pendingReads[t.id] = t.h
-	}
-	if op.Flags&frame.FenceAfter != 0 {
-		// Forward fence, sender side: operations issued after t must
-		// not be transmitted until t is fully acknowledged. Otherwise a
-		// later op's frames could be performed at a receiver that has
-		// not yet seen any frame of t and so cannot know to hold them.
-		c.txFenced = append(c.txFenced, t.id)
-	}
 	if ep.obs.SpansEnabled() {
 		name := "write"
 		switch {
@@ -282,10 +306,36 @@ func (c *Conn) enqueueOp(op Op, data []byte, dataBuf *frame.Buf, viaCQ bool) *Ha
 		}
 		h.dlTimer = ep.env.After(d, func() { c.expireHandle(h, t) })
 	}
-	c.txOps = append(c.txOps, t)
 	ep.Stats.OpsStarted++
+	c.issue(t)
+	return h
+}
+
+// issue hands a new send-side op to the protocol thread: a read joins
+// the pending replies, a forward fence the sender-side fence list, and
+// the op the transmit queue. An op that arrives after the conn left the
+// live state — its initiation straddled the exit: Do's Exec, Ring's
+// doorbell — ends at once with the exit's cause instead.
+func (c *Conn) issue(t *txOp) {
+	if c.closed {
+		c.failTxOp(t, c.endErr)
+		return
+	}
+	if t.opType == frame.OpRead {
+		if c.pendingReads == nil {
+			c.pendingReads = make(map[uint64]*Handle)
+		}
+		c.pendingReads[t.id] = t.h
+	}
+	if t.flags&frame.FenceAfter != 0 {
+		// Forward fence, sender side: operations issued after t must
+		// not be transmitted until t is fully acknowledged. Otherwise a
+		// later op's frames could be performed at a receiver that has
+		// not yet seen any frame of t and so cannot know to hold them.
+		c.txFenced = append(c.txFenced, t.id)
+	}
+	c.txOps = append(c.txOps, t)
 	c.kick()
-	return t.h
 }
 
 // ---------------------------------------------------------------------
@@ -308,8 +358,9 @@ type Completion struct {
 	OpID uint64 // the operation's connection-local id, in issue order
 	Op   Op     // the posted descriptor
 	// Err is nil for a successful completion; ErrPeerDead when the
-	// connection failed with the operation pending, ErrDeadlineExceeded
-	// when Op.Deadline released the waiter first (test with errors.Is).
+	// connection failed with the operation pending, ErrClosed when it
+	// closed, ErrDeadlineExceeded when Op.Deadline released the waiter
+	// first (test with errors.Is).
 	Err error
 }
 
@@ -486,15 +537,13 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 	// over the whole coalesce run.
 	subs := ep.subScratch[:0]
 	recs := make([]multiSub, len(ops))
-	fenced := false
+	var fenced frame.OpFlags
 	for i, op := range ops {
 		id := c.nextOpID
 		c.nextOpID++
 		subs = append(subs, frame.SubOp{OpID: id, Flags: op.Flags, Remote: op.Remote, Data: data[i]})
 		recs[i] = multiSub{id: id, op: op}
-		if op.Flags&frame.FenceAfter != 0 {
-			fenced = true
-		}
+		fenced |= op.Flags & frame.FenceAfter
 		if ep.obs.SpansEnabled() {
 			name := "write-coalesced"
 			if op.Flags&frame.Notify != 0 {
@@ -511,8 +560,10 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 		panic(err) // Ring's packer keeps the batch under MaxPayload
 	}
 	ep.subScratch = subs[:0]
+	// One frame carries every sub-op, so one forward fence on the
+	// container (its id is the last sub-op's) covers every fenced sub-op.
 	t := &txOp{
-		id: recs[len(recs)-1].id, opType: frame.OpWrite,
+		id: recs[len(recs)-1].id, opType: frame.OpWrite, flags: fenced,
 		data: payload, dataBuf: pb, total: uint32(len(payload)), subs: recs,
 	}
 	if ep.qosOn() {
@@ -523,19 +574,12 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 			t.qosBytes += op.Size
 		}
 	}
-	if fenced {
-		// One frame carries every sub-op, so one txFenced entry (the
-		// container id) covers all fenced sub-ops in the batch.
-		t.flags |= frame.FenceAfter
-		c.txFenced = append(c.txFenced, t.id)
-	}
 	ep.Stats.CoalescedFrames++
 	ep.Stats.CoalescedSubOps += uint64(len(ops))
 	if ep.coalesceHist != nil {
 		ep.coalesceHist.Observe(float64(len(ops)))
 	}
-	c.txOps = append(c.txOps, t)
-	c.kick()
+	c.issue(t)
 }
 
 // SQLen returns the number of descriptors posted but not yet rung.

@@ -43,11 +43,6 @@ const qosQuantum = 1500
 // tiny (or evaporated) frames cannot hold the cursor forever.
 const qosMinCharge = 64
 
-// qosAdmitPoll is the blocking-admission polling interval: a Do caller
-// over quota re-checks for room at this cadence (the same deterministic
-// sleep-poll pattern Conn.Close uses to drain).
-const qosAdmitPoll = 20 * sim.Microsecond
-
 // qosNICQueueBound is the wire-pacing depth: while every NIC already
 // has this many frames queued for transmit, the scheduler holds further
 // data frames in the class queues. An unbounded NIC FIFO would decide
@@ -225,39 +220,27 @@ func (c *Conn) qosAdmitFast(op Op) (int, bool) {
 	return cls, true
 }
 
-// qosAdmitDo is the blocking admission path (Do/DoOn): the caller
-// sleeps in a deterministic poll loop until its class has room, the
-// connection dies, or Op.Deadline passes — overload backpressure
-// instead of unbounded queueing.
-func (c *Conn) qosAdmitDo(p *sim.Proc, op Op) (int, error) {
+// qosAdmitDo is the blocking admission path (Do/DoOn): the caller waits
+// (admitWait) until its class has room, the connection dies, or
+// Op.Deadline passes — overload backpressure instead of unbounded
+// queueing.
+func (c *Conn) qosAdmitDo(p *sim.Proc, op Op) error {
 	ep := c.ep
 	cls := c.opClass(op)
-	if ep.qosHasRoom(cls, op.Size) {
-		ep.qosCharge(cls, op.Size)
-		return cls, nil
-	}
-	ep.qos[cls].waits++
-	ep.Stats.QosAdmissionWaits++
-	ep.emit(c.localID, obs.EvThrottled, int64(cls), 1)
-	for {
-		p.Sleep(qosAdmitPoll)
-		if c.failed {
-			return cls, fmt.Errorf("core: operation on failed connection to node %d: %w", c.remoteNode, c.failErr)
-		}
-		if c.closed {
-			return cls, fmt.Errorf("core: operation on closed connection to node %d: %w", c.remoteNode, ErrClosed)
-		}
-		if op.Deadline > 0 && ep.env.Now() >= op.Deadline {
-			// The operation never started (no OpsStarted/OpsFailed): only
-			// the deadline-release counter ticks, like any expired waiter.
-			ep.Stats.OpDeadlinesExpired++
-			return cls, fmt.Errorf("core: class %d admission to node %d: %w", cls, c.remoteNode, ErrDeadlineExceeded)
-		}
-		if ep.qosHasRoom(cls, op.Size) {
-			ep.qosCharge(cls, op.Size)
-			return cls, nil
+	room := func() bool { return ep.qosHasRoom(cls, op.Size) }
+	if !room() {
+		ep.qos[cls].waits++
+		ep.Stats.QosAdmissionWaits++
+		ep.emit(c.localID, obs.EvThrottled, int64(cls), 1)
+		err := c.admitWait(p, op, room, func() error {
+			return fmt.Errorf("core: class %d admission to node %d: %w", cls, c.remoteNode, ErrDeadlineExceeded)
+		})
+		if err != nil {
+			return err
 		}
 	}
+	ep.qosCharge(cls, op.Size)
+	return nil
 }
 
 // ---------------------------------------------------------------------

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"multiedge/internal/frame"
 	"multiedge/internal/obs"
-	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
 
@@ -147,11 +147,8 @@ func (c *Conn) redial() {
 	}
 	r.attempt++
 	ep.emit(c.localID, obs.EvRedial, int64(r.attempt), int64(r.pendingIncarn))
-	h := frame.Header{Type: frame.TypeConnReq, ConnID: c.localID,
-		OpID: uint64(c.links), Incarnation: r.pendingIncarn}
-	dst := frame.NewAddr(c.remoteNode, 0)
-	buf := frame.MustEncode(dst, ep.nics[0].Addr(), &h, nil)
-	ep.nics[0].Transmit(&phys.Frame{Buf: buf, Dst: dst, Src: ep.nics[0].Addr()})
+	ep.sendHandshake(frame.NewAddr(c.remoteNode, 0), &frame.Header{Type: frame.TypeConnReq,
+		ConnID: c.localID, OpID: uint64(c.links), Incarnation: r.pendingIncarn})
 	base, max := ep.cfg.reconnectBackoff()
 	d := base
 	for i := 1; i < r.attempt && d < max; i++ {
@@ -192,60 +189,33 @@ func (c *Conn) completeReconnect() {
 }
 
 // rebirth installs epoch inc: journal every incomplete send-side
-// operation, reset all per-epoch protocol state to a fresh
-// connection's, and re-queue the journal for transmission with the
-// original operation ids. Iteration orders are deterministic (sequence
-// walk, FIFO slice, sorted ids) so recovery runs replay bit-identically.
+// operation (Conn.outstanding), reset all per-epoch protocol state to a
+// fresh connection's, and re-queue the journal for transmission with
+// the original operation ids, in id order.
 func (c *Conn) rebirth(inc uint16) {
 	ep, r := c.ep, c.recoveryGroup()
 	now := ep.env.Now()
 	r.timer.Stop()
 	r.giveUp.Stop()
 
-	// Journal: in-window frames' ops first (oldest outstanding work),
-	// then queued ops, then reads whose requests were fully acked — their
-	// txOps are gone, so the request is re-synthesized from the handle's
-	// descriptor. Ids are unique, so dedupe by id and sort once.
-	seen := make(map[uint64]bool)
 	var journal []*txOp
-	add := func(t *txOp) {
-		if t == nil || t.completed || seen[t.id] {
-			return
+	c.outstanding(func(t *txOp) {
+		if h := t.h; h != nil && t != &h.t {
+			// The stand-in for a read whose request was acknowledged: it
+			// becomes the handle's own record again, and the request is
+			// sent anew.
+			h.t = *t
+			t = &h.t
 		}
-		seen[t.id] = true
 		journal = append(journal, t)
-	}
-	for s := c.sndUna; s != c.sndNxt; s++ {
-		if tf, ok := c.retrans.get(s); ok {
-			add(tf.op)
-			// The frame record dies with the old epoch (the journal
-			// re-fragments its op from offset 0); recycle it.
-			c.freeTxFrame(tf)
-		}
-	}
-	for _, t := range c.txOps {
-		add(t)
-	}
-	if len(c.pendingReads) > 0 {
-		ids := make([]uint64, 0, len(c.pendingReads))
-		for id := range c.pendingReads {
-			if !seen[id] {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			h := c.pendingReads[id]
-			add(&txOp{id: id, opType: frame.OpRead, flags: h.op.Flags,
-				remote: h.op.Remote, local: h.op.Local, total: uint32(h.size), h: h})
-		}
-	}
-	sort.Slice(journal, func(i, j int) bool { return journal[i].id < journal[j].id })
+	})
+	// The frame records die with the old epoch: the journal re-fragments
+	// every op from offset 0.
+	c.dropWindow()
+	slices.SortFunc(journal, func(a, b *txOp) int { return cmp.Compare(a.id, b.id) })
 
 	// Transmit state: fresh epoch.
 	c.sndUna, c.sndNxt = 0, 0
-	c.retrans.clear()
-	c.retransQ = nil
 	c.expiries = 0
 	c.rr = 0
 	// Link health, the outstanding-frame charges (they refer to frames

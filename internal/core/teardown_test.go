@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -284,5 +285,264 @@ func TestFailedConnDropsHeldFrames(t *testing.T) {
 				t.Errorf("failed conn keeps %d held frames and %d stale payload copies", held, stale)
 			}
 		})
+	}
+}
+
+// teardownExit is one way a connection ends: what the test does to end
+// c01 at time at, and the sentinel every answer it owes must wrap.
+type teardownExit struct {
+	name     string
+	sentinel error
+	tweak    func(*cluster.Config)
+	// trigger ends c01 at time at; nil stages a dial that gives up.
+	trigger func(cl *cluster.Cluster, c01, c10 *core.Conn, at sim.Time)
+	// drains names the work the exit's own contract finishes first: a
+	// local Close drains what it issued, a peer's Close its read reply.
+	drains map[string]bool
+}
+
+// teardownWork is one kind of outstanding work on c01. run issues it and
+// returns every answer it waits for; a straddling run also reports
+// whether its initiation really began before the exit and ended after.
+type teardownWork struct {
+	name     string
+	straddle bool
+	run      func(p *sim.Proc, c *core.Conn, src, dst uint64) (answers []error, straddled bool)
+}
+
+// teardownCell is what one exit × work run left behind.
+type teardownCell struct {
+	exitAt    sim.Time // first microsecond c01 was seen closed
+	answers   []error
+	returned  bool // the waiter got every answer
+	straddled bool
+	quotaOps  int // class 0 admission charges still held
+	quotaB    int
+	procs     int // processes still parked
+	conns     int // conns node 0 still tables
+}
+
+const teardownAt = 500 * sim.Microsecond // after the pair is up
+
+func teardownRun(e teardownExit, w *teardownWork, issueAt sim.Time) (o teardownCell) {
+	cfg := cluster.OneLink1G(2)
+	cfg.Core.SchedQueue = true
+	cfg.Core.QoS = []core.QoSClass{{Weight: 1, MaxQueued: 3}}
+	cfg.Core.CoalesceLimit = 256
+	if e.tweak != nil {
+		e.tweak(&cfg)
+	}
+	cl := cluster.New(cfg)
+	defer cl.Close()
+	ep0 := cl.Nodes[0].EP
+	src, dst := ep0.Alloc(2<<20), cl.Nodes[1].EP.Alloc(2<<20)
+	var c01 *core.Conn
+	if e.trigger == nil {
+		cl.PauseNode(1)
+		cl.Env.Go("dial", func(p *sim.Proc) { c01 = ep0.Dial(p, 1, 0) })
+		cl.Env.Run()
+	} else {
+		var c10 *core.Conn
+		c01, c10 = cl.Pair()
+		e.trigger(cl, c01, c10, cl.Env.Now()+teardownAt)
+	}
+	base := cl.Env.Now()
+	var watch func()
+	watch = func() {
+		if c01.Closed() {
+			o.exitAt = cl.Env.Now()
+			return
+		}
+		cl.Env.AfterDaemon(sim.Microsecond, watch)
+	}
+	watch()
+	if w != nil {
+		if !w.straddle || e.trigger == nil {
+			issueAt = base
+		}
+		cl.Env.At(issueAt, func() {
+			cl.Env.Go(w.name, func(p *sim.Proc) {
+				o.answers, o.straddled = w.run(p, c01, src, dst)
+				o.returned = true
+			})
+		})
+	}
+	cl.Env.RunUntil(base + sim.Second)
+	o.quotaOps, o.quotaB = ep0.QosPendingForTest(0)
+	o.procs, o.conns = cl.Env.Procs(), ep0.ActiveConns()
+	return o
+}
+
+// TestTeardownEndsEveryWaiter runs every way a connection ends against
+// every kind of work it can owe a caller, and requires one outcome of
+// them all: each waiter returns, with an error that wraps the exit's
+// sentinel (ErrClosed for a close, ErrPeerDead for a failure) unless
+// the exit's own contract drains the work first; the class quota is
+// handed back; no process stays parked; the conn leaves the table.
+// Straddling work is issued so its initiation (Do's Exec, Ring's
+// doorbell, 367 µs of copying) spans the exit, found by a dry run.
+func TestTeardownEndsEveryWaiter(t *testing.T) {
+	after := func(cl *cluster.Cluster, at sim.Time, fn func()) { cl.Env.At(at, fn) }
+	pause := func(cl *cluster.Cluster, _, _ *core.Conn, at sim.Time) {
+		after(cl, at, func() { cl.PauseNode(1) })
+	}
+	detect := func(c *cluster.Config) {
+		c.Core.DeadInterval = sim.Millisecond
+		c.Core.HeartbeatInterval = 200 * sim.Microsecond
+	}
+	exits := []teardownExit{
+		{name: "local close", sentinel: core.ErrClosed,
+			trigger: func(cl *cluster.Cluster, c01, _ *core.Conn, at sim.Time) {
+				after(cl, at, func() { cl.Env.Go("close", c01.Close) })
+			},
+			drains: map[string]bool{"write in flight": true, "read pending": true}},
+		{name: "peer close", sentinel: core.ErrClosed,
+			trigger: func(cl *cluster.Cluster, _, c10 *core.Conn, at sim.Time) {
+				after(cl, at, func() { cl.Env.Go("close", c10.Close) })
+			},
+			drains: map[string]bool{"read pending": true}},
+		{name: "dead interval", sentinel: core.ErrPeerDead, tweak: detect, trigger: pause},
+		{name: "reset", sentinel: core.ErrPeerDead,
+			trigger: func(cl *cluster.Cluster, _, c10 *core.Conn, at sim.Time) { after(cl, at, c10.Abandon) }},
+		{name: "abandon", sentinel: core.ErrPeerDead,
+			trigger: func(cl *cluster.Cluster, c01, _ *core.Conn, at sim.Time) { after(cl, at, c01.Abandon) }},
+		{name: "reconnect give-up", sentinel: core.ErrPeerDead, trigger: pause,
+			tweak: func(c *cluster.Config) {
+				detect(c)
+				c.Core.Reconnect = true
+				c.Core.MaxReconnects = 1
+			}},
+		{name: "dial give-up", sentinel: core.ErrPeerDead,
+			tweak: func(c *cluster.Config) { c.Core.MaxRetries = 3 }},
+	}
+	wait := func(p *sim.Proc, c *core.Conn, op core.Op) []error {
+		h, err := c.Do(p, op)
+		if err != nil {
+			return []error{err}
+		}
+		h.Wait(p)
+		return []error{h.Err()}
+	}
+	const big = 1 << 20
+	works := []teardownWork{
+		{name: "write in flight", run: func(p *sim.Proc, c *core.Conn, src, dst uint64) ([]error, bool) {
+			return wait(p, c, core.Op{Remote: dst, Local: src, Size: 256 << 10, Kind: frame.OpWrite}), false
+		}},
+		{name: "write straddles", straddle: true, run: func(p *sim.Proc, c *core.Conn, src, dst uint64) ([]error, bool) {
+			before := c.Closed()
+			h, err := c.Do(p, core.Op{Remote: dst, Local: src, Size: big, Kind: frame.OpWrite})
+			if err != nil {
+				return []error{err}, false
+			}
+			straddled := !before && c.Closed()
+			h.Wait(p)
+			return []error{h.Err()}, straddled
+		}},
+		{name: "ring straddles", straddle: true, run: func(p *sim.Proc, c *core.Conn, src, dst uint64) ([]error, bool) {
+			// Two small writes coalesce into one MultiData op; the big one
+			// is issued alone and makes the doorbell long.
+			ops := []core.Op{
+				{Remote: dst, Local: src, Size: 64, Kind: frame.OpWrite},
+				{Remote: dst + 64, Local: src + 64, Size: 64, Kind: frame.OpWrite},
+				{Remote: dst + 128, Local: src + 128, Size: big, Kind: frame.OpWrite},
+			}
+			for _, op := range ops {
+				if err := c.Post(op); err != nil {
+					return []error{err}, false
+				}
+			}
+			before := c.Closed()
+			if _, err := c.Ring(p); err != nil {
+				return []error{err}, false
+			}
+			straddled := !before && c.Closed()
+			var errs []error
+			for range ops {
+				errs = append(errs, c.WaitCQ(p).Err)
+			}
+			return errs, straddled
+		}},
+		{name: "read pending", run: func(p *sim.Proc, c *core.Conn, src, dst uint64) ([]error, bool) {
+			return wait(p, c, core.Op{Remote: dst, Local: src, Size: 256 << 10, Kind: frame.OpRead}), false
+		}},
+		{name: "unrung posts", run: func(p *sim.Proc, c *core.Conn, src, dst uint64) ([]error, bool) {
+			var errs []error
+			for i := uint64(0); i < 2; i++ {
+				if err := c.Post(core.Op{Remote: dst + 64*i, Local: src, Size: 64, Kind: frame.OpWrite}); err != nil {
+					return []error{err}, false
+				}
+			}
+			for range 2 {
+				errs = append(errs, c.WaitCQ(p).Err)
+			}
+			return errs, false
+		}},
+		{name: "notify waiter", run: func(p *sim.Proc, c *core.Conn, _, _ uint64) ([]error, bool) {
+			if n := c.WaitNotify(p); n.Len >= 0 {
+				return []error{fmt.Errorf("a notification nobody sent: %+v", n)}, false
+			}
+			if c.Failed() {
+				return []error{c.Err()}, false
+			}
+			return []error{core.ErrClosed}, false
+		}},
+	}
+	for _, e := range exits {
+		exitAt := teardownRun(e, nil, 0).exitAt
+		for i := range works {
+			w := &works[i]
+			t.Run(e.name+"/"+w.name, func(t *testing.T) {
+				o := teardownRun(e, w, exitAt-200*sim.Microsecond)
+				if !o.returned {
+					t.Fatalf("the waiter never returned (%d processes parked)", o.procs)
+				}
+				if w.straddle && e.trigger != nil && !o.straddled {
+					t.Fatalf("staging: the initiation did not span the exit at %v", exitAt)
+				}
+				for _, err := range o.answers {
+					if e.drains[w.name] {
+						if err != nil {
+							t.Errorf("drained work answered %v", err)
+						}
+					} else if !errors.Is(err, e.sentinel) {
+						t.Errorf("answer %v, want one wrapping %v", err, e.sentinel)
+					}
+				}
+				if o.quotaOps != 0 || o.quotaB != 0 {
+					t.Errorf("class quota still holds %d ops / %d B", o.quotaOps, o.quotaB)
+				}
+				if o.procs != 0 || o.conns != 0 {
+					t.Errorf("%d processes parked, %d conns tabled", o.procs, o.conns)
+				}
+			})
+		}
+	}
+}
+
+// TestTeardownReleasesReadReplyAtPeerClose: a client closes right after
+// its read completes, so the server gets ConnClose while the last reply
+// frames still wait for their delayed acknowledgement. The teardown must
+// hand the reply's snapshot back to the server's freelist.
+func TestTeardownReleasesReadReplyAtPeerClose(t *testing.T) {
+	cl, c01, _ := pairCluster(t, cluster.OneLink1G(0))
+	ep1 := cl.Nodes[1].EP
+	const n = 64 << 10 // a freelist snapshot, not a pooled frame buffer
+	src, dst := ep1.Alloc(n), cl.Nodes[0].EP.Alloc(n)
+	closed := false
+	cl.Env.Go("client", func(p *sim.Proc) {
+		h := c01.MustDo(p, core.Op{Remote: src, Local: dst, Size: n, Kind: frame.OpRead})
+		h.Wait(p)
+		if h.Err() != nil {
+			t.Errorf("read: %v", h.Err())
+		}
+		c01.Close(p)
+		closed = true
+	})
+	cl.Env.RunUntil(sim.Second)
+	if !closed || ep1.ActiveConns() != 0 {
+		t.Fatalf("close did not complete: closed=%v server conns=%d", closed, ep1.ActiveConns())
+	}
+	if got := ep1.IdleSnapshotsForTest(); got != 1 {
+		t.Errorf("server holds %d idle snapshots after the peer closed, want the reply's 1", got)
 	}
 }

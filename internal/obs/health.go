@@ -36,7 +36,7 @@ type ConnHealth struct {
 
 	SQDepth    int    // posted-but-unrung descriptors
 	CQDepth    int    // unpolled completions
-	JournalOps int    // incomplete send-side ops a reconnect would replay
+	JournalOps int    // incomplete user operations: len(core.Conn.Journal())
 	BytesAcked uint64 // payload bytes acknowledged end-to-end, lifetime
 }
 

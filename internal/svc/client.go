@@ -163,8 +163,8 @@ func (c *Client) checkCall(op core.Op) error {
 }
 
 // EligibleBackends returns the backend indices the balancer currently
-// chooses from: not condemned by this stub, and with a connection state
-// that is not terminal ("failed"/"closed" per Conn.Health). A backend
+// chooses from: not condemned by this stub, and with a connection that
+// is neither failed nor closed. A backend
 // parked in Reconnecting stays eligible — that is what keeps session
 // affinity sticky across recoverable outages. A backend reached through
 // the relay is eligible regardless of its (condemned) direct conn.
@@ -175,7 +175,7 @@ func (c *Client) EligibleBackends() []int {
 			continue
 		}
 		if cn := c.conns[i]; cn != nil && !c.viaRelay[i] {
-			if st := cn.Health().State; st == "failed" || st == "closed" {
+			if cn.Failed() || cn.Closed() {
 				continue
 			}
 		}

@@ -25,7 +25,6 @@ import (
 
 	"multiedge/internal/frame"
 	"multiedge/internal/hostmodel"
-	"multiedge/internal/obs"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
@@ -267,23 +266,4 @@ func (st *Stack) Dial(p *sim.Proc, peer frame.Addr) *Sock {
 // Accept blocks until a peer opens a connection.
 func (st *Stack) Accept(p *sim.Proc) *Sock {
 	return st.accepted.Recv(p)
-}
-
-// RegisterObs mirrors the stack's counters into an obs registry at
-// gather time (nil-registry safe): the TCP baseline reports through the
-// same aggregation point as the MultiEdge layers.
-func (s *Stack) RegisterObs(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	nl := obs.NodeLabel(s.node)
-	r.AddCollector(func(emit func(obs.Sample)) {
-		c := func(name string, v uint64) {
-			emit(obs.Sample{Name: name, Labels: []obs.Label{nl}, Value: float64(v), Type: obs.TypeCounter})
-		}
-		c("tcp_segs_sent_total", s.SegsSent)
-		c("tcp_segs_recv_total", s.SegsRecv)
-		c("tcp_retransmits_total", s.Retransmits)
-		c("tcp_dup_acks_total", s.DupAcks)
-	})
 }
