@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"multiedge/internal/apps"
 	"multiedge/internal/cluster"
@@ -223,12 +224,20 @@ func TestRunFigureSmoke(t *testing.T) {
 // TestRunAppReleasesUniverse: a finished application run leaves nothing
 // behind. The DSM service loops, parked forever once the application
 // returns, used to pin their goroutines and with them the whole cluster
-// of every run.
+// of every run. Node memory is a kernel mapping the Go heap does not
+// see, so it is checked on its own: Close must have released all of it
+// by the time RunApp returns, before any collection could.
 func TestRunAppReleasesUniverse(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
+	runtime.GC()
+	time.Sleep(10 * time.Millisecond) // cleanups of endpoints earlier tests dropped
+	mapped := core.LiveMemBytes()
 	var first uint64
 	for run := 0; run < 4; run++ {
 		RunApp(cluster.OneLink1G(4), "FFT", apps.SizeTest)
+		if live := core.LiveMemBytes(); live > mapped {
+			t.Errorf("run %d: %d B of node memory still mapped after RunApp, %d before the first run", run, live, mapped)
+		}
 		runtime.GC()
 		runtime.GC()
 		var m runtime.MemStats

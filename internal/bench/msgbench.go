@@ -62,7 +62,7 @@ func RunMsgPingPong(cfg cluster.Config, size, iters int) MsgResult {
 // iterations).
 func RunCollective(name string, nodes, size, iters int) MsgResult {
 	cfg := cluster.OneLink1G(nodes)
-	cfg.Core.MemBytes = 32 << 20 // 16 ranks stay a 512 MB universe, under CI's live-heap ceiling
+	cfg.Core.MemBytes = 64 << 20
 	cl := cluster.New(cfg)
 	defer cl.Close()
 	comms := msg.New(cl, cl.FullMesh())

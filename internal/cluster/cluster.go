@@ -399,11 +399,22 @@ func New(cfg Config) *Cluster {
 }
 
 // Close ends the cluster's universe: every process still parked
-// (service loops, relays, accept loops) is unwound and the event queue
-// dropped, so the cluster can be collected (see sim.Env.Close). Whoever
-// called New calls it once the run has been read out; counters, memory
-// and the observability registry stay readable afterwards.
-func (cl *Cluster) Close() { cl.Env.Close() }
+// (service loops, relays, accept loops) is unwound, the event queue
+// dropped, so the cluster can be collected (see sim.Env.Close), and
+// every node's memory handed back to the kernel (core.Endpoint.ReleaseMem).
+// Whoever called New calls it once the run has been read out. Counters
+// and the observability registry stay readable afterwards; node memory
+// does not, and Mem() returns nil, so read it before Close.
+//
+// A Mem() slice is valid while its cluster is reachable and not closed.
+// Holding the slice does not keep the cluster reachable: a cluster
+// dropped without Close has its memory released by the collector.
+func (cl *Cluster) Close() {
+	cl.Env.Close()
+	for _, n := range cl.Nodes {
+		n.EP.ReleaseMem()
+	}
+}
 
 // RailPorts returns both transmit directions of node's rail link: the
 // NIC's uplink port (node → switch) and the station port on whichever

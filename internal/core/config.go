@@ -103,7 +103,10 @@ type Config struct {
 	// beyond IPPS'07, which evaluates identical rails).
 	AdaptiveStripe bool
 	// MemBytes is the size of each endpoint's remotely accessible
-	// address space.
+	// address space. It is reserved, not zeroed: on Linux the space is
+	// an anonymous mapping whose pages the kernel backs on first touch,
+	// so a node costs the memory its run touches, and an untouched byte
+	// reads zero (see Endpoint.Mem for the lifetime rule).
 	MemBytes int
 	// Offload models the paper's §6 future-work hybrid: per-frame
 	// protocol processing runs on a pipelined NIC engine at host parity

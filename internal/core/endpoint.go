@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
+	"sync/atomic"
 
 	"multiedge/internal/frame"
 	"multiedge/internal/hostmodel"
@@ -22,9 +24,10 @@ type Endpoint struct {
 	cpus  hostmodel.CPUs
 	nics  []*phys.NIC
 
-	mem      []byte
-	memBrk   uint64
-	snapFree [][][]byte // idle large snapshots by size class (see snapshot)
+	mem        []byte          // MemBytes from mapMem; nil once released
+	memCleanup runtime.Cleanup // releases mem if the endpoint is dropped unreleased
+	memBrk     uint64
+	snapFree   [][][]byte // idle large snapshots by size class (see snapshot)
 
 	conns      map[uint32]*Conn  // by local connection id
 	connOrder  []*Conn           // stable iteration order for fairness
@@ -131,12 +134,14 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 	}
 	ep := &Endpoint{
 		env: env, node: node, cfg: cfg, costs: costs, cpus: cpus, nics: nics,
-		mem:        make([]byte, cfg.MemBytes),
+		mem:        mapMem(cfg.MemBytes),
 		conns:      make(map[uint32]*Conn),
 		byPeer:     make(map[peerKey]*Conn),
 		nextConnID: 1,
 		acceptAll:  true,
 	}
+	liveMem.Add(int64(cfg.MemBytes))
+	ep.memCleanup = runtime.AddCleanup(ep, releaseMem, ep.mem)
 	ep.threadStepFn = ep.threadStep
 	// The two transmit continuations serve both scheduling paths: on the
 	// scan path no class queues exist and kickConn is a bare wake that
@@ -371,7 +376,42 @@ func (ep *Endpoint) Config() Config { return ep.cfg }
 // Mem exposes the endpoint's remotely accessible address space. The
 // local application reads and writes it directly (it is the process'
 // own memory); remote nodes access it through RDMA operations.
+//
+// The slice is valid while the endpoint is reachable and its memory not
+// released (ReleaseMem, which cluster.Cluster.Close calls); afterwards
+// Mem returns nil. Holding the slice does not keep the endpoint
+// reachable: the memory is a kernel mapping, not Go heap, so read it
+// through a live endpoint or cluster, never after dropping them.
 func (ep *Endpoint) Mem() []byte { return ep.mem }
+
+// ReleaseMem hands the endpoint's memory back to the kernel; Mem returns
+// nil afterwards. Calling it again does nothing. An endpoint dropped without it is
+// released by the collector instead, so each mapping is released exactly
+// once either way.
+func (ep *Endpoint) ReleaseMem() {
+	if ep.mem == nil {
+		return
+	}
+	ep.memCleanup.Stop()
+	releaseMem(ep.mem)
+	ep.mem = nil
+}
+
+// liveMem is the endpoint memory mapped and not yet released, process
+// wide.
+var liveMem atomic.Int64
+
+// LiveMemBytes returns the endpoint memory the process holds: the
+// MemBytes of every endpoint whose memory is not yet released. It counts
+// reserved bytes, not the pages a run has touched.
+func LiveMemBytes() int64 { return liveMem.Load() }
+
+// releaseMem returns one endpoint's memory to the kernel. It is the
+// endpoint's cleanup too, so it must not reach the endpoint.
+func releaseMem(b []byte) {
+	unmapMem(b)
+	liveMem.Add(-int64(len(b)))
+}
 
 // RegisterMemory registers [addr, addr+size) as a valid local buffer
 // for operation initiation — the paper's registration primitive. Only
