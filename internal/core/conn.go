@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -34,10 +35,10 @@ type Conn struct {
 	remoteNode int
 	links      int
 
-	established sim.Signal
+	state       connState
+	established sim.Signal // fired when the conn leaves dialing: what Dial waits on
 	connTimer   *sim.Timer
-	closed      bool
-	closing     *closeState // see closeGroup
+	closing     *closeState // built by Close
 
 	// Scheduler membership (Config.SchedQueue): whether the conn is
 	// currently queued for control/data service at the endpoint.
@@ -51,8 +52,7 @@ type Conn struct {
 	// Failure handling: adaptive retransmission timing (Config.RTOMax)
 	// and peer-death detection (Config.MaxRetries / DeadInterval /
 	// HeartbeatInterval).
-	failed       bool     // peer declared dead, or the dial gave up
-	endErr       error    // why the conn left the live state: wraps ErrPeerDead if failed, else ErrClosed
+	endErr       error    // why the conn is closing or ended: wraps ErrPeerDead or ErrClosed
 	rtt          rttEst   // every rail blended; its rto is armed in adaptive mode
 	expiries     int      // consecutive RTO expiries without ack progress
 	lastProgress sim.Time // last ack advance, or first transmit of a fresh burst
@@ -126,13 +126,12 @@ type Conn struct {
 	queues *queueState // submission/completion queues (see op.go); see queueGroup
 
 	// Recovery (Config.Reconnect): the live epoch, stamped into every
-	// frame, and the two flags every Dial sets and every dispatch reads
-	// stay inline; the reconnect state machine's own state is built at
-	// the first outage (see reconnect.go).
-	incarnation  uint16         // live epoch (0 = feature off)
-	dialer       bool           // this side ran Dial and owns redialing
-	reconnecting bool           // parked: old epoch condemned, handshake pending
-	recov        *recoveryState // see recoveryGroup
+	// frame, and the role every Dial sets stay inline; the reconnect
+	// state machine's own state is built at the first outage (see
+	// reconnect.go).
+	incarnation uint16         // live epoch (0 = feature off)
+	dialer      bool           // this side ran Dial and owns redialing
+	recov       *recoveryState // built at the first outage (park)
 
 	bytesAcked uint64 // payload bytes acknowledged end-to-end, lifetime
 
@@ -143,6 +142,48 @@ type Conn struct {
 	ccRecover   uint32 // no further cut until sndUna reaches this (one cut per flight)
 	ccRetxSent  int    // retransmissions since the last ack progress or RTO
 	ccEcnRx     int    // receiver side: marked frames awaiting an ECN echo
+}
+
+// connState is where a conn is in its life; DESIGN.md §7 "How a
+// connection ends" has the state × event table. From closing on, a conn
+// takes no new work (Closed).
+type connState uint8
+
+const (
+	dialing      connState = iota // Dial's handshake pending
+	live                          // the only state that exchanges data
+	reconnecting                  // epoch condemned, a successor being negotiated (Config.Reconnect)
+	closing                       // a local Close's handshake runs; endErr is fixed
+	ended                         // torn down and untabled; endErr says why
+)
+
+// connMoves[s] is the set of states a conn may move to from s.
+var connMoves = [...]uint8{
+	dialing:      1<<live | 1<<ended,
+	live:         1<<reconnecting | 1<<closing | 1<<ended,
+	reconnecting: 1<<live | 1<<ended,
+	closing:      1 << ended,
+}
+
+// String is the state's name in Health.
+func (s connState) String() string {
+	return [...]string{"dialing", "established", "reconnecting", "closing", "closed"}[s]
+}
+
+// to moves the conn to state s; nothing else writes c.state. Leaving
+// dialing releases the Dial waiter and leaving closing the Close waiter,
+// so no way out of either can strand its caller.
+func (c *Conn) to(s connState) {
+	if connMoves[c.state]&(1<<s) == 0 {
+		panic(fmt.Sprintf("core: conn %d to node %d: no move from %v to %v", c.localID, c.remoteNode, c.state, s))
+	}
+	switch c.state {
+	case dialing:
+		c.established.Fire(c.ep.env)
+	case closing:
+		c.closing.sig.Fire(c.ep.env)
+	}
+	c.state = s
 }
 
 // closeState is the graceful-close handshake of a conn being closed
@@ -175,15 +216,7 @@ type recoveryState struct {
 	span          *obs.Span  // outage→recovered causal span
 }
 
-// closeGroup, queueGroup, recoveryGroup and notifyGroup build their
-// group at first use.
-func (c *Conn) closeGroup() *closeState {
-	if c.closing == nil {
-		c.closing = &closeState{}
-	}
-	return c.closing
-}
-
+// queueGroup and notifyGroup build their group at first use.
 func (c *Conn) queueGroup() *queueState {
 	if c.queues == nil {
 		q := &queueState{}
@@ -203,13 +236,6 @@ func (c *Conn) queueGroup() *queueState {
 		c.queues = q
 	}
 	return c.queues
-}
-
-func (c *Conn) recoveryGroup() *recoveryState {
-	if c.recov == nil {
-		c.recov = &recoveryState{}
-	}
-	return c.recov
 }
 
 func (c *Conn) notifyGroup() *sim.Mailbox[Notification] {
@@ -467,7 +493,7 @@ func newConn(ep *Endpoint, localID uint32, remoteNode, links int) *Conn {
 
 // ackTick is the delayed-ACK timer's callback.
 func (c *Conn) ackTick() {
-	if !c.closed && c.unackedRx > 0 {
+	if c.state == live && c.unackedRx > 0 {
 		c.ackDue = true
 		c.kick()
 	}
@@ -475,7 +501,7 @@ func (c *Conn) ackTick() {
 
 // nackTick is the NACK-age timer's callback.
 func (c *Conn) nackTick() {
-	if c.closed || c.gaps == 0 {
+	if c.state != live || c.gaps == 0 {
 		return
 	}
 	c.queueNack(true)
@@ -484,7 +510,7 @@ func (c *Conn) nackTick() {
 
 // probeTick is the dead-link probe timer's callback.
 func (c *Conn) probeTick() {
-	if c.closed || c.deadLinks == 0 {
+	if c.state != live || c.deadLinks == 0 {
 		return
 	}
 	for li := range c.rails {
@@ -527,26 +553,26 @@ func (c *Conn) Links() int { return c.links }
 func (c *Conn) Endpoint() *Endpoint { return c.ep }
 
 // Established reports whether the connection handshake has completed.
-func (c *Conn) Established() bool { return c.established.Fired() }
+func (c *Conn) Established() bool { return c.state != dialing }
 
 // Inflight returns the number of unacknowledged frames outstanding
 // (always ≤ the configured window).
 func (c *Conn) Inflight() int { return c.inflight() }
 
-// Closed reports whether the connection has been torn down (locally
-// initiated or by the peer).
-func (c *Conn) Closed() bool { return c.closed }
+// Closed reports whether the connection is closing or has been torn
+// down (locally initiated or by the peer).
+func (c *Conn) Closed() bool { return c.state >= closing }
 
-// Failed reports whether the connection transitioned to the Failed
-// state (peer declared dead or the conn reset by the peer). A failed
+// Failed reports whether the connection ended because the peer was
+// declared dead, reset it, or never answered the dial. A failed
 // connection is also Closed; talking to the peer again requires a fresh
 // Dial/Accept pair.
-func (c *Conn) Failed() bool { return c.failed }
+func (c *Conn) Failed() bool { return c.state == ended && errors.Is(c.endErr, ErrPeerDead) }
 
 // Err returns why the connection failed (wrapping ErrPeerDead), or nil
 // while it is healthy or merely closed.
 func (c *Conn) Err() error {
-	if !c.failed {
+	if !c.Failed() {
 		return nil
 	}
 	return c.endErr
@@ -556,7 +582,7 @@ func (c *Conn) Err() error {
 // supervised reconnect (Config.Reconnect): the old epoch is condemned,
 // nothing is sent or accepted, and operations issued now queue until
 // the rebirth replays them.
-func (c *Conn) Reconnecting() bool { return c.reconnecting }
+func (c *Conn) Reconnecting() bool { return c.state == reconnecting }
 
 // Reconnects returns how many supervised reconnects the connection has
 // survived over its lifetime.
@@ -587,40 +613,37 @@ func (c *Conn) RTO() sim.Time { return c.currentRTO() }
 // Close is bounded: if the peer dies or closes mid-drain, the teardown
 // ends the outstanding operations and Close returns, and a close
 // handshake the peer never acknowledges gives up after the MaxRetries
-// budget instead of retrying forever.
+// budget instead of retrying forever. A reconnecting connection
+// settles first: the handshake runs on the reborn epoch, or the
+// reconnect gives up and ends the conn — nothing is sent on a condemned
+// epoch.
 func (c *Conn) Close(p *sim.Proc) {
-	if c.closed {
-		return
-	}
 	// Drain: all issued operations fully acknowledged — or the peer
 	// declared dead or closed first, which ended them all.
-	for !c.closed && (len(c.txOps) > 0 || c.inflight() > 0 || len(c.pendingReads) > 0) {
+	for c.state == dialing || c.state == reconnecting ||
+		c.state == live && (len(c.txOps) > 0 || c.inflight() > 0 || len(c.pendingReads) > 0) {
 		p.Sleep(50 * sim.Microsecond)
 	}
-	if c.closed {
-		return // nothing left to hand-shake with; the teardown ran
+	if c.state != live {
+		return // another Close runs the handshake, or the teardown ran
 	}
 	// From here every operation that reaches the conn ends with this
 	// cause; the teardown runs when the handshake ends.
-	c.closed = true
+	cl := &closeState{}
+	c.closing = cl
 	c.endErr = fmt.Errorf("core: connection to node %d closed: %w", c.remoteNode, ErrClosed)
+	c.to(closing)
 	c.stopTimers()
 	c.ep.emit(c.localID, obs.EvClosed, 0, 0)
-	cl := c.closeGroup()
 	h := frame.Header{Type: frame.TypeConnClose, ConnID: c.remoteID, OpID: uint64(c.localID),
 		Incarnation: c.incarnation}
-	c.ep.handshake(p, c.remoteNode, &h, &cl.sig, &cl.timer, func(int) {
-		// The peer never acknowledged the close: give up unilaterally
-		// rather than retrying forever against a dead host.
-		c.teardown(c.endErr)
-		cl.sig.Fire(c.ep.env)
-	})
+	c.ep.handshake(p, c.remoteNode, &h, &cl.sig, &cl.timer, func(int) { c.teardown(c.endErr) })
 }
 
 // stopTimers cancels every protocol timer the connection owns and clears
 // the pending-ctrl state that would arm new ones. It runs when a local
 // Close starts its handshake (whose retransmission timer is armed only
-// afterwards), on entering Reconnecting, and in every teardown, so a
+// afterwards), on entering reconnecting, and in every teardown, so a
 // torn-down conn can never fire a callback or emit a frame again, and
 // no stray event keeps the simulation alive.
 func (c *Conn) stopTimers() {
@@ -693,7 +716,7 @@ func (c *Conn) frameSpan(opType frame.OpType, opID, local uint64) *obs.Span {
 // returned (peer death is also observable via Failed/Err). A waiter
 // parked when the connection ends gets the poison from the teardown.
 func (c *Conn) WaitNotify(p *sim.Proc) Notification {
-	if c.closed {
+	if c.Closed() {
 		if n, ok := c.PollNotify(); ok {
 			return n
 		}
@@ -756,7 +779,7 @@ func (c *Conn) curOp() *txOp {
 // sendable reports whether the connection has data-path work for the
 // protocol thread.
 func (c *Conn) sendable() bool {
-	if c.closed || c.reconnecting {
+	if c.state != live {
 		return false
 	}
 	if len(c.retransQ) > 0 {
@@ -773,7 +796,7 @@ func (c *Conn) sendable() bool {
 
 // ctrlPending reports whether an explicit ACK or NACK is due.
 func (c *Conn) ctrlPending() bool {
-	return !c.closed && !c.reconnecting && (c.ackDue || len(c.nackDue) > 0)
+	return c.state == live && (c.ackDue || len(c.nackDue) > 0)
 }
 
 // sendNextDataFrame emits one data frame: a queued retransmission first,
@@ -1134,7 +1157,7 @@ func (c *Conn) clearLinkFault(li int, sentAt sim.Time) {
 // re-arming itself unconditionally, so an idle connection with a dead
 // link quiesces instead of keeping the simulation alive forever.
 func (c *Conn) armProbeTimer() {
-	if c.closed || (c.probeTimer != nil && c.probeTimer.Pending()) {
+	if c.state != live || (c.probeTimer != nil && c.probeTimer.Pending()) {
 		return
 	}
 	if c.probeFn == nil {
@@ -1223,11 +1246,11 @@ func (c *Conn) railProbeIvl() sim.Time {
 }
 
 func (c *Conn) railProbeTick() {
-	if c.closed {
+	if c.state != live {
 		return
 	}
 	c.sendRailProbe()
-	c.railProbe = c.ep.env.RearmDaemon(c.railProbe, c.railProbeIvl(), c.railProbeFn)
+	c.armRailProbes()
 }
 
 // sendRailProbe emits one probe on the next live rail in rotation. Seq
@@ -1278,7 +1301,7 @@ func (c *Conn) currentRTO() sim.Time {
 // peer-failure detection latency is bounded by DeadInterval itself and
 // not by DeadInterval plus one (possibly backed-off) timeout.
 func (c *Conn) armRTO() {
-	if c.closed {
+	if c.state != live {
 		return
 	}
 	d := c.currentRTO()
@@ -1297,7 +1320,7 @@ func (c *Conn) armRTO() {
 }
 
 func (c *Conn) onRTO() {
-	if c.closed || c.inflight() == 0 {
+	if c.state != live || c.inflight() == 0 {
 		return
 	}
 	cfg := &c.ep.cfg
@@ -1534,8 +1557,8 @@ func (c *Conn) failTxOp(t *txOp, cause error) {
 // leave a hole in the receiver's sequence and fence frontier. t is the
 // operation the handle belongs to (nil for an already-detached handle).
 func (c *Conn) expireHandle(h *Handle, t *txOp) {
-	if h.done.Fired() || c.failed {
-		return // completed (or conn-failed) in the meantime
+	if h.done.Fired() || c.state == ended {
+		return // completed (or the conn ended) in the meantime
 	}
 	ep := c.ep
 	ep.Stats.OpDeadlinesExpired++
@@ -1552,28 +1575,22 @@ func (c *Conn) expireHandle(h *Handle, t *txOp) {
 	c.finishHandle(h, fmt.Errorf("core: op %d to node %d: %w", h.opID, c.remoteNode, ErrDeadlineExceeded))
 }
 
-// failConn transitions the connection to the Failed state: what each
-// failure exit owns — the PeerDeadEvents count, EvFailed, the end of an
-// outage span and, when the failure was detected locally, a Reset ctrl
-// frame on every rail so the peer fails promptly too instead of burning
-// its own retry budget — and then the teardown, with cause (which wraps
-// ErrPeerDead).
+// failConn ends the connection with cause (which wraps ErrPeerDead),
+// after what each failure exit owns: the PeerDeadEvents count, EvFailed,
+// the end of an outage span and, when the failure was detected locally
+// on a live conn, a Reset ctrl frame on every rail so the peer fails
+// promptly too instead of burning its own retry budget.
 func (c *Conn) failConn(cause error, sendReset bool) {
-	if c.closed {
-		return
-	}
 	ep := c.ep
-	c.failed = true
 	ep.Stats.PeerDeadEvents++
 	ep.emit(c.localID, obs.EvFailed, int64(c.expiries), int64(c.inflight()))
 	// A conn that dies mid-reconnect closes its outage span: the outage
 	// ended, just not with a recovery.
-	c.reconnecting = false
 	if r := c.recov; r != nil && r.span != nil {
 		r.span.EndAt(ep.env.Now())
 		r.span = nil
 	}
-	if sendReset && c.established.Fired() {
+	if sendReset && c.state == live {
 		c.sendResetFrames()
 	}
 	c.teardown(cause)
@@ -1582,8 +1599,8 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 // teardown is how a conn ends, whichever of the five exits it takes:
 // local Close (handshake acknowledged or given up), the peer's ConnClose,
 // failConn, and a dial that gives up (DESIGN.md §7 "How a connection
-// ends"). The conn leaves the live state with cause unless an earlier
-// exit already set one, and every operation that reaches it later ends
+// ends"). The conn moves to ended with cause unless a closing handshake
+// already fixed one, and every operation that reaches it later ends
 // the same way (Conn.issue). Then, once: every timer stops; every
 // outstanding operation, pending read and unrung descriptor ends with
 // the cause, handing back its quota charge, snapshot and frame records;
@@ -1591,9 +1608,10 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 // endpoint's tables. Iteration orders are deterministic (sequence walk,
 // FIFO slices, sorted read ids) so failure runs replay bit-identically.
 func (c *Conn) teardown(cause error) {
-	if !c.closed {
-		c.closed, c.endErr = true, cause
+	if c.state != closing {
+		c.endErr = cause
 	}
+	c.to(ended)
 	cause = c.endErr
 	ep := c.ep
 	c.stopTimers()
@@ -1619,7 +1637,7 @@ func (c *Conn) teardown(cause error) {
 	c.txFenced = nil
 	c.held = nil // the only reorder buffer: nothing else keeps payload copies
 	// Wake processes parked in WaitNotify with one poison notification
-	// each; with c.closed set, later calls return the poison without
+	// each; once the conn is closed, later calls return the poison without
 	// parking. No caller may hang on a conn that ended.
 	for c.notifyQ != nil && c.notifyQ.HasWaiters() {
 		c.notifyQ.Send(ep.env, Notification{From: c.remoteNode, Len: -1})
@@ -1720,7 +1738,7 @@ func (c *Conn) startKeepalive() {
 // after DeadInterval of silence, else send a heartbeat if nothing else
 // was transmitted for a whole interval, and re-arm.
 func (c *Conn) heartbeatTick() {
-	if c.closed {
+	if c.state != live {
 		return
 	}
 	hb := c.ep.cfg.HeartbeatInterval
@@ -1749,7 +1767,7 @@ func (c *Conn) sendHeartbeat() {
 // path nor (with heartbeats off) any other timer would notice the peer
 // dying before the reply.
 func (c *Conn) armReadGuard() {
-	if c.closed || c.ep.cfg.DeadInterval <= 0 || c.readGuard.Pending() {
+	if c.state != live || c.ep.cfg.DeadInterval <= 0 || c.readGuard.Pending() {
 		return
 	}
 	if c.rdGuardFn == nil {
@@ -1759,7 +1777,7 @@ func (c *Conn) armReadGuard() {
 }
 
 func (c *Conn) checkReadLiveness() {
-	if c.closed || len(c.pendingReads) == 0 {
+	if c.state != live || len(c.pendingReads) == 0 {
 		return
 	}
 	di := c.ep.cfg.DeadInterval
@@ -1920,7 +1938,7 @@ func seqCmp(a, b uint32) int { return int(int32(a - b)) }
 // armNackTimer keeps a gap-age check pending while anything is missing,
 // so NACKs are re-sent if they (or the retransmissions) are lost.
 func (c *Conn) armNackTimer() {
-	if c.closed || c.nackTimer.Pending() {
+	if c.state != live || c.nackTimer.Pending() {
 		return
 	}
 	if c.nackFn == nil {
@@ -1934,7 +1952,7 @@ func (c *Conn) armNackTimer() {
 // prevents repeated NACKs for the same loss within one repair
 // round-trip; force bypasses the age filter half-way (timer path).
 func (c *Conn) queueNack(force bool) {
-	if c.closed {
+	if c.state != live {
 		return
 	}
 	now := c.ep.env.Now()
@@ -2024,7 +2042,7 @@ func (c *Conn) scanMissing(now, minAge sim.Time, missing []uint32) []uint32 {
 // ackPolicy implements delayed acknowledgements (§2.4): explicit ACKs
 // only after AckEvery frames or AckDelay without reverse traffic.
 func (c *Conn) ackPolicy() {
-	if c.closed {
+	if c.state != live {
 		return
 	}
 	c.unackedRx++
@@ -2044,7 +2062,7 @@ func (c *Conn) ackPolicy() {
 // forceAck schedules an immediate explicit acknowledgement (duplicate
 // seen or go-back-N discard: the sender needs our state now).
 func (c *Conn) forceAck() {
-	if c.closed {
+	if c.state != live {
 		return
 	}
 	c.ackDue = true

@@ -645,39 +645,46 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		// Epoch fence: a frame from a dead incarnation — duplicated,
 		// delayed in a deep queue, or replayed across a rail restore —
 		// must never touch live connection state. While the conn is
-		// parked in Reconnecting its own epoch is condemned too, so
+		// reconnecting its own epoch is condemned too, so
 		// matching-incarnation frames are equally stale.
-		if h.Incarnation != c.incarnation || c.reconnecting {
+		if h.Incarnation != c.incarnation || c.state == reconnecting {
 			ep.Stats.StaleEpochDrops++
 			ep.emit(c.localID, obs.EvStaleDrop, int64(h.Incarnation), int64(c.incarnation))
 			return
 		}
 	}
-	if h.Type == frame.TypeConnClose {
+	switch h.Type {
+	case frame.TypeConnClose:
 		// Peer-initiated close: acknowledge (idempotently — the close may
 		// be retransmitted) and tear the conn down; what it still owes
 		// its callers ends with ErrClosed. In a simultaneous close our own
 		// handshake completes here too: the peer has committed to
 		// teardown, and its side answers our retransmitted ConnClose
 		// statelessly even after it forgets the conn.
-		if cl := c.closing; cl != nil && !cl.sig.Fired() {
-			cl.sig.Fire(ep.env)
-		}
 		ep.emit(c.localID, obs.EvClosed, 1, 0)
 		ep.sendHandshake(src, &frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
 			Incarnation: h.Incarnation})
 		c.teardown(fmt.Errorf("core: connection to node %d closed by peer: %w", c.remoteNode, ErrClosed))
 		return
-	}
-	if h.Type == frame.TypeConnCloseAck {
-		if cl := c.closing; cl != nil && !cl.sig.Fired() {
-			cl.sig.Fire(ep.env)
+	case frame.TypeConnCloseAck:
+		if c.state == closing {
 			c.teardown(c.endErr)
 		}
 		return
+	case frame.TypeReset:
+		// The peer abandoned the connection (its failure detector fired).
+		// Fail our side too — without echoing a Reset back, which would
+		// ping-pong between two live endpoints after a healed partition.
+		// A dialing conn ends here as well, and its Dial returns.
+		if c.state == live || c.state == dialing {
+			ep.Stats.CtrlRecv++
+			ep.Stats.ResetsRecv++
+			c.peerLost(fmt.Errorf("core: connection to node %d reset by peer: %w", c.remoteNode, ErrPeerDead), false)
+		}
+		return
 	}
-	if c.closed {
-		return // late frames for a torn-down (or failed) connection
+	if c.state != live {
+		return // only a live conn exchanges data: late frames for a closing conn, early ones for a dialing one
 	}
 	c.lastHeard = ep.env.Now()
 	if ecn {
@@ -722,13 +729,6 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		if li := int(h.Seq); li < c.links {
 			c.rails[li].rtt.sample(ep.env.Now() - sim.Time(h.OpID))
 		}
-	case frame.TypeReset:
-		// The peer abandoned the connection (its failure detector fired).
-		// Fail our side too — without echoing a Reset back, which would
-		// ping-pong between two live endpoints after a healed partition.
-		ep.Stats.CtrlRecv++
-		ep.Stats.ResetsRecv++
-		c.peerLost(fmt.Errorf("core: connection to node %d reset by peer: %w", c.remoteNode, ErrPeerDead), false)
 	}
 }
 
@@ -757,14 +757,11 @@ func (ep *Endpoint) Dial(p *sim.Proc, remoteNode int, links int) *Conn {
 		Incarnation: c.incarnation}
 	ep.handshake(p, remoteNode, &h, &c.established, &c.connTimer, func(attempts int) {
 		// The peer never answered: fail the dial instead of retrying
-		// forever. The waiter is released; callers detect the outcome
-		// via Conn.Failed / Conn.Err (operations on the conn error out).
-		c.failed = true
+		// forever. The teardown releases the waiter (see Conn.Failed).
 		ep.Stats.PeerDeadEvents++
 		ep.emit(c.localID, obs.EvFailed, int64(attempts), 0)
 		c.teardown(fmt.Errorf("core: dial to node %d: no answer after %d attempts: %w",
 			remoteNode, attempts, ErrPeerDead))
-		c.established.Fire(ep.env)
 	})
 	return c
 }
@@ -834,7 +831,14 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 	}
 	key := peerKey{node: src.Node(), connID: h.ConnID}
 	c, ok := ep.byPeer[key]
-	if !ok {
+	switch {
+	case !ok && h.Incarnation > 1:
+		// A redial for a conn this side already ended: its epoch cannot
+		// be reborn here, so the dialer's reconnect budget runs out
+		// instead of replaying onto a fresh conn nobody accepted.
+		ep.Stats.StaleEpochDrops++
+		return
+	case !ok:
 		links := int(h.OpID)
 		if links <= 0 || links > len(ep.nics) {
 			links = len(ep.nics)
@@ -844,10 +848,10 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 		c.incarnation = h.Incarnation // adopt the dialer's epoch (0 = feature off)
 		ep.byPeer[key] = c
 		ep.emit(c.localID, obs.EvEstablished, int64(c.incarnation), int64(src.Node()))
-		c.established.Fire(ep.env)
+		c.to(live)
 		c.startKeepalive()
 		ep.accepted.Send(ep.env, c)
-	} else if ep.cfg.Reconnect && h.Incarnation != c.incarnation {
+	case ep.cfg.Reconnect && h.Incarnation != c.incarnation:
 		if !incarnNewer(h.Incarnation, c.incarnation) {
 			// A redial from an epoch we already superseded (an earlier
 			// outage's request, delayed in flight): acking it would
@@ -870,20 +874,18 @@ func (ep *Endpoint) handleConnAck(_ frame.Addr, h frame.Header) {
 	if !ok {
 		return
 	}
-	if c.established.Fired() {
-		if ep.cfg.Reconnect && c.reconnecting && c.dialer && h.Incarnation == c.recoveryGroup().pendingIncarn {
+	if c.state != dialing {
+		if c.state == reconnecting && c.dialer && h.Incarnation == c.recov.pendingIncarn {
 			// The acceptor answered our redial: the successor epoch is
 			// live on both sides. Duplicate acks (h.Incarnation already
-			// installed, reconnecting false) fall through harmlessly.
-			c.completeReconnect()
+			// installed, the conn live again) fall through harmlessly.
+			c.rebirth(c.recov.pendingIncarn)
 		}
 		return
 	}
 	c.remoteID = uint32(h.OpID)
-	if c.connTimer != nil {
-		c.connTimer.Stop()
-	}
+	c.connTimer.Stop() // nil-safe
 	ep.emit(c.localID, obs.EvEstablished, int64(c.incarnation), int64(c.remoteNode))
-	c.established.Fire(ep.env)
+	c.to(live)
 	c.startKeepalive()
 }

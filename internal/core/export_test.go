@@ -1,6 +1,10 @@
 package core
 
-import "multiedge/internal/sim"
+import (
+	"fmt"
+
+	"multiedge/internal/sim"
+)
 
 // Test hooks: white-box visibility into connection timer and gap state
 // for the teardown-leak regression tests, without exporting any of it.
@@ -9,24 +13,52 @@ import "multiedge/internal/sim"
 // still armed. After Close or failure it must be zero: a pending timer
 // on a torn-down conn is exactly the leak class this suite guards
 // against.
-func (c *Conn) PendingTimersForTest() int {
-	n := 0
-	timers := []*sim.Timer{
-		c.ackTimer, c.nackTimer, c.rtoTimer, c.hbTimer,
-		c.probeTimer, c.readGuard, c.connTimer,
+func (c *Conn) PendingTimersForTest() int { return len(c.ArmedTimersForTest()) }
+
+// ArmedTimersForTest names the connection's protocol timers that are
+// armed, in a fixed order.
+func (c *Conn) ArmedTimersForTest() []string {
+	type named struct {
+		name string
+		t    *sim.Timer
+	}
+	timers := []named{
+		{"delayed ACK", c.ackTimer}, {"NACK", c.nackTimer}, {"RTO", c.rtoTimer},
+		{"heartbeat", c.hbTimer}, {"rail probe", c.railProbe}, {"link probe", c.probeTimer},
+		{"read guard", c.readGuard}, {"dial retry", c.connTimer},
 	}
 	if c.closing != nil {
-		timers = append(timers, c.closing.timer)
+		timers = append(timers, named{"close retry", c.closing.timer})
 	}
 	if c.recov != nil {
-		timers = append(timers, c.recov.timer, c.recov.giveUp)
+		timers = append(timers, named{"redial", c.recov.timer}, named{"reconnect give-up", c.recov.giveUp})
 	}
+	var armed []string
 	for _, t := range timers {
-		if t != nil && t.Pending() {
-			n++
+		if t.t.Pending() { // nil-safe
+			armed = append(armed, t.name)
 		}
 	}
-	return n
+	return armed
+}
+
+// StateForTest names the connection's lifecycle state: "dialing",
+// "established", "reconnecting", "closing" or "closed".
+func (c *Conn) StateForTest() string { return c.state.String() }
+
+// FireForTest runs the named timer's callback now, as if it fired.
+func (c *Conn) FireForTest(timer string) {
+	map[string]func(){
+		"delayed ACK": c.ackTick, "NACK": c.nackTick, "RTO": c.onRTO,
+		"heartbeat": c.heartbeatTick, "rail probe": c.railProbeTick, "link probe": c.probeTick,
+		"read guard": c.checkReadLiveness, "redial": c.redial,
+	}[timer]()
+}
+
+// PeerLostForTest delivers a local peer-death verdict, as a detector
+// would.
+func (c *Conn) PeerLostForTest() {
+	c.peerLost(fmt.Errorf("core: a test's verdict: %w", ErrPeerDead), true)
 }
 
 // TrackedGapsForTest returns how many missing sequence numbers the
@@ -150,6 +182,9 @@ func (h *Handle) SnapshotForTest() []byte { return h.t.data[:cap(h.t.data)] }
 func (ep *Endpoint) QosPendingForTest(cls int) (ops, bytes int) {
 	return ep.qos[cls].pendingOps, ep.qos[cls].pendingBytes
 }
+
+// ConnsForTest returns the endpoint's tabled conns in creation order.
+func (ep *Endpoint) ConnsForTest() []*Conn { return ep.connOrder }
 
 // IdleSnapshotsForTest counts the large snapshot buffers handed back to
 // the endpoint's freelist and waiting there for reuse.

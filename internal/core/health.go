@@ -40,19 +40,13 @@ func (c *Conn) Health() obs.ConnHealth {
 	return h
 }
 
-// healthState names the connection's lifecycle state.
+// healthState names the connection's lifecycle state; an ended conn
+// reads "failed" when its cause wraps ErrPeerDead.
 func (c *Conn) healthState() string {
-	switch {
-	case c.failed:
+	if c.Failed() {
 		return "failed"
-	case c.closed:
-		return "closed"
-	case c.reconnecting:
-		return "reconnecting"
-	case !c.established.Fired():
-		return "dialing"
 	}
-	return "established"
+	return c.state.String()
 }
 
 // Health returns the endpoint's point-in-time health, including every

@@ -72,13 +72,13 @@ func (c *Conn) Journal() []Op {
 // is a no-op. Callers migrating work to another connection should
 // snapshot Journal() first.
 func (c *Conn) Abandon() {
-	if c.closed {
+	if c.Closed() {
 		return
 	}
 	c.ep.Stats.Abandons++
 	c.ep.emit(c.localID, obs.EvAbandon, int64(c.incarnation), int64(c.inflight()))
 	c.failConn(fmt.Errorf("core: connection to node %d abandoned by caller: %w",
-		c.remoteNode, ErrPeerDead), !c.reconnecting)
+		c.remoteNode, ErrPeerDead), true)
 }
 
 // ReplayOn re-issues every operation in journal on the destination

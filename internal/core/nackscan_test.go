@@ -109,6 +109,7 @@ func TestNackScanAgainstReference(t *testing.T) {
 		for i := range pair {
 			ep := NewEndpoint(sim.NewEnv(seed), 0, cfg, hostmodel.Default(), hostmodel.NewCPUs("n0"), nil)
 			c := newConn(ep, 1, 1, rails)
+			c.to(live) // a white-box conn skips the handshake
 			c.SetSeqBaseForTest(base)
 			pair[i] = c
 		}

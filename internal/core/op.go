@@ -92,7 +92,7 @@ var (
 // state. It has no side effects; the checks (and their order) mirror the
 // panics of the legacy RDMAOperation path.
 func (c *Conn) checkOp(op Op) error {
-	if !c.established.Fired() {
+	if c.state == dialing {
 		return fmt.Errorf("core: operation on unestablished connection to node %d: %w", c.remoteNode, ErrNotEstablished)
 	}
 	if err := c.endedErr(); err != nil {
@@ -134,13 +134,13 @@ func (c *Conn) checkOp(op Op) error {
 	return nil
 }
 
-// endedErr is why no operation may start on a conn that left the live
-// state, and nil while it is live.
+// endedErr is why no operation may start on a closing or ended conn,
+// and nil before.
 func (c *Conn) endedErr() error {
-	if c.failed {
+	switch {
+	case c.Failed():
 		return fmt.Errorf("core: operation on failed connection to node %d: %w", c.remoteNode, c.endErr)
-	}
-	if c.closed {
+	case c.Closed():
 		return fmt.Errorf("core: operation on closed connection to node %d: %w", c.remoteNode, ErrClosed)
 	}
 	return nil
@@ -313,11 +313,11 @@ func (c *Conn) enqueueOp(op Op, data []byte, dataBuf *frame.Buf, viaCQ bool) *Ha
 
 // issue hands a new send-side op to the protocol thread: a read joins
 // the pending replies, a forward fence the sender-side fence list, and
-// the op the transmit queue. An op that arrives after the conn left the
-// live state — its initiation straddled the exit: Do's Exec, Ring's
-// doorbell — ends at once with the exit's cause instead.
+// the op the transmit queue. An op that arrives once the conn is
+// closing or ended — its initiation straddled the exit: Do's Exec,
+// Ring's doorbell — ends at once with the exit's cause instead.
 func (c *Conn) issue(t *txOp) {
-	if c.closed {
+	if c.Closed() {
 		c.failTxOp(t, c.endErr)
 		return
 	}
@@ -422,8 +422,8 @@ func (c *Conn) MustRing(p *sim.Proc) int {
 
 // RingOn is Ring with an explicit CPU to charge the doorbell to.
 func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
-	if c.closed {
-		return 0, fmt.Errorf("core: doorbell on closed connection to node %d: %w", c.remoteNode, ErrClosed)
+	if err := c.endedErr(); err != nil {
+		return 0, err
 	}
 	n := c.SQLen()
 	if n == 0 {

@@ -47,41 +47,50 @@ func nextIncarnation(inc uint16) uint16 {
 func incarnNewer(a, b uint16) bool { return int16(a-b) > 0 }
 
 // peerLost routes a local peer-death verdict (RTO budget, silence,
-// read-liveness) either into the supervised reconnect machinery or —
-// with recovery off, or for a connection that never finished its first
-// handshake — into the terminal failConn path, exactly as before.
+// read-liveness, a Reset from the peer) either into the supervised
+// reconnect machinery or — with recovery off, or for a connection that
+// never finished its first handshake — into the terminal failConn path.
+// A conn already reconnecting, closing or ended has nothing to decide.
 func (c *Conn) peerLost(cause error, sendReset bool) {
 	reset := int64(0)
 	if sendReset {
 		reset = 1
 	}
 	c.ep.emit(c.localID, obs.EvPeerDead, reset, int64(c.expiries))
-	if c.ep.cfg.Reconnect && c.established.Fired() && !c.failed {
-		c.enterReconnect(cause, sendReset)
-		return
+	switch {
+	case c.state == live && c.ep.cfg.Reconnect:
+		c.enterReconnect(sendReset)
+	case c.state == live || c.state == dialing:
+		c.failConn(cause, sendReset)
 	}
-	c.failConn(cause, sendReset)
 }
 
-// enterReconnect parks the connection: the current epoch is condemned,
-// every protocol timer stops, and no frame is sent or accepted until a
-// handshake installs a successor. The dialer starts redialing
-// immediately; the acceptor arms a bounded give-up wait, sized so it
-// comfortably outlasts the dialer's full detection + redial schedule.
-func (c *Conn) enterReconnect(cause error, sendReset bool) {
-	if c.closed || c.reconnecting {
-		return
+// park condemns the live epoch: the conn moves to reconnecting, every
+// protocol timer stops, and no frame is sent or accepted until a
+// handshake installs a successor. accepting is 1 when the peer's redial
+// is what parks it.
+func (c *Conn) park(accepting int64) *recoveryState {
+	if c.recov == nil {
+		c.recov = &recoveryState{}
 	}
-	_ = cause // the outage is transient by intent; errors surface only on give-up
-	ep, r := c.ep, c.recoveryGroup()
-	ep.emit(c.localID, obs.EvReconnect, int64(c.incarnation), 0)
-	c.reconnecting = true
+	ep, r := c.ep, c.recov
+	ep.emit(c.localID, obs.EvReconnect, int64(c.incarnation), accepting)
+	c.to(reconnecting)
 	r.since = ep.env.Now()
-	r.attempt = 0
 	c.stopTimers()
 	if r.span == nil && ep.obs.SpansEnabled() {
 		r.span = ep.obs.StartLayerSpan(ep.node, "core", "reconnect", 0)
 	}
+	return r
+}
+
+// enterReconnect parks a live connection on a local verdict. The dialer
+// starts redialing immediately; the acceptor arms a bounded give-up
+// wait, sized so it comfortably outlasts the dialer's full detection +
+// redial schedule.
+func (c *Conn) enterReconnect(sendReset bool) {
+	ep, r := c.ep, c.park(0)
+	r.attempt = 0
 	if sendReset {
 		// Tell the peer the epoch is condemned so it parks promptly too
 		// instead of burning its own detection budget.
@@ -89,17 +98,14 @@ func (c *Conn) enterReconnect(cause error, sendReset bool) {
 	}
 	if c.dialer {
 		r.pendingIncarn = nextIncarnation(c.incarnation)
-		c.scheduleRedial(0)
+		r.timer = ep.env.After(0, c.redial)
 		return
 	}
 	// Passive side: if the dialer never shows up, fail for real. The
 	// timer is a daemon — a parked conn must not keep a drained
 	// simulation alive on its own.
 	wait := c.passiveWait()
-	r.giveUp = ep.env.AfterDaemon(wait, func() {
-		if c.closed || !c.reconnecting {
-			return
-		}
+	r.giveUp = ep.env.AfterDaemon(wait, func() { // stopped by rebirth and teardown
 		ep.Stats.ReconnectsFailed++
 		c.failConn(fmt.Errorf("core: connection to node %d: no reconnect handshake within %v: %w",
 			c.remoteNode, wait, ErrPeerDead), false)
@@ -125,17 +131,13 @@ func (c *Conn) passiveWait() sim.Time {
 	return wait
 }
 
-func (c *Conn) scheduleRedial(d sim.Time) {
-	c.recov.timer = c.ep.env.After(d, c.redial)
-}
-
 // redial sends one reconnect ConnReq carrying the proposed incarnation
 // and re-arms itself with exponential backoff until the budget runs
 // out. The request is identical to a fresh Dial's — the acceptor
 // recognizes the {node, connID} pair in its handshake-dedupe table and
 // treats the newer incarnation as a reconnect rather than a duplicate.
 func (c *Conn) redial() {
-	if c.closed || !c.reconnecting {
+	if c.state != reconnecting {
 		return
 	}
 	ep, r := c.ep, c.recov
@@ -157,35 +159,21 @@ func (c *Conn) redial() {
 	if d > max {
 		d = max
 	}
-	c.scheduleRedial(d)
+	r.timer = ep.env.After(d, c.redial)
 }
 
 // acceptReconnect runs on the acceptor when a ConnReq proposing a newer
 // incarnation arrives. The acceptor may not even have noticed the
 // outage yet (the dialer's detector can fire first); in that case it
 // parks on the spot so timers and ctrl state drop cleanly, then is
-// reborn straight into the proposed epoch.
+// reborn straight into the proposed epoch. A closing conn stays closing.
 func (c *Conn) acceptReconnect(inc uint16) {
-	if c.closed {
-		return
+	if c.state == live {
+		c.park(1)
 	}
-	if !c.reconnecting {
-		r := c.recoveryGroup()
-		c.ep.emit(c.localID, obs.EvReconnect, int64(c.incarnation), 1)
-		c.reconnecting = true
-		r.since = c.ep.env.Now()
-		c.stopTimers()
-		if r.span == nil && c.ep.obs.SpansEnabled() {
-			r.span = c.ep.obs.StartLayerSpan(c.ep.node, "core", "reconnect", 0)
-		}
+	if c.state == reconnecting {
+		c.rebirth(inc)
 	}
-	c.rebirth(inc)
-}
-
-// completeReconnect runs on the dialer when the ConnAck for its
-// proposed incarnation arrives.
-func (c *Conn) completeReconnect() {
-	c.rebirth(c.recov.pendingIncarn)
 }
 
 // rebirth installs epoch inc: journal every incomplete send-side
@@ -193,7 +181,7 @@ func (c *Conn) completeReconnect() {
 // fresh connection's, and re-queue the journal for transmission with
 // the original operation ids, in id order.
 func (c *Conn) rebirth(inc uint16) {
-	ep, r := c.ep, c.recoveryGroup()
+	ep, r := c.ep, c.recov
 	now := ep.env.Now()
 	r.timer.Stop()
 	r.giveUp.Stop()
@@ -278,7 +266,7 @@ func (c *Conn) rebirth(inc uint16) {
 	c.incarnation = inc
 	ep.emit(c.localID, obs.EvRebirth, int64(inc), int64(len(journal)))
 	r.pendingIncarn = 0
-	c.reconnecting = false
+	c.to(live)
 	r.total++
 	ep.Stats.Reconnects++
 	if ep.reconnHist != nil && r.since > 0 {
@@ -288,10 +276,8 @@ func (c *Conn) rebirth(inc uint16) {
 		ep.redialHist.Observe(float64(r.attempt))
 	}
 	r.attempt = 0
-	if r.span != nil {
-		r.span.EndAt(now)
-		r.span = nil
-	}
+	r.span.EndAt(now) // nil-safe
+	r.span = nil
 	r.since = 0
 	c.startKeepalive() // resets lastHeard/lastTx/lastProgress, re-arms the hb tick
 	c.kick()

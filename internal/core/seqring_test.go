@@ -88,6 +88,7 @@ func arqEndpoint(t *testing.T, window int) (*Endpoint, *Conn) {
 	cfg.Window = window
 	ep := NewEndpoint(env, 0, cfg, hostmodel.Default(), hostmodel.NewCPUs("n0"), nil)
 	c := newConn(ep, 1, 1, 1)
+	c.to(live) // a white-box conn skips the handshake
 	return ep, c
 }
 
@@ -386,7 +387,7 @@ func TestRcvInOrderCorners(t *testing.T) {
 		_, c := arqEndpoint(t, 128)
 		ref := startRef(c, 0)
 		run(t, c, ref, true, 0, 1, 2)
-		c.stopTimers()
+		c.park(0) // stopTimers, and the move to reconnecting that rebirth leaves
 		noRing(t, c)
 		c.rebirth(2)
 		if c.rcvNxt != 0 || c.maxSeenPlus1 != 0 || c.gaps != 0 || c.untracked {

@@ -294,8 +294,12 @@ type teardownExit struct {
 	name     string
 	sentinel error
 	tweak    func(*cluster.Config)
-	// trigger ends c01 at time at; nil stages a dial that gives up.
+	// trigger ends c01 at time at; nil stages a dial that ends, with
+	// dial set up first (by default node 1 is paused).
 	trigger func(cl *cluster.Cluster, c01, c10 *core.Conn, at sim.Time)
+	dial    func(cl *cluster.Cluster)
+	// byReset: the exit is a Reset from the peer, which must have arrived.
+	byReset bool
 	// drains names the work the exit's own contract finishes first: a
 	// local Close drains what it issued, a peer's Close its read reply.
 	drains map[string]bool
@@ -320,6 +324,7 @@ type teardownCell struct {
 	quotaB    int
 	procs     int // processes still parked
 	conns     int // conns node 0 still tables
+	resets    uint64
 }
 
 const teardownAt = 500 * sim.Microsecond // after the pair is up
@@ -338,9 +343,17 @@ func teardownRun(e teardownExit, w *teardownWork, issueAt sim.Time) (o teardownC
 	src, dst := ep0.Alloc(2<<20), cl.Nodes[1].EP.Alloc(2<<20)
 	var c01 *core.Conn
 	if e.trigger == nil {
-		cl.PauseNode(1)
+		if e.dial == nil {
+			cl.PauseNode(1)
+		} else {
+			e.dial(cl)
+		}
 		cl.Env.Go("dial", func(p *sim.Proc) { c01 = ep0.Dial(p, 1, 0) })
 		cl.Env.Run()
+		if c01 == nil {
+			o.procs = cl.Env.Procs()
+			return o // the Dial waiter never returned
+		}
 	} else {
 		var c10 *core.Conn
 		c01, c10 = cl.Pair()
@@ -369,7 +382,7 @@ func teardownRun(e teardownExit, w *teardownWork, issueAt sim.Time) (o teardownC
 	}
 	cl.Env.RunUntil(base + sim.Second)
 	o.quotaOps, o.quotaB = ep0.QosPendingForTest(0)
-	o.procs, o.conns = cl.Env.Procs(), ep0.ActiveConns()
+	o.procs, o.conns, o.resets = cl.Env.Procs(), ep0.ActiveConns(), ep0.Stats.ResetsRecv
 	return o
 }
 
@@ -414,6 +427,39 @@ func TestTeardownEndsEveryWaiter(t *testing.T) {
 			}},
 		{name: "dial give-up", sentinel: core.ErrPeerDead,
 			tweak: func(c *cluster.Config) { c.Core.MaxRetries = 3 }},
+		// Close on a conn that is reconnecting, with its peer gone: the
+		// Close waits for the reconnect to resolve, and its give-up ends
+		// everything.
+		{name: "close while reconnecting", sentinel: core.ErrPeerDead,
+			tweak: func(c *cluster.Config) {
+				detect(c)
+				c.Core.Reconnect = true
+				c.Core.MaxReconnects = 4
+			},
+			trigger: func(cl *cluster.Cluster, c01, _ *core.Conn, at sim.Time) {
+				var poll func()
+				poll = func() {
+					if c01.Reconnecting() {
+						cl.Env.Go("close", c01.Close)
+						return
+					}
+					cl.Env.AfterDaemon(sim.Microsecond, poll)
+				}
+				after(cl, at, func() { cl.PauseNode(1); poll() })
+			}},
+		// Every ConnAck is lost: the acceptor hears nothing from the
+		// dialing conn, declares it dead and resets it, and Dial returns.
+		{name: "reset while dialing", sentinel: core.ErrPeerDead, byReset: true,
+			tweak: func(c *cluster.Config) {
+				detect(c)
+				c.Core.MaxRetries = 3
+			},
+			dial: func(cl *cluster.Cluster) {
+				cl.Nodes[1].NICs[0].OutPort().SetDropFilter(func(f *phys.Frame) bool {
+					typ, _ := decodeType(f)
+					return typ == frame.TypeConnAck
+				})
+			}},
 	}
 	wait := func(p *sim.Proc, c *core.Conn, op core.Op) []error {
 		h, err := c.Do(p, op)
@@ -495,6 +541,9 @@ func TestTeardownEndsEveryWaiter(t *testing.T) {
 				o := teardownRun(e, w, exitAt-200*sim.Microsecond)
 				if !o.returned {
 					t.Fatalf("the waiter never returned (%d processes parked)", o.procs)
+				}
+				if e.byReset && o.resets == 0 {
+					t.Fatal("staging: no Reset reached the dialer")
 				}
 				if w.straddle && e.trigger != nil && !o.straddled {
 					t.Fatalf("staging: the initiation did not span the exit at %v", exitAt)

@@ -16,9 +16,12 @@ import (
 
 // ConnHealth is one connection's point-in-time health.
 type ConnHealth struct {
-	Conn        uint32 // local connection id
-	Peer        int    // remote node
-	State       string // "dialing", "established", "reconnecting", "closed", "failed"
+	Conn uint32 // local connection id
+	Peer int    // remote node
+	// State is the conn's lifecycle state: "dialing", "established",
+	// "reconnecting", "closing" (its close handshake runs), or, once it
+	// ended, "closed" — "failed" when the cause wraps core.ErrPeerDead.
+	State       string
 	Incarnation uint16
 	Reconnects  int // supervised reconnects survived
 
