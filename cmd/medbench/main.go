@@ -382,7 +382,7 @@ func renderChaos(seeds, transfers int, obsOpts cluster.ObsOptions) (string, []be
 			soak.Core.DeadInterval = 5 * sim.Second
 			soak.Core.RTOMax = 100 * sim.Millisecond
 			soak.Obs = obsOpts
-			res, vs, art := chaos.RunDeep(chaos.Options{
+			res, vs, art := chaos.Run(chaos.Options{
 				Config:    soak,
 				Seed:      seed,
 				Transfers: transfers,

@@ -216,9 +216,6 @@ func TestRunFigureSmoke(t *testing.T) {
 			t.Errorf("rendered figure missing %s", name)
 		}
 	}
-	if s := RenderFigureSummary(pts, 4); !strings.Contains(s, "Barnes") {
-		t.Error("summary missing Barnes")
-	}
 }
 
 // TestRunAppReleasesUniverse: a finished application run leaves nothing

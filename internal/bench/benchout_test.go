@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,14 +173,16 @@ func TestRecorderZeroPerturbation(t *testing.T) {
 		if with.Net != without.Net {
 			t.Fatalf("%s perturbed the network report:\n  on:  %+v\n  off: %+v", name, with.Net, without.Net)
 		}
-		total := uint64(0)
+		total := 0
 		for _, r := range with.Recorders {
-			total += r.Recorded()
+			total += len(r.Events())
 		}
 		if total == 0 {
 			t.Fatalf("%s: recorders attached but nothing recorded", name)
 		}
-		if opts.recordAll && (with.Recorders[0].Count(obs.EvFrameTx) == 0 || len(with.Obs.Spans()) == 0) {
+		frameTx := func(e obs.Event) bool { return e.Kind == obs.EvFrameTx }
+		if opts.recordAll && (!slices.ContainsFunc(with.Recorders[0].Events(), frameTx) ||
+			!bytes.Contains(with.Obs.ChromeTrace(), []byte(`"ph":"X"`))) {
 			t.Fatalf("%s: no frame events or no spans recorded", name)
 		}
 	}

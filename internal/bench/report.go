@@ -247,16 +247,3 @@ func RenderFutureWork(size int) string {
 	fmt.Fprintf(&b, "  tree, cross-core pair:      %8.1f MB/s\n", cross)
 	return b.String()
 }
-
-// RenderFigureSummary renders a compact per-app speedup summary used by
-// EXPERIMENTS.md.
-func RenderFigureSummary(pts []AppPoint, nodes int) string {
-	var b strings.Builder
-	for _, p := range pts {
-		if p.Nodes != nodes {
-			continue
-		}
-		fmt.Fprintf(&b, "%-18s speedup %6.2f on %d nodes\n", p.Name, p.Speedup, p.Nodes)
-	}
-	return b.String()
-}

@@ -47,9 +47,6 @@ func New(cl *cluster.Cluster, seed int64) *Runner {
 	}
 }
 
-// Cluster returns the cluster the Runner injects faults into.
-func (r *Runner) Cluster() *cluster.Cluster { return r.cl }
-
 // at schedules fn as a daemon event and logs it.
 func (r *Runner) at(t sim.Time, what string, fn func()) {
 	r.Events = append(r.Events, Event{At: t, What: what})
@@ -81,22 +78,8 @@ func (r *Runner) FlapLink(at, down sim.Time, node, link int) {
 	r.RestoreLink(at+down, node, link)
 }
 
-// PauseNode fails every rail of node at time at: the node goes dark.
-func (r *Runner) PauseNode(at sim.Time, node int) {
-	r.at(at, fmt.Sprintf("pause node n%d", node), func() { r.cl.PauseNode(node) })
-}
-
-// ResumeNode restores every rail of a paused node at time at.
-func (r *Runner) ResumeNode(at sim.Time, node int) {
-	r.at(at, fmt.Sprintf("resume node n%d", node), func() { r.cl.ResumeNode(node) })
-}
-
-// KillAllRails is PauseNode under the name the failure-detection tests
-// use: every path to the node dies at once and stays dead.
-func (r *Runner) KillAllRails(at sim.Time, node int) { r.PauseNode(at, node) }
-
-// KillNode kills a node permanently at time at — PauseNode with no
-// matching resume. The service-layer scenario: one replica of a
+// KillNode kills a node permanently at time at: every rail dies and
+// none comes back. The service-layer scenario: one replica of a
 // replicated backend dies mid-run and never comes back, so every client
 // must journal, condemn and fail its in-flight calls over to the
 // survivors.
@@ -112,32 +95,6 @@ func (r *Runner) KillNode(at sim.Time, node int) {
 func (r *Runner) CrashRestart(at, down sim.Time, node int) {
 	r.at(at, fmt.Sprintf("crash node n%d (down %v)", node, down), func() { r.cl.PauseNode(node) })
 	r.at(at+down, fmt.Sprintf("restart node n%d", node), func() { r.cl.ResumeNode(node) })
-}
-
-// SeverDirection kills only the from→to direction of a rail during
-// [at, at+down): from's uplink and the switch ports feeding to go dark,
-// while to→from traffic still flows. The classic ack-starvation fault:
-// the sender sees total silence and (under Reconnect) parks and
-// redials, while the receiver keeps applying data and — once reborn —
-// heartbeats into the sender's parked epoch, exercising the stale-
-// incarnation fence. On clusters larger than two nodes the downlink
-// kill also severs third parties → to; use it on pairwise scenarios.
-func (r *Runner) SeverDirection(at, down sim.Time, from, to, link int) {
-	oneWay := func(fail bool) {
-		ports := []*phys.OutPort{r.cl.RailPorts(from, link)[0]}
-		ports = append(ports, r.cl.RailPorts(to, link)[1:]...)
-		for _, p := range ports {
-			if fail {
-				p.Fail()
-			} else {
-				p.Restore()
-			}
-		}
-	}
-	r.at(at, fmt.Sprintf("sever n%d→n%d l%d (down %v)", from, to, link, down),
-		func() { oneWay(true) })
-	r.at(at+down, fmt.Sprintf("heal n%d→n%d l%d", from, to, link),
-		func() { oneWay(false) })
 }
 
 // ---------------------------------------------------------------------
@@ -229,25 +186,6 @@ func (r *Runner) ReorderSpike(from, to sim.Time, node, link int, maxDelay sim.Ti
 	r.railEffect(from, to, node, link, func(_ *phys.Frame) phys.Mangle {
 		return phys.Mangle{Delay: sim.Time(r.rng.Int63n(int64(maxDelay)))}
 	})
-}
-
-// Partition drops every frame crossing the cut between groupA and the
-// rest of the cluster during [from, to). Nodes on the same side keep
-// talking; the two sides cannot reach each other at all.
-func (r *Runner) Partition(from, to sim.Time, groupA []int) {
-	inA := make(map[int]bool, len(groupA))
-	for _, n := range groupA {
-		inA[n] = true
-	}
-	r.logOnly(from, fmt.Sprintf("partition %v | rest until %v", groupA, to))
-	crossing := func(f *phys.Frame) phys.Mangle {
-		return phys.Mangle{Drop: inA[f.Src.Node()] != inA[f.Dst.Node()]}
-	}
-	for node := 0; node < len(r.cl.Nodes); node++ {
-		for l := 0; l < r.cl.Cfg.LinksPerNode; l++ {
-			r.railEffect(from, to, node, l, crossing)
-		}
-	}
 }
 
 // BlackholePair drops every frame between nodes a and b — both

@@ -1,11 +1,13 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
 
 	"multiedge/internal/cluster"
+	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
 
@@ -65,7 +67,7 @@ func TestSoakFlapHeavy(t *testing.T) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			for seed := base; seed < base+seeds; seed++ {
-				res, vs := Run(flapHeavy(cfg, seed))
+				res, vs, _ := Run(flapHeavy(cfg, seed))
 				for _, v := range vs {
 					t.Errorf("seed %d: violation %s", seed, v)
 				}
@@ -135,7 +137,7 @@ func TestSoakCrashRestart(t *testing.T) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			for seed := base; seed < base+seeds; seed++ {
-				res, vs := Run(crashRestartSoak(cfg, seed))
+				res, vs, _ := Run(crashRestartSoak(cfg, seed))
 				for _, v := range vs {
 					t.Errorf("seed %d: violation %s", seed, v)
 				}
@@ -176,14 +178,14 @@ func TestSoakKillAllRails(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg.Core.DeadInterval = di
 			cfg.Core.HeartbeatInterval = 20 * sim.Millisecond
-			res, vs := Run(Options{
+			res, vs, _ := Run(Options{
 				Config:      cfg,
 				Seed:        seedBase(t),
 				Transfers:   1000, // far more than fit before the kill
 				Bytes:       16 << 10,
 				Horizon:     5 * sim.Second,
 				ExpectDeath: true,
-				Script:      func(r *Runner) { r.KillAllRails(kill, 1) },
+				Script:      func(r *Runner) { r.KillNode(kill, 1) },
 			})
 			for _, v := range vs {
 				t.Errorf("violation %s", v)
@@ -211,8 +213,8 @@ func TestSoakReproducible(t *testing.T) {
 	// is private to the Runner and the simulator is deterministic, so
 	// two runs of the same Options are bit-identical.
 	for _, seed := range []int64{seedBase(t), seedBase(t) + 1} {
-		a, _ := Run(flapHeavy(cluster.TwoLinkUnordered1G(2), seed))
-		b, _ := Run(flapHeavy(cluster.TwoLinkUnordered1G(2), seed))
+		a, _, _ := Run(flapHeavy(cluster.TwoLinkUnordered1G(2), seed))
+		b, _, _ := Run(flapHeavy(cluster.TwoLinkUnordered1G(2), seed))
 		if a.Report != b.Report {
 			t.Fatalf("seed %d: reports differ between identical runs:\n%+v\n%+v",
 				seed, a.Report, b.Report)
@@ -229,7 +231,7 @@ func TestDuplicateEveryNth(t *testing.T) {
 	// be dropped without re-applying its payload, every transfer must
 	// land intact, and the drops must be visible in DupFramesDropped.
 	cfg := cluster.OneLink1G(2)
-	res, vs := Run(Options{
+	res, vs, _ := Run(Options{
 		Config:    cfg,
 		Seed:      seedBase(t),
 		Transfers: 20,
@@ -256,7 +258,7 @@ func TestPartitionHeals(t *testing.T) {
 	// cut heals.
 	cfg := cluster.TwoLinkUnordered1G(2)
 	cfg.Core.DeadInterval = 5 * sim.Second
-	res, vs := Run(Options{
+	res, vs, _ := Run(Options{
 		Config:    cfg,
 		Seed:      seedBase(t),
 		Transfers: 20,
@@ -282,7 +284,7 @@ func TestSoakOpDeadlines(t *testing.T) {
 	o := flapHeavy(cluster.OneLink1G(2), seedBase(t))
 	o.Deadline = 100 * sim.Millisecond
 	o.ExpectDeath = true // deadline expiries skew notify counts; skip that check
-	res, vs := Run(o)
+	res, vs, _ := Run(o)
 	for _, v := range vs {
 		t.Errorf("violation %s", v)
 	}
@@ -291,5 +293,52 @@ func TestSoakOpDeadlines(t *testing.T) {
 	}
 	if res.Completed == 0 && res.Report.Proto.OpDeadlinesExpired == 0 {
 		t.Error("nothing completed and nothing expired")
+	}
+}
+
+// Fault shapes only these tests inject.
+
+// SeverDirection kills only the from→to direction of a rail during
+// [at, at+down): from's uplink and the switch ports feeding to go dark,
+// while to→from traffic still flows. The classic ack-starvation fault:
+// the sender sees total silence and (under Reconnect) parks and
+// redials, while the receiver keeps applying data and — once reborn —
+// heartbeats into the sender's parked epoch, exercising the stale-
+// incarnation fence. On clusters larger than two nodes the downlink
+// kill also severs third parties → to; use it on pairwise scenarios.
+func (r *Runner) SeverDirection(at, down sim.Time, from, to, link int) {
+	oneWay := func(fail bool) {
+		ports := []*phys.OutPort{r.cl.RailPorts(from, link)[0]}
+		ports = append(ports, r.cl.RailPorts(to, link)[1:]...)
+		for _, p := range ports {
+			if fail {
+				p.Fail()
+			} else {
+				p.Restore()
+			}
+		}
+	}
+	r.at(at, fmt.Sprintf("sever n%d→n%d l%d (down %v)", from, to, link, down),
+		func() { oneWay(true) })
+	r.at(at+down, fmt.Sprintf("heal n%d→n%d l%d", from, to, link),
+		func() { oneWay(false) })
+}
+
+// Partition drops every frame crossing the cut between groupA and the
+// rest of the cluster during [from, to). Nodes on the same side keep
+// talking; the two sides cannot reach each other at all.
+func (r *Runner) Partition(from, to sim.Time, groupA []int) {
+	inA := make(map[int]bool, len(groupA))
+	for _, n := range groupA {
+		inA[n] = true
+	}
+	r.logOnly(from, fmt.Sprintf("partition %v | rest until %v", groupA, to))
+	crossing := func(f *phys.Frame) phys.Mangle {
+		return phys.Mangle{Drop: inA[f.Src.Node()] != inA[f.Dst.Node()]}
+	}
+	for node := 0; node < len(r.cl.Nodes); node++ {
+		for l := 0; l < r.cl.Cfg.LinksPerNode; l++ {
+			r.railEffect(from, to, node, l, crossing)
+		}
 	}
 }

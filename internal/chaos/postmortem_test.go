@@ -19,7 +19,7 @@ func TestPostMortemOnForcedFailure(t *testing.T) {
 	cfg := cluster.OneLink1G(2)
 	cfg.Core.DeadInterval = 200 * sim.Millisecond
 	cfg.Core.HeartbeatInterval = 20 * sim.Millisecond
-	res, vs, art := RunDeep(Options{
+	res, vs, art := Run(Options{
 		Config:    cfg,
 		Seed:      1,
 		Transfers: 1000,
@@ -27,7 +27,7 @@ func TestPostMortemOnForcedFailure(t *testing.T) {
 		Horizon:   5 * sim.Second,
 		// ExpectDeath deliberately false: the kill below is the injected
 		// fault the dump must explain.
-		Script: func(r *Runner) { r.KillAllRails(50*sim.Millisecond, 1) },
+		Script: func(r *Runner) { r.KillNode(50*sim.Millisecond, 1) },
 	})
 	if !res.PeerDead {
 		t.Fatalf("writer never observed ErrPeerDead (completed %d)", res.Completed)
@@ -44,7 +44,7 @@ func TestPostMortemOnForcedFailure(t *testing.T) {
 
 	tl := art.Dump.Timeline()
 	// The injected fault must be in the timeline...
-	if !strings.Contains(tl, "FAULT  pause node n1") {
+	if !strings.Contains(tl, "FAULT  kill node n1") {
 		t.Fatalf("timeline missing the injected fault:\n%s", tl)
 	}
 	// ...the cause tag must name the tripped invariant...
@@ -68,10 +68,10 @@ func TestPostMortemOnForcedFailure(t *testing.T) {
 	}
 
 	// Determinism: the identical run must dump the identical timeline.
-	_, _, art2 := RunDeep(Options{
+	_, _, art2 := Run(Options{
 		Config: cfg, Seed: 1, Transfers: 1000, Bytes: 16 << 10,
 		Horizon: 5 * sim.Second,
-		Script:  func(r *Runner) { r.KillAllRails(50*sim.Millisecond, 1) },
+		Script:  func(r *Runner) { r.KillNode(50*sim.Millisecond, 1) },
 	})
 	if art2 == nil || art2.Dump == nil || art2.Dump.Timeline() != tl {
 		t.Fatal("post-mortem dump not deterministic across identical runs")
@@ -81,7 +81,7 @@ func TestPostMortemOnForcedFailure(t *testing.T) {
 // TestCleanSoakHasNoDump: a healthy run keeps its recorders but builds
 // no post-mortem — the dump is strictly a failure artifact.
 func TestCleanSoakHasNoDump(t *testing.T) {
-	res, vs, art := RunDeep(Options{
+	res, vs, art := Run(Options{
 		Config:    cluster.OneLink1G(2),
 		Seed:      1,
 		Transfers: 5,
@@ -97,7 +97,7 @@ func TestCleanSoakHasNoDump(t *testing.T) {
 	if art.Dump != nil {
 		t.Fatal("clean soak built a post-mortem dump")
 	}
-	if len(art.Recorders) != 2 || art.Recorders[0].Recorded() == 0 {
+	if len(art.Recorders) != 2 || len(art.Recorders[0].Events()) == 0 {
 		t.Fatal("flight recorders absent or empty on a clean run")
 	}
 }

@@ -74,19 +74,13 @@ type Artifacts struct {
 
 // Run executes one soak: build the cluster, connect a pair, lay down
 // the fault timeline, stream verified transfers, then collect the
-// report and check invariants.
-func Run(o Options) (Result, []Violation) {
-	res, vs, _ := RunDeep(o)
-	return res, vs
-}
-
-// RunDeep is Run, additionally returning the run's observability
+// report and check invariants. It also returns the run's observability
 // artifacts: the flight recorders (attached unconditionally — recording
 // is pure observation and cannot perturb the run), the fault timeline,
 // and, when any invariant fired, a cause-tagged post-mortem dump that
 // interleaves the injected faults with the victim connections' last
 // recorded events.
-func RunDeep(o Options) (Result, []Violation, *Artifacts) {
+func Run(o Options) (Result, []Violation, *Artifacts) {
 	cfg := o.Config
 	cfg.Seed = o.Seed
 	cfg.Obs.Recorder = true

@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"multiedge/internal/cluster"
@@ -353,9 +352,6 @@ func TestPerRailRTTSplit(t *testing.T) {
 		}
 		if h.Cwnd != 0 {
 			t.Errorf("Cwnd = %d with congestion control off; want 0", h.Cwnd)
-		}
-		if js := string(cl.Nodes[0].EP.Health().JSON()); !strings.Contains(js, `"rails":[{"srtt_us":`) {
-			t.Errorf("health JSON carries no per-rail split: %s", js)
 		}
 		c01.Close(p)
 	})

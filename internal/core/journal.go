@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"multiedge/internal/obs"
-	"multiedge/internal/sim"
 )
 
 // Replay-onto-new-conn hooks (ISSUE 7): the supervised-reconnect layer
@@ -79,28 +78,4 @@ func (c *Conn) Abandon() {
 	c.ep.emit(c.localID, obs.EvAbandon, int64(c.incarnation), int64(c.inflight()))
 	c.failConn(fmt.Errorf("core: connection to node %d abandoned by caller: %w",
 		c.remoteNode, ErrPeerDead), true)
-}
-
-// ReplayOn re-issues every operation in journal on the destination
-// connection dst, translating remote addresses by (dstBase - srcBase):
-// an operation that addressed srcBase+off on the dead peer addresses
-// dstBase+off on the new one. Write payloads are re-read from local
-// memory, so the caller's buffers must still hold the data (they do for
-// any operation whose handle has not completed — the issue-time
-// snapshot was taken from the same addresses). It returns the handles
-// in journal order; the caller waits on them (or not) as it pleases.
-// Deadlines are NOT carried over — the journal entries already expired
-// once; the caller sets fresh deadlines via the dl argument (0 = none).
-func ReplayOn(p *sim.Proc, dst *Conn, journal []Op, srcBase, dstBase uint64, dl sim.Time) ([]*Handle, error) {
-	hs := make([]*Handle, 0, len(journal))
-	for _, op := range journal {
-		op.Remote = op.Remote - srcBase + dstBase
-		op.Deadline = dl
-		h, err := dst.Do(p, op)
-		if err != nil {
-			return hs, err
-		}
-		hs = append(hs, h)
-	}
-	return hs, nil
 }

@@ -145,9 +145,9 @@ func TestJournalAbandonReplayOnNewConn(t *testing.T) {
 		if !errors.Is(h1.Err(), core.ErrPeerDead) || !errors.Is(h2.Err(), core.ErrPeerDead) {
 			t.Errorf("abandoned handles: err1=%v err2=%v, want ErrPeerDead", h1.Err(), h2.Err())
 		}
-		hs, err := core.ReplayOn(p, c2, j, base1, base2, 0)
+		hs, err := replayOn(p, c2, j, base1, base2, 0)
 		if err != nil {
-			t.Fatalf("ReplayOn: %v", err)
+			t.Fatalf("replayOn: %v", err)
 		}
 		for i, h := range hs {
 			h.Wait(p)
@@ -179,4 +179,27 @@ func TestJournalAbandonReplayOnNewConn(t *testing.T) {
 	if got := cl.Env.PendingEvents(); got != 0 {
 		t.Errorf("PendingEvents = %d after teardown, want 0", got)
 	}
+}
+
+// replayOn re-issues every operation in journal on the destination
+// connection dst, translating remote addresses by (dstBase - srcBase):
+// an operation that addressed srcBase+off on the dead peer addresses
+// dstBase+off on the new one. Write payloads are re-read from local
+// memory, so the caller's buffers must still hold the data (they do for
+// any operation whose handle has not completed — the issue-time
+// snapshot was taken from the same addresses). It returns the handles
+// in journal order. Deadlines are not carried over — the journal
+// entries already expired once; dl sets fresh ones (0 = none).
+func replayOn(p *sim.Proc, dst *core.Conn, journal []core.Op, srcBase, dstBase uint64, dl sim.Time) ([]*core.Handle, error) {
+	hs := make([]*core.Handle, 0, len(journal))
+	for _, op := range journal {
+		op.Remote = op.Remote - srcBase + dstBase
+		op.Deadline = dl
+		h, err := dst.Do(p, op)
+		if err != nil {
+			return hs, err
+		}
+		hs = append(hs, h)
+	}
+	return hs, nil
 }

@@ -182,7 +182,7 @@ func lifeEvents() []lifeEvent {
 		}}
 	}
 	bare := func(s *lifeStage) (frame.Header, []byte) { return frame.Header{HasAck: true}, nil }
-	multi, _ := frame.EncodeMultiPayload([]frame.SubOp{{Remote: 0, Data: make([]byte, 64)}})
+	multi, _ := frame.EncodeMultiPayloadInto(nil, []frame.SubOp{{Remote: 0, Data: make([]byte, 64)}})
 	run := func(d sim.Time) func(s *lifeStage) {
 		return func(s *lifeStage) { s.cl.Env.RunUntil(s.cl.Env.Now() + d) }
 	}

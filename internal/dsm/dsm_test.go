@@ -344,10 +344,6 @@ func TestTypedAccessors(t *testing.T) {
 	if U64(b, 4) != 1<<40 {
 		t.Error("U64 round trip failed")
 	}
-	SetI64(b, 5, -77)
-	if I64(b, 5) != -77 {
-		t.Error("I64 round trip failed")
-	}
 }
 
 func TestAllocPagesSeparation(t *testing.T) {

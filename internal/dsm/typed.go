@@ -29,9 +29,3 @@ func U64(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
 
 // SetU64 writes the i-th uint64 of b.
 func SetU64(b []byte, i int, v uint64) { binary.LittleEndian.PutUint64(b[8*i:], v) }
-
-// I64 reads the i-th int64 of b.
-func I64(b []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(b[8*i:])) }
-
-// SetI64 writes the i-th int64 of b.
-func SetI64(b []byte, i int, v int64) { binary.LittleEndian.PutUint64(b[8*i:], uint64(v)) }

@@ -54,7 +54,7 @@ type Type uint8
 // and Nack are explicit acknowledgement frames sent when there is no data
 // traffic to piggy-back on; ConnReq/ConnAck set up connections; MultiData
 // frames carry several small coalesced write operations as sub-op
-// records (see EncodeMultiPayload); Heartbeat frames keep an idle
+// records (see EncodeMultiPayloadInto); Heartbeat frames keep an idle
 // connection's liveness tracking fed; Reset tells the peer the sender
 // has abandoned the connection (peer-failure surfacing); RailProbe is a
 // per-rail round-trip measurement the receiver answers with a
@@ -405,13 +405,6 @@ func Decode(buf []byte) (dst, src Addr, h Header, payload []byte, err error) {
 	return dst, src, h, p[HeaderLen:], nil
 }
 
-// EncodeNackPayload serializes the list of missing sequence numbers a
-// NACK frame reports (IPPS'07 §2.4: negative acknowledgements name lost
-// or damaged frames for retransmission).
-func EncodeNackPayload(missing []uint32) []byte {
-	return AppendNackPayload(nil, missing)
-}
-
 // SubOp is one coalesced small-write operation carried inside a
 // TypeMultiData frame. Each sub-op keeps its own operation id and flag
 // bits, so the receive side fans completion, fences, Notify and Solicit
@@ -430,20 +423,13 @@ const SubOpOverhead = 19
 // multiCountLen is the leading sub-op count field.
 const multiCountLen = 2
 
-// EncodeMultiPayload serializes coalesced sub-ops into a MultiData frame
-// payload: count(2) then per sub-op opID(8) flags(1) remote(8) len(2)
-// data. It returns ErrOversize when the records do not fit in one
-// frame's payload — the coalescing sender packs under MaxPayload by
-// construction.
-func EncodeMultiPayload(subs []SubOp) ([]byte, error) {
-	return EncodeMultiPayloadInto(nil, subs)
-}
-
-// EncodeMultiPayloadInto is EncodeMultiPayload targeting a
-// caller-supplied buffer (typically a pooled Buf's Bytes()): the records
-// serialize into buf's backing array when it is large enough, falling
-// back to a fresh allocation otherwise, and the resliced result is
-// byte-identical to EncodeMultiPayload's.
+// EncodeMultiPayloadInto serializes coalesced sub-ops into a MultiData
+// frame payload: count(2) then per sub-op opID(8) flags(1) remote(8)
+// len(2) data. The records go into buf's backing array (typically a
+// pooled Buf's Bytes()) when it is large enough, and into a fresh
+// allocation otherwise. It returns ErrOversize when the records do not
+// fit in one frame's payload — the coalescing sender packs under
+// MaxPayload by construction.
 func EncodeMultiPayloadInto(buf []byte, subs []SubOp) ([]byte, error) {
 	total := multiCountLen
 	for _, s := range subs {
@@ -471,39 +457,9 @@ func EncodeMultiPayloadInto(buf []byte, subs []SubOp) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeMultiPayload parses a MultiData payload back into sub-ops. The
-// returned Data slices alias p.
-func DecodeMultiPayload(p []byte) ([]SubOp, error) {
-	if len(p) < multiCountLen {
-		return nil, ErrTooShort
-	}
-	n := int(binary.BigEndian.Uint16(p))
-	subs := make([]SubOp, 0, n)
-	o := multiCountLen
-	for i := 0; i < n; i++ {
-		if len(p) < o+SubOpOverhead {
-			return nil, ErrTooShort
-		}
-		s := SubOp{
-			OpID:   binary.BigEndian.Uint64(p[o:]),
-			Flags:  OpFlags(p[o+8]),
-			Remote: binary.BigEndian.Uint64(p[o+9:]),
-		}
-		dn := int(binary.BigEndian.Uint16(p[o+17:]))
-		if len(p) < o+SubOpOverhead+dn {
-			return nil, ErrTooShort
-		}
-		s.Data = p[o+SubOpOverhead : o+SubOpOverhead+dn]
-		subs = append(subs, s)
-		o += SubOpOverhead + dn
-	}
-	return subs, nil
-}
-
-// MultiReader walks the sub-ops of a MultiData payload in place: what
-// DecodeMultiPayload returns, one sub-op at a time and with no slice
-// built. The receive path uses it; DecodeMultiPayload stays as the
-// reference it is tested against.
+// MultiReader walks the sub-ops of a MultiData payload in place, one
+// sub-op at a time and with no slice built. Its tests compare it against
+// a slice-building reference decoder.
 type MultiReader struct {
 	rest []byte
 	left int
@@ -538,9 +494,4 @@ func (r *MultiReader) Next() (SubOp, error) {
 		Remote: binary.BigEndian.Uint64(p[9:]),
 		Data:   p[SubOpOverhead:end],
 	}, nil
-}
-
-// DecodeNackPayload parses a NACK payload back into sequence numbers.
-func DecodeNackPayload(p []byte) ([]uint32, error) {
-	return AppendNackSeqs(nil, p)
 }

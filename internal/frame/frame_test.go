@@ -9,6 +9,44 @@ import (
 	"testing/quick"
 )
 
+// The slice-building codecs below are the references the in-place
+// encoders and readers are tested against.
+
+func EncodeNackPayload(missing []uint32) []byte { return AppendNackPayload(nil, missing) }
+
+func DecodeNackPayload(p []byte) ([]uint32, error) { return AppendNackSeqs(nil, p) }
+
+func EncodeMultiPayload(subs []SubOp) ([]byte, error) { return EncodeMultiPayloadInto(nil, subs) }
+
+// DecodeMultiPayload parses a MultiData payload into sub-ops whose Data
+// slices alias p.
+func DecodeMultiPayload(p []byte) ([]SubOp, error) {
+	if len(p) < multiCountLen {
+		return nil, ErrTooShort
+	}
+	n := int(binary.BigEndian.Uint16(p))
+	subs := make([]SubOp, 0, n)
+	o := multiCountLen
+	for i := 0; i < n; i++ {
+		if len(p) < o+SubOpOverhead {
+			return nil, ErrTooShort
+		}
+		s := SubOp{
+			OpID:   binary.BigEndian.Uint64(p[o:]),
+			Flags:  OpFlags(p[o+8]),
+			Remote: binary.BigEndian.Uint64(p[o+9:]),
+		}
+		dn := int(binary.BigEndian.Uint16(p[o+17:]))
+		if len(p) < o+SubOpOverhead+dn {
+			return nil, ErrTooShort
+		}
+		s.Data = p[o+SubOpOverhead : o+SubOpOverhead+dn]
+		subs = append(subs, s)
+		o += SubOpOverhead + dn
+	}
+	return subs, nil
+}
+
 func TestAddr(t *testing.T) {
 	a := NewAddr(12, 1)
 	if a.Node() != 12 || a.Port() != 1 {

@@ -124,9 +124,9 @@ func MustEncodeInto(buf []byte, dst, src Addr, h *Header, payload []byte) []byte
 	return out
 }
 
-// AppendNackPayload is EncodeNackPayload into a reusable scratch
-// buffer: it serializes the missing-sequence list into dst's backing
-// array (growing it only when the capacity is short) and returns the
+// AppendNackPayload serializes the list of missing sequence numbers a
+// NACK frame reports (IPPS'07 §2.4: negative acknowledgements name lost
+// or damaged frames for retransmission) into dst's backing array (growing it only when the capacity is short) and returns the
 // resliced result. Steady-state NACK traffic reuses one scratch per
 // connection and allocates nothing.
 func AppendNackPayload(dst []byte, missing []uint32) []byte {
@@ -146,8 +146,8 @@ func AppendNackPayload(dst []byte, missing []uint32) []byte {
 	return dst
 }
 
-// AppendNackSeqs is DecodeNackPayload into a reusable scratch slice: the
-// sequence numbers a NACK payload names are appended to dst. The
+// AppendNackSeqs parses a NACK payload: the sequence numbers it names
+// are appended to dst, a reusable scratch slice. The
 // receiving endpoint keeps one scratch and allocates nothing per NACK.
 func AppendNackSeqs(dst []uint32, p []byte) ([]uint32, error) {
 	if len(p) < 2 {

@@ -121,22 +121,3 @@ func NewCPUs(node string) CPUs {
 		Proto: sim.NewResource(node + "/cpu1-proto"),
 	}
 }
-
-// Snapshot captures both CPUs' busy counters for a measurement window.
-type Snapshot struct {
-	App, Proto sim.Utilization
-}
-
-// Snapshot returns the current busy counters.
-func (c CPUs) Snapshot(e *sim.Env) Snapshot {
-	return Snapshot{App: c.App.Snapshot(e), Proto: c.Proto.Snapshot(e)}
-}
-
-// UtilizationSince returns the app-CPU, protocol-CPU and combined busy
-// fractions of the window since the snapshot. Combined is out of 2.0
-// (the paper plots protocol CPU utilization out of 200%).
-func (c CPUs) UtilizationSince(e *sim.Env, s Snapshot) (app, proto, combined float64) {
-	app = s.App.Since(e, c.App)
-	proto = s.Proto.Since(e, c.Proto)
-	return app, proto, app + proto
-}

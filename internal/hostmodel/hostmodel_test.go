@@ -38,19 +38,16 @@ func TestInitiationIncludesCopy(t *testing.T) {
 func TestCPUsUtilization(t *testing.T) {
 	e := sim.NewEnv(1)
 	cpus := NewCPUs("n0")
-	var app, proto, comb float64
+	var app, proto float64
 	e.After(0, func() {
-		snap := cpus.Snapshot(e)
+		a, p := cpus.App.Snapshot(e), cpus.Proto.Snapshot(e)
 		cpus.App.Submit(e, 30, nil)
 		cpus.Proto.Submit(e, 70, nil)
-		e.After(100, func() { app, proto, comb = cpus.UtilizationSince(e, snap) })
+		e.After(100, func() { app, proto = a.Since(e, cpus.App), p.Since(e, cpus.Proto) })
 	})
 	e.Run()
 	if app != 0.3 || proto != 0.7 {
-		t.Errorf("app=%v proto=%v, want 0.3, 0.7", app, proto)
-	}
-	if comb != 1.0 {
-		t.Errorf("combined=%v, want 1.0", comb)
+		t.Errorf("app=%v proto=%v, want 0.3, 0.7: the two CPUs must account separately", app, proto)
 	}
 }
 

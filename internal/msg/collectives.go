@@ -15,7 +15,7 @@ const (
 	tagBarrier = -100 - iota*100 // one tag band per collective
 	tagBcast
 	tagReduce
-	tagAllreduce
+	_ // Allreduce is Reduce then Bcast; the band stays reserved so the later tags keep theirs
 	tagAlltoall
 	tagGather
 )

@@ -34,10 +34,12 @@ func TestPromEscape(t *testing.T) {
 func TestPrometheusExportHygiene(t *testing.T) {
 	env := sim.NewEnv(1)
 	r := New(env)
-	r.Counter("evil_total", L("path", `C:\tmp\"x"`+"\nend")).Add(3)
-	r.Counter("evil_total", L("path", "plain")).Inc()
-	r.Gauge("zz_last", NodeLabel(1)).Set(2)
-	r.Gauge("aa_first", NodeLabel(0)).Set(1)
+	r.AddCollector(func(emit func(Sample)) {
+		emit(Sample{Name: "evil_total", Labels: []Label{L("path", `C:\tmp\"x"`+"\nend")}, Value: 3, Type: TypeCounter})
+		emit(Sample{Name: "evil_total", Labels: []Label{L("path", "plain")}, Value: 1, Type: TypeCounter})
+	})
+	r.Gauge("zz_last", NodeLabel(1)).Add(2)
+	r.Gauge("aa_first", NodeLabel(0)).Add(1)
 
 	one := r.Gather().Prometheus()
 	two := r.Gather().Prometheus()

@@ -91,14 +91,6 @@ func (h EndpointHealth) appendJSON(b *strings.Builder) {
 	b.WriteString("]}")
 }
 
-// JSON renders the snapshot as a standalone deterministic JSON document.
-func (h EndpointHealth) JSON() []byte {
-	var b strings.Builder
-	h.appendJSON(&b)
-	b.WriteByte('\n')
-	return []byte(b.String())
-}
-
 // HealthLog is a periodically sampled health timeline for one endpoint.
 // Create with Registry.SampleHealth; the log ticks on daemon events
 // (never keeping a drained simulation alive) until stopped or the

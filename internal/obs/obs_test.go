@@ -12,13 +12,8 @@ import (
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	// Every method must be a no-op, not a panic.
-	r.Counter("x").Inc()
-	r.Counter("x", L("a", "b")).Add(3)
-	r.Gauge("g").Set(1)
+	r.Gauge("g").Add(1)
 	r.Histogram("h", nil).Observe(2)
 	r.AddCollector(func(emit func(Sample)) { emit(Sample{Name: "y"}) })
 	r.EnableSpans()
@@ -46,28 +41,26 @@ func TestNilRegistrySafe(t *testing.T) {
 func TestCounterGaugeHistogram(t *testing.T) {
 	env := sim.NewEnv(1)
 	r := New(env)
-	c := r.Counter("frames_total", NodeLabel(0), L("link", "1"))
-	c.Inc()
-	c.Add(4)
-	if c2 := r.Counter("frames_total", L("link", "1"), NodeLabel(0)); c2 != c {
+	// Counters reach the registry as collector samples.
+	r.AddCollector(func(emit func(Sample)) {
+		emit(Sample{Name: "frames_total", Labels: []Label{L("link", "1"), NodeLabel(0)}, Value: 5, Type: TypeCounter})
+	})
+	g := r.Gauge("queue_depth", NodeLabel(0), L("link", "1"))
+	g.Add(7)
+	if g2 := r.Gauge("queue_depth", L("link", "1"), NodeLabel(0)); g2 != g {
 		t.Fatal("label order changed metric identity")
 	}
-	g := r.Gauge("queue_depth", NodeLabel(0))
-	g.Set(7)
 	g.Add(-2)
 	h := r.Histogram("lat_us", []float64{10, 100}, NodeLabel(0))
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(500)
-	if h.Count() != 3 || h.Sum() != 555 {
-		t.Fatalf("histogram count=%d sum=%g", h.Count(), h.Sum())
-	}
 
 	snap := r.Gather()
 	if v, ok := snap.Get("frames_total", NodeLabel(0), L("link", "1")); !ok || v != 5 {
 		t.Fatalf("counter = %v, %v; want 5", v, ok)
 	}
-	if v, ok := snap.Get("queue_depth", NodeLabel(0)); !ok || v != 5 {
+	if v, ok := snap.Get("queue_depth", NodeLabel(0), L("link", "1")); !ok || v != 5 {
 		t.Fatalf("gauge = %v, %v; want 5", v, ok)
 	}
 	if v, ok := snap.Get("lat_us_bucket", NodeLabel(0), L("le", "10")); !ok || v != 1 {
@@ -82,20 +75,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if v, ok := snap.Get("lat_us_count", NodeLabel(0)); !ok || v != 3 {
 		t.Fatalf("count = %v, %v; want 3", v, ok)
 	}
-
-	// Snapshot diffing: counters and histograms subtract, gauges don't.
-	c.Add(10)
-	g.Set(9)
-	h.Observe(1)
-	diff := r.Gather().Sub(snap)
-	if v, _ := diff.Get("frames_total", NodeLabel(0), L("link", "1")); v != 10 {
-		t.Fatalf("diffed counter = %v; want 10", v)
-	}
-	if v, _ := diff.Get("queue_depth", NodeLabel(0)); v != 9 {
-		t.Fatalf("diffed gauge = %v; want 9 (current value)", v)
-	}
-	if v, _ := diff.Get("lat_us_count", NodeLabel(0)); v != 1 {
-		t.Fatalf("diffed histogram count = %v; want 1", v)
+	if v, ok := snap.Get("lat_us_sum", NodeLabel(0)); !ok || v != 555 {
+		t.Fatalf("sum = %v, %v; want 555", v, ok)
 	}
 }
 
@@ -263,8 +244,10 @@ func TestChromeTraceValidAndDeterministic(t *testing.T) {
 
 func TestPrometheusAndJSONExport(t *testing.T) {
 	r := New(sim.NewEnv(1))
-	r.Counter("frames_total", NodeLabel(0)).Add(12)
-	r.Gauge("depth").Set(3)
+	r.AddCollector(func(emit func(Sample)) {
+		emit(Sample{Name: "frames_total", Labels: []Label{NodeLabel(0)}, Value: 12, Type: TypeCounter})
+	})
+	r.Gauge("depth").Add(3)
 	r.Histogram("lat_us", []float64{10}, NodeLabel(1)).Observe(4)
 	snap := r.Gather()
 

@@ -117,15 +117,6 @@ func (r *Recorder) Bytes(k Kind) uint64 {
 	return r.bytes[k]
 }
 
-// Recorded returns how many events were ever recorded; all but the
-// ring's capacity of them may have been overwritten.
-func (r *Recorder) Recorded() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.n
-}
-
 // Events returns the ring's contents in recording order (oldest first).
 // The slice is freshly allocated; the ring keeps recording.
 func (r *Recorder) Events() []Event {

@@ -11,6 +11,15 @@ import (
 	"multiedge/internal/sim"
 )
 
+// Recorded returns how many events were ever recorded; all but the
+// ring's capacity of them may have been overwritten.
+func (r *Recorder) Recorded() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.n
+}
+
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(1, 0, EvDial, 0, 0) // must not panic
@@ -284,7 +293,8 @@ func TestHealthTimelineJSON(t *testing.T) {
 		return EndpointHealth{
 			At: env.Now(), Node: 0, ActiveConns: 1,
 			Conns: []ConnHealth{{Conn: 1, Peer: 1, State: "established",
-				Incarnation: 2, SRTTUs: 12.5, Window: 16, BytesAcked: 4096}},
+				Incarnation: 2, SRTTUs: 12.5, Rails: []RailHealth{{SRTTUs: 11}},
+				Window: 16, BytesAcked: 4096}},
 		}
 	})
 	env.Go("work", func(p *sim.Proc) { p.Sleep(5 * sim.Millisecond) })
@@ -298,7 +308,7 @@ func TestHealthTimelineJSON(t *testing.T) {
 		t.Fatalf("health timeline invalid JSON:\n%s", out)
 	}
 	for _, want := range []string{`"schema":"multiedge-health/v1"`, `"state":"established"`,
-		`"srtt_us":12.5`, `"bytes_acked":4096`} {
+		`"srtt_us":12.5`, `"rails":[{"srtt_us":11`, `"bytes_acked":4096`} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("health timeline missing %s:\n%s", want, out)
 		}

@@ -1,8 +1,9 @@
 // Package obs is the unified observability layer: a typed metrics
-// registry (counters, gauges, fixed-bucket histograms, all labelled),
-// causal operation spans that follow one RDMA operation through every
-// layer it crosses, and machine-readable exporters (Chrome trace-event
-// JSON for Perfetto, Prometheus text exposition, JSON snapshots).
+// registry (gauges, fixed-bucket histograms and collector-published
+// counters, all labelled), causal operation spans that follow one RDMA
+// operation through every layer it crosses, and machine-readable
+// exporters (Chrome trace-event JSON for Perfetto, Prometheus text
+// exposition, JSON snapshots).
 //
 // Design constraints, in order:
 //
@@ -67,49 +68,12 @@ const (
 	TypeHistogram // expanded into _bucket/_sum/_count samples at Gather
 )
 
-// Counter is a monotonically increasing metric. A nil Counter (from a
-// nil Registry) accepts updates and drops them.
-type Counter struct {
-	name   string
-	labels []Label
-	v      float64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n (n must be non-negative for the counter contract; not
-// enforced, the exporters do not care).
-func (c *Counter) Add(n float64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a point-in-time value. Nil-safe like Counter.
+// Gauge is a point-in-time value. A nil Gauge (from a nil Registry)
+// accepts updates and drops them.
 type Gauge struct {
 	name   string
 	labels []Label
 	v      float64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
 }
 
 // Add adjusts the value by d.
@@ -117,14 +81,6 @@ func (g *Gauge) Add(d float64) {
 	if g != nil {
 		g.v += d
 	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram is a fixed-bucket cumulative histogram. Buckets are upper
@@ -149,22 +105,6 @@ func (h *Histogram) Observe(v float64) {
 	h.samples++
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.samples
-}
-
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // LatencyBucketsUs is the default fixed bucket set for operation
 // latencies in microseconds: ~1 us (single frame on a quiet 10-GbE
 // rail) up to 100 ms (heavy retransmission storms).
@@ -180,7 +120,7 @@ type Sample struct {
 	Type   MetricType
 }
 
-// key returns the sample's identity for diffing.
+// key returns the sample's identity.
 func (s Sample) key() string { return s.Name + "\xff" + labelKey(s.Labels) }
 
 // Collector publishes point-in-time samples when the registry gathers.
@@ -196,10 +136,9 @@ type Collector func(emit func(Sample))
 type Registry struct {
 	env *sim.Env
 
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	order    []string // metric creation order (deterministic iteration)
+	gauges map[string]*Gauge
+	hists  map[string]*Histogram
+	order  []string // metric creation order (deterministic iteration)
 
 	collectors []Collector
 	samplers   []*Sampler
@@ -211,10 +150,9 @@ type Registry struct {
 	spans   []*Span
 	autoOp  uint64 // ids for layer spans (own namespace, see layerConn)
 
-	opLatency   map[string]*Histogram // per layer/name op-latency hist
-	latencyOrd  []string
-	latencyOn   bool
-	traceHeader string
+	opLatency  map[string]*Histogram // per layer/name op-latency hist
+	latencyOrd []string
+	latencyOn  bool
 }
 
 // New creates an enabled registry bound to the simulation environment
@@ -222,40 +160,12 @@ type Registry struct {
 func New(env *sim.Env) *Registry {
 	return &Registry{
 		env:       env,
-		counters:  make(map[string]*Counter),
 		gauges:    make(map[string]*Gauge),
 		hists:     make(map[string]*Histogram),
 		open:      make(map[SpanID]*Span),
 		opLatency: make(map[string]*Histogram),
 		latencyOn: true,
 	}
-}
-
-// Env returns the bound simulation environment (nil on nil registry).
-func (r *Registry) Env() *sim.Env {
-	if r == nil {
-		return nil
-	}
-	return r.env
-}
-
-// Enabled reports whether the registry exists.
-func (r *Registry) Enabled() bool { return r != nil }
-
-// Counter returns the named counter, creating it on first use.
-// Returns nil on a nil registry.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	k := name + "\xff" + labelKey(labels)
-	if c, ok := r.counters[k]; ok {
-		return c
-	}
-	c := &Counter{name: name, labels: sortedLabels(labels)}
-	r.counters[k] = c
-	r.order = append(r.order, "c\xff"+k)
-	return c
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -316,7 +226,7 @@ type Snapshot struct {
 	Samples []Sample
 }
 
-// Gather flattens every direct metric, every collector, and every
+// Gather flattens every gauge and histogram, every collector, and every
 // sampler's latest value into a sorted snapshot. Nil registries gather
 // an empty snapshot.
 func (r *Registry) Gather() Snapshot {
@@ -327,9 +237,6 @@ func (r *Registry) Gather() Snapshot {
 	for _, ok := range r.order {
 		kind, k := ok[:1], ok[2:]
 		switch kind {
-		case "c":
-			c := r.counters[k]
-			out = append(out, Sample{Name: c.name, Labels: c.labels, Value: c.v, Type: TypeCounter})
 		case "g":
 			g := r.gauges[k]
 			out = append(out, Sample{Name: g.name, Labels: g.labels, Value: g.v, Type: TypeGauge})
@@ -388,26 +295,6 @@ func (h *Histogram) expand() []Sample {
 		Sample{Name: h.name + "_sum", Labels: h.labels, Value: h.sum, Type: TypeHistogram},
 		Sample{Name: h.name + "_count", Labels: h.labels, Value: float64(h.samples), Type: TypeHistogram},
 	)
-	return out
-}
-
-// Sub returns the window diff: counter and histogram samples subtract
-// the matching sample in prev; gauges keep their current value. Samples
-// absent from prev pass through unchanged.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	old := make(map[string]float64, len(prev.Samples))
-	for _, ps := range prev.Samples {
-		if ps.Type == TypeCounter || ps.Type == TypeHistogram {
-			old[ps.key()] = ps.Value
-		}
-	}
-	out := Snapshot{At: s.At, Samples: append([]Sample(nil), s.Samples...)}
-	for i := range out.Samples {
-		sm := &out.Samples[i]
-		if sm.Type == TypeCounter || sm.Type == TypeHistogram {
-			sm.Value -= old[sm.key()]
-		}
-	}
 	return out
 }
 
@@ -490,12 +377,4 @@ func (r *Registry) Quiesce() {
 	for _, l := range r.healthLogs {
 		l.Stop()
 	}
-}
-
-// Samplers returns the registered samplers (nil on nil registry).
-func (r *Registry) Samplers() []*Sampler {
-	if r == nil {
-		return nil
-	}
-	return r.samplers
 }

@@ -134,15 +134,6 @@ func (s *Span) EndAt(at sim.Time) {
 	}
 }
 
-// Spans returns all recorded spans in creation order (nil on nil
-// registry).
-func (r *Registry) Spans() []*Span {
-	if r == nil {
-		return nil
-	}
-	return r.spans
-}
-
 // Retransmits counts the frame-retx events in the span (0 on nil).
 func (s *Span) Retransmits() int {
 	if s == nil {

@@ -204,9 +204,6 @@ func (o *OutPort) SetOnTx(fn func(f *Frame)) { o.onTx = fn }
 // run untouched.
 func (o *OutPort) SetEcnThreshold(n int) { o.ecnThresh = n }
 
-// EcnThreshold returns the armed marking threshold (0 = off).
-func (o *OutPort) EcnThreshold() int { return o.ecnThresh }
-
 // Queued returns the number of frames accepted but not yet transmitted.
 func (o *OutPort) Queued() int { return o.queued }
 
@@ -239,9 +236,6 @@ func (o *OutPort) Fail() {
 
 // Restore clears a hard failure injected with Fail.
 func (o *OutPort) Restore() { o.failed = false }
-
-// IsFailed reports whether the port is currently hard-failed.
-func (o *OutPort) IsFailed() bool { return o.failed }
 
 // SetDropFilter installs a deterministic loss injector: every frame for
 // which fn returns true is lost on this port (counted in DropsErr, like

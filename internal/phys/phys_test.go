@@ -536,7 +536,7 @@ func TestOutPortFailRestore(t *testing.T) {
 	if o.TxFrames != 4 {
 		t.Errorf("TxFrames = %d, want 4 (the wire still carries lost frames)", o.TxFrames)
 	}
-	if o.IsFailed() {
+	if o.failed {
 		t.Error("port still failed after Restore")
 	}
 }

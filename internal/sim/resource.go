@@ -29,9 +29,6 @@ func (r *Resource) BusyTime() Time { return r.busy }
 // Jobs returns the number of work items submitted so far.
 func (r *Resource) Jobs() uint64 { return r.jobs }
 
-// FreeAt returns the time at which all currently queued work completes.
-func (r *Resource) FreeAt() Time { return r.avail }
-
 // Submit queues a work item of the given duration and returns its
 // completion time. If then is non-nil it runs at completion. Zero-duration
 // work is legal and completes after earlier queued work.

@@ -21,9 +21,6 @@ func TestWheelFiresInOrderAndRoundsUp(t *testing.T) {
 	if end != 20*Microsecond {
 		t.Errorf("last event at %v, want 20us", end)
 	}
-	if w.Len() != 0 {
-		t.Errorf("wheel still holds %d timers", w.Len())
-	}
 }
 
 func TestWheelOneHeapEventPerBucket(t *testing.T) {
@@ -46,119 +43,17 @@ func TestWheelOneHeapEventPerBucket(t *testing.T) {
 	}
 }
 
-func TestWheelStop(t *testing.T) {
-	env := NewEnv(1)
-	w := NewWheel(env, 10*Microsecond)
-	fired := false
-	env.After(0, func() {
-		wt := w.After(30*Microsecond, func() { fired = true })
-		if !wt.Pending() {
-			t.Error("armed timer not pending")
-		}
-		if !wt.Stop() {
-			t.Error("Stop on a pending timer returned false")
-		}
-		if wt.Pending() {
-			t.Error("stopped timer still pending")
-		}
-		if wt.Stop() {
-			t.Error("second Stop returned true")
-		}
-	})
-	env.Run()
-	if fired {
-		t.Error("stopped timer fired")
-	}
-	if w.Len() != 0 {
-		t.Errorf("wheel Len = %d after stop", w.Len())
-	}
-	// A fully stopped bucket must not keep any heap event pending.
-	if got := env.PendingEvents(); got != 0 {
-		t.Errorf("pending heap events = %d after stopping the only timer", got)
-	}
-}
-
-func TestWheelStopSiblingDuringFire(t *testing.T) {
-	env := NewEnv(1)
-	w := NewWheel(env, 10*Microsecond)
-	var t2 *WheelTimer
-	fired2 := false
-	env.After(0, func() {
-		w.After(10*Microsecond, func() { t2.Stop() })
-		t2 = w.After(10*Microsecond, func() { fired2 = true })
-		w.After(10*Microsecond, func() {}) // third sibling keeps the loop going
-	})
-	env.Run()
-	if fired2 {
-		t.Error("timer stopped by a same-bucket sibling still fired")
-	}
-	if w.Len() != 0 {
-		t.Errorf("wheel Len = %d", w.Len())
-	}
-}
-
 func TestWheelOverflowFallsBackToHeap(t *testing.T) {
 	env := NewEnv(1)
 	w := NewWheel(env, 10*Microsecond)
 	firedAt := Time(-1)
 	env.After(0, func() {
 		// Far beyond the 512-slot horizon: exact heap timing, no rounding.
-		wt := w.After(123456789*Nanosecond, func() { firedAt = env.Now() })
-		if !wt.Pending() {
-			t.Error("overflow timer not pending")
-		}
+		w.After(123456789*Nanosecond, func() { firedAt = env.Now() })
 	})
 	env.Run()
 	if firedAt != 123456789*Nanosecond {
 		t.Errorf("overflow timer fired at %v, want exactly 123456789ns", firedAt)
-	}
-	if w.Len() != 0 {
-		t.Errorf("wheel Len = %d", w.Len())
-	}
-}
-
-func TestWheelDaemonDoesNotKeepRunAlive(t *testing.T) {
-	env := NewEnv(1)
-	w := NewWheel(env, 10*Microsecond)
-	daemonFired := false
-	env.After(5*Microsecond, func() {}) // the only live work
-	env.After(0, func() {
-		w.AfterDaemon(100*Microsecond, func() { daemonFired = true })
-	})
-	end := env.Run()
-	if daemonFired {
-		t.Error("daemon wheel timer fired with no live work to carry it")
-	}
-	if end != 5*Microsecond {
-		t.Errorf("Run ended at %v, want 5us (daemon bucket must not extend it)", end)
-	}
-}
-
-func TestWheelDaemonnessFollowsContents(t *testing.T) {
-	env := NewEnv(1)
-	w := NewWheel(env, 10*Microsecond)
-	liveFired := false
-	env.After(0, func() {
-		// One daemon and one live timer share a bucket: the bucket event
-		// must be live. Stopping the live one must demote it to daemon.
-		w.AfterDaemon(50*Microsecond, func() {})
-		lt := w.After(50*Microsecond, func() { liveFired = true })
-		if env.PendingLive() == 0 {
-			t.Error("bucket with a live timer reported no live events")
-		}
-		env.After(1*Microsecond, func() {
-			lt.Stop()
-			if env.PendingLive() != 0 {
-				t.Errorf("pending live = %d after stopping the only live timer", env.PendingLive())
-			}
-		})
-	})
-	end := env.Run()
-	if liveFired {
-		t.Error("stopped live timer fired")
-	}
-	if end != 1*Microsecond {
-		t.Errorf("Run ended at %v, want 1us", end)
 	}
 }
 

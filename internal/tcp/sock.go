@@ -55,12 +55,6 @@ func newSock(st *Stack, peer frame.Addr) *Sock {
 	}
 }
 
-// Established reports whether the handshake completed.
-func (sk *Sock) Established() bool { return sk.established }
-
-// Cwnd returns the current congestion window in bytes.
-func (sk *Sock) Cwnd() int { return sk.cwnd }
-
 // ---------------------------------------------------------------------
 // Application API.
 // ---------------------------------------------------------------------

