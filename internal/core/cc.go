@@ -53,60 +53,67 @@ const (
 	ccCutRto        // retransmission timeout: presumed drop loss
 )
 
+// ccState is a connection's congestion window and its bookkeeping. All
+// of it is inert when the feature is off.
+type ccState struct {
+	cwnd        int    // congestion window, frames
+	ccAckCredit int    // acked frames banked toward the next additive increase
+	ccRetxSent  int    // retransmissions since the last ack progress or RTO
+	ccEcnRx     int    // receiver side: marked frames awaiting an ECN echo
+	ccRecover   uint32 // no further cut until sndUna reaches this (one cut per flight)
+}
+
 // effWindow is the sender's effective transmit window: Config.Window
 // bounded by the congestion window when congestion control is on.
-func (c *Conn) effWindow() int {
-	w := c.ep.cfg.Window
-	if c.ep.cfg.ccOn() && c.cwnd < w {
-		return c.cwnd
+func (s *ccState) effWindow(cfg *Config) int {
+	if cfg.ccOn() && s.cwnd < cfg.Window {
+		return s.cwnd
 	}
-	return w
+	return cfg.Window
 }
 
 // ccRetxOK reports whether another retransmission fits this round
 // trip's repair budget (always true with congestion control off).
-func (c *Conn) ccRetxOK() bool {
-	return !c.ep.cfg.ccOn() || c.ccRetxSent < c.cwnd
+func (s *ccState) ccRetxOK(cfg *Config) bool {
+	return !cfg.ccOn() || s.ccRetxSent < s.cwnd
 }
 
-// railDec returns one outstanding-frame charge from rail li. Clamped at
-// zero: epoch resets can zero the counters while late acks still walk.
-func (c *Conn) railDec(li int) {
-	if li >= 0 && li < len(c.rails) && c.rails[li].out > 0 {
-		c.rails[li].out--
+// cut is the multiplicative decrease, at most once per flight: it is
+// refused until sndUna passes the sndNxt recorded by the last cut, so
+// each congested round trip costs a single halving. It reports whether
+// the window was cut.
+func (s *ccState) cut(sndUna, sndNxt uint32) bool {
+	if int32(sndUna-s.ccRecover) < 0 {
+		return false // still inside the flight the previous cut charged
 	}
-}
-
-// ccCut is the multiplicative decrease, at most once per flight: cuts
-// are suppressed until sndUna passes the sndNxt recorded by the last
-// one, so each congested round trip costs a single halving.
-func (c *Conn) ccCut(cause int64) {
-	if !c.ep.cfg.ccOn() {
-		return
-	}
-	if int32(c.sndUna-c.ccRecover) < 0 {
-		return // still inside the flight the previous cut charged
-	}
-	c.cwnd = max(c.cwnd/2, ccMinWindow)
-	c.ccRecover = c.sndNxt
-	c.ccAckCredit = 0
-	c.ep.Stats.CcCwndCuts++
-	c.ep.emit(c.localID, obs.EvCwndCut, int64(c.cwnd), cause)
+	s.cwnd = max(s.cwnd/2, ccMinWindow)
+	s.ccRecover = sndNxt
+	s.ccAckCredit = 0
+	return true
 }
 
 // ccOnAck credits forward progress: the retransmission budget re-opens
 // and acked frames bank toward the additive increase — one extra window
-// slot per cwnd acked frames.
-func (c *Conn) ccOnAck(acked int) {
-	c.ccRetxSent = 0
-	c.ccAckCredit += acked
-	for c.ccAckCredit >= c.cwnd {
-		if c.cwnd >= c.ep.cfg.Window {
-			c.ccAckCredit = 0
+// slot per cwnd acked frames, up to window.
+func (s *ccState) ccOnAck(acked, window int) {
+	s.ccRetxSent = 0
+	s.ccAckCredit += acked
+	for s.ccAckCredit >= s.cwnd {
+		if s.cwnd >= window {
+			s.ccAckCredit = 0
 			return
 		}
-		c.ccAckCredit -= c.cwnd
-		c.cwnd++
+		s.ccAckCredit -= s.cwnd
+		s.cwnd++
+	}
+}
+
+// ccCut applies cut with cause, counted and reported, when congestion
+// control is on.
+func (c *Conn) ccCut(cause int64) {
+	if c.ep.cfg.ccOn() && c.cut(c.sndUna, c.sndNxt) {
+		c.ep.Stats.CcCwndCuts++
+		c.ep.emit(c.localID, obs.EvCwndCut, int64(c.cwnd), cause)
 	}
 }
 
@@ -142,7 +149,7 @@ func (c *Conn) ccBacklogged() bool {
 	if !c.ep.cfg.ccOn() {
 		return false
 	}
-	return c.inflight() >= c.effWindow() &&
+	return c.inflight() >= c.effWindow(&c.ep.cfg) &&
 		len(c.txOps)+c.SQLen() >= ccBacklog
 }
 

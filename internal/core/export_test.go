@@ -61,6 +61,10 @@ func (c *Conn) PeerLostForTest() {
 	c.peerLost(fmt.Errorf("core: a test's verdict: %w", ErrPeerDead), true)
 }
 
+// SetIncarnationForTest moves a live connection to epoch inc, as if it
+// had been reborn that often. Set the same epoch on both ends.
+func (c *Conn) SetIncarnationForTest(inc uint16) { c.incarnation = inc }
+
 // TrackedGapsForTest returns how many missing sequence numbers the
 // receive side currently tracks (bounded by maxTrackedGaps).
 func (c *Conn) TrackedGapsForTest() int { return c.gaps }

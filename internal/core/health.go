@@ -19,7 +19,7 @@ func (c *Conn) Health() obs.ConnHealth {
 		Reconnects:  c.Reconnects(),
 		SRTTUs:      float64(c.rtt.srtt) / 1000,
 		RTTVarUs:    float64(c.rtt.rttvar) / 1000,
-		RTOUs:       float64(c.currentRTO()) / 1000,
+		RTOUs:       float64(c.currentRTO(&c.ep.cfg)) / 1000,
 		Inflight:    c.inflight(),
 		Window:      c.ep.cfg.Window,
 		Cwnd:        c.cwnd,

@@ -5,35 +5,53 @@ import (
 	"slices"
 	"testing"
 
-	"multiedge/internal/hostmodel"
 	"multiedge/internal/sim"
 )
+
+// rxSide is a receiver's ARQ window and rails, driven at a clock the
+// test owns with no endpoint: dropped counts the gaps the
+// maxTrackedGaps cap left untracked.
+type rxSide struct {
+	arqRx
+	railSet
+	dropped uint64
+}
+
+func (x *rxSide) drop(uint32) { x.dropped++ }
+
+// arrive is handleData's selective-repeat bookkeeping — the rail's
+// arrival mark and arqRx's own arrival — without the scan, the
+// acknowledgement or the apply.
+func (x *rxSide) arrive(seq uint32, link int, now sim.Time) {
+	x.arrived(link, seq, now)
+	x.arqRx.arrive(seq, now, x.drop)
+}
 
 // refScanMissing is the loss scan as it was before it learnt where to
 // stop: every sequence number of [rcvNxt, maxSeenPlus1) looked up, and
 // every rail asked about every candidate. It is the oracle scanMissing
 // is held to.
-func refScanMissing(c *Conn, now, minAge sim.Time) []uint32 {
+func refScanMissing(x *rxSide, cfg *Config, now, minAge sim.Time) []uint32 {
 	var missing []uint32
-	for s := c.rcvNxt; int32(c.maxSeenPlus1-s) > 0 && len(missing) < maxNack; s++ {
-		gap, tracked := c.rcv.get(s)
+	for s := x.rcvNxt; int32(x.maxSeenPlus1-s) > 0 && len(missing) < maxNack; s++ {
+		gap, tracked := x.rcv.get(s)
 		if gap.accepted {
 			continue
 		}
 		if !tracked {
-			c.trackGap(s, now)
+			x.trackGap(s, now, x.drop)
 			continue
 		}
 		if now-gap.since < minAge {
 			continue
 		}
-		if gap.nacked > 0 && now-gap.nacked < 4*c.nackAge() {
+		if gap.nacked > 0 && now-gap.nacked < 4*cfg.nackAge() {
 			continue
 		}
-		stale := c.ep.cfg.LinkStaleAge
+		stale := cfg.LinkStaleAge
 		passed := true
-		for li := range c.rails {
-			if r := &c.rails[li]; int32(r.high-s) <= 0 {
+		for li := range x.rails {
+			if r := &x.rails[li]; int32(r.high-s) <= 0 {
 				if stale > 0 && now-r.last > stale {
 					continue
 				}
@@ -44,42 +62,10 @@ func refScanMissing(c *Conn, now, minAge sim.Time) []uint32 {
 		if passed {
 			missing = append(missing, s)
 			gap.nacked = now
-			c.rcv.put(s, gap)
+			x.rcv.put(s, gap)
 		}
 	}
 	return missing
-}
-
-// nackArrive is handleData's selective-repeat bookkeeping — the rail's
-// arrival mark, the receive window, the cumulative point — at a clock
-// the test owns, without the scan, the acknowledgement or the apply.
-func nackArrive(c *Conn, seq uint32, link int, now sim.Time) {
-	r := &c.rails[link]
-	if int32(seq+1-r.high) > 0 {
-		r.high = seq + 1
-	}
-	r.last = now
-	slot, tracked := c.rcv.get(seq)
-	if int32(seq-c.rcvNxt) < 0 || slot.accepted {
-		return
-	}
-	if tracked {
-		c.gaps--
-	}
-	c.rcv.put(seq, rcvSlot{accepted: true})
-	if int32(c.maxSeenPlus1-seq) <= 0 {
-		for s := c.maxSeenPlus1; s != seq; s++ {
-			c.trackGap(s, now)
-		}
-		c.maxSeenPlus1 = seq + 1
-	}
-	for {
-		if r, _ := c.rcv.get(c.rcvNxt); !r.accepted {
-			break
-		}
-		c.rcv.del(c.rcvNxt)
-		c.rcvNxt++
-	}
 }
 
 // TestNackScanAgainstReference holds scanMissing to the per-sequence
@@ -101,20 +87,21 @@ func TestNackScanAgainstReference(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			cfg.LinkStaleAge = 0 // a silent rail keeps its veto for good
 		}
-		var pair [2]*Conn
+		var pair [2]*rxSide
 		base := uint32(0)
 		if rng.Intn(2) == 0 {
 			base = -uint32(rng.Intn(3000)) // the flights cross the wrap
 		}
 		for i := range pair {
-			ep := NewEndpoint(sim.NewEnv(seed), 0, cfg, hostmodel.Default(), hostmodel.NewCPUs("n0"), nil)
-			c := newConn(ep, 1, 1, rails)
-			c.to(live) // a white-box conn skips the handshake
-			c.SetSeqBaseForTest(base)
-			pair[i] = c
+			x := &rxSide{railSet: railSet{rails: make([]rail, rails)}}
+			x.rcvNxt, x.maxSeenPlus1 = base, base
+			for li := range x.rails {
+				x.rails[li].high = base
+			}
+			pair[i] = x
 		}
 		got, want := pair[0], pair[1]
-		age := got.nackAge()
+		age := cfg.nackAge()
 
 		// One queue per rail, drained in order; which rail delivers next
 		// is random and lopsided, so the rails' marks drift apart.
@@ -193,21 +180,21 @@ func TestNackScanAgainstReference(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				minAge = age / 2 // force
 			}
-			for _, c := range pair {
-				nackArrive(c, seq, link, now)
+			for _, x := range pair {
+				x.arrive(seq, link, now)
 			}
 			span := int32(got.maxSeenPlus1 - got.rcvNxt)
-			wasUntracked, hadDrops := got.untracked, got.ep.Stats.NackGapsDropped
-			a, b := got.scanMissing(now, minAge, nil), refScanMissing(want, now, minAge)
+			wasUntracked, hadDrops := got.untracked, got.dropped
+			a, b := got.scanMissing(now, minAge, &cfg, got.rails, nil, got.drop), refScanMissing(want, &cfg, now, minAge)
 			if !slices.Equal(a, b) {
 				t.Fatalf("seed %d step %d (%d rails, window [%d, %d)): scan NACKs %v, reference %v",
 					seed, step, rails, got.rcvNxt, got.maxSeenPlus1, a, b)
 			}
 			if got.rcvNxt != want.rcvNxt || got.maxSeenPlus1 != want.maxSeenPlus1 || got.gaps != want.gaps ||
-				got.ep.Stats.NackGapsDropped != want.ep.Stats.NackGapsDropped {
+				got.dropped != want.dropped {
 				t.Fatalf("seed %d step %d: cursors (%d, %d) gaps %d dropped %d, reference (%d, %d) %d %d", seed, step,
-					got.rcvNxt, got.maxSeenPlus1, got.gaps, got.ep.Stats.NackGapsDropped,
-					want.rcvNxt, want.maxSeenPlus1, want.gaps, want.ep.Stats.NackGapsDropped)
+					got.rcvNxt, got.maxSeenPlus1, got.gaps, got.dropped,
+					want.rcvNxt, want.maxSeenPlus1, want.gaps, want.dropped)
 			}
 			for k := int32(-8); k < span+8; k++ {
 				s := got.rcvNxt + uint32(k)
@@ -225,7 +212,7 @@ func TestNackScanAgainstReference(t *testing.T) {
 			if got.gaps == maxTrackedGaps {
 				capped++
 			}
-			if wasUntracked && got.ep.Stats.NackGapsDropped == hadDrops && got.gaps > 0 {
+			if wasUntracked && got.dropped == hadDrops && got.gaps > 0 {
 				pickedUp++ // visited the dropped gaps and had room for them all
 			}
 			for li := range got.rails {
@@ -263,7 +250,7 @@ func TestNackScanAgainstReference(t *testing.T) {
 func TestNackScanStampsOnlyWhatItNames(t *testing.T) {
 	ep, c := arqEndpoint(t, 128)
 	ep.threadActive = true // the protocol thread never runs: no NACK leaves by itself
-	age := c.nackAge()
+	age := ep.cfg.nackAge()
 	at := func(now sim.Time) {
 		ep.env.SchedAt(now, func() {})
 		ep.env.RunUntil(now)
@@ -278,7 +265,8 @@ func TestNackScanStampsOnlyWhatItNames(t *testing.T) {
 	}
 	arriveOdd := func(lo, hi uint32, now sim.Time) {
 		for s := lo + 1; s < hi; s += 2 {
-			nackArrive(c, s, 0, now)
+			c.arrived(0, s, now)
+			c.arrive(s, now, c.gapDropped)
 		}
 	}
 	t0, t1, t2, t3 := sim.Time(1), 1+age, 1+2*age, 1+3*age

@@ -318,7 +318,7 @@ func (c *Conn) enqueueOp(op Op, data []byte, dataBuf *frame.Buf, viaCQ bool) *Ha
 // Ring's doorbell — ends at once with the exit's cause instead.
 func (c *Conn) issue(t *txOp) {
 	if c.Closed() {
-		c.failTxOp(t, c.endErr)
+		c.endTxOp(t, c.endErr)
 		return
 	}
 	if t.opType == frame.OpRead {
@@ -332,7 +332,7 @@ func (c *Conn) issue(t *txOp) {
 		// not be transmitted until t is fully acknowledged. Otherwise a
 		// later op's frames could be performed at a receiver that has
 		// not yet seen any frame of t and so cannot know to hold them.
-		c.txFenced = append(c.txFenced, t.id)
+		c.txFenced.add(t.id)
 	}
 	c.txOps = append(c.txOps, t)
 	c.kick()

@@ -194,8 +194,8 @@ func (ep *Endpoint) qosUncharge(cls, n, size int) {
 }
 
 // qosRelease returns a txOp's admission charge to its class. Exactly
-// once per txOp: both completion paths (checkTxOpDone, failTxOp) flip
-// completed first and the charge is zeroed here.
+// once per txOp: the one end-of-op path (endTxOp) flips completed
+// first and the charge is zeroed here.
 func (c *Conn) qosRelease(t *txOp) {
 	if t.qosOps == 0 {
 		return

@@ -32,12 +32,14 @@ import (
 // replayed across a rail restore — carry the old incarnation and are
 // fenced at dispatch (StaleEpochDrops).
 
-// nextIncarnation returns the epoch after inc, skipping 0 — the wire
-// value reserved for "incarnations unused".
+// nextIncarnation returns the epoch after inc. It skips 0, the wire
+// value reserved for "incarnations unused", and 1, which only a Dial
+// proposes: an acceptor tells a first dial from a redial by it (see
+// handleConnReq), so a wrapped redial must never look like one.
 func nextIncarnation(inc uint16) uint16 {
 	inc++
-	if inc == 0 {
-		inc = 1
+	if inc <= 1 {
+		inc = 2
 	}
 	return inc
 }
@@ -120,13 +122,8 @@ func (c *Conn) passiveWait() sim.Time {
 	cfg := &c.ep.cfg
 	base, max := cfg.reconnectBackoff()
 	wait := cfg.DeadInterval + base
-	d := base
 	for i := 0; i < cfg.reconnectBudget(); i++ {
-		wait += d
-		d *= 2
-		if d > max {
-			d = max
-		}
+		wait += backoff(base, max, i)
 	}
 	return wait
 }
@@ -152,14 +149,7 @@ func (c *Conn) redial() {
 	ep.sendHandshake(frame.NewAddr(c.remoteNode, 0), &frame.Header{Type: frame.TypeConnReq,
 		ConnID: c.localID, OpID: uint64(c.links), Incarnation: r.pendingIncarn})
 	base, max := ep.cfg.reconnectBackoff()
-	d := base
-	for i := 1; i < r.attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	r.timer = ep.env.After(d, c.redial)
+	r.timer = ep.env.After(backoff(base, max, r.attempt-1), c.redial)
 }
 
 // acceptReconnect runs on the acceptor when a ConnReq proposing a newer
@@ -216,23 +206,16 @@ func (c *Conn) rebirth(inc uint16) {
 	if c.ep.cfg.ccOn() {
 		// An outage says nothing about post-recovery capacity — restart
 		// from the initial window like a fresh conn.
-		c.cwnd = c.ep.cfg.ccInit()
-		c.ccAckCredit, c.ccRetxSent, c.ccEcnRx = 0, 0, 0
-		c.ccRecover = 0
+		c.ccState = ccState{cwnd: c.ep.cfg.ccInit()}
 	}
 
 	// Receive state: fresh epoch. Partially received operations are
 	// deleted — the peer replays them from offset 0 with identical data —
 	// while completed ones stay so replayed payload for them is dropped,
 	// never re-applied (exactly-once). The frontier survives untouched.
-	c.rcvNxt = 0
-	c.maxSeenPlus1 = 0
+	// The ring's storage and the timer handles stay for reuse.
 	c.rcv.clear()
-	c.gaps, c.untracked = 0, false
-	c.lastNack = 0
-	c.unackedRx = 0
-	c.ackDue, c.ackOwed = false, false
-	c.nackDue = nil
+	c.arqRx = arqRx{rcv: c.rcv, ackTimer: c.ackTimer, ackFn: c.ackFn, nackTimer: c.nackTimer, nackFn: c.nackFn}
 	c.applyNxt = 0
 	c.held = nil
 	for id, op := range c.rxOps {
@@ -254,7 +237,7 @@ func (c *Conn) rebirth(inc uint16) {
 			t.h.acked = 0
 		}
 		if t.flags&frame.FenceAfter != 0 {
-			c.txFenced = append(c.txFenced, t.id)
+			c.txFenced.add(t.id)
 		}
 		if !t.probe {
 			ep.Stats.ReplayedOps++

@@ -103,6 +103,43 @@ func TestReconnectExhaustsBudget(t *testing.T) {
 	}
 }
 
+// TestRedialAfterIncarnationWrap: the 16-bit epoch wraps without a
+// redial ever proposing 1, the epoch only a Dial proposes, so an
+// acceptor whose conn has ended still tells the redial of a dialer at
+// 0xFFFF from a fresh dial: it drops every ConnReq, and the dialer
+// gives up with ErrPeerDead instead of replaying onto a conn nobody
+// owns.
+func TestRedialAfterIncarnationWrap(t *testing.T) {
+	cfg := reconnectConfig()
+	cfg.Core.MaxReconnects = 3
+	cl, c01, c10 := pairCluster(t, cfg)
+	c01.SetIncarnationForTest(0xFFFF)
+	c10.SetIncarnationForTest(0xFFFF)
+	// The acceptor loses the peer while its node is cut off: its Reset
+	// never arrives, the idle dialer notices nothing, and the acceptor's
+	// bounded wait for a redial ends its conn.
+	cl.PauseNode(1)
+	c10.PeerLostForTest()
+	cl.Env.RunUntil(2 * sim.Second)
+	if got := c10.StateForTest(); got != "closed" {
+		t.Fatalf("acceptor conn is %s, want closed once its reconnect wait ran out", got)
+	}
+	cl.ResumeNode(1)
+	ep1 := cl.Nodes[1].EP
+	before := ep1.Stats.StaleEpochDrops
+	c01.PeerLostForTest()
+	cl.Env.RunUntil(4 * sim.Second)
+	if !c01.Failed() || !errors.Is(c01.Err(), core.ErrPeerDead) {
+		t.Fatalf("dialer is %s (err %v), want failed with ErrPeerDead after its redials", c01.StateForTest(), c01.Err())
+	}
+	if got := ep1.Stats.StaleEpochDrops - before; got != 3 {
+		t.Errorf("acceptor dropped %d ConnReqs as stale, want all 3 redials", got)
+	}
+	if n := ep1.ActiveConns(); n != 0 {
+		t.Errorf("acceptor holds %d conns, want none: a redial was taken for a fresh dial", n)
+	}
+}
+
 func TestReconnectExactlyOnceNotify(t *testing.T) {
 	// Acks lost, data delivered: the write lands and notifies, then the
 	// sender — starved of acknowledgements — parks and replays it after

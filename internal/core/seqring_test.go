@@ -87,7 +87,7 @@ func arqEndpoint(t *testing.T, window int) (*Endpoint, *Conn) {
 	cfg.MemBytes = 1 << 16
 	cfg.Window = window
 	ep := NewEndpoint(env, 0, cfg, hostmodel.Default(), hostmodel.NewCPUs("n0"), nil)
-	c := newConn(ep, 1, 1, 1)
+	c := ep.newConn(1, 1)
 	c.to(live) // a white-box conn skips the handshake
 	return ep, c
 }
@@ -156,6 +156,27 @@ func arriveBoth(t *testing.T, c *Conn, ref *refWindow, seq uint32) (fast bool) {
 	return fast
 }
 
+// arriveRx delivers seq to the bare receive window x — arqRx's own
+// arrival, no endpoint — and to the reference, holds arrive's verdict to
+// the reference's, and reports whether the arrival took the in-order
+// path.
+func arriveRx(t *testing.T, x *arqRx, ref *refWindow, seq uint32) (fast bool) {
+	t.Helper()
+	fast = seq == x.rcvNxt && x.rcv.size() == 0
+	got := x.arrive(seq, 0, func(uint32) {})
+	want := inOrder
+	switch dup, ooo := ref.arrive(seq); {
+	case dup:
+		want = duplicate
+	case ooo:
+		want = outOfOrder
+	}
+	if got != want {
+		t.Fatalf("seq %d: verdict %d, reference %d", seq, got, want)
+	}
+	return fast
+}
+
 // count is 1 for true: how many times an event the reference predicts
 // must have been counted.
 func count(b bool) uint64 {
@@ -165,11 +186,11 @@ func count(b bool) uint64 {
 	return 0
 }
 
-// checkRcvWindow compares the conn's receive window with the reference
-// over [lo, hi): same accepted set, same gap set, the gaps counter equal
-// to the number of gap records and inside its cap, nothing kept below
-// the cumulative point.
-func checkRcvWindow(t *testing.T, c *Conn, ref *refWindow, lo, hi uint32) {
+// checkRcvWindow compares receive window c with the reference over
+// [lo, hi): same accepted set, same gap set, the gaps counter equal to
+// the number of gap records and inside its cap, nothing kept below the
+// cumulative point.
+func checkRcvWindow(t *testing.T, c *arqRx, ref *refWindow, lo, hi uint32) {
 	t.Helper()
 	if c.rcvNxt != ref.rcvNxt || c.maxSeenPlus1 != ref.maxSeenPlus1 {
 		t.Fatalf("cursors (%d, %d), reference (%d, %d)", c.rcvNxt, c.maxSeenPlus1, ref.rcvNxt, ref.maxSeenPlus1)
@@ -199,10 +220,10 @@ func checkRcvWindow(t *testing.T, c *Conn, ref *refWindow, lo, hi uint32) {
 	}
 }
 
-// startRef moves c's receive window to base and returns a reference
+// startRef moves receive window x to base and returns a reference
 // window at the same point.
-func startRef(c *Conn, base uint32) *refWindow {
-	c.rcvNxt, c.maxSeenPlus1 = base, base
+func startRef(x *arqRx, base uint32) *refWindow {
+	x.rcvNxt, x.maxSeenPlus1 = base, base
 	return &refWindow{rcvNxt: base, maxSeenPlus1: base, accepted: map[uint32]bool{}, gap: map[uint32]bool{}}
 }
 
@@ -222,7 +243,7 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 		capped := false
 		fast, ring := 0, 0
 		for _, window := range []int{128, 512} {
-			_, c := arqEndpoint(t, window)
+			c := &arqRx{}
 			span := uint32(window + 64)
 			ref := startRef(c, -(span * 5 / 2)) // the third flight straddles the wrap
 			rng := rand.New(rand.NewSource(int64(window)))
@@ -244,7 +265,7 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 				}
 				rng.Shuffle(len(late), func(i, j int) { late[i], late[j] = late[j], late[i] })
 				for _, seq := range append(order, late...) {
-					if arriveBoth(t, c, ref, seq) {
+					if arriveRx(t, c, ref, seq) {
 						fast++
 					} else {
 						ring++
@@ -267,7 +288,7 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 		}
 	})
 	t.Run("million", func(t *testing.T) {
-		_, c := arqEndpoint(t, 128)
+		c := &arqRx{}
 		ref := startRef(c, 0)
 		const total = 1_000_000
 		const lossEvery = 97 // drop every 97th first transmission...
@@ -275,7 +296,7 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 		var pending []uint32 // lost frames awaiting their late delivery
 		fast := 0
 		arrive := func(seq uint32) {
-			if arriveBoth(t, c, ref, seq) {
+			if arriveRx(t, c, ref, seq) {
 				fast++
 			}
 			if c.gaps != len(ref.gap) || c.rcv.size() != len(ref.gap)+len(ref.accepted) ||
@@ -326,12 +347,12 @@ func TestRcvInOrderCorners(t *testing.T) {
 			if fast := arriveBoth(t, c, ref, s); fast != wantFast {
 				t.Fatalf("seq %d: in-order path %v, want %v", s, fast, wantFast)
 			}
-			checkRcvWindow(t, c, ref, ref.rcvNxt-512, ref.rcvNxt+512)
+			checkRcvWindow(t, &c.arqRx, ref, ref.rcvNxt-512, ref.rcvNxt+512)
 		}
 	}
 	t.Run("resumes after the last gap closes", func(t *testing.T) {
 		_, c := arqEndpoint(t, 128)
-		ref := startRef(c, 0)
+		ref := startRef(&c.arqRx, 0)
 		run(t, c, ref, true, 0, 1)
 		noRing(t, c)
 		run(t, c, ref, false, 4, 3, 2) // two gaps open, then close
@@ -342,7 +363,7 @@ func TestRcvInOrderCorners(t *testing.T) {
 	})
 	t.Run("duplicate below rcvNxt", func(t *testing.T) {
 		_, c := arqEndpoint(t, 128)
-		ref := startRef(c, 100)
+		ref := startRef(&c.arqRx, 100)
 		run(t, c, ref, true, 100, 101, 102, 103)
 		run(t, c, ref, false, 103, 100) // dropped, re-ACKed
 		run(t, c, ref, true, 104)
@@ -350,7 +371,7 @@ func TestRcvInOrderCorners(t *testing.T) {
 	})
 	t.Run("across the wrap", func(t *testing.T) {
 		_, c := arqEndpoint(t, 128)
-		ref := startRef(c, ^uint32(0)-7)
+		ref := startRef(&c.arqRx, ^uint32(0)-7)
 		var seqs []uint32
 		for s := ^uint32(0) - 7; s != 9; s++ {
 			seqs = append(seqs, s)
@@ -364,7 +385,7 @@ func TestRcvInOrderCorners(t *testing.T) {
 	})
 	t.Run("untracked gaps, empty ring", func(t *testing.T) {
 		ep, c := arqEndpoint(t, 512)
-		ref := startRef(c, 1000)
+		ref := startRef(&c.arqRx, 1000)
 		run(t, c, ref, false, 1300) // 300 gaps, 44 past the cap
 		if !c.untracked || c.gaps != maxTrackedGaps {
 			t.Fatalf("untracked %v, %d gaps: the cap was not reached", c.untracked, c.gaps)
@@ -376,7 +397,7 @@ func TestRcvInOrderCorners(t *testing.T) {
 			t.Fatalf("%d records, rcvNxt %d, untracked %v: want an empty window with the flag still set",
 				c.rcv.size(), c.rcvNxt, c.untracked)
 		}
-		if m := c.scanMissing(ep.env.Now(), 0, nil); len(m) != 0 || c.rcv.size() != 0 {
+		if m := c.scanMissing(ep.env.Now(), 0, &ep.cfg, c.rails, nil, c.gapDropped); len(m) != 0 || c.rcv.size() != 0 {
 			t.Fatalf("the scan of an empty window named %v and left %d records", m, c.rcv.size())
 		}
 		run(t, c, ref, true, 1301, 1302)
@@ -385,7 +406,7 @@ func TestRcvInOrderCorners(t *testing.T) {
 	})
 	t.Run("stopTimers and rebirth without a ring", func(t *testing.T) {
 		_, c := arqEndpoint(t, 128)
-		ref := startRef(c, 0)
+		ref := startRef(&c.arqRx, 0)
 		run(t, c, ref, true, 0, 1, 2)
 		c.park(0) // stopTimers, and the move to reconnecting that rebirth leaves
 		noRing(t, c)
@@ -393,7 +414,7 @@ func TestRcvInOrderCorners(t *testing.T) {
 		if c.rcvNxt != 0 || c.maxSeenPlus1 != 0 || c.gaps != 0 || c.untracked {
 			t.Fatalf("rebirth left (%d, %d), %d gaps, untracked %v", c.rcvNxt, c.maxSeenPlus1, c.gaps, c.untracked)
 		}
-		ref = startRef(c, 0)
+		ref = startRef(&c.arqRx, 0)
 		run(t, c, ref, true, 0, 1)
 		noRing(t, c)
 	})
