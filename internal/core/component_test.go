@@ -1,9 +1,14 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
+	"multiedge/internal/frame"
 	"multiedge/internal/sim"
 )
 
@@ -55,7 +60,7 @@ func TestArqRx(t *testing.T) {
 			drop := func(uint32) { drops++ }
 			for i, s := range tc.arrivals {
 				(&railSet{rails: rails}).arrived(0, s, 1)
-				if v := x.arrive(s, 1, drop); v != tc.verdicts[i] {
+				if v := x.arrive(s, 1, false, drop); v != tc.verdicts[i] {
 					t.Fatalf("arrival %d (seq %d): verdict %d, want %d", i, s, v, tc.verdicts[i])
 				}
 			}
@@ -287,5 +292,140 @@ func TestBackoff(t *testing.T) {
 				t.Fatalf("passive wait: base %v, budget %d: %v, want %v", base, n, got, want)
 			}
 		}
+	}
+}
+
+// TestArqTx drives a bare sender through a script of steps at explicit
+// clocks and holds what each step does to a trace: the frames next
+// numbers ("seq:op+offset", R for AckReq, * for a repair), what an ACK
+// releases (* where the op is done) and its round-trip sample, the
+// repairs an expiry or a NACK queues, and the window after a restart.
+// Sequence numbers print relative to the case's initial one.
+func TestArqTx(t *testing.T) {
+	cfg := DefaultConfig()
+	const fa, so = frame.FenceAfter, frame.Solicit
+	top := ^uint32(0)
+	for _, tc := range []struct {
+		name             string
+		isn              uint32
+		ops              [][2]int // payload bytes, flags; frames carry 2 bytes
+		window, ackEvery int
+		script, want     []string
+	}{
+		{name: "fragmentation up to the window", ops: [][2]int{{5, 0}}, window: 2,
+			script: []string{"send@10", "ack 1@30", "send@40", "ack 3@50"},
+			want:   []string{"0:0+0 1:0+2R", "+1 rtt 20 [0]", "2:0+4", "+2 rtt 10 [1 2*]"}},
+		{name: "the forward fence stalls the head", ops: [][2]int{{2, int(fa)}, {2, 0}}, window: 4,
+			script: []string{"send@0", "ack 1@5", "send@6"},
+			want:   []string{"0:0+0R", "+1 rtt 5 [0*]", "1:1+0"}},
+		{name: "AckReq: a Solicit fence has its prompt ACK", ops: [][2]int{{2, int(fa | so)}, {2, 0}}, window: 4,
+			script: []string{"send@0"}, want: []string{"0:0+0"}},
+		{name: "AckReq: the window closes on an empty queue", ops: [][2]int{{4, 0}}, window: 2,
+			script: []string{"send@0"}, want: []string{"0:0+0 1:0+2"}},
+		{name: "AckReq: the flight reaches AckEvery", ops: [][2]int{{6, 0}}, window: 2, ackEvery: 2,
+			script: []string{"send@0"}, want: []string{"0:0+0 1:0+2"}},
+		{name: "a cumulative ACK across the wrap", isn: top - 1, ops: [][2]int{{6, 0}}, window: 4,
+			script: []string{"send@0", "ack 3@7"}, want: []string{"0:0+0 1:0+2 2:0+4", "+3 rtt 7 [0 1 2*]"}},
+		{name: "an expiry repairs the last frame", ops: [][2]int{{6, 0}}, window: 4,
+			script: []string{"send@0", "rto", "rto", "send@9", "ack 3@12"},
+			want:   []string{"0:0+0 1:0+2 2:0+4", "repair [2]", "repair []", "2:0+4*", "+3 rtt 12 [0 1 2*]"}},
+		{name: "go-back-N repairs the window", ops: [][2]int{{6, 0}}, window: 4,
+			script: []string{"send@0", "ack 1@3", "rto gbn", "send@9"},
+			want:   []string{"0:0+0 1:0+2 2:0+4", "+1 rtt 3 [0]", "repair [1 2]", "1:0+2* 2:0+4*"}},
+		{name: "a NACK repairs what is outstanding, once", ops: [][2]int{{6, 0}}, window: 4,
+			script: []string{"send@0", "ack 1@3", "nack 0 1", "nack 1 2"},
+			want:   []string{"0:0+0 1:0+2 2:0+4", "+1 rtt 3 [0]", "repair [1]", "repair [2]"}},
+		{name: "a stale ACK and one past the window", ops: [][2]int{{4, 0}}, window: 4,
+			script: []string{"send@0", "ack 0@1", "ack 9@2"}, want: []string{"0:0+0 1:0+2", "stale", "+2 rtt 2 [0 1*]"}},
+		{name: "a restart is a fresh window", isn: 7, ops: [][2]int{{4, int(fa)}, {2, 0}}, window: 4,
+			script: []string{"send@0", "ack 1@2", "rto", "restart", "send@5"},
+			want:   []string{"0:0+0 1:0+2R", "+1 rtt 2 [0]", "repair [1]", "una 0 nxt 0 expiries 0 queued [] fenced [0]", "0:0+0 1:0+2R"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x := &arqTx{sndUna: tc.isn, sndNxt: tc.isn}
+			ackEvery := cmp.Or(tc.ackEvery, cfg.AckEvery)
+			var free []*txFrame
+			var ops []*txOp
+			for id, o := range tc.ops {
+				ops = append(ops, &txOp{id: uint64(id), opType: frame.OpWrite, flags: frame.OpFlags(o[1]), data: make([]byte, o[0]), total: uint32(o[0])})
+				x.nextOpID++
+				x.enqueue(ops[id])
+			}
+			rel := func(seqs []uint32) []int32 {
+				var out []int32
+				for _, s := range seqs {
+					out = append(out, int32(s-tc.isn))
+				}
+				return out
+			}
+			for i, step := range tc.script {
+				verb, arg, _ := strings.Cut(step, " ")
+				verb, at, _ := strings.Cut(verb, "@")
+				var got []string
+				switch verb {
+				case "send":
+					now, _ := strconv.Atoi(at)
+					for {
+						tf, repair := x.next(&free, true, tc.window, 2, ackEvery)
+						if tf == nil {
+							break
+						}
+						tf.txAt, tf.retx = sim.Time(now), tf.retx || repair
+						s := fmt.Sprintf("%d:%d+%d", int32(tf.seq-tc.isn), tf.op.id, tf.offset)
+						if tf.ackReq {
+							s += "R"
+						}
+						if repair {
+							s += "*"
+						}
+						got = append(got, s)
+					}
+				case "ack":
+					a, at, _ := strings.Cut(arg, "@")
+					n, _ := strconv.Atoi(a)
+					now, _ := strconv.Atoi(at)
+					var released []string
+					adv, rtt := x.ack(tc.isn+uint32(n), sim.Time(now), &free, func(tf *txFrame, done bool) {
+						s := fmt.Sprint(int32(tf.seq - tc.isn))
+						if done {
+							s += "*"
+							tf.op.completed = true
+						}
+						released = append(released, s)
+					})
+					got = append(got, "stale")
+					if adv >= 0 {
+						got = []string{fmt.Sprintf("+%d rtt %d [%s]", adv, rtt, strings.Join(released, " "))}
+					}
+				case "rto":
+					x.expire(0, &cfg)
+					got = append(got, fmt.Sprint("repair ", rel(x.rtoRepairs(arg == "gbn"))))
+				case "nack":
+					var seqs []uint32
+					for _, f := range strings.Fields(arg) {
+						n, _ := strconv.Atoi(f)
+						seqs = append(seqs, tc.isn+uint32(n))
+					}
+					got = append(got, fmt.Sprint("repair ", rel(x.queueRepairs(seqs...))))
+				case "restart":
+					var journal []*txOp
+					for _, t := range ops {
+						if !t.completed {
+							journal = append(journal, t)
+						}
+					}
+					x.dropWindow(&free)
+					x.restart(journal)
+					got = append(got, fmt.Sprintf("una %d nxt %d expiries %d queued %v fenced %v", x.sndUna, x.sndNxt, x.expiries, x.retransQ, x.txFenced))
+					tc.isn = 0
+				}
+				if s := strings.Join(got, " "); s != tc.want[i] {
+					t.Errorf("step %d (%s): %q, want %q", i, step, s, tc.want[i])
+				}
+				if fl := x.inflight(); fl < 0 || fl > tc.window {
+					t.Errorf("step %d (%s): %d in flight, window %d", i, step, fl, tc.window)
+				}
+			}
+		})
 	}
 }

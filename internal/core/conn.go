@@ -401,7 +401,7 @@ func (c *Conn) teardown(cause error) {
 	ep := c.ep
 	c.stopTimers()
 	c.outstanding(func(t *txOp) { c.endTxOp(t, cause) })
-	c.dropWindow()
+	c.dropWindow(&ep.tfFree)
 	// Posted-but-unrung descriptors never received ids; their error
 	// completions carry OpID 0 and the original Op for correlation. Each
 	// still holds the admission quota Post charged — return it.
@@ -418,8 +418,6 @@ func (c *Conn) teardown(cause error) {
 			ep.noteSQDepth(-n)
 		}
 	}
-	c.txOps = nil
-	c.txFenced = nil
 	c.held = nil // the only reorder buffer: nothing else keeps payload copies
 	// Wake processes parked in WaitNotify with one poison notification
 	// each; once the conn is closed, later calls return the poison without

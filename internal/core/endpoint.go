@@ -709,7 +709,9 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 	case frame.TypeNack:
 		var err error
 		if ep.nackSeqs, err = frame.AppendNackSeqs(ep.nackSeqs[:0], payload); err == nil {
-			c.handleNack(ep.nackSeqs)
+			// Selective repeat: the go-back-N baseline never receives NACKs.
+			c.noteRepairs(c.queueRepairs(ep.nackSeqs...), obs.EvNackRepair)
+			c.kick()
 		}
 	case frame.TypeHeartbeat:
 		ep.Stats.HeartbeatsRecv++

@@ -178,7 +178,7 @@ const (
 
 // SnapshotForTest returns the handle's kernel-buffer snapshot at full
 // capacity while the operation owns one; retained across completion, it
-// shows what retireTxOp left of it.
+// shows what endTxOp left of it.
 func (h *Handle) SnapshotForTest() []byte { return h.t.data[:cap(h.t.data)] }
 
 // QosPendingForTest returns the admission charges class cls still

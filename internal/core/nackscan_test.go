@@ -24,7 +24,7 @@ func (x *rxSide) drop(uint32) { x.dropped++ }
 // acknowledgement or the apply.
 func (x *rxSide) arrive(seq uint32, link int, now sim.Time) {
 	x.arrived(link, seq, now)
-	x.arqRx.arrive(seq, now, x.drop)
+	x.arqRx.arrive(seq, now, false, x.drop)
 }
 
 // refScanMissing is the loss scan as it was before it learnt where to
@@ -266,7 +266,7 @@ func TestNackScanStampsOnlyWhatItNames(t *testing.T) {
 	arriveOdd := func(lo, hi uint32, now sim.Time) {
 		for s := lo + 1; s < hi; s += 2 {
 			c.arrived(0, s, now)
-			c.arrive(s, now, c.gapDropped)
+			c.arrive(s, now, false, c.gapDropped)
 		}
 	}
 	t0, t1, t2, t3 := sim.Time(1), 1+age, 1+2*age, 1+3*age

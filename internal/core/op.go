@@ -312,10 +312,10 @@ func (c *Conn) enqueueOp(op Op, data []byte, dataBuf *frame.Buf, viaCQ bool) *Ha
 }
 
 // issue hands a new send-side op to the protocol thread: a read joins
-// the pending replies, a forward fence the sender-side fence list, and
-// the op the transmit queue. An op that arrives once the conn is
-// closing or ended — its initiation straddled the exit: Do's Exec,
-// Ring's doorbell — ends at once with the exit's cause instead.
+// the pending replies, and the op the transmit queue (arqTx.enqueue).
+// An op that arrives once the conn is closing or ended — its initiation
+// straddled the exit: Do's Exec, Ring's doorbell — ends at once with
+// the exit's cause instead.
 func (c *Conn) issue(t *txOp) {
 	if c.Closed() {
 		c.endTxOp(t, c.endErr)
@@ -327,14 +327,7 @@ func (c *Conn) issue(t *txOp) {
 		}
 		c.pendingReads[t.id] = t.h
 	}
-	if t.flags&frame.FenceAfter != 0 {
-		// Forward fence, sender side: operations issued after t must
-		// not be transmitted until t is fully acknowledged. Otherwise a
-		// later op's frames could be performed at a receiver that has
-		// not yet seen any frame of t and so cannot know to hold them.
-		c.txFenced.add(t.id)
-	}
-	c.txOps = append(c.txOps, t)
+	c.enqueue(t)
 	c.kick()
 }
 

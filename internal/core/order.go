@@ -135,6 +135,17 @@ func (o *orderer) tryApply(h frame.Header, payload []byte, heldAt sim.Time, stri
 	return true
 }
 
+// accept hands the orderer a frame the ARQ accepted at now: perform
+// runs it and what it unblocks, unless canApply holds it (held).
+func (o *orderer) accept(h frame.Header, payload []byte, now sim.Time, strict bool, free *[]*rxOp, perform func(frame.Header, []byte, sim.Time)) (held bool) {
+	if o.tryApply(h, payload, 0, strict, free, perform) {
+		o.drain(strict, free, perform)
+		return false
+	}
+	o.held = append(o.held, heldFrame{h: h, payload: heldCopy(payload), heldAt: now})
+	return true
+}
+
 // heldCopy snapshots a payload that outlives frame dispatch: held
 // frames are retained after the arrival frame's pooled wire buffer is
 // released back to the pool (see Endpoint dispatch), so they must own
@@ -166,6 +177,20 @@ func (o *orderer) drain(strict bool, free *[]*rxOp, perform func(frame.Header, [
 			return
 		}
 	}
+}
+
+// performed books frame h's n payload bytes against its op and reports
+// whether that completed it; a replayed op (getRxOp) books nothing.
+func (o *orderer) performed(h frame.Header, n int, free *[]*rxOp) (op *rxOp, done bool) {
+	op = o.getRxOp(h, free)
+	if int32(h.Seq+1-op.endSeq) > 0 {
+		op.endSeq = h.Seq + 1
+	}
+	if op.complete {
+		return op, false
+	}
+	op.applied += uint32(n)
+	return op, op.applied >= op.total
 }
 
 // complete marks op performed: its forward fence lifts and the frontier
@@ -200,10 +225,8 @@ func (c *Conn) acceptData(h frame.Header, payload []byte) {
 	ep.Stats.DataFramesRecv++
 	ep.Stats.DataBytesRecv += uint64(len(payload))
 	ep.emit(c.localID, obs.EvRxData, int64(h.Seq), int64(len(payload)))
-	if c.tryApply(h, payload, 0, ep.cfg.Strict, &ep.rxFree, c.perform) {
-		c.drain(ep.cfg.Strict, &ep.rxFree, c.perform)
-	} else {
-		c.hold(h, payload)
+	if c.accept(h, payload, ep.env.Now(), ep.cfg.Strict, &ep.rxFree, c.perform) {
+		c.noteHeld(h, payload)
 	}
 }
 
@@ -216,10 +239,9 @@ func (c *Conn) perform(h frame.Header, payload []byte, heldAt sim.Time) {
 	}
 }
 
-// hold buffers a frame the ordering engine does not admit yet.
-func (c *Conn) hold(h frame.Header, payload []byte) {
+// noteHeld counts and reports a frame the orderer just held.
+func (c *Conn) noteHeld(h frame.Header, payload []byte) {
 	ep := c.ep
-	c.held = append(c.held, heldFrame{h: h, payload: heldCopy(payload), heldAt: ep.env.Now()})
 	ep.Stats.HeldFrames++
 	ep.emit(c.localID, obs.EvRxHold, int64(h.Seq), int64(len(payload)), spanOf{rx: c.frameSpan(h.OpType, h.OpID, h.Local)})
 	if n := len(c.held); n > ep.Stats.HoldMax {
@@ -249,7 +271,8 @@ func (c *Conn) applyMulti(h frame.Header, payload []byte) {
 		if c.canApply(sh, c.ep.cfg.Strict, &c.ep.rxFree) {
 			c.applyFrame(sh, s.Data)
 		} else {
-			c.hold(sh, s.Data)
+			c.held = append(c.held, heldFrame{h: sh, payload: heldCopy(s.Data), heldAt: c.ep.env.Now()})
+			c.noteHeld(sh, s.Data)
 		}
 	}
 	if err != nil {
@@ -265,10 +288,7 @@ func (c *Conn) applyFrame(h frame.Header, payload []byte) {
 		return
 	}
 	ep := c.ep
-	op := c.getRxOp(h, &ep.rxFree)
-	if int32(h.Seq+1-op.endSeq) > 0 {
-		op.endSeq = h.Seq + 1
-	}
+	op, done := c.performed(h, len(payload), &ep.rxFree)
 	ep.emit(c.localID, obs.EvRxApply, int64(h.Seq), int64(len(payload)), spanOf{rx: c.frameSpan(h.OpType, h.OpID, h.Local)})
 	switch h.Type {
 	case frame.TypeReadReq:
@@ -297,8 +317,7 @@ func (c *Conn) applyFrame(h frame.Header, payload []byte) {
 			}
 			copy(ep.mem[h.Remote+uint64(h.Offset):end], payload)
 		}
-		op.applied += uint32(len(payload))
-		if op.applied >= op.total {
+		if done {
 			c.completeRxOp(op)
 		}
 	}
@@ -318,18 +337,15 @@ func (c *Conn) completeRxOp(op *rxOp) {
 		// The requester's read is done when the reply data has landed.
 		sp.EndAt(ep.env.Now())
 	}
-	// A frontier-collected op is still read below, so its own recycle is
-	// deferred to the end of the function (nothing can pull from the
-	// freelist in between — getRxOp only runs on a later dispatch).
+	// A frontier-collected op is still read below: it is recycled at the
+	// end (only a later dispatch's getRxOp pulls from the freelist).
 	collected := c.complete(op, &ep.rxFree)
 	if op.flags&frame.Solicit != 0 {
-		// Solicited acknowledgement: bypass the delayed-ACK policy so
-		// the initiator's completion takes one round trip, not an
-		// AckDelay. The ACK is still cumulative — if earlier frames are
-		// missing it cannot complete the operation early, so a second
-		// one follows when the cumulative point passes the op's own last
-		// frame (not maxSeenPlus1: unrelated later losses are not this
-		// op's business).
+		// Solicited: bypass the delayed-ACK policy so the initiator's
+		// completion takes a round trip, not an AckDelay. If earlier frames
+		// are missing, a second prompt ACK follows when the cumulative
+		// point passes the op's own last frame (not maxSeenPlus1: later
+		// losses are not this op's business).
 		c.promptAck(op.endSeq)
 	}
 	if op.flags&frame.Notify != 0 && op.opType == frame.OpWrite {

@@ -109,9 +109,8 @@ func (r *refOrder) frontier() uint64 {
 }
 
 // ordererRig drives a bare orderer the way acceptData and applyFrame do:
-// an arrival is performed if the orderer admits it, and the held frames
-// it releases after it, or else it is held; performing a frame counts
-// it toward its op, and the op's last frame completes it.
+// an arrival is accepted, and performing a frame counts it toward its
+// op, whose last frame completes it.
 type ordererRig struct {
 	o         orderer
 	free      []*rxOp
@@ -125,18 +124,13 @@ func (g *ordererRig) perform(h frame.Header, _ []byte, heldAt sim.Time) {
 	if heldAt != 0 {
 		g.drained++
 	}
-	op := g.o.getRxOp(h, &g.free)
-	if op.applied++; op.applied >= op.total && g.o.complete(op, &g.free) {
+	if op, done := g.o.performed(h, 1, &g.free); done && g.o.complete(op, &g.free) {
 		g.free = append(g.free, op)
 	}
 }
 
 func (g *ordererRig) arrive(h frame.Header, now sim.Time) {
-	if g.o.tryApply(h, nil, 0, g.strict, &g.free, g.perform) {
-		g.o.drain(g.strict, &g.free, g.perform)
-	} else {
-		g.o.held = append(g.o.held, heldFrame{h: h, heldAt: now})
-	}
+	g.o.accept(h, nil, now, g.strict, &g.free, g.perform)
 }
 
 // TestOrderer walks hand-written programs through a bare orderer:

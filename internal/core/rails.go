@@ -335,10 +335,8 @@ func (c *Conn) probeTick() {
 func (c *Conn) sendProbe(li int) {
 	op := &txOp{id: c.nextOpID, opType: frame.OpWrite, sentAll: true, unacked: 1, probe: true}
 	c.nextOpID++
-	tf := c.newTxFrame(op, c.sndNxt, 0)
+	tf := c.number(&c.ep.tfFree, op, 0)
 	tf.link = li
-	c.sndNxt++
-	c.retrans.put(tf.seq, tf)
 	c.ep.Stats.DataFramesSent++
 	c.transmit(tf, false)
 }

@@ -189,12 +189,10 @@ func (c *Conn) rebirth(inc uint16) {
 	})
 	// The frame records die with the old epoch: the journal re-fragments
 	// every op from offset 0.
-	c.dropWindow()
+	c.dropWindow(&ep.tfFree)
 	slices.SortFunc(journal, func(a, b *txOp) int { return cmp.Compare(a.id, b.id) })
 
-	// Transmit state: fresh epoch.
-	c.sndUna, c.sndNxt = 0, 0
-	c.expiries = 0
+	c.restart(journal)
 	c.rr = 0
 	// Link health, the outstanding-frame charges (they refer to frames
 	// that will never be acked) and the arrival marks all die with the
@@ -225,26 +223,17 @@ func (c *Conn) rebirth(inc uint16) {
 	}
 	c.fenced = nil
 
-	// Re-queue the journal: every op restarts from offset 0. Write
-	// handles reset their acknowledged-byte mark, or a partially acked
-	// first life would double-count; read handles never advanced it.
-	c.txFenced = nil
+	// Write handles reset their acknowledged-byte mark, or a partially
+	// acked first life would double-count; read handles never advanced it.
 	for _, t := range journal {
-		t.sent = 0
-		t.sentAll = false
-		t.unacked = 0
 		if t.h != nil && t.opType == frame.OpWrite {
 			t.h.acked = 0
-		}
-		if t.flags&frame.FenceAfter != 0 {
-			c.txFenced.add(t.id)
 		}
 		if !t.probe {
 			ep.Stats.ReplayedOps++
 			ep.Stats.ReplayedBytes += uint64(len(t.data))
 		}
 	}
-	c.txOps = journal
 
 	c.incarnation = inc
 	ep.emit(c.localID, obs.EvRebirth, int64(inc), int64(len(journal)))

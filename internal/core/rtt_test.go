@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"multiedge/internal/frame"
 	"multiedge/internal/sim"
 )
 
@@ -51,20 +52,26 @@ func TestRttEst(t *testing.T) {
 		}
 	}
 
-	// One estimator serves the connection, every rail and the health
-	// snapshot: fed alike, they read alike.
-	_, c := arqEndpoint(t, 128)
-	c.ep.cfg.RTO, c.ep.cfg.RTOMax = 50*sim.Microsecond, 64*sim.Millisecond // adaptive: the estimate is what gets armed
+	// One estimator serves the connection and every rail: fed alike,
+	// they read alike. The connection's samples come from the sender's
+	// ack walk (Karn: the newest frame never retransmitted).
+	cfg := Config{RTO: 50 * sim.Microsecond, RTOMax: 64 * sim.Millisecond} // adaptive: the estimate is what gets armed
+	x := &arqTx{}
+	var r rail
+	var free []*txFrame
+	op := &txOp{opType: frame.OpWrite, data: make([]byte, 2), total: 2}
+	now := sim.Time(0)
 	for _, s := range []sim.Time{80_000, 95_000, 60_000, 2_000_000, 70_000} {
-		c.updateRTT(s)
-		c.rails[0].rtt.sample(s)
-		h := c.Health()
-		if c.rtt != c.rails[0].rtt || h.SRTTUs != h.Rails[0].SRTTUs || h.RTTVarUs != h.Rails[0].RTTVarUs || h.RTOUs != h.Rails[0].RTOUs {
-			t.Fatalf("after sample %d: conn %+v (health %v/%v/%v us), rail %+v (health %+v)",
-				s, c.rtt, h.SRTTUs, h.RTTVarUs, h.RTOUs, c.rails[0].rtt, h.Rails[0])
+		x.enqueue(op)
+		tf, _ := x.next(&free, true, 1, 2, 32)
+		tf.txAt = now
+		now += s
+		if _, rtt := x.ack(x.sndNxt, now, &free, func(*txFrame, bool) {}); rtt != s || !x.rtt.sample(rtt) {
+			t.Fatalf("the ack walk sampled %d, want %d", rtt, s)
 		}
-	}
-	if got := c.ep.Stats.RttSamples; got != 5 {
-		t.Errorf("RttSamples = %d, want 5", got)
+		r.rtt.sample(s)
+		if x.rtt != r.rtt || x.currentRTO(&cfg) != r.rtt.rto(&cfg) {
+			t.Fatalf("after sample %d: conn %+v (RTO %d), rail %+v (RTO %d)", s, x.rtt, x.currentRTO(&cfg), r.rtt, r.rtt.rto(&cfg))
+		}
 	}
 }

@@ -66,13 +66,22 @@ const (
 	inOrder    arrival = iota // accepted at or past the highest sequence number seen
 	duplicate                 // below the cumulative point, or accepted before
 	outOfOrder                // accepted below the highest sequence number seen
+	discarded                 // go-back-N: not the next in sequence
 )
 
-// arrive is the selective-repeat acceptance of data frame seq at now:
-// it records the frame, opens a gap for every sequence number it skips
-// (drop is told of each the maxTrackedGaps cap leaves untracked), and
-// advances the cumulative point over what is now contiguous.
-func (x *arqRx) arrive(seq uint32, now sim.Time, drop func(s uint32)) arrival {
+// arrive accepts data frame seq at now, or not. Go-back-N takes only
+// the frame the cumulative point waits for. Selective repeat records
+// it, opens a gap for each sequence number it skips (drop is told of
+// those the maxTrackedGaps cap leaves untracked), and advances the
+// cumulative point over what is now contiguous.
+func (x *arqRx) arrive(seq uint32, now sim.Time, goBackN bool, drop func(s uint32)) arrival {
+	if goBackN {
+		if seq != x.rcvNxt {
+			return discarded
+		}
+		x.rcvNxt++
+		return inOrder
+	}
 	// The frame the cumulative point waits for, while the window records
 	// nothing, would be recorded and pruned at once: it just advances
 	// rcvNxt (maxSeenPlus1 == rcvNxt whenever rcv is empty, as its
@@ -130,12 +139,9 @@ func (x *arqRx) trackGap(s uint32, now sim.Time, drop func(s uint32)) {
 
 // dropGaps forgets every gap record (the accepted records stay: they
 // are the duplicate filter), so no late frame can re-arm the NACK
-// machinery. Dropping the in-flight repair timestamps wholesale is
-// intentional, not a leak of live repair state: it only runs from
-// stopTimers, on exits from the live state — a local Close, a teardown,
-// entering Reconnecting — after which the old sequence space is dead (a
-// rebirth starts a fresh epoch with fresh sequence numbers), so no
-// timestamp keyed by an old seq can ever be consulted again.
+// machinery. It runs only from stopTimers, on exits from the live
+// state, after which the old sequence space is dead (a rebirth starts
+// fresh), so no repair timestamp it drops is ever consulted again.
 // TestStopTimersDropsGapState pins this contract.
 func (x *arqRx) dropGaps() {
 	for s := x.rcvNxt; x.gaps > 0 && s != x.maxSeenPlus1; s++ {
@@ -157,16 +163,12 @@ func seqCmp(a, b uint32) int { return int(int32(a - b)) }
 // now: a gap the pending NACK has no room for stays eligible, instead of
 // counting as under repair for 4 nackAge with no frame naming it.
 //
-// Per-link FIFO: s can only be lost once every physical path has
-// delivered a frame beyond it; otherwise it may simply be queued behind
-// other frames on its path. A link silent for LinkStaleAge cannot be
-// hiding s in a draining queue (the drain itself would have delivered
-// something), so it is presumed empty or dead and loses its veto —
-// otherwise a hard-failed link would suppress loss detection forever.
-// Neither a rail's mark nor its staleness depends on s, so the walk
-// ends at the slowest live rail's mark: with one rail a few dozen
-// frames behind the other, that is most of the window not visited per
-// arrival.
+// Per-link FIFO: s can only be lost once every path has delivered a
+// frame beyond it; before, it may be queued behind others on its path.
+// A link silent for LinkStaleAge cannot be hiding s in a draining queue,
+// so it loses its veto: a hard-failed link must not suppress loss
+// detection forever. Neither veto depends on s, so the walk ends at the
+// slowest live rail's mark, sparing most of the window per arrival.
 func (x *arqRx) scanMissing(now, minAge sim.Time, cfg *Config, rails []rail, missing []uint32, drop func(s uint32)) []uint32 {
 	span := int32(x.maxSeenPlus1 - x.rcvNxt)
 	limit := span // as an offset from rcvNxt, like every bound below
@@ -220,46 +222,38 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 	}
 	seq := h.Seq
 	c.arrived(link, seq, ep.env.Now())
-	if ep.cfg.GoBackN {
-		if seq != c.rcvNxt {
-			ep.Stats.GbnDropped++
-			if int32(seq-c.rcvNxt) < 0 && len(payload) > 0 {
-				// Below the cumulative ack: its payload was already applied.
-				ep.Stats.DupFramesDropped++
-			}
-			c.forceAck()
-			return
+	switch c.arrive(seq, ep.env.Now(), ep.cfg.GoBackN, c.gapDropped) {
+	case discarded:
+		ep.Stats.GbnDropped++
+		if int32(seq-c.rcvNxt) < 0 && len(payload) > 0 {
+			// Below the cumulative ack: its payload was already applied.
+			ep.Stats.DupFramesDropped++
 		}
-		c.rcvNxt++
-	} else {
-		switch c.arrive(seq, ep.env.Now(), c.gapDropped) {
-		case duplicate:
-			ep.Stats.Duplicates++
-			if len(payload) > 0 {
-				// The payload was applied when the first copy arrived; this
-				// copy is dropped here, before the ordering/apply machinery.
-				ep.Stats.DupFramesDropped++
-			}
-			ep.emit(c.localID, obs.EvRxDup, int64(seq), int64(len(payload)))
-			// The sender is resending: our ACKs — and possibly our NACKs —
-			// were lost. Re-advertise both promptly so repair converges.
-			if c.gaps > 0 {
-				c.queueNack(true)
-			}
-			c.forceAck()
-			return
-		case outOfOrder:
-			ep.Stats.OOOArrivals++
-			ep.emit(c.localID, obs.EvRxOOO, int64(seq), int64(len(payload)))
+		c.forceAck()
+		return
+	case duplicate:
+		ep.Stats.Duplicates++
+		if len(payload) > 0 {
+			// The payload was applied when the first copy arrived; this
+			// copy is dropped here, before the ordering/apply machinery.
+			ep.Stats.DupFramesDropped++
 		}
+		ep.emit(c.localID, obs.EvRxDup, int64(seq), int64(len(payload)))
+		// The sender is resending: our ACKs — and possibly our NACKs —
+		// were lost. Re-advertise both promptly so repair converges.
+		if c.gaps > 0 {
+			c.queueNack(true)
+		}
+		c.forceAck()
+		return
+	case outOfOrder:
+		ep.Stats.OOOArrivals++
+		ep.emit(c.localID, obs.EvRxOOO, int64(seq), int64(len(payload)))
 	}
 	ep.Stats.Arrivals++
-	// Gap / NACK logic (§2.4: negative acknowledgements report lost or
-	// damaged frames). Multi-link round-robin reorders frames by a few
-	// microseconds as a matter of course, so a sequence number is only
-	// NACKed once it has been missing for a loss-scale age; younger
-	// gaps are reordering, not loss. Go-back-N tracks no gaps, and an
-	// in-order arrival finds none: the ring is empty.
+	// NACKs report lost frames (§2.4). Round-robin over rails reorders by
+	// a few microseconds as a matter of course, so only a gap of loss-scale
+	// age is NACKed. Go-back-N and in-order arrivals find no gaps.
 	if c.gaps > 0 {
 		c.queueNack(false)
 		c.armNackTimer()
@@ -341,33 +335,32 @@ func (c *Conn) ctrlPending() bool {
 
 // sendCtrl emits one pending explicit ACK or NACK frame.
 func (c *Conn) sendCtrl() {
-	if len(c.nackDue) > 0 {
-		h := frame.Header{Type: frame.TypeNack, ConnID: c.remoteID, Ack: c.rcvNxt, HasAck: true}
+	h := frame.Header{Type: frame.TypeAck, ConnID: c.remoteID, Ack: c.rcvNxt, HasAck: true}
+	var pl []byte
+	switch {
+	case len(c.nackDue) > 0:
 		// Encode into the endpoint's scratch buffer: a fresh payload slice
 		// per NACK was an allocation on every repair round. An empty
-		// missing list never reaches here (the branch requires entries),
-		// so no header-only NACK frame is ever emitted.
+		// missing list never reaches here, so no NACK is header-only.
+		h.Type = frame.TypeNack
 		c.ep.nackScratch = frame.AppendNackPayload(c.ep.nackScratch[:0], c.nackDue)
-		pl := c.ep.nackScratch
+		pl = c.ep.nackScratch
 		c.nackDue = c.nackDue[:0] // the next scan appends into it
 		c.ep.Stats.CtrlNacksSent++
 		c.ep.emit(c.localID, obs.EvTxNack, int64(c.rcvNxt), int64(len(pl)))
-		c.sendFrame(&h, pl)
-		return
-	}
-	if c.ackDue {
-		h := frame.Header{Type: frame.TypeAck, ConnID: c.remoteID, Ack: c.rcvNxt, HasAck: true}
+	case c.ackDue:
 		c.ep.Stats.CtrlAcksSent++
 		c.ep.emit(c.localID, obs.EvTxAck, int64(c.rcvNxt), 0)
-		c.sendFrame(&h, nil)
+	default:
+		return
 	}
+	c.sendFrame(&h, pl)
 }
 
 // ackTick is the delayed-ACK timer's callback.
 func (c *Conn) ackTick() {
-	if c.state == live && c.unackedRx > 0 {
-		c.ackDue = true
-		c.kick()
+	if c.unackedRx > 0 {
+		c.forceAck()
 	}
 }
 
@@ -379,8 +372,7 @@ func (c *Conn) ackPolicy() {
 	}
 	c.unackedRx++
 	if c.unackedRx >= c.ep.cfg.AckEvery {
-		c.ackDue = true
-		c.kick()
+		c.forceAck()
 		return
 	}
 	if !c.ackTimer.Pending() {

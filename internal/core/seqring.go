@@ -5,9 +5,7 @@ package core
 // receive window (Conn.rcv: accepted-frame dedupe and gap tracking in
 // one record per sequence number). Live keys are consecutive or nearly
 // so, so a power-of-two slot array indexed by the low bits serves every
-// access with no hashing, and steady state allocates nothing; the
-// previous map[uint32] backings churned a heap-allocated bucket chain
-// per frame.
+// access with no hashing, and steady state allocates nothing.
 //
 // Keys are sequence numbers compared in modular (serial-number)
 // arithmetic. The ring is built for the flight a connection has, not
@@ -42,15 +40,6 @@ func (r *seqRing[T]) get(s uint32) (T, bool) {
 	}
 	var zero T
 	return zero, false
-}
-
-// has reports whether s is present (set-style use).
-func (r *seqRing[T]) has(s uint32) bool {
-	if r.live == 0 {
-		return false
-	}
-	sl := &r.slots[s&r.mask]
-	return sl.full && sl.seq == s
 }
 
 // put stores v under s, overwriting any previous value.

@@ -163,7 +163,7 @@ func arriveBoth(t *testing.T, c *Conn, ref *refWindow, seq uint32) (fast bool) {
 func arriveRx(t *testing.T, x *arqRx, ref *refWindow, seq uint32) (fast bool) {
 	t.Helper()
 	fast = seq == x.rcvNxt && x.rcv.size() == 0
-	got := x.arrive(seq, 0, func(uint32) {})
+	got := x.arrive(seq, 0, false, func(uint32) {})
 	want := inOrder
 	switch dup, ooo := ref.arrive(seq); {
 	case dup:
@@ -447,4 +447,10 @@ func TestStopTimersDropsGapState(t *testing.T) {
 	if ack, nacks := c.CtrlStateForTest(); ack || nacks != 0 {
 		t.Fatalf("ctrl state survived stopTimers: ackDue=%v nacks=%d", ack, nacks)
 	}
+}
+
+// has reports whether s is present (set-style use).
+func (r *seqRing[T]) has(s uint32) bool {
+	_, ok := r.get(s)
+	return ok
 }

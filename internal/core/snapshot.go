@@ -17,7 +17,7 @@ const snapKeep = 16
 // the endpoint's freelist of power-of-two size classes, so a steady
 // stream of large writes or read replies reuses the same few buffers
 // instead of allocating and zero-filling one per operation. The txOp
-// owns what it gets until retireTxOp hands both back (releaseSnapshot).
+// owns what it gets until endTxOp hands both back (releaseSnapshot).
 func (ep *Endpoint) snapshot(off uint64, n int) (data []byte, buf *frame.Buf) {
 	switch {
 	case n == 0:

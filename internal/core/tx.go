@@ -9,10 +9,11 @@ import (
 )
 
 // arqTx is the sending half of a connection's sliding-window ARQ
-// (IPPS'07 §2.4): the operations queued for fragmentation, the window of
-// numbered frames awaiting acknowledgement and their retransmission,
-// and the timing that drives repair and peer-death detection
-// (Config.RTOMax, MaxRetries, DeadInterval).
+// (IPPS'07 §2.4): the ops queued for fragmentation, the window of frames
+// awaiting acknowledgement and repair, and the timing behind repair and
+// peer-death detection. Its methods take the clock, the configuration
+// and the endpoint's frame freelist as arguments; the glue on Conn
+// keeps events, Stats, timers, CPU charges and the wire.
 type arqTx struct {
 	nextOpID     uint64
 	txOps        []*txOp // FIFO: head is being fragmented
@@ -40,11 +41,9 @@ type txOp struct {
 	local  uint64
 	data   []byte
 	// dataBuf, when non-nil, is the pooled buffer backing data (small
-	// write/reply snapshots, sub-op containers); other data comes from
-	// the endpoint's snapshot freelist. Either is owned by the txOp
-	// until the exactly-once release where completion or failure drops
-	// data; replay (reconnect.go) touches only incomplete ops, so the
-	// snapshot is still owned whenever retransmission needs it.
+	// snapshots, sub-op containers); other data comes from the endpoint's
+	// snapshot freelist. The txOp owns either until it ends (endTxOp);
+	// replay touches only incomplete ops, so retransmission always has it.
 	dataBuf   *frame.Buf
 	total     uint32
 	sent      uint32
@@ -99,11 +98,9 @@ type Handle struct {
 	op      Op   // the posted descriptor (SQ path only)
 	err     error
 	dlTimer *sim.Timer // Op.Deadline expiry (nil without a deadline)
-	// t is the operation's send-side record. The handle is user-held and
-	// so can never be pooled; embedding the txOp in it makes the two
-	// records one allocation — the single steady-state alloc per op —
-	// and sidesteps every reuse-aliasing hazard a txOp freelist would
-	// have (completed ops linger in txOps until curOp pops them).
+	// t is the op's send-side record. A user-held handle is never pooled,
+	// so embedding the txOp makes the two one allocation per op, with no
+	// reuse aliasing (completed ops linger in txOps until curOp pops them).
 	t txOp
 }
 
@@ -141,40 +138,26 @@ func (h *Handle) OpID() uint64 { return h.opID }
 // after Wait returns.
 func (h *Handle) Err() error { return h.err }
 
-// newTxFrame pulls a transmit-frame record from the endpoint's freelist
-// (frames die in handleAck or dropWindow, strictly inside the
-// protocol thread, so recycling is race-free by construction).
-func (c *Conn) newTxFrame(op *txOp, seq, offset uint32) *txFrame {
-	ep := c.ep
-	if n := len(ep.tfFree); n > 0 {
-		tf := ep.tfFree[n-1]
-		ep.tfFree = ep.tfFree[:n-1]
+// newTxFrame pulls a transmit-frame record from free, the endpoint's
+// freelist: frames die in the protocol thread, so reuse is race-free.
+func (x *arqTx) newTxFrame(free *[]*txFrame, op *txOp, seq, offset uint32) *txFrame {
+	if n := len(*free); n > 0 {
+		tf := (*free)[n-1]
+		*free = (*free)[:n-1]
 		*tf = txFrame{op: op, seq: seq, offset: offset}
 		return tf
 	}
 	return &txFrame{op: op, seq: seq, offset: offset}
 }
 
-// freeTxFrame recycles tf. It is zeroed on the freelist, which would
-// otherwise pin the op, its handle and its payload snapshot for as long
-// as the record waits; every caller (handleAck, dropWindow) is
-// done with tf's fields when it frees it.
-func (c *Conn) freeTxFrame(tf *txFrame) {
+// freeTxFrame recycles tf onto free, zeroed: it would otherwise pin its
+// op, handle and payload snapshot for as long as it waits.
+func (x *arqTx) freeTxFrame(free *[]*txFrame, tf *txFrame) {
 	*tf = txFrame{}
-	c.ep.tfFree = append(c.ep.tfFree, tf)
+	*free = append(*free, tf)
 }
 
 func (x *arqTx) inflight() int { return int(x.sndNxt - x.sndUna) }
-
-// maxFramePayload returns the per-frame payload limit: the full MTU
-// payload normally, or an even slice per link in the byte-striping
-// baseline.
-func (c *Conn) maxFramePayload() int {
-	if c.ep.cfg.ByteStripe && c.links > 1 {
-		return frame.MaxPayload / c.links
-	}
-	return frame.MaxPayload
-}
 
 // curOp returns the operation currently being fragmented; nil if there
 // is none, or if the head operation is stalled behind an unacknowledged
@@ -184,9 +167,8 @@ func (x *arqTx) curOp() *txOp {
 		for n < len(x.txOps) && x.txOps[n].sentAll {
 			n++
 		}
-		// Compact down in place instead of re-slicing the head off:
-		// re-slicing walks the queue off its backing array, so a
-		// long-lived pipelined conn reallocates it on every op.
+		// Compact in place: re-slicing the head off walks the queue off its
+		// backing array, reallocating it on every op of a pipelined conn.
 		m := copy(x.txOps, x.txOps[n:])
 		for i := m; i < len(x.txOps); i++ {
 			x.txOps[i] = nil
@@ -197,6 +179,232 @@ func (x *arqTx) curOp() *txOp {
 		return nil
 	}
 	return x.txOps[0]
+}
+
+// enqueue queues t for fragmentation from offset 0. A forward fence
+// holds every later op until t is fully acknowledged: a receiver that
+// has seen no frame of t could not know to hold their frames.
+func (x *arqTx) enqueue(t *txOp) {
+	t.sent, t.sentAll, t.unacked = 0, false, 0
+	if t.flags&frame.FenceAfter != 0 {
+		x.txFenced.add(t.id)
+	}
+	x.txOps = append(x.txOps, t)
+}
+
+// restart begins a fresh epoch (Conn.rebirth) from sequence number 0
+// with journal re-queued. Op ids, pending reads, the round-trip
+// estimate, the byte count, the ring's storage and the timer carry over.
+func (x *arqTx) restart(journal []*txOp) {
+	*x = arqTx{nextOpID: x.nextOpID, txOps: journal[:0], retrans: x.retrans, pendingReads: x.pendingReads,
+		rtoTimer: x.rtoTimer, onRTOFn: x.onRTOFn, rtt: x.rtt, bytesAcked: x.bytesAcked}
+	for _, t := range journal {
+		x.enqueue(t) // writes journal[i] over itself: txOps is journal[:i]
+	}
+}
+
+// next returns the frame to put on the wire, if any, and whether it is a
+// repair: queued repairs first (none while !repairOK), else the current
+// op's next fragment of at most maxPay bytes if window has room.
+func (x *arqTx) next(free *[]*txFrame, repairOK bool, window, maxPay, ackEvery int) (tf *txFrame, repair bool) {
+	for repairOK && len(x.retransQ) > 0 {
+		seq := x.retransQ[0]
+		// Copy-shift keeps the backing array; loss bursts are short.
+		x.retransQ = x.retransQ[:copy(x.retransQ, x.retransQ[1:])]
+		if tf, ok := x.retrans.get(seq); ok {
+			tf.inQ = false
+			return tf, true
+		} // else acknowledged since it was queued
+	}
+	if len(x.retransQ) > 0 {
+		return nil, false
+	}
+	op := x.curOp()
+	if op == nil || x.inflight() >= window {
+		return nil, false
+	}
+	pay := uint32(maxPay)
+	if rem := op.total - op.sent; rem < pay {
+		pay = rem
+	}
+	tf = x.number(free, op, op.sent)
+	if op.opType == frame.OpRead {
+		// A read request is a single header-only frame describing the
+		// whole transfer; the data flows back as a ReadReply operation.
+		pay = op.total
+	} else if pay > 0 {
+		tf.payload = op.data[op.sent : op.sent+pay]
+	}
+	op.sent += pay
+	op.sentAll = op.sent >= op.total
+	op.unacked++
+	tf.ackReq = x.blockedOnAckOf(op, window, ackEvery)
+	return tf, false
+}
+
+// number numbers op's frame at offset and holds it until acknowledged.
+func (x *arqTx) number(free *[]*txFrame, op *txOp, offset uint32) *txFrame {
+	tf := x.newTxFrame(free, op, x.sndNxt, offset)
+	x.sndNxt++
+	x.retrans.put(tf.seq, tf)
+	return tf
+}
+
+// blockedOnAckOf reports whether the sender cannot move until the frame
+// it has just numbered, op's newest, is acknowledged in a way the
+// receiver's delayed-ACK policy (§2.4) cannot see; such a frame carries
+// frame.Header.AckReq. Either it closes the effective window while more
+// is queued and the flight is shorter than ackEvery, so the receiver's
+// frame threshold never fires and each window would cost an AckDelay (a
+// congestion window in slow start or after a cut, or Window below
+// AckEvery; ackEvery is the local value, as a cluster shares one
+// Config); or it is the last frame of a forward-fenced op, whose ACK
+// every later op waits for, unless a Solicit already asks for that one
+// ACK (a coalesced container carries only the fence, so the bit may
+// ride beside a Solicit sub-op). At the paper's defaults (Window 128,
+// AckEvery 32, no congestion window, no bare forward fences in any
+// pinned run) neither holds and the protocol on the wire is the paper's.
+func (x *arqTx) blockedOnAckOf(op *txOp, window, ackEvery int) bool {
+	if op.sentAll && op.flags&(frame.FenceAfter|frame.Solicit) == frame.FenceAfter {
+		return true
+	}
+	fl := x.inflight()
+	return fl >= window && fl < ackEvery && (!op.sentAll || len(x.txOps) > 1)
+}
+
+// dataHeader is data frame tf's header on conn connID, ack piggy-backed.
+func dataHeader(tf *txFrame, connID, ack uint32) frame.Header {
+	op := tf.op
+	typ := frame.TypeData
+	switch {
+	case op.opType == frame.OpRead:
+		typ = frame.TypeReadReq
+	case op.subs != nil:
+		typ = frame.TypeMultiData
+	}
+	return frame.Header{
+		Type: typ, ConnID: connID,
+		Seq: tf.seq, Ack: ack, HasAck: true, AckReq: tf.ackReq,
+		OpID: op.id, OpType: op.opType, OpFlags: op.flags,
+		Remote: op.remote, Local: op.local,
+		Offset: tf.offset, Total: op.total,
+	}
+}
+
+// queueRepairs queues each of seqs still outstanding and not queued, and
+// returns those: the tail of retransQ, valid until the queue changes.
+func (x *arqTx) queueRepairs(seqs ...uint32) []uint32 {
+	n := len(x.retransQ)
+	for _, s := range seqs {
+		if tf, ok := x.retrans.get(s); ok && !tf.inQ {
+			tf.inQ = true
+			x.retransQ = append(x.retransQ, s)
+		}
+	}
+	return x.retransQ[n:]
+}
+
+// expire counts one RTO expiry at now and reports whether it ends the
+// conn: over MaxRetries in a row, or DeadInterval without ack progress.
+func (x *arqTx) expire(now sim.Time, cfg *Config) (dead bool) {
+	x.expiries++
+	return (cfg.MaxRetries > 0 && x.expiries > cfg.MaxRetries) ||
+		(cfg.DeadInterval > 0 && now-x.lastProgress >= cfg.DeadInterval)
+}
+
+// rtoRepairs queues and returns (see queueRepairs) an expiry's repairs.
+// The paper's rule resends the last frame sent, and the receiver then
+// NACKs anything else missing; go-back-N resends the whole window.
+func (x *arqTx) rtoRepairs(goBackN bool) []uint32 {
+	n, last := len(x.retransQ), x.sndNxt-1
+	if _, ok := x.retrans.get(last); !ok {
+		last = x.sndUna
+	}
+	for s := x.sndUna; s != x.sndNxt; s++ {
+		if goBackN || s == last {
+			x.queueRepairs(s)
+		}
+	}
+	return x.retransQ[n:]
+}
+
+// ack applies cumulative acknowledgement ack at now. Each frame it
+// releases goes to released, oldest first (done: its op's last, whose
+// forward fence lifted), then to free. It returns the window's advance,
+// -1 if stale, and the Karn round-trip sample of the newest released
+// frame never retransmitted, -1 if none.
+func (x *arqTx) ack(ack uint32, now sim.Time, free *[]*txFrame, released func(tf *txFrame, done bool)) (advanced int, rtt sim.Time) {
+	if int32(ack-x.sndUna) <= 0 {
+		return -1, -1 // stale
+	}
+	if int32(ack-x.sndNxt) > 0 {
+		ack = x.sndNxt // defensive: never ack beyond what was sent
+	}
+	rtt = -1
+	for s := x.sndUna; s != ack; s++ {
+		tf, ok := x.retrans.get(s)
+		if !ok {
+			continue
+		}
+		x.retrans.del(s)
+		op := tf.op
+		x.bytesAcked += uint64(len(tf.payload))
+		op.unacked--
+		if op.h != nil && op.opType == frame.OpWrite {
+			op.h.acked += len(tf.payload)
+		}
+		if !tf.retx && (rtt < 0 || now-tf.txAt < rtt) {
+			rtt = now - tf.txAt
+		}
+		done := op.sentAll && op.unacked == 0
+		if done && op.flags&frame.FenceAfter != 0 {
+			x.txFenced.remove(op.id) // stalled operations may proceed now
+		}
+		released(tf, done)
+		x.freeTxFrame(free, tf)
+	}
+	advanced = int(ack - x.sndUna)
+	x.sndUna = ack
+	x.expiries = 0
+	x.lastProgress = now
+	return advanced, rtt
+}
+
+// currentRTO returns the timeout the next expiry timer should use: the
+// fixed Config.RTO outside adaptive mode, otherwise the Jacobson
+// estimate doubled once per consecutive expiry (exponential backoff)
+// and capped at RTOMax.
+func (x *arqTx) currentRTO(cfg *Config) sim.Time {
+	if cfg.RTOMax <= 0 {
+		return cfg.RTO
+	}
+	d := x.rtt.rto(cfg)
+	if d == 0 {
+		d = cfg.RTO // adaptive mode starts from the paper's fixed value
+	}
+	return backoff(d, cfg.RTOMax, x.expiries)
+}
+
+// backoff is base doubled n times, capped at limit: the one capped
+// doubling behind the adaptive RTO, the redial delay and the acceptor's
+// reconnect wait.
+func backoff(base, limit sim.Time, n int) sim.Time {
+	for ; n > 0 && base < limit; n-- {
+		base *= 2
+	}
+	return min(base, limit)
+}
+
+// dropWindow recycles every frame record in the window onto free and
+// empties the queues, once a teardown or a rebirth took what it needs.
+func (x *arqTx) dropWindow(free *[]*txFrame) {
+	for s := x.sndUna; s != x.sndNxt; s++ {
+		if tf, ok := x.retrans.get(s); ok {
+			x.freeTxFrame(free, tf)
+		}
+	}
+	x.retrans.clear()
+	x.retransQ, x.txOps, x.txFenced = nil, nil, nil
 }
 
 // sendable reports whether the connection has data-path work for the
@@ -223,93 +431,35 @@ func (c *Conn) sendable() bool {
 // the QoS scheduler charges against the served class.
 func (c *Conn) sendNextDataFrame() int {
 	cfg := &c.ep.cfg
-	for len(c.retransQ) > 0 {
-		if !c.ccRetxOK(cfg) {
-			// Over the per-round-trip retransmission budget: leave the
-			// queue intact and emit nothing. sendable() agrees, so the
-			// scheduler parks the conn until an ack or RTO re-opens it.
-			c.ep.Stats.CcRetxDeferred++
-			return 0
-		}
-		seq := c.retransQ[0]
-		// Copy-shift keeps the backing array; the queue is short (loss
-		// bursts), so the shift is cheaper than steady-state re-allocs.
-		c.retransQ = c.retransQ[:copy(c.retransQ, c.retransQ[1:])]
-		tf, ok := c.retrans.get(seq)
-		if !ok {
-			continue // acknowledged since it was queued
-		}
-		tf.inQ = false
-		c.transmit(tf, true)
-		if len(c.retransQ) > 0 && !c.ccRetxOK(cfg) {
-			// That was the last repair slot this round trip: the rest
-			// of the queue waits until ack progress or the next RTO
-			// re-opens the budget (sendable() parks the conn, so the
-			// exhausted branch above never observes the deferral).
-			c.ep.Stats.CcRetxDeferred++
-		}
-		return len(tf.payload)
+	if len(c.retransQ) > 0 && !c.ccRetxOK(cfg) {
+		// Over the round trip's repair budget: emit nothing. sendable()
+		// agrees, so the conn parks until an ack or RTO re-opens it.
+		c.ep.Stats.CcRetxDeferred++
+		return 0
 	}
-	op := c.curOp()
-	if op == nil || c.inflight() >= c.effWindow(cfg) {
+	pay := frame.MaxPayload
+	if cfg.ByteStripe && c.links > 1 {
+		pay /= c.links // the byte-striping baseline: an even slice per link
+	}
+	tf, repair := c.next(&c.ep.tfFree, true, c.effWindow(cfg), pay, cfg.AckEvery)
+	if tf == nil {
 		return 0 // conditions changed since sendable()
 	}
-	pay := uint32(c.maxFramePayload())
-	if rem := op.total - op.sent; rem < pay {
-		pay = rem
+	if !repair {
+		if tf.ackReq {
+			c.ep.Stats.AckReqSent++
+		}
+		c.ep.Stats.DataFramesSent++
+		c.ep.Stats.DataBytesSent += uint64(len(tf.payload))
 	}
-	tf := c.newTxFrame(op, c.sndNxt, op.sent)
-	if op.opType == frame.OpRead {
-		// A read request is a single header-only frame describing the
-		// whole transfer; the data flows back as a ReadReply operation.
-		pay = op.total
-	} else if pay > 0 {
-		tf.payload = op.data[op.sent : op.sent+pay]
+	c.transmit(tf, repair)
+	if repair && len(c.retransQ) > 0 && !c.ccRetxOK(cfg) {
+		// That was the round trip's last repair slot: the rest waits for
+		// ack progress or the next RTO (sendable() parks the conn, so the
+		// branch above never sees this deferral).
+		c.ep.Stats.CcRetxDeferred++
 	}
-	c.sndNxt++
-	op.sent += pay
-	if op.sent >= op.total {
-		op.sentAll = true
-	}
-	op.unacked++
-	if c.blockedOnAckOf(op) {
-		tf.ackReq = true
-		c.ep.Stats.AckReqSent++
-	}
-	c.retrans.put(tf.seq, tf)
-	c.ep.Stats.DataFramesSent++
-	c.ep.Stats.DataBytesSent += uint64(len(tf.payload))
-	c.transmit(tf, false)
 	return len(tf.payload)
-}
-
-// blockedOnAckOf reports whether the sender cannot move until the frame
-// it has just numbered — the newest fragment of op, the head of txOps —
-// is acknowledged, in a way the receiver's delayed-ACK policy (§2.4)
-// cannot see. Such a frame carries frame.Header.AckReq. Two cases:
-//
-//   - it closes the effective window while more is queued, and the whole
-//     flight is shorter than AckEvery: the receiver's frame threshold can
-//     never fire on it, so without the bit every window costs one
-//     AckDelay (a congestion window in slow start or after a cut, or a
-//     Config.Window below AckEvery). AckEvery is the local value: a
-//     cluster shares one Config (a real implementation would exchange it
-//     in ConnReq);
-//   - it is the last frame of a forward-fenced op: every later op waits
-//     for exactly this acknowledgement. A fence that is also Solicit gets
-//     its prompt ACK from that flag already (a coalesced container
-//     carries only the fence in its own flags, so the bit may ride beside
-//     a Solicit sub-op: both ask for the same one ACK).
-//
-// At the paper's defaults (Window 128 >= AckEvery 32, no congestion
-// window, no bare forward fences in any pinned run) neither holds and
-// the protocol on the wire is the paper's.
-func (c *Conn) blockedOnAckOf(op *txOp) bool {
-	if op.sentAll && op.flags&(frame.FenceAfter|frame.Solicit) == frame.FenceAfter {
-		return true
-	}
-	fl := c.inflight()
-	return fl >= c.effWindow(&c.ep.cfg) && fl < c.ep.cfg.AckEvery && (!op.sentAll || len(c.txOps) > 1)
 }
 
 // transmit encodes and hands one frame to the next link in round-robin
@@ -317,20 +467,7 @@ func (c *Conn) blockedOnAckOf(op *txOp) bool {
 // piggy-backed.
 func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 	op := tf.op
-	typ := frame.TypeData
-	switch {
-	case op.opType == frame.OpRead:
-		typ = frame.TypeReadReq
-	case op.subs != nil:
-		typ = frame.TypeMultiData
-	}
-	h := frame.Header{
-		Type: typ, ConnID: c.remoteID,
-		Seq: tf.seq, Ack: c.rcvNxt, HasAck: true, AckReq: tf.ackReq,
-		OpID: op.id, OpType: op.opType, OpFlags: op.flags,
-		Remote: op.remote, Local: op.local,
-		Offset: tf.offset, Total: op.total,
-	}
+	h := dataHeader(tf, c.remoteID, c.rcvNxt)
 	if isRetrans {
 		tf.retx = true
 		c.ep.Stats.Retransmissions++
@@ -338,9 +475,8 @@ func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 			c.ccRetxSent++
 		}
 	} else if c.inflight() == 1 {
-		// Sole outstanding frame: a fresh burst after an idle gap.
-		// Progress tracking (DeadInterval) anchors here, not at the last
-		// acknowledgement of the previous burst.
+		// Sole outstanding frame, a fresh burst after an idle gap: progress
+		// tracking (DeadInterval) anchors here, not at the last burst's ACK.
 		c.lastProgress = c.ep.env.Now()
 	}
 	li := -1 // normal round-robin pick
@@ -361,74 +497,28 @@ func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 	if !isRetrans {
 		k = obs.EvFrameTx
 		if tf.offset == 0 {
-			// First transmission of the op's first frame: the protocol CPU
-			// has dequeued the operation. The gap from span start is
-			// initiation + send-queue + CPU contention time.
+			// The op's first frame, first sent: the protocol CPU dequeued the
+			// op, after initiation, send-queue and CPU contention time.
 			c.ep.emit(c.localID, obs.EvProtoDequeue, int64(tf.seq), 0, spanOf{op: op, link: -1})
 		}
 	}
 	c.ep.emit(c.localID, k, int64(tf.seq), int64(len(tf.payload)), spanOf{op: op, link: tf.link})
-	// Only user traffic keeps probing alive: a probe transmission must
-	// not re-arm the timer, or an idle connection with a dead link would
-	// sustain a probe → loss → RTO-repair → probe loop forever.
+	// Only user traffic keeps probing alive: an idle conn with a dead link
+	// would otherwise loop probe → loss → RTO repair → probe forever.
 	if c.deadLinks > 0 && !tf.op.probe {
 		c.armProbeTimer()
 	}
 	c.armRTO()
 }
 
-// queueRetrans schedules seq for retransmission if it is still
-// outstanding and not already queued. Each repair event is attributed
-// to the link the frame was last transmitted on, feeding dead-link
-// detection. cause records why the repair was scheduled (NACK vs RTO)
-// in the operation's span.
-func (c *Conn) queueRetrans(seq uint32, cause obs.Kind) {
-	tf, ok := c.retrans.get(seq)
-	if !ok || tf.inQ {
-		return
+// noteRepairs reports repairs just queued for cause (NACK or RTO) and
+// charges each to its frame's last link, feeding dead-link detection.
+func (c *Conn) noteRepairs(seqs []uint32, cause obs.Kind) {
+	for _, s := range seqs {
+		tf, _ := c.retrans.get(s)
+		c.ep.emit(c.localID, cause, int64(s), int64(len(tf.payload)), spanOf{op: tf.op, link: tf.link})
+		c.noteLinkRepair(tf.link)
 	}
-	tf.inQ = true
-	c.retransQ = append(c.retransQ, seq)
-	c.ep.emit(c.localID, cause, int64(seq), int64(len(tf.payload)), spanOf{op: tf.op, link: tf.link})
-	c.noteLinkRepair(tf.link)
-}
-
-// updateRTT feeds one ack-derived round-trip sample into the conn-level
-// estimator. The estimate is always maintained for statistics; it is
-// only *armed* in adaptive mode (Config.RTOMax > 0).
-func (c *Conn) updateRTT(sample sim.Time) {
-	if !c.rtt.sample(sample) {
-		return
-	}
-	c.ep.Stats.RttSamples++
-	if c.ep.rtoHist != nil {
-		c.ep.rtoHist.Observe(float64(c.rtt.rto(&c.ep.cfg)) / 1000)
-	}
-}
-
-// backoff is base doubled n times, capped at limit: the one capped
-// doubling behind the adaptive RTO, the redial delay and the acceptor's
-// reconnect wait.
-func backoff(base, limit sim.Time, n int) sim.Time {
-	for ; n > 0 && base < limit; n-- {
-		base *= 2
-	}
-	return min(base, limit)
-}
-
-// currentRTO returns the timeout the next expiry timer should use: the
-// fixed Config.RTO outside adaptive mode, otherwise the Jacobson
-// estimate doubled once per consecutive expiry (exponential backoff)
-// and capped at RTOMax.
-func (x *arqTx) currentRTO(cfg *Config) sim.Time {
-	if cfg.RTOMax <= 0 {
-		return cfg.RTO
-	}
-	d := x.rtt.rto(cfg)
-	if d == 0 {
-		d = cfg.RTO // adaptive mode starts from the paper's fixed value
-	}
-	return backoff(d, cfg.RTOMax, x.expiries)
 }
 
 // armRTO (re)starts the coarse retransmission timer (§2.4). With
@@ -442,10 +532,7 @@ func (c *Conn) armRTO() {
 	d := c.currentRTO(&c.ep.cfg)
 	if di := c.ep.cfg.DeadInterval; di > 0 {
 		if rem := c.lastProgress + di - c.ep.env.Now(); rem < d {
-			d = rem
-			if d < 0 {
-				d = 0
-			}
+			d = max(rem, 0)
 		}
 	}
 	if c.onRTOFn == nil {
@@ -461,7 +548,7 @@ func (c *Conn) onRTO() {
 	cfg := &c.ep.cfg
 	now := c.ep.env.Now()
 	c.ep.Stats.RtoExpiries++
-	c.expiries++
+	dead := c.expire(now, cfg)
 	if c.expiries > c.ep.Stats.RtoBackoffMax {
 		c.ep.Stats.RtoBackoffMax = c.expiries
 	}
@@ -469,87 +556,38 @@ func (c *Conn) onRTO() {
 		c.ep.backoffHist.Observe(float64(c.expiries))
 	}
 	c.ep.emit(c.localID, obs.EvRtoExpiry, int64(c.expiries), int64(c.inflight()))
-	if (cfg.MaxRetries > 0 && c.expiries > cfg.MaxRetries) ||
-		(cfg.DeadInterval > 0 && now-c.lastProgress >= cfg.DeadInterval) {
+	if dead {
 		c.peerLost(fmt.Errorf("core: connection to node %d: no ack progress after %d timeouts over %v: %w",
 			c.remoteNode, c.expiries, now-c.lastProgress, ErrPeerDead), true)
 		return
 	}
-	// Loss is a congestion signal: halve the window (at most once per
-	// flight) and re-open the retransmission budget — RTO expiry is the
-	// clock that paces a blocked recovery forward.
+	// Loss is a congestion signal: halve the window (once per flight) and
+	// re-open the repair budget; expiry paces a blocked recovery forward.
 	c.ccOnRto()
-	if cfg.GoBackN {
-		// Go-back-N baseline: resend everything outstanding.
-		for s := c.sndUna; s != c.sndNxt; s++ {
-			c.queueRetrans(s, obs.EvRtoRepair)
-		}
-	} else {
-		// The paper's rule: retransmit the last transmitted frame; the
-		// receiver then sees the gap and NACKs anything else missing.
-		seq := c.sndNxt - 1
-		if !c.retrans.has(seq) {
-			seq = c.sndUna
-		}
-		c.queueRetrans(seq, obs.EvRtoRepair)
-	}
+	c.noteRepairs(c.rtoRepairs(cfg.GoBackN), obs.EvRtoRepair)
 	c.armRTO()
 	c.kick()
 }
 
-// handleAck processes a cumulative acknowledgement (piggy-backed or
-// explicit): it releases retransmit buffers, advances the window and
-// completes operations whose every frame is acknowledged.
+// handleAck processes a cumulative acknowledgement, piggy-backed or
+// explicit (arqTx.ack), around the events, stats and timers it moves.
 func (c *Conn) handleAck(ack uint32) {
-	if int32(ack-c.sndUna) <= 0 {
-		return // stale
-	}
-	if int32(ack-c.sndNxt) > 0 {
-		ack = c.sndNxt // defensive: never ack beyond what was sent
-	}
-	// Newest never-retransmitted acked frame (Karn). The timestamp is
-	// copied out rather than holding the frame: each tf is recycled the
-	// moment its op bookkeeping is done.
-	var newestAt sim.Time
-	haveNewest := false
-	for s := c.sndUna; s != ack; s++ {
-		tf, ok := c.retrans.get(s)
-		c.retrans.del(s)
-		if ok {
-			c.bytesAcked += uint64(len(tf.payload))
-			tf.op.unacked--
-			if tf.op.h != nil && tf.op.opType == frame.OpWrite {
-				tf.op.h.acked += len(tf.payload)
-			}
-			c.ep.emit(c.localID, obs.EvAck, int64(s), int64(len(tf.payload)), spanOf{op: tf.op, link: tf.link})
-			c.clearLinkFault(tf.link, tf.txAt)
-			if !tf.retx && (!haveNewest || tf.txAt > newestAt) {
-				newestAt, haveNewest = tf.txAt, true
-			}
-			if !tf.retx && !c.railProbing() && tf.link >= 0 && tf.link < c.links {
-				if r := &c.rails[tf.link]; !r.have || tf.txAt > r.newest {
-					r.newest, r.have = tf.txAt, true
-				}
-			}
-			if c.ep.cfg.ccOn() {
-				c.railDec(tf.link)
-			}
-			op := tf.op
-			c.freeTxFrame(tf)
-			if op.sentAll && op.unacked == 0 {
-				c.endTxOp(op, nil)
-			}
-		}
+	now := c.ep.env.Now()
+	n, rtt := c.ack(ack, now, &c.ep.tfFree, c.ackedFrame)
+	if n < 0 {
+		return
 	}
 	if c.ep.cfg.ccOn() {
-		c.ccOnAck(int(ack-c.sndUna), c.ep.cfg.Window)
+		c.ccOnAck(n, c.ep.cfg.Window)
 	}
-	c.sndUna = ack
-	c.expiries = 0
-	c.lastProgress = c.ep.env.Now()
-	if haveNewest {
-		c.updateRTT(c.ep.env.Now() - newestAt)
-		c.updateRailRTT(c.ep.env.Now())
+	if rtt >= 0 {
+		if c.rtt.sample(rtt) { // kept for statistics; armed only if RTOMax > 0
+			c.ep.Stats.RttSamples++
+			if c.ep.rtoHist != nil {
+				c.ep.rtoHist.Observe(float64(c.rtt.rto(&c.ep.cfg)) / 1000)
+			}
+		}
+		c.updateRailRTT(now)
 	}
 	if c.inflight() > 0 {
 		c.armRTO()
@@ -559,33 +597,44 @@ func (c *Conn) handleAck(ack uint32) {
 	c.kick() // the window may have opened
 }
 
-// handleNack retransmits the frames a NACK reports missing (selective
-// repeat; the go-back-N baseline never receives NACKs).
-func (c *Conn) handleNack(missing []uint32) {
-	for _, s := range missing {
-		c.queueRetrans(s, obs.EvNackRepair)
+// ackedFrame is handleAck's glue for one released frame: its event, its
+// rail's health, sample and charge, and its op's end when done.
+func (c *Conn) ackedFrame(tf *txFrame, done bool) {
+	c.ep.emit(c.localID, obs.EvAck, int64(tf.seq), int64(len(tf.payload)), spanOf{op: tf.op, link: tf.link})
+	c.clearLinkFault(tf.link, tf.txAt)
+	if !tf.retx && !c.railProbing() && tf.link >= 0 && tf.link < c.links {
+		if r := &c.rails[tf.link]; !r.have || tf.txAt > r.newest {
+			r.newest, r.have = tf.txAt, true
+		}
 	}
-	c.kick()
+	if c.ep.cfg.ccOn() {
+		c.railDec(tf.link)
+	}
+	if done {
+		c.endTxOp(tf.op, nil)
+	}
 }
 
-// endTxOp ends a send-side operation, at most once: err is nil when its
-// every frame is acknowledged, else the cause that ends it early. It
-// retires the op, fans a coalesced batch out to its sub-ops, ends the
-// span unless the op is a read reply (the read's span ends when the
-// reply lands), and finishes the handle. A read that succeeds here has
-// only its request acknowledged: its handle finishes when the reply
-// lands (completeRxOp).
+// endTxOp ends a send-side operation once: err is nil when its every
+// frame is acknowledged, else the cause that ends it early. It fans a
+// batch out to its sub-ops, ends the span (a read reply's ends when the
+// reply lands) and finishes the handle, except a read's: its request is
+// acknowledged, and its handle finishes when the reply lands.
 func (c *Conn) endTxOp(t *txOp, err error) {
 	if t.completed {
 		return
 	}
-	if c.retireTxOp(t) {
+	// Retire it: release the snapshot buffer and the QoS admission charge.
+	t.completed = true
+	ep := c.ep
+	ep.releaseSnapshot(t.data, t.dataBuf)
+	t.data, t.dataBuf = nil, nil
+	c.qosRelease(t)
+	if t.probe {
 		return // internal probe: no user-visible completion
 	}
-	ep := c.ep
 	if err == nil && t.flags&frame.FenceAfter != 0 {
-		c.txFenced.remove(t.id)
-		c.kick() // stalled operations may proceed now
+		c.kick() // its fence lifted (arqTx.ack): stalled operations may proceed now
 	}
 	now := ep.env.Now()
 	if t.subs != nil {
@@ -625,27 +674,13 @@ func (c *Conn) endTxOp(t *txOp, err error) {
 	c.finishHandle(h, err)
 }
 
-// retireTxOp marks a send-side operation completed — done or failed —
-// and releases what it held: the snapshot buffer and the QoS admission
-// charge. It reports whether op was an internal dead-link probe.
-func (c *Conn) retireTxOp(op *txOp) (probe bool) {
-	op.completed = true
-	c.ep.releaseSnapshot(op.data, op.dataBuf)
-	op.data, op.dataBuf = nil, nil
-	c.qosRelease(op)
-	return op.probe
-}
-
-// finishHandle terminates a handle: err is nil on completion, else the
-// deadline expiry or connection failure. The waiter (if any) is woken
-// exactly once; a CQ handle also fans the outcome out as a Completion.
+// finishHandle ends a handle with err (nil on completion), waking its
+// waiter exactly once; a CQ handle also fans the outcome out.
 func (c *Conn) finishHandle(h *Handle, err error) {
 	if h == nil || h.done.Fired() {
 		return
 	}
-	if h.dlTimer != nil {
-		h.dlTimer.Stop()
-	}
+	h.dlTimer.Stop() // nil-safe
 	h.err = err
 	ep := c.ep
 	// Waking the user process costs CPU only if someone is blocked on
@@ -660,11 +695,10 @@ func (c *Conn) finishHandle(h *Handle, err error) {
 	}
 }
 
-// expireHandle fires when an operation's Op.Deadline passes before it
-// completes. Only the waiter is released: the transfer itself keeps
-// running, because cancelling a partially transmitted operation would
-// leave a hole in the receiver's sequence and fence frontier. t is the
-// operation the handle belongs to (nil for an already-detached handle).
+// expireHandle fires when an op's Op.Deadline passes first. Only the
+// waiter is released: cancelling a partly sent op would leave a hole in
+// the receiver's sequence and fence frontier, so the transfer runs on.
+// t is the handle's op (nil for an already-detached handle).
 func (c *Conn) expireHandle(h *Handle, t *txOp) {
 	if h.done.Fired() || c.state == ended {
 		return // completed (or the conn ended) in the meantime
@@ -682,16 +716,4 @@ func (c *Conn) expireHandle(h *Handle, t *txOp) {
 		}
 	}
 	c.finishHandle(h, fmt.Errorf("core: op %d to node %d: %w", h.opID, c.remoteNode, ErrDeadlineExceeded))
-}
-
-// dropWindow recycles every frame record in the transmit window once a
-// teardown or a rebirth has taken from it what it needs.
-func (c *Conn) dropWindow() {
-	for s := c.sndUna; s != c.sndNxt; s++ {
-		if tf, ok := c.retrans.get(s); ok {
-			c.freeTxFrame(tf)
-		}
-	}
-	c.retrans.clear()
-	c.retransQ = nil
 }

@@ -79,7 +79,7 @@ type Comm struct {
 	// Sender-side per peer: next ring slot and remaining credits.
 	txSlot    []int
 	txCredits []int
-	txWaiters []*sim.Proc // senders blocked on credits (any peer)
+	txWaiters []*sim.Signal // senders blocked on credits (any peer), in arrival order
 
 	// Receiver-side per peer: slots consumed since last credit return.
 	rxConsumed []int
@@ -242,8 +242,9 @@ func (c *Comm) Send(p *sim.Proc, to, tag int, data []byte) {
 func (c *Comm) takeSlot(p *sim.Proc, to int) int {
 	for c.txCredits[to] == 0 {
 		c.Stats.SendStalls++
-		c.txWaiters = append(c.txWaiters, p)
-		parkProc(p)
+		sig := &sim.Signal{}
+		c.txWaiters = append(c.txWaiters, sig)
+		p.Wait(sig)
 	}
 	c.txCredits[to]--
 	s := c.txSlot[to]
@@ -251,23 +252,11 @@ func (c *Comm) takeSlot(p *sim.Proc, to int) int {
 	return s
 }
 
-// parkProc blocks p until wakeWaiters resumes it.
-func parkProc(p *sim.Proc) {
-	var sig sim.Signal
-	parked[p] = &sig
-	p.Wait(&sig)
-}
-
-// parked tracks blocked senders; package-level is safe because the
-// simulation is single-threaded.
-var parked = map[*sim.Proc]*sim.Signal{}
-
+// wakeWaiters resumes every sender blocked in takeSlot, in the order
+// they blocked.
 func (c *Comm) wakeWaiters() {
-	for _, p := range c.txWaiters {
-		if sig, ok := parked[p]; ok {
-			delete(parked, p)
-			sig.Fire(c.env)
-		}
+	for _, sig := range c.txWaiters {
+		sig.Fire(c.env)
 	}
 	c.txWaiters = nil
 }
@@ -368,10 +357,10 @@ func (c *Comm) claim(p *sim.Proc, m *inMsg) []byte {
 	return out
 }
 
-// sendCtl sends a control record (FIN/credit) through the ring without
-// consuming an eager credit of its own — control records are small and
-// self-limiting (at most one FIN per staging buffer, credits batched).
-// They still take a slot for simplicity, so reserve one credit.
+// sendCtl sends a control record (FIN/credit) through the ring. It
+// takes a slot, and so a ring credit, like any eager message: control
+// records are small and self-limiting (at most one FIN per staging
+// buffer, credits batched), so they can wait for credits like data.
 func (c *Comm) sendCtl(p *sim.Proc, to, kind, tag, size int, seq uint32, addr uint64) {
 	s := c.takeSlot(p, to)
 	c.writeSlot(p, to, s, kind, tag, size, seq, addr, nil)

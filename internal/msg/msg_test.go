@@ -455,3 +455,51 @@ func TestCollectivesSurviveLinkFailure(t *testing.T) {
 		t.Fatal("the fault never bit (0 frames lost)")
 	}
 }
+
+// TestParallelClustersStallSenders runs two clusters in two goroutines
+// at once, each with a sender that stalls on ring credits again and
+// again: blocked senders belong to their communicator, so the clusters
+// share no state (run with -race).
+func TestParallelClustersStallSenders(t *testing.T) {
+	const k = 40 * RingSlots
+	stalls := make([]uint64, 2)
+	start, done := make(chan struct{}), make(chan struct{})
+	for i := range stalls {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			cfg := cluster.OneLink1G(2)
+			cfg.Core.MemBytes = 32 << 20
+			cl := cluster.New(cfg)
+			defer cl.Close()
+			comms := New(cl, cl.FullMesh())
+			got := 0
+			cl.Env.Go("send", func(p *sim.Proc) {
+				for j := 0; j < k; j++ {
+					comms[0].Send(p, 1, 4, pattern(512, byte(j)))
+				}
+			})
+			cl.Env.Go("recv", func(p *sim.Proc) {
+				for j := 0; j < k; j++ {
+					p.Sleep(50 * sim.Microsecond) // drain slower than the sender fills
+					if bytes.Equal(comms[1].Recv(p, 0, 4), pattern(512, byte(j))) {
+						got++
+					}
+				}
+			})
+			<-start
+			cl.Env.RunUntil(30 * sim.Second)
+			if got != k {
+				t.Errorf("cluster %d: %d of %d messages intact", i, got, k)
+			}
+			stalls[i] = comms[0].Stats.SendStalls
+		}()
+	}
+	close(start)
+	<-done
+	<-done
+	for i, n := range stalls {
+		if want := uint64(k / RingSlots / 2); n < want {
+			t.Errorf("cluster %d: the sender stalled %d times, want at least %d", i, n, want)
+		}
+	}
+}

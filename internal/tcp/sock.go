@@ -26,7 +26,7 @@ type Sock struct {
 	recover    uint32 // NewReno recovery point (sndNxt at loss detection)
 	rtoTimer   *sim.Timer
 	rto        sim.Time
-	sndWait    []*sim.Proc // senders blocked on buffer space
+	sndWait    []*sim.Signal // senders blocked on buffer space, in arrival order
 
 	// Receive side.
 	rcvNxt   uint32
@@ -38,9 +38,10 @@ type Sock struct {
 	ackTimer *sim.Timer
 }
 
-// rcvWaiter is a process blocked in Recv until need bytes are buffered.
+// rcvWaiter is a process blocked in Recv until need bytes are buffered;
+// firing sig resumes it.
 type rcvWaiter struct {
-	p    *sim.Proc
+	sig  *sim.Signal
 	need int
 }
 
@@ -70,8 +71,9 @@ func (sk *Sock) Send(p *sim.Proc, data []byte) {
 	off := 0
 	for off < len(data) {
 		for len(sk.sndBuf) >= sndBufMax {
-			sk.sndWait = append(sk.sndWait, p)
-			parkSock(p)
+			sig := &sim.Signal{}
+			sk.sndWait = append(sk.sndWait, sig)
+			p.Wait(sig)
 		}
 		n := len(data) - off
 		if room := sndBufMax - len(sk.sndBuf); n > room {
@@ -95,8 +97,9 @@ func (sk *Sock) Recv(p *sim.Proc, n int) []byte {
 			low = lim // drain incrementally: never demand more than the window
 		}
 		for len(sk.rcvBuf) < low {
-			sk.rcvWait = append(sk.rcvWait, rcvWaiter{p: p, need: low})
-			parkSock(p)
+			sig := &sim.Signal{}
+			sk.rcvWait = append(sk.rcvWait, rcvWaiter{sig: sig, need: low})
+			p.Wait(sig)
 		}
 		take := want
 		if take > len(sk.rcvBuf) {
@@ -111,27 +114,19 @@ func (sk *Sock) Recv(p *sim.Proc, n int) []byte {
 	return out
 }
 
-// parkSock blocks p until sockWake resumes it.
-func parkSock(p *sim.Proc) {
-	var sig sim.Signal
-	sockParked[p] = &sig
-	p.Wait(&sig)
+// wakeAll wakes blocked socket waiters, in the order they blocked.
+func (sk *Sock) wakeAll(sigs *[]*sim.Signal) {
+	for _, sig := range *sigs {
+		sk.wake(sig)
+	}
+	*sigs = nil
 }
 
-var sockParked = map[*sim.Proc]*sim.Signal{}
-
-// wakeAll wakes blocked socket waiters, charging the process-wakeup
+// wake resumes one blocked socket waiter, charging the process-wakeup
 // cost on the protocol CPU (the kernel wakes the sleeping task).
-func (sk *Sock) wakeAll(procs *[]*sim.Proc) {
+func (sk *Sock) wake(sig *sim.Signal) {
 	env := sk.st.env
-	for _, p := range *procs {
-		if sig, ok := sockParked[p]; ok {
-			delete(sockParked, p)
-			s := sig
-			sk.st.cpus.Proto.Submit(env, sk.st.params.Costs.UserWake, func() { s.Fire(env) })
-		}
-	}
-	*procs = nil
+	sk.st.cpus.Proto.Submit(env, sk.st.params.Costs.UserWake, func() { sig.Fire(env) })
 }
 
 // ---------------------------------------------------------------------
@@ -391,12 +386,7 @@ func (sk *Sock) deliver(payload []byte) {
 	kept := sk.rcvWait[:0]
 	for _, w := range sk.rcvWait {
 		if len(sk.rcvBuf) >= w.need {
-			if sig, ok := sockParked[w.p]; ok {
-				delete(sockParked, w.p)
-				s := sig
-				env := sk.st.env
-				sk.st.cpus.Proto.Submit(env, sk.st.params.Costs.UserWake, func() { s.Fire(env) })
-			}
+			sk.wake(w.sig)
 		} else {
 			kept = append(kept, w)
 		}

@@ -270,3 +270,42 @@ func TestSegmentCodecTruncation(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelStacksBlockSockets runs two simulations in two goroutines,
+// each with a sender blocked on a full socket buffer and a receiver
+// blocked on an empty one: blocked procs belong to their socket, so the
+// simulations share no state (run with -race).
+func TestParallelStacksBlockSockets(t *testing.T) {
+	const n = 3 * sndBufMax
+	ok := make([]bool, 2)
+	done := make(chan struct{})
+	for i := range ok {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			env, a, b := pair(int64(10+i), phys.Gigabit(), phys.DefaultNICParams())
+			msg := make([]byte, n)
+			for j := range msg {
+				msg[j] = byte(j * 5)
+			}
+			var got []byte
+			var sk *Sock
+			env.Go("client", func(p *sim.Proc) {
+				sk = a.Dial(p, frame.NewAddr(1, 0))
+				sk.Send(p, msg)
+			})
+			env.Go("server", func(p *sim.Proc) {
+				s := b.Accept(p)
+				got = s.Recv(p, n)
+			})
+			env.RunUntil(30 * sim.Second)
+			ok[i] = bytes.Equal(got, msg)
+		}()
+	}
+	<-done
+	<-done
+	for i, good := range ok {
+		if !good {
+			t.Errorf("simulation %d: stream corrupted", i)
+		}
+	}
+}
