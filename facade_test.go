@@ -90,7 +90,7 @@ func TestPublicAPIService(t *testing.T) {
 	if s.Replicas() != 3 {
 		t.Fatalf("replicas = %d, want 3", s.Replicas())
 	}
-	if _, _, ok := reg.Relay(); !ok {
+	if _, ok := reg.Relay(); !ok {
 		t.Fatal("WithRelay did not register a relay")
 	}
 	if _, err := multiedge.Connect(cl.Nodes[0].EP, reg, "nope"); err == nil {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -1153,28 +1154,70 @@ func TestFencedRead(t *testing.T) {
 	}
 }
 
-func TestGlobalNotifyReroutesAllConns(t *testing.T) {
+// TestNotifyRegionRoutes: a notification goes to the mailbox of the
+// region its write starts in, from whichever peer, and to its conn's
+// WaitNotify queue when it starts outside every region — one byte past
+// a region's end included.
+func TestNotifyRegionRoutes(t *testing.T) {
 	cl := cluster.New(cluster.OneLink1G(3))
+	defer cl.Close()
 	conns := cl.FullMesh()
-	q := cl.Nodes[2].EP.GlobalNotify()
-	got := map[int]int{}
-	cl.Env.Go("svc", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			n := q.Recv(p)
-			got[n.From]++
-		}
-	})
-	cl.Env.Go("s0", func(p *sim.Proc) {
-		conns[0][2].MustDo(p, core.Op{Kind: frame.OpWrite, Flags: frame.Notify})
-		conns[0][2].MustDo(p, core.Op{Kind: frame.OpWrite, Flags: frame.Notify})
-	})
-	cl.Env.Go("s1", func(p *sim.Proc) {
-		conns[1][2].MustDo(p, core.Op{Kind: frame.OpWrite, Flags: frame.Notify})
-		conns[1][2].MustDo(p, core.Op{Kind: frame.OpWrite, Flags: frame.Notify})
-	})
+	ep := cl.Nodes[2].EP
+	a := ep.Alloc(64)
+	gap := ep.Alloc(64) // a's end: inside no region
+	b := ep.Alloc(64)   // b's end: the top of the allocations
+	qa, qb := ep.NotifyRegion(a, 64), ep.NotifyRegion(b, 64)
+	if gap != a+64 {
+		t.Fatalf("allocations not contiguous: a %d, gap %d", a, gap)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NotifyRegion accepted a region overlapping another")
+			}
+		}()
+		ep.NotifyRegion(b+32, 64)
+	}()
+
+	type hit struct {
+		from int
+		addr uint64
+	}
+	writes := [][]uint64{
+		0: {a, a + 63, a + 64, b, b + 64},
+		1: {a, b + 63, b + 64},
+	}
+	for from, addrs := range writes {
+		src := cl.Nodes[from].EP.Alloc(1)
+		c := conns[from][2]
+		cl.Env.Go(fmt.Sprintf("writer%d", from), func(p *sim.Proc) {
+			for _, addr := range addrs {
+				c.MustDo(p, core.Op{Remote: addr, Local: src, Size: 1, Kind: frame.OpWrite, Flags: frame.Notify}).Wait(p)
+			}
+		})
+	}
 	cl.Env.RunUntil(sim.Second)
-	if got[0] != 2 || got[1] != 2 {
-		t.Fatalf("global notify demux got %v, want 2 from each peer", got)
+
+	drain := func(next func() (core.Notification, bool)) map[hit]int {
+		got := map[hit]int{}
+		for n, ok := next(); ok; n, ok = next() {
+			got[hit{n.From, n.Addr}]++
+		}
+		return got
+	}
+	for _, tc := range []struct {
+		name string
+		got  map[hit]int
+		want map[hit]int
+	}{
+		{"region a", drain(qa.TryRecv), map[hit]int{{0, a}: 1, {0, a + 63}: 1, {1, a}: 1}},
+		{"region b", drain(qb.TryRecv), map[hit]int{{0, b}: 1, {1, b + 63}: 1}},
+		{"conn 2-0", drain(conns[2][0].PollNotify), map[hit]int{{0, a + 64}: 1, {0, b + 64}: 1}},
+		{"conn 2-1", drain(conns[2][1].PollNotify), map[hit]int{{1, b + 64}: 1}},
+	} {
+		if !maps.Equal(tc.got, tc.want) {
+			t.Errorf("%s got %v, want %v", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

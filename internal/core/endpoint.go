@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -78,9 +79,8 @@ type Endpoint struct {
 	qosPace    *sim.Timer // wire-pacing wake (two or more classes)
 	qosWakeFn  func()     // wakeThread, built once: the pacing and refill wakes
 
-	notifyAll *sim.Mailbox[Notification]
-
 	regions []memRegion // registered memory (EnforceRegistration)
+	routes  []memRegion // notification regions (NotifyRegion)
 
 	engine *sim.Resource // NIC protocol engine (Config.Offload)
 
@@ -100,10 +100,12 @@ type Endpoint struct {
 	Stats Stats
 }
 
-// memRegion is one registered local buffer.
+// memRegion is one registered local buffer, or one notification
+// region and its mailbox.
 type memRegion struct {
 	addr uint64
 	size int
+	q    *sim.Mailbox[Notification]
 }
 
 // rxJob carries one decoded frame from the protocol-CPU charge to its
@@ -427,27 +429,19 @@ func (ep *Endpoint) RegisterMemory(addr uint64, size int) {
 
 // DeregisterMemory removes a previously registered region (exact match).
 func (ep *Endpoint) DeregisterMemory(addr uint64) {
-	for i, r := range ep.regions {
-		if r.addr == addr {
-			ep.regions = append(ep.regions[:i], ep.regions[i+1:]...)
-			return
-		}
+	if i := slices.IndexFunc(ep.regions, func(r memRegion) bool { return r.addr == addr }); i >= 0 {
+		ep.regions = slices.Delete(ep.regions, i, i+1)
 	}
 }
 
-// registered reports whether [addr, addr+size) lies inside one
-// registered region. Zero-size buffers are always permitted; a negative
-// size is left to checkOp's size check.
-func (ep *Endpoint) registered(addr uint64, size int) bool {
-	if size <= 0 {
-		return true
-	}
-	for _, r := range ep.regions {
+// regionOf returns the region of rs that holds [addr, addr+size), or nil.
+func regionOf(rs []memRegion, addr uint64, size int) *memRegion {
+	for i, r := range rs {
 		if addr >= r.addr && within(addr-r.addr, size, uint64(r.size)) {
-			return true
+			return &rs[i]
 		}
 	}
-	return false
+	return nil
 }
 
 // Alloc reserves size bytes in the address space and returns the base
@@ -729,14 +723,20 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 	}
 }
 
-// GlobalNotify switches notification delivery from per-connection
-// queues to a single endpoint-wide queue and returns it. A service
-// process can then demultiplex notifications from every peer; the
-// Notification's From field identifies the sender. Call before any
-// notification traffic.
-func (ep *Endpoint) GlobalNotify() *sim.Mailbox[Notification] {
-	if ep.notifyAll == nil {
-		ep.notifyAll = &sim.Mailbox[Notification]{}
+// NotifyRegion returns the mailbox of the notifications whose write
+// lands at an address in [base, base+size), from any peer
+// (Notification.From names it). A notification outside every region
+// goes to its connection's WaitNotify queue. Regions may not overlap.
+func (ep *Endpoint) NotifyRegion(base uint64, size int) *sim.Mailbox[Notification] {
+	if size < 0 || !within(base, size, uint64(len(ep.mem))) {
+		panic("core: NotifyRegion: region outside address space")
 	}
-	return ep.notifyAll
+	for _, r := range ep.routes {
+		if base < r.addr+uint64(r.size) && r.addr < base+uint64(size) {
+			panic("core: NotifyRegion: regions overlap")
+		}
+	}
+	q := &sim.Mailbox[Notification]{}
+	ep.routes = append(ep.routes, memRegion{addr: base, size: size, q: q})
+	return q
 }

@@ -98,7 +98,8 @@ func (c *Conn) checkOp(op Op) error {
 	if err := c.endedErr(); err != nil {
 		return err
 	}
-	if c.ep.cfg.EnforceRegistration && !c.ep.registered(op.Local, op.Size) {
+	// Zero-size buffers need no registration; a negative size fails below.
+	if c.ep.cfg.EnforceRegistration && op.Size > 0 && regionOf(c.ep.regions, op.Local, op.Size) == nil {
 		return fmt.Errorf("core: local buffer [%d,%d): %w", op.Local, op.Local+uint64(op.Size), ErrUnregistered)
 	}
 	if op.Size < 0 {
@@ -243,11 +244,7 @@ func (c *Conn) admitWait(p *sim.Proc, op Op, room func() bool, late func() error
 // MustDo is Do for callers that guarantee the operation is valid; it
 // panics on error, preserving the legacy RDMAOperation contract.
 func (c *Conn) MustDo(p *sim.Proc, op Op) *Handle {
-	h, err := c.Do(p, op)
-	if err != nil {
-		panic(err)
-	}
-	return h
+	return c.MustDoOn(p, c.ep.cpus.App, op)
 }
 
 // MustDoOn is DoOn with the MustDo panic-on-error contract.

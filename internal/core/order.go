@@ -351,8 +351,10 @@ func (c *Conn) completeRxOp(op *rxOp) {
 	if op.flags&frame.Notify != 0 && op.opType == frame.OpWrite {
 		ep.Stats.Notifies++
 		n := Notification{From: c.remoteNode, OpID: op.id, Addr: op.remote, Len: int(op.total)}
-		q := ep.notifyAll
-		if q == nil {
+		var q *sim.Mailbox[Notification]
+		if r := regionOf(ep.routes, op.remote, 1); r != nil {
+			q = r.q
+		} else {
 			q = c.notifyGroup()
 		}
 		ep.cpus.Proto.Submit(ep.env, ep.costs.UserWake, func() { q.Send(ep.env, n) })

@@ -317,7 +317,7 @@ type Instance struct {
 	outDiff     uint64 // staging for outgoing diff batches
 	maxNotices  int
 
-	notify    *sim.Mailbox[core.Notification]
+	notify    *sim.Mailbox[core.Notification] // writes into inboxCtrl
 	grantMb   sim.Mailbox[struct{}]
 	ackMb     sim.Mailbox[struct{}]
 	barMb     sim.Mailbox[struct{}]
@@ -363,6 +363,7 @@ func newInstance(sys *System, node *cluster.Node, conns []*core.Conn, n, pages i
 	in.shared = ep.Alloc(pages * PageSize)
 	peers := n - 1
 	in.inboxCtrl = ep.Alloc(peers * numClasses * ctrlSlotBytes)
+	in.notify = ep.NotifyRegion(in.inboxCtrl, peers*numClasses*ctrlSlotBytes)
 	in.inboxNotice = ep.Alloc(peers * numNoticeBufs * in.maxNotices * 4)
 	in.inboxDiff = ep.Alloc(peers * diffBufBytes)
 	in.outCtrl = ep.Alloc(ctrlSlotBytes)
@@ -372,7 +373,6 @@ func newInstance(sys *System, node *cluster.Node, conns []*core.Conn, n, pages i
 }
 
 func (in *Instance) start() {
-	in.notify = in.node.EP.GlobalNotify()
 	self := in
 	in.env.Go(fmt.Sprintf("dsm-svc-%d", in.self), func(p *sim.Proc) { self.serve(p) })
 }

@@ -19,9 +19,6 @@
 //
 // Collectives (Barrier, Bcast, Reduce, Allreduce, Alltoall) are built
 // from the point-to-point layer with classic logarithmic algorithms.
-//
-// A Comm owns its endpoint's notification stream: do not combine it
-// with the DSM on the same endpoint.
 package msg
 
 import (
@@ -66,6 +63,8 @@ type Comm struct {
 	ep    *core.Endpoint
 	conns []*core.Conn
 	env   *sim.Env
+
+	notify *sim.Mailbox[core.Notification] // writes into the rings and credit words
 
 	ringBase    uint64 // my inbound rings, one per peer
 	creditBase  uint64 // my inbound credit counters, one per peer
@@ -138,7 +137,8 @@ func New(cl *cluster.Cluster, conns [][]*core.Conn) []*Comm {
 			peers = 1
 		}
 		c.ringBase = ep.Alloc(peers * RingSlots * SlotBytes)
-		c.creditBase = ep.Alloc(peers * 8)
+		c.creditBase = ep.Alloc(peers * 8) // right after the rings: one region holds both
+		c.notify = ep.NotifyRegion(c.ringBase, int(c.creditBase-c.ringBase)+peers*8)
 		c.outSlot = ep.Alloc(SlotBytes)
 		c.outCredit = ep.Alloc(8)
 		c.bounce = ep.Alloc(stagingBytes)
@@ -371,10 +371,8 @@ func (c *Comm) sendCtl(p *sim.Proc, to, kind, tag, size int, seq uint32, addr ui
 // ---------------------------------------------------------------------
 
 func (c *Comm) serve(p *sim.Proc) {
-	notify := c.ep.GlobalNotify()
 	for {
-		n := notify.Recv(p)
-		c.handle(p, n)
+		c.handle(p, c.notify.Recv(p))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
-	"multiedge/internal/msg"
 	"multiedge/internal/obs"
 	"multiedge/internal/sim"
 )
@@ -77,9 +76,6 @@ func (s *ClientStats) collector(node int, svc *Service) obs.Collector {
 // first, when configured). Every journaled operation belongs to some
 // blocked caller whose own Call loop re-issues it, so the exactly-once
 // guarantee is: old epoch condemned, each op re-lands exactly once.
-//
-// At most one relay-enabled stub may exist per endpoint: it owns the
-// endpoint's global notification stream.
 type Client struct {
 	ep   *core.Endpoint
 	env  *sim.Env
@@ -97,10 +93,11 @@ type Client struct {
 	relayConn    *core.Conn
 	relayDialing *sim.Signal
 	relayTok     *sim.Mailbox[struct{}] // serializes relay exchanges
+	relaySlot    uint64                 // this stub's call slot at the relay
 	relayOut     uint64                 // local staging slot for call envelopes
 	relayReply   uint64                 // local reply slot the relay writes into
 	relayCallID  uint64
-	gn           *sim.Mailbox[core.Notification]
+	replies      *sim.Mailbox[core.Notification] // writes into relayReply
 
 	Stats ClientStats
 }
@@ -130,14 +127,16 @@ func Connect(ep *core.Endpoint, reg *Registry, name string, opts Options) (*Clie
 		c.cqTok[i].Send(c.env, struct{}{})
 	}
 	if opts.UseRelay {
-		if _, _, ok := reg.Relay(); !ok {
-			return nil, fmt.Errorf("svc: connect %q: %w", name, ErrNoRelay)
+		slot, err := reg.takeRelaySlot()
+		if err != nil {
+			return nil, fmt.Errorf("svc: connect %q: %w", name, err)
 		}
-		c.relayOut = ep.Alloc(msg.RelaySlotBytes)
-		c.relayReply = ep.Alloc(msg.RelaySlotBytes)
+		c.relaySlot = slot
+		c.relayOut = ep.Alloc(relaySlotBytes)
+		c.relayReply = ep.Alloc(relaySlotBytes)
+		c.replies = ep.NotifyRegion(c.relayReply, relaySlotBytes)
 		c.relayTok = &sim.Mailbox[struct{}]{}
 		c.relayTok.Send(c.env, struct{}{})
-		c.gn = ep.GlobalNotify()
 	}
 	ep.Obs().AddCollector(c.Stats.collector(ep.Node(), s))
 	return c, nil

@@ -6,7 +6,6 @@ import (
 
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
-	"multiedge/internal/msg"
 	"multiedge/internal/obs"
 	"multiedge/internal/sim"
 )
@@ -17,16 +16,16 @@ import (
 
 // callRelay forwards op to backend b through the registry's relay:
 // encode a call envelope into the local staging slot, write it into the
-// relay's per-client-node mailbox with Notify, and block on the global
-// notification stream for the reply envelope. One exchange at a time
-// per stub (the relay mailbox is one slot per client node).
+// stub's call slot at the relay with Notify, and wait for the reply
+// envelope in the stub's reply slot. One exchange at a time per stub
+// (it has one call slot).
 func (c *Client) callRelay(p *sim.Proc, b int, token uint64, op core.Op) error {
 	if !c.opts.UseRelay {
 		return ErrNoRelay
 	}
-	if op.Size > msg.MaxRelayPayload {
+	if op.Size > maxRelayPayload {
 		return fmt.Errorf("svc %s: %d-byte op exceeds relay payload %d: %w",
-			c.svc.Name, op.Size, msg.MaxRelayPayload, ErrBadCall)
+			c.svc.Name, op.Size, maxRelayPayload, ErrBadCall)
 	}
 	c.relayTok.Recv(p)
 	err := c.relayExchange(p, b, token, op)
@@ -39,24 +38,23 @@ func (c *Client) relayExchange(p *sim.Proc, b int, token uint64, op core.Op) err
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrRelayFailed, err)
 	}
-	_, relayBase, _ := c.reg.Relay()
 	mem := c.ep.Mem()
 	c.relayCallID++
-	call := msg.RelayEnvelope{
-		Kind: msg.RelayCall, OpKind: op.Kind, Flags: op.Flags,
+	call := relayEnvelope{
+		Kind: kindCall, OpKind: op.Kind, Flags: op.Flags,
 		Backend: uint32(c.svc.Backends[b].Node), CallID: c.relayCallID,
 		Token: token, Remote: c.svc.Backends[b].Base + op.Remote,
 		Size: uint32(op.Size), Reply: c.relayReply,
 	}
-	call.Encode(mem[c.relayOut : c.relayOut+msg.RelayHdrBytes])
-	n := msg.RelayHdrBytes
+	call.encode(mem[c.relayOut : c.relayOut+relayHdrBytes])
+	n := relayHdrBytes
 	if op.Kind == frame.OpWrite {
-		copy(mem[c.relayOut+msg.RelayHdrBytes:c.relayOut+uint64(msg.RelayHdrBytes+op.Size)],
+		copy(mem[c.relayOut+relayHdrBytes:c.relayOut+uint64(relayHdrBytes+op.Size)],
 			mem[op.Local:op.Local+uint64(op.Size)])
 		n += op.Size
 	}
 	wop := core.Op{
-		Remote: relayBase + uint64(c.ep.Node())*msg.RelaySlotBytes, Local: c.relayOut,
+		Remote: c.relaySlot, Local: c.relayOut,
 		Size: n, Kind: frame.OpWrite, Flags: frame.Notify,
 	}
 	if c.opts.FailoverBudget > 0 {
@@ -75,8 +73,8 @@ func (c *Client) relayExchange(p *sim.Proc, b int, token uint64, op core.Op) err
 	return c.awaitReply(p, b, op)
 }
 
-// awaitReply blocks on the global notification stream until the relay's
-// reply envelope for the current call lands (or the guard expires: the
+// awaitReply waits on the stub's reply-slot mailbox until the relay's
+// reply envelope for the current call lands, or the guard expires (the
 // relay's forwarding budget, both wire legs, plus slack).
 func (c *Client) awaitReply(p *sim.Proc, b int, op core.Op) error {
 	mem := c.ep.Mem()
@@ -85,37 +83,29 @@ func (c *Client) awaitReply(p *sim.Proc, b int, op core.Op) error {
 	if c.opts.FailoverBudget > 0 {
 		guard = c.env.After(3*c.opts.FailoverBudget, func() {
 			expired = true
-			c.gn.Send(c.env, core.Notification{From: -1})
+			c.replies.Send(c.env, core.Notification{}) // wake the wait below
 		})
 	}
 	for {
-		nf := c.gn.Recv(p)
-		if nf.From == -1 {
-			if expired {
-				c.dropRelayConn()
-				return fmt.Errorf("%w: reply timeout", ErrRelayFailed)
-			}
-			continue // stale guard poison from an earlier exchange
-		}
-		if nf.Addr != c.relayReply {
-			continue // not ours; relay-enabled stubs own the stream
-		}
-		re, derr := msg.DecodeRelayEnvelope(mem[c.relayReply : c.relayReply+msg.RelaySlotBytes])
-		if derr != nil || re.Kind != msg.RelayReply || re.CallID != c.relayCallID {
-			continue // torn or stale reply; keep waiting for the real one
-		}
-		if guard != nil {
+		c.replies.Recv(p)
+		re, derr := decodeRelayEnvelope(mem[c.relayReply : c.relayReply+relaySlotBytes])
+		if derr == nil && re.Kind == kindReply && re.CallID == c.relayCallID {
 			guard.Stop()
+			if re.Status != statusOK {
+				return fmt.Errorf("svc %s: relay reports backend node %d unreachable: %w",
+					c.svc.Name, c.svc.Backends[b].Node, core.ErrPeerDead)
+			}
+			if op.Kind == frame.OpRead {
+				copy(mem[op.Local:op.Local+uint64(op.Size)],
+					mem[c.relayReply+relayHdrBytes:c.relayReply+uint64(relayHdrBytes+op.Size)])
+			}
+			return nil
 		}
-		if re.Status != msg.RelayOK {
-			return fmt.Errorf("svc %s: relay reports backend node %d unreachable: %w",
-				c.svc.Name, c.svc.Backends[b].Node, core.ErrPeerDead)
+		if expired {
+			c.dropRelayConn()
+			return fmt.Errorf("%w: reply timeout", ErrRelayFailed)
 		}
-		if op.Kind == frame.OpRead {
-			copy(mem[op.Local:op.Local+uint64(op.Size)],
-				mem[c.relayReply+msg.RelayHdrBytes:c.relayReply+uint64(msg.RelayHdrBytes+op.Size)])
-		}
-		return nil
+		// A late reply to an earlier call, or an earlier guard's wake.
 	}
 }
 
@@ -126,7 +116,7 @@ func (c *Client) ensureRelay(p *sim.Proc) (*core.Conn, error) {
 	if rc := c.relayConn; rc != nil && !rc.Failed() && !rc.Closed() {
 		return rc, nil
 	}
-	relayNode, _, _ := c.reg.Relay()
+	relayNode, _ := c.reg.Relay()
 	sig := &sim.Signal{}
 	c.relayDialing = sig
 	rc := c.ep.Dial(p, relayNode, c.opts.Links)
@@ -159,24 +149,24 @@ type RelayStats struct {
 }
 
 // Relay is the designated forwarding node: it holds (lazily dialed)
-// connections to both sides and serves calls one at a time off its
-// endpoint's global notification stream — head-of-line blocking under a
-// parked backend is bounded by the forwarding budget. Call slots are
-// indexed by client node id, so one relay serves every client and
-// service in the cluster.
+// connections to both sides and serves calls one at a time, in the
+// order they land in its call slots — head-of-line blocking under a
+// parked backend is bounded by the forwarding budget. Each
+// relay-enabled stub owns one call slot, whatever its node or service,
+// so one relay serves every client and service in the cluster.
 type Relay struct {
 	ep     *core.Endpoint
 	env    *sim.Env
 	base   uint64
-	slots  int
+	calls  *sim.Mailbox[core.Notification] // writes into the call slots
 	budget sim.Time
 	conns  map[int]*core.Conn
 	Stats  RelayStats
 }
 
-// StartRelay allocates the relay's mailbox region (slots must cover
-// every node id that may call), records it in the registry, and starts
-// the serve daemon. budget bounds each forwarded operation like a
+// StartRelay allocates the relay's call slots (one per relay-enabled
+// stub that will Connect), records them in the registry, and starts the
+// serve daemon. budget bounds each forwarded operation like a
 // client's FailoverBudget (0 = DefaultFailoverBudget, negative = none).
 func StartRelay(ep *core.Endpoint, reg *Registry, slots int, budget sim.Time) *Relay {
 	if budget == 0 {
@@ -185,29 +175,22 @@ func StartRelay(ep *core.Endpoint, reg *Registry, slots int, budget sim.Time) *R
 	if budget < 0 {
 		budget = 0
 	}
-	r := &Relay{
-		ep: ep, env: ep.Env(), slots: slots, budget: budget,
-		conns: map[int]*core.Conn{},
-	}
-	r.base = ep.Alloc(slots * msg.RelaySlotBytes)
-	reg.setRelay(ep.Node(), r.base)
+	r := &Relay{ep: ep, env: ep.Env(), budget: budget, conns: map[int]*core.Conn{}}
+	r.base = ep.Alloc(slots * relaySlotBytes)
+	r.calls = ep.NotifyRegion(r.base, slots*relaySlotBytes)
+	reg.setRelay(ep.Node(), r.base, slots)
 	r.env.Go(fmt.Sprintf("svc-relay-n%d", ep.Node()), r.serve)
 	return r
 }
 
-// Base returns the mailbox region's base address (client slot i lives
-// at Base + i*RelaySlotBytes).
+// Base returns the address of the first call slot (the i-th stub to
+// Connect with UseRelay owns Base + i*8 KiB).
 func (r *Relay) Base() uint64 { return r.base }
 
 func (r *Relay) serve(p *sim.Proc) {
-	gn := r.ep.GlobalNotify()
-	limit := r.base + uint64(r.slots*msg.RelaySlotBytes)
 	for {
-		nf := gn.Recv(p)
-		if nf.Len < 0 || nf.Addr < r.base || nf.Addr >= limit {
-			continue // poison or a write outside the mailbox region
-		}
-		slot := r.base + (nf.Addr-r.base)/msg.RelaySlotBytes*msg.RelaySlotBytes
+		nf := r.calls.Recv(p)
+		slot := r.base + (nf.Addr-r.base)/relaySlotBytes*relaySlotBytes
 		r.handle(p, nf.From, slot)
 	}
 }
@@ -217,16 +200,16 @@ func (r *Relay) handle(p *sim.Proc, from int, slot uint64) {
 	r.Stats.Calls++
 	sp := r.ep.Obs().StartLayerSpan(r.ep.Node(), "svc", "relay-forward", 0)
 	defer sp.EndAt(r.env.Now())
-	call, err := msg.DecodeRelayEnvelope(mem[slot : slot+msg.RelaySlotBytes])
-	if err != nil || call.Kind != msg.RelayCall {
+	call, err := decodeRelayEnvelope(mem[slot : slot+relaySlotBytes])
+	if err != nil || call.Kind != kindCall {
 		// Without a decoded reply address there is nobody to answer;
 		// the client's guard timer converts the silence into an error.
 		r.Stats.BadCalls++
 		return
 	}
-	status := msg.RelayOK
+	status := statusOK
 	if ferr := r.forward(p, slot, call); ferr != nil {
-		status = msg.RelayBackendDead
+		status = statusBackendDead
 		r.Stats.BackendDead++
 	} else {
 		r.Stats.Forwarded++
@@ -238,13 +221,13 @@ func (r *Relay) handle(p *sim.Proc, from int, slot uint64) {
 // the backend. Read data lands in the slot's payload area, ready for
 // the reply. The Notify flag is stripped: notification semantics belong
 // to the client side of the exchange.
-func (r *Relay) forward(p *sim.Proc, slot uint64, call msg.RelayEnvelope) error {
+func (r *Relay) forward(p *sim.Proc, slot uint64, call relayEnvelope) error {
 	cn, err := r.ensureConn(p, int(call.Backend))
 	if err != nil {
 		return err
 	}
 	op := core.Op{
-		Remote: call.Remote, Local: slot + msg.RelayHdrBytes,
+		Remote: call.Remote, Local: slot + relayHdrBytes,
 		Size: int(call.Size), Kind: call.OpKind, Flags: call.Flags &^ frame.Notify,
 	}
 	if r.budget > 0 {
@@ -268,18 +251,18 @@ func (r *Relay) forward(p *sim.Proc, slot uint64, call msg.RelayEnvelope) error 
 // reply rewrites the slot header in place as a reply envelope and
 // writes it (plus read data on success) back to the client's reply
 // slot with Notify.
-func (r *Relay) reply(p *sim.Proc, from int, slot uint64, call msg.RelayEnvelope, status msg.RelayStatus) {
+func (r *Relay) reply(p *sim.Proc, from int, slot uint64, call relayEnvelope, status relayStatus) {
 	cn, err := r.ensureConn(p, from)
 	if err != nil {
 		return // client unreachable; its guard timer fires
 	}
 	re := call
-	re.Kind = msg.RelayReply
+	re.Kind = kindReply
 	re.Status = status
 	mem := r.ep.Mem()
-	re.Encode(mem[slot : slot+msg.RelayHdrBytes])
-	n := msg.RelayHdrBytes
-	if status == msg.RelayOK && call.OpKind == frame.OpRead {
+	re.encode(mem[slot : slot+relayHdrBytes])
+	n := relayHdrBytes
+	if status == statusOK && call.OpKind == frame.OpRead {
 		n += int(call.Size)
 	}
 	wop := core.Op{Remote: call.Reply, Local: slot, Size: n, Kind: frame.OpWrite, Flags: frame.Notify}
@@ -317,8 +300,8 @@ func (r *Relay) dropConn(node int) {
 }
 
 // Shutdown closes the relay's connections (gracefully when possible,
-// abandoning parked ones). The serve daemon stays parked on the
-// notification stream; it holds no timers, so it never keeps a drained
+// abandoning parked ones). The serve daemon stays parked on its call
+// slots' mailbox; it holds no timers, so it never keeps a drained
 // simulation alive.
 func (r *Relay) Shutdown(p *sim.Proc) {
 	nodes := make([]int, 0, len(r.conns))

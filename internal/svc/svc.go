@@ -11,8 +11,8 @@
 // — a dead backend's connection is journaled (Conn.Journal) and
 // condemned (Conn.Abandon) so its epoch can never rebirth, and the
 // incomplete operations land exactly once on a healthy replica when the
-// callers re-issue them; relay forwarding is a msg.RelayEnvelope
-// written into the relay node's mailbox region with one-sided writes.
+// callers re-issue them; relay forwarding is a relay envelope written
+// into the stub's own slot at the relay node with one-sided writes.
 //
 // Everything here is deterministic: registries and balancers iterate in
 // fixed orders, the only randomness is a seeded xorshift in the random
@@ -36,7 +36,8 @@ var (
 	// ErrBadCall: the operation does not fit the service (offset/size
 	// outside the region, unsupported kind).
 	ErrBadCall = errors.New("svc: bad call")
-	// ErrNoRelay: Options.UseRelay is set but the registry has no relay.
+	// ErrNoRelay: Options.UseRelay is set but the registry has no relay,
+	// or every one of its call slots is taken.
 	ErrNoRelay = errors.New("svc: no relay registered")
 	// ErrRelayFailed: the relay path itself broke (relay unreachable or
 	// its reply timed out).
@@ -70,9 +71,11 @@ type Registry struct {
 	services map[string]*Service
 	names    []string
 
-	relayNode int
-	relayBase uint64
-	hasRelay  bool
+	relayNode  int
+	relayBase  uint64
+	relaySlots int // call slots at the relay, one per relay-enabled stub
+	relayTaken int // slots handed out by Connect
+	hasRelay   bool
 }
 
 // NewRegistry creates an empty service registry.
@@ -114,14 +117,26 @@ func (r *Registry) Lookup(name string) (*Service, bool) {
 func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
 
 // setRelay records the relay's location; called by StartRelay.
-func (r *Registry) setRelay(node int, base uint64) {
-	r.relayNode, r.relayBase, r.hasRelay = node, base, true
+func (r *Registry) setRelay(node int, base uint64, slots int) {
+	r.relayNode, r.relayBase, r.relaySlots, r.hasRelay = node, base, slots, true
 }
 
-// Relay returns the relay node and the base of its per-client mailbox
-// region, if one is registered.
-func (r *Registry) Relay() (node int, base uint64, ok bool) {
-	return r.relayNode, r.relayBase, r.hasRelay
+// takeRelaySlot hands a relay-enabled stub the address of its own call
+// slot at the relay. Slots are never given back.
+func (r *Registry) takeRelaySlot() (uint64, error) {
+	if !r.hasRelay {
+		return 0, ErrNoRelay
+	}
+	if r.relayTaken == r.relaySlots {
+		return 0, fmt.Errorf("all %d relay slots taken: %w", r.relaySlots, ErrNoRelay)
+	}
+	r.relayTaken++
+	return r.relayBase + uint64(r.relayTaken-1)*relaySlotBytes, nil
+}
+
+// Relay returns the relay node, if one is registered.
+func (r *Registry) Relay() (node int, ok bool) {
+	return r.relayNode, r.hasRelay
 }
 
 // Options configures one client stub. The zero value is usable:
@@ -140,9 +155,8 @@ type Options struct {
 	Links int
 	// UseRelay enables relay fallback: when the direct path to a
 	// backend breaks, the call is forwarded through the registry's
-	// relay before the backend is condemned. Requires StartRelay.
-	// A relay-enabled client owns its endpoint's global notification
-	// stream (core.Endpoint.GlobalNotify).
+	// relay before the backend is condemned. Requires StartRelay, and
+	// takes one of the relay's call slots for the stub's life.
 	UseRelay bool
 	// MaxAttempts caps how many backends one call may try before
 	// giving up. 0 means the replica count.

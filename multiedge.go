@@ -302,8 +302,9 @@ type (
 const AnyTag = msg.AnyTag
 
 // NewComms builds one communicator per node over an established full
-// mesh. A communicator owns its endpoint's notification stream; do not
-// combine it with a DSM on the same endpoints.
+// mesh. A communicator takes only the notifications of writes into its
+// own rings and credit words, so a DSM, a relay and service stubs may
+// share its endpoints.
 func NewComms(cl *Cluster, conns [][]*Conn) []*Comm {
 	return msg.New(cl, conns)
 }
@@ -378,7 +379,8 @@ var (
 	ErrNoBackends = svc.ErrNoBackends
 	// ErrBadCall: the operation does not fit the service region.
 	ErrBadCall = svc.ErrBadCall
-	// ErrNoRelay: relay fallback requested without StartRelay.
+	// ErrNoRelay: relay fallback requested without StartRelay, or with
+	// every relay call slot taken.
 	ErrNoRelay = svc.ErrNoRelay
 	// ErrRelayFailed: the relay path itself broke.
 	ErrRelayFailed = svc.ErrRelayFailed
@@ -397,9 +399,11 @@ var (
 	NewAffinity = svc.NewAffinity
 )
 
-// StartRelay turns ep into the registry's relay: a forwarding node with
-// slots per-client mailboxes that replays calls toward backends the
-// caller cannot reach directly. budget 0 means DefaultFailoverBudget.
+// StartRelay turns ep into the registry's relay: a forwarding node that
+// replays calls toward backends the caller cannot reach directly. It
+// has slots call slots; each stub connected WithRelayFallback takes one
+// for its life, and Connect fails with ErrNoRelay once none is left.
+// budget 0 means DefaultFailoverBudget.
 func StartRelay(ep *Endpoint, reg *Registry, slots int, budget Time) *Relay {
 	return svc.StartRelay(ep, reg, slots, budget)
 }
@@ -462,10 +466,11 @@ func Serve(reg *Registry, name string, size int, backends []*Endpoint, opts ...S
 type ServeOption func(*Registry, *Service) error
 
 // WithRelay starts a relay on ep during Serve when the registry does
-// not already have one; slots bounds concurrent relayed callers.
+// not already have one; slots bounds the stubs that may connect
+// WithRelayFallback (see StartRelay).
 func WithRelay(ep *Endpoint, slots int) ServeOption {
 	return func(reg *Registry, _ *Service) error {
-		if _, _, ok := reg.Relay(); ok {
+		if _, ok := reg.Relay(); ok {
 			return nil
 		}
 		svc.StartRelay(ep, reg, slots, 0)
