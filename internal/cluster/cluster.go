@@ -371,6 +371,8 @@ func New(cfg Config) *Cluster {
 			}
 		}
 	}
+	pool := &phys.Pool{} // one per simulation: its frames cross every node
+	env.OnStop(pool.Trim)
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{ID: i, CPUs: hostmodel.NewCPUs("n" + strconv.Itoa(i))}
 		n.CPUs.App.On(env)
@@ -391,7 +393,7 @@ func New(cfg Config) *Cluster {
 			}
 			n.NICs = append(n.NICs, nic)
 		}
-		n.EP = core.NewEndpoint(env, i, cfg.Core, cfg.Costs, n.CPUs, n.NICs)
+		n.EP = core.NewEndpoint(env, i, cfg.Core, cfg.Costs, n.CPUs, n.NICs, pool)
 		cl.Nodes = append(cl.Nodes, n)
 	}
 	cl.wireObs()

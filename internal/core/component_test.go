@@ -344,7 +344,7 @@ func TestArqTx(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			x := &arqTx{sndUna: tc.isn, sndNxt: tc.isn}
 			ackEvery := cmp.Or(tc.ackEvery, cfg.AckEvery)
-			var free []*txFrame
+			var free freelists
 			var ops []*txOp
 			for id, o := range tc.ops {
 				ops = append(ops, &txOp{id: uint64(id), opType: frame.OpWrite, flags: frame.OpFlags(o[1]), data: make([]byte, o[0]), total: uint32(o[0])})

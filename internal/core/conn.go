@@ -401,7 +401,7 @@ func (c *Conn) teardown(cause error) {
 	ep := c.ep
 	c.stopTimers()
 	c.outstanding(func(t *txOp) { c.endTxOp(t, cause) })
-	c.dropWindow(&ep.tfFree)
+	c.dropWindow(&ep.free)
 	// Posted-but-unrung descriptors never received ids; their error
 	// completions carry OpID 0 and the original Op for correlation. Each
 	// still holds the admission quota Post charged — return it.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"multiedge/internal/frame"
+	"multiedge/internal/phys"
 	"multiedge/internal/race"
 	"multiedge/internal/sim"
 )
@@ -114,12 +115,11 @@ type dpState struct {
 	cc      ccState
 	ops     []*txOp // by op id
 	done    []bool  // the sender ended the op: every frame acknowledged
-	tfFree  []*txFrame
+	free    freelists
 
 	rx      arqRx
 	ord     orderer
 	rxRails railSet
-	rxFree  []*rxOp
 	mem     []byte
 	frames  []dpFrame
 
@@ -194,6 +194,7 @@ func newDPState(k *dpCase) *dpState {
 	cfg.Window, cfg.GoBackN, cfg.Strict = k.window, k.goBackN, k.strict
 	cfg.DeadInterval, cfg.MaxRetries = 0, 0 // an explorer clock never declares death
 	s := &dpState{k: k, cfg: &cfg, now: 1}  // a held frame's heldAt is never 0
+	s.free.pool = &phys.Pool{}              // the case's states share it, never a buffer
 	sizes := make([]int, len(k.prog))
 	flags := make([]frame.OpFlags, len(k.prog))
 	remote := uint64(0)
@@ -226,7 +227,8 @@ func newDPState(k *dpCase) *dpState {
 }
 
 // clone copies the state deeply, remapping the sender's op and frame
-// records onto the copy's. Freelists start empty: they only reuse memory.
+// records onto the copy's, and giving each held payload a buffer of its
+// own. Freelists start empty: they only reuse memory.
 func (s *dpState) clone() *dpState {
 	c := new(dpState)
 	*c = *s
@@ -258,7 +260,7 @@ func (s *dpState) clone() *dpState {
 	c.tx.txFenced = own(b.txFenced[:], s.tx.txFenced)
 	c.txRails.rails = own(b.txRails[:], s.txRails.rails)
 	c.done = own(b.done[:], s.done)
-	c.tfFree = nil
+	c.free = freelists{pool: s.free.pool}
 
 	c.rx.rcv.slots = own(b.rcv[:], s.rx.rcv.slots)
 	c.ord.rxOps = nil
@@ -277,8 +279,13 @@ func (s *dpState) clone() *dpState {
 	}
 	c.ord.fenced = own(b.fenced[:], s.ord.fenced)
 	c.ord.held = own(b.held[:], s.ord.held)
+	for i := range c.ord.held {
+		if hf := &c.ord.held[i]; hf.buf != nil {
+			hf.buf = c.free.pool.Get()
+			hf.payload = hf.buf.Bytes()[:copy(hf.buf.Bytes(), hf.payload)]
+		}
+	}
 	c.rxRails.rails = own(b.rxRails[:], s.rxRails.rails)
-	c.rxFree = nil
 	c.mem = own(b.mem[:], s.mem)
 	c.frames = own(b.frames[:], s.frames)
 	c.wire = own(b.wire[:], s.wire)
@@ -299,7 +306,7 @@ func (s *dpState) fail(format string, args ...any) {
 // pump puts on the wire every frame the sender has to give.
 func (s *dpState) pump() {
 	for {
-		tf, repair := s.tx.next(&s.tfFree, s.cc.ccRetxOK(s.cfg), s.cc.effWindow(s.cfg), dpPay, s.cfg.AckEvery)
+		tf, repair := s.tx.next(&s.free, s.cc.ccRetxOK(s.cfg), s.cc.effWindow(s.cfg), dpPay, s.cfg.AckEvery)
 		if tf == nil {
 			return
 		}
@@ -336,7 +343,7 @@ func (s *dpState) deliver(li int, fwd bool) {
 		s.fail("an ACK covers %d, beyond what was sent (%d)", m.ack, s.tx.sndNxt)
 	}
 	una := s.tx.sndUna
-	if n, _ := s.tx.ack(m.ack, s.now, &s.tfFree, func(tf *txFrame, done bool) {
+	if n, _ := s.tx.ack(m.ack, s.now, &s.free, func(tf *txFrame, done bool) {
 		if done {
 			s.done[tf.op.id] = true
 		}
@@ -370,7 +377,7 @@ func (s *dpState) receive(li int, m dpMsg) {
 	}
 	s.frames[k].accepted = true
 	s.ref.arrive(k)
-	if s.ord.accept(*m.h, m.payload, s.now, s.k.strict, &s.rxFree, s.perform) {
+	if s.ord.accept(*m.h, m.payload, s.now, s.k.strict, &s.free, s.perform) {
 		s.cover.held++
 	}
 	for i, p := range s.ref.performed {
@@ -383,7 +390,7 @@ func (s *dpState) receive(li int, m dpMsg) {
 
 // perform applies a frame the orderer admitted to the receiver's memory.
 func (s *dpState) perform(h frame.Header, payload []byte, heldAt sim.Time) {
-	op, done := s.ord.performed(h, len(payload), &s.rxFree)
+	op, done := s.ord.performed(h, len(payload), &s.free)
 	if op.complete {
 		return // a replay of an op performed before a reconnect
 	}
@@ -395,8 +402,8 @@ func (s *dpState) perform(h frame.Header, payload []byte, heldAt sim.Time) {
 		s.cover.fenceRelease++
 	}
 	copy(s.mem[h.Remote+uint64(h.Offset):], payload)
-	if done && s.ord.complete(op, &s.rxFree) {
-		s.rxFree = append(s.rxFree, op)
+	if done && s.ord.complete(op, &s.free) {
+		s.free.rx.Put(op)
 	}
 }
 

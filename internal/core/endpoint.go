@@ -28,7 +28,7 @@ type Endpoint struct {
 	mem        []byte          // MemBytes from mapMem; nil once released
 	memCleanup runtime.Cleanup // releases mem if the endpoint is dropped unreleased
 	memBrk     uint64
-	snapFree   [][][]byte // idle large snapshots by size class (see snapshot)
+	snapFree   [][][]byte // idle snapshots by size class (see snapBuf)
 
 	conns      map[uint32]*Conn  // by local connection id
 	connOrder  []*Conn           // stable iteration order for fairness
@@ -48,8 +48,10 @@ type Endpoint struct {
 	ctrlStepFn   func(any) // arg *Conn: ACK/NACK service
 	sendStepFn   func(any) // arg *Conn: data service, charged to qosDispatchCls
 	fireSigFn    func(any) // arg *sim.Signal: user wake (handle/CQ completion)
+	noteFn       func(any) // arg *sim.Mailbox[Notification]: delivers the head of notes there
 	rxStepFn     func()    // dispatches rx, the frame pollRx took
 	rx           rxJob
+	notes        sim.Mailbox[Notification] // notifications behind their UserWake charge, in charge order
 
 	// Scratch and freelists shared by the endpoint's conns (DESIGN.md
 	// §13). The protocol thread serializes them: nothing here is held
@@ -57,11 +59,9 @@ type Endpoint struct {
 	// endpoint for the walk and hands them back after it.
 	nackSeqs    []uint32      // the list of the NACK being handled, decoded in place of a fresh slice
 	nackScratch []byte        // the payload of the NACK being sent (see sendCtrl)
-	tfFree      []*txFrame    // acknowledged or abandoned transmit-frame records
-	rxFree      []*rxOp       // frontier-collected receive-op records
+	free        freelists     // recycled records, and the simulation's frame pool
 	sqScratch   []Op          // spare submission-queue backing (see RingOn)
 	ringData    [][]byte      // RingOn's write snapshots
-	ringBufs    []*frame.Buf  // and their pooled backings
 	subScratch  []frame.SubOp // enqueueMulti's encode input
 
 	qosDispatchCls int // class of the in-flight sendStepFn dispatch
@@ -129,8 +129,10 @@ type peerKey struct {
 }
 
 // NewEndpoint creates the protocol layer for a node. The endpoint
-// installs itself as the interrupt host of every NIC.
-func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus hostmodel.CPUs, nics []*phys.NIC) *Endpoint {
+// installs itself as the interrupt host of every NIC, and draws its
+// frames and buffers from pool, which every endpoint of one simulation
+// shares and no other simulation may.
+func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus hostmodel.CPUs, nics []*phys.NIC, pool *phys.Pool) *Endpoint {
 	if cfg.Window <= 0 || cfg.AckEvery <= 0 || cfg.MemBytes <= 0 {
 		panic("core: invalid Config")
 	}
@@ -141,6 +143,7 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		byPeer:     make(map[peerKey]*Conn),
 		nextConnID: 1,
 		acceptAll:  true,
+		free:       freelists{pool: pool},
 	}
 	liveMem.Add(int64(cfg.MemBytes))
 	ep.memCleanup = runtime.AddCleanup(ep, releaseMem, ep.mem)
@@ -164,6 +167,13 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		ep.threadStep()
 	}
 	ep.fireSigFn = func(x any) { x.(*sim.Signal).Fire(ep.env) }
+	env.OnStop(func() { ep.snapFree = nil }) // see snapBuf
+	// The protocol CPU's lane runs charges in the order they were made,
+	// so each delivery pops the notification its charge was made for.
+	ep.noteFn = func(q any) {
+		n, _ := ep.notes.TryRecv()
+		q.(*sim.Mailbox[Notification]).Send(ep.env, n)
+	}
 	ep.rxStepFn = func() {
 		j := ep.rx
 		ep.rx = rxJob{}
@@ -219,13 +229,13 @@ func (ep *Endpoint) kickConn(c *Conn) {
 		q := &ep.qos[c.classIdx()]
 		if !c.inCtrlQ && c.ctrlPending() {
 			c.inCtrlQ = true
-			q.ctrlQ.push(c)
-			ep.emit(c.localID, obs.EvSched, 0, int64(q.ctrlQ.size()))
+			q.ctrlQ.Send(ep.env, c)
+			ep.emit(c.localID, obs.EvSched, 0, int64(q.ctrlQ.Len()))
 		}
 		if !c.inSendQ && c.sendable() {
 			c.inSendQ = true
-			q.sendQ.push(c)
-			ep.emit(c.localID, obs.EvSched, 1, int64(q.sendQ.size()))
+			q.sendQ.Send(ep.env, c)
+			ep.emit(c.localID, obs.EvSched, 1, int64(q.sendQ.Len()))
 		}
 	}
 	ep.wakeThread()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
 
@@ -181,6 +182,19 @@ const (
 // shows what endTxOp left of it.
 func (h *Handle) SnapshotForTest() []byte { return h.t.data[:cap(h.t.data)] }
 
+// RecycledForTest peeks at the SQ handle and the op record the endpoint
+// recycled last and returns the operation ids they read: PoisonIDForTest
+// under frame.SetPoolDebug, 0 otherwise (or when none was recycled).
+func (ep *Endpoint) RecycledForTest() (handle, op uint64) {
+	h, t := ep.free.handles.Get(), ep.free.ops.Get()
+	ep.free.handles.Put(h)
+	ep.free.ops.Put(t)
+	return h.opID, t.id
+}
+
+// PoisonIDForTest is the operation id a poisoned record reads.
+const PoisonIDForTest = ^uint64(0) / 255 * 0xDB
+
 // QosPendingForTest returns the admission charges class cls still
 // holds: operations admitted but not yet finished, and their bytes.
 func (ep *Endpoint) QosPendingForTest(cls int) (ops, bytes int) {
@@ -190,8 +204,11 @@ func (ep *Endpoint) QosPendingForTest(cls int) (ops, bytes int) {
 // ConnsForTest returns the endpoint's tabled conns in creation order.
 func (ep *Endpoint) ConnsForTest() []*Conn { return ep.connOrder }
 
-// IdleSnapshotsForTest counts the large snapshot buffers handed back to
-// the endpoint's freelist and waiting there for reuse.
+// PoolForTest returns the simulation's frame pool the endpoint draws from.
+func (ep *Endpoint) PoolForTest() *phys.Pool { return ep.free.pool }
+
+// IdleSnapshotsForTest counts the snapshot buffers handed back to the
+// endpoint's freelist and waiting there for reuse.
 func (ep *Endpoint) IdleSnapshotsForTest() int {
 	n := 0
 	for _, free := range ep.snapFree {

@@ -41,7 +41,7 @@ func (c *Conn) Journal() []Op {
 	c.outstanding(func(t *txOp) {
 		switch {
 		case t.probe:
-		case t.subs != nil:
+		case len(t.subs) > 0:
 			for _, s := range t.subs {
 				recs = append(recs, rec{id: s.id, op: s.op})
 			}

@@ -195,9 +195,8 @@ func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
 	// Snapshot the write payload; the txOp owns the buffer until
 	// completion or failure releases it.
 	var data []byte
-	var dataBuf *frame.Buf
 	if op.Kind == frame.OpWrite {
-		data, dataBuf = ep.snapshot(op.Local, op.Size)
+		data = ep.snapshot(op.Local, op.Size)
 	}
 	copyBytes := 0
 	if op.Kind == frame.OpWrite && !ep.cfg.Offload {
@@ -210,7 +209,7 @@ func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
 		ep.Stats.AppProtoTime += cost
 	}
 	p.Exec(cpu, cost)
-	return c.enqueueOp(op, data, dataBuf, false), nil
+	return c.enqueueOp(op, data, false), nil
 }
 
 // admitPoll is the blocking-admission polling interval: a Do caller a
@@ -260,20 +259,29 @@ func (c *Conn) MustDoOn(p *sim.Proc, cpu *sim.Resource, op Op) *Handle {
 // operation and hands it to the protocol thread. viaCQ marks operations
 // issued through the submission queue, whose completions surface on the
 // connection's completion queue as well as the returned handle.
-func (c *Conn) enqueueOp(op Op, data []byte, dataBuf *frame.Buf, viaCQ bool) *Handle {
+func (c *Conn) enqueueOp(op Op, data []byte, viaCQ bool) *Handle {
 	ep := c.ep
-	// One allocation carries both records: the handle is user-held (and
-	// so can never be recycled), and the txOp is embedded in it. Every
-	// handle keeps its descriptor: the CQ path surfaces it in
-	// completions, and recovery (Config.Reconnect) re-synthesizes a read
-	// request from it when the original txOp is long gone at replay time.
-	h := &Handle{c: c, opID: c.nextOpID, size: op.Size, op: op}
+	// One allocation carries both records: the txOp is embedded in the
+	// handle. A user-held handle can never be recycled; an SQ-posted one
+	// reaches no caller and comes from the endpoint's freelist, unless a
+	// deadline timer would hold it. Every handle keeps its descriptor:
+	// the CQ path surfaces it in completions, and recovery
+	// (Config.Reconnect) re-synthesizes a read request from it when the
+	// original txOp is long gone at replay time.
+	pooled := viaCQ && op.Deadline == 0
+	var h *Handle
+	if pooled {
+		h = ep.free.handles.Get()
+	} else {
+		h = new(Handle)
+	}
+	*h = Handle{c: c, opID: c.nextOpID, size: op.Size, op: op, cq: viaCQ}
 	t := &h.t
 	*t = txOp{
 		id: c.nextOpID, opType: op.Kind, flags: op.Flags,
 		remote: op.Remote, local: op.Local,
-		data: data, dataBuf: dataBuf, total: uint32(op.Size),
-		h: h,
+		data: data, total: uint32(op.Size),
+		h: h, pooled: pooled,
 	}
 	c.nextOpID++
 	if ep.qosOn() {
@@ -281,9 +289,6 @@ func (c *Conn) enqueueOp(op Op, data []byte, dataBuf *frame.Buf, viaCQ bool) *Ha
 		// txOp, which releases it exactly once at completion or failure —
 		// surviving reconnect replay, which re-queues these same objects.
 		t.qosCls, t.qosOps, t.qosBytes = c.opClass(op), 1, op.Size
-	}
-	if viaCQ {
-		h.cq = true
 	}
 	if ep.obs.SpansEnabled() {
 		name := "write"
@@ -432,22 +437,21 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 	ep.noteSQDepth(-n)
 	// Snapshot write payloads at ring time (the doorbell is the issue
 	// point), before the batched cost is charged — mirroring DoOn's
-	// snapshot-before-Exec order. The snapshot-pointer slices are
-	// endpoint scratch (reused ring to ring); small payloads snapshot
-	// into pooled buffers whose ownership transfers to the issued txOps.
-	data, bufs := ep.ringData[:0], ep.ringBufs[:0]
-	ep.ringData, ep.ringBufs = nil, nil
+	// snapshot-before-Exec order. The snapshot slice is endpoint
+	// scratch (reused ring to ring); the snapshots' ownership transfers
+	// to the issued txOps.
+	data := ep.ringData[:0]
+	ep.ringData = nil
 	copyBytes := 0
 	for _, op := range batch {
 		var d []byte
-		var b *frame.Buf
 		if op.Kind == frame.OpWrite {
-			d, b = ep.snapshot(op.Local, op.Size)
+			d = ep.snapshot(op.Local, op.Size)
 			if !ep.cfg.Offload {
 				copyBytes += op.Size
 			}
 		}
-		data, bufs = append(data, d), append(bufs, b)
+		data = append(data, d)
 	}
 	cost := ep.costs.BatchIssue(n, copyBytes)
 	if cpu == ep.cpus.App {
@@ -476,20 +480,11 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 			}
 			if j > i+1 {
 				c.enqueueMulti(batch[i:j], data[i:j])
-				// The coalesced payload copied the snapshots; their pooled
-				// backings are free again.
-				for k := i; k < j; k++ {
-					if bufs[k] != nil {
-						frame.PutBuf(bufs[k])
-						bufs[k] = nil
-					}
-				}
 				i = j
 				continue
 			}
 		}
-		c.enqueueOp(batch[i], data[i], bufs[i], true)
-		bufs[i] = nil
+		c.enqueueOp(batch[i], data[i], true)
 		i++
 	}
 	// Recycle the walk's scratch: the batch backing feeds the next ring's
@@ -498,7 +493,7 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 	// keep them reachable.
 	clear(data)
 	ep.sqScratch = batch[:0]
-	ep.ringData, ep.ringBufs = data[:0], bufs[:0]
+	ep.ringData = data[:0]
 	return n, nil
 }
 
@@ -522,17 +517,17 @@ func coalescable(op Op, limit int) bool {
 // it — is acknowledged.
 func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 	ep := c.ep
-	// subs is encode-input scratch (reused across rings); recs is owned
-	// by the txOp and allocated per batch — one allocation amortized
-	// over the whole coalesce run.
+	// subs is encode-input scratch (reused across rings); the container
+	// and its sub-op records come back from the endpoint's freelist.
 	subs := ep.subScratch[:0]
-	recs := make([]multiSub, len(ops))
+	t := ep.free.ops.Get()
+	recs := t.subs[:0]
 	var fenced frame.OpFlags
 	for i, op := range ops {
 		id := c.nextOpID
 		c.nextOpID++
 		subs = append(subs, frame.SubOp{OpID: id, Flags: op.Flags, Remote: op.Remote, Data: data[i]})
-		recs[i] = multiSub{id: id, op: op}
+		recs = append(recs, multiSub{id: id, op: op})
 		fenced |= op.Flags & frame.FenceAfter
 		if ep.obs.SpansEnabled() {
 			name := "write-coalesced"
@@ -544,17 +539,19 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 		}
 		ep.Stats.OpsStarted++
 	}
-	pb := frame.GetBuf()
-	payload, err := frame.EncodeMultiPayloadInto(pb.Bytes(), subs)
+	payload, err := frame.EncodeMultiPayloadInto(ep.snapBuf(frame.MaxPayload), subs)
 	if err != nil {
 		panic(err) // Ring's packer keeps the batch under MaxPayload
 	}
 	ep.subScratch = subs[:0]
+	for _, d := range data {
+		ep.releaseSnapshot(d) // copied into the payload
+	}
 	// One frame carries every sub-op, so one forward fence on the
 	// container (its id is the last sub-op's) covers every fenced sub-op.
-	t := &txOp{
+	*t = txOp{
 		id: recs[len(recs)-1].id, opType: frame.OpWrite, flags: fenced,
-		data: payload, dataBuf: pb, total: uint32(len(payload)), subs: recs,
+		data: payload, total: uint32(len(payload)), subs: recs, pooled: true,
 	}
 	if ep.qosOn() {
 		// One container, one class (Ring breaks coalesce runs on class

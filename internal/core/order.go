@@ -41,7 +41,8 @@ type rxOp struct {
 type heldFrame struct {
 	h       frame.Header
 	payload []byte
-	heldAt  sim.Time // when buffering began (hold-duration histogram)
+	buf     *frame.Buf // pooled storage of payload, released once performed
+	heldAt  sim.Time   // when buffering began (hold-duration histogram)
 }
 
 // fenceSet is the ids of the forward-fenced operations still open,
@@ -65,8 +66,8 @@ func (f *fenceSet) remove(id uint64) {
 func (f fenceSet) blocks(id uint64) bool { return len(f) > 0 && f[0] < id }
 
 // getRxOp finds or creates the receive-side operation record for a
-// frame, taking new records from free.
-func (o *orderer) getRxOp(h frame.Header, free *[]*rxOp) *rxOp {
+// frame, taking new records from fl.
+func (o *orderer) getRxOp(h frame.Header, fl *freelists) *rxOp {
 	op, ok := o.rxOps[h.OpID]
 	if !ok {
 		if h.OpID < o.frontier {
@@ -77,12 +78,7 @@ func (o *orderer) getRxOp(h frame.Header, free *[]*rxOp) *rxOp {
 			// would sit below the frontier, where nothing collects it.
 			return &rxOp{id: h.OpID, opType: h.OpType, flags: h.OpFlags, local: h.Local, complete: true}
 		}
-		if n := len(*free); n > 0 {
-			op = (*free)[n-1]
-			*free = (*free)[:n-1]
-		} else {
-			op = &rxOp{}
-		}
+		op = fl.rx.Get()
 		*op = rxOp{
 			id: h.OpID, opType: h.OpType, flags: h.OpFlags,
 			total: h.Total, remote: h.Remote, local: h.Local,
@@ -110,22 +106,22 @@ func (o *orderer) getRxOp(h frame.Header, free *[]*rxOp) *rxOp {
 // degenerates to exact sequence order, which subsumes the fences (the
 // 2L-1G configuration); a coalesced frame is then held and applied
 // whole.
-func (o *orderer) canApply(h frame.Header, strict bool, free *[]*rxOp) bool {
+func (o *orderer) canApply(h frame.Header, strict bool, fl *freelists) bool {
 	if strict {
 		return h.Seq == o.applyNxt
 	}
 	if h.Type == frame.TypeMultiData {
 		return true
 	}
-	op := o.getRxOp(h, free)
+	op := o.getRxOp(h, fl)
 	return !o.fenced.blocks(op.id) && (op.flags&frame.FenceBefore == 0 || o.frontier >= op.id)
 }
 
 // tryApply performs one unit of the ARQ's output — an arriving frame or
 // a held one, held since heldAt — through perform if the ordering
 // engine admits it now.
-func (o *orderer) tryApply(h frame.Header, payload []byte, heldAt sim.Time, strict bool, free *[]*rxOp, perform func(frame.Header, []byte, sim.Time)) bool {
-	if !o.canApply(h, strict, free) {
+func (o *orderer) tryApply(h frame.Header, payload []byte, heldAt sim.Time, strict bool, fl *freelists, perform func(frame.Header, []byte, sim.Time)) bool {
+	if !o.canApply(h, strict, fl) {
 		return false
 	}
 	perform(h, payload, heldAt)
@@ -137,40 +133,43 @@ func (o *orderer) tryApply(h frame.Header, payload []byte, heldAt sim.Time, stri
 
 // accept hands the orderer a frame the ARQ accepted at now: perform
 // runs it and what it unblocks, unless canApply holds it (held).
-func (o *orderer) accept(h frame.Header, payload []byte, now sim.Time, strict bool, free *[]*rxOp, perform func(frame.Header, []byte, sim.Time)) (held bool) {
-	if o.tryApply(h, payload, 0, strict, free, perform) {
-		o.drain(strict, free, perform)
+func (o *orderer) accept(h frame.Header, payload []byte, now sim.Time, strict bool, fl *freelists, perform func(frame.Header, []byte, sim.Time)) (held bool) {
+	if o.tryApply(h, payload, 0, strict, fl, perform) {
+		o.drain(strict, fl, perform)
 		return false
 	}
-	o.held = append(o.held, heldFrame{h: h, payload: heldCopy(payload), heldAt: now})
+	o.hold(h, payload, now, fl)
 	return true
 }
 
-// heldCopy snapshots a payload that outlives frame dispatch: held
-// frames are retained after the arrival frame's pooled wire buffer is
-// released back to the pool (see Endpoint dispatch), so they must own
-// their bytes. Immediate applies stay copy-free.
-func heldCopy(payload []byte) []byte {
-	if len(payload) == 0 {
-		return nil
+// hold buffers frame h at now. The arrival frame's wire buffer is
+// released when dispatch returns, so a held payload (at most one MTU)
+// is copied into a buffer of its own from the pool; immediate applies
+// stay copy-free.
+func (o *orderer) hold(h frame.Header, payload []byte, now sim.Time, fl *freelists) {
+	hf := heldFrame{h: h, heldAt: now}
+	if len(payload) > 0 {
+		hf.buf = fl.pool.Get()
+		hf.payload = hf.buf.Bytes()[:copy(hf.buf.Bytes(), payload)]
 	}
-	return append([]byte(nil), payload...)
+	o.held = append(o.held, hf)
 }
 
 // drain re-examines held frames until no more become applicable.
-func (o *orderer) drain(strict bool, free *[]*rxOp, perform func(frame.Header, []byte, sim.Time)) {
+func (o *orderer) drain(strict bool, fl *freelists, perform func(frame.Header, []byte, sim.Time)) {
 	for {
 		progressed := false
 		kept := o.held[:0]
 		for _, hf := range o.held {
-			if o.tryApply(hf.h, hf.payload, hf.heldAt, strict, free, perform) {
+			if o.tryApply(hf.h, hf.payload, hf.heldAt, strict, fl, perform) {
+				fl.pool.Put(hf.buf)
 				progressed = true
 			} else {
 				kept = append(kept, hf)
 			}
 		}
-		// Applied frames' payload copies must not stay reachable in the
-		// slots past the new length.
+		// Applied frames' buffers must not stay reachable in the slots
+		// past the new length.
 		clear(o.held[len(kept):])
 		o.held = kept
 		if !progressed {
@@ -181,8 +180,8 @@ func (o *orderer) drain(strict bool, free *[]*rxOp, perform func(frame.Header, [
 
 // performed books frame h's n payload bytes against its op and reports
 // whether that completed it; a replayed op (getRxOp) books nothing.
-func (o *orderer) performed(h frame.Header, n int, free *[]*rxOp) (op *rxOp, done bool) {
-	op = o.getRxOp(h, free)
+func (o *orderer) performed(h frame.Header, n int, fl *freelists) (op *rxOp, done bool) {
+	op = o.getRxOp(h, fl)
 	if int32(h.Seq+1-op.endSeq) > 0 {
 		op.endSeq = h.Seq + 1
 	}
@@ -194,10 +193,10 @@ func (o *orderer) performed(h frame.Header, n int, free *[]*rxOp) (op *rxOp, don
 }
 
 // complete marks op performed: its forward fence lifts and the frontier
-// advances over every complete op, whose records go back to free —
+// advances over every complete op, whose records go back to fl —
 // except op's own, which the caller still reads: collected says the
 // caller must recycle it when done.
-func (o *orderer) complete(op *rxOp, free *[]*rxOp) (collected bool) {
+func (o *orderer) complete(op *rxOp, fl *freelists) (collected bool) {
 	op.complete = true
 	if op.isFenced {
 		o.fenced.remove(op.id)
@@ -212,7 +211,7 @@ func (o *orderer) complete(op *rxOp, free *[]*rxOp) (collected bool) {
 		if f == op {
 			collected = true
 		} else {
-			*free = append(*free, f)
+			fl.rx.Put(f)
 		}
 	}
 }
@@ -225,7 +224,7 @@ func (c *Conn) acceptData(h frame.Header, payload []byte) {
 	ep.Stats.DataFramesRecv++
 	ep.Stats.DataBytesRecv += uint64(len(payload))
 	ep.emit(c.localID, obs.EvRxData, int64(h.Seq), int64(len(payload)))
-	if c.accept(h, payload, ep.env.Now(), ep.cfg.Strict, &ep.rxFree, c.perform) {
+	if c.accept(h, payload, ep.env.Now(), ep.cfg.Strict, &ep.free, c.perform) {
 		c.noteHeld(h, payload)
 	}
 }
@@ -268,10 +267,10 @@ func (c *Conn) applyMulti(h frame.Header, payload []byte) {
 			OpID: s.OpID, OpType: frame.OpWrite, OpFlags: s.Flags,
 			Remote: s.Remote, Offset: 0, Total: uint32(len(s.Data)),
 		}
-		if c.canApply(sh, c.ep.cfg.Strict, &c.ep.rxFree) {
+		if c.canApply(sh, c.ep.cfg.Strict, &c.ep.free) {
 			c.applyFrame(sh, s.Data)
 		} else {
-			c.held = append(c.held, heldFrame{h: sh, payload: heldCopy(s.Data), heldAt: c.ep.env.Now()})
+			c.hold(sh, s.Data, c.ep.env.Now(), &c.ep.free)
 			c.noteHeld(sh, s.Data)
 		}
 	}
@@ -288,7 +287,7 @@ func (c *Conn) applyFrame(h frame.Header, payload []byte) {
 		return
 	}
 	ep := c.ep
-	op, done := c.performed(h, len(payload), &ep.rxFree)
+	op, done := c.performed(h, len(payload), &ep.free)
 	ep.emit(c.localID, obs.EvRxApply, int64(h.Seq), int64(len(payload)), spanOf{rx: c.frameSpan(h.OpType, h.OpID, h.Local)})
 	switch h.Type {
 	case frame.TypeReadReq:
@@ -339,7 +338,7 @@ func (c *Conn) completeRxOp(op *rxOp) {
 	}
 	// A frontier-collected op is still read below: it is recycled at the
 	// end (only a later dispatch's getRxOp pulls from the freelist).
-	collected := c.complete(op, &ep.rxFree)
+	collected := c.complete(op, &ep.free)
 	if op.flags&frame.Solicit != 0 {
 		// Solicited: bypass the delayed-ACK policy so the initiator's
 		// completion takes a round trip, not an AckDelay. If earlier frames
@@ -357,7 +356,8 @@ func (c *Conn) completeRxOp(op *rxOp) {
 		} else {
 			q = c.notifyGroup()
 		}
-		ep.cpus.Proto.Submit(ep.env, ep.costs.UserWake, func() { q.Send(ep.env, n) })
+		ep.notes.Send(ep.env, n)
+		ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, ep.noteFn, q)
 	}
 	if op.opType == frame.OpReadReply {
 		if h, ok := c.pendingReads[op.local]; ok {
@@ -370,10 +370,11 @@ func (c *Conn) completeRxOp(op *rxOp) {
 			}
 			h.acked = int(op.applied)
 			c.finishHandle(h, nil)
+			ep.free.recycle(&h.t)
 		}
 	}
 	if collected {
-		ep.rxFree = append(ep.rxFree, op)
+		ep.free.rx.Put(op)
 	}
 }
 
@@ -388,12 +389,12 @@ func (c *Conn) serveRead(h frame.Header) {
 		panic(fmt.Sprintf("core: node %d read source [%d,%d) outside memory", ep.node, h.Remote, end))
 	}
 	ep.Stats.ReadsServed++
-	data, dataBuf := ep.snapshot(h.Remote, int(h.Total))
-	t := &txOp{
+	data := ep.snapshot(h.Remote, int(h.Total))
+	t := ep.free.ops.Get()
+	*t = txOp{
 		id: c.nextOpID, opType: frame.OpReadReply,
 		remote: h.Local, local: h.OpID,
-		data: data, dataBuf: dataBuf,
-		total: h.Total,
+		data: data, total: h.Total, pooled: true, subs: t.subs,
 	}
 	// The reply txOp continues the requester's read span: its frame
 	// transmissions, retransmits and ACKs all belong to that read.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"multiedge/internal/frame"
+	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
 
@@ -113,7 +114,7 @@ func (r *refOrder) frontier() uint64 {
 // op, whose last frame completes it.
 type ordererRig struct {
 	o         orderer
-	free      []*rxOp
+	free      freelists
 	strict    bool
 	performed []bool // by sequence number
 	drained   int    // frames performed out of the held buffer
@@ -125,7 +126,7 @@ func (g *ordererRig) perform(h frame.Header, _ []byte, heldAt sim.Time) {
 		g.drained++
 	}
 	if op, done := g.o.performed(h, 1, &g.free); done && g.o.complete(op, &g.free) {
-		g.free = append(g.free, op)
+		g.free.rx.Put(op)
 	}
 }
 
@@ -158,7 +159,7 @@ func TestOrderer(t *testing.T) {
 			[]uint32{2, 1, 0}, []string{"[] 0 1", "[] 0 2", "[0 1 2] 2 0"}},
 	} {
 		p := buildProgram(tc.ops, tc.sizes)
-		g := &ordererRig{strict: tc.strict, performed: make([]bool, len(p.opOf))}
+		g := &ordererRig{strict: tc.strict, performed: make([]bool, len(p.opOf)), free: freelists{pool: &phys.Pool{}}}
 		for i, s := range tc.order {
 			g.arrive(p.header(s), sim.Time(i+1))
 			var done []uint32
@@ -212,7 +213,7 @@ func TestOrdererAgainstReference(t *testing.T) {
 			p := buildProgram(flags, sizes)
 			order := rng.Perm(len(p.opOf))
 			ref := newRefOrder(p, strict)
-			g := &ordererRig{strict: strict, performed: make([]bool, len(p.opOf))}
+			g := &ordererRig{strict: strict, performed: make([]bool, len(p.opOf)), free: freelists{pool: &phys.Pool{}}}
 			for i, v := range order {
 				seq := uint32(v)
 				if why := ref.blocked(seq); why != "" {

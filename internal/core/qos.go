@@ -52,8 +52,8 @@ const qosNICQueueBound = 2
 
 // qosClass is the endpoint's live state for one traffic class.
 type qosClass struct {
-	ctrlQ connFIFO // conns with pending explicit ACK/NACK work
-	sendQ connFIFO // conns with transmittable data work
+	ctrlQ sim.Mailbox[*Conn] // conns with pending explicit ACK/NACK work
+	sendQ sim.Mailbox[*Conn] // conns with transmittable data work
 
 	weight int   // QoSClass.Weight (1 for the implicit class)
 	rate   int64 // QoSClass.RateBps (0 = unlimited)
@@ -316,7 +316,7 @@ func (ep *Endpoint) qosPopCtrl() *Conn {
 	n := len(ep.qos)
 	for visited := 0; visited < n; visited++ {
 		q := &ep.qos[ep.qosCtrlCur]
-		if q.ctrlQ.empty() {
+		if q.ctrlQ.Len() == 0 {
 			q.ctrlBudget = 0
 			ep.qosCtrlCur = (ep.qosCtrlCur + 1) % n
 			continue
@@ -325,8 +325,8 @@ func (ep *Endpoint) qosPopCtrl() *Conn {
 			q.ctrlBudget = q.weight
 		}
 		for q.ctrlBudget > 0 {
-			c := q.ctrlQ.pop()
-			if c == nil {
+			c, ok := q.ctrlQ.TryRecv()
+			if !ok {
 				break
 			}
 			c.inCtrlQ = false
@@ -356,7 +356,7 @@ func (ep *Endpoint) qosPopSend() *Conn {
 	for visited := 0; visited < n; visited++ {
 		cls := ep.qosSendCur
 		q := &ep.qos[cls]
-		if q.sendQ.empty() {
+		if q.sendQ.Len() == 0 {
 			q.deficit = 0
 			ep.qosSendCur = (ep.qosSendCur + 1) % n
 			continue
@@ -370,8 +370,8 @@ func (ep *Endpoint) qosPopSend() *Conn {
 			q.deficit += int64(q.weight) * qosQuantum
 		}
 		for {
-			c := q.sendQ.pop()
-			if c == nil {
+			c, ok := q.sendQ.TryRecv()
+			if !ok {
 				break
 			}
 			c.inSendQ = false
@@ -426,7 +426,7 @@ func (ep *Endpoint) qosPaced() bool {
 		}
 	}
 	for i := range ep.qos {
-		if !ep.qos[i].sendQ.empty() {
+		if ep.qos[i].sendQ.Len() > 0 {
 			return true
 		}
 	}
@@ -463,8 +463,8 @@ func (ep *Endpoint) qosArmPace() {
 // over the class queues: control and data.
 func (ep *Endpoint) qosSchedDepth() (ctrl, send int) {
 	for i := range ep.qos {
-		ctrl += ep.qos[i].ctrlQ.size()
-		send += ep.qos[i].sendQ.size()
+		ctrl += ep.qos[i].ctrlQ.Len()
+		send += ep.qos[i].sendQ.Len()
 	}
 	return ctrl, send
 }

@@ -244,9 +244,9 @@ func (c *Conn) sendFrameOn(h *frame.Header, payload []byte, li int) int {
 	// or receiver dispatch — releases it (see phys.Frame.Release).
 	// Retransmissions re-encode from tf.payload into a fresh buffer, so
 	// the in-flight copy is never aliased by sender-side state.
-	pb := frame.GetBuf()
+	pb := c.ep.free.pool.Get()
 	buf := frame.MustEncodeInto(pb.Bytes(), dst, nic.Addr(), h, payload)
-	nic.Transmit(phys.NewPooledFrame(pb, buf, dst, nic.Addr()))
+	nic.Transmit(c.ep.free.pool.NewFrame(pb, buf, dst, nic.Addr()))
 	c.lastTx = c.ep.env.Now()
 	if h.HasAck {
 		c.unackedRx = 0
@@ -335,7 +335,7 @@ func (c *Conn) probeTick() {
 func (c *Conn) sendProbe(li int) {
 	op := &txOp{id: c.nextOpID, opType: frame.OpWrite, sentAll: true, unacked: 1, probe: true}
 	c.nextOpID++
-	tf := c.number(&c.ep.tfFree, op, 0)
+	tf := c.number(&c.ep.free, op, 0)
 	tf.link = li
 	c.ep.Stats.DataFramesSent++
 	c.transmit(tf, false)

@@ -189,7 +189,7 @@ func (c *Conn) rebirth(inc uint16) {
 	})
 	// The frame records die with the old epoch: the journal re-fragments
 	// every op from offset 0.
-	c.dropWindow(&ep.tfFree)
+	c.dropWindow(&ep.free)
 	slices.SortFunc(journal, func(a, b *txOp) int { return cmp.Compare(a.id, b.id) })
 
 	c.restart(journal)

@@ -58,7 +58,7 @@ func TestRttEst(t *testing.T) {
 	cfg := Config{RTO: 50 * sim.Microsecond, RTOMax: 64 * sim.Millisecond} // adaptive: the estimate is what gets armed
 	x := &arqTx{}
 	var r rail
-	var free []*txFrame
+	var free freelists
 	op := &txOp{opType: frame.OpWrite, data: make([]byte, 2), total: 2}
 	now := sim.Time(0)
 	for _, s := range []sim.Time{80_000, 95_000, 60_000, 2_000_000, 70_000} {

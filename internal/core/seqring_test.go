@@ -6,6 +6,7 @@ import (
 
 	"multiedge/internal/frame"
 	"multiedge/internal/hostmodel"
+	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
 
@@ -86,7 +87,7 @@ func arqEndpoint(t *testing.T, window int) (*Endpoint, *Conn) {
 	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 16
 	cfg.Window = window
-	ep := NewEndpoint(env, 0, cfg, hostmodel.Default(), hostmodel.NewCPUs("n0"), nil)
+	ep := NewEndpoint(env, 0, cfg, hostmodel.Default(), hostmodel.NewCPUs("n0"), nil, &phys.Pool{})
 	c := ep.newConn(1, 1)
 	c.to(live) // a white-box conn skips the handshake
 	return ep, c

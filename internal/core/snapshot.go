@@ -6,48 +6,39 @@ import (
 	"multiedge/internal/frame"
 )
 
-// snapKeep bounds the idle snapshots an endpoint keeps per size class.
-// The freelist only ever holds what was outstanding at once; this trims
-// what a burst leaves behind.
-const snapKeep = 16
-
 // snapshot copies ep.mem[off:off+n] into the kernel buffer a txOp will
-// transmit and retransmit from: a pooled frame buffer when it fits one
-// (the common case for latency-sensitive small ops), else a buffer from
-// the endpoint's freelist of power-of-two size classes, so a steady
-// stream of large writes or read replies reuses the same few buffers
-// instead of allocating and zero-filling one per operation. The txOp
-// owns what it gets until endTxOp hands both back (releaseSnapshot).
-func (ep *Endpoint) snapshot(off uint64, n int) (data []byte, buf *frame.Buf) {
-	switch {
-	case n == 0:
-		return nil, nil
-	case n <= frame.BufCap:
-		buf = frame.GetBuf()
-		data = buf.Bytes()[:n]
-	default:
-		class := bits.Len(uint(n - 1))
-		if class < len(ep.snapFree) && len(ep.snapFree[class]) > 0 {
-			free := ep.snapFree[class]
-			data = free[len(free)-1][:n]
-			free[len(free)-1] = nil
-			ep.snapFree[class] = free[:len(free)-1]
-		} else {
-			data = make([]byte, n, 1<<class)
-		}
-	}
+// transmit and retransmit from (snapBuf). The txOp owns it until endTxOp
+// hands it back (releaseSnapshot).
+func (ep *Endpoint) snapshot(off uint64, n int) []byte {
+	data := ep.snapBuf(n)
 	copy(data, ep.mem[off:off+uint64(n)])
-	return data, buf
+	return data
 }
 
-// releaseSnapshot returns what snapshot handed out, poisoned under
-// frame.SetPoolDebug like any released frame buffer. A sub-op container
-// or any other op whose data lives in a frame.Buf releases just that.
-func (ep *Endpoint) releaseSnapshot(data []byte, buf *frame.Buf) {
-	if buf != nil {
-		frame.PutBuf(buf)
-		return
+// snapBuf returns an n-byte buffer (nil for none) from the endpoint's
+// freelist of power-of-two size classes, so a steady stream of writes,
+// read replies or coalesced containers of any size reuses the same few
+// buffers instead of allocating and zero-filling one per operation. Like
+// a frame.Freelist, each class holds only what was outstanding at once,
+// at most frame.PoolKeep, and none once the simulation stops.
+func (ep *Endpoint) snapBuf(n int) []byte {
+	if n == 0 {
+		return nil
 	}
+	class := bits.Len(uint(n - 1))
+	if class < len(ep.snapFree) && len(ep.snapFree[class]) > 0 {
+		free := ep.snapFree[class]
+		data := free[len(free)-1][:n]
+		free[len(free)-1] = nil
+		ep.snapFree[class] = free[:len(free)-1]
+		return data
+	}
+	return make([]byte, n, 1<<class)
+}
+
+// releaseSnapshot returns what snapBuf handed out, poisoned under
+// frame.SetPoolDebug like any released frame buffer.
+func (ep *Endpoint) releaseSnapshot(data []byte) {
 	if cap(data) == 0 {
 		return // no data: a read request, a probe
 	}
@@ -57,7 +48,7 @@ func (ep *Endpoint) releaseSnapshot(data []byte, buf *frame.Buf) {
 	for len(ep.snapFree) <= class {
 		ep.snapFree = append(ep.snapFree, nil)
 	}
-	if len(ep.snapFree[class]) < snapKeep {
+	if len(ep.snapFree[class]) < frame.PoolKeep {
 		ep.snapFree[class] = append(ep.snapFree[class], data)
 	}
 }

@@ -575,7 +575,7 @@ func TestTeardownEndsEveryWaiter(t *testing.T) {
 func TestTeardownReleasesReadReplyAtPeerClose(t *testing.T) {
 	cl, c01, _ := pairCluster(t, cluster.OneLink1G(0))
 	ep1 := cl.Nodes[1].EP
-	const n = 64 << 10 // a freelist snapshot, not a pooled frame buffer
+	const n = 64 << 10 // a reply of many frames
 	src, dst := ep1.Alloc(n), cl.Nodes[0].EP.Alloc(n)
 	closed := false
 	cl.Env.Go("client", func(p *sim.Proc) {

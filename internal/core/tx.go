@@ -5,6 +5,7 @@ import (
 
 	"multiedge/internal/frame"
 	"multiedge/internal/obs"
+	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
 
@@ -39,21 +40,22 @@ type txOp struct {
 	flags  frame.OpFlags
 	remote uint64
 	local  uint64
-	data   []byte
-	// dataBuf, when non-nil, is the pooled buffer backing data (small
-	// snapshots, sub-op containers); other data comes from the endpoint's
-	// snapshot freelist. The txOp owns either until it ends (endTxOp);
-	// replay touches only incomplete ops, so retransmission always has it.
-	dataBuf   *frame.Buf
+	// data is the kernel-buffer snapshot (Endpoint.snapshot), or a
+	// container's encoded sub-ops. The txOp owns it until it ends
+	// (endTxOp); replay touches only incomplete ops, so retransmission
+	// always has it.
+	data      []byte
 	total     uint32
 	sent      uint32
 	sentAll   bool
 	unacked   int
 	completed bool
 	probe     bool // internal dead-link probe, not a user operation
+	pooled    bool // from the endpoint's freelists, back at release (freelists.recycle)
+	queued    bool // in txOps, until curOp's compaction takes it out
 	h         *Handle
 	span      *obs.Span  // causal span (nil unless span recording is on)
-	subs      []multiSub // coalesced sub-ops (nil = ordinary single op)
+	subs      []multiSub // coalesced sub-ops (empty = ordinary single op)
 
 	// Admission charge held against a QoS class (Config.QoS): released
 	// exactly once when the op completes or fails. qosOps is 0 when no
@@ -98,9 +100,10 @@ type Handle struct {
 	op      Op   // the posted descriptor (SQ path only)
 	err     error
 	dlTimer *sim.Timer // Op.Deadline expiry (nil without a deadline)
-	// t is the op's send-side record. A user-held handle is never pooled,
-	// so embedding the txOp makes the two one allocation per op, with no
-	// reuse aliasing (completed ops linger in txOps until curOp pops them).
+	// t is the op's send-side record, embedded: the two are one
+	// allocation. A user-held handle is never pooled. An SQ-posted one
+	// is, with its txOp: no caller can reach it, and it goes back to the
+	// endpoint's freelist under the release rule of freelists.recycle.
 	t txOp
 }
 
@@ -138,33 +141,62 @@ func (h *Handle) OpID() uint64 { return h.opID }
 // after Wait returns.
 func (h *Handle) Err() error { return h.err }
 
-// newTxFrame pulls a transmit-frame record from free, the endpoint's
-// freelist: frames die in the protocol thread, so reuse is race-free.
-func (x *arqTx) newTxFrame(free *[]*txFrame, op *txOp, seq, offset uint32) *txFrame {
-	if n := len(*free); n > 0 {
-		tf := (*free)[n-1]
-		*free = (*free)[:n-1]
-		*tf = txFrame{op: op, seq: seq, offset: offset}
-		return tf
-	}
-	return &txFrame{op: op, seq: seq, offset: offset}
+// freelists are the records an endpoint's data path recycles, shared
+// by its conns, whose protocol thread serializes them (DESIGN.md §13):
+// transmit frames, receive-op records, held payload buffers, and the
+// pooled send records no caller holds: read replies, coalesced
+// containers and SQ-posted handles with their txOps.
+type freelists struct {
+	frames  frame.Freelist[txFrame] // acknowledged or abandoned transmit frames
+	rx      frame.Freelist[rxOp]    // frontier-collected receive ops
+	ops     frame.Freelist[txOp]    // read replies and coalesced containers
+	handles frame.Freelist[Handle]  // SQ-posted handles
+	pool    *phys.Pool              // the simulation's frames and buffers
 }
 
-// freeTxFrame recycles tf onto free, zeroed: it would otherwise pin its
-// op, handle and payload snapshot for as long as it waits.
-func (x *arqTx) freeTxFrame(free *[]*txFrame, tf *txFrame) {
-	*tf = txFrame{}
-	*free = append(*free, tf)
+// poisonOp is what a recycled op record reads under frame.SetPoolDebug:
+// fragmenting it, as a stale pointer left in txOps would, faults.
+var poisonOp = txOp{id: ^uint64(0) / 255 * 0xDB, opType: 0xDB, remote: ^uint64(0) / 255 * 0xDB, total: ^uint32(0) / 255 * 0xDB}
+
+// recycle hands pooled record t, and its handle, back to fl once nothing
+// refers to it: it is retired (endTxOp ran and, for a read, its reply
+// landed and finishHandle ran, which took it out of pendingReads), the
+// compaction in curOp took it out of txOps, and no frame holds it
+// (unacked; ack frees the last one right after endTxOp). Whichever of
+// these comes last calls it. A replayed or in-flight op is not retired,
+// and a teardown leaves its records to the collector. The record is
+// zeroed, or poisoned under frame.SetPoolDebug, span, QoS charge and
+// deadline timer included; a container keeps its subs backing.
+func (fl *freelists) recycle(t *txOp) {
+	h := t.h
+	if !t.pooled || !t.completed || t.queued || t.unacked > 0 || h != nil && !h.done.Fired() {
+		return
+	}
+	z := txOp{}
+	if frame.Poisoning() {
+		z = poisonOp
+	}
+	clear(t.subs)
+	if z.subs = t.subs[:0]; h == nil {
+		*t = z
+		fl.ops.Put(t)
+	} else {
+		*h = Handle{opID: z.id, t: z}
+		fl.handles.Put(h)
+	}
 }
 
 func (x *arqTx) inflight() int { return int(x.sndNxt - x.sndUna) }
 
 // curOp returns the operation currently being fragmented; nil if there
 // is none, or if the head operation is stalled behind an unacknowledged
-// forward-fenced operation (sender side of §2.5's forward fence).
-func (x *arqTx) curOp() *txOp {
+// forward-fenced operation (sender side of §2.5's forward fence). The
+// fragmented ops it takes off the head may go back to fl.
+func (x *arqTx) curOp(fl *freelists) *txOp {
 	if n := 0; len(x.txOps) > 0 && x.txOps[0].sentAll {
 		for n < len(x.txOps) && x.txOps[n].sentAll {
+			x.txOps[n].queued = false
+			fl.recycle(x.txOps[n])
 			n++
 		}
 		// Compact in place: re-slicing the head off walks the queue off its
@@ -185,7 +217,7 @@ func (x *arqTx) curOp() *txOp {
 // holds every later op until t is fully acknowledged: a receiver that
 // has seen no frame of t could not know to hold their frames.
 func (x *arqTx) enqueue(t *txOp) {
-	t.sent, t.sentAll, t.unacked = 0, false, 0
+	t.sent, t.sentAll, t.unacked, t.queued = 0, false, 0, true
 	if t.flags&frame.FenceAfter != 0 {
 		x.txFenced.add(t.id)
 	}
@@ -206,7 +238,7 @@ func (x *arqTx) restart(journal []*txOp) {
 // next returns the frame to put on the wire, if any, and whether it is a
 // repair: queued repairs first (none while !repairOK), else the current
 // op's next fragment of at most maxPay bytes if window has room.
-func (x *arqTx) next(free *[]*txFrame, repairOK bool, window, maxPay, ackEvery int) (tf *txFrame, repair bool) {
+func (x *arqTx) next(fl *freelists, repairOK bool, window, maxPay, ackEvery int) (tf *txFrame, repair bool) {
 	for repairOK && len(x.retransQ) > 0 {
 		seq := x.retransQ[0]
 		// Copy-shift keeps the backing array; loss bursts are short.
@@ -219,7 +251,7 @@ func (x *arqTx) next(free *[]*txFrame, repairOK bool, window, maxPay, ackEvery i
 	if len(x.retransQ) > 0 {
 		return nil, false
 	}
-	op := x.curOp()
+	op := x.curOp(fl)
 	if op == nil || x.inflight() >= window {
 		return nil, false
 	}
@@ -227,7 +259,7 @@ func (x *arqTx) next(free *[]*txFrame, repairOK bool, window, maxPay, ackEvery i
 	if rem := op.total - op.sent; rem < pay {
 		pay = rem
 	}
-	tf = x.number(free, op, op.sent)
+	tf = x.number(fl, op, op.sent)
 	if op.opType == frame.OpRead {
 		// A read request is a single header-only frame describing the
 		// whole transfer; the data flows back as a ReadReply operation.
@@ -243,8 +275,9 @@ func (x *arqTx) next(free *[]*txFrame, repairOK bool, window, maxPay, ackEvery i
 }
 
 // number numbers op's frame at offset and holds it until acknowledged.
-func (x *arqTx) number(free *[]*txFrame, op *txOp, offset uint32) *txFrame {
-	tf := x.newTxFrame(free, op, x.sndNxt, offset)
+func (x *arqTx) number(fl *freelists, op *txOp, offset uint32) *txFrame {
+	tf := fl.frames.Get()
+	*tf = txFrame{op: op, seq: x.sndNxt, offset: offset}
 	x.sndNxt++
 	x.retrans.put(tf.seq, tf)
 	return tf
@@ -279,7 +312,7 @@ func dataHeader(tf *txFrame, connID, ack uint32) frame.Header {
 	switch {
 	case op.opType == frame.OpRead:
 		typ = frame.TypeReadReq
-	case op.subs != nil:
+	case len(op.subs) > 0:
 		typ = frame.TypeMultiData
 	}
 	return frame.Header{
@@ -330,10 +363,11 @@ func (x *arqTx) rtoRepairs(goBackN bool) []uint32 {
 
 // ack applies cumulative acknowledgement ack at now. Each frame it
 // releases goes to released, oldest first (done: its op's last, whose
-// forward fence lifted), then to free. It returns the window's advance,
-// -1 if stale, and the Karn round-trip sample of the newest released
-// frame never retransmitted, -1 if none.
-func (x *arqTx) ack(ack uint32, now sim.Time, free *[]*txFrame, released func(tf *txFrame, done bool)) (advanced int, rtt sim.Time) {
+// forward fence lifted), then back to fl, zeroed: it would otherwise
+// pin its op, handle and payload snapshot for as long as it waits. It
+// returns the window's advance, -1 if stale, and the Karn round-trip
+// sample of the newest released frame never retransmitted, -1 if none.
+func (x *arqTx) ack(ack uint32, now sim.Time, fl *freelists, released func(tf *txFrame, done bool)) (advanced int, rtt sim.Time) {
 	if int32(ack-x.sndUna) <= 0 {
 		return -1, -1 // stale
 	}
@@ -361,7 +395,8 @@ func (x *arqTx) ack(ack uint32, now sim.Time, free *[]*txFrame, released func(tf
 			x.txFenced.remove(op.id) // stalled operations may proceed now
 		}
 		released(tf, done)
-		x.freeTxFrame(free, tf)
+		*tf = txFrame{}
+		fl.frames.Put(tf)
 	}
 	advanced = int(ack - x.sndUna)
 	x.sndUna = ack
@@ -395,12 +430,13 @@ func backoff(base, limit sim.Time, n int) sim.Time {
 	return min(base, limit)
 }
 
-// dropWindow recycles every frame record in the window onto free and
+// dropWindow recycles every frame record in the window onto fl and
 // empties the queues, once a teardown or a rebirth took what it needs.
-func (x *arqTx) dropWindow(free *[]*txFrame) {
+func (x *arqTx) dropWindow(fl *freelists) {
 	for s := x.sndUna; s != x.sndNxt; s++ {
 		if tf, ok := x.retrans.get(s); ok {
-			x.freeTxFrame(free, tf)
+			*tf = txFrame{}
+			fl.frames.Put(tf)
 		}
 	}
 	x.retrans.clear()
@@ -422,7 +458,7 @@ func (c *Conn) sendable() bool {
 		// recovery can never deadlock (see cc.go).
 		return c.ccRetxOK(&c.ep.cfg)
 	}
-	return c.inflight() < c.effWindow(&c.ep.cfg) && c.curOp() != nil
+	return c.inflight() < c.effWindow(&c.ep.cfg) && c.curOp(&c.ep.free) != nil
 }
 
 // sendNextDataFrame emits one data frame: a queued retransmission first,
@@ -441,7 +477,7 @@ func (c *Conn) sendNextDataFrame() int {
 	if cfg.ByteStripe && c.links > 1 {
 		pay /= c.links // the byte-striping baseline: an even slice per link
 	}
-	tf, repair := c.next(&c.ep.tfFree, true, c.effWindow(cfg), pay, cfg.AckEvery)
+	tf, repair := c.next(&c.ep.free, true, c.effWindow(cfg), pay, cfg.AckEvery)
 	if tf == nil {
 		return 0 // conditions changed since sendable()
 	}
@@ -573,7 +609,7 @@ func (c *Conn) onRTO() {
 // explicit (arqTx.ack), around the events, stats and timers it moves.
 func (c *Conn) handleAck(ack uint32) {
 	now := c.ep.env.Now()
-	n, rtt := c.ack(ack, now, &c.ep.tfFree, c.ackedFrame)
+	n, rtt := c.ack(ack, now, &c.ep.free, c.ackedFrame)
 	if n < 0 {
 		return
 	}
@@ -619,7 +655,8 @@ func (c *Conn) ackedFrame(tf *txFrame, done bool) {
 // frame is acknowledged, else the cause that ends it early. It fans a
 // batch out to its sub-ops, ends the span (a read reply's ends when the
 // reply lands) and finishes the handle, except a read's: its request is
-// acknowledged, and its handle finishes when the reply lands.
+// acknowledged, and its handle finishes when the reply lands. A pooled
+// record may go back to the freelists on the way out.
 func (c *Conn) endTxOp(t *txOp, err error) {
 	if t.completed {
 		return
@@ -627,8 +664,9 @@ func (c *Conn) endTxOp(t *txOp, err error) {
 	// Retire it: release the snapshot buffer and the QoS admission charge.
 	t.completed = true
 	ep := c.ep
-	ep.releaseSnapshot(t.data, t.dataBuf)
-	t.data, t.dataBuf = nil, nil
+	defer ep.free.recycle(t)
+	ep.releaseSnapshot(t.data)
+	t.data = nil
 	c.qosRelease(t)
 	if t.probe {
 		return // internal probe: no user-visible completion
@@ -637,7 +675,7 @@ func (c *Conn) endTxOp(t *txOp, err error) {
 		c.kick() // its fence lifted (arqTx.ack): stalled operations may proceed now
 	}
 	now := ep.env.Now()
-	if t.subs != nil {
+	if len(t.subs) > 0 {
 		for i := range t.subs {
 			s := &t.subs[i]
 			if err == nil {
@@ -666,12 +704,10 @@ func (c *Conn) endTxOp(t *txOp, err error) {
 	if t.opType == frame.OpRead {
 		delete(c.pendingReads, t.id)
 	}
-	h := t.h
-	t.h = nil
-	if h != nil && err != nil {
+	if t.h != nil && err != nil {
 		ep.Stats.OpsFailed++
 	}
-	c.finishHandle(h, err)
+	c.finishHandle(t.h, err)
 }
 
 // finishHandle ends a handle with err (nil on completion), waking its

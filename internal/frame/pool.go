@@ -3,7 +3,6 @@ package frame
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -13,20 +12,92 @@ import (
 const BufCap = EthHeaderLen + MTU
 
 // Buf is a pooled frame buffer. The hot transmit path acquires one
-// with GetBuf, encodes a frame into it with EncodeInto, and hands
-// ownership to the wire (phys.Frame); exactly one release point per
-// frame returns it with PutBuf. The zero-copy contract: a decoded
+// from its simulation's Pool, encodes a frame into it with EncodeInto,
+// and hands ownership to the wire (phys.Frame); exactly one release
+// point per frame returns it with Put. The zero-copy contract: a decoded
 // payload aliases the buffer it travelled in, so receivers must copy
 // anything they keep beyond the dispatch callback (DESIGN.md §13).
 type Buf struct {
-	b    []byte
-	free bool // in the pool (double-release detector)
+	free bool // released (double-release detector)
+	b    [BufCap]byte
 }
 
 // Bytes returns the full-capacity backing slice to encode into.
-func (b *Buf) Bytes() []byte { return b.b }
+func (b *Buf) Bytes() []byte { return b.b[:] }
 
-var bufPool = sync.Pool{New: func() any { return &Buf{b: make([]byte, BufCap)} }}
+// Freelist is a stack of idle records of one kind, owned by one
+// simulation, whose single goroutine serializes it: no locks or
+// atomics, and how many records get allocated depends only on the run,
+// never on when the garbage collector runs. It holds only what was
+// released, never more than was outstanding at once, and at most
+// PoolKeep idle records; the rest go to the collector, and so do all of
+// them at Trim. The zero value is ready.
+type Freelist[T any] struct{ idle []*T }
+
+// PoolKeep bounds a Freelist: as many frames as two connections keep
+// in flight at the default Window of 128.
+const PoolKeep = 256
+
+// Get hands out an idle record as it was released, or a new one.
+func (f *Freelist[T]) Get() *T {
+	n := len(f.idle)
+	if n == 0 {
+		return new(T)
+	}
+	x := f.idle[n-1]
+	f.idle[n-1] = nil
+	f.idle = f.idle[:n-1]
+	return x
+}
+
+// Put takes a record back, unless PoolKeep are idle already.
+func (f *Freelist[T]) Put(x *T) {
+	if len(f.idle) < PoolKeep {
+		f.idle = append(f.idle, x)
+	}
+}
+
+// Trim lets every idle record go. A simulation's buffer pool is trimmed
+// when the simulation stops (sim.Env.OnStop), so that a stopped
+// simulation keeps no idle buffer.
+func (f *Freelist[T]) Trim() {
+	clear(f.idle)
+	f.idle = f.idle[:0]
+}
+
+// Pool is one simulation's freelist of frame buffers.
+type Pool struct{ bufs Freelist[Buf] }
+
+// Get acquires a buffer.
+func (p *Pool) Get() *Buf {
+	b := p.bufs.Get()
+	b.free = false
+	return b
+}
+
+// Put releases a buffer (nil is a no-op). Releasing the same Buf twice
+// panics: a double release would hand one buffer to two owners and
+// corrupt frames in flight.
+func (p *Pool) Put(b *Buf) {
+	if b == nil {
+		return
+	}
+	if b.free {
+		panic("frame: Buf released twice")
+	}
+	b.free = true
+	Poison(b.b[:])
+	p.bufs.Put(b)
+}
+
+// Trim lets every idle buffer go (Freelist.Trim).
+func (p *Pool) Trim() { p.bufs.Trim() }
+
+// GetBuf and PutBuf are Get and Put for one-off callers outside a
+// simulation, on a pool of their own: every buffer is fresh, and a
+// released one is poisoned and dropped.
+func GetBuf() *Buf  { return new(Pool).Get() }
+func PutBuf(b *Buf) { new(Pool).Put(b) }
 
 // poolDebug enables release poisoning: returned buffers are filled
 // with 0xDB so any use-after-release surfaces as CRC/decode garbage
@@ -37,38 +108,21 @@ var poolDebug atomic.Bool
 // previous setting; tests flip it on and restore the old value.
 func SetPoolDebug(on bool) bool { return poolDebug.Swap(on) }
 
+// Poisoning reports whether SetPoolDebug is on. Owners of recycled
+// records other than byte storage (core's operation records) fill them
+// with the poison pattern at their release point when it is.
+func Poisoning() bool { return poolDebug.Load() }
+
 // Poison fills b with the released-buffer pattern when pool debugging
 // is on. Owners of recycled byte storage other than a Buf (core's
 // snapshot pool) call it at their release point, so the
 // use-after-release check covers that storage too.
 func Poison(b []byte) {
-	if poolDebug.Load() {
+	if Poisoning() {
 		for i := range b {
 			b[i] = 0xDB
 		}
 	}
-}
-
-// GetBuf acquires a frame buffer from the pool.
-func GetBuf() *Buf {
-	b := bufPool.Get().(*Buf)
-	b.free = false
-	return b
-}
-
-// PutBuf releases a buffer back to the pool. Releasing the same Buf
-// twice panics: a double release would hand one buffer to two owners
-// and corrupt frames in flight.
-func PutBuf(b *Buf) {
-	if b == nil {
-		return
-	}
-	if b.free {
-		panic("frame: PutBuf called twice on the same Buf")
-	}
-	b.free = true
-	Poison(b.b)
-	bufPool.Put(b)
 }
 
 // EncodeInto is Encode targeting a caller-supplied buffer (typically a
@@ -126,9 +180,10 @@ func MustEncodeInto(buf []byte, dst, src Addr, h *Header, payload []byte) []byte
 
 // AppendNackPayload serializes the list of missing sequence numbers a
 // NACK frame reports (IPPS'07 §2.4: negative acknowledgements name lost
-// or damaged frames for retransmission) into dst's backing array (growing it only when the capacity is short) and returns the
+// or damaged frames for retransmission) into dst's backing array
+// (growing it only when the capacity is short) and returns the
 // resliced result. Steady-state NACK traffic reuses one scratch per
-// connection and allocates nothing.
+// endpoint (core's Endpoint.nackScratch) and allocates nothing.
 func AppendNackPayload(dst []byte, missing []uint32) []byte {
 	if max := (MaxPayload - 2) / 4; len(missing) > max {
 		missing = missing[:max]

@@ -3,6 +3,7 @@ package frame
 import (
 	"bytes"
 	"multiedge/internal/race"
+	"slices"
 	"testing"
 )
 
@@ -136,14 +137,14 @@ func TestEncodeIntoAllocFree(t *testing.T) {
 	h := Header{Type: TypeData, ConnID: 1, Seq: 2, OpType: OpWrite, Total: 64}
 	pay := make([]byte, 64)
 	// Warm the pool so the first Get's backing allocation is done.
-	warm := GetBuf()
-	PutBuf(warm)
+	var pool Pool
+	pool.Put(pool.Get())
 	allocs := testing.AllocsPerRun(200, func() {
-		b := GetBuf()
+		b := pool.Get()
 		if _, err := EncodeInto(b.Bytes(), NewAddr(1, 0), NewAddr(2, 0), &h, pay); err != nil {
 			t.Fatal(err)
 		}
-		PutBuf(b)
+		pool.Put(b)
 	})
 	if allocs != 0 {
 		t.Fatalf("pooled encode cycle: %v allocs/op, want 0", allocs)
@@ -151,37 +152,88 @@ func TestEncodeIntoAllocFree(t *testing.T) {
 }
 
 // TestPutBufDoubleReleasePanics: releasing the same buffer twice must
-// panic — a double release would hand one buffer to two owners.
+// panic — a double release would hand one buffer to two owners — with
+// or without a pool.
 func TestPutBufDoubleReleasePanics(t *testing.T) {
-	b := GetBuf()
-	PutBuf(b)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("second PutBuf did not panic")
-		}
-	}()
-	PutBuf(b)
+	var pool Pool
+	for _, c := range []struct {
+		name string
+		get  func() *Buf
+		put  func(*Buf)
+	}{{"PutBuf", GetBuf, PutBuf}, {"Pool.Put", pool.Get, pool.Put}} {
+		b := c.get()
+		c.put(b)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("second %s did not panic", c.name)
+				}
+			}()
+			c.put(b)
+		}()
+	}
+}
+
+// TestPoolRecycles: a pool hands a released buffer out again, and two
+// pools share nothing.
+func TestPoolRecycles(t *testing.T) {
+	var a, b Pool
+	x := a.Get()
+	a.Put(x)
+	if b.Get() == x {
+		t.Fatal("a buffer released to one pool came out of another")
+	}
+	if a.Get() != x {
+		t.Fatal("the pool did not hand its released buffer out again")
+	}
+}
+
+// TestFreelistKeepsPoolKeep: a freelist hands records out last in,
+// first out, keeps at most PoolKeep idle, and none after Trim.
+func TestFreelistKeepsPoolKeep(t *testing.T) {
+	var f Freelist[int]
+	xs := make([]*int, PoolKeep+10)
+	for i := range xs {
+		xs[i] = f.Get()
+	}
+	for _, x := range xs {
+		f.Put(x)
+	}
+	if len(f.idle) != PoolKeep {
+		t.Fatalf("%d idle, want %d", len(f.idle), PoolKeep)
+	}
+	if f.Get() != xs[PoolKeep-1] {
+		t.Fatal("Get did not hand out the last record kept")
+	}
+	f.Trim()
+	if len(f.idle) != 0 || slices.Contains(xs, f.Get()) {
+		t.Fatal("Trim kept idle records")
+	}
 }
 
 // TestPoolPoisoning: with debug poisoning on, a released buffer is
 // overwritten so use-after-release reads garbage, and the next
-// EncodeInto over the poisoned buffer still produces a frame
-// byte-identical to a fresh Encode.
+// EncodeInto over the poisoned buffer, which the pool hands out again,
+// still produces a frame byte-identical to a fresh Encode.
 func TestPoolPoisoning(t *testing.T) {
 	prev := SetPoolDebug(true)
 	defer SetPoolDebug(prev)
-	b := GetBuf()
+	var p Pool
+	b := p.Get()
 	h := Header{Type: TypeData, ConnID: 1, Seq: 9, OpType: OpWrite, Total: 4}
 	buf := MustEncodeInto(b.Bytes(), NewAddr(1, 0), NewAddr(2, 0), &h, []byte("abcd"))
 	stale := buf // aliases the pooled storage past its release below
-	PutBuf(b)
+	p.Put(b)
 	for i, v := range stale {
 		if v != 0xDB {
-			t.Fatalf("byte %d not poisoned after PutBuf: %#x", i, v)
+			t.Fatalf("byte %d not poisoned after Put: %#x", i, v)
 		}
 	}
-	b2 := GetBuf()
-	defer PutBuf(b2)
+	b2 := p.Get()
+	defer p.Put(b2)
+	if b2 != b {
+		t.Fatal("the pool did not hand the poisoned buffer out again")
+	}
 	got := MustEncodeInto(b2.Bytes(), NewAddr(1, 0), NewAddr(2, 0), &h, []byte("abcd"))
 	want := MustEncode(NewAddr(1, 0), NewAddr(2, 0), &h, []byte("abcd"))
 	if !bytes.Equal(got, want) {

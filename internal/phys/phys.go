@@ -11,7 +11,7 @@
 package phys
 
 import (
-	"sync"
+	"bytes"
 
 	"multiedge/internal/frame"
 	"multiedge/internal/sim"
@@ -23,7 +23,7 @@ import (
 // Frames come in two flavors. A literal &Frame{...} owns a plain heap
 // buffer and is garbage-collected; Release is a no-op on it, so tests
 // and cold control paths need no lifecycle discipline. A pooled frame
-// (NewPooledFrame) owns a frame.Buf from the buffer pool and MUST be
+// (Pool.NewFrame, NewPooledFrame) owns a frame.Buf and MUST be
 // released at exactly one death point: the drop that loses it, or the
 // end of receive dispatch (see DESIGN.md §13). The phys layer releases
 // frames it kills (drop-tail, link loss, failed links, misaddressing,
@@ -44,53 +44,66 @@ type Frame struct {
 	// without ECN thresholds are untouched.
 	Ecn bool
 
-	pb     *frame.Buf // pooled buffer this frame owns (nil if Buf is plain)
-	pooled bool       // the Frame struct itself came from framePool
+	pb   *frame.Buf // pooled buffer this frame owns (nil if Buf is plain)
+	pool *Pool      // where Release returns the record and pb (nil if literal)
 }
 
 // Len returns the stored frame length in bytes.
 func (f *Frame) Len() int { return len(f.Buf) }
 
-var framePool = sync.Pool{New: func() any { return &Frame{} }}
+// Pool is one simulation's freelist of pooled frames: the frame.Pool of
+// their buffers (held payloads draw from it too) and the idle frame
+// records. Its simulation's goroutine serializes it, so two simulations
+// running at once must not share one. The zero value is ready.
+type Pool struct {
+	frame.Pool
+	frames frame.Freelist[Frame]
+}
 
-// NewPooledFrame builds a frame around a pooled buffer: buf must alias
-// pb's storage (typically frame.EncodeInto(pb.Bytes(), ...)). The
-// returned frame owns both the Frame record and the buffer until
-// Release.
-func NewPooledFrame(pb *frame.Buf, buf []byte, dst, src frame.Addr) *Frame {
-	f := framePool.Get().(*Frame)
-	f.Buf, f.Dst, f.Src = buf, dst, src
-	f.Ecn = false
-	f.pb, f.pooled = pb, true
+// Trim lets every idle buffer and frame record go (frame.Freelist.Trim).
+func (p *Pool) Trim() {
+	p.Pool.Trim()
+	p.frames.Trim()
+}
+
+// NewFrame builds a frame around a pooled buffer: buf must alias pb's
+// storage (typically frame.EncodeInto(pb.Bytes(), ...)). The returned
+// frame owns both the Frame record and the buffer until Release, which
+// hands them back to p.
+func (p *Pool) NewFrame(pb *frame.Buf, buf []byte, dst, src frame.Addr) *Frame {
+	f := p.frames.Get()
+	*f = Frame{Buf: buf, Dst: dst, Src: src, pb: pb, pool: p}
 	return f
 }
 
-// Release returns a pooled frame's buffer and record to their pools.
-// It is a no-op on frames built as plain literals, so every death
-// point can call it unconditionally.
-func (f *Frame) Release() {
-	if f == nil || !f.pooled {
-		return
-	}
-	pb := f.pb
-	f.Buf, f.pb, f.pooled = nil, nil, false
-	frame.PutBuf(pb)
-	framePool.Put(f)
+// NewPooledFrame is NewFrame on a pool of its own, for a buffer from
+// frame.GetBuf: Release poisons the buffer and drops both.
+func NewPooledFrame(pb *frame.Buf, buf []byte, dst, src frame.Addr) *Frame {
+	return new(Pool).NewFrame(pb, buf, dst, src)
 }
 
-// clone copies a frame into a fresh pooled frame. The corrupt and
-// duplicate fault paths use it so no two in-flight deliveries ever
-// alias one buffer.
-func (f *Frame) clone() *Frame {
-	pb := frame.GetBuf()
-	var buf []byte
-	if n := len(f.Buf); n <= cap(pb.Bytes()) {
-		buf = pb.Bytes()[:n]
-	} else {
-		buf = make([]byte, n) // oversized foreign frame; keep pb owned for symmetry
+// Release returns a pooled frame's buffer and record to its pool. It is
+// a no-op on frames built as plain literals, so every death point can
+// call it unconditionally.
+func (f *Frame) Release() {
+	if f == nil || f.pool == nil {
+		return
 	}
-	copy(buf, f.Buf)
-	c := NewPooledFrame(pb, buf, f.Dst, f.Src)
+	p, pb := f.pool, f.pb
+	*f = Frame{}
+	p.Put(pb)
+	p.frames.Put(f)
+}
+
+// clone copies a frame: a pooled one into a fresh frame from its pool,
+// a literal one into a literal. The corrupt and duplicate fault paths
+// use it so no two in-flight deliveries ever alias one buffer.
+func (f *Frame) clone() *Frame {
+	if f.pool == nil {
+		return &Frame{Buf: bytes.Clone(f.Buf), Dst: f.Dst, Src: f.Src, Ecn: f.Ecn}
+	}
+	pb := f.pool.Get()
+	c := f.pool.NewFrame(pb, pb.Bytes()[:copy(pb.Bytes(), f.Buf)], f.Dst, f.Src)
 	c.Ecn = f.Ecn
 	return c
 }

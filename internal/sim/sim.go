@@ -216,6 +216,7 @@ type Env struct {
 	running  bool // inside Run or RunUntil
 	closed   bool
 	stopped  bool
+	onStop   []func() // run by Stop
 	executed uint64
 }
 
@@ -434,7 +435,17 @@ func (e *Env) scheduleEvent(at Time, fn func(), fnArg func(any), arg any, daemon
 
 // Stop makes the current Run/RunUntil call return after the current event
 // completes. Pending events stay queued and a later Run resumes them.
-func (e *Env) Stop() { e.stopped = true }
+func (e *Env) Stop() {
+	e.stopped = true
+	for _, fn := range e.onStop {
+		fn()
+	}
+}
+
+// OnStop registers fn to run at every Stop. Owners of buffer freelists
+// let their idle buffers go there (frame.Freelist.Trim): a stopped
+// simulation is inspected, resumed or dropped, and keeps no idle buffer.
+func (e *Env) OnStop(fn func()) { e.onStop = append(e.onStop, fn) }
 
 // Run executes events until no live (non-daemon) events remain or Stop
 // is called. It returns the time of the last executed event. Daemon

@@ -78,6 +78,23 @@ func TestNegativeDelayPanics(t *testing.T) {
 	e.After(-1, func() {})
 }
 
+// TestOnStopRunsAtEachStop: what OnStop registers runs inside the event
+// that calls Stop, once per Stop, and Run resumes the pending events.
+func TestOnStopRunsAtEachStop(t *testing.T) {
+	e := NewEnv(1)
+	var stops []Time
+	e.OnStop(func() { stops = append(stops, e.Now()) })
+	e.After(10, e.Stop)
+	e.After(20, func() {})
+	e.After(30, e.Stop)
+	if e.Run(); len(stops) != 1 || stops[0] != 10 {
+		t.Fatalf("after the first Run: stops at %v, want [10]", stops)
+	}
+	if e.Run(); len(stops) != 2 || stops[1] != 30 {
+		t.Fatalf("after the second Run: stops at %v, want [10 30]", stops)
+	}
+}
+
 func TestTimerStop(t *testing.T) {
 	e := NewEnv(1)
 	fired := false
