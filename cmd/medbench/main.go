@@ -148,7 +148,7 @@ func main() {
 			if !*metrics && !*spans {
 				hp = *obsOut
 			}
-			if err := os.WriteFile(hp, obs.HealthTimelineJSON(r.HealthLogs()), 0o644); err != nil {
+			if err := obs.WriteDoc(hp, obs.HealthTimelineJSON(r.HealthLogs())); err != nil {
 				fmt.Fprintf(os.Stderr, "medbench: %v\n", err)
 				os.Exit(1)
 			}
@@ -165,7 +165,7 @@ func main() {
 			return
 		}
 		p := *obsOut + ".postmortem.json"
-		if err := os.WriteFile(p, d.JSON(), 0o644); err != nil {
+		if err := obs.WriteDoc(p, d.JSON()); err != nil {
 			fmt.Fprintf(os.Stderr, "medbench: %v\n", err)
 			os.Exit(1)
 		}

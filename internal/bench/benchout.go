@@ -17,8 +17,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
+
+	"multiedge/internal/obs"
 )
 
 // BenchSchema versions the BENCH_*.json document format.
@@ -44,48 +45,20 @@ type BenchDoc struct {
 	Rows   []BenchRow `json:"rows"`
 }
 
-// NewBenchDoc returns an empty document for mode.
+// NewBenchDoc returns an empty document for mode; its rows are an empty
+// list, not nil, so JSON writes [] until one is added.
 func NewBenchDoc(mode string) *BenchDoc {
-	return &BenchDoc{Schema: BenchSchema, Mode: mode}
+	return &BenchDoc{Schema: BenchSchema, Mode: mode, Rows: []BenchRow{}}
 }
 
-// JSON renders the document deterministically: fixed field order, rows
-// in append order, extra keys sorted (encoding/json would randomize
-// map iteration).
-func (d *BenchDoc) JSON() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "{\"schema\":%q,\"mode\":%q,\"rows\":[", d.Schema, d.Mode)
-	for i, r := range d.Rows {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "\n{\"name\":%q,\"ops\":%d,\"ops_per_sec\":%g,\"goodput_mbs\":%g,"+
-			"\"p50_us\":%g,\"p95_us\":%g,\"p99_us\":%g,\"allocs_per_op\":%g",
-			r.Name, r.Ops, r.OpsPerSec, r.GoodputMBs, r.P50Us, r.P95Us, r.P99Us, r.AllocsPerOp)
-		if len(r.Extra) > 0 {
-			keys := make([]string, 0, len(r.Extra))
-			for k := range r.Extra {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			b.WriteString(",\"extra\":{")
-			for j, k := range keys {
-				if j > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "%q:%g", k, r.Extra[k])
-			}
-			b.WriteByte('}')
-		}
-		b.WriteByte('}')
-	}
-	b.WriteString("\n]}\n")
-	return []byte(b.String())
-}
+// JSON renders the document through obs.EncodeJSON: rows in append
+// order, extra keys sorted. Nil when a figure is NaN or infinite.
+func (d *BenchDoc) JSON() []byte { return obs.EncodeJSON(d) }
 
-// WriteFile writes the document to path.
+// WriteFile writes the document to path; a figure JSON cannot carry is
+// an error.
 func (d *BenchDoc) WriteFile(path string) error {
-	return os.WriteFile(path, d.JSON(), 0o644)
+	return obs.WriteDoc(path, d.JSON())
 }
 
 // ParseBench parses a BENCH_*.json document and validates its schema.

@@ -3,7 +3,10 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -63,6 +66,38 @@ func TestBenchDocRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseBench([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestBenchDocDecodesEqual: a document decodes back to the values it
+// was built from, names and extra keys with JSON's awkward characters
+// included; an empty one writes its rows as [], and a non-finite figure
+// is an error, never an invalid file.
+func TestBenchDocDecodesEqual(t *testing.T) {
+	const evil = "row \"q\" C:\\x\n<b>&amp; µs–ü"
+	d := sampleDoc()
+	d.Mode = evil
+	d.Rows[0].Name = evil
+	d.Rows[0].Extra[evil] = 1e21
+	d.Rows[1].P99Us = 1e-7
+	back, err := ParseBench(d.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, d) {
+		t.Fatalf("decoded %+v; want %+v", back, d)
+	}
+	if empty := NewBenchDoc("x").JSON(); !bytes.Contains(empty, []byte(`"rows":[]`)) {
+		t.Fatalf("empty document: %s", empty)
+	}
+
+	d.Rows[1].OpsPerSec = math.Inf(1)
+	path := filepath.Join(t.TempDir(), "BENCH_x.json")
+	if err := d.WriteFile(path); err == nil {
+		t.Fatal("WriteFile accepted an infinite figure")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a document was written anyway (stat: %v)", err)
 	}
 }
 

@@ -108,6 +108,7 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 		// be reborn here, so the dialer's reconnect budget runs out
 		// instead of replaying onto a fresh conn nobody accepted.
 		ep.Stats.StaleEpochDrops++
+		ep.emit(obs.NoConn, obs.EvStaleDrop, int64(h.Incarnation), 0)
 		return
 	case !ok:
 		links := int(h.OpID)
@@ -122,17 +123,17 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 		c.to(live)
 		c.startKeepalive()
 		ep.accepted.Send(ep.env, c)
-	case ep.cfg.Reconnect && h.Incarnation != c.incarnation:
-		if !incarnNewer(h.Incarnation, c.incarnation) {
-			// A redial from an epoch we already superseded (an earlier
-			// outage's request, delayed in flight): acking it would
-			// regress the connection. Drop it.
-			ep.Stats.StaleEpochDrops++
-			return
-		}
+	case ep.cfg.Reconnect && h.Incarnation != c.incarnation && !incarnNewer(h.Incarnation, c.incarnation):
+		// A redial from an epoch we already superseded (an earlier
+		// outage's request, delayed in flight): acking it would regress
+		// the connection. Drop it.
+		ep.Stats.StaleEpochDrops++
+		ep.emit(c.localID, obs.EvStaleDrop, int64(h.Incarnation), int64(c.incarnation))
+		return
+	case ep.cfg.Reconnect && incarnNewer(h.Incarnation, c.incarnation):
 		// The dialer is negotiating a successor epoch: be reborn into it,
 		// then ack as usual. Repeated redials for the same incarnation
-		// land in the equal branch and only re-send the ack.
+		// match no case and only re-send the ack.
 		c.acceptReconnect(h.Incarnation)
 	}
 	// Always (re-)send the ConnAck: the previous one may have been lost.

@@ -645,17 +645,15 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		}
 		return // stale frame for a connection we do not know
 	}
-	if ep.cfg.Reconnect {
-		// Epoch fence: a frame from a dead incarnation — duplicated,
-		// delayed in a deep queue, or replayed across a rail restore —
-		// must never touch live connection state. While the conn is
-		// reconnecting its own epoch is condemned too, so
-		// matching-incarnation frames are equally stale.
-		if h.Incarnation != c.incarnation || c.state == reconnecting {
-			ep.Stats.StaleEpochDrops++
-			ep.emit(c.localID, obs.EvStaleDrop, int64(h.Incarnation), int64(c.incarnation))
-			return
-		}
+	// Epoch fence: a frame from a dead incarnation — duplicated, delayed
+	// in a deep queue, or replayed across a rail restore — must never
+	// touch live connection state. While the conn is reconnecting its own
+	// epoch is condemned too, so matching-incarnation frames are equally
+	// stale.
+	if ep.cfg.Reconnect && (h.Incarnation != c.incarnation || c.state == reconnecting) {
+		ep.Stats.StaleEpochDrops++
+		ep.emit(c.localID, obs.EvStaleDrop, int64(h.Incarnation), int64(c.incarnation))
+		return
 	}
 	switch h.Type {
 	case frame.TypeConnClose:

@@ -296,7 +296,7 @@ func (ep *Endpoint) qosRateOK(cls int) bool {
 	if !q.refill.Pending() {
 		need := 1 - q.tokens
 		d := sim.Time((need*int64(sim.Second) + rate - 1) / rate)
-		ep.emit(0, obs.EvRateDefer, int64(cls), int64(d))
+		ep.emit(obs.NoConn, obs.EvRateDefer, int64(cls), int64(d))
 		q.refill = ep.env.Rearm(q.refill, d, ep.qosWakeFn)
 	}
 	return false

@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
+	"multiedge/internal/obs"
 	"multiedge/internal/sim"
 )
 
@@ -151,5 +154,48 @@ func TestQoSDoBlocksAndHonorsDeadline(t *testing.T) {
 	}
 	if n := cl.Nodes[0].EP.Stats.OpDeadlinesExpired; n != 1 {
 		t.Errorf("OpDeadlinesExpired = %d; want 1", n)
+	}
+}
+
+// TestQoSRateDeferralRecorded: a class parked on its empty token bucket
+// is an endpoint-level event, not one connection's. The flight recorder
+// keeps it under obs.NoConn, so a post-mortem's timeline lists it under
+// "endpoint" and its JSON writes conn -1.
+func TestQoSRateDeferralRecorded(t *testing.T) {
+	cl, c01 := qosPair(t, core.QoSClass{Weight: 1, RateBps: 10e6, Burst: 4 << 10})
+	rec := obs.NewRecorder(0, 0, obs.FlightKinds)
+	cl.Nodes[0].EP.SetRecorder(rec)
+	const n = 64 << 10
+	src, dst := cl.Nodes[0].EP.Alloc(n), cl.Nodes[1].EP.Alloc(n)
+	cl.Env.Go("app", func(p *sim.Proc) {
+		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+	})
+	cl.Env.RunUntil(sim.Second)
+	if cl.Nodes[0].EP.Stats.QosRateDeferrals == 0 || rec.Count(obs.EvRateDefer) == 0 {
+		t.Fatal("the rate limit never deferred the class: test is vacuous")
+	}
+	pm := obs.BuildPostMortem("rate check", cl.Env.Now(), nil, rec)
+	for _, line := range strings.Split(pm.Timeline(), "\n") {
+		if strings.Contains(line, "rate-defer") && !strings.Contains(line, " endpoint ") {
+			t.Errorf("rate deferral not listed under endpoint: %q", line)
+			break
+		}
+	}
+	var doc struct {
+		Nodes []struct {
+			Events []struct {
+				Conn int64  `json:"conn"`
+				Kind string `json:"kind"`
+			} `json:"events"`
+		} `json:"nodes"`
+	}
+	if err := json.Unmarshal(pm.JSON(), &doc); err != nil || len(doc.Nodes) != 1 {
+		t.Fatalf("dump JSON: %v (%d nodes)", err, len(doc.Nodes))
+	}
+	for _, ev := range doc.Nodes[0].Events {
+		if ev.Kind == "rate-defer" && ev.Conn != -1 {
+			t.Errorf("rate deferral dumped with conn %d, want -1", ev.Conn)
+			break
+		}
 	}
 }

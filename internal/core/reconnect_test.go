@@ -140,6 +140,53 @@ func TestRedialAfterIncarnationWrap(t *testing.T) {
 	}
 }
 
+// TestStaleDropsRecorded: every stale-epoch drop Stats counts is also a
+// recorded EvStaleDrop: a frame the epoch fence stops, a redial from an
+// epoch the conn already superseded, and a redial for a conn this side
+// does not hold. The last has no conn, so it is recorded under NoConn.
+func TestStaleDropsRecorded(t *testing.T) {
+	cl, c01, c10 := pairCluster(t, reconnectConfig())
+	recs := make([]*obs.Recorder, len(cl.Nodes))
+	for i, n := range cl.Nodes {
+		recs[i] = obs.NewRecorder(i, 0, obs.FlightKinds)
+		n.EP.SetRecorder(recs[i])
+	}
+	c01.SetIncarnationForTest(5)
+	c10.SetIncarnationForTest(5)
+	inject := func(h frame.Header) {
+		dst, src := frame.NewAddr(1, 0), frame.NewAddr(0, 0)
+		buf := frame.MustEncode(dst, src, &h, nil)
+		cl.Env.After(0, func() {
+			cl.Nodes[1].NICs[0].DeliverFrame(&phys.Frame{Buf: buf, Dst: dst, Src: src})
+		})
+		cl.Env.RunUntil(cl.Env.Now() + sim.Millisecond)
+	}
+	inject(frame.Header{Type: frame.TypeHeartbeat, ConnID: c10.LocalIDForTest(), Incarnation: 4})
+	inject(frame.Header{Type: frame.TypeConnReq, ConnID: c01.LocalIDForTest(), OpID: 1, Incarnation: 4})
+	inject(frame.Header{Type: frame.TypeConnReq, ConnID: 99, OpID: 1, Incarnation: 4})
+
+	for i, n := range cl.Nodes {
+		if got, want := recs[i].Count(obs.EvStaleDrop), n.EP.Stats.StaleEpochDrops; got != want {
+			t.Errorf("node %d: %d stale-drop events, its Stats counter %d", i, got, want)
+		}
+	}
+	if got := cl.Nodes[1].EP.Stats.StaleEpochDrops; got != 3 {
+		t.Fatalf("node 1 dropped %d frames as stale, want all 3", got)
+	}
+	var noConn int
+	for _, ev := range recs[1].Events() {
+		if ev.Kind == obs.EvStaleDrop && ev.Conn == obs.NoConn {
+			noConn++
+		}
+	}
+	if noConn != 1 {
+		t.Errorf("%d stale drops recorded under NoConn, want the one redial without a conn", noConn)
+	}
+	if !c10.Established() || c10.Incarnation() != 5 {
+		t.Errorf("acceptor is %s at incarnation %d: a stale frame touched it", c10.StateForTest(), c10.Incarnation())
+	}
+}
+
 func TestReconnectExactlyOnceNotify(t *testing.T) {
 	// Acks lost, data delivered: the write lands and notifies, then the
 	// sender — starved of acknowledgements — parks and replays it after

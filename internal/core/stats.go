@@ -63,7 +63,7 @@ type Stats struct {
 	NackGapsDropped    uint64 `obs:"core_nack_gaps_dropped_total"`    // gaps left untracked because the missing-list cap was hit
 
 	// Recovery (Config.Reconnect).
-	StaleEpochDrops  uint64 `obs:"core_stale_epoch_drops_total"` // frames fenced for carrying a dead incarnation
+	StaleEpochDrops  uint64 `obs:"core_stale_epoch_drops_total"` // frames and redials dropped for a dead incarnation
 	Reconnects       uint64 `obs:"core_reconnects_total"`        // supervised reconnects that re-established the conn
 	ReconnectsFailed uint64 `obs:"core_reconnects_failed_total"` // conns that exhausted MaxReconnects and died for real
 	ReplayedOps      uint64 `obs:"core_replayed_ops_total"`      // journaled ops re-issued after a reconnect

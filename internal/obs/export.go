@@ -1,9 +1,13 @@
 package obs
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"multiedge/internal/sim"
@@ -13,56 +17,67 @@ import (
 // Chrome trace "ts" fields are microseconds; sim.Time is nanoseconds,
 // so %.3f is exact and, being derived from the deterministic virtual
 // clock, bit-reproducible across runs.
-func us(t sim.Time) string { return fmt.Sprintf("%.3f", float64(t)/1000) }
+func us(t sim.Time) json.Number { return json.Number(fmt.Sprintf("%.3f", float64(t)/1000)) }
 
-// jsonEscape escapes a string for direct embedding in JSON.
-func jsonEscape(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
+// EncodeJSON renders v as one JSON document. Every JSON artifact of the
+// tree is written through it: encoding/json writes struct fields in
+// declaration order and map keys sorted, so equal values give equal
+// bytes; <, > and & stay as they are, and a newline ends the document.
+// A value JSON cannot carry (a NaN or infinite float is the only one
+// these documents can hold) gives nil, never invalid JSON: the
+// exporters return one value, and WriteDoc turns nil into an error.
+func EncodeJSON(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if enc.Encode(v) != nil {
+		return nil
 	}
-	return b.String()
+	return b.Bytes()
+}
+
+// WriteDoc writes a rendered document to path. A nil document, one
+// EncodeJSON could not render, is an error, and nothing is written.
+func WriteDoc(path string, doc []byte) error {
+	if doc == nil {
+		return fmt.Errorf("obs: %s: a value is NaN or infinite, which JSON cannot carry", path)
+	}
+	return os.WriteFile(path, doc, 0o644)
 }
 
 // promEscape escapes a label value for the Prometheus text exposition
 // format (version 0.0.4): backslash, double-quote and newline are the
-// only escapes the format defines. Go's %q (used here previously) also
-// escapes tabs, non-printables and non-ASCII runes, which a conforming
-// Prometheus parser would read back verbatim as backslash sequences —
-// raw UTF-8 must pass through untouched.
-func promEscape(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
+// only escapes the format defines. Tabs, non-printables and non-ASCII
+// runes pass through untouched, as a conforming parser reads them.
+var promEscape = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace
+
+// traceEvent is one Chrome trace event. Metadata events ("ph":"M")
+// leave ts, dur, cat and s empty, so they carry none of them.
+type traceEvent struct {
+	Ph   string      `json:"ph"`
+	Name string      `json:"name"`
+	Cat  string      `json:"cat,omitempty"`
+	Pid  int         `json:"pid"`
+	Tid  int         `json:"tid"`
+	Ts   json.Number `json:"ts,omitempty"`
+	Dur  json.Number `json:"dur,omitempty"`
+	S    string      `json:"s,omitempty"`
+	Args any         `json:"args"`
+}
+
+// spanArgs are the args of a span's complete event.
+type spanArgs struct {
+	ID         string `json:"id"`
+	Size       int    `json:"size"`
+	Events     int    `json:"events"`
+	Retx       int    `json:"retx"`
+	Unfinished bool   `json:"unfinished,omitempty"`
+}
+
+// eventArgs are the args of a span child's instant event.
+type eventArgs struct {
+	Op string `json:"op"`
+	SpanEvent
 }
 
 // ChromeTrace renders every recorded span, child event, and sampler
@@ -77,21 +92,11 @@ func promEscape(s string) string {
 //
 // Timestamps are virtual simulation time, so equal seeds produce
 // byte-identical traces. Spans still open at export time are emitted
-// with their current extent and an "unfinished" flag.
+// with their current extent and an "unfinished" flag. Nil when a
+// sampler value has no JSON form (see EncodeJSON).
 func (r *Registry) ChromeTrace() []byte {
-	var b strings.Builder
-	b.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			b.WriteString(",\n")
-		}
-		first = false
-		b.WriteString(line)
-	}
 	if r == nil {
-		b.WriteString("\n]}\n")
-		return []byte(b.String())
+		r = &Registry{} // an empty trace
 	}
 
 	// Metadata: name every process/thread that appears, sorted for
@@ -100,7 +105,7 @@ func (r *Registry) ChromeTrace() []byte {
 		node int
 		tid  string
 	}
-	tracks := map[track]string{}
+	tidNum := map[track]int{}
 	tidOf := func(s *Span) string {
 		if s.ID.Conn == layerConn {
 			return s.Layer
@@ -108,54 +113,40 @@ func (r *Registry) ChromeTrace() []byte {
 		return "conn " + fmt.Sprint(s.ID.Conn)
 	}
 	for _, s := range r.spans {
-		tracks[track{s.ID.Node, tidOf(s)}] = tidOf(s)
+		tidNum[track{s.ID.Node, tidOf(s)}] = 0
 	}
 	for _, sp := range r.samplers {
-		tracks[track{sp.Node, "samplers"}] = "samplers"
+		tidNum[track{sp.Node, "samplers"}] = 0
 	}
-	keys := make([]track, 0, len(tracks))
-	for k := range tracks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].tid < keys[j].tid
+	keys := slices.SortedFunc(maps.Keys(tidNum), func(a, b track) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), strings.Compare(a.tid, b.tid))
 	})
-	seenProc := map[int]bool{}
+	events := []traceEvent{}
 	for i, k := range keys {
-		if !seenProc[k.node] {
-			seenProc[k.node] = true
-			emit(fmt.Sprintf(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":"node %d"}}`, k.node, k.node))
+		if i == 0 || keys[i-1].node != k.node {
+			events = append(events, traceEvent{Ph: "M", Name: "process_name", Pid: k.node,
+				Args: map[string]string{"name": fmt.Sprintf("node %d", k.node)}})
 		}
-		emit(fmt.Sprintf(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":"%s"}}`,
-			k.node, i+1, jsonEscape(k.tid)))
-	}
-	tidNum := map[track]int{}
-	for i, k := range keys {
 		tidNum[k] = i + 1
+		events = append(events, traceEvent{Ph: "M", Name: "thread_name", Pid: k.node, Tid: i + 1,
+			Args: map[string]string{"name": k.tid}})
 	}
 
 	// Spans and their child events, in creation order.
 	for _, s := range r.spans {
 		tid := tidNum[track{s.ID.Node, tidOf(s)}]
 		end := s.End
-		unfinished := ""
 		if !s.Done {
 			end = r.env.Now()
-			unfinished = `,"unfinished":true`
 		}
-		emit(fmt.Sprintf(`{"ph":"X","name":"%s","cat":"%s","pid":%d,"tid":%d,"ts":%s,"dur":%s,`+
-			`"args":{"id":"%s","size":%d,"events":%d,"retx":%d%s}}`,
-			jsonEscape(s.Name), jsonEscape(s.Layer), s.ID.Node, tid,
-			us(s.Start), us(end-s.Start),
-			s.ID, s.Size, len(s.Events), s.Retransmits(), unfinished))
+		events = append(events, traceEvent{Ph: "X", Name: s.Name, Cat: s.Layer, Pid: s.ID.Node, Tid: tid,
+			Ts: us(s.Start), Dur: us(end - s.Start),
+			Args: spanArgs{ID: s.ID.String(), Size: s.Size, Events: len(s.Events),
+				Retx: s.Retransmits(), Unfinished: !s.Done}})
 		for _, e := range s.Events {
-			emit(fmt.Sprintf(`{"ph":"i","name":"%s","cat":"%s","pid":%d,"tid":%d,"ts":%s,"s":"t",`+
-				`"args":{"op":"%s","node":%d,"link":%d,"seq":%d,"len":%d}}`,
-				e.Kind, jsonEscape(s.Layer), s.ID.Node, tid, us(e.At),
-				s.ID, e.Node, e.Link, e.Seq, e.Len))
+			events = append(events, traceEvent{Ph: "i", Name: e.Kind.String(), Cat: s.Layer,
+				Pid: s.ID.Node, Tid: tid, Ts: us(e.At), S: "t",
+				Args: eventArgs{Op: s.ID.String(), SpanEvent: e}})
 		}
 	}
 
@@ -166,12 +157,14 @@ func (r *Registry) ChromeTrace() []byte {
 			name += " " + l.Key + "=" + l.Value
 		}
 		for i, t := range sp.Times {
-			emit(fmt.Sprintf(`{"ph":"C","name":"%s","pid":%d,"tid":0,"ts":%s,"args":{"value":%g}}`,
-				jsonEscape(name), sp.Node, us(t), sp.Values[i]))
+			events = append(events, traceEvent{Ph: "C", Name: name, Pid: sp.Node, Ts: us(t),
+				Args: map[string]float64{"value": sp.Values[i]}})
 		}
 	}
-	b.WriteString("\n]}\n")
-	return []byte(b.String())
+	return EncodeJSON(struct {
+		DisplayTimeUnit string       `json:"displayTimeUnit"`
+		TraceEvents     []traceEvent `json:"traceEvents"`
+	}{DisplayTimeUnit: "ns", TraceEvents: events})
 }
 
 // WriteFiles exports the registry to files rooted at path. With spans,
@@ -184,31 +177,27 @@ func (r *Registry) WriteFiles(path string, metrics, spans bool) ([]string, error
 	if r == nil {
 		return nil, fmt.Errorf("obs: registry is disabled; nothing to export")
 	}
-	var written []string
-	write := func(p string, data []byte) error {
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			return err
-		}
-		written = append(written, p)
-		return nil
+	type doc struct {
+		path string
+		data []byte
 	}
+	var docs []doc
 	if spans {
-		if err := write(path, r.ChromeTrace()); err != nil {
-			return written, err
-		}
+		docs = append(docs, doc{path, r.ChromeTrace()})
 	}
 	if metrics {
-		snap := r.Gather()
-		jp := path
+		snap, jp := r.Gather(), path
 		if spans {
-			jp = path + ".metrics.json"
+			jp += ".metrics.json"
 		}
-		if err := write(jp, snap.JSON()); err != nil {
+		docs = append(docs, doc{jp, snap.JSON()}, doc{path + ".prom", snap.Prometheus()})
+	}
+	var written []string
+	for _, d := range docs {
+		if err := WriteDoc(d.path, d.data); err != nil {
 			return written, err
 		}
-		if err := write(path+".prom", snap.Prometheus()); err != nil {
-			return written, err
-		}
+		written = append(written, d.path)
 	}
 	return written, nil
 }
@@ -218,32 +207,26 @@ func (r *Registry) WriteFiles(path string, metrics, spans bool) ([]string, error
 // headers are emitted once per metric family.
 func (s Snapshot) Prometheus() []byte {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Exported at virtual time %s.\n", us(s.At)+"us")
+	fmt.Fprintf(&b, "# Exported at virtual time %sus.\n", us(s.At))
 	lastFamily := ""
 	for _, sm := range s.Samples {
-		family, typ := sm.Name, "counter"
-		switch sm.Type {
-		case TypeGauge:
-			typ = "gauge"
-		case TypeHistogram:
-			typ = "histogram"
+		family := sm.Name
+		if sm.Type == TypeHistogram {
 			for _, suf := range []string{"_bucket", "_sum", "_count"} {
 				family = strings.TrimSuffix(family, suf)
 			}
 		}
 		if family != lastFamily {
-			fmt.Fprintf(&b, "# TYPE %s %s\n", family, typ)
+			fmt.Fprintf(&b, "# TYPE %s %s\n", family, metricTypeNames[sm.Type])
 			lastFamily = family
 		}
 		b.WriteString(sm.Name)
+		sep := "{"
+		for _, l := range sm.Labels {
+			fmt.Fprintf(&b, `%s%s="%s"`, sep, l.Key, promEscape(l.Value))
+			sep = ","
+		}
 		if len(sm.Labels) > 0 {
-			b.WriteByte('{')
-			for i, l := range sm.Labels {
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, `%s="%s"`, l.Key, promEscape(l.Value))
-			}
 			b.WriteByte('}')
 		}
 		fmt.Fprintf(&b, " %g\n", sm.Value)
@@ -255,25 +238,24 @@ func (s Snapshot) Prometheus() []byte {
 //
 //	{"at_ns": ..., "samples": [{"name": ..., "labels": {...}, "value": ..., "type": ...}]}
 //
-// Built by hand (ordered labels, stable field order) so output is
-// byte-reproducible; encoding/json map iteration would not be.
+// Nil when a value is NaN or infinite (see EncodeJSON).
 func (s Snapshot) JSON() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "{\"at_ns\":%d,\"samples\":[\n", int64(s.At))
-	typeName := [...]string{"counter", "gauge", "histogram"}
-	for i, sm := range s.Samples {
-		if i > 0 {
-			b.WriteString(",\n")
-		}
-		fmt.Fprintf(&b, `{"name":"%s","labels":{`, jsonEscape(sm.Name))
-		for j, l := range sm.Labels {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, `"%s":"%s"`, jsonEscape(l.Key), jsonEscape(l.Value))
-		}
-		fmt.Fprintf(&b, `},"value":%g,"type":"%s"}`, sm.Value, typeName[sm.Type])
+	type sample struct {
+		Name   string            `json:"name"`
+		Labels map[string]string `json:"labels"`
+		Value  float64           `json:"value"`
+		Type   string            `json:"type"`
 	}
-	b.WriteString("\n]}\n")
-	return []byte(b.String())
+	samples := make([]sample, 0, len(s.Samples))
+	for _, sm := range s.Samples {
+		labels := make(map[string]string, len(sm.Labels))
+		for _, l := range sm.Labels {
+			labels[l.Key] = l.Value
+		}
+		samples = append(samples, sample{Name: sm.Name, Labels: labels, Value: sm.Value, Type: metricTypeNames[sm.Type]})
+	}
+	return EncodeJSON(struct {
+		AtNs    sim.Time `json:"at_ns"`
+		Samples []sample `json:"samples"`
+	}{AtNs: s.At, Samples: samples})
 }

@@ -33,7 +33,7 @@ const (
 	EvNackDrop                     // missing-list cap hit; A = seq, B = tracked gaps
 	EvDoorbell                     // SQ doorbell rung; A = descriptors issued
 	EvSched                        // conn enqueued on the scheduler; A = 0 ctrl / 1 send, B = queue depth
-	EvStaleDrop                    // frame fenced for a dead incarnation; A = frame epoch, B = live epoch
+	EvStaleDrop                    // frame or redial dropped for a dead incarnation; A = its epoch, B = live epoch (0 without a conn)
 	EvAbandon                      // conn terminally failed by Conn.Abandon; A = incarnation, B = inflight
 	EvThrottled                    // QoS admission backpressure; A = class, B = 0 fail-fast / 1 blocking wait
 	EvRateDefer                    // QoS class parked on an empty token bucket; A = class, B = refill delay

@@ -10,6 +10,21 @@ import (
 	"multiedge/internal/sim"
 )
 
+// Stop halts one sampler ahead of Quiesce, so the tests can stop a
+// single series; programs only ever stop them all. Nil-safe.
+func (s *Sampler) Stop() {
+	if s != nil {
+		s.stop()
+	}
+}
+
+// Stop does the same for one health log.
+func (l *HealthLog) Stop() {
+	if l != nil {
+		l.stop()
+	}
+}
+
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	// Every method must be a no-op, not a panic.

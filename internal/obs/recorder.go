@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -123,13 +124,8 @@ func (r *Recorder) Events() []Event {
 	if r == nil || len(r.buf) == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) < cap(r.buf) || r.n == uint64(len(r.buf)) {
-		return append(out, r.buf...)
-	}
-	head := int(r.n % uint64(len(r.buf))) // oldest surviving event
-	out = append(out, r.buf[head:]...)
-	return append(out, r.buf[:head]...)
+	head := int(r.n % uint64(len(r.buf))) // oldest surviving event (0 until the ring wraps)
+	return append(append(make([]Event, 0, len(r.buf)), r.buf[head:]...), r.buf[:head]...)
 }
 
 // Summary renders the per-kind totals of every kind recorded at least
@@ -192,26 +188,26 @@ func (r *Recorder) Timeline(bucket sim.Time) string {
 // TimelineNote is one non-recorder entry merged into a post-mortem
 // timeline — typically an injected fault from the chaos Runner.
 type TimelineNote struct {
-	At   sim.Time
-	Text string
+	At   sim.Time `json:"at_ns"`
+	Text string   `json:"what"`
 }
 
 // NodeEvents is one node's slice of a post-mortem: the last events per
 // connection, in recording order.
 type NodeEvents struct {
-	Node        int
-	Recorded    uint64 // events ever recorded on this node
-	Overwritten uint64 // events lost to ring wraparound
-	Events      []Event
+	Node        int     `json:"node"`
+	Recorded    uint64  `json:"recorded"`    // events ever recorded on this node
+	Overwritten uint64  `json:"overwritten"` // events lost to ring wraparound
+	Events      []Event `json:"events"`
 }
 
 // PostMortem is a frozen, cause-tagged flight-recorder dump, built when
 // a chaos invariant, leak gate or peer-death path fires.
 type PostMortem struct {
-	Cause  string
-	At     sim.Time
-	Faults []TimelineNote // injected faults, chronological
-	Nodes  []NodeEvents   // one entry per attached recorder, by node
+	Cause  string         `json:"cause"`
+	At     sim.Time       `json:"at_ns"`
+	Faults []TimelineNote `json:"faults"` // injected faults, chronological
+	Nodes  []NodeEvents   `json:"nodes"`  // one entry per attached recorder, by node
 }
 
 // postMortemLastN bounds the per-connection tail kept in a dump. State
@@ -224,76 +220,63 @@ const postMortemLastN = 16
 // ring. Pass the injected-fault timeline (may be nil) so the dump can
 // interleave causes with effects.
 func BuildPostMortem(cause string, at sim.Time, faults []TimelineNote, recs ...*Recorder) *PostMortem {
-	pm := &PostMortem{Cause: cause, At: at}
-	for _, f := range faults {
-		pm.Faults = append(pm.Faults, f)
-	}
+	pm := &PostMortem{Cause: cause, At: at, Faults: slices.Clone(faults)}
 	sort.SliceStable(pm.Faults, func(i, j int) bool { return pm.Faults[i].At < pm.Faults[j].At })
 	for _, r := range recs {
 		if r == nil {
 			continue
 		}
 		all := r.Events()
+		ne := NodeEvents{Node: r.node, Recorded: r.n, Overwritten: r.n - uint64(len(all))}
 		// Count per-conn tails from the end, keeping state transitions
 		// unconditionally so a busy conn's doorbell storm cannot push its
 		// own failure history out of the dump.
 		tail := make(map[uint32]int)
-		keep := make([]bool, len(all))
 		for i := len(all) - 1; i >= 0; i-- {
-			ev := all[i]
-			if stateTransition(ev.Kind) || tail[ev.Conn] < postMortemLastN {
-				keep[i] = true
+			if ev := all[i]; stateTransition(ev.Kind) || tail[ev.Conn] < postMortemLastN {
+				ne.Events = append(ne.Events, ev)
 				tail[ev.Conn]++
 			}
 		}
-		ne := NodeEvents{Node: r.node, Recorded: r.n}
-		if r.n > uint64(len(all)) {
-			ne.Overwritten = r.n - uint64(len(all))
-		}
-		for i, ev := range all {
-			if keep[i] {
-				ne.Events = append(ne.Events, ev)
-			}
-		}
+		slices.Reverse(ne.Events)
 		pm.Nodes = append(pm.Nodes, ne)
 	}
 	sort.SliceStable(pm.Nodes, func(i, j int) bool { return pm.Nodes[i].Node < pm.Nodes[j].Node })
 	return pm
 }
 
-// JSON renders the dump as a deterministic JSON document (hand-built,
-// like the other obs exporters, so equal runs dump byte-identically).
+// JSON renders the dump as a JSON document. Endpoint-level events
+// (NoConn) carry conn -1, and kinds are written by name.
 func (pm *PostMortem) JSON() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "{\"schema\":\"multiedge-postmortem/v1\",\"cause\":\"%s\",\"at_ns\":%d,\"faults\":[",
-		jsonEscape(pm.Cause), int64(pm.At))
-	for i, f := range pm.Faults {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "\n{\"at_ns\":%d,\"what\":\"%s\"}", int64(f.At), jsonEscape(f.Text))
+	type event struct {
+		AtNs sim.Time `json:"at_ns"`
+		Conn int64    `json:"conn"`
+		Kind string   `json:"kind"`
+		A    int64    `json:"a"`
+		B    int64    `json:"b"`
 	}
-	b.WriteString("],\"nodes\":[")
-	for i, n := range pm.Nodes {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "\n{\"node\":%d,\"recorded\":%d,\"overwritten\":%d,\"events\":[", n.Node, n.Recorded, n.Overwritten)
-		for j, ev := range n.Events {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			conn := strconv.FormatUint(uint64(ev.Conn), 10)
+	type node struct {
+		NodeEvents
+		Events []event `json:"events"` // in place of NodeEvents.Events
+	}
+	nodes := make([]node, 0, len(pm.Nodes))
+	for _, n := range pm.Nodes {
+		events := make([]event, 0, len(n.Events))
+		for _, ev := range n.Events {
+			conn := int64(ev.Conn)
 			if ev.Conn == NoConn {
-				conn = "-1"
+				conn = -1
 			}
-			fmt.Fprintf(&b, "\n{\"at_ns\":%d,\"conn\":%s,\"kind\":\"%s\",\"a\":%d,\"b\":%d}",
-				int64(ev.At), conn, ev.Kind, ev.A, ev.B)
+			events = append(events, event{AtNs: ev.At, Conn: conn, Kind: ev.Kind.String(), A: ev.A, B: ev.B})
 		}
-		b.WriteString("]}")
+		nodes = append(nodes, node{NodeEvents: n, Events: events})
 	}
-	b.WriteString("\n]}\n")
-	return []byte(b.String())
+	return EncodeJSON(struct {
+		Schema string `json:"schema"`
+		*PostMortem
+		Faults []TimelineNote `json:"faults"` // in place of PostMortem's, [] when none
+		Nodes  []node         `json:"nodes"`
+	}{Schema: "multiedge-postmortem/v1", PostMortem: pm, Faults: list(pm.Faults), Nodes: nodes})
 }
 
 // Timeline renders the dump as a human-readable, chronologically merged
@@ -332,4 +315,4 @@ func (pm *PostMortem) Timeline() string {
 }
 
 // fmtTime renders a virtual timestamp as microseconds for timelines.
-func fmtTime(t sim.Time) string { return fmt.Sprintf("%.3fus", float64(t)/1000) }
+func fmtTime(t sim.Time) string { return string(us(t)) + "us" }

@@ -21,7 +21,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,24 +41,13 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // NodeLabel builds the conventional node="<id>" label.
 func NodeLabel(id int) Label { return Label{Key: "node", Value: strconv.Itoa(id)} }
 
-// labelKey serializes labels (already sorted by caller or small enough
-// to sort here) into a canonical map key.
+// labelKey serializes labels, sorted by key, into a canonical map key.
 func labelKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+	pairs := make([]string, len(labels))
+	for i, l := range sortedLabels(labels) {
+		pairs[i] = l.Key + "=" + l.Value
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	return b.String()
+	return strings.Join(pairs, ",")
 }
 
 // MetricType classifies a sample for exposition.
@@ -67,6 +59,9 @@ const (
 	TypeGauge
 	TypeHistogram // expanded into _bucket/_sum/_count samples at Gather
 )
+
+// metricTypeNames spells each MetricType in the exporters.
+var metricTypeNames = [...]string{"counter", "gauge", "histogram"}
 
 // Gauge is a point-in-time value. A nil Gauge (from a nil Registry)
 // accepts updates and drops them.
@@ -138,33 +133,27 @@ type Registry struct {
 
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
-	order  []string // metric creation order (deterministic iteration)
 
 	collectors []Collector
 	samplers   []*Sampler
 	healthLogs []*HealthLog
+	tickers    []*ticker // of every sampler and health log
 	quiesced   bool
 
 	spansOn bool
 	open    map[SpanID]*Span
 	spans   []*Span
 	autoOp  uint64 // ids for layer spans (own namespace, see layerConn)
-
-	opLatency  map[string]*Histogram // per layer/name op-latency hist
-	latencyOrd []string
-	latencyOn  bool
 }
 
 // New creates an enabled registry bound to the simulation environment
 // (virtual timestamps).
 func New(env *sim.Env) *Registry {
 	return &Registry{
-		env:       env,
-		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
-		open:      make(map[SpanID]*Span),
-		opLatency: make(map[string]*Histogram),
-		latencyOn: true,
+		env:    env,
+		gauges: make(map[string]*Gauge),
+		hists:  make(map[string]*Histogram),
+		open:   make(map[SpanID]*Span),
 	}
 }
 
@@ -173,14 +162,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := name + "\xff" + labelKey(labels)
-	if g, ok := r.gauges[k]; ok {
-		return g
-	}
-	g := &Gauge{name: name, labels: sortedLabels(labels)}
-	r.gauges[k] = g
-	r.order = append(r.order, "g\xff"+k)
-	return g
+	return metric(r.gauges, name, labels, func() *Gauge { return &Gauge{name: name, labels: sortedLabels(labels)} })
 }
 
 // Histogram returns the named histogram with the given bucket upper
@@ -190,21 +172,25 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return nil
 	}
-	k := name + "\xff" + labelKey(labels)
-	if h, ok := r.hists[k]; ok {
-		return h
+	return metric(r.hists, name, labels, func() *Histogram {
+		if len(bounds) == 0 {
+			bounds = LatencyBucketsUs
+		}
+		return &Histogram{name: name, labels: sortedLabels(labels),
+			bounds: slices.Clone(bounds), counts: make([]uint64, len(bounds)+1)}
+	})
+}
+
+// metric returns the metric of the given name and labels in store,
+// creating it with create on first use.
+func metric[M any](store map[string]*M, name string, labels []Label, create func() *M) *M {
+	k := Sample{Name: name, Labels: labels}.key()
+	m, ok := store[k]
+	if !ok {
+		m = create()
+		store[k] = m
 	}
-	if len(bounds) == 0 {
-		bounds = LatencyBucketsUs
-	}
-	h := &Histogram{
-		name: name, labels: sortedLabels(labels),
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
-	r.hists[k] = h
-	r.order = append(r.order, "h\xff"+k)
-	return h
+	return m
 }
 
 func sortedLabels(labels []Label) []Label {
@@ -234,18 +220,12 @@ func (r *Registry) Gather() Snapshot {
 		return Snapshot{}
 	}
 	var out []Sample
-	for _, ok := range r.order {
-		kind, k := ok[:1], ok[2:]
-		switch kind {
-		case "g":
-			g := r.gauges[k]
-			out = append(out, Sample{Name: g.name, Labels: g.labels, Value: g.v, Type: TypeGauge})
-		case "h":
-			out = append(out, r.hists[k].expand()...)
-		}
+	for _, k := range slices.Sorted(maps.Keys(r.gauges)) {
+		g := r.gauges[k]
+		out = append(out, Sample{Name: g.name, Labels: g.labels, Value: g.v, Type: TypeGauge})
 	}
-	for _, hk := range r.latencyOrd {
-		out = append(out, r.opLatency[hk].expand()...)
+	for _, k := range slices.Sorted(maps.Keys(r.hists)) {
+		out = append(out, r.hists[k].expand()...)
 	}
 	for _, c := range r.collectors {
 		c(func(s Sample) {
@@ -255,19 +235,12 @@ func (r *Registry) Gather() Snapshot {
 	}
 	for _, sp := range r.samplers {
 		if n := len(sp.Values); n > 0 {
-			out = append(out, Sample{
-				Name:   sp.Name,
-				Labels: sortedLabels(append([]Label{NodeLabel(sp.Node)}, sp.Labels...)),
-				Value:  sp.Values[n-1],
-				Type:   TypeGauge,
-			})
+			labels := sortedLabels(append([]Label{NodeLabel(sp.Node)}, sp.Labels...))
+			out = append(out, Sample{Name: sp.Name, Labels: labels, Value: sp.Values[n-1], Type: TypeGauge})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return labelKey(out[i].Labels) < labelKey(out[j].Labels)
+	slices.SortStableFunc(out, func(a, b Sample) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(labelKey(a.Labels), labelKey(b.Labels)))
 	})
 	return Snapshot{At: r.env.Now(), Samples: out}
 }
@@ -277,21 +250,16 @@ func (r *Registry) Gather() Snapshot {
 func (h *Histogram) expand() []Sample {
 	out := make([]Sample, 0, len(h.bounds)+3)
 	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		le := strconv.FormatFloat(b, 'g', -1, 64)
-		out = append(out, Sample{
-			Name:   h.name + "_bucket",
-			Labels: sortedLabels(append(append([]Label(nil), h.labels...), L("le", le))),
-			Value:  float64(cum),
-			Type:   TypeHistogram,
-		})
+	for i, n := range h.counts {
+		cum += n
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
+		}
+		labels := sortedLabels(append(slices.Clone(h.labels), L("le", le)))
+		out = append(out, Sample{Name: h.name + "_bucket", Labels: labels, Value: float64(cum), Type: TypeHistogram})
 	}
-	cum += h.counts[len(h.bounds)]
 	out = append(out,
-		Sample{Name: h.name + "_bucket",
-			Labels: sortedLabels(append(append([]Label(nil), h.labels...), L("le", "+Inf"))),
-			Value:  float64(cum), Type: TypeHistogram},
 		Sample{Name: h.name + "_sum", Labels: h.labels, Value: h.sum, Type: TypeHistogram},
 		Sample{Name: h.name + "_count", Labels: h.labels, Value: float64(h.samples), Type: TypeHistogram},
 	)
@@ -319,62 +287,59 @@ type Sampler struct {
 	Times  []sim.Time
 	Values []float64
 
-	reg     *Registry
-	stopped bool
-	timer   *sim.Timer
+	ticker
 }
 
-// Sample starts sampling f every interval until the sampler (or the
-// whole registry) is stopped. Sampling is pure observation: it ticks on
-// daemon events (which never keep Run alive) and touches no protocol
-// state and no RNG, so it cannot perturb or prolong the run. Returns
-// nil on a nil registry.
+// Sample starts sampling f every interval until the registry quiesces.
+// Returns nil on a nil registry.
 func (r *Registry) Sample(name string, node int, labels []Label, every sim.Time, f func() float64) *Sampler {
 	if r == nil {
 		return nil
 	}
-	if every <= 0 {
-		panic(fmt.Sprintf("obs: non-positive sampling interval %d", every))
-	}
-	s := &Sampler{Name: name, Node: node, Labels: labels, reg: r}
-	var tick func()
-	tick = func() {
-		if s.stopped || r.quiesced {
-			return
-		}
+	s := &Sampler{Name: name, Node: node, Labels: labels}
+	r.startTicker(&s.ticker, every, func() {
 		s.Times = append(s.Times, r.env.Now())
 		s.Values = append(s.Values, f())
-		s.timer = r.env.AfterDaemon(every, tick)
-	}
-	s.timer = r.env.AfterDaemon(every, tick)
+	})
 	r.samplers = append(r.samplers, s)
 	return s
 }
 
-// Stop halts this sampler; the pending tick is cancelled so the event
-// queue can drain. Nil-safe and idempotent.
-func (s *Sampler) Stop() {
-	if s == nil || s.stopped {
-		return
+// ticker is the registry's one sampling clock, behind every Sampler and
+// HealthLog: it calls its function every interval until it is stopped
+// or the registry quiesces. It ticks on daemon events, which never keep
+// Run alive, and its functions touch no protocol state and no RNG, so
+// sampling can neither perturb nor prolong a run.
+type ticker struct{ timer *sim.Timer }
+
+// startTicker arms t to call f every interval; Quiesce stops it.
+func (r *Registry) startTicker(t *ticker, every sim.Time, f func()) {
+	if every <= 0 {
+		panic(fmt.Sprintf("obs: non-positive sampling interval %d", every))
 	}
-	s.stopped = true
-	if s.timer != nil {
-		s.timer.Stop()
+	var tick func()
+	tick = func() {
+		if !r.quiesced {
+			f()
+			t.timer = r.env.AfterDaemon(every, tick)
+		}
 	}
+	t.timer = r.env.AfterDaemon(every, tick)
+	r.tickers = append(r.tickers, t)
 }
 
-// Quiesce stops every sampler. Workload drivers call it when the
-// measured phase ends, so self-re-arming samplers do not keep the
-// event queue alive forever. Nil-safe and idempotent.
+// stop cancels the pending tick so the event queue can drain.
+func (t *ticker) stop() { t.timer.Stop() }
+
+// Quiesce stops every sampler and health log. Workload drivers call it
+// when the measured phase ends, so self-re-arming tickers do not keep
+// the event queue alive forever. Nil-safe and idempotent.
 func (r *Registry) Quiesce() {
 	if r == nil || r.quiesced {
 		return
 	}
 	r.quiesced = true
-	for _, s := range r.samplers {
-		s.Stop()
-	}
-	for _, l := range r.healthLogs {
-		l.Stop()
+	for _, t := range r.tickers {
+		t.stop()
 	}
 }

@@ -19,14 +19,16 @@ type SpanID struct {
 }
 
 // SpanEvent is one timestamped child event of a span: a protocol event
-// (Kind) scoped to one operation, with its A and B as Seq and Len.
+// (Kind) scoped to one operation, with its A and B as Seq and Len. The
+// tags name its args in the Chrome trace, whose event carries At and
+// Kind itself.
 type SpanEvent struct {
-	At   sim.Time
-	Kind Kind
-	Node int // node where the event happened
-	Link int // rail index for frame events, -1 otherwise
-	Seq  uint32
-	Len  int // payload bytes for frame events
+	At   sim.Time `json:"-"`
+	Kind Kind     `json:"-"`
+	Node int      `json:"node"` // node where the event happened
+	Link int      `json:"link"` // rail index for frame events, -1 otherwise
+	Seq  uint32   `json:"seq"`
+	Len  int      `json:"len"` // payload bytes for frame events
 }
 
 // Span traces one operation end to end. Fields are written by the
@@ -116,21 +118,8 @@ func (s *Span) EndAt(at sim.Time) {
 	s.End = at
 	if r := s.reg; r != nil {
 		delete(r.open, s.ID)
-		if r.latencyOn {
-			hk := s.Layer + "\xff" + s.Name
-			h, ok := r.opLatency[hk]
-			if !ok {
-				h = &Histogram{
-					name:   "op_latency_us",
-					labels: sortedLabels([]Label{L("layer", s.Layer), L("op", s.Name)}),
-					bounds: LatencyBucketsUs,
-					counts: make([]uint64, len(LatencyBucketsUs)+1),
-				}
-				r.opLatency[hk] = h
-				r.latencyOrd = append(r.latencyOrd, hk)
-			}
-			h.Observe(float64(at-s.Start) / 1000) // ns → µs
-		}
+		r.Histogram("op_latency_us", LatencyBucketsUs, L("layer", s.Layer), L("op", s.Name)).
+			Observe(float64(at-s.Start) / 1000) // ns → µs
 	}
 }
 
