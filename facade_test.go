@@ -37,6 +37,26 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRun issues a write and a read through Conn.Run, the
+// facade's wait-for-the-error form of Do.
+func TestPublicAPIRun(t *testing.T) {
+	cl := multiedge.NewCluster(multiedge.OneLink1G(2))
+	c01, _ := cl.Pair()
+	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
+	msg := []byte("facade run")
+	src, dst, back := ep0.Alloc(len(msg)), ep1.Alloc(len(msg)), ep0.Alloc(len(msg))
+	copy(ep0.Mem()[src:], msg)
+	var werr, rerr error
+	cl.Env.Go("runner", func(p *multiedge.Proc) {
+		werr = c01.Run(p, multiedge.Op{Remote: dst, Local: src, Size: len(msg), Kind: multiedge.OpWrite})
+		rerr = c01.Run(p, multiedge.Op{Remote: dst, Local: back, Size: len(msg), Kind: multiedge.OpRead})
+	})
+	cl.Env.RunUntil(multiedge.Second)
+	if werr != nil || rerr != nil || !bytes.Equal(ep0.Mem()[back:back+uint64(len(msg))], msg) {
+		t.Fatalf("write %v, read %v, read back %q", werr, rerr, ep0.Mem()[back:back+uint64(len(msg))])
+	}
+}
+
 // TestPublicAPIDSM exercises the shared-memory layer through the facade.
 func TestPublicAPIDSM(t *testing.T) {
 	cfg := multiedge.TwoLinkUnordered1G(3)

@@ -112,7 +112,7 @@ func RunFanin(opts FaninOptions) FaninResult {
 				}
 				for k := 0; k < opts.OpsPerConn; k++ {
 					t0 := st.now()
-					c.MustDo(p, sl.op(k, kind, flags)).Wait(p)
+					mustRun(p, c, sl.op(k, kind, flags))
 					st.lap(t0)
 					opsDone++
 				}

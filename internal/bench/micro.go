@@ -145,7 +145,7 @@ func RunOneWay(cfg cluster.Config, size int) MicroResult {
 	var prev, net cluster.NetReport
 	cl.Env.Go("oneway", func(p *sim.Proc) {
 		// Warm up the path.
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+		mustRun(p, c01, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})
 		start = cl.Env.Now()
 		snap0[0] = cl.Nodes[0].CPUs.App.Snapshot(cl.Env)
 		snap0[1] = cl.Nodes[0].CPUs.Proto.Snapshot(cl.Env)
@@ -194,7 +194,7 @@ func RunTwoWay(cfg cluster.Config, size int) MicroResult {
 	finished := 0
 	run := func(idx int, c *core.Conn, src, dst uint64) func(p *sim.Proc) {
 		return func(p *sim.Proc) {
-			c.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+			mustRun(p, c, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})
 			start[idx] = cl.Env.Now()
 			if idx == 0 {
 				snap0[0] = cl.Nodes[0].CPUs.App.Snapshot(cl.Env)
@@ -282,7 +282,7 @@ func RunTreeCrossPair(size int) float64 {
 	dst := cl.Nodes[2].EP.Alloc(size)
 	var start, end sim.Time
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		conns[0][2].MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+		mustRun(p, conns[0][2], core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})
 		start = cl.Env.Now()
 		hs := make([]*core.Handle, 0, count)
 		for i := 0; i < count; i++ {
@@ -316,7 +316,7 @@ func RunTracedOneWay(cfg cluster.Config, size int) string {
 	src := cl.Nodes[0].EP.Alloc(size)
 	dst := cl.Nodes[1].EP.Alloc(size)
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+		mustRun(p, c01, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})
 	})
 	cl.Env.RunUntil(600 * sim.Second)
 	return "sender " + tr0.Summary() + "receiver " + tr1.Summary() +

@@ -118,7 +118,7 @@ func RunNoisy(opts NoisyOptions) NoisyResult {
 		// measure-past-the-dial-storm convention.
 		for k := 0; k < noisyWarmup+opts.VictimOps; k++ {
 			t0 := st.now()
-			c.MustDo(p, vs.op(k, frame.OpWrite, frame.Solicit)).Wait(p)
+			mustRun(p, c, vs.op(k, frame.OpWrite, frame.Solicit))
 			if k == noisyWarmup-1 {
 				st.start = st.now()
 			} else if k >= noisyWarmup {

@@ -66,6 +66,14 @@ func postBatch(p *sim.Proc, c *core.Conn, sl slots, n int) {
 	}
 }
 
+// mustRun issues op on c and waits for it through Conn.Run, which
+// allocates nothing. An error panics: a caller's ops must complete.
+func mustRun(p *sim.Proc, c *core.Conn, op core.Op) {
+	if err := c.Run(p, op); err != nil {
+		panic(err)
+	}
+}
+
 // RunSmallOps measures one-way small-write throughput on cfg. batch = 0
 // issues every operation eagerly (Do); batch > 0 routes them through
 // the submission queue, ringing the doorbell every batch posts and
@@ -89,7 +97,7 @@ func RunSmallOps(cfg cluster.Config, size, count, batch int) SmallOpResult {
 	var lat LatencyRecorder
 	cl.Env.Go("smallops", func(p *sim.Proc) {
 		// Warm up the path.
-		c01.MustDo(p, sl.op(0, frame.OpWrite, 0)).Wait(p)
+		mustRun(p, c01, sl.op(0, frame.OpWrite, 0))
 		start = cl.Env.Now()
 		prev = cl.Collect()
 		hs := make([]*core.Handle, 0, lanes)

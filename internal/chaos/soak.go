@@ -125,18 +125,7 @@ func Run(o Options) (Result, []Violation, *Artifacts) {
 			if o.Deadline > 0 {
 				op.Deadline = cl.Env.Now() + o.Deadline
 			}
-			h, err := c01.Do(p, op)
-			if err != nil {
-				res.FailedOps++
-				if errors.Is(err, core.ErrPeerDead) {
-					res.PeerDead = true
-					res.FailedAt = cl.Env.Now()
-				} else {
-					violate("op-error", "transfer %d rejected: %v", i, err)
-				}
-				return
-			}
-			h.Wait(p)
+			err := c01.Run(p, op)
 			// The deadline timer releases the waiter, which then pays the
 			// modeled scheduler wakeup latency before running again; allow
 			// that much slack past the deadline, but no more.
@@ -144,7 +133,7 @@ func Run(o Options) (Result, []Violation, *Artifacts) {
 				violate("op-past-deadline", "transfer %d released at %v, deadline %v",
 					i, cl.Env.Now(), op.Deadline)
 			}
-			if err := h.Err(); err != nil {
+			if err != nil {
 				res.FailedOps++
 				if errors.Is(err, core.ErrPeerDead) {
 					res.PeerDead = true

@@ -15,10 +15,11 @@ import (
 
 // This file gates the zero-allocation hot-path contract (DESIGN.md §13):
 // after warmup, a steady-state operation allocates at most the one
-// user-held Handle (which embeds its txOp). Everything else — frames,
-// events, timers, receive records, read replies, SQ-posted handles,
-// coalesced containers, held payloads, notification deliveries,
-// scheduler queues, completion staging — must recycle.
+// user-held Handle that Do returns, and nothing through Run. Everything
+// else — send records, frames, events, timers, receive records, read
+// replies, Run handles, coalesced containers, held payloads,
+// notification deliveries, scheduler queues, completion staging — must
+// recycle.
 //
 // The measurements run testing.AllocsPerRun from inside a simulated
 // process. While that process is parked in Wait/WaitCQ, the scheduler
@@ -91,11 +92,69 @@ func TestAllocsEagerWrite(t *testing.T) {
 	gateAllocs(t, "eager write+wait", allocs, 1)
 }
 
+// TestAllocsRun gates Conn.Run at nothing per operation: its handle is
+// pooled like every send record, so an eager write and a read through
+// Run allocate nothing once warm.
+func TestAllocsRun(t *testing.T) {
+	cfg := cluster.OneLink1G(2)
+	cfg.Seed = 3
+	cl, c01, src, dst := allocPair(t, cfg)
+	write := core.Op{Remote: dst, Local: src, Size: 512, Kind: frame.OpWrite}
+	read := core.Op{Remote: dst + 4096, Local: src + 4096, Size: 512, Kind: frame.OpRead}
+	var allocs float64
+	runMeasured(t, cl, func(p *sim.Proc) {
+		step := func() {
+			if err := c01.Run(p, write); err != nil {
+				t.Error(err)
+			}
+			if err := c01.Run(p, read); err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 0; i < 128; i++ {
+			step()
+		}
+		allocs = testing.AllocsPerRun(100, step)
+	})
+	gateAllocs(t, "Run write, Run read", allocs/2, 0)
+}
+
+// TestAllocsDoBytes gates what an eager operation through Do costs the
+// heap: its Handle, at most 96 B, and nothing more, for writes and
+// reads alike, read from runtime.MemStats over many operations.
+func TestAllocsDoBytes(t *testing.T) {
+	cfg := cluster.OneLink1G(2)
+	cfg.Seed = 3
+	cl, c01, src, dst := allocPair(t, cfg)
+	write := core.Op{Remote: dst, Local: src, Size: 512, Kind: frame.OpWrite}
+	read := core.Op{Remote: dst + 4096, Local: src + 4096, Size: 512, Kind: frame.OpRead}
+	const ops = 2000
+	var perOp float64
+	runMeasured(t, cl, func(p *sim.Proc) {
+		for i := 0; i < 128; i++ {
+			c01.MustDo(p, write).Wait(p)
+			c01.MustDo(p, read).Wait(p)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ops/2; i++ {
+			c01.MustDo(p, write).Wait(p)
+			c01.MustDo(p, read).Wait(p)
+		}
+		runtime.ReadMemStats(&after)
+		perOp = float64(after.TotalAlloc-before.TotalAlloc) / ops
+	})
+	t.Logf("%.1f B allocated per eager write or read (budget 96)", perOp)
+	if !race.Enabled && perOp > 96 {
+		t.Errorf("%.1f B allocated per eager op, budget 96: the Handle grew, or a send record came from the allocator", perOp)
+	}
+}
+
 // TestAllocsSQBatch gates the doorbell path — Post a batch, Ring, drain
-// the completion queue — at nothing per operation: the Handle each
-// posted descriptor surfaces internally reaches no caller and is
-// recycled with its txOp. Submission-queue double-buffering, ring-time
-// snapshots, completion staging, and the CQ mailbox must all recycle.
+// the completion queue — at nothing per operation: a posted op has no
+// Handle, its completion comes from its pooled send record.
+// Submission-queue double-buffering, ring-time snapshots, completion
+// staging, and the CQ mailbox must all recycle.
 func TestAllocsSQBatch(t *testing.T) {
 	cfg := cluster.OneLink1G(2)
 	cfg.Seed = 3
@@ -489,7 +548,7 @@ func TestLargeWriteSnapshotRecycled(t *testing.T) {
 	var allocs, perPair float64
 	runMeasured(t, cl, func(p *sim.Proc) {
 		h := c01.MustDo(p, write)
-		snap := h.SnapshotForTest()
+		snap := c01.SnapshotForTest()
 		if len(snap) != size || snap[0] != 5 {
 			t.Fatalf("live snapshot: %d bytes, first %#x", len(snap), snap[0])
 		}
@@ -499,7 +558,7 @@ func TestLargeWriteSnapshotRecycled(t *testing.T) {
 				t.Fatalf("retired snapshot byte %d reads %#x, want the 0xDB poison", i, b)
 			}
 		}
-		if next := c01.MustDo(p, write); &next.SnapshotForTest()[0] != &snap[0] {
+		if next := c01.MustDo(p, write); &c01.SnapshotForTest()[0] != &snap[0] {
 			t.Error("the next write did not reuse the retired snapshot")
 		} else {
 			next.Wait(p)

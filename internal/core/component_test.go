@@ -347,7 +347,7 @@ func TestArqTx(t *testing.T) {
 			var free freelists
 			var ops []*txOp
 			for id, o := range tc.ops {
-				ops = append(ops, &txOp{id: uint64(id), opType: frame.OpWrite, flags: frame.OpFlags(o[1]), data: make([]byte, o[0]), total: uint32(o[0])})
+				ops = append(ops, &txOp{Op: Op{Kind: frame.OpWrite, Flags: frame.OpFlags(o[1])}, id: uint64(id), data: make([]byte, o[0]), total: uint32(o[0])})
 				x.nextOpID++
 				x.enqueue(ops[id])
 			}

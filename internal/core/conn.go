@@ -400,7 +400,10 @@ func (c *Conn) teardown(cause error) {
 	cause = c.endErr
 	ep := c.ep
 	c.stopTimers()
-	c.outstanding(func(t *txOp) { c.endTxOp(t, cause) })
+	c.outstanding(func(t *txOp) {
+		t.completed = false // a read whose reply is due fails now
+		c.endTxOp(t, cause)
+	})
 	c.dropWindow(&ep.free)
 	// Posted-but-unrung descriptors never received ids; their error
 	// completions carry OpID 0 and the original Op for correlation. Each
@@ -418,7 +421,7 @@ func (c *Conn) teardown(cause error) {
 			ep.noteSQDepth(-n)
 		}
 	}
-	c.held = nil // the only reorder buffer: nothing else keeps payload copies
+	c.orderer.restart(&ep.free) // the only reorder buffer: nothing else keeps payload copies
 	// Wake processes parked in WaitNotify with one poison notification
 	// each; once the conn is closed, later calls return the poison without
 	// parking. No caller may hang on a conn that ended.
@@ -431,10 +434,10 @@ func (c *Conn) teardown(cause error) {
 // outstanding visits every send-side operation the conn still owes its
 // callers, each once, in the order a teardown ends them: the ops of the
 // window's frames, oldest first; then the queued ops with no frame in
-// the window; then, sorted by id, a stand-in built from the handle for
-// each read whose request was acknowledged and whose reply is still
-// due. The teardown, rebirth, Journal and Health all take this one
-// walk. visit may end the op it is given; it must not add work.
+// the window; then, sorted by id, each read whose request was
+// acknowledged (so it is retired) and whose reply is still due. The
+// teardown, rebirth, Journal and Health all take this one walk. visit
+// may end the op it is given; it must not add work.
 func (c *Conn) outstanding(visit func(*txOp)) {
 	// An op's frames are numbered back to back, so only a dead-link probe
 	// (one frame, an op of its own) can sit between two of them.
@@ -453,17 +456,15 @@ func (c *Conn) outstanding(visit func(*txOp)) {
 			visit(t)
 		}
 	}
-	var acked []uint64
-	for id, h := range c.pendingReads {
-		if h.t.completed {
-			acked = append(acked, id)
+	var acked []*txOp
+	for _, t := range c.pendingReads {
+		if t.completed {
+			acked = append(acked, t)
 		}
 	}
-	slices.Sort(acked)
-	for _, id := range acked {
-		h := c.pendingReads[id]
-		visit(&txOp{id: id, opType: frame.OpRead, flags: h.op.Flags,
-			remote: h.op.Remote, local: h.op.Local, total: uint32(h.size), h: h})
+	slices.SortFunc(acked, byID)
+	for _, t := range acked {
+		visit(t)
 	}
 }
 

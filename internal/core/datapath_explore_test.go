@@ -204,7 +204,7 @@ func newDPState(k *dpCase) *dpState {
 		for j := range data {
 			data[j] = byte(16*(id+1) + j)
 		}
-		s.b.ops[id] = txOp{id: uint64(id), opType: frame.OpWrite, flags: o.flags, remote: remote, data: data, total: uint32(len(data))}
+		s.b.ops[id] = txOp{Op: Op{Kind: frame.OpWrite, Flags: o.flags, Remote: remote}, id: uint64(id), data: data, total: uint32(len(data))}
 		remote += uint64(len(data))
 		s.ops = append(s.ops, &s.b.ops[id])
 		s.tx.nextOpID++
@@ -540,9 +540,9 @@ func (s *dpState) check() {
 		}
 	}
 	for id, t := range s.ops {
-		if s.done[id] && string(s.mem[t.remote:t.remote+uint64(t.total)]) != string(t.data) {
+		if s.done[id] && string(s.mem[t.Remote:t.Remote+uint64(t.total)]) != string(t.data) {
 			s.fail("op %d complete at the sender, but receiver memory holds %v, not %v",
-				id, s.mem[t.remote:t.remote+uint64(t.total)], t.data)
+				id, s.mem[t.Remote:t.Remote+uint64(t.total)], t.data)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"multiedge/internal/frame"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
@@ -101,6 +102,18 @@ func (c *Conn) HeldForTest() (held, stale int) {
 	return len(c.held), stale
 }
 
+// HeldBufsForTest returns the pooled buffers of the frames the reorder
+// buffer holds.
+func (c *Conn) HeldBufsForTest() []*frame.Buf {
+	var bufs []*frame.Buf
+	for _, hf := range c.held {
+		if hf.buf != nil {
+			bufs = append(bufs, hf.buf)
+		}
+	}
+	return bufs
+}
+
 // StopTimersForTest invokes the conn's timer/gap teardown directly.
 func (c *Conn) StopTimersForTest() { c.stopTimers() }
 
@@ -177,12 +190,15 @@ const (
 	CCBacklogForTest      = ccBacklog
 )
 
-// SnapshotForTest returns the handle's kernel-buffer snapshot at full
-// capacity while the operation owns one; retained across completion, it
-// shows what endTxOp left of it.
-func (h *Handle) SnapshotForTest() []byte { return h.t.data[:cap(h.t.data)] }
+// SnapshotForTest returns the kernel-buffer snapshot of the op queued
+// last, at full capacity; retained across completion, it shows what
+// endTxOp left of it.
+func (c *Conn) SnapshotForTest() []byte {
+	t := c.txOps[len(c.txOps)-1]
+	return t.data[:cap(t.data)]
+}
 
-// RecycledForTest peeks at the SQ handle and the op record the endpoint
+// RecycledForTest peeks at the Run handle and the op record the endpoint
 // recycled last and returns the operation ids they read: PoisonIDForTest
 // under frame.SetPoolDebug, 0 otherwise (or when none was recycled).
 func (ep *Endpoint) RecycledForTest() (handle, op uint64) {

@@ -45,13 +45,8 @@ func (c *Conn) Journal() []Op {
 			for _, s := range t.subs {
 				recs = append(recs, rec{id: s.id, op: s.op})
 			}
-		case t.h != nil:
-			recs = append(recs, rec{id: t.id, op: t.h.op})
 		default:
-			recs = append(recs, rec{id: t.id, op: Op{
-				Remote: t.remote, Local: t.local, Size: int(t.total),
-				Kind: t.opType, Flags: t.flags,
-			}})
+			recs = append(recs, rec{id: t.id, op: t.Op})
 		}
 	})
 	slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.id, b.id) })

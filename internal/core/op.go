@@ -159,8 +159,9 @@ func within(addr uint64, size int, limit uint64) bool {
 // descriptor, user→kernel copy for writes) to the calling process on the
 // application CPU. It is the options-struct successor of RDMAOperation
 // and returns an error — ErrNotEstablished, ErrClosed, ErrBadRange,
-// ErrOversized, ... — instead of panicking on invalid use. Many small
-// operations to one peer are cheaper through Post + Ring.
+// ErrOversized, ... — instead of panicking on invalid use. A caller
+// that only waits for the error has Run, which allocates nothing; many
+// small operations to one peer are cheaper through Post + Ring.
 func (c *Conn) Do(p *sim.Proc, op Op) (*Handle, error) {
 	return c.DoOn(p, c.ep.cpus.App, op)
 }
@@ -171,6 +172,37 @@ func (c *Conn) Do(p *sim.Proc, op Op) (*Handle, error) {
 // remote requests — run on the protocol CPU, like the kernel thread
 // they model.
 func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
+	data, err := c.initiate(p, cpu, op)
+	if err != nil {
+		return nil, err
+	}
+	h := new(Handle)
+	c.enqueueOp(op, data, h)
+	return h, nil
+}
+
+// Run is Do, Wait and Handle.Err: the same CPU charge and frames, and no
+// allocation. Its handle is pooled: once the outcome is delivered no
+// send record points at it (Conn.finish), so it goes back at once.
+func (c *Conn) Run(p *sim.Proc, op Op) error {
+	data, err := c.initiate(p, c.ep.cpus.App, op)
+	if err != nil {
+		return err
+	}
+	h := c.ep.free.handles.Get()
+	c.enqueueOp(op, data, h)
+	h.Wait(p)
+	err = h.err
+	if *h = (Handle{}); frame.Poisoning() {
+		h.opID = poisonOp.id
+	}
+	c.ep.free.handles.Put(h)
+	return err
+}
+
+// initiate validates op, passes the admission gates and charges the
+// eager issue cost to cpu, and returns the write payload's snapshot.
+func (c *Conn) initiate(p *sim.Proc, cpu *sim.Resource, op Op) ([]byte, error) {
 	if err := c.checkOp(op); err != nil {
 		return nil, err
 	}
@@ -209,7 +241,7 @@ func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
 		ep.Stats.AppProtoTime += cost
 	}
 	p.Exec(cpu, cost)
-	return c.enqueueOp(op, data, false), nil
+	return data, nil
 }
 
 // admitPoll is the blocking-admission polling interval: a Do caller a
@@ -256,32 +288,14 @@ func (c *Conn) MustDoOn(p *sim.Proc, cpu *sim.Resource, op Op) *Handle {
 }
 
 // enqueueOp creates the send-side record for a validated, paid-for
-// operation and hands it to the protocol thread. viaCQ marks operations
-// issued through the submission queue, whose completions surface on the
-// connection's completion queue as well as the returned handle.
-func (c *Conn) enqueueOp(op Op, data []byte, viaCQ bool) *Handle {
+// operation and hands it to the protocol thread. Its outcome goes to
+// handle h, or to the completion queue when h is nil (Ring).
+func (c *Conn) enqueueOp(op Op, data []byte, h *Handle) {
 	ep := c.ep
-	// One allocation carries both records: the txOp is embedded in the
-	// handle. A user-held handle can never be recycled; an SQ-posted one
-	// reaches no caller and comes from the endpoint's freelist, unless a
-	// deadline timer would hold it. Every handle keeps its descriptor:
-	// the CQ path surfaces it in completions, and recovery
-	// (Config.Reconnect) re-synthesizes a read request from it when the
-	// original txOp is long gone at replay time.
-	pooled := viaCQ && op.Deadline == 0
-	var h *Handle
-	if pooled {
-		h = ep.free.handles.Get()
-	} else {
-		h = new(Handle)
-	}
-	*h = Handle{c: c, opID: c.nextOpID, size: op.Size, op: op, cq: viaCQ}
-	t := &h.t
-	*t = txOp{
-		id: c.nextOpID, opType: op.Kind, flags: op.Flags,
-		remote: op.Remote, local: op.Local,
-		data: data, total: uint32(op.Size),
-		h: h, pooled: pooled,
+	t := ep.free.ops.Get()
+	*t = txOp{Op: op, id: c.nextOpID, data: data, total: uint32(op.Size), cq: h == nil, h: h, subs: t.subs}
+	if h != nil {
+		*h = Handle{opID: t.id, size: t.total}
 	}
 	c.nextOpID++
 	if ep.qosOn() {
@@ -302,15 +316,14 @@ func (c *Conn) enqueueOp(op Op, data []byte, viaCQ bool) *Handle {
 			obs.SpanID{Node: ep.node, Conn: c.localID, Op: t.id}, "core", name, op.Size)
 	}
 	if op.Deadline > 0 {
-		h, d := t.h, op.Deadline-ep.env.Now()
+		d := op.Deadline - ep.env.Now()
 		if d < 0 {
 			d = 0
 		}
-		h.dlTimer = ep.env.After(d, func() { c.expireHandle(h, t) })
+		t.dl = ep.env.After(d, func() { c.expireOp(t) })
 	}
 	ep.Stats.OpsStarted++
 	c.issue(t)
-	return h
 }
 
 // issue hands a new send-side op to the protocol thread: a read joins
@@ -323,11 +336,11 @@ func (c *Conn) issue(t *txOp) {
 		c.endTxOp(t, c.endErr)
 		return
 	}
-	if t.opType == frame.OpRead {
+	if t.Kind == frame.OpRead {
 		if c.pendingReads == nil {
-			c.pendingReads = make(map[uint64]*Handle)
+			c.pendingReads = make(map[uint64]*txOp)
 		}
-		c.pendingReads[t.id] = t.h
+		c.pendingReads[t.id] = t
 	}
 	c.enqueue(t)
 	c.kick()
@@ -484,7 +497,7 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 				continue
 			}
 		}
-		c.enqueueOp(batch[i], data[i], true)
+		c.enqueueOp(batch[i], data[i], nil)
 		i++
 	}
 	// Recycle the walk's scratch: the batch backing feeds the next ring's
@@ -550,8 +563,8 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 	// One frame carries every sub-op, so one forward fence on the
 	// container (its id is the last sub-op's) covers every fenced sub-op.
 	*t = txOp{
-		id: recs[len(recs)-1].id, opType: frame.OpWrite, flags: fenced,
-		data: payload, total: uint32(len(payload)), subs: recs, pooled: true,
+		Op: Op{Kind: frame.OpWrite, Flags: fenced}, id: recs[len(recs)-1].id,
+		data: payload, total: uint32(len(payload)), subs: recs,
 	}
 	if ep.qosOn() {
 		// One container, one class (Ring breaks coalesce runs on class

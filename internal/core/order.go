@@ -65,6 +65,21 @@ func (f *fenceSet) remove(id uint64) {
 // blocks reports whether an open fence comes before operation id.
 func (f fenceSet) blocks(id uint64) bool { return len(f) > 0 && f[0] < id }
 
+// restart clears the delivery state of an epoch that ends, for a rebirth
+// or a teardown: the held frames' buffers go back to fl's pool, and the
+// partially received ops are deleted, while completed ones stay.
+func (o *orderer) restart(fl *freelists) {
+	for _, hf := range o.held {
+		fl.pool.Put(hf.buf)
+	}
+	for id, op := range o.rxOps {
+		if !op.complete {
+			delete(o.rxOps, id)
+		}
+	}
+	*o = orderer{rxOps: o.rxOps, frontier: o.frontier}
+}
+
 // getRxOp finds or creates the receive-side operation record for a
 // frame, taking new records from fl.
 func (o *orderer) getRxOp(h frame.Header, fl *freelists) *rxOp {
@@ -360,17 +375,12 @@ func (c *Conn) completeRxOp(op *rxOp) {
 		ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, ep.noteFn, q)
 	}
 	if op.opType == frame.OpReadReply {
-		if h, ok := c.pendingReads[op.local]; ok {
-			delete(c.pendingReads, op.local)
-			if len(c.pendingReads) == 0 {
-				// No replies outstanding: cancel the liveness guard so its
-				// (daemon) tick does not advance a drained simulation's
-				// clock under RunUntil.
-				c.readGuard.Stop()
+		if t, ok := c.pendingReads[op.local]; ok {
+			if t.h != nil {
+				t.h.acked = op.applied
 			}
-			h.acked = int(op.applied)
-			c.finishHandle(h, nil)
-			ep.free.recycle(&h.t)
+			c.finish(t, nil)
+			ep.free.recycle(t)
 		}
 	}
 	if collected {
@@ -392,9 +402,8 @@ func (c *Conn) serveRead(h frame.Header) {
 	data := ep.snapshot(h.Remote, int(h.Total))
 	t := ep.free.ops.Get()
 	*t = txOp{
-		id: c.nextOpID, opType: frame.OpReadReply,
-		remote: h.Local, local: h.OpID,
-		data: data, total: h.Total, pooled: true, subs: t.subs,
+		Op: Op{Kind: frame.OpReadReply, Remote: h.Local, Local: h.OpID, Size: int(h.Total)},
+		id: c.nextOpID, data: data, total: h.Total, subs: t.subs,
 	}
 	// The reply txOp continues the requester's read span: its frame
 	// transmissions, retransmits and ACKs all belong to that read.

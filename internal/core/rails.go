@@ -333,7 +333,8 @@ func (c *Conn) probeTick() {
 // on a live link, which re-attributes the frame before its ACK can
 // arrive.
 func (c *Conn) sendProbe(li int) {
-	op := &txOp{id: c.nextOpID, opType: frame.OpWrite, sentAll: true, unacked: 1, probe: true}
+	op := c.ep.free.ops.Get()
+	*op = txOp{Op: Op{Kind: frame.OpWrite}, id: c.nextOpID, sentAll: true, unacked: 1, probe: true, subs: op.subs}
 	c.nextOpID++
 	tf := c.number(&c.ep.free, op, 0)
 	tf.link = li

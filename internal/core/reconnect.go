@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -178,21 +177,15 @@ func (c *Conn) rebirth(inc uint16) {
 
 	var journal []*txOp
 	c.outstanding(func(t *txOp) {
-		if h := t.h; h != nil && t != &h.t {
-			// The stand-in for a read whose request was acknowledged: it
-			// becomes the handle's own record again, and the request is
-			// sent anew.
-			h.t = *t
-			t = &h.t
-		}
+		t.completed = false // a read whose reply is due sends its request anew
 		journal = append(journal, t)
 	})
 	// The frame records die with the old epoch: the journal re-fragments
 	// every op from offset 0.
 	c.dropWindow(&ep.free)
-	slices.SortFunc(journal, func(a, b *txOp) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(journal, byID)
 
-	c.restart(journal)
+	c.arqTx.restart(journal)
 	c.rr = 0
 	// Link health, the outstanding-frame charges (they refer to frames
 	// that will never be acked) and the arrival marks all die with the
@@ -214,19 +207,12 @@ func (c *Conn) rebirth(inc uint16) {
 	// The ring's storage and the timer handles stay for reuse.
 	c.rcv.clear()
 	c.arqRx = arqRx{rcv: c.rcv, ackTimer: c.ackTimer, ackFn: c.ackFn, nackTimer: c.nackTimer, nackFn: c.nackFn}
-	c.applyNxt = 0
-	c.held = nil
-	for id, op := range c.rxOps {
-		if !op.complete {
-			delete(c.rxOps, id)
-		}
-	}
-	c.fenced = nil
+	c.orderer.restart(&ep.free)
 
 	// Write handles reset their acknowledged-byte mark, or a partially
 	// acked first life would double-count; read handles never advanced it.
 	for _, t := range journal {
-		if t.h != nil && t.opType == frame.OpWrite {
+		if t.h != nil && t.Kind == frame.OpWrite {
 			t.h.acked = 0
 		}
 		if !t.probe {

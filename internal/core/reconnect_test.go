@@ -318,9 +318,11 @@ func TestReconnectReplayedSolicitAcksPromptly(t *testing.T) {
 
 func TestReconnectResumesRead(t *testing.T) {
 	// A read whose request was already acknowledged when the peer died:
-	// at replay time its txOp is gone, so the journal re-synthesizes the
-	// request from the handle's descriptor and the reply lands after
-	// recovery.
+	// its retired txOp waits in pendingReads, the journal sends its
+	// request anew, and the reply lands after recovery. Under
+	// SetPoolDebug a send record recycled while pendingReads still
+	// holds it reads as poison, and the read would never finish.
+	defer frame.SetPoolDebug(frame.SetPoolDebug(true))
 	cfg := reconnectConfig()
 	cl, c01, _ := pairCluster(t, cfg)
 	const n = 1 << 20
@@ -329,12 +331,16 @@ func TestReconnectResumesRead(t *testing.T) {
 	fill(cl.Nodes[1].EP.Mem()[dst:dst+n], 11)
 	cl.Env.After(2*sim.Millisecond, func() { cl.RestartNode(1, 150*sim.Millisecond) })
 	var rdErr error
+	done := false
 	cl.Env.Go("reader", func(p *sim.Proc) {
 		h := c01.MustDo(p, core.Op{Remote: dst, Local: buf, Size: n, Kind: frame.OpRead})
 		h.Wait(p)
-		rdErr = h.Err()
+		rdErr, done = h.Err(), true
 	})
 	cl.Env.RunUntil(10 * sim.Second)
+	if !done {
+		t.Fatal("read across restart never finished")
+	}
 	if rdErr != nil {
 		t.Fatalf("read across restart returned %v, want transparent recovery", rdErr)
 	}
@@ -379,6 +385,62 @@ func TestReconnectDeadlineStillFires(t *testing.T) {
 	}
 	if c01.Failed() || c10.Failed() {
 		t.Error("deadline expiry must not kill a recovering connection")
+	}
+}
+
+// TestReconnectDeadlineReadPoisoned: a read whose Op.Deadline passes
+// while its peer is away releases its waiter at the deadline; its send
+// record lives on until its request is acknowledged in the next epoch,
+// and its reply is dropped. The reads and writes that follow reuse
+// every record, each read with a deadline it meets: under SetPoolDebug
+// a record recycled while its deadline timer, pendingReads or the
+// window still holds it reads as poison, and a timer left armed on a
+// reused record fails a later op.
+func TestReconnectDeadlineReadPoisoned(t *testing.T) {
+	defer frame.SetPoolDebug(frame.SetPoolDebug(true))
+	cfg := reconnectConfig()
+	cl, c01, _ := pairCluster(t, cfg)
+	const n = 64 << 10
+	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
+	remote, late, back := ep1.Alloc(n), ep0.Alloc(n), ep0.Alloc(n)
+	fill(ep1.Mem()[remote:remote+n], 13)
+	cl.Env.After(2*sim.Millisecond, func() { cl.RestartNode(1, 150*sim.Millisecond) })
+	var dlErr error
+	var releasedAt sim.Time
+	cl.Env.Go("reader", func(p *sim.Proc) {
+		p.Sleep(2 * sim.Millisecond)
+		h := c01.MustDo(p, core.Op{Remote: remote, Local: late, Size: n, Kind: frame.OpRead,
+			Deadline: 20 * sim.Millisecond})
+		h.Wait(p)
+		dlErr, releasedAt = h.Err(), cl.Env.Now()
+		for ep0.Stats.Reconnects == 0 {
+			p.Sleep(sim.Millisecond)
+		}
+		for i := 0; i < 32; i++ {
+			if err := c01.Run(p, core.Op{Remote: remote, Local: back, Size: n, Kind: frame.OpRead,
+				Deadline: cl.Env.Now() + 5*sim.Millisecond}); err != nil {
+				t.Errorf("read %d after the outage: %v", i, err)
+				return
+			}
+			if !bytes.Equal(ep0.Mem()[back:back+n], ep1.Mem()[remote:remote+n]) {
+				t.Errorf("read %d after the outage carried the wrong bytes", i)
+				return
+			}
+			if err := c01.Run(p, core.Op{Remote: remote, Local: back, Size: n, Kind: frame.OpWrite}); err != nil {
+				t.Errorf("write %d after the outage: %v", i, err)
+				return
+			}
+		}
+	})
+	cl.Env.RunUntil(10 * sim.Second)
+	if !errors.Is(dlErr, core.ErrDeadlineExceeded) {
+		t.Fatalf("deadline read returned %v at %v, want ErrDeadlineExceeded", dlErr, releasedAt)
+	}
+	if dl := 20 * sim.Millisecond; releasedAt < dl || releasedAt > dl+50*sim.Microsecond {
+		t.Errorf("waiter released at %v, want at the deadline", releasedAt)
+	}
+	if ep0.Stats.Reconnects == 0 {
+		t.Error("reader never reconnected")
 	}
 }
 

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 )
 
 // TestRecycledRecordsPoisoned drives every kind of record the data path
-// recycles over one conn — SQ-posted writes and reads (pooled handles),
-// a coalesced run of small writes (a pooled container) and eager reads
-// (pooled read replies on the peer) — under frame.SetPoolDebug. Every
-// byte must land, and a recycled handle and op record read as poisoned.
+// recycles over one conn — SQ-posted writes and reads, a coalesced run
+// of small writes (a container) and eager reads through Run (a pooled
+// handle here, read replies on the peer) — under frame.SetPoolDebug.
+// Every byte must land, and a recycled handle and op record read as
+// poisoned.
 // Window 4 keeps the window full, so the last op a batch sends has
 // completed before curOp takes it out of txOps: a record recycled
 // before then is still queued, and fragmenting its poison faults.
@@ -48,9 +50,8 @@ func TestRecycledRecordsPoisoned(t *testing.T) {
 					t.Errorf("round %d: %v", r, comp.Err)
 				}
 			}
-			h := c01.MustDo(p, core.Op{Remote: dst, Local: back, Size: size, Kind: frame.OpRead})
-			if h.Wait(p); h.Err() != nil {
-				t.Errorf("round %d: eager read: %v", r, h.Err())
+			if err := c01.Run(p, core.Op{Remote: dst, Local: back, Size: size, Kind: frame.OpRead}); err != nil {
+				t.Errorf("round %d: eager read: %v", r, err)
 			}
 			if !bytes.Equal(ep0.Mem()[back:back+size], ep0.Mem()[src:src+size]) ||
 				!bytes.Equal(ep1.Mem()[dst:dst+slots*size], ep0.Mem()[src:src+slots*size]) {
@@ -63,7 +64,7 @@ func TestRecycledRecordsPoisoned(t *testing.T) {
 		h, op := n.EP.RecycledForTest()
 		t.Logf("node %d: recycled handle reads op %#x, op record %#x", i, h, op)
 		if i == 0 && h != core.PoisonIDForTest {
-			t.Errorf("node 0: a recycled SQ handle reads op %#x, want the poison %#x", h, uint64(core.PoisonIDForTest))
+			t.Errorf("node 0: a recycled Run handle reads op %#x, want the poison %#x", h, uint64(core.PoisonIDForTest))
 		}
 		if op != core.PoisonIDForTest {
 			t.Errorf("node %d: a recycled op record reads op %#x, want the poison %#x", i, op, uint64(core.PoisonIDForTest))
@@ -169,5 +170,80 @@ func TestStopLetsIdleStorageGo(t *testing.T) {
 	}
 	if pool.Get() == idle {
 		t.Error("the buffer pool kept an idle buffer across Stop")
+	}
+}
+
+// TestHeldBuffersReturnAtEpochEnd: a lossy two-rail run under
+// Config.Strict holds frames behind a lost one; then node 1 drops off
+// the network with the frames still held. Whether the conn is reborn
+// (Config.Reconnect) or torn down, the held payloads' buffers go back to
+// the simulation's pool, where they sit idle once the run is quiet.
+func TestHeldBuffersReturnAtEpochEnd(t *testing.T) {
+	defer frame.SetPoolDebug(frame.SetPoolDebug(true))
+	for _, reconnect := range []bool{true, false} {
+		t.Run(map[bool]string{true: "rebirth", false: "teardown"}[reconnect], func(t *testing.T) {
+			cfg := cluster.TwoLinkUnordered1G(2)
+			cfg.Core.Strict, cfg.Core.Reconnect = true, reconnect
+			cfg.Core.DeadInterval = 50 * sim.Millisecond
+			if !reconnect {
+				cfg.Core.HeartbeatInterval = 5 * sim.Millisecond // the receiver detects the silence too
+			}
+			cl, c01, c10 := pairCluster(t, cfg)
+			ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
+			const n = 16 * 1444 // 16 frames
+			src, dst := ep0.Alloc(n), ep1.Alloc(n)
+			fill(ep0.Mem()[src:src+n], 9)
+			lossy := true // data frame 3 is lost until the kill
+			for _, nic := range cl.Nodes[0].NICs {
+				nic.OutPort().SetDropFilter(func(f *phys.Frame) bool {
+					typ, seq := decodeType(f)
+					return lossy && typ == frame.TypeData && seq == 3
+				})
+			}
+			var held []*frame.Buf
+			var err error
+			cl.Env.Go("writer", func(p *sim.Proc) {
+				h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+				p.Sleep(2 * sim.Millisecond)
+				held, lossy = c10.HeldBufsForTest(), false
+				cl.RestartNode(1, 100*sim.Millisecond)
+				h.Wait(p)
+				err = h.Err()
+			})
+			cl.Env.RunUntil(10 * sim.Second)
+			if len(held) == 0 {
+				t.Fatal("staging failed: no frame held at the kill")
+			}
+			if reconnect && (err != nil || !bytes.Equal(ep1.Mem()[dst:dst+n], ep0.Mem()[src:src+n])) {
+				t.Fatalf("write across the rebirth: %v, or its bytes differ", err)
+			}
+			if !reconnect && !errors.Is(err, core.ErrPeerDead) {
+				t.Fatalf("write across the teardown: %v, want ErrPeerDead", err)
+			}
+			// Drain the pool: every idle buffer reads the release poison,
+			// and the first fresh one ends the drain.
+			pool := ep0.PoolForTest()
+			idle := map[*frame.Buf]bool{}
+			var got []*frame.Buf
+			for b := pool.Get(); ; b = pool.Get() {
+				got = append(got, b)
+				if b.Bytes()[0] != 0xDB {
+					break
+				}
+				idle[b] = true
+			}
+			for i := len(got) - 1; i >= 0; i-- {
+				pool.Put(got[i])
+			}
+			lost := 0
+			for _, b := range held {
+				if !idle[b] {
+					lost++
+				}
+			}
+			if lost > 0 {
+				t.Errorf("%d of the %d buffers held at the kill never came back to the pool", lost, len(held))
+			}
+		})
 	}
 }

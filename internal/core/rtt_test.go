@@ -59,7 +59,7 @@ func TestRttEst(t *testing.T) {
 	x := &arqTx{}
 	var r rail
 	var free freelists
-	op := &txOp{opType: frame.OpWrite, data: make([]byte, 2), total: 2}
+	op := &txOp{Op: Op{Kind: frame.OpWrite}, data: make([]byte, 2), total: 2}
 	now := sim.Time(0)
 	for _, s := range []sim.Time{80_000, 95_000, 60_000, 2_000_000, 70_000} {
 		x.enqueue(op)

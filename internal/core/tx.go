@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"multiedge/internal/frame"
@@ -21,7 +22,7 @@ type arqTx struct {
 	retrans      seqRing[*txFrame]
 	retransQ     []uint32 // sequence numbers queued for retransmission
 	txFenced     fenceSet // forward-fenced ops not yet fully acked
-	pendingReads map[uint64]*Handle
+	pendingReads map[uint64]*txOp
 	rtoTimer     *sim.Timer
 	onRTOFn      func()
 	rtt          rttEst   // every rail blended; its rto is armed in adaptive mode
@@ -32,14 +33,13 @@ type arqTx struct {
 	sndNxt       uint32   // next sequence number to assign
 }
 
-// txOp is an operation on the send side: the kernel-buffer snapshot of
-// its data plus fragmentation and acknowledgement progress.
+// txOp is an operation on the send side, pooled (freelists.recycle):
+// the kernel-buffer snapshot of its data plus fragmentation and
+// acknowledgement progress. Op is its descriptor: the user's, or that of
+// a read reply (Local is the requester's read id), container or probe.
 type txOp struct {
-	id     uint64
-	opType frame.OpType
-	flags  frame.OpFlags
-	remote uint64
-	local  uint64
+	Op
+	id uint64
 	// data is the kernel-buffer snapshot (Endpoint.snapshot), or a
 	// container's encoded sub-ops. The txOp owns it until it ends
 	// (endTxOp); replay touches only incomplete ops, so retransmission
@@ -50,10 +50,11 @@ type txOp struct {
 	sentAll   bool
 	unacked   int
 	completed bool
-	probe     bool // internal dead-link probe, not a user operation
-	pooled    bool // from the endpoint's freelists, back at release (freelists.recycle)
-	queued    bool // in txOps, until curOp's compaction takes it out
-	h         *Handle
+	probe     bool       // internal dead-link probe, not a user operation
+	queued    bool       // in txOps, until curOp's compaction takes it out
+	cq        bool       // the outcome is owed to the completion queue (until finish)
+	h         *Handle    // the outcome is owed to this handle (until finish)
+	dl        *sim.Timer // Op.Deadline expiry (nil without a deadline)
 	span      *obs.Span  // causal span (nil unless span recording is on)
 	subs      []multiSub // coalesced sub-ops (empty = ordinary single op)
 
@@ -65,6 +66,12 @@ type txOp struct {
 	qosOps   int
 	qosBytes int
 }
+
+// owed reports whether a caller still waits for t's outcome.
+func (t *txOp) owed() bool { return t.h != nil || t.cq }
+
+// byID orders send records by operation id, which is issue order.
+func byID(a, b *txOp) int { return cmp.Compare(a.id, b.id) }
 
 // multiSub is the send-side record of one coalesced sub-op inside a
 // MultiData txOp: completion, CQ fan-out and span bookkeeping.
@@ -89,28 +96,20 @@ type txFrame struct {
 
 // Handle tracks the progress of one issued operation (IPPS'07 §2.2:
 // "each operation can also, when initiated, return a handle ... the
-// programmer can query the progress of each issued operation").
+// programmer can query the progress of each issued operation"). It holds
+// what its methods read; the op's txOp points at it until Conn.finish.
 type Handle struct {
-	c       *Conn
-	opID    uint64
-	size    int
-	acked   int // bytes acknowledged so far (writes) or received (reads)
-	done    sim.Signal
-	cq      bool // issued via the SQ: completion also fans out to the CQ
-	op      Op   // the posted descriptor (SQ path only)
-	err     error
-	dlTimer *sim.Timer // Op.Deadline expiry (nil without a deadline)
-	// t is the op's send-side record, embedded: the two are one
-	// allocation. A user-held handle is never pooled. An SQ-posted one
-	// is, with its txOp: no caller can reach it, and it goes back to the
-	// endpoint's freelist under the release rule of freelists.recycle.
-	t txOp
+	done  sim.Signal
+	err   error
+	opID  uint64
+	acked uint32 // bytes acknowledged so far (writes) or received (reads)
+	size  uint32
 }
 
 // Progress returns how many of the operation's bytes have been
 // acknowledged end-to-end (writes) or landed locally (reads), and the
 // operation's total size.
-func (h *Handle) Progress() (done, total int) { return h.acked, h.size }
+func (h *Handle) Progress() (done, total int) { return int(h.acked), int(h.size) }
 
 // BytesAcked returns the operation's acknowledged-byte high-water mark.
 // For an operation that failed — deadline expiry, peer death, exhausted
@@ -118,7 +117,7 @@ func (h *Handle) Progress() (done, total int) { return h.acked, h.size }
 // re-issuing the work can resume from this offset instead of restarting
 // from byte 0. (A replayed operation resets the mark before re-issuing,
 // so a successful recovery still reports exactly Size on completion.)
-func (h *Handle) BytesAcked() int { return h.acked }
+func (h *Handle) BytesAcked() int { return int(h.acked) }
 
 // Wait blocks the process until the operation completes: for writes,
 // until every frame is acknowledged end-to-end; for reads, until the
@@ -143,33 +142,30 @@ func (h *Handle) Err() error { return h.err }
 
 // freelists are the records an endpoint's data path recycles, shared
 // by its conns, whose protocol thread serializes them (DESIGN.md §13):
-// transmit frames, receive-op records, held payload buffers, and the
-// pooled send records no caller holds: read replies, coalesced
-// containers and SQ-posted handles with their txOps.
+// transmit frames, receive-op records, held payload buffers, every send
+// record, and the handles of Conn.Run, whose caller gives them back.
 type freelists struct {
 	frames  frame.Freelist[txFrame] // acknowledged or abandoned transmit frames
 	rx      frame.Freelist[rxOp]    // frontier-collected receive ops
-	ops     frame.Freelist[txOp]    // read replies and coalesced containers
-	handles frame.Freelist[Handle]  // SQ-posted handles
+	ops     frame.Freelist[txOp]    // send records
+	handles frame.Freelist[Handle]  // Conn.Run handles
 	pool    *phys.Pool              // the simulation's frames and buffers
 }
 
 // poisonOp is what a recycled op record reads under frame.SetPoolDebug:
 // fragmenting it, as a stale pointer left in txOps would, faults.
-var poisonOp = txOp{id: ^uint64(0) / 255 * 0xDB, opType: 0xDB, remote: ^uint64(0) / 255 * 0xDB, total: ^uint32(0) / 255 * 0xDB}
+var poisonOp = txOp{id: ^uint64(0) / 255 * 0xDB, Op: Op{Kind: 0xDB, Remote: ^uint64(0) / 255 * 0xDB}, total: ^uint32(0) / 255 * 0xDB}
 
-// recycle hands pooled record t, and its handle, back to fl once nothing
-// refers to it: it is retired (endTxOp ran and, for a read, its reply
-// landed and finishHandle ran, which took it out of pendingReads), the
-// compaction in curOp took it out of txOps, and no frame holds it
-// (unacked; ack frees the last one right after endTxOp). Whichever of
-// these comes last calls it. A replayed or in-flight op is not retired,
-// and a teardown leaves its records to the collector. The record is
-// zeroed, or poisoned under frame.SetPoolDebug, span, QoS charge and
-// deadline timer included; a container keeps its subs backing.
+// recycle hands send record t back to fl once nothing refers to it: it
+// is retired (endTxOp ran), its outcome delivered (finish ran, so no
+// handle, deadline timer or pendingReads holds it), the compaction in
+// curOp took it out of txOps, and no frame holds it (unacked; ack frees
+// the last one right after endTxOp). Whichever of these comes last
+// calls it. A replayed or in-flight op is not retired, and a teardown
+// leaves its records to the collector. The record is zeroed, or
+// poisoned under frame.SetPoolDebug; a container keeps its subs backing.
 func (fl *freelists) recycle(t *txOp) {
-	h := t.h
-	if !t.pooled || !t.completed || t.queued || t.unacked > 0 || h != nil && !h.done.Fired() {
+	if !t.completed || t.queued || t.unacked > 0 || t.owed() {
 		return
 	}
 	z := txOp{}
@@ -177,13 +173,9 @@ func (fl *freelists) recycle(t *txOp) {
 		z = poisonOp
 	}
 	clear(t.subs)
-	if z.subs = t.subs[:0]; h == nil {
-		*t = z
-		fl.ops.Put(t)
-	} else {
-		*h = Handle{opID: z.id, t: z}
-		fl.handles.Put(h)
-	}
+	z.subs = t.subs[:0]
+	*t = z
+	fl.ops.Put(t)
 }
 
 func (x *arqTx) inflight() int { return int(x.sndNxt - x.sndUna) }
@@ -218,7 +210,7 @@ func (x *arqTx) curOp(fl *freelists) *txOp {
 // has seen no frame of t could not know to hold their frames.
 func (x *arqTx) enqueue(t *txOp) {
 	t.sent, t.sentAll, t.unacked, t.queued = 0, false, 0, true
-	if t.flags&frame.FenceAfter != 0 {
+	if t.Flags&frame.FenceAfter != 0 {
 		x.txFenced.add(t.id)
 	}
 	x.txOps = append(x.txOps, t)
@@ -260,7 +252,7 @@ func (x *arqTx) next(fl *freelists, repairOK bool, window, maxPay, ackEvery int)
 		pay = rem
 	}
 	tf = x.number(fl, op, op.sent)
-	if op.opType == frame.OpRead {
+	if op.Kind == frame.OpRead {
 		// A read request is a single header-only frame describing the
 		// whole transfer; the data flows back as a ReadReply operation.
 		pay = op.total
@@ -298,7 +290,7 @@ func (x *arqTx) number(fl *freelists, op *txOp, offset uint32) *txFrame {
 // AckEvery 32, no congestion window, no bare forward fences in any
 // pinned run) neither holds and the protocol on the wire is the paper's.
 func (x *arqTx) blockedOnAckOf(op *txOp, window, ackEvery int) bool {
-	if op.sentAll && op.flags&(frame.FenceAfter|frame.Solicit) == frame.FenceAfter {
+	if op.sentAll && op.Flags&(frame.FenceAfter|frame.Solicit) == frame.FenceAfter {
 		return true
 	}
 	fl := x.inflight()
@@ -310,7 +302,7 @@ func dataHeader(tf *txFrame, connID, ack uint32) frame.Header {
 	op := tf.op
 	typ := frame.TypeData
 	switch {
-	case op.opType == frame.OpRead:
+	case op.Kind == frame.OpRead:
 		typ = frame.TypeReadReq
 	case len(op.subs) > 0:
 		typ = frame.TypeMultiData
@@ -318,8 +310,8 @@ func dataHeader(tf *txFrame, connID, ack uint32) frame.Header {
 	return frame.Header{
 		Type: typ, ConnID: connID,
 		Seq: tf.seq, Ack: ack, HasAck: true, AckReq: tf.ackReq,
-		OpID: op.id, OpType: op.opType, OpFlags: op.flags,
-		Remote: op.remote, Local: op.local,
+		OpID: op.id, OpType: op.Kind, OpFlags: op.Flags,
+		Remote: op.Remote, Local: op.Local,
 		Offset: tf.offset, Total: op.total,
 	}
 }
@@ -384,14 +376,14 @@ func (x *arqTx) ack(ack uint32, now sim.Time, fl *freelists, released func(tf *t
 		op := tf.op
 		x.bytesAcked += uint64(len(tf.payload))
 		op.unacked--
-		if op.h != nil && op.opType == frame.OpWrite {
-			op.h.acked += len(tf.payload)
+		if op.h != nil && op.Kind == frame.OpWrite {
+			op.h.acked += uint32(len(tf.payload))
 		}
 		if !tf.retx && (rtt < 0 || now-tf.txAt < rtt) {
 			rtt = now - tf.txAt
 		}
 		done := op.sentAll && op.unacked == 0
-		if done && op.flags&frame.FenceAfter != 0 {
+		if done && op.Flags&frame.FenceAfter != 0 {
 			x.txFenced.remove(op.id) // stalled operations may proceed now
 		}
 		released(tf, done)
@@ -654,9 +646,9 @@ func (c *Conn) ackedFrame(tf *txFrame, done bool) {
 // endTxOp ends a send-side operation once: err is nil when its every
 // frame is acknowledged, else the cause that ends it early. It fans a
 // batch out to its sub-ops, ends the span (a read reply's ends when the
-// reply lands) and finishes the handle, except a read's: its request is
-// acknowledged, and its handle finishes when the reply lands. A pooled
-// record may go back to the freelists on the way out.
+// reply lands) and delivers the outcome, except a read's: its request
+// is acknowledged, and its outcome waits for the reply. The record may
+// go back to the freelists on the way out.
 func (c *Conn) endTxOp(t *txOp, err error) {
 	if t.completed {
 		return
@@ -671,7 +663,7 @@ func (c *Conn) endTxOp(t *txOp, err error) {
 	if t.probe {
 		return // internal probe: no user-visible completion
 	}
-	if err == nil && t.flags&frame.FenceAfter != 0 {
+	if err == nil && t.Flags&frame.FenceAfter != 0 {
 		c.kick() // its fence lifted (arqTx.ack): stalled operations may proceed now
 	}
 	now := ep.env.Now()
@@ -690,7 +682,7 @@ func (c *Conn) endTxOp(t *txOp, err error) {
 	}
 	if err == nil {
 		ep.Stats.OpsCompleted++
-		if t.opType == frame.OpRead {
+		if t.Kind == frame.OpRead {
 			// The request is fully acknowledged but nothing is in flight any
 			// more: the RTO machinery is quiet while we wait for the reply, so
 			// a daemon guard keeps DeadInterval protection over the wait.
@@ -698,58 +690,59 @@ func (c *Conn) endTxOp(t *txOp, err error) {
 			return
 		}
 	}
-	if t.opType != frame.OpReadReply {
+	if t.Kind != frame.OpReadReply {
 		t.span.EndAt(now)
 	}
-	if t.opType == frame.OpRead {
-		delete(c.pendingReads, t.id)
-	}
-	if t.h != nil && err != nil {
+	if t.owed() && err != nil {
 		ep.Stats.OpsFailed++
 	}
-	c.finishHandle(t.h, err)
+	c.finish(t, err)
 }
 
-// finishHandle ends a handle with err (nil on completion), waking its
-// waiter exactly once; a CQ handle also fans the outcome out.
-func (c *Conn) finishHandle(h *Handle, err error) {
-	if h == nil || h.done.Fired() {
-		return
+// finish delivers op t's outcome once, err nil on completion: a read
+// leaves pendingReads, the deadline timer stops, and the handle's waiter
+// wakes or the completion lands on the CQ. t drops both, so the handle
+// is the caller's alone.
+func (c *Conn) finish(t *txOp, err error) {
+	if t.Kind == frame.OpRead {
+		delete(c.pendingReads, t.id)
+		if len(c.pendingReads) == 0 {
+			// No replies outstanding: cancel the liveness guard so its
+			// (daemon) tick does not advance a drained simulation's clock
+			// under RunUntil.
+			c.readGuard.Stop()
+		}
 	}
-	h.dlTimer.Stop() // nil-safe
-	h.err = err
+	t.dl.Stop() // nil-safe
+	t.dl = nil
 	ep := c.ep
-	// Waking the user process costs CPU only if someone is blocked on
-	// the handle; a poll-later handle just flips state.
-	if h.done.HasWaiters() {
-		ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, ep.fireSigFn, &h.done)
-	} else {
-		h.done.Fire(ep.env)
+	if h := t.h; h != nil {
+		t.h = nil
+		h.err = err
+		// Waking the user process costs CPU only if someone is blocked on
+		// the handle; a poll-later handle just flips state.
+		if h.done.HasWaiters() {
+			ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, ep.fireSigFn, &h.done)
+		} else {
+			h.done.Fire(ep.env)
+		}
 	}
-	if h.cq {
-		c.pushCompletion(Completion{OpID: h.opID, Op: h.op, Err: err})
+	if t.cq {
+		t.cq = false
+		c.pushCompletion(Completion{OpID: t.id, Op: t.Op, Err: err})
 	}
 }
 
-// expireHandle fires when an op's Op.Deadline passes first. Only the
-// waiter is released: cancelling a partly sent op would leave a hole in
-// the receiver's sequence and fence frontier, so the transfer runs on.
-// t is the handle's op (nil for an already-detached handle).
-func (c *Conn) expireHandle(h *Handle, t *txOp) {
-	if h.done.Fired() || c.state == ended {
+// expireOp fires when op t's Op.Deadline passes first. Only the waiter is
+// released: cancelling a partly sent op would leave a hole in the
+// receiver's sequence and fence frontier, so the transfer runs on.
+func (c *Conn) expireOp(t *txOp) {
+	if !t.owed() || c.state == ended {
 		return // completed (or the conn ended) in the meantime
 	}
 	ep := c.ep
 	ep.Stats.OpDeadlinesExpired++
 	ep.Stats.OpsFailed++
-	if t != nil && t.h == h {
-		t.h = nil // detach: completion machinery no longer owns the waiter
-	}
-	if t != nil && t.opType == frame.OpRead {
-		delete(c.pendingReads, t.id)
-		if len(c.pendingReads) == 0 {
-			c.readGuard.Stop()
-		}
-	}
-	c.finishHandle(h, fmt.Errorf("core: op %d to node %d: %w", h.opID, c.remoteNode, ErrDeadlineExceeded))
+	c.finish(t, fmt.Errorf("core: op %d to node %d: %w", t.id, c.remoteNode, ErrDeadlineExceeded))
+	c.ep.free.recycle(t)
 }

@@ -14,7 +14,9 @@
 //     sends a ready-to-send (RTS) record; when a matching receive is
 //     posted, the receiver pulls the payload with a single remote READ
 //     straight into its buffer and returns a FIN. Zero intermediate
-//     copies of the bulk data.
+//     copies of the bulk data. A sender that finds every staging buffer
+//     taken sends its RTS unstaged and pushes the payload once matched,
+//     so no send holds a bounded resource while it waits for its match.
 //   - Ring slots are flow-controlled with credits returned in batches.
 //
 // Collectives (Barrier, Bcast, Reduce, Allreduce, Alltoall) are built
@@ -51,6 +53,9 @@ const (
 	kindRTS    = 2
 	kindFIN    = 3
 	kindCredit = 4
+	kindPushed = 5 // an unstaged payload is in the receiver's pull window
+
+	unstaged = ^uint64(0) // the source address of an RTS sent without a buffer
 )
 
 // AnyTag matches any tag in Recv.
@@ -72,6 +77,7 @@ type Comm struct {
 	outCredit   uint64 // staging for credit returns
 	bounce      uint64 // inbound rendezvous pull window
 	bounceToken sim.Mailbox[struct{}]
+	pushed      *sim.Signal // the unstaged claim holding the pull window waits on it
 	staging     []uint64
 	stageFree   sim.Mailbox[int] // indices of free staging buffers
 
@@ -287,9 +293,12 @@ func (c *Comm) sendEager(p *sim.Proc, to, tag int, data []byte) {
 }
 
 func (c *Comm) sendRendezvous(p *sim.Proc, to, tag int, data []byte) {
-	buf := c.stageFree.Recv(p) // bound concurrent rendezvous
-	addr := c.staging[buf]
-	copy(c.ep.Mem()[addr:addr+uint64(len(data))], data)
+	buf, staged := c.stageFree.TryRecv() // bound concurrent rendezvous
+	addr := unstaged
+	if staged {
+		addr = c.staging[buf]
+		copy(c.ep.Mem()[addr:addr+uint64(len(data))], data)
+	}
 	seq := c.nextSeq
 	c.nextSeq++
 	fin := &sim.Signal{}
@@ -298,8 +307,19 @@ func (c *Comm) sendRendezvous(p *sim.Proc, to, tag int, data []byte) {
 	c.writeSlot(p, to, s, kindRTS, tag, len(data), seq, addr, nil)
 	c.Stats.RndvSent++
 	c.Stats.BytesSent += uint64(len(data))
-	p.Wait(fin) // receiver pulled the data
-	c.stageFree.Send(c.env, buf)
+	p.Wait(fin) // receiver pulled the data, or claimed the unstaged message
+	if staged {
+		c.stageFree.Send(c.env, buf)
+		return
+	}
+	// Push the payload into the claiming receiver's pull window (at the
+	// same address on every node) a slot at a time through outSlot;
+	// kindPushed's backward fence orders it after the writes.
+	for off := 0; off < len(data); off += SlotBytes {
+		n := copy(c.ep.Mem()[c.outSlot:c.outSlot+SlotBytes], data[off:])
+		c.conns[to].MustDo(p, core.Op{Remote: c.bounce + uint64(off), Local: c.outSlot, Size: n, Kind: frame.OpWrite})
+	}
+	c.sendCtl(p, to, kindPushed, 0, 0, 0, 0)
 }
 
 // Recv blocks until a message from `from` (which must be a concrete
@@ -336,24 +356,27 @@ func (c *Comm) claim(p *sim.Proc, m *inMsg) []byte {
 	if m.kind == kindEager {
 		return m.data
 	}
-	// Rendezvous: pull the staged payload from the sender into the
-	// bounce window (serialized by a token: concurrent pulls share it).
+	// Rendezvous: pull the staged payload (at most MaxMessage, the
+	// window's size) from the sender into the bounce window (serialized
+	// by a token: concurrent pulls share it). An unstaged one is pushed
+	// into the window by its sender, whom a FIN asks for it.
 	c.bounceToken.Recv(p)
-	out := make([]byte, m.size)
-	for off := 0; off < m.size; off += stagingBytes {
-		n := m.size - off
-		if n > stagingBytes {
-			n = stagingBytes
-		}
-		h := c.conns[m.from].MustDo(p, core.Op{Remote: m.srcAddr + uint64(off), Local: c.bounce, Size: n, Kind: frame.OpRead})
-		h.Wait(p)
-		copy(out[off:], c.ep.Mem()[c.bounce:c.bounce+uint64(n)])
+	if m.srcAddr == unstaged {
+		c.pushed = &sim.Signal{}
+		c.sendCtl(p, m.from, kindFIN, 0, 0, m.seq, 0)
+		p.Wait(c.pushed)
+	} else {
+		c.conns[m.from].MustDo(p, core.Op{Remote: m.srcAddr, Local: c.bounce, Size: m.size, Kind: frame.OpRead}).Wait(p)
 	}
+	out := make([]byte, m.size)
+	copy(out, c.ep.Mem()[c.bounce:c.bounce+uint64(m.size)])
 	c.bounceToken.Send(c.env, struct{}{})
 	c.Stats.RndvRecv++
 	c.Stats.BytesRecv += uint64(m.size)
-	// FIN: tell the sender its staging buffer is free.
-	c.sendCtl(p, m.from, kindFIN, 0, 0, m.seq, 0)
+	if m.srcAddr != unstaged {
+		// FIN: tell the sender its staging buffer is free.
+		c.sendCtl(p, m.from, kindFIN, 0, 0, m.seq, 0)
+	}
 	return out
 }
 
@@ -397,6 +420,10 @@ func (c *Comm) handle(p *sim.Proc, n core.Notification) {
 			delete(c.pendingFin, seq)
 			sig.Fire(c.env)
 		}
+		c.creditSlot(p, from)
+		return
+	case kindPushed:
+		c.pushed.Fire(c.env)
 		c.creditSlot(p, from)
 		return
 	}

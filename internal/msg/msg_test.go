@@ -368,6 +368,36 @@ func TestConcurrentRendezvousBoundedByStaging(t *testing.T) {
 	}
 }
 
+// TestConcurrentRendezvousReverseStart is the same program with the
+// senders started in reverse tag order: the four the receiver wants
+// last take the staging buffers, and the ones it wants first must still
+// get through, their RTS unstaged and their payload pushed once matched.
+func TestConcurrentRendezvousReverseStart(t *testing.T) {
+	cl, comms := build(t, cluster.OneLink1G(2))
+	const k = 2 * stagingBufs
+	done := 0
+	for i := k - 1; i >= 0; i-- {
+		cl.Env.Go(fmt.Sprintf("s%d", i), func(p *sim.Proc) {
+			comms[0].Send(p, 1, 90+i, pattern(200*1024, byte(i)))
+			done++
+		})
+	}
+	cl.Env.Go("recv", func(p *sim.Proc) {
+		for i := 0; i < k; i++ {
+			if got := comms[1].Recv(p, 0, 90+i); !bytes.Equal(got, pattern(200*1024, byte(i))) {
+				t.Errorf("rendezvous %d corrupted", i)
+			}
+		}
+	})
+	cl.Env.RunUntil(120 * sim.Second)
+	if done != k {
+		t.Fatalf("only %d/%d rendezvous sends completed", done, k)
+	}
+	if free := comms[0].stageFree.Len(); free != stagingBufs {
+		t.Errorf("%d of %d staging buffers free after the run", free, stagingBufs)
+	}
+}
+
 func TestSendToSelfPanics(t *testing.T) {
 	cl, comms := build(t, cluster.OneLink1G(2))
 	panicked := false

@@ -275,14 +275,7 @@ func (c *Client) callDirect(p *sim.Proc, b int, op core.Op) (error, bool) {
 	if c.opts.Class > 0 {
 		op.Class = c.opts.Class // tenant tag rides every call (QoS admission)
 	}
-	h, err := cn.Do(p, op)
-	if err != nil {
-		// The conn reached a terminal state while ensureConn blocked.
-		c.journalAndAbandon(b)
-		return err, true
-	}
-	h.Wait(p)
-	if err := h.Err(); err != nil {
+	if err := cn.Run(p, op); err != nil {
 		if errors.Is(err, core.ErrDeadlineExceeded) &&
 			!cn.Reconnecting() && !cn.Failed() && !cn.Closed() {
 			// The path is up and the op was merely slower than the

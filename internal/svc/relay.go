@@ -60,13 +60,7 @@ func (c *Client) relayExchange(p *sim.Proc, b int, token uint64, op core.Op) err
 	if c.opts.FailoverBudget > 0 {
 		wop.Deadline = c.env.Now() + c.opts.FailoverBudget
 	}
-	h, err := rc.Do(p, wop)
-	if err != nil {
-		c.dropRelayConn()
-		return fmt.Errorf("%w: %v", ErrRelayFailed, err)
-	}
-	h.Wait(p)
-	if err := h.Err(); err != nil {
+	if err := rc.Run(p, wop); err != nil {
 		c.dropRelayConn()
 		return fmt.Errorf("%w: %v", ErrRelayFailed, err)
 	}
@@ -233,19 +227,11 @@ func (r *Relay) forward(p *sim.Proc, slot uint64, call relayEnvelope) error {
 	if r.budget > 0 {
 		op.Deadline = r.env.Now() + r.budget
 	}
-	h, derr := cn.Do(p, op)
-	if derr != nil {
+	err = cn.Run(p, op)
+	if err != nil && (cn.Reconnecting() || cn.Failed() || cn.Closed()) {
 		r.dropConn(int(call.Backend))
-		return derr
 	}
-	h.Wait(p)
-	if herr := h.Err(); herr != nil {
-		if cn.Reconnecting() || cn.Failed() || cn.Closed() {
-			r.dropConn(int(call.Backend))
-		}
-		return herr
-	}
-	return nil
+	return err
 }
 
 // reply rewrites the slot header in place as a reply envelope and
@@ -269,13 +255,7 @@ func (r *Relay) reply(p *sim.Proc, from int, slot uint64, call relayEnvelope, st
 	if r.budget > 0 {
 		wop.Deadline = r.env.Now() + r.budget
 	}
-	h, derr := cn.Do(p, wop)
-	if derr != nil {
-		r.dropConn(from)
-		return
-	}
-	h.Wait(p)
-	if h.Err() != nil && (cn.Reconnecting() || cn.Failed() || cn.Closed()) {
+	if err := cn.Run(p, wop); err != nil && (cn.Reconnecting() || cn.Failed() || cn.Closed()) {
 		r.dropConn(from)
 	}
 }

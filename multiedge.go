@@ -97,13 +97,15 @@ type (
 	Endpoint = core.Endpoint
 	// Conn is one end of a MultiEdge connection.
 	Conn = core.Conn
-	// Handle tracks an issued operation's progress.
+	// Handle tracks an issued operation's progress (Conn.Do).
 	Handle = core.Handle
-	// Op describes one remote operation for Conn.Do and Conn.Post,
-	// mirroring the paper's RDMA_operation(connection, remote_va,
-	// local_va, size, op, flags) primitive as an options struct. Do
-	// issues it at once; Post queues it for the next Conn.Ring, which
-	// issues a batch under one doorbell. The caller picks per operation.
+	// Op describes one remote operation for Conn.Do, Conn.Run and
+	// Conn.Post, mirroring the paper's RDMA_operation(connection,
+	// remote_va, local_va, size, op, flags) primitive as an options
+	// struct. Do issues it at once and returns its Handle; Run issues it
+	// the same way, waits and returns only the error, allocating nothing;
+	// Post queues it for the next Conn.Ring, which issues a batch under
+	// one doorbell. The caller picks per operation.
 	Op = core.Op
 	// Completion reports one finished submission-queue operation on a
 	// connection's completion queue (Conn.PollCQ / Conn.WaitCQ).
@@ -121,7 +123,7 @@ type (
 )
 
 // Operation types and flags for Op.Kind and Op.Flags (used with
-// Conn.Do, Conn.MustDo and Conn.Post).
+// Conn.Do, Conn.Run, Conn.MustDo and Conn.Post).
 const (
 	OpWrite = frame.OpWrite
 	OpRead  = frame.OpRead
