@@ -82,14 +82,23 @@ func Example_blockstore() {
 	cl.Env.Go("writer", func(p *multiedge.Proc) {
 		block := make([]byte, 4096)
 		copy(block, "hello, block 7")
-		writer.Write(p, 7, block)
+		if err := writer.Write(p, 7, block); err != nil {
+			fmt.Println(err)
+			return
+		}
 		wrote.Fire(cl.Env)
 	})
 	cl.Env.Go("reader", func(p *multiedge.Proc) {
 		p.Wait(&wrote)
-		seq, block := reader.ReadCommit(p, 0)
+		seq, block, err := reader.ReadCommit(p, 0)
 		got := make([]byte, 4096)
-		reader.Read(p, block, got)
+		if err == nil {
+			err = reader.Read(p, block, got)
+		}
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
 		fmt.Printf("commit #%d covers block %d: %q\n", seq, block, got[:14])
 	})
 	cl.Env.Run()

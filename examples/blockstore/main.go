@@ -50,12 +50,18 @@ func main() {
 				for j := range buf {
 					buf[j] = byte(b + j + i)
 				}
-				cli.Write(p, b, buf)
+				if err := cli.Write(p, b, buf); err != nil {
+					fmt.Printf("client %d: block %d: %v\n", i, b, err)
+					return
+				}
 			}
 			got := make([]byte, blockSize)
 			for n := 0; n < iosEach; n++ {
 				b := base + (n*37)%(blocks/clients)
-				cli.Read(p, b, got)
+				if err := cli.Read(p, b, got); err != nil {
+					fmt.Printf("client %d: block %d: %v\n", i, b, err)
+					return
+				}
 				for j := range buf {
 					buf[j] = byte(b + j + i)
 				}

@@ -225,9 +225,9 @@ func TestRunFigureSmoke(t *testing.T) {
 // see, so it is checked on its own: Close must have released all of it
 // by the time RunApp returns, before any collection could.
 func TestRunAppReleasesUniverse(t *testing.T) {
-	goroutines := runtime.NumGoroutine()
 	runtime.GC()
-	time.Sleep(10 * time.Millisecond) // cleanups of endpoints earlier tests dropped
+	time.Sleep(10 * time.Millisecond) // cleanups of endpoints earlier tests dropped, and their ended coroutines reaped
+	goroutines := runtime.NumGoroutine()
 	mapped := core.LiveMemBytes()
 	var first uint64
 	for run := 0; run < 4; run++ {

@@ -47,12 +47,16 @@ func RunBlk(cfg cluster.Config, clients, blockSize, ios int) BlkResult {
 			buf := make([]byte, blockSize)
 			t0 := cl.Env.Now()
 			for n := 0; n < ios; n++ {
-				cli.Write(p, base+(n*37)%(blocks/clients), buf)
+				if err := cli.Write(p, base+(n*37)%(blocks/clients), buf); err != nil {
+					panic(err)
+				}
 			}
 			writeTime += cl.Env.Now() - t0
 			t0 = cl.Env.Now()
 			for n := 0; n < ios; n++ {
-				cli.Read(p, base+(n*37)%(blocks/clients), buf)
+				if err := cli.Read(p, base+(n*37)%(blocks/clients), buf); err != nil {
+					panic(err)
+				}
 			}
 			readTime += cl.Env.Now() - t0
 			done++

@@ -138,15 +138,22 @@ func (c *Client) blockAddr(block int) uint64 {
 }
 
 // Read fetches one block into buf (len >= BlockSize) with a single
-// remote read. The host CPU is not involved beyond protocol work.
-func (c *Client) Read(p *sim.Proc, block int, buf []byte) {
+// remote read. The host CPU is not involved beyond protocol work. A
+// failed read returns its error and leaves buf as it was.
+func (c *Client) Read(p *sim.Proc, block int, buf []byte) error {
 	sp := c.ep.Obs().StartLayerSpan(c.ep.Node(), "blk", "block-read", c.v.BlockSize)
-	h := c.ReadAsync(p, block)
-	h.Wait(p)
-	copy(buf, c.ep.Mem()[c.stage:c.stage+uint64(c.v.BlockSize)])
-	c.Stats.Reads++
-	c.Stats.BytesRead += uint64(c.v.BlockSize)
+	err := c.c.Run(p, c.readOp(block))
+	if err == nil {
+		copy(buf, c.Stage())
+		c.Stats.Reads++
+		c.Stats.BytesRead += uint64(c.v.BlockSize)
+	}
 	sp.EndAt(c.ep.Env().Now())
+	return err
+}
+
+func (c *Client) readOp(block int) core.Op {
+	return core.Op{Remote: c.blockAddr(block), Local: c.stage, Size: c.v.BlockSize, Kind: frame.OpRead}
 }
 
 // ReadAsync starts a one-block read into the client's staging buffer
@@ -154,7 +161,7 @@ func (c *Client) Read(p *sim.Proc, block int, buf []byte) {
 // fires. Only one async read may be outstanding per client (one staging
 // buffer) — use plain RDMA for deeper pipelines.
 func (c *Client) ReadAsync(p *sim.Proc, block int) *core.Handle {
-	return c.c.MustDo(p, core.Op{Remote: c.blockAddr(block), Local: c.stage, Size: c.v.BlockSize, Kind: frame.OpRead})
+	return c.c.MustDo(p, c.readOp(block))
 }
 
 // Stage exposes the staging buffer contents (after ReadAsync + Wait).
@@ -172,11 +179,36 @@ func putCommit(b []byte, seq uint64, block int) {
 // block tail with what the staging buffer last held) and publishes it:
 // the commit record {seq, block} is rewritten with a forward-fenced
 // operation, so the record can never be observed ahead of the data.
-// Write returns once both operations are acknowledged end-to-end.
-func (c *Client) Write(p *sim.Proc, block int, data []byte) {
+// Write returns once both operations are acknowledged end-to-end, or
+// with the error that ended them: then the write may or may not have
+// been published.
+func (c *Client) Write(p *sim.Proc, block int, data []byte) error {
 	sp := c.ep.Obs().StartLayerSpan(c.ep.Node(), "blk", "block-commit", len(data))
-	c.writeAsync(p, block, data).Wait(p)
+	commit, err := c.stageWrite(p, block, data)
+	if err == nil {
+		err = c.c.Run(p, commit)
+	}
 	sp.EndAt(c.ep.Env().Now())
+	return err
+}
+
+// stageWrite copies data into the staging buffer, issues the block's
+// write and returns the fenced, solicited commit that publishes it.
+func (c *Client) stageWrite(p *sim.Proc, block int, data []byte) (core.Op, error) {
+	mem := c.ep.Mem()
+	copy(mem[c.stage:c.stage+uint64(c.v.BlockSize)], data)
+	if _, err := c.c.Do(p, core.Op{Remote: c.blockAddr(block), Local: c.stage, Size: c.v.BlockSize, Kind: frame.OpWrite}); err != nil {
+		return core.Op{}, err
+	}
+	c.seq++
+	putCommit(mem[c.rec:], c.seq, block)
+	c.Stats.Writes++
+	c.Stats.Commits++
+	c.Stats.BytesWrite += uint64(c.v.BlockSize)
+	return core.Op{
+		Remote: c.commitAddr(), Local: c.rec, Size: CommitRecordSize,
+		Kind: frame.OpWrite, Flags: frame.FenceBefore | frame.Solicit,
+	}, nil
 }
 
 func (c *Client) commitAddr() uint64 {
@@ -185,26 +217,28 @@ func (c *Client) commitAddr() uint64 {
 
 // ReadCommit fetches another client's commit record (for recovery and
 // for the ordering tests): the returned seq/block pair is the last
-// write that client published.
-func (c *Client) ReadCommit(p *sim.Proc, id int) (seq uint64, block int) {
+// write that client published. A failed read returns its error and
+// no record.
+func (c *Client) ReadCommit(p *sim.Proc, id int) (seq uint64, block int, err error) {
 	addr := c.v.commits + uint64(id)*CommitRecordSize
-	h := c.c.MustDo(p, core.Op{Remote: addr, Local: c.rec, Size: CommitRecordSize, Kind: frame.OpRead})
-	h.Wait(p)
+	if err := c.c.Run(p, core.Op{Remote: addr, Local: c.rec, Size: CommitRecordSize, Kind: frame.OpRead}); err != nil {
+		return 0, 0, err
+	}
 	mem := c.ep.Mem()
 	return binary.LittleEndian.Uint64(mem[c.rec:]),
-		int(binary.LittleEndian.Uint64(mem[c.rec+8:]))
+		int(binary.LittleEndian.Uint64(mem[c.rec+8:])), nil
 }
 
 // Seq returns the client's last published sequence number.
 func (c *Client) Seq() uint64 { return c.seq }
 
-// Flush issues a fully fenced zero-size write: when it completes, every
-// operation this client issued before it has been performed at the
-// host and acknowledged.
-func (c *Client) Flush(p *sim.Proc) {
-	h := c.c.MustDo(p, core.Op{
+// Flush issues a fully fenced zero-size write: when it returns nil,
+// every operation this client issued before it has been performed at
+// the host and acknowledged. An error means that nothing is known of
+// them.
+func (c *Client) Flush(p *sim.Proc) error {
+	return c.c.Run(p, core.Op{
 		Remote: c.commitAddr(), Local: c.rec, Kind: frame.OpWrite,
 		Flags: frame.FenceBefore | frame.FenceAfter | frame.Solicit,
 	})
-	h.Wait(p)
 }

@@ -2,6 +2,7 @@ package blk_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -17,9 +18,19 @@ func volCluster(t *testing.T, cfg cluster.Config, nodes, blocks, bs, maxClients 
 	cfg.Nodes = nodes
 	cfg.Core.MemBytes = blocks*bs + (4 << 20)
 	cl := cluster.New(cfg)
+	t.Cleanup(cl.Close)
 	conns := cl.FullMesh()
 	v := blk.NewVolume(cl, 0, blocks, bs, maxClients)
 	return cl, conns, v
+}
+
+// check reports a failed call from inside a simulated process, where
+// t.Fatal cannot stop the test.
+func check(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Error(err)
+	}
 }
 
 func pat(n int, seed byte) []byte {
@@ -36,14 +47,14 @@ func TestReadYourWrite(t *testing.T) {
 	ok := false
 	cl.Env.Go("io", func(p *sim.Proc) {
 		data := pat(4096, 42)
-		cli.Write(p, 7, data)
+		check(t, cli.Write(p, 7, data))
 		got := make([]byte, 4096)
-		cli.Read(p, 7, got)
+		check(t, cli.Read(p, 7, got))
 		if !bytes.Equal(got, data) {
 			t.Error("read-your-write mismatch")
 		}
 		// An untouched block reads back zero.
-		cli.Read(p, 8, got)
+		check(t, cli.Read(p, 8, got))
 		for _, b := range got {
 			if b != 0 {
 				t.Error("untouched block not zero")
@@ -69,17 +80,19 @@ func TestCrossClientVisibility(t *testing.T) {
 	var wrote sim.Signal
 	ok := false
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		w.Write(p, 3, data)
+		check(t, w.Write(p, 3, data))
 		wrote.Fire(cl.Env)
 	})
 	cl.Env.Go("reader", func(p *sim.Proc) {
 		p.Wait(&wrote)
 		got := make([]byte, 4096)
-		r.Read(p, 3, got)
+		check(t, r.Read(p, 3, got))
 		if !bytes.Equal(got, data) {
 			t.Error("cross-client read mismatch")
 		}
-		if seq, block := r.ReadCommit(p, 0); seq != 1 || block != 3 {
+		seq, block, err := r.ReadCommit(p, 0)
+		check(t, err)
+		if seq != 1 || block != 3 {
 			t.Errorf("commit record = (%d,%d), want (1,3)", seq, block)
 		}
 		ok = true
@@ -112,7 +125,7 @@ func TestCommitNeverPrecedesData(t *testing.T) {
 			for i := range buf {
 				buf[i] = byte(s)
 			}
-			w.Write(p, 0, buf)
+			check(t, w.Write(p, 0, buf))
 		}
 		writerDone = true
 	})
@@ -121,14 +134,15 @@ func TestCommitNeverPrecedesData(t *testing.T) {
 	cl.Env.Go("observer", func(p *sim.Proc) {
 		got := make([]byte, 8192)
 		for !writerDone {
-			seq, block := o.ReadCommit(p, 0)
+			seq, block, err := o.ReadCommit(p, 0)
+			check(t, err)
 			if seq == 0 {
 				continue
 			}
 			if block != 0 {
 				t.Errorf("commit block = %d, want 0", block)
 			}
-			o.Read(p, 0, got)
+			check(t, o.Read(p, 0, got))
 			observations++
 			for _, b := range got {
 				if uint64(b) < seq && violations < 3 {
@@ -164,10 +178,10 @@ func TestConcurrentClientsDisjointBlocks(t *testing.T) {
 		cl.Env.Go("client", func(p *sim.Proc) {
 			for round := 0; round < 3; round++ {
 				for b := 0; b < per; b++ {
-					cli.Write(p, i*per+b, pat(2048, byte(i*31+b*7+round)))
+					check(t, cli.Write(p, i*per+b, pat(2048, byte(i*31+b*7+round))))
 				}
 			}
-			cli.Flush(p)
+			check(t, cli.Flush(p))
 			done++
 		})
 	}
@@ -195,11 +209,11 @@ func TestBlockStoreSurvivesLinkFailure(t *testing.T) {
 	done := false
 	cl.Env.Go("io", func(p *sim.Proc) {
 		for b := 0; b < 64; b++ {
-			cli.Write(p, b, pat(4096, byte(b)))
+			check(t, cli.Write(p, b, pat(4096, byte(b))))
 		}
 		got := make([]byte, 4096)
 		for b := 0; b < 64; b++ {
-			cli.Read(p, b, got)
+			check(t, cli.Read(p, b, got))
 			if !bytes.Equal(got, pat(4096, byte(b))) {
 				t.Fatalf("block %d corrupted after link failure", b)
 			}
@@ -256,7 +270,7 @@ func TestRandomWritesMatchModel(t *testing.T) {
 					}
 					fillByte := byte(op >> 8)
 					buf := bytes.Repeat([]byte{fillByte}, bs)
-					cli.Write(p, b, buf)
+					check(t, cli.Write(p, b, buf))
 					model[b] = fillByte
 				}
 				done++
@@ -304,4 +318,54 @@ func TestGeometryChecks(t *testing.T) {
 		blk.Open(cl2, blk.NewVolume(cl2, 0, 8, 512, 1), 1, conns2[1][2], 0)
 	})
 	expectPanic("zero blocks", func() { blk.NewVolume(cl, 0, 0, 512, 1) })
+}
+
+// TestFailedCallsReturnErrors kills the volume host's end of the
+// connection while each client call is in flight. The call must return
+// an error wrapping core.ErrPeerDead, and must not hand back the
+// staging buffer or the commit shadow, which still hold the client's
+// own last write, as if they had been read.
+func TestFailedCallsReturnErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(t *testing.T, p *sim.Proc, cli *blk.Client) error
+	}{
+		{"Write", func(t *testing.T, p *sim.Proc, cli *blk.Client) error { return cli.Write(p, 4, pat(4096, 6)) }},
+		{"Flush", func(t *testing.T, p *sim.Proc, cli *blk.Client) error { return cli.Flush(p) }},
+		{"Read", func(t *testing.T, p *sim.Proc, cli *blk.Client) error {
+			buf := make([]byte, 4096)
+			err := cli.Read(p, 3, buf)
+			if err != nil && !bytes.Equal(buf, make([]byte, 4096)) {
+				t.Error("a failed Read copied the staging buffer out")
+			}
+			return err
+		}},
+		{"ReadCommit", func(t *testing.T, p *sim.Proc, cli *blk.Client) error {
+			seq, block, err := cli.ReadCommit(p, 0)
+			if err != nil && (seq != 0 || block != 0) {
+				t.Errorf("a failed ReadCommit returned the record (%d,%d)", seq, block)
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, conns, v := volCluster(t, cluster.OneLink1G(0), 2, 64, 4096, 1)
+			cli := blk.Open(cl, v, 1, conns[1][0], 0)
+			var err error
+			done := false
+			cl.Env.Go("io", func(p *sim.Proc) {
+				check(t, cli.Write(p, 3, pat(4096, 5)))
+				cl.Env.After(sim.Microsecond, conns[0][1].Abandon)
+				err = tc.call(t, p, cli)
+				done = true
+			})
+			cl.Env.RunUntil(10 * sim.Second)
+			if !done {
+				t.Fatal("the call never returned")
+			}
+			if !errors.Is(err, core.ErrPeerDead) {
+				t.Errorf("%s returned %v with the host's end of the conn killed, want an error wrapping ErrPeerDead", tc.name, err)
+			}
+		})
+	}
 }

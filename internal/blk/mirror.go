@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"multiedge/internal/core"
-	"multiedge/internal/frame"
 	"multiedge/internal/sim"
 )
 
@@ -48,23 +47,6 @@ func (m *Mirror) SetDeadline(d sim.Time) { m.deadline = d }
 // Down reports which legs are currently marked down.
 func (m *Mirror) Down() (a, b bool) { return m.down[0], m.down[1] }
 
-// writeAsync issues one leg's data write plus its fenced solicited
-// commit without waiting, returning the commit handle.
-func (c *Client) writeAsync(p *sim.Proc, block int, data []byte) *core.Handle {
-	mem := c.ep.Mem()
-	copy(mem[c.stage:c.stage+uint64(c.v.BlockSize)], data)
-	c.c.MustDo(p, core.Op{Remote: c.blockAddr(block), Local: c.stage, Size: c.v.BlockSize, Kind: frame.OpWrite})
-	c.seq++
-	putCommit(mem[c.rec:], c.seq, block)
-	c.Stats.Writes++
-	c.Stats.Commits++
-	c.Stats.BytesWrite += uint64(c.v.BlockSize)
-	return c.c.MustDo(p, core.Op{
-		Remote: c.commitAddr(), Local: c.rec, Size: CommitRecordSize,
-		Kind: frame.OpWrite, Flags: frame.FenceBefore | frame.Solicit,
-	})
-}
-
 // Write stores the block on every healthy leg, concurrently, and
 // returns when all their commits are acknowledged. With a leg down it
 // degrades to single-leg writes (Rebuild copies the backlog later).
@@ -77,7 +59,11 @@ func (m *Mirror) Write(p *sim.Proc, block int, data []byte) {
 	var hs [2]*core.Handle
 	for i, leg := range m.legs {
 		if !m.down[i] {
-			hs[i] = leg.writeAsync(p, block, data)
+			commit, err := leg.stageWrite(p, block, data)
+			if err != nil {
+				panic(err)
+			}
+			hs[i] = leg.c.MustDo(p, commit)
 		}
 	}
 	for _, h := range hs {
@@ -129,7 +115,7 @@ func (m *Mirror) Read(p *sim.Proc, block int, buf []byte) {
 // Rebuild brings a recovered leg back: it first verifies the leg
 // answers (a deadline read of block 0), then copies every block from
 // the healthy leg and finally clears the down mark. Returns false if
-// the leg still does not answer.
+// the leg still does not answer, or if either leg fails mid-copy.
 func (m *Mirror) Rebuild(p *sim.Proc) bool {
 	var from, to int
 	switch {
@@ -146,8 +132,9 @@ func (m *Mirror) Rebuild(p *sim.Proc) bool {
 	}
 	buf := make([]byte, m.legs[from].v.BlockSize)
 	for b := 0; b < m.legs[from].v.Blocks; b++ {
-		m.legs[from].Read(p, b, buf)
-		m.legs[to].Write(p, b, buf)
+		if m.legs[from].Read(p, b, buf) != nil || m.legs[to].Write(p, b, buf) != nil {
+			return false // the copy is incomplete: the leg stays down
+		}
 		m.Rebuilt++
 	}
 	m.down[to] = false

@@ -18,8 +18,8 @@ import (
 const (
 	maxCoreFileLines = 800
 	maxCoreLines     = 5933
-	maxConnBytes     = 720
-	maxHandleBytes   = 96
+	maxConnBytes     = 672
+	maxHandleBytes   = 48
 )
 
 // TestCoreFileSizes fails when a non-test source file of the package

@@ -365,8 +365,8 @@ func (c *Comm) claim(p *sim.Proc, m *inMsg) []byte {
 		c.pushed = &sim.Signal{}
 		c.sendCtl(p, m.from, kindFIN, 0, 0, m.seq, 0)
 		p.Wait(c.pushed)
-	} else {
-		c.conns[m.from].MustDo(p, core.Op{Remote: m.srcAddr, Local: c.bounce, Size: m.size, Kind: frame.OpRead}).Wait(p)
+	} else if err := c.conns[m.from].Run(p, core.Op{Remote: m.srcAddr, Local: c.bounce, Size: m.size, Kind: frame.OpRead}); err != nil {
+		panic(fmt.Sprintf("msg: rendezvous pull from rank %d failed: %v", m.from, err))
 	}
 	out := make([]byte, m.size)
 	copy(out, c.ep.Mem()[c.bounce:c.bounce+uint64(m.size)])

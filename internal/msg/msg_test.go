@@ -3,10 +3,12 @@ package msg
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"multiedge/internal/cluster"
+	"multiedge/internal/core"
 	"multiedge/internal/sim"
 )
 
@@ -395,6 +397,40 @@ func TestConcurrentRendezvousReverseStart(t *testing.T) {
 	}
 	if free := comms[0].stageFree.Len(); free != stagingBufs {
 		t.Errorf("%d of %d staging buffers free after the run", free, stagingBufs)
+	}
+}
+
+// TestRendezvousPullFailurePanics kills the sender's end of the
+// connection while the receiver pulls a rendezvous payload. The pull
+// window still holds the previous message's bytes; Recv must panic
+// with the error and the peer rather than return them as the payload.
+func TestRendezvousPullFailurePanics(t *testing.T) {
+	cfg := cluster.OneLink1G(2)
+	cfg.Core.MemBytes = 32 << 20
+	cl := cluster.New(cfg)
+	defer cl.Close()
+	conns := cl.FullMesh()
+	comms := New(cl, conns)
+	cl.Env.Go("send", func(p *sim.Proc) {
+		comms[0].Send(p, 1, 1, pattern(64*1024, 1))
+		comms[0].Send(p, 1, 2, pattern(64*1024, 2))
+	})
+	var got any
+	returned := false
+	cl.Env.Go("recv", func(p *sim.Proc) {
+		defer func() { got = recover() }()
+		comms[1].Recv(p, 0, 1)
+		p.Sleep(10 * sim.Millisecond) // the second RTS is queued by now
+		cl.Env.After(sim.Microsecond, conns[0][1].Abandon)
+		comms[1].Recv(p, 0, 2)
+		returned = true
+	})
+	cl.Env.RunUntil(sim.Second)
+	if returned {
+		t.Fatal("Recv returned a payload whose pull failed")
+	}
+	if msg := fmt.Sprint(got); !strings.Contains(msg, "rendezvous pull from rank 0") || !strings.Contains(msg, core.ErrPeerDead.Error()) {
+		t.Errorf("Recv panicked with %q, want the failed pull, its peer and its error", msg)
 	}
 }
 

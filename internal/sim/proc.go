@@ -145,67 +145,93 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Signal is a one-shot completion event that processes can wait on and
 // event-driven code can subscribe to. The zero value is ready to use.
+// It is two words: the first waiter is held inline, so the common
+// single-waiter case allocates nothing, and later waiters and callbacks
+// go to an overflow record built on first use. Firing points more at
+// spent.
 type Signal struct {
-	fired   bool
+	w0   *Proc
+	more *signalMore
+}
+
+// signalMore holds a signal's waiters after the first, and its
+// callbacks, each in arrival order.
+type signalMore struct {
 	waiters []*Proc
-	w0      [1]*Proc // inline storage: the common single-waiter case allocates nothing
 	cbs     []func()
 }
 
+// spent is the overflow of every signal that has fired.
+var spent = new(signalMore)
+
 // Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
+func (s *Signal) Fired() bool { return s.more == spent }
 
 // HasWaiters reports whether any process or callback is currently
-// waiting on the signal.
-func (s *Signal) HasWaiters() bool { return len(s.waiters) > 0 || len(s.cbs) > 0 }
+// waiting on the signal. An overflow record exists only once something
+// was put in it.
+func (s *Signal) HasWaiters() bool { return s.w0 != nil || (s.more != nil && s.more != spent) }
 
 // Fire fires the signal at the current virtual time, waking all waiting
-// processes and scheduling all subscribed callbacks. Firing twice panics:
-// a Signal represents exactly one completion.
+// processes in the order they began to wait and then scheduling all
+// subscribed callbacks in the order they subscribed. Firing twice
+// panics: a Signal represents exactly one completion.
 func (s *Signal) Fire(e *Env) {
-	if s.fired {
+	if s.Fired() {
 		panic("sim: Signal fired twice")
 	}
 	s.fire(e)
 }
 
 func (s *Signal) fire(e *Env) {
-	if s.fired {
+	w0, m := s.w0, s.more
+	if m == spent {
 		return
 	}
-	s.fired = true
-	for _, p := range s.waiters {
-		e.SchedAfterArg(0, wakeProc, p)
+	s.w0, s.more = nil, spent
+	if w0 != nil {
+		e.SchedAfterArg(0, wakeProc, w0)
 	}
-	s.waiters = nil
-	s.w0[0] = nil
-	for _, cb := range s.cbs {
-		e.SchedAfter(0, cb)
+	if m != nil {
+		for _, p := range m.waiters {
+			e.SchedAfterArg(0, wakeProc, p)
+		}
+		for _, cb := range m.cbs {
+			e.SchedAfter(0, cb)
+		}
 	}
-	s.cbs = nil
+}
+
+// overflow returns the signal's overflow record, building it on first use.
+func (s *Signal) overflow() *signalMore {
+	if s.more == nil {
+		s.more = new(signalMore)
+	}
+	return s.more
 }
 
 // OnFire schedules fn for when the signal fires; if it already fired, fn
 // is scheduled immediately.
 func (s *Signal) OnFire(e *Env, fn func()) {
-	if s.fired {
+	if s.Fired() {
 		e.SchedAfter(0, fn)
 		return
 	}
-	s.cbs = append(s.cbs, fn)
+	m := s.overflow()
+	m.cbs = append(m.cbs, fn)
 }
 
 // Wait blocks the process until the signal fires; it returns immediately
 // if the signal already fired.
 func (p *Proc) Wait(s *Signal) {
-	if s.fired {
+	switch {
+	case s.Fired():
 		return
-	}
-	if s.waiters == nil {
-		s.w0[0] = p
-		s.waiters = s.w0[:1]
-	} else {
-		s.waiters = append(s.waiters, p)
+	case s.w0 == nil:
+		s.w0 = p
+	default:
+		m := s.overflow()
+		m.waiters = append(m.waiters, p)
 	}
 	p.park()
 }

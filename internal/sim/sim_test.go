@@ -270,16 +270,24 @@ func TestSignalWaitBeforeAndAfterFire(t *testing.T) {
 	}
 }
 
+// TestSignalDoubleFirePanics fires a signal twice with nothing waiting,
+// and once more with waiters and a callback in its overflow record.
 func TestSignalDoubleFirePanics(t *testing.T) {
 	e := NewEnv(1)
-	var s Signal
+	var s, busy Signal
 	s.Fire(e)
-	defer func() {
-		if recover() == nil {
-			t.Error("double Fire did not panic")
-		}
-	}()
-	s.Fire(e)
+	mustPanic(t, "second Fire", "fired twice", func() { s.Fire(e) })
+	busy.OnFire(e, func() {})
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(p *Proc) { p.Wait(&busy) })
+	}
+	e.Run()
+	busy.Fire(e)
+	mustPanic(t, "second Fire after waiters", "fired twice", func() { busy.Fire(e) })
+	e.Run()
+	if n := e.Procs(); n != 0 {
+		t.Errorf("%d waiters still parked after the fire", n)
+	}
 }
 
 func TestSignalOnFire(t *testing.T) {
