@@ -115,7 +115,10 @@ func mirrorDemo() {
 			for j := range buf {
 				buf[j] = byte(b + j)
 			}
-			m.Write(p, b, buf)
+			if err := m.Write(p, b, buf); err != nil {
+				fmt.Printf("mirror: block %d: %v\n", b, err)
+				return
+			}
 		}
 		fmt.Printf("[%v] mirror: 256 blocks on hosts 0+1\n", cl.Env.Now())
 

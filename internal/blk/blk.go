@@ -158,10 +158,11 @@ func (c *Client) readOp(block int) core.Op {
 
 // ReadAsync starts a one-block read into the client's staging buffer
 // and returns its handle; the data is valid in Stage() after the handle
-// fires. Only one async read may be outstanding per client (one staging
-// buffer) — use plain RDMA for deeper pipelines.
-func (c *Client) ReadAsync(p *sim.Proc, block int) *core.Handle {
-	return c.c.MustDo(p, c.readOp(block))
+// fires with no error. A read the connection cannot start returns its
+// error instead. Only one async read may be outstanding per client (one
+// staging buffer) — use plain RDMA for deeper pipelines.
+func (c *Client) ReadAsync(p *sim.Proc, block int) (*core.Handle, error) {
+	return c.c.Do(p, c.readOp(block))
 }
 
 // Stage exposes the staging buffer contents (after ReadAsync + Wait).

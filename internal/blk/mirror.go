@@ -1,6 +1,7 @@
 package blk
 
 import (
+	"errors"
 	"fmt"
 
 	"multiedge/internal/core"
@@ -20,9 +21,12 @@ type Mirror struct {
 	deadline sim.Time
 
 	// Stats.
-	Failovers uint64 // reads that timed out on one leg and switched
+	Failovers uint64 // reads that timed out or failed on one leg and switched
 	Rebuilt   uint64 // blocks copied by Rebuild
 }
+
+// errLegsDown is why a write that found both legs down committed nowhere.
+var errLegsDown = errors.New("both legs down")
 
 // DefaultMirrorDeadline is how long a read may stay unanswered before
 // the mirror declares the leg down: several RTOs, so ordinary loss
@@ -48,30 +52,43 @@ func (m *Mirror) SetDeadline(d sim.Time) { m.deadline = d }
 func (m *Mirror) Down() (a, b bool) { return m.down[0], m.down[1] }
 
 // Write stores the block on every healthy leg, concurrently, and
-// returns when all their commits are acknowledged. With a leg down it
-// degrades to single-leg writes (Rebuild copies the backlog later).
-func (m *Mirror) Write(p *sim.Proc, block int, data []byte) {
+// returns when all their commits are acknowledged. A leg whose block
+// write or commit fails is marked down, and with a leg down writes
+// degrade to the other (Rebuild copies the backlog later). Write
+// returns an error when no leg committed the block.
+func (m *Mirror) Write(p *sim.Proc, block int, data []byte) error {
 	ep := m.legs[0].ep
 	sp := ep.Obs().StartLayerSpan(ep.Node(), "blk", "mirror-commit", len(data))
-	if m.down[0] && m.down[1] {
-		panic("blk: mirror write with both legs down")
-	}
+	err := errLegsDown
 	var hs [2]*core.Handle
 	for i, leg := range m.legs {
-		if !m.down[i] {
-			commit, err := leg.stageWrite(p, block, data)
-			if err != nil {
-				panic(err)
-			}
-			hs[i] = leg.c.MustDo(p, commit)
+		if m.down[i] {
+			continue
+		}
+		commit, e := leg.stageWrite(p, block, data)
+		if e == nil {
+			hs[i], e = leg.c.Do(p, commit)
+		}
+		if e != nil {
+			m.down[i], err = true, e
 		}
 	}
-	for _, h := range hs {
-		if h != nil {
-			h.Wait(p)
+	committed := false
+	for i, h := range hs {
+		if h == nil {
+			continue
+		}
+		if h.Wait(p); h.Err() != nil {
+			m.down[i], err = true, h.Err()
+		} else {
+			committed = true
 		}
 	}
 	sp.EndAt(ep.Env().Now())
+	if !committed {
+		return fmt.Errorf("blk: mirror write of block %d committed on no leg: %w", block, err)
+	}
+	return nil
 }
 
 // waitDeadline waits for h with a deadline; false means it timed out
@@ -89,23 +106,23 @@ func (m *Mirror) waitDeadline(p *sim.Proc, h *core.Handle) bool {
 }
 
 // Read fetches the block from the preferred (lowest-index healthy)
-// leg; if the read outlives the deadline, the leg is marked down and
-// the other leg serves it. Reading with both legs down panics.
+// leg; if the read fails or outlives the deadline, the leg is marked
+// down and the other leg serves it. Reading with both legs down panics.
 func (m *Mirror) Read(p *sim.Proc, block int, buf []byte) {
 	for i, leg := range m.legs {
 		if m.down[i] {
 			continue
 		}
-		h := leg.ReadAsync(p, block)
-		if m.waitDeadline(p, h) {
+		if h, err := leg.ReadAsync(p, block); err == nil && m.waitDeadline(p, h) && h.Err() == nil {
 			copy(buf, leg.Stage())
 			leg.Stats.Reads++
 			leg.Stats.BytesRead += uint64(leg.v.BlockSize)
 			return
 		}
-		// The leg is unreachable. Its staging buffer stays owned by the
-		// abandoned read; mark the leg down so nothing reuses it until
-		// Rebuild has verified the leg answers again.
+		// The leg failed the read or is unreachable: the staging buffer
+		// holds no block of this read, and a timed-out read still owns
+		// it. Mark the leg down so nothing reuses it until Rebuild has
+		// verified the leg answers again.
 		m.down[i] = true
 		m.Failovers++
 	}
@@ -126,8 +143,7 @@ func (m *Mirror) Rebuild(p *sim.Proc) bool {
 	default:
 		return !m.down[0] && !m.down[1] // nothing to do, or nothing to copy from
 	}
-	probe := m.legs[to].ReadAsync(p, 0)
-	if !m.waitDeadline(p, probe) {
+	if probe, err := m.legs[to].ReadAsync(p, 0); err != nil || !m.waitDeadline(p, probe) || probe.Err() != nil {
 		return false // still dead; keep serving degraded
 	}
 	buf := make([]byte, m.legs[from].v.BlockSize)

@@ -2,6 +2,7 @@ package blk_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"multiedge/internal/blk"
@@ -30,7 +31,7 @@ func TestMirrorWritesBothLegs(t *testing.T) {
 	ok := false
 	cl.Env.Go("io", func(p *sim.Proc) {
 		for b := 0; b < 16; b++ {
-			m.Write(p, b, pat(2048, byte(b)))
+			check(t, m.Write(p, b, pat(2048, byte(b))))
 		}
 		got := make([]byte, 2048)
 		m.Read(p, 5, got)
@@ -66,7 +67,7 @@ func TestMirrorFailover(t *testing.T) {
 	ok := false
 	cl.Env.Go("io", func(p *sim.Proc) {
 		for b := 0; b < 16; b++ {
-			m.Write(p, b, pat(2048, byte(b)))
+			check(t, m.Write(p, b, pat(2048, byte(b))))
 		}
 		// Host 0 vanishes (both rails cut).
 		cl.FailLink(0, 0)
@@ -79,7 +80,7 @@ func TestMirrorFailover(t *testing.T) {
 			}
 		}
 		// Degraded writes land on the survivor only.
-		m.Write(p, 3, pat(2048, 99))
+		check(t, m.Write(p, 3, pat(2048, 99)))
 		m.Read(p, 3, got)
 		if !bytes.Equal(got, pat(2048, 99)) {
 			t.Error("degraded write not readable")
@@ -109,13 +110,13 @@ func TestMirrorRebuild(t *testing.T) {
 	ok := false
 	cl.Env.Go("io", func(p *sim.Proc) {
 		for b := 0; b < 16; b++ {
-			m.Write(p, b, pat(2048, byte(b)))
+			check(t, m.Write(p, b, pat(2048, byte(b))))
 		}
 		cl.FailLink(0, 0)
 		cl.FailLink(0, 1)
 		got := make([]byte, 2048)
 		m.Read(p, 0, got) // trips the deadline, marks leg A down
-		m.Write(p, 7, pat(2048, 77))
+		check(t, m.Write(p, 7, pat(2048, 77)))
 
 		// Rebuild against a still-dead host must refuse.
 		if m.Rebuild(p) {
@@ -130,7 +131,7 @@ func TestMirrorRebuild(t *testing.T) {
 			t.Fatal("rebuild failed after host repair")
 		}
 		// Mirrored service resumed: a new write lands on both legs.
-		m.Write(p, 9, pat(2048, 88))
+		check(t, m.Write(p, 9, pat(2048, 88)))
 		ok = true
 	})
 	cl.Env.RunUntil(120 * sim.Second)
@@ -150,6 +151,94 @@ func TestMirrorRebuild(t *testing.T) {
 	}
 	if !bytes.Equal(ha[7*2048:8*2048], pat(2048, 77)) {
 		t.Error("degraded-period write missing from rebuilt leg")
+	}
+}
+
+// legFailedAt runs body on the mirror client with the first host's end
+// of its conn abandoned 1 µs into body, after two mirrored writes
+// (blocks 3 and 4): the leg's operations in flight then fail with
+// ErrPeerDead instead of completing.
+func legFailedAt(t *testing.T, body func(p *sim.Proc, m *blk.Mirror)) (*cluster.Cluster, *blk.Volume, *blk.Volume, *blk.Mirror) {
+	t.Helper()
+	cl, conns, va, vb, m := mirrorSetup(t, 16, 2048)
+	t.Cleanup(cl.Close)
+	done := false
+	cl.Env.Go("io", func(p *sim.Proc) {
+		for b := 3; b <= 4; b++ {
+			check(t, m.Write(p, b, pat(2048, byte(b))))
+		}
+		cl.Env.After(sim.Microsecond, conns[0][2].Abandon)
+		body(p, m)
+		done = true
+	})
+	cl.Env.RunUntil(30 * sim.Second)
+	if !done {
+		t.Fatal("did not complete")
+	}
+	return cl, va, vb, m
+}
+
+// TestMirrorReadFailedLeg: a leg's read that fails is a failover, not a
+// result. The staging buffer of the failed leg still holds block 4, the
+// last one written, and must not come back as block 5.
+func TestMirrorReadFailedLeg(t *testing.T) {
+	got := pat(2048, 1)
+	_, _, _, m := legFailedAt(t, func(p *sim.Proc, m *blk.Mirror) { m.Read(p, 5, got) })
+	if !bytes.Equal(got, make([]byte, 2048)) {
+		t.Errorf("Read(5) returned %v..., want the unwritten block's zeros (block 4 begins %v)", got[:4], pat(2048, 4)[:4])
+	}
+	if a, b := m.Down(); !a || b || m.Failovers != 1 {
+		t.Errorf("down flags %v,%v and %d failovers; want leg A down only and 1", a, b, m.Failovers)
+	}
+	// Rebuild probes the failed leg: its conn has ended, so the probe
+	// reports that instead of panicking, and the leg stays down.
+	_, _, _, m = legFailedAt(t, func(p *sim.Proc, m *blk.Mirror) {
+		m.Read(p, 5, got)
+		if m.Rebuild(p) {
+			t.Error("Rebuild claimed a leg whose conn has ended")
+		}
+	})
+	if a, _ := m.Down(); !a {
+		t.Error("the failed leg is no longer marked down after Rebuild")
+	}
+}
+
+// TestMirrorWriteFailedLeg: a leg whose commit fails is marked down, so
+// that Rebuild copies the block later, and the write succeeds on the
+// other leg; with no leg left, Write reports the failure.
+func TestMirrorWriteFailedLeg(t *testing.T) {
+	var err, none error
+	cl, va, vb, m := legFailedAt(t, func(p *sim.Proc, m *blk.Mirror) {
+		err = m.Write(p, 3, pat(2048, 33))
+		none = m.Write(p, 6, pat(2048, 66)) // leg A is down: leg B alone
+	})
+	if err != nil || none != nil {
+		t.Fatalf("Write(3) = %v and Write(6) = %v with one leg left, want nil", err, none)
+	}
+	if a, b := m.Down(); !a || b {
+		t.Errorf("down flags %v,%v; want leg A down only", a, b)
+	}
+	if !bytes.Equal(vb.HostMem(cl)[3*2048:4*2048], pat(2048, 33)) {
+		t.Error("the surviving leg lacks the write")
+	}
+	if bytes.Equal(va.HostMem(cl)[3*2048:4*2048], pat(2048, 33)) {
+		t.Error("the failed leg holds the write: the test did not fail it in time")
+	}
+
+	cl, conns, _, _, m := mirrorSetup(t, 16, 2048)
+	defer cl.Close()
+	cl.Env.Go("io", func(p *sim.Proc) {
+		conns[0][2].Abandon()
+		conns[1][2].Abandon()
+		err = m.Write(p, 3, pat(2048, 33))
+		none = m.Write(p, 3, pat(2048, 33))
+	})
+	cl.Env.RunUntil(30 * sim.Second)
+	if !errors.Is(err, core.ErrPeerDead) || none == nil {
+		t.Errorf("Write with both hosts' ends gone = %v, then %v; want an error wrapping ErrPeerDead, then an error", err, none)
+	}
+	if a, b := m.Down(); !a || !b {
+		t.Errorf("down flags %v,%v; want both legs down", a, b)
 	}
 }
 

@@ -119,6 +119,37 @@ func TestAllocsRun(t *testing.T) {
 	gateAllocs(t, "Run write, Run read", allocs/2, 0)
 }
 
+// TestAllocsDeadlineRun gates Conn.Run with an Op.Deadline at nothing
+// per operation, as TestAllocsRun without one: the deadline timer takes
+// a package-level callback with the pooled send record as its argument,
+// and the record keeps its timer from one life to the next.
+func TestAllocsDeadlineRun(t *testing.T) {
+	cfg := cluster.OneLink1G(2)
+	cfg.Seed = 3
+	cl, c01, src, dst := allocPair(t, cfg)
+	write := core.Op{Remote: dst, Local: src, Size: 512, Kind: frame.OpWrite}
+	read := core.Op{Remote: dst + 4096, Local: src + 4096, Size: 512, Kind: frame.OpRead}
+	var allocs float64
+	runMeasured(t, cl, func(p *sim.Proc) {
+		step := func() {
+			for _, op := range []core.Op{write, read} {
+				op.Deadline = cl.Env.Now() + sim.Millisecond
+				if err := c01.Run(p, op); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		for i := 0; i < 128; i++ {
+			step()
+		}
+		allocs = testing.AllocsPerRun(100, step)
+	})
+	if st := cl.Nodes[0].EP.Stats; st.OpDeadlinesExpired != 0 {
+		t.Fatalf("%d deadlines expired: the loop measures ops that beat theirs", st.OpDeadlinesExpired)
+	}
+	gateAllocs(t, "Run write, Run read, each with a deadline", allocs/2, 0)
+}
+
 // TestAllocsDoBytes gates what an eager operation through Do costs the
 // heap: its Handle, at most 48 B, and nothing more, for writes and
 // reads alike, read from runtime.MemStats over many operations.
@@ -393,17 +424,19 @@ func TestConnFootprint(t *testing.T) {
 		apply               func(*cluster.Config)
 		established, loaded limit
 	}{
-		// Measured: 876 / 4 480, 874 / 3 451, 938 / 4 234 and 1 179 /
-		// 6 824 B; 7.7 / 58.7, 7.7 / 56.0, 7.7 / 58.6 and 11.0 / 73.3
-		// allocations. With a 64 B sim.Signal in every Conn and Proc:
-		// 939 / 4 567, 938 / 3 514, 1 002 / 4 344 and 1 243 / 6 858 B.
-		// Before the state was built by use: 2 364 / 15 461, 2 372 /
-		// 14 556, 2 426 / 14 055 and 2 668 / 15 869 B. An allocation limit
-		// already below its measured value plus 15 % stays where it was.
-		{"one-rail paper", cluster.OneLink1G, func(*cluster.Config) {}, limit{1010, 8.3}, limit{5160, 67.5}},
-		{"one-rail production", cluster.OneLink1G, productionProfile, limit{1010, 8.3}, limit{3970, 64.4}},
-		{"two-rail paper", cluster.TwoLinkUnordered1G, func(*cluster.Config) {}, limit{1080, 8.3}, limit{4870, 67.4}},
-		{"two-rail production", cluster.TwoLinkUnordered1G, productionProfile, limit{1360, 12.2}, limit{7850, 84.3}},
+		// Measured: 672 / 4 216, 670 / 3 187, 734 / 4 047 and 959 /
+		// 6 513 B; 5.2 / 53.2, 5.2 / 50.5, 5.2 / 53.2 and 7.5 / 66.7
+		// allocations. With a 672 B Conn (704 B size class), timer
+		// closures and a closure-driven handshake: 876 / 4 480, 874 /
+		// 3 451, 938 / 4 234 and 1 179 / 6 824 B; 7.7 / 58.7, 7.7 / 56.0,
+		// 7.7 / 58.6 and 11.0 / 73.3 allocations. With a 64 B sim.Signal
+		// in every Conn and Proc: 939 / 4 567, 938 / 3 514, 1 002 / 4 344
+		// and 1 243 / 6 858 B. Before the state was built by use: 2 364 /
+		// 15 461, 2 372 / 14 556, 2 426 / 14 055 and 2 668 / 15 869 B.
+		{"one-rail paper", cluster.OneLink1G, func(*cluster.Config) {}, limit{775, 6.0}, limit{4850, 61.2}},
+		{"one-rail production", cluster.OneLink1G, productionProfile, limit{775, 6.0}, limit{3670, 58.1}},
+		{"two-rail paper", cluster.TwoLinkUnordered1G, func(*cluster.Config) {}, limit{845, 6.0}, limit{4655, 61.2}},
+		{"two-rail production", cluster.TwoLinkUnordered1G, productionProfile, limit{1105, 8.6}, limit{7490, 76.7}},
 	} {
 		cfg := tc.cfg(2)
 		tc.apply(&cfg)
@@ -479,9 +512,10 @@ func TestConnFootprint(t *testing.T) {
 
 // TestConnStateBuiltByUse pins what a conn builds at first use: 10 000
 // in-order frames over one rail leave both ends without a receive-window
-// ring and without the SQ/CQ, recovery, notification and close groups,
-// and the first posted descriptor builds the SQ/CQ group and nothing
-// else.
+// ring, without the SQ/CQ, recovery and notification groups and the
+// NACK record, and without a handshake record (the dialer's went when
+// the dial completed); the first posted descriptor builds the SQ/CQ
+// group and nothing else.
 func TestConnStateBuiltByUse(t *testing.T) {
 	for _, pr := range []struct {
 		name  string

@@ -54,20 +54,21 @@ const (
 )
 
 // ccState is a connection's congestion window and its bookkeeping. All
-// of it is inert when the feature is off.
+// of it is inert when the feature is off. Its counts are bounded by the
+// window (Config.Window, frames).
 type ccState struct {
-	cwnd        int    // congestion window, frames
-	ccAckCredit int    // acked frames banked toward the next additive increase
-	ccRetxSent  int    // retransmissions since the last ack progress or RTO
-	ccEcnRx     int    // receiver side: marked frames awaiting an ECN echo
+	cwnd        int32  // congestion window, frames
+	ccAckCredit int32  // acked frames banked toward the next additive increase
+	ccRetxSent  int32  // retransmissions since the last ack progress or RTO
+	ccEcnRx     int32  // receiver side: marked frames awaiting an ECN echo
 	ccRecover   uint32 // no further cut until sndUna reaches this (one cut per flight)
 }
 
 // effWindow is the sender's effective transmit window: Config.Window
 // bounded by the congestion window when congestion control is on.
 func (s *ccState) effWindow(cfg *Config) int {
-	if cfg.ccOn() && s.cwnd < cfg.Window {
-		return s.cwnd
+	if cfg.ccOn() && int(s.cwnd) < cfg.Window {
+		return int(s.cwnd)
 	}
 	return cfg.Window
 }
@@ -97,9 +98,9 @@ func (s *ccState) cut(sndUna, sndNxt uint32) bool {
 // slot per cwnd acked frames, up to window.
 func (s *ccState) ccOnAck(acked, window int) {
 	s.ccRetxSent = 0
-	s.ccAckCredit += acked
+	s.ccAckCredit += int32(acked)
 	for s.ccAckCredit >= s.cwnd {
-		if s.cwnd >= window {
+		if int(s.cwnd) >= window {
 			s.ccAckCredit = 0
 			return
 		}

@@ -30,7 +30,8 @@ func TestArqRx(t *testing.T) {
 		arrivals         []uint32 // each at clock 1
 		verdicts         []arrival
 		rcvNxt, maxSeen  uint32
-		gaps, drops      int
+		gaps             int32
+		drops            int
 		scanAt, minAge   sim.Time
 		nacks            []uint32
 		untracked, built bool
@@ -106,11 +107,12 @@ func seqs(lo uint32, n int) []uint32 {
 // outstanding charges.
 func TestRailSet(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		dead         []int
-		cursor       int
-		cost         []int64 // nil: every rail equal
-		pick, cursAf int
+		name   string
+		dead   []int
+		cursor uint8
+		cost   []int64 // nil: every rail equal
+		pick   int
+		cursAf uint8
 	}{
 		{"round robin", nil, 0, nil, 0, 1},
 		{"round robin wraps", nil, 2, nil, 2, 0},
@@ -183,15 +185,15 @@ func TestRailSet(t *testing.T) {
 func TestCCState(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
-		cwnd             int
+		cwnd             int32
 		recover          uint32
 		sndUna, sndNxt   uint32
 		cut              bool
-		wantCwnd         int
+		wantCwnd         int32
 		wantRecover      uint32
-		ackCredit, acked int
-		window           int
-		afterAck, credit int
+		ackCredit        int32
+		acked, window    int
+		afterAck, credit int32
 	}{
 		{name: "halve", cwnd: 16, sndNxt: 40, cut: true, wantCwnd: 8, wantRecover: 40},
 		{name: "once per flight", cwnd: 16, recover: 40, sndUna: 39, sndNxt: 60, wantCwnd: 16, wantRecover: 40},
@@ -219,10 +221,11 @@ func TestCCState(t *testing.T) {
 
 	off, on := Config{Window: 8}, Config{Window: 8, CongestionControl: CCConfig{Enable: true}}
 	for _, tc := range []struct {
-		name            string
-		cfg             *Config
-		cwnd, retx, eff int
-		retxOK          bool
+		name       string
+		cfg        *Config
+		cwnd, retx int32
+		eff        int
+		retxOK     bool
 	}{
 		{"off: the window, any repairs", &off, 2, 5, 8, true},
 		{"on: the congestion window", &on, 2, 1, 2, true},

@@ -279,12 +279,12 @@ const (
 func (c *Config) ccOn() bool { return c.CongestionControl.Enable }
 
 // ccInit returns the effective initial congestion window.
-func (c *Config) ccInit() int {
+func (c *Config) ccInit() int32 {
 	cw := c.CongestionControl.InitWindow
 	if cw <= 0 {
 		cw = 16
 	}
-	return min(cw, c.Window)
+	return int32(min(cw, c.Window))
 }
 
 // QoSClass configures one traffic class (tenant) of the QoS layer.

@@ -30,26 +30,24 @@ import (
 //
 // A Conn holds only what it has needed: the ARQ rings and the operation
 // maps are made at their first insert, the receive window only at the
-// first frame that does not arrive in order, timer callbacks at their
-// first arm, and the cold groups — submission/completion queues,
-// recovery, notifications, close — sit behind one pointer each, nil
-// until first use. Scratch and freelists live on the Endpoint, whose
-// protocol thread serializes its conns.
+// first frame that does not arrive in order, and the cold groups —
+// submission/completion queues, recovery, notifications, the NACK
+// machinery, a dial or close handshake — sit behind one pointer each,
+// nil until first use. Timers take package-level callbacks, so arming
+// one makes no closure. Fields are sized to their range and grouped by
+// alignment. Scratch and freelists live on the Endpoint, whose protocol
+// thread serializes its conns.
 type Conn struct {
 	ep         *Endpoint
-	remoteNode int
-	links      int
+	remoteNode int32 // a node number: frame.Addr holds it in one byte
 	localID    uint32
 	remoteID   uint32
-
-	established sim.Signal // fired when the conn leaves dialing: what Dial waits on
-	connTimer   *sim.Timer
-	closing     *closeState // built by Close
-	endErr      error       // why the conn is closing or ended: wraps ErrPeerDead or ErrClosed
-
 	// Traffic class (Config.QoS): which tenant's scheduler queues and
-	// quotas this conn belongs to. See SetClass.
-	class int
+	// quotas this conn belongs to, below the class count. See SetClass.
+	class int32
+
+	hs     *handshake // the dial or close handshake running, nil when none is
+	endErr error      // why the conn is closing or ended: wraps ErrPeerDead or ErrClosed
 
 	notifyQ *sim.Mailbox[Notification] // see notifyGroup
 	queues  *queueState                // submission/completion queues (see op.go); see queueGroup
@@ -59,9 +57,7 @@ type Conn struct {
 	lastHeard sim.Time // last frame received on this conn
 	lastTx    sim.Time // last frame transmitted on this conn
 	hbTimer   *sim.Timer
-	hbFn      func()     // heartbeatTick
 	readGuard *sim.Timer // daemon liveness check while read replies are pending
-	rdGuardFn func()     // checkReadLiveness
 
 	arqTx
 	arqRx
@@ -108,37 +104,40 @@ func (s connState) String() string {
 }
 
 // to moves the conn to state s; nothing else writes c.state. Leaving
-// dialing releases the Dial waiter and leaving closing the Close waiter,
-// so no way out of either can strand its caller.
+// dialing or closing ends the handshake that runs there and releases
+// its Dial or Close waiter, so no way out of either can strand its
+// caller.
 func (c *Conn) to(s connState) {
 	if connMoves[c.state]&(1<<s) == 0 {
 		panic(fmt.Sprintf("core: conn %d to node %d: no move from %v to %v", c.localID, c.remoteNode, c.state, s))
 	}
-	switch c.state {
-	case dialing:
-		c.established.Fire(c.ep.env)
-	case closing:
-		c.closing.sig.Fire(c.ep.env)
+	if hs := c.hs; hs != nil {
+		c.hs = nil
+		hs.timer.Stop() // nil-safe
+		hs.sig.Fire(c.ep.env)
 	}
 	c.state = s
 }
 
-// closeState is the graceful-close handshake of a conn being closed
-// locally (see Close).
-type closeState struct {
-	sig   sim.Signal // fired when the handshake completes or gives up
-	timer *sim.Timer // ConnClose retransmission
+// handshake is the dial or the close handshake of a conn (see
+// Conn.handshake). connMoves never lets a conn be dialing and closing
+// at once, so one record serves both: built when the handshake starts,
+// dropped when the conn leaves dialing or closing. An accepted conn,
+// and a dialed one once live, holds none.
+type handshake struct {
+	sig      sim.Signal // fired when the handshake completes or gives up: what Dial or Close waits on
+	timer    *sim.Timer // ConnReq or ConnClose retransmission
+	attempts int
 }
 
 // queueState is a conn's submission and completion queues (see op.go):
 // descriptors posted but not yet issued by a doorbell, and completions
 // awaiting a poll.
 type queueState struct {
-	sq      []Op
-	cq      sim.Mailbox[Completion]
-	stage   []Completion // records staged behind an in-flight WaitCQ wake
-	flush   bool         // a UserWake flush of stage is scheduled
-	flushFn func()       // drains stage behind an in-flight WaitCQ wake
+	sq    []Op
+	cq    sim.Mailbox[Completion]
+	stage []Completion // records staged behind an in-flight WaitCQ wake
+	flush bool         // a UserWake flush of stage (flushStage) is scheduled
 }
 
 // recoveryState is the supervised reconnect state machine's per-conn
@@ -156,21 +155,7 @@ type recoveryState struct {
 // queueGroup and notifyGroup build their group at first use.
 func (c *Conn) queueGroup() *queueState {
 	if c.queues == nil {
-		q := &queueState{}
-		q.flushFn = func() {
-			q.flush = false
-			stage := q.stage
-			q.stage = nil
-			for _, s := range stage {
-				q.cq.Send(c.ep.env, s)
-			}
-			// Hand the drained backing array back for the next staging run
-			// (Send only schedules wakes, so nothing re-staged mid-loop).
-			if q.stage == nil {
-				q.stage = stage[:0]
-			}
-		}
-		c.queues = q
+		c.queues = &queueState{}
 	}
 	return c.queues
 }
@@ -192,10 +177,10 @@ type Notification struct {
 }
 
 // RemoteNode returns the peer's node id.
-func (c *Conn) RemoteNode() int { return c.remoteNode }
+func (c *Conn) RemoteNode() int { return int(c.remoteNode) }
 
 // Links returns how many physical links the connection stripes over.
-func (c *Conn) Links() int { return c.links }
+func (c *Conn) Links() int { return len(c.rails) }
 
 // Endpoint returns the owning endpoint.
 func (c *Conn) Endpoint() *Endpoint { return c.ep }
@@ -277,39 +262,33 @@ func (c *Conn) Close(p *sim.Proc) {
 	}
 	// From here every operation that reaches the conn ends with this
 	// cause; the teardown runs when the handshake ends.
-	cl := &closeState{}
-	c.closing = cl
 	c.endErr = fmt.Errorf("core: connection to node %d closed: %w", c.remoteNode, ErrClosed)
 	c.to(closing)
 	c.stopTimers()
 	c.ep.emit(c.localID, obs.EvClosed, 0, 0)
-	h := frame.Header{Type: frame.TypeConnClose, ConnID: c.remoteID, OpID: uint64(c.localID),
-		Incarnation: c.incarnation}
-	c.ep.handshake(p, c.remoteNode, &h, &cl.sig, &cl.timer, func(int) { c.teardown(c.endErr) })
+	c.handshake(p)
 }
 
-// stopTimers cancels every protocol timer the connection owns and clears
+// stopTimers cancels every protocol timer the connection owns and drops
 // the pending-ctrl state that would arm new ones. It runs when a local
 // Close starts its handshake (whose retransmission timer is armed only
-// afterwards), on entering reconnecting, and in every teardown, so a
-// torn-down conn can never fire a callback or emit a frame again, and
-// no stray event keeps the simulation alive.
+// afterwards), on entering reconnecting, and in every teardown (whose
+// move to ended stopped the handshake's timer), so a torn-down conn can
+// never fire a callback or emit a frame again, and no stray event keeps
+// the simulation alive.
 func (c *Conn) stopTimers() {
-	for _, t := range [...]*sim.Timer{
-		c.ackTimer, c.nackTimer, c.rtoTimer, c.hbTimer,
-		c.railProbe, c.probeTimer, c.readGuard, c.connTimer,
-	} {
+	for _, t := range [...]*sim.Timer{c.ackTimer, c.rtoTimer, c.hbTimer, c.railProbe, c.probeTimer, c.readGuard} {
 		t.Stop() // nil-safe
 	}
 	if r := c.recov; r != nil {
 		r.timer.Stop()
 		r.giveUp.Stop()
 	}
-	if cl := c.closing; cl != nil {
-		cl.timer.Stop()
+	if n := c.nack; n != nil {
+		n.timer.Stop()
+		c.nack = nil
 	}
 	c.ackDue = false
-	c.nackDue = nil
 	c.dropGaps()
 }
 
@@ -330,7 +309,7 @@ func (c *Conn) frameSpan(opType frame.OpType, opID, local uint64) *obs.Span {
 	if opType == frame.OpReadReply {
 		return c.ep.obs.FindSpan(obs.SpanID{Node: c.ep.node, Conn: c.localID, Op: local})
 	}
-	return c.ep.obs.FindSpan(obs.SpanID{Node: c.remoteNode, Conn: c.remoteID, Op: opID})
+	return c.ep.obs.FindSpan(obs.SpanID{Node: int(c.remoteNode), Conn: c.remoteID, Op: opID})
 }
 
 // WaitNotify blocks until a notification arrives on the connection.
@@ -343,7 +322,7 @@ func (c *Conn) WaitNotify(p *sim.Proc) Notification {
 		if n, ok := c.PollNotify(); ok {
 			return n
 		}
-		return Notification{From: c.remoteNode, Len: -1}
+		return Notification{From: int(c.remoteNode), Len: -1}
 	}
 	return c.notifyGroup().Recv(p)
 }
@@ -426,7 +405,7 @@ func (c *Conn) teardown(cause error) {
 	// each; once the conn is closed, later calls return the poison without
 	// parking. No caller may hang on a conn that ended.
 	for c.notifyQ != nil && c.notifyQ.HasWaiters() {
-		c.notifyQ.Send(ep.env, Notification{From: c.remoteNode, Len: -1})
+		c.notifyQ.Send(ep.env, Notification{From: int(c.remoteNode), Len: -1})
 	}
 	ep.removeConn(c)
 }
@@ -477,9 +456,9 @@ func (c *Conn) sendResetFrames() {
 	ep := c.ep
 	h := frame.Header{Type: frame.TypeReset, ConnID: c.remoteID, Ack: c.rcvNxt, HasAck: true,
 		Incarnation: c.incarnation}
-	for li := 0; li < c.links; li++ {
+	for li := range c.rails {
 		nic := ep.nics[li]
-		dst := frame.NewAddr(c.remoteNode, li)
+		dst := frame.NewAddr(int(c.remoteNode), li)
 		buf := frame.MustEncode(dst, nic.Addr(), &h, nil)
 		nic.Transmit(&phys.Frame{Buf: buf, Dst: dst, Src: nic.Addr()})
 		ep.Stats.ResetsSent++
@@ -500,16 +479,16 @@ func (c *Conn) startKeepalive() {
 	if hb <= 0 {
 		return
 	}
-	if c.hbFn == nil {
-		c.hbFn = c.heartbeatTick
-	}
-	c.hbTimer = c.ep.env.RearmDaemon(c.hbTimer, hb, c.hbFn)
+	c.hbTimer = c.ep.env.RearmDaemonArg(c.hbTimer, hb, heartbeatTick, c)
 }
 
 // heartbeatTick is the idle-side liveness tick: declare the peer dead
 // after DeadInterval of silence, else send a heartbeat if nothing else
-// was transmitted for a whole interval, and re-arm.
-func (c *Conn) heartbeatTick() {
+// was transmitted for a whole interval, and re-arm. Like every conn
+// timer's callback it is a func(any) of the conn, so arming it makes no
+// closure (sim.Env.RearmArg).
+func heartbeatTick(arg any) {
+	c := arg.(*Conn)
 	if c.state != live {
 		return
 	}
@@ -523,7 +502,7 @@ func (c *Conn) heartbeatTick() {
 	if now-c.lastTx >= hb {
 		c.sendHeartbeat()
 	}
-	c.hbTimer = c.ep.env.RearmDaemon(c.hbTimer, hb, c.hbFn)
+	c.hbTimer = c.ep.env.RearmDaemonArg(c.hbTimer, hb, heartbeatTick, c)
 }
 
 // sendHeartbeat emits one liveness ctrl frame. Like every control
@@ -542,13 +521,11 @@ func (c *Conn) armReadGuard() {
 	if c.state != live || c.ep.cfg.DeadInterval <= 0 || c.readGuard.Pending() {
 		return
 	}
-	if c.rdGuardFn == nil {
-		c.rdGuardFn = c.checkReadLiveness
-	}
-	c.readGuard = c.ep.env.RearmDaemon(c.readGuard, c.ep.cfg.DeadInterval, c.rdGuardFn)
+	c.readGuard = c.ep.env.RearmDaemonArg(c.readGuard, c.ep.cfg.DeadInterval, checkReadLiveness, c)
 }
 
-func (c *Conn) checkReadLiveness() {
+func checkReadLiveness(arg any) {
+	c := arg.(*Conn)
 	if c.state != live || len(c.pendingReads) == 0 {
 		return
 	}
@@ -559,5 +536,5 @@ func (c *Conn) checkReadLiveness() {
 			c.remoteNode, silent, ErrPeerDead), true)
 		return
 	}
-	c.readGuard = c.ep.env.RearmDaemon(c.readGuard, c.lastHeard+di-now, c.rdGuardFn)
+	c.readGuard = c.ep.env.RearmDaemonArg(c.readGuard, c.lastHeard+di-now, checkReadLiveness, c)
 }

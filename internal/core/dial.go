@@ -29,41 +29,49 @@ func (ep *Endpoint) Dial(p *sim.Proc, remoteNode int, links int) *Conn {
 	if ep.cfg.Reconnect {
 		c.incarnation = 1 // first epoch; 0 means "incarnations unused"
 	}
-	h := frame.Header{Type: frame.TypeConnReq, ConnID: c.localID, OpID: uint64(links),
-		Incarnation: c.incarnation}
-	ep.handshake(p, remoteNode, &h, &c.established, &c.connTimer, func(attempts int) {
-		// The peer never answered: fail the dial instead of retrying
-		// forever. The teardown releases the waiter (see Conn.Failed).
-		ep.Stats.PeerDeadEvents++
-		ep.emit(c.localID, obs.EvFailed, int64(attempts), 0)
-		c.teardown(fmt.Errorf("core: dial to node %d: no answer after %d attempts: %w",
-			remoteNode, attempts, ErrPeerDead))
-	})
+	c.handshake(p)
 	return c
 }
 
-// handshake sends h to node's first NIC now and every connRetry until
-// done fires, and blocks p until it does. With a MaxRetries budget set,
-// giveUp(attempts) runs instead of the send after that many retries and
-// must fire done. *timer is the pending retry, for the teardown to stop.
-func (ep *Endpoint) handshake(p *sim.Proc, node int, h *frame.Header, done *sim.Signal, timer **sim.Timer, giveUp func(attempts int)) {
-	dst := frame.NewAddr(node, 0)
-	attempts := 0
-	var retry func()
-	retry = func() {
-		if done.Fired() {
-			return
-		}
-		if mr := ep.cfg.MaxRetries; mr > 0 && attempts > mr {
-			giveUp(attempts)
-			return
-		}
-		attempts++
-		ep.sendHandshake(dst, h)
-		*timer = ep.env.After(connRetry, retry)
+// handshake runs the dial or the close handshake, by the conn's state:
+// it sends the ConnReq or ConnClose to the peer's first NIC now and
+// every connRetry until the handshake ends (c.hs is dropped), and
+// blocks p until then.
+func (c *Conn) handshake(p *sim.Proc) {
+	hs := &handshake{}
+	c.hs = hs
+	c.ep.env.SchedAfterArg(0, handshakeRetry, c)
+	p.Wait(&hs.sig)
+}
+
+// handshakeRetry sends the handshake's frame once more and re-arms. With
+// a MaxRetries budget set, a dial or close that many retries old gives
+// up instead: the teardown ends the handshake.
+func handshakeRetry(arg any) {
+	c := arg.(*Conn)
+	hs, ep := c.hs, c.ep
+	if hs == nil {
+		return
 	}
-	ep.env.After(0, retry)
-	p.Wait(done)
+	if mr := ep.cfg.MaxRetries; mr > 0 && hs.attempts > mr {
+		cause := c.endErr // a close gives up with the cause Close fixed
+		if c.state == dialing {
+			// The peer never answered: fail the dial instead of retrying
+			// forever. The teardown releases the waiter (see Conn.Failed).
+			ep.Stats.PeerDeadEvents++
+			ep.emit(c.localID, obs.EvFailed, int64(hs.attempts), 0)
+			cause = fmt.Errorf("core: dial to node %d: no answer after %d attempts: %w", c.remoteNode, hs.attempts, ErrPeerDead)
+		}
+		c.teardown(cause)
+		return
+	}
+	hs.attempts++
+	h := frame.Header{Type: frame.TypeConnReq, ConnID: c.localID, OpID: uint64(len(c.rails)), Incarnation: c.incarnation}
+	if c.state == closing {
+		h = frame.Header{Type: frame.TypeConnClose, ConnID: c.remoteID, OpID: uint64(c.localID), Incarnation: c.incarnation}
+	}
+	ep.sendHandshake(frame.NewAddr(int(c.remoteNode), 0), &h)
+	hs.timer = ep.env.RearmArg(hs.timer, connRetry, handshakeRetry, c)
 }
 
 // sendHandshake transmits one connection-management frame (ConnReq,
@@ -84,7 +92,7 @@ func (ep *Endpoint) Accept(p *sim.Proc) *Conn {
 // newConn makes a conn to remoteNode over links rails and tables it.
 func (ep *Endpoint) newConn(remoteNode, links int) *Conn {
 	c := &Conn{
-		ep: ep, localID: ep.nextConnID, remoteNode: remoteNode, links: links,
+		ep: ep, localID: ep.nextConnID, remoteNode: int32(remoteNode),
 		railSet: railSet{rails: make([]rail, links)},
 	}
 	if ep.cfg.ccOn() {
@@ -156,7 +164,6 @@ func (ep *Endpoint) handleConnAck(_ frame.Addr, h frame.Header) {
 		return
 	}
 	c.remoteID = uint32(h.OpID)
-	c.connTimer.Stop() // nil-safe
 	ep.emit(c.localID, obs.EvEstablished, int64(c.incarnation), int64(c.remoteNode))
 	c.to(live)
 	c.startKeepalive()

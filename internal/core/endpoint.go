@@ -259,7 +259,7 @@ func (ep *Endpoint) removeConn(c *Conn) {
 			break
 		}
 	}
-	k := peerKey{node: c.remoteNode, connID: c.remoteID}
+	k := peerKey{node: int(c.remoteNode), connID: c.remoteID}
 	if ep.byPeer[k] == c {
 		delete(ep.byPeer, k)
 	}
@@ -725,7 +725,7 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 			Ack: c.rcvNxt, HasAck: true, Seq: h.Seq, OpID: h.OpID}
 		c.sendFrameOn(&eh, nil, link)
 	case frame.TypeRailProbeEcho:
-		if li := int(h.Seq); li < c.links {
+		if li := int(h.Seq); li < len(c.rails) {
 			c.rails[li].rtt.sample(ep.env.Now() - sim.Time(h.OpID))
 		}
 	}

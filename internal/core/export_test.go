@@ -24,13 +24,21 @@ func (c *Conn) ArmedTimersForTest() []string {
 		name string
 		t    *sim.Timer
 	}
-	timers := []named{
-		{"delayed ACK", c.ackTimer}, {"NACK", c.nackTimer}, {"RTO", c.rtoTimer},
-		{"heartbeat", c.hbTimer}, {"rail probe", c.railProbe}, {"link probe", c.probeTimer},
-		{"read guard", c.readGuard}, {"dial retry", c.connTimer},
+	var nackTimer *sim.Timer
+	if c.nack != nil {
+		nackTimer = c.nack.timer
 	}
-	if c.closing != nil {
-		timers = append(timers, named{"close retry", c.closing.timer})
+	timers := []named{
+		{"delayed ACK", c.ackTimer}, {"NACK", nackTimer}, {"RTO", c.rtoTimer},
+		{"heartbeat", c.hbTimer}, {"rail probe", c.railProbe}, {"link probe", c.probeTimer},
+		{"read guard", c.readGuard},
+	}
+	if c.hs != nil {
+		name := "dial retry"
+		if c.state == closing {
+			name = "close retry"
+		}
+		timers = append(timers, named{name, c.hs.timer})
 	}
 	if c.recov != nil {
 		timers = append(timers, named{"redial", c.recov.timer}, named{"reconnect give-up", c.recov.giveUp})
@@ -50,11 +58,15 @@ func (c *Conn) StateForTest() string { return c.state.String() }
 
 // FireForTest runs the named timer's callback now, as if it fired.
 func (c *Conn) FireForTest(timer string) {
-	map[string]func(){
-		"delayed ACK": c.ackTick, "NACK": c.nackTick, "RTO": c.onRTO,
-		"heartbeat": c.heartbeatTick, "rail probe": c.railProbeTick, "link probe": c.probeTick,
-		"read guard": c.checkReadLiveness, "redial": c.redial,
-	}[timer]()
+	if timer == "redial" {
+		c.redial()
+		return
+	}
+	map[string]func(any){
+		"delayed ACK": ackTick, "NACK": nackTick, "RTO": onRTO,
+		"heartbeat": heartbeatTick, "rail probe": railProbeTick, "link probe": probeTick,
+		"read guard": checkReadLiveness,
+	}[timer](c)
 }
 
 // PeerLostForTest delivers a local peer-death verdict, as a detector
@@ -69,7 +81,7 @@ func (c *Conn) SetIncarnationForTest(inc uint16) { c.incarnation = inc }
 
 // TrackedGapsForTest returns how many missing sequence numbers the
 // receive side currently tracks (bounded by maxTrackedGaps).
-func (c *Conn) TrackedGapsForTest() int { return c.gaps }
+func (c *Conn) TrackedGapsForTest() int { return int(c.gaps) }
 
 // GapStateForTest exposes the gap record for one sequence number (the
 // stopTimers drop-contract test stages and then asserts this state).
@@ -119,12 +131,17 @@ func (c *Conn) StopTimersForTest() { c.stopTimers() }
 
 // NackDueForTest returns the length of the queued NACK list (bounded by
 // maxNack).
-func (c *Conn) NackDueForTest() int { return len(c.nackDue) }
+func (c *Conn) NackDueForTest() int {
+	if c.nack == nil {
+		return 0
+	}
+	return len(c.nack.due)
+}
 
 // CtrlStateForTest reports the pending delayed-ACK flag and NACK list
 // size, the state the post-close no-frame regression stages.
 func (c *Conn) CtrlStateForTest() (ackDue bool, nacks int) {
-	return c.ackDue, len(c.nackDue)
+	return c.ackDue, c.NackDueForTest()
 }
 
 // RxOpsBelowFrontierForTest counts receive-op records for ids the
@@ -167,17 +184,17 @@ func (c *Conn) SetSeqBaseForTest(base uint32) {
 // retransmissions charged against it since the last ack progress or
 // RTO, so the loss-burst regression can assert the wire invariant
 // retxSent <= cwnd while recovery is in flight.
-func (c *Conn) CcStateForTest() (cwnd, retxSent int) { return c.cwnd, c.ccRetxSent }
+func (c *Conn) CcStateForTest() (cwnd, retxSent int) { return int(c.cwnd), int(c.ccRetxSent) }
 
 // BuiltStateForTest says which pieces of a conn's by-use state exist:
-// the receive window's ring, and the SQ/CQ, recovery, notification and
-// close groups.
-type BuiltStateForTest struct{ Rcv, Queues, Recovery, Notify, Close bool }
+// the receive window's ring, the SQ/CQ, recovery and notification
+// groups, the handshake record and the NACK record.
+type BuiltStateForTest struct{ Rcv, Queues, Recovery, Notify, Handshake, Nack bool }
 
 func (c *Conn) BuiltStateForTest() BuiltStateForTest {
 	return BuiltStateForTest{
 		Rcv: c.rcv.slots != nil, Queues: c.queues != nil, Recovery: c.recov != nil,
-		Notify: c.notifyQ != nil, Close: c.closing != nil,
+		Notify: c.notifyQ != nil, Handshake: c.hs != nil, Nack: c.nack != nil,
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 const (
 	maxCoreFileLines = 800
 	maxCoreLines     = 5933
-	maxConnBytes     = 672
+	maxConnBytes     = 504
 	maxHandleBytes   = 48
 )
 

@@ -13,7 +13,7 @@ import "multiedge/internal/obs"
 func (c *Conn) Health() obs.ConnHealth {
 	h := obs.ConnHealth{
 		Conn:        c.localID,
-		Peer:        c.remoteNode,
+		Peer:        int(c.remoteNode),
 		State:       c.healthState(),
 		Incarnation: c.incarnation,
 		Reconnects:  c.Reconnects(),
@@ -22,13 +22,13 @@ func (c *Conn) Health() obs.ConnHealth {
 		RTOUs:       float64(c.currentRTO(&c.ep.cfg)) / 1000,
 		Inflight:    c.inflight(),
 		Window:      c.ep.cfg.Window,
-		Cwnd:        c.cwnd,
+		Cwnd:        int(c.cwnd),
 		SQDepth:     c.SQLen(),
 		CQDepth:     c.CQLen(),
 		JournalOps:  len(c.Journal()),
 		BytesAcked:  c.bytesAcked,
 	}
-	h.Rails = make([]obs.RailHealth, c.links)
+	h.Rails = make([]obs.RailHealth, len(c.rails))
 	for li := range c.rails {
 		e := &c.rails[li].rtt
 		h.Rails[li] = obs.RailHealth{

@@ -273,26 +273,26 @@ func TestNackScanStampsOnlyWhatItNames(t *testing.T) {
 	arriveOdd(0, 80, t0) // gaps 0, 2 .. 78
 	at(t1)
 	c.queueNack(false)
-	if len(c.nackDue) != 40 || stamped(0, 80, t1) != 40 {
-		t.Fatalf("first scan: %d named, %d stamped, want 40 and 40", len(c.nackDue), stamped(0, 80, t1))
+	if len(c.nack.due) != 40 || stamped(0, 80, t1) != 40 {
+		t.Fatalf("first scan: %d named, %d stamped, want 40 and 40", len(c.nack.due), stamped(0, 80, t1))
 	}
 	arriveOdd(80, 160, t1) // gaps 80, 82 .. 158
 	at(t2)
 	c.queueNack(false)
-	if len(c.nackDue) != maxNack || !slices.IsSortedFunc(c.nackDue, seqCmp) {
-		t.Fatalf("second scan: NACK list %v, want %d ascending", c.nackDue, maxNack)
+	if len(c.nack.due) != maxNack || !slices.IsSortedFunc(c.nack.due, seqCmp) {
+		t.Fatalf("second scan: NACK list %v, want %d ascending", c.nack.due, maxNack)
 	}
-	if n := stamped(80, 160, t2); n != 24 || c.nackDue[maxNack-1] != 126 {
-		t.Fatalf("second scan stamped %d of the new gaps and named up to %d; want 24 and 126", n, c.nackDue[maxNack-1])
+	if n := stamped(80, 160, t2); n != 24 || c.nack.due[maxNack-1] != 126 {
+		t.Fatalf("second scan stamped %d of the new gaps and named up to %d; want 24 and 126", n, c.nack.due[maxNack-1])
 	}
-	c.nackDue = c.nackDue[:0] // as sendCtrl leaves it
+	c.nack.due = c.nack.due[:0] // as sendCtrl leaves it
 	at(t3)
 	c.queueNack(false)
 	want := make([]uint32, 0, 16)
 	for s := uint32(128); s < 160; s += 2 {
 		want = append(want, s)
 	}
-	if !slices.Equal(c.nackDue, want) {
-		t.Fatalf("third scan names %v, want the 16 gaps the second had no room for: %v", c.nackDue, want)
+	if !slices.Equal(c.nack.due, want) {
+		t.Fatalf("third scan names %v, want the 16 gaps the second had no room for: %v", c.nack.due, want)
 	}
 }

@@ -293,7 +293,7 @@ func (c *Conn) MustDoOn(p *sim.Proc, cpu *sim.Resource, op Op) *Handle {
 func (c *Conn) enqueueOp(op Op, data []byte, h *Handle) {
 	ep := c.ep
 	t := ep.free.ops.Get()
-	*t = txOp{Op: op, id: c.nextOpID, data: data, total: uint32(op.Size), cq: h == nil, h: h, subs: t.subs}
+	*t = txOp{Op: op, id: c.nextOpID, data: data, total: uint32(op.Size), cq: h == nil, h: h, c: c, subs: t.subs, dl: t.dl}
 	if h != nil {
 		*h = Handle{opID: t.id, size: t.total}
 	}
@@ -316,11 +316,7 @@ func (c *Conn) enqueueOp(op Op, data []byte, h *Handle) {
 			obs.SpanID{Node: ep.node, Conn: c.localID, Op: t.id}, "core", name, op.Size)
 	}
 	if op.Deadline > 0 {
-		d := op.Deadline - ep.env.Now()
-		if d < 0 {
-			d = 0
-		}
-		t.dl = ep.env.After(d, func() { c.expireOp(t) })
+		t.dl = ep.env.RearmArg(t.dl, max(op.Deadline-ep.env.Now(), 0), expireOp, t)
 	}
 	ep.Stats.OpsStarted++
 	c.issue(t)
@@ -564,7 +560,7 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 	// container (its id is the last sub-op's) covers every fenced sub-op.
 	*t = txOp{
 		Op: Op{Kind: frame.OpWrite, Flags: fenced}, id: recs[len(recs)-1].id,
-		data: payload, total: uint32(len(payload)), subs: recs,
+		data: payload, total: uint32(len(payload)), subs: recs, dl: t.dl,
 	}
 	if ep.qosOn() {
 		// One container, one class (Ring breaks coalesce runs on class
@@ -641,5 +637,22 @@ func (c *Conn) pushCompletion(comp Completion) {
 		return
 	}
 	q.flush = true
-	ep.cpus.Proto.Submit(ep.env, ep.costs.UserWake, q.flushFn)
+	ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, flushStage, c)
+}
+
+// flushStage delivers the completions staged behind a WaitCQ wake.
+func flushStage(arg any) {
+	c := arg.(*Conn)
+	q := c.queues
+	q.flush = false
+	stage := q.stage
+	q.stage = nil
+	for _, s := range stage {
+		q.cq.Send(c.ep.env, s)
+	}
+	// Hand the drained backing array back for the next staging run
+	// (Send only schedules wakes, so nothing re-staged mid-loop).
+	if q.stage == nil {
+		q.stage = stage[:0]
+	}
 }

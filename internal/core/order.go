@@ -364,7 +364,7 @@ func (c *Conn) completeRxOp(op *rxOp) {
 	}
 	if op.flags&frame.Notify != 0 && op.opType == frame.OpWrite {
 		ep.Stats.Notifies++
-		n := Notification{From: c.remoteNode, OpID: op.id, Addr: op.remote, Len: int(op.total)}
+		n := Notification{From: int(c.remoteNode), OpID: op.id, Addr: op.remote, Len: int(op.total)}
 		var q *sim.Mailbox[Notification]
 		if r := regionOf(ep.routes, op.remote, 1); r != nil {
 			q = r.q
@@ -403,7 +403,7 @@ func (c *Conn) serveRead(h frame.Header) {
 	t := ep.free.ops.Get()
 	*t = txOp{
 		Op: Op{Kind: frame.OpReadReply, Remote: h.Local, Local: h.OpID, Size: int(h.Total)},
-		id: c.nextOpID, data: data, total: h.Total, subs: t.subs,
+		id: c.nextOpID, data: data, total: h.Total, subs: t.subs, dl: t.dl,
 	}
 	// The reply txOp continues the requester's read span: its frame
 	// transmissions, retransmits and ACKs all belong to that read.

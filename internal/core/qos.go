@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"multiedge/internal/obs"
@@ -115,10 +116,10 @@ func (ep *Endpoint) initQoS() {
 // table (a conn tagged before the endpoint's table shrank falls back to
 // the default class instead of indexing out of bounds).
 func (c *Conn) classIdx() int {
-	if c.class < 0 || c.class >= len(c.ep.qos) {
-		return 0
+	if cls := int(c.class); cls < len(c.ep.qos) {
+		return cls // SetClass keeps it non-negative
 	}
-	return c.class
+	return 0
 }
 
 // opClass is the effective class of one operation: the op's own tag
@@ -134,17 +135,17 @@ func (c *Conn) opClass(op Op) int {
 // and admission (0 is the default class). Tag a connection right after
 // Dial/Accept, before issuing traffic: the class of already-queued work
 // is not migrated. With QoS off the tag is stored but has no effect.
-// Panics on a negative or (with QoS on) out-of-range class, mirroring
-// the loud validation of cluster.Config.Validate.
+// Panics on a negative, an int32-overflowing or (with QoS on) out-of-range
+// class, mirroring the loud validation of cluster.Config.Validate.
 func (c *Conn) SetClass(cls int) {
-	if cls < 0 || (c.ep.qosOn() && cls >= len(c.ep.qos)) {
+	if cls < 0 || cls > math.MaxInt32 || (c.ep.qosOn() && cls >= len(c.ep.qos)) {
 		panic("core: SetClass: class index out of configured QoS range")
 	}
-	c.class = cls
+	c.class = int32(cls)
 }
 
 // Class returns the connection's traffic class tag.
-func (c *Conn) Class() int { return c.class }
+func (c *Conn) Class() int { return int(c.class) }
 
 // ---------------------------------------------------------------------
 // Submission quotas (admission control).

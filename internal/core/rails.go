@@ -12,14 +12,12 @@ import (
 // round-robin cursors, and the timers that probe dead rails and measure
 // live ones.
 type railSet struct {
-	rails       []rail
-	deadLinks   int        // count of rails with dead set; at most len(rails)-1
-	rr          int        // round-robin link cursor
-	railProbeRR int        // next rail to probe (rails are probed staggered)
+	rails       []rail     // one per NIC port, which frame.Addr numbers in a byte
 	probeTimer  *sim.Timer // dead-link probe
-	probeFn     func()     // probeTick
 	railProbe   *sim.Timer // per-rail RTT probe tick (multi-rail + CC only)
-	railProbeFn func()     // railProbeTick
+	deadLinks   uint8      // count of rails with dead set; at most len(rails)-1
+	rr          uint8      // round-robin link cursor
+	railProbeRR uint8      // next rail to probe (rails are probed staggered)
 }
 
 // rail is one physical link's share of a connection's state, transmit
@@ -113,11 +111,11 @@ func (e *rttEst) rto(cfg *Config) sim.Time {
 // strictly lowest; a negative cost rules a rail out, and a nil cost
 // makes every rail equal. *cursor moves just past the rail returned;
 // when every rail is ruled out it stays, and rotate returns -1.
-func (rs *railSet) rotate(cursor *int, cost func(li int) int64) int {
+func (rs *railSet) rotate(cursor *uint8, cost func(li int) int64) int {
 	n := len(rs.rails)
 	best, bestCost := -1, int64(0)
 	for i := range n {
-		li, c := (*cursor+i)%n, int64(0)
+		li, c := (int(*cursor)+i)%n, int64(0)
 		if cost != nil {
 			c = cost(li)
 		}
@@ -126,7 +124,7 @@ func (rs *railSet) rotate(cursor *int, cost func(li int) int64) int {
 		}
 	}
 	if best >= 0 {
-		*cursor = (best + 1) % n
+		*cursor = uint8((best + 1) % n)
 	}
 	return best
 }
@@ -208,7 +206,7 @@ func (rs *railSet) railDec(li int) {
 // delayed-ACK state resets (piggy-backing, §2.4).
 func (c *Conn) sendFrame(h *frame.Header, payload []byte) {
 	li := -1
-	if stale := c.ep.cfg.LinkStaleAge; stale > 0 && c.links > 1 {
+	if stale := c.ep.cfg.LinkStaleAge; stale > 0 && len(c.rails) > 1 {
 		now := c.ep.env.Now()
 		// Cost 0 for a rail heard from within stale, negative (ruled out) past it.
 		li = c.rotate(&c.rr, func(li int) int64 { return int64(min(stale-(now-c.rails[li].last), 0)) })
@@ -238,7 +236,7 @@ func (c *Conn) sendFrameOn(h *frame.Header, payload []byte, li int) int {
 		c.ccEcnRx = 0
 	}
 	nic := c.ep.nics[li]
-	dst := frame.NewAddr(c.remoteNode, li)
+	dst := frame.NewAddr(int(c.remoteNode), li)
 	// Encode into a pooled wire buffer: the frame owns it from here and
 	// exactly one death point — NIC/port drop, corruption replacement,
 	// or receiver dispatch — releases it (see phys.Frame.Release).
@@ -264,12 +262,12 @@ func (c *Conn) sendFrameOn(h *frame.Header, payload []byte, li int) int {
 // repairs say nothing about link health and are not counted.
 func (c *Conn) noteLinkRepair(li int) {
 	th := c.ep.cfg.DeadLinkThreshold
-	if th <= 0 || c.ep.cfg.GoBackN || li < 0 || li >= c.links || c.rails[li].dead {
+	if th <= 0 || c.ep.cfg.GoBackN || li < 0 || li >= len(c.rails) || c.rails[li].dead {
 		return
 	}
 	r := &c.rails[li]
 	r.fails++
-	if r.fails >= th && c.deadLinks < c.links-1 {
+	if r.fails >= th && int(c.deadLinks) < len(c.rails)-1 {
 		r.dead, r.deadAt = true, c.ep.env.Now()
 		c.deadLinks++
 		c.ep.Stats.LinkDeadEvents++
@@ -284,7 +282,7 @@ func (c *Conn) noteLinkRepair(li int) {
 // late acknowledgements of frames that crossed the link before it
 // failed prove nothing about its present state.
 func (c *Conn) clearLinkFault(li int, sentAt sim.Time) {
-	if li < 0 || li >= c.links {
+	if li < 0 || li >= len(c.rails) {
 		return
 	}
 	r := &c.rails[li]
@@ -305,14 +303,12 @@ func (c *Conn) armProbeTimer() {
 	if c.state != live || (c.probeTimer != nil && c.probeTimer.Pending()) {
 		return
 	}
-	if c.probeFn == nil {
-		c.probeFn = c.probeTick
-	}
-	c.probeTimer = c.ep.env.Rearm(c.probeTimer, linkProbeInterval, c.probeFn)
+	c.probeTimer = c.ep.env.RearmArg(c.probeTimer, linkProbeInterval, probeTick, c)
 }
 
 // probeTick is the dead-link probe timer's callback.
-func (c *Conn) probeTick() {
+func probeTick(arg any) {
+	c := arg.(*Conn)
 	if c.state != live || c.deadLinks == 0 {
 		return
 	}
@@ -334,7 +330,7 @@ func (c *Conn) probeTick() {
 // arrive.
 func (c *Conn) sendProbe(li int) {
 	op := c.ep.free.ops.Get()
-	*op = txOp{Op: Op{Kind: frame.OpWrite}, id: c.nextOpID, sentAll: true, unacked: 1, probe: true, subs: op.subs}
+	*op = txOp{Op: Op{Kind: frame.OpWrite}, id: c.nextOpID, sentAll: true, unacked: 1, probe: true, subs: op.subs, dl: op.dl}
 	c.nextOpID++
 	tf := c.number(&c.ep.free, op, 0)
 	tf.link = li
@@ -349,7 +345,7 @@ func (c *Conn) sendProbe(li int) {
 // estimate up to the slowest one and erase the split the weighted rail
 // scheduler steers by.
 func (c *Conn) railProbing() bool {
-	return c.ep.cfg.ccOn() && c.links > 1
+	return c.ep.cfg.ccOn() && len(c.rails) > 1
 }
 
 // armRailProbes starts the per-rail RTT probe tick on a multi-rail
@@ -364,14 +360,12 @@ func (c *Conn) armRailProbes() {
 	if !c.railProbing() || c.railProbe.Pending() {
 		return
 	}
-	if c.railProbeFn == nil {
-		c.railProbeFn = c.railProbeTick
-	}
-	ivl := max(ccProbeInterval/sim.Time(c.links), 50*sim.Microsecond)
-	c.railProbe = c.ep.env.RearmDaemon(c.railProbe, ivl, c.railProbeFn)
+	ivl := max(ccProbeInterval/sim.Time(len(c.rails)), 50*sim.Microsecond)
+	c.railProbe = c.ep.env.RearmDaemonArg(c.railProbe, ivl, railProbeTick, c)
 }
 
-func (c *Conn) railProbeTick() {
+func railProbeTick(arg any) {
+	c := arg.(*Conn)
 	if c.state != live {
 		return
 	}

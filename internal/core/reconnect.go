@@ -145,8 +145,8 @@ func (c *Conn) redial() {
 	}
 	r.attempt++
 	ep.emit(c.localID, obs.EvRedial, int64(r.attempt), int64(r.pendingIncarn))
-	ep.sendHandshake(frame.NewAddr(c.remoteNode, 0), &frame.Header{Type: frame.TypeConnReq,
-		ConnID: c.localID, OpID: uint64(c.links), Incarnation: r.pendingIncarn})
+	ep.sendHandshake(frame.NewAddr(int(c.remoteNode), 0), &frame.Header{Type: frame.TypeConnReq,
+		ConnID: c.localID, OpID: uint64(len(c.rails)), Incarnation: r.pendingIncarn})
 	base, max := ep.cfg.reconnectBackoff()
 	r.timer = ep.env.After(backoff(base, max, r.attempt-1), c.redial)
 }
@@ -204,9 +204,9 @@ func (c *Conn) rebirth(inc uint16) {
 	// deleted — the peer replays them from offset 0 with identical data —
 	// while completed ones stay so replayed payload for them is dropped,
 	// never re-applied (exactly-once). The frontier survives untouched.
-	// The ring's storage and the timer handles stay for reuse.
+	// The ring's storage and the ACK timer's handle stay for reuse.
 	c.rcv.clear()
-	c.arqRx = arqRx{rcv: c.rcv, ackTimer: c.ackTimer, ackFn: c.ackFn, nackTimer: c.nackTimer, nackFn: c.nackFn}
+	c.arqRx = arqRx{rcv: c.rcv, ackTimer: c.ackTimer}
 	c.orderer.restart(&ep.free)
 
 	// Write handles reset their acknowledged-byte mark, or a partially

@@ -20,20 +20,25 @@ import (
 // reordering never builds it.
 type arqRx struct {
 	rcv          seqRing[rcvSlot]
-	nackDue      []uint32 // missing list of the NACK to send; emptied by sendCtrl, storage kept
-	gaps         int      // gap records in rcv (bounded by maxTrackedGaps)
-	lastNack     sim.Time
-	unackedRx    int
+	nack         *nackState // built at the first gap (see queueNack)
 	ackTimer     *sim.Timer
-	ackFn        func() // ackTick
-	nackTimer    *sim.Timer
-	nackFn       func() // nackTick
+	gaps         int32  // gap records in rcv (bounded by maxTrackedGaps)
+	unackedRx    int32  // frames since the last ack-bearing frame (bounded by Config.AckEvery)
 	rcvNxt       uint32 // cumulative acknowledgement point
 	maxSeenPlus1 uint32 // 1 + highest sequence number accepted
 	ackOweTo     uint32 // valid while ackOwed
 	ackOwed      bool   // a prompt ACK is owed once rcvNxt reaches ackOweTo (see promptAck)
 	ackDue       bool
 	untracked    bool // some gap may have no record: the cap or dropGaps dropped one this epoch
+}
+
+// nackState is the NACK machinery: the missing list of the NACK to send,
+// the cooldown, and the gap-age timer. A conn whose frames all arrive in
+// order never builds it; stopTimers drops it with the gap records.
+type nackState struct {
+	due   []uint32   // emptied by sendCtrl, storage kept
+	last  sim.Time   // when the last NACK was queued
+	timer *sim.Timer // gap-age check (nackTick)
 }
 
 // rcvSlot is the receive window's record of one sequence number: the
@@ -257,8 +262,8 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 	if c.gaps > 0 {
 		c.queueNack(false)
 		c.armNackTimer()
-	} else {
-		c.nackTimer.Stop()
+	} else if c.nack != nil {
+		c.nack.timer.Stop()
 	}
 	c.acceptData(h, payload)
 	c.ackAccepted(&h)
@@ -275,7 +280,8 @@ func (c *Conn) gapDropped(s uint32) {
 func (c *Config) nackAge() sim.Time { return c.NackDelay / 4 }
 
 // nackTick is the NACK-age timer's callback.
-func (c *Conn) nackTick() {
+func nackTick(arg any) {
+	c := arg.(*Conn)
 	if c.state != live || c.gaps == 0 {
 		return
 	}
@@ -284,15 +290,13 @@ func (c *Conn) nackTick() {
 }
 
 // armNackTimer keeps a gap-age check pending while anything is missing,
-// so NACKs are re-sent if they (or the retransmissions) are lost.
+// so NACKs are re-sent if they (or the retransmissions) are lost. It
+// runs right after queueNack, which built c.nack if the conn is live.
 func (c *Conn) armNackTimer() {
-	if c.state != live || c.nackTimer.Pending() {
+	if c.state != live || c.nack.timer.Pending() {
 		return
 	}
-	if c.nackFn == nil {
-		c.nackFn = c.nackTick
-	}
-	c.nackTimer = c.ep.env.Rearm(c.nackTimer, c.ep.cfg.NackDelay, c.nackFn)
+	c.nack.timer = c.ep.env.RearmArg(c.nack.timer, c.ep.cfg.NackDelay, nackTick, c)
 }
 
 // queueNack schedules an explicit NACK for sequence numbers that have
@@ -309,28 +313,32 @@ func (c *Conn) queueNack(force bool) {
 	if force {
 		minAge = cfg.nackAge() / 2
 	}
-	if now-c.lastNack < cfg.nackAge() {
+	if c.nack == nil {
+		c.nack = &nackState{} // the first gap
+	}
+	n := c.nack
+	if now-n.last < cfg.nackAge() {
 		return
 	}
-	pending := len(c.nackDue)
-	c.nackDue = c.scanMissing(now, minAge, cfg, c.rails, c.nackDue, c.gapDropped)
-	if len(c.nackDue) == pending {
+	pending := len(n.due)
+	n.due = c.scanMissing(now, minAge, cfg, c.rails, n.due, c.gapDropped)
+	if len(n.due) == pending {
 		return
 	}
-	c.lastNack = now
+	n.last = now
 	if pending > 0 {
 		// A NACK is still waiting to go out. Its list stays ascending and
 		// free of repeats, so that a NACK prompted by a duplicate neither
 		// erases nor doubles the still-unrepaired numbers of an earlier one.
-		slices.SortFunc(c.nackDue, seqCmp)
-		c.nackDue = slices.Compact(c.nackDue)
+		slices.SortFunc(n.due, seqCmp)
+		n.due = slices.Compact(n.due)
 	}
 	c.kick()
 }
 
 // ctrlPending reports whether an explicit ACK or NACK is due.
 func (c *Conn) ctrlPending() bool {
-	return c.state == live && (c.ackDue || len(c.nackDue) > 0)
+	return c.state == live && (c.ackDue || c.nack != nil && len(c.nack.due) > 0)
 }
 
 // sendCtrl emits one pending explicit ACK or NACK frame.
@@ -338,14 +346,14 @@ func (c *Conn) sendCtrl() {
 	h := frame.Header{Type: frame.TypeAck, ConnID: c.remoteID, Ack: c.rcvNxt, HasAck: true}
 	var pl []byte
 	switch {
-	case len(c.nackDue) > 0:
+	case c.nack != nil && len(c.nack.due) > 0:
 		// Encode into the endpoint's scratch buffer: a fresh payload slice
 		// per NACK was an allocation on every repair round. An empty
 		// missing list never reaches here, so no NACK is header-only.
 		h.Type = frame.TypeNack
-		c.ep.nackScratch = frame.AppendNackPayload(c.ep.nackScratch[:0], c.nackDue)
+		c.ep.nackScratch = frame.AppendNackPayload(c.ep.nackScratch[:0], c.nack.due)
 		pl = c.ep.nackScratch
-		c.nackDue = c.nackDue[:0] // the next scan appends into it
+		c.nack.due = c.nack.due[:0] // the next scan appends into it
 		c.ep.Stats.CtrlNacksSent++
 		c.ep.emit(c.localID, obs.EvTxNack, int64(c.rcvNxt), int64(len(pl)))
 	case c.ackDue:
@@ -358,7 +366,8 @@ func (c *Conn) sendCtrl() {
 }
 
 // ackTick is the delayed-ACK timer's callback.
-func (c *Conn) ackTick() {
+func ackTick(arg any) {
+	c := arg.(*Conn)
 	if c.unackedRx > 0 {
 		c.forceAck()
 	}
@@ -371,15 +380,12 @@ func (c *Conn) ackPolicy() {
 		return
 	}
 	c.unackedRx++
-	if c.unackedRx >= c.ep.cfg.AckEvery {
+	if int(c.unackedRx) >= c.ep.cfg.AckEvery {
 		c.forceAck()
 		return
 	}
 	if !c.ackTimer.Pending() {
-		if c.ackFn == nil {
-			c.ackFn = c.ackTick
-		}
-		c.ackTimer = c.ep.env.Rearm(c.ackTimer, c.ep.cfg.AckDelay, c.ackFn)
+		c.ackTimer = c.ep.env.RearmArg(c.ackTimer, c.ep.cfg.AckDelay, ackTick, c)
 	}
 }
 

@@ -213,7 +213,7 @@ func checkRcvWindow(t *testing.T, c *arqRx, ref *refWindow, lo, hi uint32) {
 			gaps++
 		}
 	}
-	if c.gaps != gaps || c.gaps > maxTrackedGaps {
+	if int(c.gaps) != gaps || c.gaps > maxTrackedGaps {
 		t.Fatalf("gaps counter %d, %d gap records, cap %d", c.gaps, gaps, maxTrackedGaps)
 	}
 	if n := c.rcv.size(); n != gaps+len(ref.accepted) {
@@ -300,7 +300,7 @@ func TestRcvWindowAgainstReference(t *testing.T) {
 			if arriveRx(t, c, ref, seq) {
 				fast++
 			}
-			if c.gaps != len(ref.gap) || c.rcv.size() != len(ref.gap)+len(ref.accepted) ||
+			if int(c.gaps) != len(ref.gap) || c.rcv.size() != len(ref.gap)+len(ref.accepted) ||
 				len(c.rcv.slots) > 128 {
 				t.Fatalf("seq %d: %d gaps (reference %d), %d of %d slots live (reference %d)", seq,
 					c.gaps, len(ref.gap), c.rcv.size(), len(c.rcv.slots), len(ref.gap)+len(ref.accepted))
@@ -431,7 +431,7 @@ func TestStopTimersDropsGapState(t *testing.T) {
 	_, c := arqEndpoint(t, 128)
 	c.SeedGapForTest(7, 100)
 	c.SeedGapForTest(9, 120)
-	c.nackDue = []uint32{7, 9}
+	c.nack = &nackState{due: []uint32{7, 9}}
 	c.ackDue = true
 	if m, n := c.GapStateForTest(7); !m || !n {
 		t.Fatal("seed did not take")

@@ -24,13 +24,14 @@ type arqTx struct {
 	txFenced     fenceSet // forward-fenced ops not yet fully acked
 	pendingReads map[uint64]*txOp
 	rtoTimer     *sim.Timer
-	onRTOFn      func()
 	rtt          rttEst   // every rail blended; its rto is armed in adaptive mode
-	expiries     int      // consecutive RTO expiries without ack progress
 	lastProgress sim.Time // last ack advance, or first transmit of a fresh burst
 	bytesAcked   uint64   // payload bytes acknowledged end-to-end, lifetime
 	sndUna       uint32   // oldest unacknowledged sequence number
 	sndNxt       uint32   // next sequence number to assign
+	// Consecutive RTO expiries without ack progress: at most
+	// Config.MaxRetries+1, else one per backed-off RTO of DeadInterval.
+	expiries int32
 }
 
 // txOp is an operation on the send side, pooled (freelists.recycle):
@@ -54,7 +55,8 @@ type txOp struct {
 	queued    bool       // in txOps, until curOp's compaction takes it out
 	cq        bool       // the outcome is owed to the completion queue (until finish)
 	h         *Handle    // the outcome is owed to this handle (until finish)
-	dl        *sim.Timer // Op.Deadline expiry (nil without a deadline)
+	c         *Conn      // the issuing conn, for expireOp
+	dl        *sim.Timer // Op.Deadline expiry; the record keeps it across lives
 	span      *obs.Span  // causal span (nil unless span recording is on)
 	subs      []multiSub // coalesced sub-ops (empty = ordinary single op)
 
@@ -163,7 +165,8 @@ var poisonOp = txOp{id: ^uint64(0) / 255 * 0xDB, Op: Op{Kind: 0xDB, Remote: ^uin
 // the last one right after endTxOp). Whichever of these comes last
 // calls it. A replayed or in-flight op is not retired, and a teardown
 // leaves its records to the collector. The record is zeroed, or
-// poisoned under frame.SetPoolDebug; a container keeps its subs backing.
+// poisoned under frame.SetPoolDebug, but for its subs backing and its
+// deadline timer, which every life reuses.
 func (fl *freelists) recycle(t *txOp) {
 	if !t.completed || t.queued || t.unacked > 0 || t.owed() {
 		return
@@ -173,7 +176,7 @@ func (fl *freelists) recycle(t *txOp) {
 		z = poisonOp
 	}
 	clear(t.subs)
-	z.subs = t.subs[:0]
+	z.subs, z.dl = t.subs[:0], t.dl
 	*t = z
 	fl.ops.Put(t)
 }
@@ -221,7 +224,7 @@ func (x *arqTx) enqueue(t *txOp) {
 // estimate, the byte count, the ring's storage and the timer carry over.
 func (x *arqTx) restart(journal []*txOp) {
 	*x = arqTx{nextOpID: x.nextOpID, txOps: journal[:0], retrans: x.retrans, pendingReads: x.pendingReads,
-		rtoTimer: x.rtoTimer, onRTOFn: x.onRTOFn, rtt: x.rtt, bytesAcked: x.bytesAcked}
+		rtoTimer: x.rtoTimer, rtt: x.rtt, bytesAcked: x.bytesAcked}
 	for _, t := range journal {
 		x.enqueue(t) // writes journal[i] over itself: txOps is journal[:i]
 	}
@@ -333,7 +336,7 @@ func (x *arqTx) queueRepairs(seqs ...uint32) []uint32 {
 // conn: over MaxRetries in a row, or DeadInterval without ack progress.
 func (x *arqTx) expire(now sim.Time, cfg *Config) (dead bool) {
 	x.expiries++
-	return (cfg.MaxRetries > 0 && x.expiries > cfg.MaxRetries) ||
+	return (cfg.MaxRetries > 0 && int(x.expiries) > cfg.MaxRetries) ||
 		(cfg.DeadInterval > 0 && now-x.lastProgress >= cfg.DeadInterval)
 }
 
@@ -409,7 +412,7 @@ func (x *arqTx) currentRTO(cfg *Config) sim.Time {
 	if d == 0 {
 		d = cfg.RTO // adaptive mode starts from the paper's fixed value
 	}
-	return backoff(d, cfg.RTOMax, x.expiries)
+	return backoff(d, cfg.RTOMax, int(x.expiries))
 }
 
 // backoff is base doubled n times, capped at limit: the one capped
@@ -466,8 +469,8 @@ func (c *Conn) sendNextDataFrame() int {
 		return 0
 	}
 	pay := frame.MaxPayload
-	if cfg.ByteStripe && c.links > 1 {
-		pay /= c.links // the byte-striping baseline: an even slice per link
+	if cfg.ByteStripe && len(c.rails) > 1 {
+		pay /= len(c.rails) // the byte-striping baseline: an even slice per link
 	}
 	tf, repair := c.next(&c.ep.free, true, c.effWindow(cfg), pay, cfg.AckEvery)
 	if tf == nil {
@@ -563,13 +566,11 @@ func (c *Conn) armRTO() {
 			d = max(rem, 0)
 		}
 	}
-	if c.onRTOFn == nil {
-		c.onRTOFn = c.onRTO
-	}
-	c.rtoTimer = c.ep.env.Rearm(c.rtoTimer, d, c.onRTOFn)
+	c.rtoTimer = c.ep.env.RearmArg(c.rtoTimer, d, onRTO, c)
 }
 
-func (c *Conn) onRTO() {
+func onRTO(arg any) {
+	c := arg.(*Conn)
 	if c.state != live || c.inflight() == 0 {
 		return
 	}
@@ -577,9 +578,7 @@ func (c *Conn) onRTO() {
 	now := c.ep.env.Now()
 	c.ep.Stats.RtoExpiries++
 	dead := c.expire(now, cfg)
-	if c.expiries > c.ep.Stats.RtoBackoffMax {
-		c.ep.Stats.RtoBackoffMax = c.expiries
-	}
+	c.ep.Stats.RtoBackoffMax = max(c.ep.Stats.RtoBackoffMax, int(c.expiries))
 	if c.ep.backoffHist != nil {
 		c.ep.backoffHist.Observe(float64(c.expiries))
 	}
@@ -630,7 +629,7 @@ func (c *Conn) handleAck(ack uint32) {
 func (c *Conn) ackedFrame(tf *txFrame, done bool) {
 	c.ep.emit(c.localID, obs.EvAck, int64(tf.seq), int64(len(tf.payload)), spanOf{op: tf.op, link: tf.link})
 	c.clearLinkFault(tf.link, tf.txAt)
-	if !tf.retx && !c.railProbing() && tf.link >= 0 && tf.link < c.links {
+	if !tf.retx && !c.railProbing() && tf.link >= 0 && tf.link < len(c.rails) {
 		if r := &c.rails[tf.link]; !r.have || tf.txAt > r.newest {
 			r.newest, r.have = tf.txAt, true
 		}
@@ -714,7 +713,6 @@ func (c *Conn) finish(t *txOp, err error) {
 		}
 	}
 	t.dl.Stop() // nil-safe
-	t.dl = nil
 	ep := c.ep
 	if h := t.h; h != nil {
 		t.h = nil
@@ -736,7 +734,9 @@ func (c *Conn) finish(t *txOp, err error) {
 // expireOp fires when op t's Op.Deadline passes first. Only the waiter is
 // released: cancelling a partly sent op would leave a hole in the
 // receiver's sequence and fence frontier, so the transfer runs on.
-func (c *Conn) expireOp(t *txOp) {
+func expireOp(arg any) {
+	t := arg.(*txOp)
+	c := t.c
 	if !t.owed() || c.state == ended {
 		return // completed (or the conn ended) in the meantime
 	}

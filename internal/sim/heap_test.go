@@ -295,10 +295,16 @@ func (m *heapModel) step() {
 			m.remove(h.id)
 		}
 		h.id = m.insert(m.now+d, daemon, h)
+		// Odd ids re-arm through the func(any) form: both must key alike.
 		var t *Timer
-		if daemon {
+		switch arg := h.id%2 == 1; {
+		case daemon && arg:
+			t = m.env.RearmDaemonArg(h.t, d, m.firedArg, h.id)
+		case daemon:
 			t = m.env.RearmDaemon(h.t, d, m.fire(h.id))
-		} else {
+		case arg:
+			t = m.env.RearmArg(h.t, d, m.firedArg, h.id)
+		default:
 			t = m.env.Rearm(h.t, d, m.fire(h.id))
 		}
 		if h.t != nil && t != h.t {
@@ -423,5 +429,34 @@ func TestRearmChurnKeepsHeapSmall(t *testing.T) {
 	e.RunUntil(2 * Millisecond)
 	if fired != 1 || e.PendingEvents() != 16 {
 		t.Errorf("fired %d times, %d pending; want 1 and 16", fired, e.PendingEvents())
+	}
+}
+
+// TestAllocsRearmArgPending pins the static-callback timer form: re-arming
+// a pending timer through RearmArg, with a package-level callback and a
+// pointer argument, allocates nothing, and the last arm's callback and
+// argument are the ones that run.
+func TestAllocsRearmArgPending(t *testing.T) {
+	e := NewEnv(1)
+	var got *int
+	fire := func(arg any) { got = arg.(*int) }
+	a, b := new(int), new(int)
+	tm := e.RearmArg(nil, Millisecond, fire, a)
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm = e.RearmArg(tm, Millisecond, fire, b)
+	})
+	if allocs != 0 {
+		t.Errorf("RearmArg of a pending timer allocates %v per call, want 0", allocs)
+	}
+	if n := e.PendingEvents(); n != 1 {
+		t.Errorf("%d events pending after re-arms of one timer, want 1", n)
+	}
+	e.Run()
+	if got != b {
+		t.Error("the re-armed timer did not run its last callback with its last argument")
+	}
+	tm = e.RearmDaemonArg(tm, Millisecond, fire, a)
+	if !tm.Pending() || e.PendingLive() != 0 {
+		t.Errorf("RearmDaemonArg: pending %v, %d live events; want true and 0", tm.Pending(), e.PendingLive())
 	}
 }

@@ -351,17 +351,29 @@ func (e *Env) SchedAfterArg(d Time, fn func(any), arg any) {
 // re-armed timer costs one Timer allocation for the lifetime of its
 // owner. A nil t behaves like After.
 func (e *Env) Rearm(t *Timer, d Time, fn func()) *Timer {
-	return e.rearm(t, d, fn, false)
+	return e.rearm(t, d, fn, nil, nil, false)
 }
 
 // RearmDaemon is Rearm with daemon semantics (see AfterDaemon): the
 // re-armed event never keeps Run alive by itself. A nil t behaves like
 // AfterDaemon.
 func (e *Env) RearmDaemon(t *Timer, d Time, fn func()) *Timer {
-	return e.rearm(t, d, fn, true)
+	return e.rearm(t, d, fn, nil, nil, true)
 }
 
-func (e *Env) rearm(t *Timer, d Time, fn func(), daemon bool) *Timer {
+// RearmArg is Rearm for fn(arg), the form SchedAtArg takes: with a
+// package-level fn and a pointer-shaped arg, no owner needs a closure
+// per timer, and re-arming allocates nothing once t exists.
+func (e *Env) RearmArg(t *Timer, d Time, fn func(any), arg any) *Timer {
+	return e.rearm(t, d, nil, fn, arg, false)
+}
+
+// RearmDaemonArg is RearmArg with daemon semantics (see AfterDaemon).
+func (e *Env) RearmDaemonArg(t *Timer, d Time, fn func(any), arg any) *Timer {
+	return e.rearm(t, d, nil, fn, arg, true)
+}
+
+func (e *Env) rearm(t *Timer, d Time, fn func(), fnArg func(any), arg any, daemon bool) *Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
@@ -378,7 +390,7 @@ func (e *Env) rearm(t *Timer, d Time, fn func(), daemon bool) *Timer {
 			}
 			ev.daemon = daemon
 		}
-		ev.fn = fn
+		ev.fn, ev.fnArg, ev.arg = fn, fnArg, arg
 		x := heapEntry{at: e.now + d, seq: e.seq, ev: ev}
 		e.seq++
 		if h := e.tier(ev); ev.far == (d >= tierHorizon) {
@@ -390,7 +402,7 @@ func (e *Env) rearm(t *Timer, d Time, fn func(), daemon bool) *Timer {
 		return t
 	}
 	t.Stop()
-	ev := e.scheduleEvent(e.now+d, fn, nil, nil, daemon)
+	ev := e.scheduleEvent(e.now+d, fn, fnArg, arg, daemon)
 	t.env = e
 	t.ev = ev
 	t.gen = ev.gen

@@ -340,10 +340,16 @@ func (m *tierModel) step() {
 			m.remove(i)
 		}
 		h.id = m.insert(tierEvent{at: m.now + d, daemon: daemon, where: tierOf(d), h: h})
+		// Odd ids re-arm through the func(any) form: both must key alike.
 		var t *Timer
-		if daemon {
+		switch arg := h.id%2 == 1; {
+		case daemon && arg:
+			t = m.env.RearmDaemonArg(h.t, d, m.firedArg, h.id)
+		case daemon:
 			t = m.env.RearmDaemon(h.t, d, m.fire(h.id))
-		} else {
+		case arg:
+			t = m.env.RearmArg(h.t, d, m.firedArg, h.id)
+		default:
 			t = m.env.Rearm(h.t, d, m.fire(h.id))
 		}
 		if h.t != nil && t != h.t {
