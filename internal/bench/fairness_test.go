@@ -35,7 +35,6 @@ func runFairness(t *testing.T, conns, opsPerConn, size int, qos []core.QoSClass,
 
 	var startSig sim.Signal
 	var start sim.Time
-	startSig.OnFire(cl.Env, func() { start = cl.Env.Now() })
 	elapsed := make([]sim.Time, conns)
 	dialed := 0
 	for j := 0; j < conns; j++ {
@@ -48,6 +47,7 @@ func runFairness(t *testing.T, conns, opsPerConn, size int, qos []core.QoSClass,
 				c.SetClass(j % len(qos))
 			}
 			if dialed++; dialed == conns {
+				start = cl.Env.Now()
 				startSig.Fire(cl.Env)
 			}
 			p.Wait(&startSig)

@@ -50,7 +50,7 @@ func New(cl *cluster.Cluster, seed int64) *Runner {
 // at schedules fn as a daemon event and logs it.
 func (r *Runner) at(t sim.Time, what string, fn func()) {
 	r.Events = append(r.Events, Event{At: t, What: what})
-	r.cl.Env.AtDaemon(t, fn)
+	r.cl.Env.Rearm(sim.Daemon(nil), t-r.cl.Env.Now(), fn)
 }
 
 // logOnly records a windowed effect that needs no discrete event.

@@ -91,7 +91,7 @@ func TestCCLossBurstBoundedByCwnd(t *testing.T) {
 	t0 := cl.Env.Now()
 	restore := blackhole(cl.RailPorts(0, 0))
 	tEnd := t0 + 25*sim.Millisecond
-	cl.Env.AtDaemon(tEnd, restore)
+	cl.Env.Rearm(sim.Daemon(nil), tEnd-cl.Env.Now(), restore)
 
 	const size = 32 << 10
 	src := cl.Nodes[0].EP.Alloc(size)

@@ -479,7 +479,7 @@ func (c *Conn) startKeepalive() {
 	if hb <= 0 {
 		return
 	}
-	c.hbTimer = c.ep.env.RearmDaemonArg(c.hbTimer, hb, heartbeatTick, c)
+	c.hbTimer = c.ep.env.RearmArg(sim.Daemon(c.hbTimer), hb, heartbeatTick, c)
 }
 
 // heartbeatTick is the idle-side liveness tick: declare the peer dead
@@ -502,7 +502,7 @@ func heartbeatTick(arg any) {
 	if now-c.lastTx >= hb {
 		c.sendHeartbeat()
 	}
-	c.hbTimer = c.ep.env.RearmDaemonArg(c.hbTimer, hb, heartbeatTick, c)
+	c.hbTimer = c.ep.env.RearmArg(sim.Daemon(c.hbTimer), hb, heartbeatTick, c)
 }
 
 // sendHeartbeat emits one liveness ctrl frame. Like every control
@@ -521,7 +521,7 @@ func (c *Conn) armReadGuard() {
 	if c.state != live || c.ep.cfg.DeadInterval <= 0 || c.readGuard.Pending() {
 		return
 	}
-	c.readGuard = c.ep.env.RearmDaemonArg(c.readGuard, c.ep.cfg.DeadInterval, checkReadLiveness, c)
+	c.readGuard = c.ep.env.RearmArg(sim.Daemon(c.readGuard), c.ep.cfg.DeadInterval, checkReadLiveness, c)
 }
 
 func checkReadLiveness(arg any) {
@@ -536,5 +536,5 @@ func checkReadLiveness(arg any) {
 			c.remoteNode, silent, ErrPeerDead), true)
 		return
 	}
-	c.readGuard = c.ep.env.RearmDaemonArg(c.readGuard, c.lastHeard+di-now, checkReadLiveness, c)
+	c.readGuard = c.ep.env.RearmArg(sim.Daemon(c.readGuard), c.lastHeard+di-now, checkReadLiveness, c)
 }

@@ -38,10 +38,9 @@ func (ep *Endpoint) Dial(p *sim.Proc, remoteNode int, links int) *Conn {
 // every connRetry until the handshake ends (c.hs is dropped), and
 // blocks p until then.
 func (c *Conn) handshake(p *sim.Proc) {
-	hs := &handshake{}
-	c.hs = hs
-	c.ep.env.SchedAfterArg(0, handshakeRetry, c)
-	p.Wait(&hs.sig)
+	c.hs = &handshake{}
+	c.ep.env.SchedAtArg(c.ep.env.Now(), handshakeRetry, c)
+	p.Wait(&c.hs.sig)
 }
 
 // handshakeRetry sends the handshake's frame once more and re-arms. With

@@ -41,17 +41,11 @@ type Endpoint struct {
 	txRR         int // round-robin cursor over connections for send work
 	rxPrefer     int // NIC to poll first (the one that interrupted, NAPI-style)
 
-	// Hot-path scheduling plumbing: the protocol thread's continuations
-	// are built once here and passed by reference, so steady-state frame
-	// work schedules no per-event closures (see SchedAtArg/SubmitArg).
-	threadStepFn func()
-	ctrlStepFn   func(any) // arg *Conn: ACK/NACK service
-	sendStepFn   func(any) // arg *Conn: data service, charged to qosDispatchCls
-	fireSigFn    func(any) // arg *sim.Signal: user wake (handle/CQ completion)
-	noteFn       func(any) // arg *sim.Mailbox[Notification]: delivers the head of notes there
-	rxStepFn     func()    // dispatches rx, the frame pollRx took
-	rx           rxJob
-	notes        sim.Mailbox[Notification] // notifications behind their UserWake charge, in charge order
+	// User wakes, built once: their argument does not reach ep.
+	fireSigFn func(any)                 // arg *sim.Signal: user wake (handle/CQ completion)
+	noteFn    func(any)                 // arg *sim.Mailbox[Notification]: delivers the head of notes there
+	rx        rxJob                     // the frame pollRx took, dispatched by rxStepFn
+	notes     sim.Mailbox[Notification] // notifications behind their UserWake charge, in charge order
 
 	// Scratch and freelists shared by the endpoint's conns (DESIGN.md
 	// §13). The protocol thread serializes them: nothing here is held
@@ -77,7 +71,6 @@ type Endpoint struct {
 	qosSendCur int        // DWFQ cursor over class send queues
 	qosServing int        // class picked by the last qosPopSend, for the charge
 	qosPace    *sim.Timer // wire-pacing wake (two or more classes)
-	qosWakeFn  func()     // wakeThread, built once: the pacing and refill wakes
 
 	regions []memRegion // registered memory (EnforceRegistration)
 	routes  []memRegion // notification regions (NotifyRegion)
@@ -147,25 +140,6 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 	}
 	liveMem.Add(int64(cfg.MemBytes))
 	ep.memCleanup = runtime.AddCleanup(ep, releaseMem, ep.mem)
-	ep.threadStepFn = ep.threadStep
-	// The two transmit continuations serve both scheduling paths: on the
-	// scan path no class queues exist and kickConn is a bare wake that
-	// returns at once, because the thread is already running.
-	ep.ctrlStepFn = func(x any) {
-		c := x.(*Conn)
-		c.sendCtrl()
-		ep.kickConn(c)
-		ep.threadStep()
-	}
-	ep.sendStepFn = func(x any) {
-		c := x.(*Conn)
-		n := c.sendNextDataFrame()
-		if ep.qos != nil {
-			ep.qosChargeSend(ep.qosDispatchCls, n)
-		}
-		ep.kickConn(c)
-		ep.threadStep()
-	}
 	ep.fireSigFn = func(x any) { x.(*sim.Signal).Fire(ep.env) }
 	env.OnStop(func() { ep.snapFree = nil }) // see snapBuf
 	// The protocol CPU's lane runs charges in the order they were made,
@@ -173,13 +147,6 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 	ep.noteFn = func(q any) {
 		n, _ := ep.notes.TryRecv()
 		q.(*sim.Mailbox[Notification]).Send(ep.env, n)
-	}
-	ep.rxStepFn = func() {
-		j := ep.rx
-		ep.rx = rxJob{}
-		ep.dispatchFrame(j.src, j.h, j.payload, j.link, j.ecn)
-		j.fr.Release()
-		ep.threadStep()
 	}
 	if len(cfg.QoS) > 0 && !cfg.SchedQueue {
 		panic("core: Config.QoS requires Config.SchedQueue")
@@ -491,7 +458,7 @@ func (ep *Endpoint) Interrupt(n *phys.NIC) {
 		// On-NIC event dispatch, not a host interrupt.
 		intr = 100 * sim.Nanosecond
 	}
-	ep.protoRes().Submit(ep.env, intr, nil)
+	ep.protoRes().Submit(ep.env, intr, nil, nil)
 	ep.wakeThread()
 }
 
@@ -507,7 +474,39 @@ func (ep *Endpoint) wakeThread() {
 		// The NIC engine polls; no kernel-thread wakeup is paid.
 		wake = 100 * sim.Nanosecond
 	}
-	ep.protoRes().Submit(ep.env, wake, ep.threadStepFn)
+	ep.protoRes().Submit(ep.env, wake, threadStepFn, ep)
+}
+
+// The thread's continuations, and qosWakeFn, its pacing and refill
+// wake, take the endpoint or the conn. On the scan path kickConn in the
+// transmit ones returns at once: the thread is already running.
+func threadStepFn(x any) { x.(*Endpoint).threadStep() }
+func qosWakeFn(x any)    { x.(*Endpoint).wakeThread() }
+
+func rxStepFn(x any) {
+	ep := x.(*Endpoint)
+	j := ep.rx
+	ep.rx = rxJob{}
+	ep.dispatchFrame(j.src, j.h, j.payload, j.link, j.ecn)
+	j.fr.Release()
+	ep.threadStep()
+}
+
+func ctrlStepFn(x any) {
+	c := x.(*Conn)
+	c.sendCtrl()
+	c.ep.kickConn(c)
+	c.ep.threadStep()
+}
+
+func sendStepFn(x any) {
+	c := x.(*Conn)
+	n := c.sendNextDataFrame()
+	if c.ep.qos != nil {
+		c.ep.qosChargeSend(c.ep.qosDispatchCls, n)
+	}
+	c.ep.kickConn(c)
+	c.ep.threadStep()
 }
 
 // threadStep performs one unit of protocol work and reschedules itself
@@ -519,7 +518,7 @@ func (ep *Endpoint) threadStep() {
 		txDone += n.TakeTxDone()
 	}
 	if txDone > 0 {
-		ep.protoRes().Submit(ep.env, sim.Time(txDone)*ep.costs.TxDone, ep.threadStepFn)
+		ep.protoRes().Submit(ep.env, sim.Time(txDone)*ep.costs.TxDone, threadStepFn, ep)
 		return
 	}
 	// 2. Receive one frame, starting with the NIC that interrupted and
@@ -536,7 +535,7 @@ func (ep *Endpoint) threadStep() {
 			c := ep.connOrder[(ep.txRR+i)%len(ep.connOrder)]
 			if c.ctrlPending() {
 				ep.txRR = (ep.txRR + i + 1) % len(ep.connOrder)
-				ep.protoRes().SubmitArg(ep.env, ep.costs.AckProc, ep.ctrlStepFn, c)
+				ep.protoRes().Submit(ep.env, ep.costs.AckProc, ctrlStepFn, c)
 				return
 			}
 		}
@@ -544,7 +543,7 @@ func (ep *Endpoint) threadStep() {
 			c := ep.connOrder[(ep.txRR+i)%len(ep.connOrder)]
 			if c.sendable() {
 				ep.txRR = (ep.txRR + i + 1) % len(ep.connOrder)
-				ep.protoRes().SubmitArg(ep.env, ep.costs.FrameTx, ep.sendStepFn, c)
+				ep.protoRes().Submit(ep.env, ep.costs.FrameTx, sendStepFn, c)
 				return
 			}
 		}
@@ -552,7 +551,7 @@ func (ep *Endpoint) threadStep() {
 		// Class scheduler: weighted-fair O(1) pops across the class
 		// queues; a connection with more work re-enqueues at the tail.
 		if c := ep.qosPopCtrl(); c != nil {
-			ep.protoRes().SubmitArg(ep.env, ep.costs.AckProc, ep.ctrlStepFn, c)
+			ep.protoRes().Submit(ep.env, ep.costs.AckProc, ctrlStepFn, c)
 			return
 		}
 		if ep.qosPaced() {
@@ -569,7 +568,7 @@ func (ep *Endpoint) threadStep() {
 			// flight and a single field carries the served class to the
 			// charge.
 			ep.qosDispatchCls = ep.qosServing
-			ep.protoRes().SubmitArg(ep.env, ep.costs.FrameTx, ep.sendStepFn, c)
+			ep.protoRes().Submit(ep.env, ep.costs.FrameTx, sendStepFn, c)
 			return
 		}
 	}
@@ -597,7 +596,7 @@ func (ep *Endpoint) pollRx() bool {
 			// Damaged frame past the FCS model: treated as loss, buffer
 			// dies here, decode cost still charged.
 			fr.Release()
-			ep.protoRes().Submit(ep.env, ep.costs.FrameRx, ep.threadStepFn)
+			ep.protoRes().Submit(ep.env, ep.costs.FrameRx, threadStepFn, ep)
 			return true
 		}
 		var cost sim.Time
@@ -613,7 +612,7 @@ func (ep *Endpoint) pollRx() bool {
 			cost = ep.costs.AckProc
 		}
 		ep.rx = rxJob{fr: fr, src: src, h: h, payload: payload, link: idx, ecn: fr.Ecn}
-		ep.protoRes().Submit(ep.env, cost, ep.rxStepFn)
+		ep.protoRes().Submit(ep.env, cost, rxStepFn, ep)
 		return true
 	}
 	return false

@@ -52,20 +52,19 @@ func (c *Conn) ArmedTimersForTest() []string {
 	return armed
 }
 
+// RedialsForTest counts the dialer's redials in the current outage.
+func (c *Conn) RedialsForTest() int { return c.recov.attempt }
+
 // StateForTest names the connection's lifecycle state: "dialing",
 // "established", "reconnecting", "closing" or "closed".
 func (c *Conn) StateForTest() string { return c.state.String() }
 
 // FireForTest runs the named timer's callback now, as if it fired.
 func (c *Conn) FireForTest(timer string) {
-	if timer == "redial" {
-		c.redial()
-		return
-	}
 	map[string]func(any){
 		"delayed ACK": ackTick, "NACK": nackTick, "RTO": onRTO,
 		"heartbeat": heartbeatTick, "rail probe": railProbeTick, "link probe": probeTick,
-		"read guard": checkReadLiveness,
+		"read guard": checkReadLiveness, "redial": redial,
 	}[timer](c)
 }
 
@@ -204,6 +203,7 @@ const (
 	MaxNackForTest        = maxNack
 	MaxTrackedGapsForTest = maxTrackedGaps
 	ConnRetryForTest      = connRetry
+	BackoffCapForTest     = reconnectBackoffCap
 	CCBacklogForTest      = ccBacklog
 )
 

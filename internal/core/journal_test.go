@@ -86,7 +86,7 @@ func TestJournalOpsIsJournalLength(t *testing.T) {
 		if got != want {
 			off++
 		}
-		cl.Env.AfterDaemon(5*sim.Microsecond, sample)
+		cl.Env.Rearm(sim.Daemon(nil), 5*sim.Microsecond, sample)
 	}
 	sample()
 	cl.Env.RunUntil(sim.Second)

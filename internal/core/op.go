@@ -637,7 +637,7 @@ func (c *Conn) pushCompletion(comp Completion) {
 		return
 	}
 	q.flush = true
-	ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, flushStage, c)
+	ep.cpus.Proto.Submit(ep.env, ep.costs.UserWake, flushStage, c)
 }
 
 // flushStage delivers the completions staged behind a WaitCQ wake.

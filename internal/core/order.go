@@ -372,7 +372,7 @@ func (c *Conn) completeRxOp(op *rxOp) {
 			q = c.notifyGroup()
 		}
 		ep.notes.Send(ep.env, n)
-		ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, ep.noteFn, q)
+		ep.cpus.Proto.Submit(ep.env, ep.costs.UserWake, ep.noteFn, q)
 	}
 	if op.opType == frame.OpReadReply {
 		if t, ok := c.pendingReads[op.local]; ok {

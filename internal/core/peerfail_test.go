@@ -400,10 +400,10 @@ func TestHeartbeatIdleDetection(t *testing.T) {
 			at10 = cl.Env.Now()
 		}
 		if at01 == 0 || at10 == 0 {
-			cl.Env.AfterDaemon(10*sim.Millisecond, tick)
+			cl.Env.Rearm(sim.Daemon(nil), 10*sim.Millisecond, tick)
 		}
 	}
-	cl.Env.AfterDaemon(10*sim.Millisecond, tick)
+	cl.Env.Rearm(sim.Daemon(nil), 10*sim.Millisecond, tick)
 	cl.Env.RunUntil(3 * sim.Second)
 	if at01 == 0 || at10 == 0 {
 		t.Fatalf("sides failed at %v / %v; both must detect via heartbeat silence", at01, at10)

@@ -285,9 +285,9 @@ func TestHealthReportsClassQueueDepths(t *testing.T) {
 				t.Fatalf("core_sched_queue_depth = %v, health says %d+%d", g, h.SchedCtrlQ, h.SchedSendQ)
 			}
 		}
-		cl.Env.AfterDaemon(20*sim.Microsecond, watch)
+		cl.Env.Rearm(sim.Daemon(nil), 20*sim.Microsecond, watch)
 	}
-	cl.Env.AfterDaemon(0, watch)
+	cl.Env.Rearm(sim.Daemon(nil), 0, watch)
 	cl.Env.Run()
 	if maxSend == 0 || maxCtrl == 0 {
 		t.Errorf("backlogged endpoint reported depths ctrl=%d send=%d, want both non-zero", maxCtrl, maxSend)

@@ -92,7 +92,6 @@ func (ep *Endpoint) qosOn() bool { return len(ep.cfg.QoS) > 0 }
 // implicit weight-1 class when no class is configured. The implicit
 // class lives only here, never in cfg.QoS, so qosOn stays false.
 func (ep *Endpoint) initQoS() {
-	ep.qosWakeFn = ep.wakeThread
 	if len(ep.cfg.QoS) == 0 {
 		ep.qos = []qosClass{{weight: 1}}
 		return
@@ -298,7 +297,7 @@ func (ep *Endpoint) qosRateOK(cls int) bool {
 		need := 1 - q.tokens
 		d := sim.Time((need*int64(sim.Second) + rate - 1) / rate)
 		ep.emit(obs.NoConn, obs.EvRateDefer, int64(cls), int64(d))
-		q.refill = ep.env.Rearm(q.refill, d, ep.qosWakeFn)
+		q.refill = ep.env.RearmArg(q.refill, d, qosWakeFn, ep)
 	}
 	return false
 }
@@ -457,7 +456,7 @@ func (ep *Endpoint) qosArmPace() {
 	if d < sim.Microsecond {
 		d = sim.Microsecond
 	}
-	ep.qosPace = ep.env.Rearm(ep.qosPace, d, ep.qosWakeFn)
+	ep.qosPace = ep.env.RearmArg(ep.qosPace, d, qosWakeFn, ep)
 }
 
 // qosSchedDepth returns the number of queued scheduler entries, summed

@@ -361,7 +361,7 @@ func (c *Conn) armRailProbes() {
 		return
 	}
 	ivl := max(ccProbeInterval/sim.Time(len(c.rails)), 50*sim.Microsecond)
-	c.railProbe = c.ep.env.RearmDaemonArg(c.railProbe, ivl, railProbeTick, c)
+	c.railProbe = c.ep.env.RearmArg(sim.Daemon(c.railProbe), ivl, railProbeTick, c)
 }
 
 func railProbeTick(arg any) {

@@ -99,18 +99,20 @@ func (c *Conn) enterReconnect(sendReset bool) {
 	}
 	if c.dialer {
 		r.pendingIncarn = nextIncarnation(c.incarnation)
-		r.timer = ep.env.After(0, c.redial)
+		r.timer = ep.env.RearmArg(r.timer, 0, redial, c)
 		return
 	}
-	// Passive side: if the dialer never shows up, fail for real. The
-	// timer is a daemon — a parked conn must not keep a drained
-	// simulation alive on its own.
-	wait := c.passiveWait()
-	r.giveUp = ep.env.AfterDaemon(wait, func() { // stopped by rebirth and teardown
-		ep.Stats.ReconnectsFailed++
-		c.failConn(fmt.Errorf("core: connection to node %d: no reconnect handshake within %v: %w",
-			c.remoteNode, wait, ErrPeerDead), false)
-	})
+	r.giveUp = ep.env.RearmArg(sim.Daemon(r.giveUp), c.passiveWait(), giveUp, c) // stopped by rebirth and teardown
+}
+
+// giveUp ends the passive side's wait: the dialer never showed up, so
+// fail for real. A daemon: a parked conn must not keep a drained
+// simulation alive on its own.
+func giveUp(arg any) {
+	c := arg.(*Conn)
+	c.ep.Stats.ReconnectsFailed++
+	c.failConn(fmt.Errorf("core: connection to node %d: no reconnect handshake within %v: %w",
+		c.remoteNode, c.passiveWait(), ErrPeerDead), false)
 }
 
 // passiveWait bounds how long the acceptor side stays parked: the
@@ -132,7 +134,8 @@ func (c *Conn) passiveWait() sim.Time {
 // out. The request is identical to a fresh Dial's — the acceptor
 // recognizes the {node, connID} pair in its handshake-dedupe table and
 // treats the newer incarnation as a reconnect rather than a duplicate.
-func (c *Conn) redial() {
+func redial(arg any) {
+	c := arg.(*Conn)
 	if c.state != reconnecting {
 		return
 	}
@@ -148,7 +151,7 @@ func (c *Conn) redial() {
 	ep.sendHandshake(frame.NewAddr(int(c.remoteNode), 0), &frame.Header{Type: frame.TypeConnReq,
 		ConnID: c.localID, OpID: uint64(len(c.rails)), Incarnation: r.pendingIncarn})
 	base, max := ep.cfg.reconnectBackoff()
-	r.timer = ep.env.After(backoff(base, max, r.attempt-1), c.redial)
+	r.timer = ep.env.RearmArg(r.timer, backoff(base, max, r.attempt-1), redial, c)
 }
 
 // acceptReconnect runs on the acceptor when a ConnReq proposing a newer

@@ -185,9 +185,9 @@ func TestNackStateBoundedUnderOutage(t *testing.T) {
 		if nk := c10.NackDueForTest(); nk > maxNacks {
 			maxNacks = nk
 		}
-		cl.Env.AfterDaemon(20*sim.Microsecond, watch)
+		cl.Env.Rearm(sim.Daemon(nil), 20*sim.Microsecond, watch)
 	}
-	cl.Env.AfterDaemon(20*sim.Microsecond, watch)
+	cl.Env.Rearm(sim.Daemon(nil), 20*sim.Microsecond, watch)
 	cl.Env.RunUntil(120 * sim.Second)
 	if !done {
 		t.Fatal("transfer did not complete after outage healed")
@@ -366,7 +366,7 @@ func teardownRun(e teardownExit, w *teardownWork, issueAt sim.Time) (o teardownC
 			o.exitAt = cl.Env.Now()
 			return
 		}
-		cl.Env.AfterDaemon(sim.Microsecond, watch)
+		cl.Env.Rearm(sim.Daemon(nil), sim.Microsecond, watch)
 	}
 	watch()
 	if w != nil {
@@ -443,7 +443,7 @@ func TestTeardownEndsEveryWaiter(t *testing.T) {
 						cl.Env.Go("close", c01.Close)
 						return
 					}
-					cl.Env.AfterDaemon(sim.Microsecond, poll)
+					cl.Env.Rearm(sim.Daemon(nil), sim.Microsecond, poll)
 				}
 				after(cl, at, func() { cl.PauseNode(1); poll() })
 			}},

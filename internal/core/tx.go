@@ -720,7 +720,7 @@ func (c *Conn) finish(t *txOp, err error) {
 		// Waking the user process costs CPU only if someone is blocked on
 		// the handle; a poll-later handle just flips state.
 		if h.done.HasWaiters() {
-			ep.cpus.Proto.SubmitArg(ep.env, ep.costs.UserWake, ep.fireSigFn, &h.done)
+			ep.cpus.Proto.Submit(ep.env, ep.costs.UserWake, ep.fireSigFn, &h.done)
 		} else {
 			h.done.Fire(ep.env)
 		}

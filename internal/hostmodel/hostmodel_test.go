@@ -41,8 +41,8 @@ func TestCPUsUtilization(t *testing.T) {
 	var app, proto float64
 	e.After(0, func() {
 		a, p := cpus.App.Snapshot(e), cpus.Proto.Snapshot(e)
-		cpus.App.Submit(e, 30, nil)
-		cpus.Proto.Submit(e, 70, nil)
+		cpus.App.Submit(e, 30, nil, nil)
+		cpus.Proto.Submit(e, 70, nil, nil)
 		e.After(100, func() { app, proto = a.Since(e, cpus.App), p.Since(e, cpus.Proto) })
 	})
 	e.Run()

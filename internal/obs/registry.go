@@ -321,10 +321,10 @@ func (r *Registry) startTicker(t *ticker, every sim.Time, f func()) {
 	tick = func() {
 		if !r.quiesced {
 			f()
-			t.timer = r.env.AfterDaemon(every, tick)
+			t.timer = r.env.Rearm(sim.Daemon(t.timer), every, tick)
 		}
 	}
-	t.timer = r.env.AfterDaemon(every, tick)
+	t.timer = r.env.Rearm(sim.Daemon(t.timer), every, tick)
 	r.tickers = append(r.tickers, t)
 }
 

@@ -595,7 +595,6 @@ type NIC struct {
 	pending     bool
 	txDmaFn     func(any) // long-lived tx-DMA completion (arg: *Frame)
 	rxDmaFn     func(any) // long-lived rx-DMA completion (arg: *Frame)
-	intrFn      func()    // long-lived interrupt-delivery callback
 
 	// Counters.
 	RxFrames   uint64
@@ -630,14 +629,18 @@ func NewNIC(env *sim.Env, name string, addr frame.Addr, params NICParams) *NIC {
 		n.rxRing = append(n.rxRing, f)
 		n.raise(false)
 	}
-	n.intrFn = func() {
-		n.pending = false
-		n.Interrupts++
-		if n.host != nil {
-			n.host.Interrupt(n)
-		}
-	}
 	return n
+}
+
+// deliverIntr is the interrupt-delivery event, scheduled with the NIC
+// as its argument.
+func deliverIntr(x any) {
+	n := x.(*NIC)
+	n.pending = false
+	n.Interrupts++
+	if n.host != nil {
+		n.host.Interrupt(n)
+	}
 }
 
 // Addr returns the NIC's link-layer address.
@@ -662,7 +665,7 @@ func (n *NIC) AttachUplink(up *OutPort) {
 // its per-frame send work.
 func (n *NIC) Transmit(f *Frame) {
 	work := n.params.TxDMAPerFrame + sim.Time(int64(f.Len())*n.params.DMAPsPerByte/1000)
-	n.dma.SubmitArg(n.env, work, n.txDmaFn, f)
+	n.dma.Submit(n.env, work, n.txDmaFn, f)
 }
 
 func (n *NIC) txCompleted(_ *Frame) {
@@ -684,7 +687,7 @@ func (n *NIC) DeliverFrame(f *Frame) {
 		return
 	}
 	work := n.params.RxDMAPerFrame + sim.Time(int64(f.Len())*n.params.DMAPsPerByte/1000)
-	n.dma.SubmitArg(n.env, work, n.rxDmaFn, f)
+	n.dma.Submit(n.env, work, n.rxDmaFn, f)
 }
 
 // raise requests an interrupt. Masked interrupts are suppressed (the
@@ -708,7 +711,7 @@ func (n *NIC) raise(isTx bool) {
 	} else {
 		n.RxIntr++
 	}
-	n.env.SchedAfter(n.params.IntrDelay, n.intrFn)
+	n.env.SchedAtArg(n.env.Now()+n.params.IntrDelay, deliverIntr, n)
 }
 
 // Mask disables interrupt generation (called by the interrupt handler

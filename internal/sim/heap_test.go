@@ -16,10 +16,26 @@ type refEvent struct {
 	h      *refHandle // nil for an arming without a cancel handle
 }
 
-// refHandle pairs a real *Timer with the arming it last pointed at.
+// refHandle pairs a real *Timer with the arming it last pointed at,
+// and whether the timer was made a daemon, which it stays for life.
 type refHandle struct {
-	t  *Timer
-	id int
+	t      *Timer
+	id     int
+	daemon bool
+}
+
+// rearmRef re-arms h's timer, or a new one for a nil h.t, at its new
+// id: odd ids through the func(any) form, even ones through the closure
+// form, which must key alike. A daemon handle goes through Daemon.
+func rearmRef(e *Env, h *refHandle, d Time, fn func(), fnArg func(any)) *Timer {
+	t := h.t
+	if h.daemon {
+		t = Daemon(t)
+	}
+	if h.id%2 == 1 {
+		return e.RearmArg(t, d, fnArg, h.id)
+	}
+	return e.Rearm(t, d, fn)
 }
 
 // modelCoverage counts the corner cases the random programs are meant
@@ -122,7 +138,7 @@ func (m *heapModel) check() {
 func checkTiers(e *Env) error {
 	for far, h := range map[bool]eventHeap{false: e.events, true: e.later} {
 		for i := range h {
-			if h[i].ev.index != i || h[i].ev.far != far {
+			if int(h[i].ev.index) != i || h[i].ev.far != far {
 				return fmt.Errorf("heap(far=%v)[%d]: ev.index = %d, ev.far = %v", far, i, h[i].ev.index, h[i].ev.far)
 			}
 			if i > 0 && h[i].before(&h[(i-1)/heapArity]) {
@@ -136,7 +152,7 @@ func checkTiers(e *Env) error {
 // queuedAt reports whether ev is in the queue right now.
 func (e *Env) queuedAt(ev *event) bool {
 	h := *e.tier(ev)
-	return ev.index < len(h) && h[ev.index].ev == ev
+	return int(ev.index) < len(h) && h[ev.index].ev == ev
 }
 
 var modelDelays = []Time{0, 0, 1, 1, 2, 3, 5, 8, 40, 2000}
@@ -177,7 +193,7 @@ func (m *heapModel) pick() *refHandle {
 // arm records a new handle-bearing arming at now+d and returns the
 // handle and the callback to schedule.
 func (m *heapModel) arm(d Time, daemon bool) (*refHandle, func()) {
-	h := &refHandle{}
+	h := &refHandle{daemon: daemon}
 	h.id = m.insert(m.now+d, daemon, h)
 	m.handles = append(m.handles, h)
 	return h, m.fire(h.id)
@@ -244,10 +260,10 @@ func (m *heapModel) step() {
 	case r < 34:
 		d := m.delay()
 		h, fn := m.arm(d, true)
-		h.t = m.env.AtDaemon(m.now+d, fn)
+		h.t = m.env.Rearm(Daemon(nil), d, fn)
 	case r < 44:
 		d := m.delay()
-		m.env.SchedAfterArg(d, m.firedArg, m.insert(m.now+d, false, nil))
+		m.env.SchedAtArg(m.now+d, m.firedArg, m.insert(m.now+d, false, nil))
 	case r < 62:
 		h := m.pick()
 		if h == nil {
@@ -275,10 +291,10 @@ func (m *heapModel) step() {
 			m.fatalf("Pending(%d) = %v, reference %v", h.id, got, want)
 		}
 	case r < 97:
-		daemon := r >= 90
 		h := m.pick()
 		if h == nil || m.rng.Intn(8) == 0 {
-			h = &refHandle{id: -1} // nil *Timer: Rearm behaves like After
+			// nil *Timer: Rearm behaves like After, Daemon makes one.
+			h = &refHandle{id: -1, daemon: r >= 90}
 			m.handles = append(m.handles, h)
 		} else {
 			m.noteStale(h)
@@ -294,19 +310,8 @@ func (m *heapModel) step() {
 			}
 			m.remove(h.id)
 		}
-		h.id = m.insert(m.now+d, daemon, h)
-		// Odd ids re-arm through the func(any) form: both must key alike.
-		var t *Timer
-		switch arg := h.id%2 == 1; {
-		case daemon && arg:
-			t = m.env.RearmDaemonArg(h.t, d, m.firedArg, h.id)
-		case daemon:
-			t = m.env.RearmDaemon(h.t, d, m.fire(h.id))
-		case arg:
-			t = m.env.RearmArg(h.t, d, m.firedArg, h.id)
-		default:
-			t = m.env.Rearm(h.t, d, m.fire(h.id))
-		}
+		h.id = m.insert(m.now+d, h.daemon, h)
+		t := rearmRef(m.env, h, d, m.fire(h.id), m.firedArg)
 		if h.t != nil && t != h.t {
 			m.fatalf("Rearm returned a different handle")
 		}
@@ -455,8 +460,33 @@ func TestAllocsRearmArgPending(t *testing.T) {
 	if got != b {
 		t.Error("the re-armed timer did not run its last callback with its last argument")
 	}
-	tm = e.RearmDaemonArg(tm, Millisecond, fire, a)
-	if !tm.Pending() || e.PendingLive() != 0 {
-		t.Errorf("RearmDaemonArg: pending %v, %d live events; want true and 0", tm.Pending(), e.PendingLive())
+}
+
+// TestAllocsRearmDaemonPending pins the daemon timer: re-arming it while
+// pending, and again once it has fired, allocates nothing, and it stays
+// a daemon throughout.
+func TestAllocsRearmDaemonPending(t *testing.T) {
+	e := NewEnv(1)
+	fired := 0
+	fire := func(any) { fired++ }
+	tm := e.RearmArg(Daemon(nil), Millisecond, fire, e)
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm = e.RearmArg(Daemon(tm), Millisecond, fire, e)
+	})
+	if allocs != 0 {
+		t.Errorf("RearmArg of a pending daemon timer allocates %v per call, want 0", allocs)
+	}
+	if !tm.Pending() || e.PendingEvents() != 1 || e.PendingLive() != 0 {
+		t.Errorf("pending %v, %d events, %d live; want true, 1, 0", tm.Pending(), e.PendingEvents(), e.PendingLive())
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		e.RunUntil(e.Now() + Millisecond)
+		tm = e.RearmArg(Daemon(tm), Millisecond, fire, e)
+	})
+	if allocs != 0 {
+		t.Errorf("RearmArg of a fired daemon timer allocates %v per call, want 0", allocs)
+	}
+	if fired != 101 || e.PendingLive() != 0 {
+		t.Errorf("fired %d times with %d live events, want 101 and 0", fired, e.PendingLive())
 	}
 }

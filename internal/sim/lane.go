@@ -10,8 +10,8 @@ package sim
 // is, so re-keying it never has to move it between heaps.
 //
 // A lane is a fast path, never an assumption: every record takes its
-// sequence number from the Env when it is scheduled, exactly as SchedAt
-// does, and a record whose time is below the lane's last one goes to the
+// key from Env.key when it is scheduled, exactly as a heap event does,
+// and a record whose time is below the lane's last one goes to the
 // heap as an ordinary event. Events run in the total order on (at, seq)
 // whichever container holds them, so scheduling through a lane changes
 // neither when nor in what order anything runs.
@@ -38,16 +38,10 @@ func (e *Env) NewLane() *Lane {
 		panic("sim: lane created on a closed Env")
 	}
 	l := &Lane{env: e, recs: make([]laneRec, 4)}
-	l.rep.lane = l
+	l.rep.arg = l // and no fn: see Env.run
 	e.lanes = append(e.lanes, l)
 	return l
 }
-
-// SchedAt schedules fn at absolute time at, like Env.SchedAt.
-func (l *Lane) SchedAt(at Time, fn func()) { l.SchedAtArg(at, callFunc, fn) }
-
-// callFunc runs a plain callback queued as the argument of a record.
-func callFunc(fn any) { fn.(func())() }
 
 // SchedAtArg schedules fn(arg) at absolute time at, like Env.SchedAtArg.
 func (l *Lane) SchedAtArg(at Time, fn func(any), arg any) {
@@ -55,19 +49,19 @@ func (l *Lane) SchedAtArg(at Time, fn func(any), arg any) {
 	// Out of order behind a queued record, in the past, or on a closed
 	// Env: the heap path orders the first and panics on the other two.
 	if at < l.last || at < e.now || e.closed {
-		e.scheduleEvent(at, nil, fn, arg, false)
+		e.scheduleEvent(at, fn, arg, false)
 		return
 	}
 	if l.n == len(l.recs) {
 		l.grow()
 	}
-	l.recs[(l.head+l.n)&(len(l.recs)-1)] = laneRec{at: at, seq: e.seq, fn: fn, arg: arg}
+	x := e.key(at, &l.rep)
+	l.recs[(l.head+l.n)&(len(l.recs)-1)] = laneRec{at: at, seq: x.seq, fn: fn, arg: arg}
 	if l.n == 0 {
-		e.events.push(heapEntry{at: at, seq: e.seq, ev: &l.rep})
+		e.events.push(x)
 	} else {
 		e.queued++
 	}
-	e.seq++
 	e.live++
 	l.n++
 	l.last = at

@@ -129,8 +129,8 @@ func (p *laneProgram) schedSource(s int) (inRing bool) {
 		p.cov.zeroDelay++
 	}
 	size := len(l.recs)
-	if plain {
-		l.SchedAt(at, fn)
+	if plain { // a closure, as Env.SchedAt queues it
+		l.SchedAtArg(at, callFunc, fn)
 	} else {
 		l.SchedAtArg(at, p.firedArg, arg)
 	}
@@ -153,7 +153,7 @@ func (p *laneProgram) timerOp() {
 	case c < 3 || len(p.timers) == 0:
 		p.timers = append(p.timers, e.After(d, fn))
 	case c < 4:
-		p.timers = append(p.timers, e.AfterDaemon(100+d, fn)) // outlives most live work
+		p.timers = append(p.timers, e.Rearm(Daemon(nil), 100+d, fn)) // outlives most live work
 	case c < 6:
 		i := p.rng.Intn(len(p.timers))
 		p.timers[i] = e.Rearm(p.timers[i], d, fn)
@@ -235,7 +235,7 @@ func runLaneProgram(t *testing.T, seed int64, lanes bool, cov *laneCoverage) []l
 
 // TestLaneAgainstPlainHeap is the proof that a lane is a container and
 // nothing else: seeded random programs — several FIFO sources and plain
-// After/AfterDaemon/Rearm/Stop interleaved, equal timestamps, zero
+// and daemon timers armed, re-armed and stopped interleaved, equal timestamps, zero
 // delays, callbacks that schedule onto their own and other sources,
 // times below a source's last that must take the fallback — run once
 // through lanes and once with every Lane.Sched* replaced by Env.Sched*,
@@ -282,10 +282,10 @@ func TestLanePendingAndClose(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		a.SchedAtArg(Time(10*i), count, held)
 	}
-	b.SchedAt(20, func() { ran++ })
+	b.SchedAtArg(20, count, nil)
 	a.SchedAtArg(15, count, held) // below a's last: an ordinary event
 	tm := e.After(35, func() { ran++ })
-	e.AfterDaemon(1000, func() { ran++ })
+	e.Rearm(Daemon(nil), 1000, func() { ran++ })
 	check := func(when string, pending, live, heap int) {
 		t.Helper()
 		if e.PendingEvents() != pending || e.PendingLive() != live || len(e.events) != heap || e.Idle() != (pending == 0) {
@@ -299,7 +299,7 @@ func TestLanePendingAndClose(t *testing.T) {
 		t.Fatalf("ran %d, executed %d by t=20, want 4", ran, e.Executed())
 	}
 	check("part way", 5, 4, 3) // b is empty and out of the heap
-	b.SchedAt(20, func() { ran++ })
+	b.SchedAtArg(20, count, nil)
 	check("refilled", 6, 5, 4)
 
 	e.Close()
@@ -320,7 +320,6 @@ func TestLanePendingAndClose(t *testing.T) {
 		t.Fatalf("Close ran something: ran %d, executed %d", ran, e.Executed())
 	}
 	for name, sched := range map[string]func(){
-		"Lane.SchedAt":    func() { a.SchedAt(100, func() {}) },
 		"Lane.SchedAtArg": func() { b.SchedAtArg(100, count, nil) },
 		"Env.NewLane":     func() { e.NewLane() },
 	} {
@@ -387,11 +386,11 @@ func TestResourceOnMakesTheLaneAtBuildTime(t *testing.T) {
 		t.Fatalf("a second On made a second lane (%d)", len(e.lanes))
 	}
 	var order []string
-	bound.Submit(e, 5, func() { order = append(order, "bound") })
+	bound.Submit(e, 5, func(any) { order = append(order, "bound") }, nil)
 	if len(e.lanes) != 1 {
 		t.Fatalf("a submission on a bound resource made a lane (%d)", len(e.lanes))
 	}
-	lazy.Submit(e, 7, func() { order = append(order, "lazy") })
+	lazy.Submit(e, 7, func(any) { order = append(order, "lazy") }, nil)
 	if len(e.lanes) != 2 {
 		t.Fatalf("the unbound resource has no lane after its first callback (%d)", len(e.lanes))
 	}

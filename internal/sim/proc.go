@@ -42,7 +42,7 @@ func (p *Proc) Dead() bool { return p.next == nil }
 // virtual time (after already-queued events at this instant).
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, older: e.procs.older, newer: &e.procs}
-	e.SchedAfterArg(0, wakeProc, p) // first, so that a closed Env panics before a coroutine exists
+	e.SchedAtArg(e.now, wakeProc, p) // first, so that a closed Env panics before a coroutine exists
 	p.older.newer, p.newer.older = p, p
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -135,7 +135,7 @@ func (e *Env) Close() {
 
 // Sleep suspends the process for d virtual nanoseconds.
 func (p *Proc) Sleep(d Time) {
-	p.env.SchedAfterArg(d, wakeProc, p)
+	p.env.SchedAtArg(p.env.after(d), wakeProc, p)
 	p.park()
 }
 
@@ -143,23 +143,19 @@ func (p *Proc) Sleep(d Time) {
 // event and process queued at this instant run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Signal is a one-shot completion event that processes can wait on and
-// event-driven code can subscribe to. The zero value is ready to use.
-// It is two words: the first waiter is held inline, so the common
-// single-waiter case allocates nothing, and later waiters and callbacks
-// go to an overflow record built on first use. Firing points more at
-// spent.
+// Signal is a one-shot completion event that processes can wait on.
+// The zero value is ready to use. It is two words: the first waiter is
+// held inline, so the common single-waiter case allocates nothing, and
+// later waiters go to an overflow record built on first use. Firing
+// points more at spent.
 type Signal struct {
 	w0   *Proc
 	more *signalMore
 }
 
-// signalMore holds a signal's waiters after the first, and its
-// callbacks, each in arrival order.
-type signalMore struct {
-	waiters []*Proc
-	cbs     []func()
-}
+// signalMore holds a signal's waiters after the first, in arrival
+// order.
+type signalMore struct{ waiters []*Proc }
 
 // spent is the overflow of every signal that has fired.
 var spent = new(signalMore)
@@ -167,15 +163,13 @@ var spent = new(signalMore)
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.more == spent }
 
-// HasWaiters reports whether any process or callback is currently
-// waiting on the signal. An overflow record exists only once something
-// was put in it.
-func (s *Signal) HasWaiters() bool { return s.w0 != nil || (s.more != nil && s.more != spent) }
+// HasWaiters reports whether any process is currently waiting on the
+// signal. Waiters overflow only behind the first, so it is the first.
+func (s *Signal) HasWaiters() bool { return s.w0 != nil }
 
 // Fire fires the signal at the current virtual time, waking all waiting
-// processes in the order they began to wait and then scheduling all
-// subscribed callbacks in the order they subscribed. Firing twice
-// panics: a Signal represents exactly one completion.
+// processes in the order they began to wait. Firing twice panics: a
+// Signal represents exactly one completion.
 func (s *Signal) Fire(e *Env) {
 	if s.Fired() {
 		panic("sim: Signal fired twice")
@@ -190,35 +184,13 @@ func (s *Signal) fire(e *Env) {
 	}
 	s.w0, s.more = nil, spent
 	if w0 != nil {
-		e.SchedAfterArg(0, wakeProc, w0)
+		e.SchedAtArg(e.now, wakeProc, w0)
 	}
 	if m != nil {
 		for _, p := range m.waiters {
-			e.SchedAfterArg(0, wakeProc, p)
-		}
-		for _, cb := range m.cbs {
-			e.SchedAfter(0, cb)
+			e.SchedAtArg(e.now, wakeProc, p)
 		}
 	}
-}
-
-// overflow returns the signal's overflow record, building it on first use.
-func (s *Signal) overflow() *signalMore {
-	if s.more == nil {
-		s.more = new(signalMore)
-	}
-	return s.more
-}
-
-// OnFire schedules fn for when the signal fires; if it already fired, fn
-// is scheduled immediately.
-func (s *Signal) OnFire(e *Env, fn func()) {
-	if s.Fired() {
-		e.SchedAfter(0, fn)
-		return
-	}
-	m := s.overflow()
-	m.cbs = append(m.cbs, fn)
 }
 
 // Wait blocks the process until the signal fires; it returns immediately
@@ -230,8 +202,10 @@ func (p *Proc) Wait(s *Signal) {
 	case s.w0 == nil:
 		s.w0 = p
 	default:
-		m := s.overflow()
-		m.waiters = append(m.waiters, p)
+		if s.more == nil {
+			s.more = new(signalMore)
+		}
+		s.more.waiters = append(s.more.waiters, p)
 	}
 	p.park()
 }
@@ -268,7 +242,7 @@ func (m *Mailbox[T]) Send(e *Env, v T) {
 	if len(m.waiters) > 0 {
 		p := m.waiters[0]
 		m.waiters = m.waiters[:copy(m.waiters, m.waiters[1:])]
-		e.SchedAfterArg(0, wakeProc, p)
+		e.SchedAtArg(e.now, wakeProc, p)
 	}
 }
 

@@ -30,40 +30,21 @@ func (r *Resource) BusyTime() Time { return r.busy }
 func (r *Resource) Jobs() uint64 { return r.jobs }
 
 // Submit queues a work item of the given duration and returns its
-// completion time. If then is non-nil it runs at completion. Zero-duration
-// work is legal and completes after earlier queued work.
-func (r *Resource) Submit(e *Env, work Time, then func()) Time {
-	done := r.occupy(e, work)
-	if then != nil {
-		r.laneOn(e).SchedAt(done, then)
-	}
-	return done
-}
-
-// SubmitArg is Submit with the completion callback split into a
-// long-lived func(any) and a per-call argument, so hot paths avoid
-// allocating a capturing closure per work item (see Env.SchedAtArg).
-func (r *Resource) SubmitArg(e *Env, work Time, then func(any), arg any) Time {
-	done := r.occupy(e, work)
-	if then != nil {
-		r.laneOn(e).SchedAtArg(done, then, arg)
-	}
-	return done
-}
-
-// occupy books work behind everything queued and returns when it ends.
-func (r *Resource) occupy(e *Env, work Time) Time {
+// completion time. If then is non-nil, then(arg) runs at completion,
+// which with a long-lived then and a pointer-shaped arg allocates
+// nothing (see Env.SchedAtArg). Zero-duration work is legal and
+// completes after earlier queued work.
+func (r *Resource) Submit(e *Env, work Time, then func(any), arg any) Time {
 	if work < 0 {
 		panic("sim: negative work duration")
 	}
-	start := e.Now()
-	if r.avail > start {
-		start = r.avail
-	}
-	done := start + work
+	done := max(e.Now(), r.avail) + work
 	r.avail = done
 	r.busy += work
 	r.jobs++
+	if then != nil {
+		r.laneOn(e).SchedAtArg(done, then, arg)
+	}
 	return done
 }
 
@@ -90,7 +71,7 @@ func (r *Resource) laneOn(e *Env) *Lane {
 // Exec queues a work item and blocks the calling process until it
 // completes.
 func (p *Proc) Exec(r *Resource, work Time) {
-	r.SubmitArg(p.env, work, wakeProc, p)
+	r.Submit(p.env, work, wakeProc, p)
 	p.park()
 }
 

@@ -11,64 +11,47 @@ import (
 )
 
 // TestSignalReference drives one Signal through random interleavings
-// of Wait from several processes and OnFire, before and after the fire,
-// and compares what runs with a reference. The fire queues every waiter
-// in the order it began to wait and then every callback in the order it
-// subscribed; after the fire, a Wait returns at once and an OnFire
-// queues its callback behind what is already queued. Actions run at
-// distinct instants, except that one may share the fire's instant and
-// run just after it. HasWaiters and Fired are checked around the fire.
+// of Wait from several processes, before and after the fire, and
+// compares what runs with a reference. The fire queues every waiter in
+// the order it began to wait; after the fire, a Wait returns at once.
+// Waits start at distinct instants, except that one may share the
+// fire's instant and run just after it. HasWaiters and Fired are
+// checked around the fire.
 func TestSignalReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEnv(1)
 		var s Signal
-		var got, want, waiters, cbs, queued []string
+		var got, want, waiters, queued []string
 		settle := func() { want, queued = append(want, queued...), nil }
 		n := 1 + rng.Intn(12)
 		fireAt := Time(2 + 2*rng.Intn(n+1))
 		e.SchedAt(fireAt, func() {
-			if s.Fired() || s.HasWaiters() != (len(waiters)+len(cbs) > 0) {
-				t.Errorf("seed %d: before Fire, Fired=%v HasWaiters=%v with %d waiters and %d callbacks",
-					seed, s.Fired(), s.HasWaiters(), len(waiters), len(cbs))
+			if s.Fired() || s.HasWaiters() != (len(waiters) > 0) {
+				t.Errorf("seed %d: before Fire, Fired=%v HasWaiters=%v with %d waiters",
+					seed, s.Fired(), s.HasWaiters(), len(waiters))
 			}
 			s.Fire(e)
 			if !s.Fired() || s.HasWaiters() {
 				t.Errorf("seed %d: after Fire, Fired=%v HasWaiters=%v", seed, s.Fired(), s.HasWaiters())
 			}
-			queued = append(append(queued, waiters...), cbs...)
+			queued = append(queued, waiters...)
 		})
 		for i := 1; i <= n; i++ {
 			at := Time(2*i + rng.Intn(2)) // 2i collides with the fire when it is fireAt
-			name := fmt.Sprintf("%d@%d", i, at)
-			if rng.Intn(2) == 0 {
-				name = "wait " + name
-				e.Go(name, func(p *Proc) {
-					p.Sleep(at)
-					if at > fireAt {
-						settle()
-					}
-					if s.Fired() {
-						want = append(want, name)
-					} else {
-						waiters = append(waiters, name)
-					}
-					p.Wait(&s)
-					got = append(got, name)
-				})
-				continue
-			}
-			name = "cb " + name
-			e.SchedAt(at, func() {
+			name := fmt.Sprintf("wait %d@%d", i, at)
+			e.Go(name, func(p *Proc) {
+				p.Sleep(at)
 				if at > fireAt {
 					settle()
 				}
 				if s.Fired() {
-					queued = append(queued, name)
+					want = append(want, name)
 				} else {
-					cbs = append(cbs, name)
+					waiters = append(waiters, name)
 				}
-				s.OnFire(e, func() { got = append(got, name) })
+				p.Wait(&s)
+				got = append(got, name)
 			})
 		}
 		e.Run()
@@ -81,25 +64,29 @@ func TestSignalReference(t *testing.T) {
 }
 
 // TestSignalHasWaiters pins what Conn.finish charges a user wake on: a
-// lone callback counts as waiting, as a lone waiter does, and nothing
-// waits on a fired signal.
+// lone waiter counts, as do several, and nothing waits on a fired
+// signal.
 func TestSignalHasWaiters(t *testing.T) {
 	e := NewEnv(1)
-	var cb, w Signal
-	if cb.HasWaiters() {
+	var one, two Signal
+	if one.HasWaiters() {
 		t.Error("a zero Signal has waiters")
 	}
-	cb.OnFire(e, func() {})
-	e.Go("w", func(p *Proc) { p.Wait(&w) })
-	e.Run()
-	if !cb.HasWaiters() || !w.HasWaiters() {
-		t.Errorf("HasWaiters is %v with only a callback and %v with only a waiter, want true", cb.HasWaiters(), w.HasWaiters())
+	e.Go("w", func(p *Proc) { p.Wait(&one) })
+	for _, name := range []string{"a", "b"} {
+		e.Go(name, func(p *Proc) { p.Wait(&two) })
 	}
-	cb.Fire(e)
-	w.Fire(e)
-	if cb.HasWaiters() || w.HasWaiters() {
+	e.Run()
+	if !one.HasWaiters() || !two.HasWaiters() {
+		t.Errorf("HasWaiters is %v with one waiter and %v with two, want true", one.HasWaiters(), two.HasWaiters())
+	}
+	one.Fire(e)
+	two.Fire(e)
+	if one.HasWaiters() || two.HasWaiters() {
 		t.Error("a fired Signal reports waiters")
 	}
+	e.Run()
+	e.Close()
 }
 
 // TestAllocsSignalWaitFire gates the common case, one process waiting
@@ -114,7 +101,7 @@ func TestAllocsSignalWaitFire(t *testing.T) {
 		s := new(Signal)
 		step := func() {
 			*s = Signal{}
-			e.SchedAfterArg(1, fire, s)
+			e.SchedAtArg(e.Now()+1, fire, s)
 			p.Wait(s)
 			if !s.Fired() {
 				t.Error("Wait returned before the fire")
@@ -136,6 +123,6 @@ func TestAllocsSignalWaitFire(t *testing.T) {
 // and Proc embeds one.
 func TestAllocsSignalSize(t *testing.T) {
 	if n := unsafe.Sizeof(Signal{}); n > 16 {
-		t.Errorf("Signal is %d B, more than 16: keep what only a second waiter or a callback needs in the overflow record", n)
+		t.Errorf("Signal is %d B, more than 16: keep what only a second waiter needs in the overflow record", n)
 	}
 }

@@ -3,8 +3,9 @@
 // The kernel advances a virtual clock (nanosecond resolution) through a
 // priority queue of events. Two execution styles coexist:
 //
-//   - Event-driven: callbacks scheduled with At/After run inside the
-//     scheduler. Protocol state machines use this style.
+//   - Event-driven: callbacks scheduled with SchedAtArg or RearmArg
+//     (or a closure form) run inside the scheduler. Protocol state
+//     machines use this style.
 //   - Process-driven: functions spawned with Go run as coroutines, one
 //     at a time, and block on Sleep, Signal.Wait, Mailbox.Recv or Exec.
 //     The event that wakes a process switches to it directly and back
@@ -15,20 +16,23 @@
 // seeds are bit-for-bit reproducible. A process nobody wakes again stays
 // parked until Close, which whoever creates an Env calls when done.
 //
-// Hot-path allocation model: event records are recycled through a
-// per-Env freelist and the priority queue is a concrete 4-ary heap
-// whose entries carry the (at, seq) key beside the record pointer, so
-// ordering compares never touch an event. The queue holds exactly the
-// pending events: Stop removes its event at once through the heap index
-// the record tracks and recycles the record, and Rearm of a
-// still-pending handle re-keys that record in place, so a timer that is
-// re-armed a thousand times before it fires occupies one heap entry
-// throughout and allocates nothing. Schedulers that do not need a
-// cancel handle use the SchedAt/SchedAfter family, which allocates
-// nothing in steady state; the Arg variants additionally avoid the
-// per-call closure by passing a single pointer-shaped argument to a
-// long-lived func(any). At/After return a *Timer handle (one small
-// allocation).
+// Every event is one callback shape: a func(any) and its argument.
+// With a package-level func and a pointer-shaped argument, scheduling
+// allocates nothing in steady state, so hot paths pass the receiver as
+// the argument instead of building a closure per event. The closure
+// forms (At, After, SchedAt, SchedAfter, Rearm) are one-line wrappers
+// that queue the func() itself as the argument of a trampoline.
+//
+// Event records are recycled through a per-Env freelist and the
+// priority queue is a concrete 4-ary heap whose entries carry the
+// (at, seq) key beside the record pointer, so ordering compares never
+// touch an event. One function, key, mints every key. The queue holds
+// exactly the pending events: Stop removes its event at once through
+// the heap index the record tracks and recycles the record, and Rearm
+// of a still-pending handle re-keys that record in place, so a timer
+// that is re-armed a thousand times before it fires occupies one heap
+// entry throughout and allocates nothing once its *Timer exists. A
+// daemon timer (see Daemon) never keeps Run alive by itself.
 //
 // The queue has two tiers of the same heap type. What is scheduled less
 // than tierHorizon ahead — wake-ups, interrupts, and every Lane entry —
@@ -75,20 +79,20 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros converts a virtual duration to floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// event is one scheduled callback. Its (at, seq) key lives in the heap
-// entry that points at it. Events are recycled through the Env
-// freelist the moment they leave the heap; gen increments on every
+// event is one scheduled callback, fn(arg). Its (at, seq) key lives
+// in the heap entry that points at it. Events are recycled through the
+// Env freelist the moment they leave the heap; gen increments on every
 // recycle so a stale *Timer handle from a previous life can never
-// cancel the new occupant.
+// cancel the new occupant. A lane's own entry has no fn: its arg is the
+// *Lane, whose head record the entry stands for.
 type event struct {
-	fn     func()
-	fnArg  func(any) // set instead of fn by the Arg variants
+	fn     func(any)
 	arg    any
-	daemon bool // does not keep Run alive (see AfterDaemon)
-	far    bool // pending in Env.later, not Env.events
-	index  int  // position in its heap while pending
+	env    *Env
 	gen    uint64
-	lane   *Lane // set on a lane's own entry, which stands for its head record
+	index  int32 // position in its heap while pending
+	daemon bool  // does not keep Run alive (see Daemon)
+	far    bool  // pending in Env.later, not Env.events
 }
 
 // heapEntry is one slot of the event queue: the ordering key stored
@@ -119,11 +123,11 @@ func (h eventHeap) up(i int, x heapEntry) {
 			break
 		}
 		h[i] = h[p]
-		h[i].ev.index = i
+		h[i].ev.index = int32(i)
 		i = p
 	}
 	h[i] = x
-	x.ev.index = i
+	x.ev.index = int32(i)
 }
 
 // down places x at i or below, shifting the smallest child up.
@@ -144,11 +148,11 @@ func (h eventHeap) down(i int, x heapEntry) {
 			break
 		}
 		h[i] = h[m]
-		h[i].ev.index = i
+		h[i].ev.index = int32(i)
 		i = m
 	}
 	h[i] = x
-	x.ev.index = i
+	x.ev.index = int32(i)
 }
 
 // place puts x into the vacated slot i, sifting whichever way restores
@@ -249,16 +253,14 @@ func (e *Env) getEvent() *event {
 	if e.closed {
 		panic("sim: event scheduled on a closed Env")
 	}
-	return &event{}
+	return &event{env: e}
 }
 
 // putEvent recycles an event that has left the heap. The generation
 // bump invalidates every Timer handle pointing at the old life.
 func (e *Env) putEvent(ev *event) {
 	ev.gen++
-	ev.fn = nil
-	ev.fnArg = nil
-	ev.arg = nil
+	ev.fn, ev.arg = nil, nil
 	e.free = append(e.free, ev)
 }
 
@@ -266,11 +268,29 @@ func (e *Env) putEvent(ev *event) {
 // handle stays valid forever: once the event has fired (or been
 // stopped) the underlying record may be recycled for a later schedule,
 // and the generation snapshot makes Stop/Pending on the stale handle a
-// no-op rather than a misfire against the new occupant.
+// no-op rather than a misfire against the new occupant. Whether its
+// events are daemons is fixed when the timer is made (see Daemon).
 type Timer struct {
-	env *Env
-	ev  *event
-	gen uint64
+	ev     *event
+	gen    uint64
+	daemon bool
+}
+
+// Daemon returns t, or for a nil t a new unarmed timer whose events
+// are daemons: they run like any other event while the simulation is
+// live, but do not by themselves keep Run going, which returns once
+// only daemon events remain. Periodic observers, liveness probes and
+// give-up waits arm daemon timers, so that a workload driving Run to
+// completion is never kept alive by its own instrumentation. A timer
+// stays what it was made for life: Daemon of a plain timer panics.
+func Daemon(t *Timer) *Timer {
+	if t == nil {
+		return &Timer{daemon: true}
+	}
+	if !t.daemon {
+		panic("sim: Daemon of a timer that is not a daemon")
+	}
+	return t
 }
 
 // valid reports whether the handle still refers to the life of the
@@ -287,11 +307,12 @@ func (t *Timer) Stop() bool {
 	if !t.valid() {
 		return false
 	}
-	e, ev := t.env, t.ev
+	ev := t.ev
+	e := ev.env
 	if !ev.daemon {
 		e.live--
 	}
-	e.tier(ev).remove(ev.index)
+	e.tier(ev).remove(int(ev.index))
 	e.putEvent(ev)
 	return true
 }
@@ -300,149 +321,97 @@ func (t *Timer) Stop() bool {
 // stopped.
 func (t *Timer) Pending() bool { return t.valid() }
 
+// callFunc runs a plain callback queued as the argument of an event:
+// each closure form below is the fn(arg) form with the func() as arg,
+// which costs nothing beyond the closure itself.
+func callFunc(fn any) { fn.(func())() }
+
 // At schedules fn to run at absolute virtual time at. Scheduling in the
 // past panics: events must never move the clock backwards.
 func (e *Env) At(at Time, fn func()) *Timer {
-	ev := e.scheduleEvent(at, fn, nil, nil, false)
-	return &Timer{env: e, ev: ev, gen: ev.gen}
+	ev := e.scheduleEvent(at, callFunc, fn, false)
+	return &Timer{ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
-func (e *Env) After(d Time, fn func()) *Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return e.At(e.now+d, fn)
-}
+func (e *Env) After(d Time, fn func()) *Timer { return e.At(e.after(d), fn) }
 
 // SchedAt schedules fn at absolute time at without returning a cancel
-// handle. It allocates nothing in steady state; hot paths that never
-// stop their events use this instead of At.
-func (e *Env) SchedAt(at Time, fn func()) { e.scheduleEvent(at, fn, nil, nil, false) }
+// handle.
+func (e *Env) SchedAt(at Time, fn func()) { e.scheduleEvent(at, callFunc, fn, false) }
 
 // SchedAfter schedules fn d nanoseconds from now without returning a
 // cancel handle. Negative d panics.
-func (e *Env) SchedAfter(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	e.scheduleEvent(e.now+d, fn, nil, nil, false)
-}
+func (e *Env) SchedAfter(d Time, fn func()) { e.scheduleEvent(e.after(d), callFunc, fn, false) }
 
 // SchedAtArg schedules fn(arg) at absolute time at without returning a
 // cancel handle. With a long-lived fn and a pointer-shaped arg the call
-// performs no allocation at all — this is the zero-alloc replacement
-// for scheduling a fresh capturing closure per frame.
-func (e *Env) SchedAtArg(at Time, fn func(any), arg any) { e.scheduleEvent(at, nil, fn, arg, false) }
+// performs no allocation at all: hot paths pass the receiver as arg
+// instead of scheduling a fresh capturing closure per frame.
+func (e *Env) SchedAtArg(at Time, fn func(any), arg any) { e.scheduleEvent(at, fn, arg, false) }
 
-// SchedAfterArg schedules fn(arg) d nanoseconds from now without
-// returning a cancel handle. Negative d panics.
-func (e *Env) SchedAfterArg(d Time, fn func(any), arg any) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	e.scheduleEvent(e.now+d, nil, fn, arg, false)
-}
+// Rearm is RearmArg for a plain callback.
+func (e *Env) Rearm(t *Timer, d Time, fn func()) *Timer { return e.RearmArg(t, d, callFunc, fn) }
 
-// Rearm schedules fn to run d nanoseconds from now, reusing t as the
+// RearmArg schedules fn(arg) d nanoseconds from now, reusing t as the
 // cancel handle. A still-pending previous event is re-keyed in place
 // (new time, fresh sequence number, one sift); otherwise the handle is
-// re-pointed at a newly scheduled event. Either way a periodically
-// re-armed timer costs one Timer allocation for the lifetime of its
+// re-pointed at a newly scheduled event. With a package-level fn and a
+// pointer-shaped arg, re-arming allocates nothing once t exists, so a
+// periodically re-armed timer costs one Timer for the lifetime of its
 // owner. A nil t behaves like After.
-func (e *Env) Rearm(t *Timer, d Time, fn func()) *Timer {
-	return e.rearm(t, d, fn, nil, nil, false)
-}
-
-// RearmDaemon is Rearm with daemon semantics (see AfterDaemon): the
-// re-armed event never keeps Run alive by itself. A nil t behaves like
-// AfterDaemon.
-func (e *Env) RearmDaemon(t *Timer, d Time, fn func()) *Timer {
-	return e.rearm(t, d, fn, nil, nil, true)
-}
-
-// RearmArg is Rearm for fn(arg), the form SchedAtArg takes: with a
-// package-level fn and a pointer-shaped arg, no owner needs a closure
-// per timer, and re-arming allocates nothing once t exists.
 func (e *Env) RearmArg(t *Timer, d Time, fn func(any), arg any) *Timer {
-	return e.rearm(t, d, nil, fn, arg, false)
-}
-
-// RearmDaemonArg is RearmArg with daemon semantics (see AfterDaemon).
-func (e *Env) RearmDaemonArg(t *Timer, d Time, fn func(any), arg any) *Timer {
-	return e.rearm(t, d, nil, fn, arg, true)
-}
-
-func (e *Env) rearm(t *Timer, d Time, fn func(), fnArg func(any), arg any, daemon bool) *Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
+	at := e.after(d)
 	if t == nil {
 		t = &Timer{}
 	}
-	if t.valid() && t.env == e {
+	if t.valid() && t.ev.env == e {
 		ev := t.ev
-		if ev.daemon != daemon {
-			if daemon {
-				e.live--
-			} else {
-				e.live++
-			}
-			ev.daemon = daemon
-		}
-		ev.fn, ev.fnArg, ev.arg = fn, fnArg, arg
-		x := heapEntry{at: e.now + d, seq: e.seq, ev: ev}
-		e.seq++
+		ev.fn, ev.arg = fn, arg
+		x := e.key(at, ev)
 		if h := e.tier(ev); ev.far == (d >= tierHorizon) {
-			h.place(ev.index, x)
+			h.place(int(ev.index), x)
 		} else { // the new distance is on the other side of the horizon
-			h.remove(ev.index)
+			h.remove(int(ev.index))
 			e.enqueue(x)
 		}
 		return t
 	}
 	t.Stop()
-	ev := e.scheduleEvent(e.now+d, fn, fnArg, arg, daemon)
-	t.env = e
-	t.ev = ev
-	t.gen = ev.gen
+	ev := e.scheduleEvent(at, fn, arg, t.daemon)
+	t.ev, t.gen = ev, ev.gen
 	return t
 }
 
-// AtDaemon schedules a daemon event: it runs like any other event while
-// the simulation is live, but does not by itself keep Run going — Run
-// returns once only daemon events remain. Periodic observers (metric
-// samplers) use daemon events so that a workload driving Run to
-// completion is never kept alive by its own instrumentation.
-func (e *Env) AtDaemon(at Time, fn func()) *Timer {
-	ev := e.scheduleEvent(at, fn, nil, nil, true)
-	return &Timer{env: e, ev: ev, gen: ev.gen}
-}
-
-// AfterDaemon schedules a daemon event d nanoseconds from now (see
-// AtDaemon). Negative d panics.
-func (e *Env) AfterDaemon(d Time, fn func()) *Timer {
+// after returns the time d nanoseconds from now. Negative d panics.
+func (e *Env) after(d Time) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	return e.AtDaemon(e.now+d, fn)
+	return e.now + d
 }
 
-func (e *Env) scheduleEvent(at Time, fn func(), fnArg func(any), arg any, daemon bool) *event {
+func (e *Env) scheduleEvent(at Time, fn func(any), arg any, daemon bool) *event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past (%v < %v)", at, e.now))
 	}
 	ev := e.getEvent()
-	ev.fn = fn
-	ev.fnArg = fnArg
-	ev.arg = arg
-	ev.daemon = daemon
+	ev.fn, ev.arg, ev.daemon = fn, arg, daemon
 	if !daemon {
 		e.live++
 	}
-	e.enqueue(heapEntry{at: at, seq: e.seq, ev: ev})
-	e.seq++
+	e.enqueue(e.key(at, ev))
 	return ev
+}
+
+// key mints the (at, seq) key that ev runs under. It is the one place
+// a sequence number is taken, by every schedule, re-arm and lane
+// record alike, so events due at the same instant run in the order
+// they were keyed, whichever call and container scheduled them.
+func (e *Env) key(at Time, ev *event) heapEntry {
+	x := heapEntry{at: at, seq: e.seq, ev: ev}
+	e.seq++
+	return x
 }
 
 // Stop makes the current Run/RunUntil call return after the current event
@@ -492,10 +461,10 @@ func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 		e.now = top.at
 		e.executed++
 		next := top.ev
-		if next.lane != nil {
+		if next.fn == nil {
 			// A lane's entry stands for its head record; the lane takes
 			// that off and re-keys the entry before the callback runs.
-			fn, arg := next.lane.pop()
+			fn, arg := next.arg.(*Lane).pop()
 			fn(arg)
 			continue
 		}
@@ -506,13 +475,9 @@ func (e *Env) run(horizon Time, untilLiveDrained bool) Time {
 		// Snapshot the callback and recycle the record before running
 		// it: the callback may schedule new events (which can then
 		// reuse this record) but can no longer observe it.
-		fn, fnArg, arg := next.fn, next.fnArg, next.arg
+		fn, arg := next.fn, next.arg
 		e.putEvent(next)
-		if fnArg != nil {
-			fnArg(arg)
-		} else {
-			fn()
-		}
+		fn(arg)
 	}
 	return e.now
 }

@@ -271,13 +271,12 @@ func TestSignalWaitBeforeAndAfterFire(t *testing.T) {
 }
 
 // TestSignalDoubleFirePanics fires a signal twice with nothing waiting,
-// and once more with waiters and a callback in its overflow record.
+// and once more with waiters in its overflow record.
 func TestSignalDoubleFirePanics(t *testing.T) {
 	e := NewEnv(1)
 	var s, busy Signal
 	s.Fire(e)
 	mustPanic(t, "second Fire", "fired twice", func() { s.Fire(e) })
-	busy.OnFire(e, func() {})
 	for i := 0; i < 3; i++ {
 		e.Go("w", func(p *Proc) { p.Wait(&busy) })
 	}
@@ -287,20 +286,6 @@ func TestSignalDoubleFirePanics(t *testing.T) {
 	e.Run()
 	if n := e.Procs(); n != 0 {
 		t.Errorf("%d waiters still parked after the fire", n)
-	}
-}
-
-func TestSignalOnFire(t *testing.T) {
-	e := NewEnv(1)
-	var s Signal
-	var calls []Time
-	s.OnFire(e, func() { calls = append(calls, e.Now()) })
-	e.After(7, func() { s.Fire(e) })
-	e.Run()
-	s.OnFire(e, func() { calls = append(calls, e.Now()) }) // post-fire subscribe
-	e.Run()
-	if len(calls) != 2 || calls[0] != 7 || calls[1] != 7 {
-		t.Errorf("calls = %v, want [7 7]", calls)
 	}
 }
 
@@ -386,9 +371,10 @@ func TestResourceSerialization(t *testing.T) {
 	r := NewResource("cpu")
 	var completions []Time
 	e.After(0, func() {
-		r.Submit(e, 10, func() { completions = append(completions, e.Now()) })
-		r.Submit(e, 10, func() { completions = append(completions, e.Now()) })
-		r.Submit(e, 5, func() { completions = append(completions, e.Now()) })
+		done := func(any) { completions = append(completions, e.Now()) }
+		r.Submit(e, 10, done, nil)
+		r.Submit(e, 10, done, nil)
+		r.Submit(e, 5, done, nil)
 	})
 	e.Run()
 	want := []Time{10, 20, 25}
@@ -409,8 +395,8 @@ func TestResourceIdleGap(t *testing.T) {
 	e := NewEnv(1)
 	r := NewResource("cpu")
 	var done Time
-	e.After(0, func() { r.Submit(e, 10, nil) })
-	e.After(100, func() { r.Submit(e, 10, func() { done = e.Now() }) })
+	e.After(0, func() { r.Submit(e, 10, nil, nil) })
+	e.After(100, func() { r.Submit(e, 10, func(any) { done = e.Now() }, nil) })
 	e.Run()
 	if done != 110 {
 		t.Errorf("second job done at %v, want 110 (idle gap respected)", done)
@@ -441,7 +427,7 @@ func TestUtilizationWindow(t *testing.T) {
 	var u float64
 	e.After(0, func() {
 		snap := r.Snapshot(e)
-		r.Submit(e, 25, nil)
+		r.Submit(e, 25, nil, nil)
 		e.After(100, func() { u = snap.Since(e, r) })
 	})
 	e.Run()
@@ -543,7 +529,7 @@ func TestPropertyResourceBusy(t *testing.T) {
 			w := Time(w)
 			sum += w
 			at += Time(rng.Intn(50))
-			e.At(at, func() { last = r.Submit(e, w, nil) })
+			e.At(at, func() { last = r.Submit(e, w, nil, nil) })
 		}
 		e.Run()
 		return r.BusyTime() == sum && (len(works) == 0 || last >= sum)
@@ -656,7 +642,7 @@ func BenchmarkResourceSubmit(b *testing.B) {
 	r := NewResource("cpu")
 	e.After(0, func() {
 		for i := 0; i < b.N; i++ {
-			r.Submit(e, 1, nil)
+			r.Submit(e, 1, nil, nil)
 		}
 	})
 	b.ResetTimer()

@@ -169,7 +169,7 @@ func (m *tierModel) pick() *refHandle {
 
 // arm records a handle-bearing arming at now+d.
 func (m *tierModel) arm(d Time, daemon bool) (*refHandle, func()) {
-	h := &refHandle{}
+	h := &refHandle{daemon: daemon}
 	h.id = m.insert(tierEvent{at: m.now + d, daemon: daemon, where: tierOf(d), h: h})
 	m.handles = append(m.handles, h)
 	return h, m.fire(h.id)
@@ -277,13 +277,13 @@ func (m *tierModel) step() {
 		d := m.delay()
 		h, fn := m.arm(d, true)
 		if m.rng.Intn(2) == 0 {
-			h.t = m.env.AtDaemon(m.now+d, fn)
+			h.t = m.env.Rearm(Daemon(nil), d, fn)
 		} else {
-			h.t = m.env.AfterDaemon(d, fn)
+			h.t = m.env.RearmArg(Daemon(nil), d, m.firedArg, h.id)
 		}
 	case r < 34:
 		d := m.delay()
-		m.env.SchedAfterArg(d, m.firedArg, m.insert(tierEvent{at: m.now + d, where: tierOf(d)}))
+		m.env.SchedAtArg(m.now+d, m.firedArg, m.insert(tierEvent{at: m.now + d, where: tierOf(d)}))
 	case r < 46:
 		m.schedLane()
 	case r < 52:
@@ -321,10 +321,10 @@ func (m *tierModel) step() {
 			m.fatalf("Pending(%d) = %v, reference %v", h.id, got, want)
 		}
 	case r < 96:
-		daemon := r >= 90
 		h := m.pick()
 		if h == nil || m.rng.Intn(8) == 0 {
-			h = &refHandle{id: -1} // nil *Timer: Rearm behaves like After
+			// nil *Timer: Rearm behaves like After, Daemon makes one.
+			h = &refHandle{id: -1, daemon: r >= 90}
 			m.handles = append(m.handles, h)
 		}
 		d := m.delay()
@@ -339,19 +339,8 @@ func (m *tierModel) step() {
 			}
 			m.remove(i)
 		}
-		h.id = m.insert(tierEvent{at: m.now + d, daemon: daemon, where: tierOf(d), h: h})
-		// Odd ids re-arm through the func(any) form: both must key alike.
-		var t *Timer
-		switch arg := h.id%2 == 1; {
-		case daemon && arg:
-			t = m.env.RearmDaemonArg(h.t, d, m.firedArg, h.id)
-		case daemon:
-			t = m.env.RearmDaemon(h.t, d, m.fire(h.id))
-		case arg:
-			t = m.env.RearmArg(h.t, d, m.firedArg, h.id)
-		default:
-			t = m.env.Rearm(h.t, d, m.fire(h.id))
-		}
+		h.id = m.insert(tierEvent{at: m.now + d, daemon: h.daemon, where: tierOf(d), h: h})
+		t := rearmRef(m.env, h, d, m.fire(h.id), m.firedArg)
 		if h.t != nil && t != h.t {
 			m.fatalf("Rearm returned a different handle")
 		}

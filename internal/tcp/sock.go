@@ -125,8 +125,8 @@ func (sk *Sock) wakeAll(sigs *[]*sim.Signal) {
 // wake resumes one blocked socket waiter, charging the process-wakeup
 // cost on the protocol CPU (the kernel wakes the sleeping task).
 func (sk *Sock) wake(sig *sim.Signal) {
-	env := sk.st.env
-	sk.st.cpus.Proto.Submit(env, sk.st.params.Costs.UserWake, func() { sig.Fire(env) })
+	st := sk.st
+	st.cpus.Proto.Submit(st.env, st.params.Costs.UserWake, st.fireSig, sig)
 }
 
 // ---------------------------------------------------------------------
@@ -206,11 +206,14 @@ func (sk *Sock) advertiseWnd() uint32 {
 
 func (sk *Sock) sendSyn() {
 	sk.sendCtl(flSYN, sk.sndNxt)
-	sk.rtoTimer = sk.st.env.After(sk.rto, func() {
-		if !sk.established {
-			sk.sendSyn()
-		}
-	})
+	sk.rtoTimer = sk.st.env.RearmArg(sk.rtoTimer, sk.rto, synRetry, sk)
+}
+
+// synRetry resends the SYN until the handshake completes.
+func synRetry(x any) {
+	if sk := x.(*Sock); !sk.established {
+		sk.sendSyn()
+	}
 }
 
 func (sk *Sock) sendSynAck() { sk.sendCtl(flSYN|flACK, sk.sndNxt) }
@@ -218,13 +221,12 @@ func (sk *Sock) sendAck()    { sk.sendCtl(flACK, sk.sndNxt); sk.ackDue = false; 
 
 // armRTO (re)starts the retransmission timer.
 func (sk *Sock) armRTO() {
-	if sk.rtoTimer != nil {
-		sk.rtoTimer.Stop()
-	}
-	sk.rtoTimer = sk.st.env.After(sk.rto, sk.onRTO)
+	sk.rtoTimer = sk.st.env.RearmArg(sk.rtoTimer, sk.rto, onRTO, sk)
 }
 
-func (sk *Sock) onRTO() {
+// onRTO is the retransmission timer.
+func onRTO(x any) {
+	sk := x.(*Sock)
 	if sk.inflight() == 0 {
 		return
 	}
@@ -367,13 +369,17 @@ func (sk *Sock) handle(seg segment, payload []byte) {
 	if sk.unacked >= st.params.AckEvery {
 		sk.ackDue = true
 		st.wake()
-	} else if sk.ackTimer == nil || !sk.ackTimer.Pending() {
-		sk.ackTimer = st.env.After(st.params.AckDelay, func() {
-			if sk.unacked > 0 {
-				sk.ackDue = true
-				st.wake()
-			}
-		})
+	} else if !sk.ackTimer.Pending() {
+		sk.ackTimer = st.env.RearmArg(sk.ackTimer, st.params.AckDelay, ackTick, sk)
+	}
+}
+
+// ackTick is the delayed-ACK timer: an ACK is due if data is still
+// unacknowledged.
+func ackTick(x any) {
+	if sk := x.(*Sock); sk.unacked > 0 {
+		sk.ackDue = true
+		sk.st.wake()
 	}
 }
 

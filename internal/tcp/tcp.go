@@ -159,6 +159,8 @@ type Stack struct {
 	accepted  sim.Mailbox[*Sock]
 
 	threadActive bool
+	rx           rxSeg     // the segment behind the receive charge in flight
+	fireSig      func(any) // arg *sim.Signal: a socket waiter's wake-up
 
 	// Counters.
 	SegsSent, SegsRecv, Retransmits, DupAcks uint64
@@ -168,15 +170,25 @@ type Stack struct {
 func NewStack(env *sim.Env, node int, params Params, cpus hostmodel.CPUs, nic *phys.NIC) *Stack {
 	st := &Stack{env: env, node: node, params: params, cpus: cpus, nic: nic,
 		socks: make(map[frame.Addr]*Sock)}
+	st.fireSig = func(x any) { x.(*sim.Signal).Fire(env) }
 	nic.SetHost(st)
 	return st
+}
+
+// rxSeg carries a decoded segment from its protocol-CPU charge to its
+// dispatch. The protocol loop is serialized, so at most one is in
+// flight and Stack.rx holds it.
+type rxSeg struct {
+	src     frame.Addr
+	seg     segment
+	payload []byte
 }
 
 // Interrupt implements phys.Host (same interrupt-masking discipline as
 // the MultiEdge endpoint).
 func (st *Stack) Interrupt(n *phys.NIC) {
 	n.Mask()
-	st.cpus.Proto.Submit(st.env, 2200*sim.Nanosecond, nil)
+	st.cpus.Proto.Submit(st.env, 2200*sim.Nanosecond, nil, nil)
 	st.wake()
 }
 
@@ -185,44 +197,60 @@ func (st *Stack) wake() {
 		return
 	}
 	st.threadActive = true
-	st.cpus.Proto.Submit(st.env, st.params.Costs.Wakeup, st.step)
+	st.cpus.Proto.Submit(st.env, st.params.Costs.Wakeup, stackStep, st)
+}
+
+// stackStep, rxStep, sendStep and ackStep are the protocol loop's
+// continuations, scheduled with the stack or the socket as argument.
+func stackStep(x any) { x.(*Stack).step() }
+
+func rxStep(x any) {
+	st := x.(*Stack)
+	j := st.rx
+	st.rx = rxSeg{}
+	st.dispatch(j.src, j.seg, j.payload)
+	st.step()
+}
+
+func sendStep(x any) {
+	sk := x.(*Sock)
+	sk.sendNext()
+	sk.st.step()
+}
+
+func ackStep(x any) {
+	sk := x.(*Sock)
+	sk.sendAck()
+	sk.st.step()
 }
 
 // step is the softirq-style protocol loop: one unit of work at a time
 // on the protocol CPU.
 func (st *Stack) step() {
 	if n := st.nic.TakeTxDone(); n > 0 {
-		st.cpus.Proto.Submit(st.env, sim.Time(n)*120*sim.Nanosecond, st.step)
+		st.cpus.Proto.Submit(st.env, sim.Time(n)*120*sim.Nanosecond, stackStep, st)
 		return
 	}
 	if fr := st.nic.PollRxOne(); fr != nil {
 		src, seg, payload, ok := decodeSeg(fr.Buf)
 		if !ok {
-			st.cpus.Proto.Submit(st.env, st.params.Costs.SegRx, st.step)
+			st.cpus.Proto.Submit(st.env, st.params.Costs.SegRx, stackStep, st)
 			return
 		}
 		cost := st.params.Costs.SegRx +
 			sim.Time(int64(len(payload))*(st.params.Costs.CsumPsPerByte)/1000)
-		st.cpus.Proto.Submit(st.env, cost, func() {
-			st.dispatch(src, seg, payload)
-			st.step()
-		})
+		st.rx = rxSeg{src: src, seg: seg, payload: payload}
+		st.cpus.Proto.Submit(st.env, cost, rxStep, st)
 		return
 	}
 	// Transmit pending segments.
 	for _, sk := range st.sockOrder {
 		if sk.sendable() {
-			st.cpus.Proto.Submit(st.env, st.params.Costs.SegTx, func() {
-				sk.sendNext()
-				st.step()
-			})
+			st.cpus.Proto.Submit(st.env, st.params.Costs.SegTx, sendStep, sk)
 			return
 		}
 		if sk.ackDue {
-			st.cpus.Proto.Submit(st.env, st.params.Costs.SegTx/2, func() {
-				sk.sendAck()
-				st.step()
-			})
+			st.cpus.Proto.Submit(st.env, st.params.Costs.SegTx/2, ackStep, sk)
 			return
 		}
 	}

@@ -309,3 +309,24 @@ func TestParallelStacksBlockSockets(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsRTOArm pins the baseline's retransmission timer at no
+// allocation per arm: armRTO re-arms the socket's kept Timer with a
+// package-level callback, as the SYN retry and the delayed ACK do.
+func TestAllocsRTOArm(t *testing.T) {
+	env, a, b := pair(1, phys.Gigabit(), phys.DefaultNICParams())
+	var sk *Sock
+	env.Go("client", func(p *sim.Proc) { sk = a.Dial(p, frame.NewAddr(1, 0)) })
+	env.Go("server", func(p *sim.Proc) { b.Accept(p) })
+	env.RunUntil(sim.Second)
+	if sk == nil {
+		t.Fatal("the handshake did not complete")
+	}
+	sk.armRTO()
+	if allocs := testing.AllocsPerRun(100, sk.armRTO); allocs != 0 {
+		t.Errorf("armRTO allocates %v per arm, want 0", allocs)
+	}
+	if !sk.rtoTimer.Pending() || env.PendingLive() != 1 {
+		t.Errorf("RTO pending %v with %d live events, want true and 1", sk.rtoTimer.Pending(), env.PendingLive())
+	}
+}
