@@ -51,6 +51,22 @@ func (m *Mirror) SetDeadline(d sim.Time) { m.deadline = d }
 // Down reports which legs are currently marked down.
 func (m *Mirror) Down() (a, b bool) { return m.down[0], m.down[1] }
 
+// Replace hands down leg i a fresh client, for a leg whose conn has
+// ended (peer reset, Conn.Abandon): its old client can never answer
+// Rebuild's probe again. The client must serve the same geometry from
+// the same host. The leg stays down until Rebuild has copied the
+// backlog onto it.
+func (m *Mirror) Replace(i int, c *Client) {
+	old := m.legs[i]
+	if !m.down[i] {
+		panic("blk: mirror leg replaced while it is up")
+	}
+	if c.v.Blocks != old.v.Blocks || c.v.BlockSize != old.v.BlockSize || c.v.Host != old.v.Host {
+		panic("blk: mirror leg replaced by a client of another geometry or host")
+	}
+	m.legs[i] = c
+}
+
 // Write stores the block on every healthy leg, concurrently, and
 // returns when all their commits are acknowledged. A leg whose block
 // write or commit fails is marked down, and with a leg down writes

@@ -242,6 +242,71 @@ func TestMirrorWriteFailedLeg(t *testing.T) {
 	}
 }
 
+// TestMirrorReplaceLeg: a leg whose conn has ended comes back through
+// a fresh client on a new conn, and Rebuild copies onto it the blocks
+// written while it was down.
+func TestMirrorReplaceLeg(t *testing.T) {
+	cl, conns, va, _, m := mirrorSetup(t, 16, 2048)
+	defer cl.Close()
+	rebuilt, done := false, false
+	cl.Env.Go("io", func(p *sim.Proc) {
+		conns[0][2].Abandon()
+		for b := 3; b <= 4; b++ {
+			check(t, m.Write(p, b, pat(2048, byte(b))))
+		}
+		if a, b := m.Down(); !a || b {
+			t.Errorf("down flags %v,%v after writes over an ended conn; want leg A down only", a, b)
+		}
+		if bytes.Equal(va.HostMem(cl)[3*2048:4*2048], pat(2048, 3)) {
+			t.Error("the ended leg holds a write: the test did not fail it")
+		}
+		m.Replace(0, blk.Open(cl, va, 2, cl.Nodes[2].EP.Dial(p, 0, 0), 0))
+		if a, _ := m.Down(); !a {
+			t.Error("the replaced leg is up before Rebuild")
+		}
+		rebuilt, done = m.Rebuild(p), true
+	})
+	cl.Env.RunUntil(30 * sim.Second)
+	if !done || !rebuilt {
+		t.Fatalf("Rebuild over the replaced leg: done %v, rebuilt %v; want both", done, rebuilt)
+	}
+	if a, b := m.Down(); a || b {
+		t.Errorf("down flags %v,%v after Rebuild; want both legs up", a, b)
+	}
+	for b := 3; b <= 4; b++ {
+		if !bytes.Equal(va.HostMem(cl)[b*2048:(b+1)*2048], pat(2048, byte(b))) {
+			t.Errorf("host 0 lacks block %d after Rebuild", b)
+		}
+	}
+}
+
+// TestMirrorReplaceChecks: only a down leg can be replaced, and only by
+// a client of the same geometry on the same host.
+func TestMirrorReplaceChecks(t *testing.T) {
+	cl, conns, va, vb, m := mirrorSetup(t, 16, 2048)
+	defer cl.Close()
+	rejects := func(what string, c *blk.Client) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Replace by %s not rejected", what)
+			}
+		}()
+		m.Replace(0, c)
+	}
+	rejects("a client for an up leg", blk.Open(cl, va, 2, conns[2][0], 0))
+	cl.Env.Go("io", func(p *sim.Proc) {
+		conns[0][2].Abandon()
+		check(t, m.Write(p, 3, pat(2048, 3))) // leg A goes down
+	})
+	cl.Env.RunUntil(30 * sim.Second)
+	rejects("a client on another host", blk.Open(cl, vb, 2, conns[2][1], 0))
+	rejects("a client of another geometry", blk.Open(cl, blk.NewVolume(cl, 0, 8, 2048, 1), 2, conns[2][0], 0))
+	if a, _ := m.Down(); !a {
+		t.Error("leg A is not down")
+	}
+}
+
 func TestMirrorGeometryChecks(t *testing.T) {
 	cfg := cluster.TwoLinkUnordered1G(3)
 	cl := cluster.New(cfg)

@@ -7,7 +7,6 @@ import (
 
 	"multiedge/internal/frame"
 	"multiedge/internal/obs"
-	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
 
@@ -457,10 +456,7 @@ func (c *Conn) sendResetFrames() {
 	h := frame.Header{Type: frame.TypeReset, ConnID: c.remoteID, Ack: c.rcvNxt, HasAck: true,
 		Incarnation: c.incarnation}
 	for li := range c.rails {
-		nic := ep.nics[li]
-		dst := frame.NewAddr(int(c.remoteNode), li)
-		buf := frame.MustEncode(dst, nic.Addr(), &h, nil)
-		nic.Transmit(&phys.Frame{Buf: buf, Dst: dst, Src: nic.Addr()})
+		ep.sendControl(li, frame.NewAddr(int(c.remoteNode), li), &h)
 		ep.Stats.ResetsSent++
 	}
 }
@@ -471,9 +467,7 @@ func (c *Conn) sendResetFrames() {
 // keeps an otherwise-finished simulation alive.
 func (c *Conn) startKeepalive() {
 	now := c.ep.env.Now()
-	c.lastHeard = now
-	c.lastTx = now
-	c.lastProgress = now
+	c.lastHeard, c.lastTx, c.lastProgress = now, now, now
 	c.armRailProbes()
 	hb := c.ep.cfg.HeartbeatInterval
 	if hb <= 0 {

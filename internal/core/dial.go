@@ -20,11 +20,8 @@ func (ep *Endpoint) Dial(p *sim.Proc, remoteNode int, links int) *Conn {
 	if remoteNode == ep.node {
 		panic("core: dial to self")
 	}
-	if links <= 0 || links > len(ep.nics) {
-		links = len(ep.nics)
-	}
 	c := ep.newConn(remoteNode, links)
-	ep.emit(c.localID, obs.EvDial, int64(links), int64(remoteNode))
+	ep.emit(c.localID, obs.EvDial, int64(len(c.rails)), int64(remoteNode))
 	c.dialer = true // this side owns redialing under Config.Reconnect
 	if ep.cfg.Reconnect {
 		c.incarnation = 1 // first epoch; 0 means "incarnations unused"
@@ -69,15 +66,19 @@ func handshakeRetry(arg any) {
 	if c.state == closing {
 		h = frame.Header{Type: frame.TypeConnClose, ConnID: c.remoteID, OpID: uint64(c.localID), Incarnation: c.incarnation}
 	}
-	ep.sendHandshake(frame.NewAddr(int(c.remoteNode), 0), &h)
+	ep.sendControl(0, frame.NewAddr(int(c.remoteNode), 0), &h)
 	hs.timer = ep.env.RearmArg(hs.timer, connRetry, handshakeRetry, c)
 }
 
-// sendHandshake transmits one connection-management frame (ConnReq,
-// ConnAck, ConnClose, ConnCloseAck) from the first NIC: these frames
-// belong to no conn's striping and carry no payload.
-func (ep *Endpoint) sendHandshake(dst frame.Addr, h *frame.Header) {
-	nic := ep.nics[0]
+// sendControl transmits one payload-less frame from NIC li to dst,
+// outside any conn's striping: a handshake (ConnReq, ConnAck, ConnClose,
+// ConnCloseAck) from the first NIC, or a Reset on every rail. Its buffer
+// is a fresh one of the frame's ~64 B, not a pooled 1 514 B one: a dial
+// storm puts over a thousand handshakes in flight at once, and the pool
+// keeps up to frame.PoolKeep of them idle afterwards (pooled, fanin's
+// bytes per conn at seed 1 rose from 757 to 1 157-1 273 B).
+func (ep *Endpoint) sendControl(li int, dst frame.Addr, h *frame.Header) {
+	nic := ep.nics[li]
 	buf := frame.MustEncode(dst, nic.Addr(), h, nil)
 	nic.Transmit(&phys.Frame{Buf: buf, Dst: dst, Src: nic.Addr()})
 }
@@ -88,8 +89,11 @@ func (ep *Endpoint) Accept(p *sim.Proc) *Conn {
 	return ep.accepted.Recv(p)
 }
 
-// newConn makes a conn to remoteNode over links rails and tables it.
+// newConn tables a conn to remoteNode over links NICs (all if out of range).
 func (ep *Endpoint) newConn(remoteNode, links int) *Conn {
+	if links <= 0 || links > len(ep.nics) {
+		links = len(ep.nics)
+	}
 	c := &Conn{
 		ep: ep, localID: ep.nextConnID, remoteNode: int32(remoteNode),
 		railSet: railSet{rails: make([]rail, links)},
@@ -118,11 +122,7 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 		ep.emit(obs.NoConn, obs.EvStaleDrop, int64(h.Incarnation), 0)
 		return
 	case !ok:
-		links := int(h.OpID)
-		if links <= 0 || links > len(ep.nics) {
-			links = len(ep.nics)
-		}
-		c = ep.newConn(src.Node(), links)
+		c = ep.newConn(src.Node(), int(h.OpID))
 		c.remoteID = h.ConnID
 		c.incarnation = h.Incarnation // adopt the dialer's epoch (0 = feature off)
 		ep.byPeer[key] = c
@@ -144,7 +144,7 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 		c.acceptReconnect(h.Incarnation)
 	}
 	// Always (re-)send the ConnAck: the previous one may have been lost.
-	ep.sendHandshake(src, &frame.Header{Type: frame.TypeConnAck, ConnID: h.ConnID, OpID: uint64(c.localID),
+	ep.sendControl(0, src, &frame.Header{Type: frame.TypeConnAck, ConnID: h.ConnID, OpID: uint64(c.localID),
 		Incarnation: c.incarnation})
 }
 

@@ -639,7 +639,7 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 			// is built purely from the incoming header, echoing its
 			// incarnation) so the peer's handshake terminates instead
 			// of retrying into silence.
-			ep.sendHandshake(src, &frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
+			ep.sendControl(0, src, &frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
 				Incarnation: h.Incarnation})
 		}
 		return // stale frame for a connection we do not know
@@ -663,7 +663,7 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		// teardown, and its side answers our retransmitted ConnClose
 		// statelessly even after it forgets the conn.
 		ep.emit(c.localID, obs.EvClosed, 1, 0)
-		ep.sendHandshake(src, &frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
+		ep.sendControl(0, src, &frame.Header{Type: frame.TypeConnCloseAck, ConnID: uint32(h.OpID),
 			Incarnation: h.Incarnation})
 		c.teardown(fmt.Errorf("core: connection to node %d closed by peer: %w", c.remoteNode, ErrClosed))
 		return

@@ -192,7 +192,7 @@ func (c *Conn) Run(p *sim.Proc, op Op) error {
 	h := c.ep.free.handles.Get()
 	c.enqueueOp(op, data, h)
 	h.Wait(p)
-	err = h.err
+	err = h.Err()
 	if *h = (Handle{}); frame.Poisoning() {
 		h.opID = poisonOp.id
 	}

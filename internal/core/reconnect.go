@@ -148,7 +148,7 @@ func redial(arg any) {
 	}
 	r.attempt++
 	ep.emit(c.localID, obs.EvRedial, int64(r.attempt), int64(r.pendingIncarn))
-	ep.sendHandshake(frame.NewAddr(int(c.remoteNode), 0), &frame.Header{Type: frame.TypeConnReq,
+	ep.sendControl(0, frame.NewAddr(int(c.remoteNode), 0), &frame.Header{Type: frame.TypeConnReq,
 		ConnID: c.localID, OpID: uint64(len(c.rails)), Incarnation: r.pendingIncarn})
 	base, max := ep.cfg.reconnectBackoff()
 	r.timer = ep.env.RearmArg(r.timer, backoff(base, max, r.attempt-1), redial, c)

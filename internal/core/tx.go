@@ -102,10 +102,10 @@ type txFrame struct {
 // what its methods read; the op's txOp points at it until Conn.finish.
 type Handle struct {
 	done  sim.Signal
-	err   error
 	opID  uint64
 	acked uint32 // bytes acknowledged so far (writes) or received (reads)
 	size  uint32
+	err   *error // set only when the operation fails
 }
 
 // Progress returns how many of the operation's bytes have been
@@ -140,7 +140,12 @@ func (h *Handle) OpID() uint64 { return h.opID }
 // the operation pending, ErrClosed when it closed, or
 // ErrDeadlineExceeded when Op.Deadline released the waiter first. Check
 // after Wait returns.
-func (h *Handle) Err() error { return h.err }
+func (h *Handle) Err() error {
+	if h.err == nil {
+		return nil
+	}
+	return *h.err
+}
 
 // freelists are the records an endpoint's data path recycles, shared
 // by its conns, whose protocol thread serializes them (DESIGN.md §13):
@@ -408,10 +413,7 @@ func (x *arqTx) currentRTO(cfg *Config) sim.Time {
 	if cfg.RTOMax <= 0 {
 		return cfg.RTO
 	}
-	d := x.rtt.rto(cfg)
-	if d == 0 {
-		d = cfg.RTO // adaptive mode starts from the paper's fixed value
-	}
+	d := cmp.Or(x.rtt.rto(cfg), cfg.RTO) // adaptive mode starts from the paper's fixed value
 	return backoff(d, cfg.RTOMax, int(x.expiries))
 }
 
@@ -715,8 +717,10 @@ func (c *Conn) finish(t *txOp, err error) {
 	t.dl.Stop() // nil-safe
 	ep := c.ep
 	if h := t.h; h != nil {
-		t.h = nil
-		h.err = err
+		if t.h = nil; err != nil {
+			failed := err // boxed here, so a completion allocates nothing
+			h.err = &failed
+		}
 		// Waking the user process costs CPU only if someone is blocked on
 		// the handle; a poll-later handle just flips state.
 		if h.done.HasWaiters() {

@@ -11,9 +11,10 @@ import (
 // (Sleep, Wait, Recv, Exec) or its return. No Go scheduler pass and no
 // other thread is involved, and at most one process runs at a time.
 type Proc struct {
-	env  *Env
-	name string
-	done Signal
+	env      *Env
+	name     string
+	done     Signal
+	waitNext *Proc // next waiter, in arrival order, on the Signal p waits on
 
 	// The coroutine (iter.Pull): next resumes the body, yield parks it,
 	// stop makes a parked yield return false. Nil once the process has
@@ -144,28 +145,22 @@ func (p *Proc) Sleep(d Time) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // Signal is a one-shot completion event that processes can wait on.
-// The zero value is ready to use. It is two words: the first waiter is
-// held inline, so the common single-waiter case allocates nothing, and
-// later waiters go to an overflow record built on first use. Firing
-// points more at spent.
-type Signal struct {
-	w0   *Proc
-	more *signalMore
-}
+// The zero value is ready to use. It is one word: nil, its newest
+// waiter, or fired once it has fired. Its waiters form a ring through
+// Proc.waitNext in arrival order, the newest linking back to the
+// oldest. A process can lend the link because it parks on one thing at
+// a time, so waiting allocates nothing and appends in constant time.
+type Signal struct{ w *Proc }
 
-// signalMore holds a signal's waiters after the first, in arrival
-// order.
-type signalMore struct{ waiters []*Proc }
-
-// spent is the overflow of every signal that has fired.
-var spent = new(signalMore)
+// fired is what a signal points at once it has fired.
+var fired = new(Proc)
 
 // Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.more == spent }
+func (s *Signal) Fired() bool { return s.w == fired }
 
 // HasWaiters reports whether any process is currently waiting on the
-// signal. Waiters overflow only behind the first, so it is the first.
-func (s *Signal) HasWaiters() bool { return s.w0 != nil }
+// signal.
+func (s *Signal) HasWaiters() bool { return s.w != nil && s.w != fired }
 
 // Fire fires the signal at the current virtual time, waking all waiting
 // processes in the order they began to wait. Firing twice panics: a
@@ -178,17 +173,14 @@ func (s *Signal) Fire(e *Env) {
 }
 
 func (s *Signal) fire(e *Env) {
-	w0, m := s.w0, s.more
-	if m == spent {
+	last := s.w
+	if s.w = fired; last == nil || last == fired {
 		return
 	}
-	s.w0, s.more = nil, spent
-	if w0 != nil {
-		e.SchedAtArg(e.now, wakeProc, w0)
-	}
-	if m != nil {
-		for _, p := range m.waiters {
-			e.SchedAtArg(e.now, wakeProc, p)
+	for p := last.waitNext; ; p = p.waitNext {
+		e.SchedAtArg(e.now, wakeProc, p)
+		if p == last {
+			return
 		}
 	}
 }
@@ -199,14 +191,12 @@ func (p *Proc) Wait(s *Signal) {
 	switch {
 	case s.Fired():
 		return
-	case s.w0 == nil:
-		s.w0 = p
+	case s.w == nil:
+		p.waitNext = p
 	default:
-		if s.more == nil {
-			s.more = new(signalMore)
-		}
-		s.more.waiters = append(s.more.waiters, p)
+		p.waitNext, s.w.waitNext = s.w.waitNext, p
 	}
+	s.w = p
 	p.park()
 }
 

@@ -119,10 +119,59 @@ func TestAllocsSignalWaitFire(t *testing.T) {
 	}
 }
 
-// TestAllocsSignalSize pins a Signal at two words: every Handle, Conn
-// and Proc embeds one.
+// TestAllocsSignalWaiters gates several processes waiting on one
+// signal at zero allocations: the waiters chain through the processes
+// themselves. They wake in the order they began to wait. Each round
+// fires the signal the waiters park on and points them at a fresh one.
+func TestAllocsSignalWaiters(t *testing.T) {
+	const k = 4
+	e := NewEnv(1)
+	defer e.Close()
+	var sigs [2]Signal
+	s := &sigs[0]
+	woke := make([]int, 0, k)
+	for i := 0; i < k; i++ {
+		e.Go(fmt.Sprint("waiter ", i), func(p *Proc) {
+			for {
+				p.Wait(s)
+				woke = append(woke, i)
+				p.Sleep(1)
+			}
+		})
+	}
+	e.RunUntil(0) // every waiter parks on sigs[0], in spawn order
+	round := func() {
+		old := s
+		s = &sigs[0]
+		if old == s {
+			s = &sigs[1]
+		}
+		*s, woke = Signal{}, woke[:0]
+		if !old.HasWaiters() {
+			t.Fatal("no process waits on the signal")
+		}
+		old.Fire(e)
+		e.RunUntil(e.Now() + 1) // they wake, then park on s in wake order
+	}
+	round()
+	allocs := testing.AllocsPerRun(100, round)
+	if want := []int{0, 1, 2, 3}; !slices.Equal(woke, want) {
+		t.Errorf("waiters woke in order %v, want %v", woke, want)
+	}
+	t.Logf("Wait by %d processes and Fire: %.2f allocs", k, allocs)
+	if !race.Enabled && allocs != 0 {
+		t.Errorf("Wait by %d processes and Fire allocate %.2f times, want 0", k, allocs)
+	}
+}
+
+// TestAllocsSignalSize pins a Signal at one word, and the Proc that
+// lends its waiter link at 80 B: every Handle and Proc embeds a
+// Signal.
 func TestAllocsSignalSize(t *testing.T) {
-	if n := unsafe.Sizeof(Signal{}); n > 16 {
-		t.Errorf("Signal is %d B, more than 16: keep what only a second waiter needs in the overflow record", n)
+	if n := unsafe.Sizeof(Signal{}); n > 8 {
+		t.Errorf("Signal is %d B, more than 8: chain later waiters through Proc.waitNext", n)
+	}
+	if n := unsafe.Sizeof(Proc{}); n > 80 {
+		t.Errorf("Proc is %d B, more than 80", n)
 	}
 }

@@ -22,7 +22,7 @@ var layerCaps = []struct {
 }{
 	{[]string{"dsm", "msg", "svc"}, maxUpperLines},
 	{[]string{"obs"}, 1295}, // the observability layer
-	{[]string{"sim"}, 1045}, // the simulation kernel
+	{[]string{"sim"}, 1035}, // the simulation kernel
 }
 
 // TestUpperLayerSize counts lines as TestCoreFileSizes does: newlines
