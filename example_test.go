@@ -20,7 +20,7 @@ func Example_quickstart() {
 	copy(ep0.Mem()[src:], msg)
 
 	cl.Env.Go("writer", func(p *multiedge.Proc) {
-		h := c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: len(msg), Kind: multiedge.OpWrite, Flags: multiedge.Notify})
+		h := must(c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: len(msg), Kind: multiedge.OpWrite, Flags: multiedge.Notify}))
 		h.Wait(p)
 	})
 	cl.Env.Go("reader", func(p *multiedge.Proc) {
@@ -50,8 +50,8 @@ func Example_fences() {
 	}
 
 	cl.Env.Go("sender", func(p *multiedge.Proc) {
-		c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite})
-		c01.MustDo(p, multiedge.Op{Remote: flag, Local: src, Size: 1, Kind: multiedge.OpWrite, Flags: multiedge.FenceBefore | multiedge.Notify})
+		must(c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite}))
+		must(c01.Do(p, multiedge.Op{Remote: flag, Local: src, Size: 1, Kind: multiedge.OpWrite, Flags: multiedge.FenceBefore | multiedge.Notify}))
 	})
 	cl.Env.Go("receiver", func(p *multiedge.Proc) {
 		c10.WaitNotify(p)
@@ -124,7 +124,7 @@ func Example_hybridRails() {
 			hs := make([]*multiedge.Handle, ops)
 			for i := range hs {
 				// Back-to-back writes so initiation copies overlap the wire.
-				hs[i] = c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite})
+				hs[i] = must(c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite}))
 			}
 			for _, h := range hs {
 				h.Wait(p)

@@ -52,7 +52,7 @@ func hardFailure() {
 	var start, end multiedge.Time
 	cl.Env.Go("sender", func(p *multiedge.Proc) {
 		start = cl.Env.Now()
-		c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite}).Wait(p)
+		must(c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite})).Wait(p)
 		end = cl.Env.Now()
 	})
 	cl.Env.RunUntil(10 * multiedge.Second)
@@ -89,7 +89,7 @@ func run(loss float64) {
 	done := false
 	cl.Env.Go("sender", func(p *multiedge.Proc) {
 		start = cl.Env.Now()
-		c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite}).Wait(p)
+		must(c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite})).Wait(p)
 		end = cl.Env.Now()
 		done = true
 	})
@@ -109,4 +109,13 @@ func run(loss float64) {
 		"retransmissions %4d  NACKs %3d  duplicates %3d  -> %s\n",
 		loss*100, end-start, float64(n)/1e6/(end-start).Seconds(),
 		st0.Retransmissions, st1.CtrlNacksSent, st1.Duplicates, verdict)
+}
+
+// must returns the handle of an issued operation and panics if the
+// issue failed: every operation here is valid.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

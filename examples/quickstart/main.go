@@ -24,8 +24,8 @@ func main() {
 
 	// Node 0: write the buffer into node 1's memory and ask for a
 	// remote notification; wait until every frame is acknowledged. Do
-	// returns an error for invalid ranges or a closed connection —
-	// MustDo is the panicking shorthand when the caller guarantees both.
+	// returns an error for invalid ranges or a closed connection; no
+	// issue call panics.
 	cl.Env.Go("writer", func(p *multiedge.Proc) {
 		h, err := c01.Do(p, multiedge.Op{
 			Remote: dst, Local: src, Size: len(msg),

@@ -42,10 +42,10 @@ func run(strict bool) {
 	cl.Env.Go("sender", func(p *multiedge.Proc) {
 		start = cl.Env.Now()
 		// Bulk data: free to be reordered across the two rails.
-		h := c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite})
+		h := must(c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite}))
 		// The "done" flag must not be performed before the data: a
 		// backward fence (and a notification for the receiver).
-		c01.MustDo(p, multiedge.Op{Remote: flagAddr, Local: src, Size: 8, Kind: multiedge.OpWrite, Flags: multiedge.FenceBefore | multiedge.Notify})
+		must(c01.Do(p, multiedge.Op{Remote: flagAddr, Local: src, Size: 8, Kind: multiedge.OpWrite, Flags: multiedge.FenceBefore | multiedge.Notify}))
 		h.Wait(p)
 		end = cl.Env.Now()
 	})
@@ -67,4 +67,13 @@ func run(strict bool) {
 	} else {
 		fmt.Printf("  DATA MISMATCH\n\n")
 	}
+}
+
+// must returns the handle of an issued operation and panics if the
+// issue failed: every operation here is valid.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -43,7 +43,7 @@ func main() {
 	})
 
 	cl.Env.Go("xfer", func(p *multiedge.Proc) {
-		h := c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite})
+		h := must(c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite}))
 		for !h.Test() {
 			done, total := h.Progress()
 			fmt.Printf("[%v] progress %d/%d bytes acknowledged\n", cl.Env.Now(), done, total)
@@ -63,4 +63,13 @@ func main() {
 		v := mbps.Values[i]
 		fmt.Printf("%12v %7.1f %s\n", t, v, strings.Repeat("#", int(v/10)))
 	}
+}
+
+// must returns the handle of an issued operation and panics if the
+// issue failed: every operation here is valid.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -23,7 +23,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 	var acked, notified bool
 	cl.Env.Go("writer", func(p *multiedge.Proc) {
-		h := c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: len(msg), Kind: multiedge.OpWrite, Flags: multiedge.Notify})
+		h := must(c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: len(msg), Kind: multiedge.OpWrite, Flags: multiedge.Notify}))
 		h.Wait(p)
 		acked = true
 	})
@@ -316,8 +316,8 @@ func TestPublicAPIFences(t *testing.T) {
 	}
 	ok := false
 	cl.Env.Go("w", func(p *multiedge.Proc) {
-		c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite})
-		c01.MustDo(p, multiedge.Op{Kind: multiedge.OpWrite, Flags: multiedge.FenceBefore | multiedge.Notify})
+		must(c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite}))
+		must(c01.Do(p, multiedge.Op{Kind: multiedge.OpWrite, Flags: multiedge.FenceBefore | multiedge.Notify}))
 	})
 	cl.Env.Go("r", func(p *multiedge.Proc) {
 		c10.WaitNotify(p)
@@ -327,4 +327,13 @@ func TestPublicAPIFences(t *testing.T) {
 	if !ok {
 		t.Fatal("fence semantics broken through facade")
 	}
+}
+
+// must returns v, panicking on err: an issue call a simulated process
+// makes cannot report to t, and its failure ends the test.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

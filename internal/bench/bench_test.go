@@ -584,7 +584,7 @@ func TestHybridRailsSurviveFastRailFailure(t *testing.T) {
 	cl.Env.At(2*sim.Millisecond, func() { cl.FailLink(0, 1) })
 	done := false
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		mustDo(p, c01, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
 		done = true
 	})
 	cl.Env.RunUntil(10 * sim.Second)

@@ -82,7 +82,7 @@ func RunCrashloop(o CrashloopOptions) CrashloopResult {
 		for i := 0; !done; i++ {
 			local, remote := sl.span(i, 1)
 			fillPattern(local, byte(3+i))
-			h := c01.MustDo(p, sl.op(i, frame.OpWrite, 0))
+			h := mustDo(p, c01, sl.op(i, frame.OpWrite, 0))
 			h.Wait(p)
 			if h.Err() != nil {
 				dataOK = false

@@ -52,7 +52,7 @@ func runFairness(t *testing.T, conns, opsPerConn, size int, qos []core.QoSClass,
 			}
 			p.Wait(&startSig)
 			for k := 0; k < opsPerConn; k++ {
-				c.MustDo(p, core.Op{Remote: remote, Local: local,
+				mustDo(p, c, core.Op{Remote: remote, Local: local,
 					Size: size, Kind: frame.OpWrite}).Wait(p)
 			}
 			elapsed[j] = cl.Env.Now() - start
@@ -158,7 +158,7 @@ func TestDWFQWeightedShare(t *testing.T) {
 			var inflight []*core.Handle
 			for k := 0; cl.Env.Now() < runFor; k++ {
 				off := uint64(k % window * size)
-				inflight = append(inflight, c.MustDo(p, core.Op{Remote: remote + off,
+				inflight = append(inflight, mustDo(p, c, core.Op{Remote: remote + off,
 					Local: local + off, Size: size, Kind: frame.OpWrite, Flags: frame.Solicit}))
 				if len(inflight) >= window {
 					inflight[0].Wait(p)

@@ -159,7 +159,7 @@ func RunIncast(opts IncastOptions) IncastResult {
 			failedOps += failed
 			// Byte-verify the touched slots (identical refills make
 			// partial rewrites invisible, so any mismatch is corruption).
-			if !c.Failed() && !sl.same(done) {
+			if c.Err() == nil && !sl.same(done) {
 				verified = false
 			}
 			st.finish()

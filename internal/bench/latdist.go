@@ -31,13 +31,13 @@ func RunLatencyDist(cfg cluster.Config, size, count int) *LatencyRecorder {
 	cl.Env.Go("pong", func(p *sim.Proc) {
 		for i := 0; i < warm+count; i++ {
 			c10.WaitNotify(p)
-			c10.MustDo(p, core.Op{Remote: d0, Local: s1, Size: size, Kind: frame.OpWrite, Flags: frame.Notify})
+			mustDo(p, c10, core.Op{Remote: d0, Local: s1, Size: size, Kind: frame.OpWrite, Flags: frame.Notify})
 		}
 	})
 	cl.Env.Go("ping", func(p *sim.Proc) {
 		for i := 0; i < warm+count; i++ {
 			t0 := cl.Env.Now()
-			c01.MustDo(p, core.Op{Remote: d1, Local: s0, Size: size, Kind: frame.OpWrite, Flags: frame.Notify})
+			mustDo(p, c01, core.Op{Remote: d1, Local: s0, Size: size, Kind: frame.OpWrite, Flags: frame.Notify})
 			c01.WaitNotify(p)
 			if i >= warm {
 				rec.Record(cl.Env.Now() - t0)

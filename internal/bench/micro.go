@@ -96,7 +96,7 @@ func RunPingPong(cfg cluster.Config, size int) MicroResult {
 	cl.Env.Go("pong", func(p *sim.Proc) {
 		for i := 0; i < warm+iters; i++ {
 			c10.WaitNotify(p)
-			c10.MustDo(p, core.Op{Remote: d0, Local: s1, Size: size, Kind: frame.OpWrite, Flags: frame.Notify})
+			mustDo(p, c10, core.Op{Remote: d0, Local: s1, Size: size, Kind: frame.OpWrite, Flags: frame.Notify})
 		}
 	})
 	cl.Env.Go("ping", func(p *sim.Proc) {
@@ -107,7 +107,7 @@ func RunPingPong(cfg cluster.Config, size int) MicroResult {
 				snap0[1] = cl.Nodes[0].CPUs.Proto.Snapshot(cl.Env)
 				prev = cl.Collect()
 			}
-			c01.MustDo(p, core.Op{Remote: d1, Local: s0, Size: size, Kind: frame.OpWrite, Flags: frame.Notify})
+			mustDo(p, c01, core.Op{Remote: d1, Local: s0, Size: size, Kind: frame.OpWrite, Flags: frame.Notify})
 			c01.WaitNotify(p)
 		}
 		end = cl.Env.Now()
@@ -153,7 +153,7 @@ func RunOneWay(cfg cluster.Config, size int) MicroResult {
 		hs := make([]*core.Handle, 0, count)
 		for i := 0; i < count; i++ {
 			t0 := cl.Env.Now()
-			hs = append(hs, c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}))
+			hs = append(hs, mustDo(p, c01, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}))
 			overhead += cl.Env.Now() - t0
 		}
 		for _, h := range hs {
@@ -204,7 +204,7 @@ func RunTwoWay(cfg cluster.Config, size int) MicroResult {
 			hs := make([]*core.Handle, 0, count)
 			for i := 0; i < count; i++ {
 				t0 := cl.Env.Now()
-				hs = append(hs, c.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}))
+				hs = append(hs, mustDo(p, c, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}))
 				if idx == 0 {
 					overhead += cl.Env.Now() - t0
 				}
@@ -286,7 +286,7 @@ func RunTreeCrossPair(size int) float64 {
 		start = cl.Env.Now()
 		hs := make([]*core.Handle, 0, count)
 		for i := 0; i < count; i++ {
-			hs = append(hs, conns[0][2].MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}))
+			hs = append(hs, mustDo(p, conns[0][2], core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}))
 		}
 		for _, h := range hs {
 			h.Wait(p)
@@ -355,7 +355,7 @@ func RunLinkFailure(detect bool, total int, failAt, repairAt sim.Time) LinkFailu
 	var start, end sim.Time
 	cl.Env.Go("xfer", func(p *sim.Proc) {
 		start = cl.Env.Now()
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: total, Kind: frame.OpWrite}).Wait(p)
+		mustDo(p, c01, core.Op{Remote: dst, Local: src, Size: total, Kind: frame.OpWrite}).Wait(p)
 		end = cl.Env.Now()
 	})
 	cl.Env.RunUntil(600 * sim.Second)

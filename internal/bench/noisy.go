@@ -141,7 +141,7 @@ func RunNoisy(opts NoisyOptions) NoisyResult {
 			st.arrive(p)
 			var inflight []*core.Handle
 			for k := 0; !victimDone; k++ {
-				inflight = append(inflight, c.MustDo(p, fs.op(k, frame.OpWrite, 0)))
+				inflight = append(inflight, mustDo(p, c, fs.op(k, frame.OpWrite, 0)))
 				if len(inflight) >= noisyFloodWindow {
 					inflight[0].Wait(p)
 					inflight = inflight[1:]

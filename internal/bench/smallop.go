@@ -58,9 +58,13 @@ func tailSolicit(i, n int) frame.OpFlags {
 // completions.
 func postBatch(p *sim.Proc, c *core.Conn, sl slots, n int) {
 	for i := 0; i < n; i++ {
-		c.MustPost(sl.op(i, frame.OpWrite, tailSolicit(i, n)))
+		if err := c.Post(sl.op(i, frame.OpWrite, tailSolicit(i, n))); err != nil {
+			panic(err)
+		}
 	}
-	c.MustRing(p)
+	if _, err := c.Ring(p); err != nil {
+		panic(err)
+	}
 	for i := 0; i < n; i++ {
 		c.WaitCQ(p)
 	}
@@ -72,6 +76,16 @@ func mustRun(p *sim.Proc, c *core.Conn, op core.Op) {
 	if err := c.Run(p, op); err != nil {
 		panic(err)
 	}
+}
+
+// mustDo issues op on c through Conn.Do and returns its handle. An
+// issue error panics, as in mustRun.
+func mustDo(p *sim.Proc, c *core.Conn, op core.Op) *core.Handle {
+	h, err := c.Do(p, op)
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 // RunSmallOps measures one-way small-write throughput on cfg. batch = 0
@@ -108,7 +122,7 @@ func RunSmallOps(cfg cluster.Config, size, count, batch int) SmallOpResult {
 				postBatch(p, c01, sl, n)
 			} else {
 				for i := 0; i < n; i++ {
-					hs = append(hs, c01.MustDo(p, sl.op(i, frame.OpWrite, tailSolicit(i, n))))
+					hs = append(hs, mustDo(p, c01, sl.op(i, frame.OpWrite, tailSolicit(i, n))))
 				}
 				for _, h := range hs {
 					h.Wait(p)

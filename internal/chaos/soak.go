@@ -158,7 +158,7 @@ func Run(o Options) (Result, []Violation, *Artifacts) {
 		// dies before sending anything (WaitNotify unblocks on a failed
 		// connection, but this side's conn only fails if it detects the
 		// silence itself).
-		for res.Notifies < o.Transfers && !c10.Failed() {
+		for res.Notifies < o.Transfers && c10.Err() == nil {
 			if _, ok := c10.PollNotify(); ok {
 				res.Notifies++
 				continue
@@ -174,7 +174,7 @@ func Run(o Options) (Result, []Violation, *Artifacts) {
 		}
 		res.Notifies++
 	}
-	res.ReceiverDead = c10.Failed()
+	res.ReceiverDead = c10.Err() != nil
 
 	if !writerDone {
 		violate("stuck-op", "writer neither finished nor failed by horizon %v "+

@@ -106,7 +106,7 @@ func TestFullMeshEstablishesAllPairs(t *testing.T) {
 				continue
 			}
 			c := conns[i][j]
-			if c == nil || !c.Established() || c.RemoteNode() != j {
+			if c == nil || c.State() == core.Dialing || c.RemoteNode() != j {
 				t.Errorf("conn %d->%d broken", i, j)
 			}
 		}
@@ -120,7 +120,7 @@ func TestCollectAndSub(t *testing.T) {
 	src := cl.Nodes[0].EP.Alloc(4096)
 	dst := cl.Nodes[1].EP.Alloc(4096)
 	cl.Env.Go("w", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpWrite})).Wait(p)
 	})
 	cl.Env.RunUntil(sim.Second)
 	diff := cl.Collect().Sub(before)
@@ -276,7 +276,7 @@ func TestTreeTopologyForwarding(t *testing.T) {
 		var t0, t1 sim.Time
 		cl.Env.Go("m", func(p *sim.Proc) {
 			t0 = cl.Env.Now()
-			conns[from][to].MustDo(p, core.Op{Remote: dst, Local: src, Size: 64, Kind: frame.OpWrite, Flags: frame.Notify}).Wait(p)
+			must(conns[from][to].Do(p, core.Op{Remote: dst, Local: src, Size: 64, Kind: frame.OpWrite, Flags: frame.Notify})).Wait(p)
 			t1 = cl.Env.Now()
 		})
 		cl.Env.RunUntil(cl.Env.Now() + sim.Second)
@@ -322,7 +322,7 @@ func TestClosTopologyForwarding(t *testing.T) {
 			cl.Nodes[s].EP.Mem()[src+uint64(i)] = byte(i*7 + 3 + s)
 		}
 		cl.Env.Go("x", func(p *sim.Proc) {
-			conns[s][4+s].MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+			must(conns[s][4+s].Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 			if cl.Nodes[4+s].EP.Mem()[dst] != byte(3+s) {
 				t.Errorf("pair %d: payload corrupt", s)
 			}
@@ -350,7 +350,7 @@ func TestTreeTopologyBulkIntegrity(t *testing.T) {
 	}
 	ok := false
 	cl.Env.Go("m", func(p *sim.Proc) {
-		conns[0][5].MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(conns[0][5].Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		ok = true
 	})
 	cl.Env.RunUntil(10 * sim.Second)
@@ -379,7 +379,7 @@ func TestTreeOversubscriptionCongests(t *testing.T) {
 		src := cl.Nodes[s].EP.Alloc(n)
 		dst := cl.Nodes[4+s].EP.Alloc(n)
 		cl.Env.Go(fmt.Sprintf("s%d", s), func(p *sim.Proc) {
-			conns[s][4+s].MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+			must(conns[s][4+s].Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 			done++
 		})
 	}
@@ -452,4 +452,13 @@ func TestStatsDeclaredOnce(t *testing.T) {
 			t.Errorf("%s: Sub gave %d, want %d", l.name, got, want)
 		}
 	}
+}
+
+// must returns v, panicking on err: an issue call a simulated process
+// makes cannot report to t, and its failure ends the test.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -31,7 +31,7 @@ func TestReconnectMetricsMove(t *testing.T) {
 	done := false
 	cl.Env.Go("writer", func(p *sim.Proc) {
 		for i := 0; !done; i++ {
-			h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 4 << 10, Kind: frame.OpWrite})
+			h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 4 << 10, Kind: frame.OpWrite}))
 			h.Wait(p)
 			if h.Err() != nil {
 				t.Errorf("transfer %d failed: %v", i, h.Err())
@@ -122,7 +122,7 @@ func TestQoSMetricsExport(t *testing.T) {
 		c := client.Dial(p, 0, 0)
 		c.SetClass(1)
 		for i := 0; i < 32; i++ {
-			c.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+			must(c.Do(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})).Wait(p)
 		}
 		c.Close(p)
 	})
@@ -174,7 +174,7 @@ func TestHealthSamplerTimeline(t *testing.T) {
 	cl.Env.Go("writer", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			p.Sleep(2 * sim.Millisecond)
-			h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 64 << 10, Kind: frame.OpWrite})
+			h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 64 << 10, Kind: frame.OpWrite}))
 			h.Wait(p)
 		}
 		c01.Close(p)

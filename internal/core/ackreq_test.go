@@ -53,7 +53,7 @@ func TestAckReqLostFrameOrAck(t *testing.T) {
 
 	done := false
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		c01.Close(p)
 		done = true
 	})
@@ -102,7 +102,7 @@ func TestAckReqSilentAtDefaults(t *testing.T) {
 	done := 0
 	cl.Env.Go("fwd", func(p *sim.Proc) {
 		w := func(off uint64, size int, flags frame.OpFlags) *core.Handle {
-			return c01.MustDo(p, core.Op{Remote: dst1 + off, Local: src0 + off, Size: size, Kind: frame.OpWrite, Flags: flags})
+			return must(c01.Do(p, core.Op{Remote: dst1 + off, Local: src0 + off, Size: size, Kind: frame.OpWrite, Flags: flags}))
 		}
 		hs := []*core.Handle{w(0, bulk, 0)}
 		for i := 0; i < 16; i++ {
@@ -110,14 +110,14 @@ func TestAckReqSilentAtDefaults(t *testing.T) {
 		}
 		hs = append(hs, w(bulk, small, frame.FenceBefore|frame.Notify))
 		hs = append(hs, w(bulk, small, frame.FenceAfter|frame.Solicit))
-		hs = append(hs, c01.MustDo(p, core.Op{Remote: dst1, Local: rdst, Size: rd, Kind: frame.OpRead}))
+		hs = append(hs, must(c01.Do(p, core.Op{Remote: dst1, Local: rdst, Size: rd, Kind: frame.OpRead})))
 		for _, h := range hs {
 			h.Wait(p)
 		}
 		done++
 	})
 	cl.Env.Go("back", func(p *sim.Proc) {
-		c10.MustDo(p, core.Op{Remote: dst0, Local: src1, Size: bulk, Kind: frame.OpWrite}).Wait(p)
+		must(c10.Do(p, core.Op{Remote: dst0, Local: src1, Size: bulk, Kind: frame.OpWrite})).Wait(p)
 		done++
 	})
 	cl.Env.RunUntil(30 * sim.Second)

@@ -49,9 +49,9 @@ func TestAckReqCwndLimitedBatch(t *testing.T) {
 						if i == ops-1 {
 							op.Flags = frame.Solicit
 						}
-						c01.MustPost(op)
+						noErr(c01.Post(op))
 					}
-					c01.MustRing(p)
+					must(c01.Ring(p))
 					for i := 0; i < ops; i++ {
 						if comp := c01.WaitCQ(p); comp.Err != nil {
 							t.Errorf("completion %d: %v", i, comp.Err)
@@ -88,8 +88,8 @@ func TestForwardFenceNoAckDelay(t *testing.T) {
 	var elapsed sim.Time
 	cl.Env.Go("app", func(p *sim.Proc) {
 		t0 := cl.Env.Now()
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 64, Kind: frame.OpWrite, Flags: frame.FenceAfter})
-		c01.MustDo(p, core.Op{Remote: dst + 64, Local: src + 64, Size: 64, Kind: frame.OpWrite, Flags: frame.Solicit}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 64, Kind: frame.OpWrite, Flags: frame.FenceAfter}))
+		must(c01.Do(p, core.Op{Remote: dst + 64, Local: src + 64, Size: 64, Kind: frame.OpWrite, Flags: frame.Solicit})).Wait(p)
 		elapsed = cl.Env.Now() - t0
 	})
 	cl.Env.RunUntil(sim.Second)
@@ -125,9 +125,9 @@ func TestSolicitSurvivesReordering(t *testing.T) {
 				var elapsed sim.Time
 				cl.Env.Go("app", func(p *sim.Proc) {
 					t0 := cl.Env.Now()
-					c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: pred, Kind: frame.OpWrite})
-					c01.MustDo(p, core.Op{Remote: dst + uint64(pred), Local: src + uint64(pred), Size: 64,
-						Kind: frame.OpWrite, Flags: frame.Solicit}).Wait(p)
+					must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: pred, Kind: frame.OpWrite}))
+					must(c01.Do(p, core.Op{Remote: dst + uint64(pred), Local: src + uint64(pred), Size: 64,
+						Kind: frame.OpWrite, Flags: frame.Solicit})).Wait(p)
 					elapsed = cl.Env.Now() - t0
 				})
 				cl.Env.RunUntil(sim.Second)

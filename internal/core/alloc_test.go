@@ -84,10 +84,10 @@ func TestAllocsEagerWrite(t *testing.T) {
 	var allocs float64
 	runMeasured(t, cl, func(p *sim.Proc) {
 		for i := 0; i < 128; i++ {
-			c01.MustDo(p, op).Wait(p)
+			must(c01.Do(p, op)).Wait(p)
 		}
 		allocs = testing.AllocsPerRun(100, func() {
-			c01.MustDo(p, op).Wait(p)
+			must(c01.Do(p, op)).Wait(p)
 		})
 	})
 	gateAllocs(t, "eager write+wait", allocs, 1)
@@ -169,15 +169,15 @@ func TestAllocsDoBytes(t *testing.T) {
 	perOp := math.Inf(1)
 	runMeasured(t, cl, func(p *sim.Proc) {
 		for i := 0; i < 128; i++ {
-			c01.MustDo(p, write).Wait(p)
-			c01.MustDo(p, read).Wait(p)
+			must(c01.Do(p, write)).Wait(p)
+			must(c01.Do(p, read)).Wait(p)
 		}
 		var before, after runtime.MemStats
 		for range 5 {
 			runtime.ReadMemStats(&before)
 			for i := 0; i < ops/2; i++ {
-				c01.MustDo(p, write).Wait(p)
-				c01.MustDo(p, read).Wait(p)
+				must(c01.Do(p, write)).Wait(p)
+				must(c01.Do(p, read)).Wait(p)
 			}
 			runtime.ReadMemStats(&after)
 			perOp = min(perOp, float64(after.TotalAlloc-before.TotalAlloc)/ops)
@@ -207,8 +207,8 @@ func TestAllocsRedial(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		cl.Env.RunUntil(cl.Env.Now() + maxBackoff) // one redial
 	})
-	if n := c01.RedialsForTest() - before; n != 21 || c01.StateForTest() != "reconnecting" {
-		t.Fatalf("%d redials in 21 windows, conn %s; want one each, still reconnecting", n, c01.StateForTest())
+	if n := c01.RedialsForTest() - before; n != 21 || c01.State() != core.Reconnecting {
+		t.Fatalf("%d redials in 21 windows, conn %v; want one each, still reconnecting", n, c01.State())
 	}
 	gateAllocs(t, "redial", allocs, 2)
 }
@@ -225,12 +225,12 @@ func TestAllocsSQBatch(t *testing.T) {
 	const batch = 8
 	step := func(p *sim.Proc) {
 		for i := 0; i < batch; i++ {
-			c01.MustPost(core.Op{
+			noErr(c01.Post(core.Op{
 				Remote: dst + uint64(i*256), Local: src + uint64(i*256),
 				Size: 192, Kind: frame.OpWrite,
-			})
+			}))
 		}
-		c01.MustRing(p)
+		must(c01.Ring(p))
 		for i := 0; i < batch; i++ {
 			if comp := c01.WaitCQ(p); comp.Err != nil {
 				t.Errorf("completion error: %v", comp.Err)
@@ -259,10 +259,10 @@ func TestAllocsReceiveDispatchBurst(t *testing.T) {
 	var allocs float64
 	runMeasured(t, cl, func(p *sim.Proc) {
 		for i := 0; i < 128; i++ {
-			c01.MustDo(p, op).Wait(p)
+			must(c01.Do(p, op)).Wait(p)
 		}
 		allocs = testing.AllocsPerRun(100, func() {
-			c01.MustDo(p, op).Wait(p)
+			must(c01.Do(p, op)).Wait(p)
 		})
 	})
 	gateAllocs(t, "write+wait over two rails", allocs, 1)
@@ -280,10 +280,10 @@ func TestAllocsEagerRead(t *testing.T) {
 	var allocs float64
 	runMeasured(t, cl, func(p *sim.Proc) {
 		for i := 0; i < 128; i++ {
-			c01.MustDo(p, op).Wait(p)
+			must(c01.Do(p, op)).Wait(p)
 		}
 		allocs = testing.AllocsPerRun(100, func() {
-			c01.MustDo(p, op).Wait(p)
+			must(c01.Do(p, op)).Wait(p)
 		})
 	})
 	gateAllocs(t, "eager read+wait", allocs, 1)
@@ -310,10 +310,10 @@ func TestAllocsProductionProfile(t *testing.T) {
 		// ticks and would keep firing through an explicit horizon.
 		cl.Env.Go("measure", func(p *sim.Proc) {
 			for i := 0; i < 128; i++ {
-				c01.MustDo(p, op).Wait(p)
+				must(c01.Do(p, op)).Wait(p)
 			}
 			allocs = testing.AllocsPerRun(100, func() {
-				c01.MustDo(p, op).Wait(p)
+				must(c01.Do(p, op)).Wait(p)
 			})
 		})
 		cl.Env.Run()
@@ -343,9 +343,9 @@ func TestAllocsCoalescedNotify(t *testing.T) {
 	pings, pongs := ep1.NotifyRegion(ping, 64), ep0.NotifyRegion(pong, 64)
 	step := func(p *sim.Proc) {
 		for i := 0; i < batch; i++ {
-			c01.MustPost(core.Op{Remote: dst + uint64(64*i), Local: src + uint64(64*i), Size: 64, Kind: frame.OpWrite})
+			noErr(c01.Post(core.Op{Remote: dst + uint64(64*i), Local: src + uint64(64*i), Size: 64, Kind: frame.OpWrite}))
 		}
-		c01.MustRing(p)
+		must(c01.Ring(p))
 		for i := 0; i < batch; i++ {
 			if comp := c01.WaitCQ(p); comp.Err != nil {
 				t.Errorf("completion error: %v", comp.Err)
@@ -355,11 +355,11 @@ func TestAllocsCoalescedNotify(t *testing.T) {
 	// The peer answers every ping with a pong, until the pinger stops it.
 	cl.Env.Go("ponger", func(p *sim.Proc) {
 		for pings.Recv(p).Len > 0 {
-			c10.MustDo(p, core.Op{Remote: pong, Local: ping, Size: 64, Kind: frame.OpWrite, Flags: frame.Notify}).Wait(p)
+			must(c10.Do(p, core.Op{Remote: pong, Local: ping, Size: 64, Kind: frame.OpWrite, Flags: frame.Notify})).Wait(p)
 		}
 	})
 	round := func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: ping, Local: src, Size: 64, Kind: frame.OpWrite, Flags: frame.Notify}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: ping, Local: src, Size: 64, Kind: frame.OpWrite, Flags: frame.Notify})).Wait(p)
 		pongs.Recv(p)
 	}
 	var coalesced, notify float64
@@ -371,7 +371,7 @@ func TestAllocsCoalescedNotify(t *testing.T) {
 		}
 		coalesced = testing.AllocsPerRun(50, func() { step(p) })
 		notify = testing.AllocsPerRun(100, func() { round(p) })
-		c01.MustDo(p, core.Op{Remote: ping, Local: src, Size: 0, Kind: frame.OpWrite, Flags: frame.Notify}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: ping, Local: src, Size: 0, Kind: frame.OpWrite, Flags: frame.Notify})).Wait(p)
 	})
 	if got, want := ep0.Stats.CoalescedSubOps-subOps, uint64((32+51)*batch); got != want {
 		t.Fatalf("%d sub-ops coalesced, want all %d", got, want)
@@ -402,7 +402,7 @@ func TestAllocsLossyReadWrite(t *testing.T) {
 	fenced := core.Op{Remote: ep1.Alloc(64), Local: big.Local, Size: 64, Kind: frame.OpWrite, Flags: frame.Solicit | frame.FenceBefore}
 	read := core.Op{Remote: big.Remote, Local: rdst, Size: size, Kind: frame.OpRead}
 	step := func(p *sim.Proc) {
-		hs := [3]*core.Handle{c01.MustDo(p, big), c01.MustDo(p, fenced), c01.MustDo(p, read)}
+		hs := [3]*core.Handle{must(c01.Do(p, big)), must(c01.Do(p, fenced)), must(c01.Do(p, read))}
 		for _, h := range hs {
 			if h.Wait(p); h.Err() != nil {
 				t.Errorf("op %d: %v", h.OpID(), h.Err())
@@ -515,12 +515,12 @@ func TestConnFootprint(t *testing.T) {
 		left := conns
 		for i, c := range pairs {
 			cl.Env.Go(fmt.Sprintf("pair%d", i), func(p *sim.Proc) {
-				c.MustDo(p, core.Op{Remote: dst, Local: src, Size: 64, Kind: frame.OpWrite}).Wait(p)
-				c.MustDo(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpRead}).Wait(p)
+				must(c.Do(p, core.Op{Remote: dst, Local: src, Size: 64, Kind: frame.OpWrite})).Wait(p)
+				must(c.Do(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpRead})).Wait(p)
 				for k := 0; k < 8; k++ {
-					c.MustPost(core.Op{Remote: dst + uint64(64*k), Local: src, Size: 64, Kind: frame.OpWrite})
+					noErr(c.Post(core.Op{Remote: dst + uint64(64*k), Local: src, Size: 64, Kind: frame.OpWrite}))
 				}
-				c.MustRing(p)
+				must(c.Ring(p))
 				for k := 0; k < 8; k++ {
 					if comp := c.WaitCQ(p); comp.Err != nil {
 						t.Errorf("%s: pair %d: %v", tc.name, i, comp.Err)
@@ -564,7 +564,7 @@ func TestConnStateBuiltByUse(t *testing.T) {
 			for sent := 0; sent < frames; sent += burst {
 				hs = hs[:0]
 				for i := 0; i < burst; i++ {
-					hs = append(hs, c01.MustDo(p, op))
+					hs = append(hs, must(c01.Do(p, op)))
 				}
 				for _, h := range hs {
 					h.Wait(p)
@@ -587,8 +587,8 @@ func TestConnStateBuiltByUse(t *testing.T) {
 			}
 		}
 		cl.Env.Go("post", func(p *sim.Proc) {
-			c01.MustPost(op)
-			c01.MustRing(p)
+			noErr(c01.Post(op))
+			must(c01.Ring(p))
 			c01.WaitCQ(p)
 			cl.Env.Stop()
 		})
@@ -616,7 +616,7 @@ func TestLargeWriteSnapshotRecycled(t *testing.T) {
 	read := core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpRead}
 	var allocs, perPair float64
 	runMeasured(t, cl, func(p *sim.Proc) {
-		h := c01.MustDo(p, write)
+		h := must(c01.Do(p, write))
 		snap := c01.SnapshotForTest()
 		if len(snap) != size || snap[0] != 5 {
 			t.Fatalf("live snapshot: %d bytes, first %#x", len(snap), snap[0])
@@ -627,18 +627,18 @@ func TestLargeWriteSnapshotRecycled(t *testing.T) {
 				t.Fatalf("retired snapshot byte %d reads %#x, want the 0xDB poison", i, b)
 			}
 		}
-		if next := c01.MustDo(p, write); &c01.SnapshotForTest()[0] != &snap[0] {
+		if next := must(c01.Do(p, write)); &c01.SnapshotForTest()[0] != &snap[0] {
 			t.Error("the next write did not reuse the retired snapshot")
 		} else {
 			next.Wait(p)
 		}
-		c01.MustDo(p, read).Wait(p) // the reply snapshot, on the other endpoint
+		must(c01.Do(p, read)).Wait(p) // the reply snapshot, on the other endpoint
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		allocs = testing.AllocsPerRun(runs, func() {
-			c01.MustDo(p, write).Wait(p)
-			c01.MustDo(p, read).Wait(p)
+			must(c01.Do(p, write)).Wait(p)
+			must(c01.Do(p, read)).Wait(p)
 		})
 		runtime.ReadMemStats(&after)
 		perPair = float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)

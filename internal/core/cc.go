@@ -151,7 +151,7 @@ func (c *Conn) ccBacklogged() bool {
 		return false
 	}
 	return c.inflight() >= c.effWindow(&c.ep.cfg) &&
-		len(c.txOps)+c.SQLen() >= ccBacklog
+		len(c.txOps)+c.sqLen() >= ccBacklog
 }
 
 // ccAdmitFast is the fail-fast admission gate (Post): over the window
@@ -165,7 +165,7 @@ func (c *Conn) ccAdmitFast() error {
 	return fmt.Errorf("core: congestion window backlog to node %d: %w", c.remoteNode, ErrThrottled)
 }
 
-// ccAdmitDo is the blocking admission gate (Do/DoOn): the caller waits
+// ccAdmitDo is the blocking admission gate (Do/Run): the caller waits
 // (admitWait) until the window opens, the connection dies, or
 // Op.Deadline passes.
 func (c *Conn) ccAdmitDo(p *sim.Proc, op Op) error {

@@ -46,7 +46,7 @@ func TestCCWindowGrowsOnCleanAcks(t *testing.T) {
 	src := cl.Nodes[0].EP.Alloc(128 << 10)
 	dst := cl.Nodes[1].EP.Alloc(128 << 10)
 	cl.Env.Go("app", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 128 << 10, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 128 << 10, Kind: frame.OpWrite})).Wait(p)
 		if cwnd, _ := c01.CcStateForTest(); cwnd <= 2 {
 			t.Errorf("cwnd = %d after a clean 128KiB transfer; want growth beyond InitWindow 2", cwnd)
 		}
@@ -98,7 +98,7 @@ func TestCCLossBurstBoundedByCwnd(t *testing.T) {
 	dst := cl.Nodes[1].EP.Alloc(size)
 	fill(cl.Nodes[0].EP.Mem()[src:src+size], 5)
 	cl.Env.Go("app", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})).Wait(p)
 		if !bytes.Equal(cl.Nodes[1].EP.Mem()[dst:dst+size], cl.Nodes[0].EP.Mem()[src:src+size]) {
 			t.Error("payload corrupt after blackout recovery")
 		}
@@ -162,7 +162,7 @@ func TestCCEcnEchoCutsWindow(t *testing.T) {
 		src := ep.Alloc(size)
 		cl.Env.Go("sender", func(p *sim.Proc) {
 			c := ep.Dial(p, 2, 0)
-			c.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+			must(c.Do(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})).Wait(p)
 			done++
 			c.Close(p)
 		})
@@ -249,9 +249,9 @@ func TestCCDoBlocksAndHonorsDeadline(t *testing.T) {
 		// itself block at the backlog bound.
 		pinned := 2 + core.CCBacklogForTest
 		for i := 0; i < pinned; i++ {
-			c01.MustPost(op)
+			noErr(c01.Post(op))
 		}
-		c01.MustRing(p)
+		must(c01.Ring(p))
 		drainCQ(p, c01, pinned)
 	})
 	cl.Env.Go("app", func(p *sim.Proc) {
@@ -309,7 +309,7 @@ func TestRailProbesMeasureSplit(t *testing.T) {
 	src := cl.Nodes[0].EP.Alloc(size)
 	dst := cl.Nodes[1].EP.Alloc(size)
 	cl.Env.Go("app", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})).Wait(p)
 		// Idle long enough for several probe rounds (default 1ms tick).
 		p.Sleep(10 * sim.Millisecond)
 		if n := cl.Nodes[0].EP.Stats.CcRailProbes; n == 0 {
@@ -335,7 +335,7 @@ func TestPerRailRTTSplit(t *testing.T) {
 	dst := cl.Nodes[1].EP.Alloc(size)
 	cl.Env.Go("app", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+			must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})).Wait(p)
 		}
 		h := c01.Health()
 		if len(h.Rails) != 2 {

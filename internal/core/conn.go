@@ -68,7 +68,7 @@ type Conn struct {
 	// frame, and the role every Dial sets stay inline.
 	incarnation uint16 // live epoch (0 = feature off)
 	dialer      bool   // this side ran Dial and owns redialing
-	state       connState
+	state       ConnState
 
 	// Scheduler membership (Config.SchedQueue): whether the conn is
 	// currently queued for control/data service at the endpoint.
@@ -76,29 +76,29 @@ type Conn struct {
 	inSendQ bool
 }
 
-// connState is where a conn is in its life; DESIGN.md §7 "How a
-// connection ends" has the state × event table. From closing on, a conn
-// takes no new work (Closed).
-type connState uint8
+// ConnState is where a conn is in its life (Conn.State); DESIGN.md §7
+// "How a connection ends" has the state × event table. From Closing on,
+// a conn takes no new work.
+type ConnState uint8
 
 const (
-	dialing      connState = iota // Dial's handshake pending
-	live                          // the only state that exchanges data
-	reconnecting                  // epoch condemned, a successor being negotiated (Config.Reconnect)
-	closing                       // a local Close's handshake runs; endErr is fixed
-	ended                         // torn down and untabled; endErr says why
+	Dialing      ConnState = iota // Dial's handshake pending
+	Live                          // the only state that exchanges data
+	Reconnecting                  // epoch condemned, a successor being negotiated (Config.Reconnect); new ops queue for the replay
+	Closing                       // a local Close's handshake runs; endErr is fixed
+	Ended                         // torn down and untabled; endErr says why
 )
 
 // connMoves[s] is the set of states a conn may move to from s.
 var connMoves = [...]uint8{
-	dialing:      1<<live | 1<<ended,
-	live:         1<<reconnecting | 1<<closing | 1<<ended,
-	reconnecting: 1<<live | 1<<ended,
-	closing:      1 << ended,
+	Dialing:      1<<Live | 1<<Ended,
+	Live:         1<<Reconnecting | 1<<Closing | 1<<Ended,
+	Reconnecting: 1<<Live | 1<<Ended,
+	Closing:      1 << Ended,
 }
 
 // String is the state's name in Health.
-func (s connState) String() string {
+func (s ConnState) String() string {
 	return [...]string{"dialing", "established", "reconnecting", "closing", "closed"}[s]
 }
 
@@ -106,7 +106,7 @@ func (s connState) String() string {
 // dialing or closing ends the handshake that runs there and releases
 // its Dial or Close waiter, so no way out of either can strand its
 // caller.
-func (c *Conn) to(s connState) {
+func (c *Conn) to(s ConnState) {
 	if connMoves[c.state]&(1<<s) == 0 {
 		panic(fmt.Sprintf("core: conn %d to node %d: no move from %v to %v", c.localID, c.remoteNode, c.state, s))
 	}
@@ -181,40 +181,21 @@ func (c *Conn) RemoteNode() int { return int(c.remoteNode) }
 // Links returns how many physical links the connection stripes over.
 func (c *Conn) Links() int { return len(c.rails) }
 
-// Endpoint returns the owning endpoint.
-func (c *Conn) Endpoint() *Endpoint { return c.ep }
+// State returns where the connection is in its life. Only Live
+// exchanges data; from Closing on it takes no new work.
+func (c *Conn) State() ConnState { return c.state }
 
-// Established reports whether the connection handshake has completed.
-func (c *Conn) Established() bool { return c.state != dialing }
-
-// Inflight returns the number of unacknowledged frames outstanding
-// (always ≤ the configured window).
-func (c *Conn) Inflight() int { return c.inflight() }
-
-// Closed reports whether the connection is closing or has been torn
-// down (locally initiated or by the peer).
-func (c *Conn) Closed() bool { return c.state >= closing }
-
-// Failed reports whether the connection ended because the peer was
-// declared dead, reset it, or never answered the dial. A failed
-// connection is also Closed; talking to the peer again requires a fresh
+// Err returns why the connection failed (wrapping ErrPeerDead): the
+// peer was declared dead, reset it, or never answered the dial. It is
+// nil while the connection is healthy or merely closed. A failed
+// connection has ended; talking to the peer again requires a fresh
 // Dial/Accept pair.
-func (c *Conn) Failed() bool { return c.state == ended && errors.Is(c.endErr, ErrPeerDead) }
-
-// Err returns why the connection failed (wrapping ErrPeerDead), or nil
-// while it is healthy or merely closed.
 func (c *Conn) Err() error {
-	if !c.Failed() {
+	if c.state != Ended || !errors.Is(c.endErr, ErrPeerDead) {
 		return nil
 	}
 	return c.endErr
 }
-
-// Reconnecting reports whether the connection is parked awaiting a
-// supervised reconnect (Config.Reconnect): the old epoch is condemned,
-// nothing is sent or accepted, and operations issued now queue until
-// the rebirth replays them.
-func (c *Conn) Reconnecting() bool { return c.state == reconnecting }
 
 // Reconnects returns how many supervised reconnects the connection has
 // survived over its lifetime.
@@ -252,17 +233,17 @@ func (c *Conn) RTO() sim.Time { return c.currentRTO(&c.ep.cfg) }
 func (c *Conn) Close(p *sim.Proc) {
 	// Drain: all issued operations fully acknowledged — or the peer
 	// declared dead or closed first, which ended them all.
-	for c.state == dialing || c.state == reconnecting ||
-		c.state == live && (len(c.txOps) > 0 || c.inflight() > 0 || len(c.pendingReads) > 0) {
+	for c.state == Dialing || c.state == Reconnecting ||
+		c.state == Live && (len(c.txOps) > 0 || c.inflight() > 0 || len(c.pendingReads) > 0) {
 		p.Sleep(50 * sim.Microsecond)
 	}
-	if c.state != live {
+	if c.state != Live {
 		return // another Close runs the handshake, or the teardown ran
 	}
 	// From here every operation that reaches the conn ends with this
 	// cause; the teardown runs when the handshake ends.
 	c.endErr = fmt.Errorf("core: connection to node %d closed: %w", c.remoteNode, ErrClosed)
-	c.to(closing)
+	c.to(Closing)
 	c.stopTimers()
 	c.ep.emit(c.localID, obs.EvClosed, 0, 0)
 	c.handshake(p)
@@ -314,10 +295,10 @@ func (c *Conn) frameSpan(opType frame.OpType, opID, local uint64) *obs.Span {
 // WaitNotify blocks until a notification arrives on the connection.
 // Once the connection is closed or failed it never blocks: queued
 // notifications drain first, then a poison Notification with Len < 0 is
-// returned (peer death is also observable via Failed/Err). A waiter
+// returned (peer death is also observable via Err). A waiter
 // parked when the connection ends gets the poison from the teardown.
 func (c *Conn) WaitNotify(p *sim.Proc) Notification {
-	if c.Closed() {
+	if c.state >= Closing {
 		if n, ok := c.PollNotify(); ok {
 			return n
 		}
@@ -353,7 +334,7 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 		r.span.EndAt(ep.env.Now())
 		r.span = nil
 	}
-	if sendReset && c.state == live {
+	if sendReset && c.state == Live {
 		c.sendResetFrames()
 	}
 	c.teardown(cause)
@@ -371,10 +352,10 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 // endpoint's tables. Iteration orders are deterministic (sequence walk,
 // FIFO slices, sorted read ids) so failure runs replay bit-identically.
 func (c *Conn) teardown(cause error) {
-	if c.state != closing {
+	if c.state != Closing {
 		c.endErr = cause
 	}
-	c.to(ended)
+	c.to(Ended)
 	cause = c.endErr
 	ep := c.ep
 	c.stopTimers()
@@ -483,7 +464,7 @@ func (c *Conn) startKeepalive() {
 // closure (sim.Env.RearmArg).
 func heartbeatTick(arg any) {
 	c := arg.(*Conn)
-	if c.state != live {
+	if c.state != Live {
 		return
 	}
 	hb := c.ep.cfg.HeartbeatInterval
@@ -512,7 +493,7 @@ func (c *Conn) sendHeartbeat() {
 // path nor (with heartbeats off) any other timer would notice the peer
 // dying before the reply.
 func (c *Conn) armReadGuard() {
-	if c.state != live || c.ep.cfg.DeadInterval <= 0 || c.readGuard.Pending() {
+	if c.state != Live || c.ep.cfg.DeadInterval <= 0 || c.readGuard.Pending() {
 		return
 	}
 	c.readGuard = c.ep.env.RearmArg(sim.Daemon(c.readGuard), c.ep.cfg.DeadInterval, checkReadLiveness, c)
@@ -520,7 +501,7 @@ func (c *Conn) armReadGuard() {
 
 func checkReadLiveness(arg any) {
 	c := arg.(*Conn)
-	if c.state != live || len(c.pendingReads) == 0 {
+	if c.state != Live || len(c.pendingReads) == 0 {
 		return
 	}
 	di := c.ep.cfg.DeadInterval

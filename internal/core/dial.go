@@ -51,7 +51,7 @@ func handshakeRetry(arg any) {
 	}
 	if mr := ep.cfg.MaxRetries; mr > 0 && hs.attempts > mr {
 		cause := c.endErr // a close gives up with the cause Close fixed
-		if c.state == dialing {
+		if c.state == Dialing {
 			// The peer never answered: fail the dial instead of retrying
 			// forever. The teardown releases the waiter (see Conn.Failed).
 			ep.Stats.PeerDeadEvents++
@@ -63,7 +63,7 @@ func handshakeRetry(arg any) {
 	}
 	hs.attempts++
 	h := frame.Header{Type: frame.TypeConnReq, ConnID: c.localID, OpID: uint64(len(c.rails)), Incarnation: c.incarnation}
-	if c.state == closing {
+	if c.state == Closing {
 		h = frame.Header{Type: frame.TypeConnClose, ConnID: c.remoteID, OpID: uint64(c.localID), Incarnation: c.incarnation}
 	}
 	ep.sendControl(0, frame.NewAddr(int(c.remoteNode), 0), &h)
@@ -127,7 +127,7 @@ func (ep *Endpoint) handleConnReq(src frame.Addr, h frame.Header) {
 		c.incarnation = h.Incarnation // adopt the dialer's epoch (0 = feature off)
 		ep.byPeer[key] = c
 		ep.emit(c.localID, obs.EvEstablished, int64(c.incarnation), int64(src.Node()))
-		c.to(live)
+		c.to(Live)
 		c.startKeepalive()
 		ep.accepted.Send(ep.env, c)
 	case ep.cfg.Reconnect && h.Incarnation != c.incarnation && !incarnNewer(h.Incarnation, c.incarnation):
@@ -153,8 +153,8 @@ func (ep *Endpoint) handleConnAck(_ frame.Addr, h frame.Header) {
 	if !ok {
 		return
 	}
-	if c.state != dialing {
-		if c.state == reconnecting && c.dialer && h.Incarnation == c.recov.pendingIncarn {
+	if c.state != Dialing {
+		if c.state == Reconnecting && c.dialer && h.Incarnation == c.recov.pendingIncarn {
 			// The acceptor answered our redial: the successor epoch is
 			// live on both sides. Duplicate acks (h.Incarnation already
 			// installed, the conn live again) fall through harmlessly.
@@ -164,6 +164,6 @@ func (ep *Endpoint) handleConnAck(_ frame.Addr, h frame.Header) {
 	}
 	c.remoteID = uint32(h.OpID)
 	ep.emit(c.localID, obs.EvEstablished, int64(c.incarnation), int64(c.remoteNode))
-	c.to(live)
+	c.to(Live)
 	c.startKeepalive()
 }

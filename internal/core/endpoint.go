@@ -49,13 +49,13 @@ type Endpoint struct {
 
 	// Scratch and freelists shared by the endpoint's conns (DESIGN.md
 	// §13). The protocol thread serializes them: nothing here is held
-	// across a park, except by RingOn, which takes its slices off the
+	// across a park, except by Ring, which takes its slices off the
 	// endpoint for the walk and hands them back after it.
 	nackSeqs    []uint32      // the list of the NACK being handled, decoded in place of a fresh slice
 	nackScratch []byte        // the payload of the NACK being sent (see sendCtrl)
 	free        freelists     // recycled records, and the simulation's frame pool
-	sqScratch   []Op          // spare submission-queue backing (see RingOn)
-	ringData    [][]byte      // RingOn's write snapshots
+	sqScratch   []Op          // spare submission-queue backing (see Ring)
+	ringData    [][]byte      // Ring's write snapshots
 	subScratch  []frame.SubOp // enqueueMulti's encode input
 
 	qosDispatchCls int // class of the in-flight sendStepFn dispatch
@@ -649,7 +649,7 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 	// touch live connection state. While the conn is reconnecting its own
 	// epoch is condemned too, so matching-incarnation frames are equally
 	// stale.
-	if ep.cfg.Reconnect && (h.Incarnation != c.incarnation || c.state == reconnecting) {
+	if ep.cfg.Reconnect && (h.Incarnation != c.incarnation || c.state == Reconnecting) {
 		ep.Stats.StaleEpochDrops++
 		ep.emit(c.localID, obs.EvStaleDrop, int64(h.Incarnation), int64(c.incarnation))
 		return
@@ -668,7 +668,7 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		c.teardown(fmt.Errorf("core: connection to node %d closed by peer: %w", c.remoteNode, ErrClosed))
 		return
 	case frame.TypeConnCloseAck:
-		if c.state == closing {
+		if c.state == Closing {
 			c.teardown(c.endErr)
 		}
 		return
@@ -677,14 +677,14 @@ func (ep *Endpoint) dispatchFrame(src frame.Addr, h frame.Header, payload []byte
 		// Fail our side too — without echoing a Reset back, which would
 		// ping-pong between two live endpoints after a healed partition.
 		// A dialing conn ends here as well, and its Dial returns.
-		if c.state == live || c.state == dialing {
+		if c.state == Live || c.state == Dialing {
 			ep.Stats.CtrlRecv++
 			ep.Stats.ResetsRecv++
 			c.peerLost(fmt.Errorf("core: connection to node %d reset by peer: %w", c.remoteNode, ErrPeerDead), false)
 		}
 		return
 	}
-	if c.state != live {
+	if c.state != Live {
 		return // only a live conn exchanges data: late frames for a closing conn, early ones for a dialing one
 	}
 	c.lastHeard = ep.env.Now()

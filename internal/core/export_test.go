@@ -35,7 +35,7 @@ func (c *Conn) ArmedTimersForTest() []string {
 	}
 	if c.hs != nil {
 		name := "dial retry"
-		if c.state == closing {
+		if c.state == Closing {
 			name = "close retry"
 		}
 		timers = append(timers, named{name, c.hs.timer})
@@ -54,10 +54,6 @@ func (c *Conn) ArmedTimersForTest() []string {
 
 // RedialsForTest counts the dialer's redials in the current outage.
 func (c *Conn) RedialsForTest() int { return c.recov.attempt }
-
-// StateForTest names the connection's lifecycle state: "dialing",
-// "established", "reconnecting", "closing" or "closed".
-func (c *Conn) StateForTest() string { return c.state.String() }
 
 // FireForTest runs the named timer's callback now, as if it fired.
 func (c *Conn) FireForTest(timer string) {

@@ -40,7 +40,7 @@ func xferOnce(t *testing.T, n int, filter func(f *phys.Frame) bool,
 	}
 	done := false
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		done = true
 	})
 	cl.Env.RunUntil(30 * sim.Second)
@@ -173,7 +173,7 @@ func TestAckLossTolerated(t *testing.T) {
 	cl.Nodes[1].NICs[0].OutPort().SetDropFilter(dropAck)
 	done := false
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		done = true
 	})
 	cl.Env.RunUntil(30 * sim.Second)
@@ -227,7 +227,7 @@ func TestProbeLossDelaysRestore(t *testing.T) {
 
 	done := false
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		done = true
 	})
 	cl.Env.RunUntil(30 * sim.Second)

@@ -23,10 +23,11 @@ func (c *Conn) Health() obs.ConnHealth {
 		Inflight:    c.inflight(),
 		Window:      c.ep.cfg.Window,
 		Cwnd:        int(c.cwnd),
-		SQDepth:     c.SQLen(),
-		CQDepth:     c.CQLen(),
 		JournalOps:  len(c.Journal()),
 		BytesAcked:  c.bytesAcked,
+	}
+	if q := c.queues; q != nil {
+		h.SQDepth, h.CQDepth = len(q.sq), q.cq.Len()
 	}
 	h.Rails = make([]obs.RailHealth, len(c.rails))
 	for li := range c.rails {
@@ -43,7 +44,7 @@ func (c *Conn) Health() obs.ConnHealth {
 // healthState names the connection's lifecycle state; an ended conn
 // reads "failed" when its cause wraps ErrPeerDead.
 func (c *Conn) healthState() string {
-	if c.Failed() {
+	if c.Err() != nil {
 		return "failed"
 	}
 	return c.state.String()

@@ -66,7 +66,7 @@ func (c *Conn) Journal() []Op {
 // is a no-op. Callers migrating work to another connection should
 // snapshot Journal() first.
 func (c *Conn) Abandon() {
-	if c.Closed() {
+	if c.state >= Closing {
 		return
 	}
 	c.ep.Stats.Abandons++

@@ -22,9 +22,9 @@ func TestJournalSnapshot(t *testing.T) {
 	dst := ep1.Alloc(64 * 1024)
 	done := false
 	cl.Env.Go("app", func(p *sim.Proc) {
-		h1 := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 32 * 1024, Kind: frame.OpWrite})
-		h2 := c01.MustDo(p, core.Op{Remote: dst + 32768, Local: src + 32768, Size: 4096, Kind: frame.OpRead})
-		h3 := c01.MustDo(p, core.Op{Remote: dst + 40960, Local: src + 40960, Size: 8, Kind: frame.OpWrite, Flags: frame.Notify})
+		h1 := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 32 * 1024, Kind: frame.OpWrite}))
+		h2 := must(c01.Do(p, core.Op{Remote: dst + 32768, Local: src + 32768, Size: 4096, Kind: frame.OpRead}))
+		h3 := must(c01.Do(p, core.Op{Remote: dst + 40960, Local: src + 40960, Size: 8, Kind: frame.OpWrite, Flags: frame.Notify}))
 		j := c01.Journal()
 		if len(j) != 3 {
 			t.Fatalf("journal has %d ops, want 3: %+v", len(j), j)
@@ -65,7 +65,7 @@ func TestJournalOpsIsJournalLength(t *testing.T) {
 		hs := make([]*core.Handle, ops)
 		for i := range hs {
 			off := uint64(i * n)
-			hs[i] = c01.MustDo(p, core.Op{Remote: dst + off, Local: src + off, Size: n, Kind: frame.OpWrite})
+			hs[i] = must(c01.Do(p, core.Op{Remote: dst + off, Local: src + off, Size: n, Kind: frame.OpWrite}))
 		}
 		for _, h := range hs {
 			h.Wait(p)
@@ -123,13 +123,13 @@ func TestJournalAbandonReplayOnNewConn(t *testing.T) {
 	cl.Env.Go("client", func(p *sim.Proc) {
 		c1 := ep0.Dial(p, 1, 0)
 		c2 := ep0.Dial(p, 2, 0)
-		h1 := c1.MustDo(p, core.Op{Remote: base1, Local: src, Size: n, Kind: frame.OpWrite})
-		h2 := c1.MustDo(p, core.Op{Remote: base1 + n, Local: src + n, Size: n, Kind: frame.OpWrite})
+		h1 := must(c1.Do(p, core.Op{Remote: base1, Local: src, Size: n, Kind: frame.OpWrite}))
+		h2 := must(c1.Do(p, core.Op{Remote: base1 + n, Local: src + n, Size: n, Kind: frame.OpWrite}))
 		cl.PauseNode(1) // backend dies with both writes in flight
-		for !c1.Reconnecting() && !c1.Failed() {
+		for c1.State() != core.Reconnecting && c1.Err() == nil {
 			p.Sleep(sim.Millisecond)
 		}
-		if !c1.Reconnecting() {
+		if c1.State() != core.Reconnecting {
 			t.Fatal("conn failed terminally instead of parking (Reconnect on)")
 		}
 		j := c1.Journal()
@@ -137,8 +137,8 @@ func TestJournalAbandonReplayOnNewConn(t *testing.T) {
 			t.Fatalf("journal has %d ops, want 2", len(j))
 		}
 		c1.Abandon()
-		if !c1.Failed() || c1.Reconnecting() {
-			t.Fatalf("after Abandon: failed=%v reconnecting=%v", c1.Failed(), c1.Reconnecting())
+		if c1.Err() == nil || c1.State() == core.Reconnecting {
+			t.Fatalf("after Abandon: conn %v, err %v", c1.State(), c1.Err())
 		}
 		h1.Wait(p)
 		h2.Wait(p)

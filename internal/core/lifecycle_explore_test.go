@@ -128,7 +128,7 @@ func lifeRing(p *sim.Proc, c *core.Conn, buf uint64, delay sim.Time) []error {
 
 // lifeSentinel is what every answer a conn owes must wrap once it ended.
 func lifeSentinel(c *core.Conn) error {
-	if c.Failed() {
+	if c.Err() != nil {
 		return core.ErrPeerDead
 	}
 	return core.ErrClosed
@@ -237,7 +237,7 @@ func exploreLife(v lifeVariant, sched []lifeStep) (problems []string, reach life
 				e.c.Abandon()
 			case "pause", "resume":
 				for _, o := range ends {
-					if o.c != nil && o.c.StateForTest() == stClosing {
+					if o.c != nil && o.c.State() == core.Closing {
 						reach.pauseClosing = true
 					}
 				}
@@ -270,19 +270,19 @@ func exploreLife(v lifeVariant, sched []lifeStep) (problems []string, reach life
 	both := true
 	for i := range ends {
 		e := &ends[i]
-		ended := e.c.StateForTest() == stEnded
+		ended := e.c.State() == core.Ended
 		both = both && ended
 		if !e.worked {
-			fail("end %d: the %s waiter never returned (conn %s)", i, v.work.name, e.c.StateForTest())
+			fail("end %d: the %s waiter never returned (conn %v)", i, v.work.name, e.c.State())
 		}
 		for _, at := range e.closes {
 			if at >= 0 {
-				fail("end %d: the Close called at %v never returned (conn %s)", i, at, e.c.StateForTest())
+				fail("end %d: the Close called at %v never returned (conn %v)", i, at, e.c.State())
 			}
 		}
 		for _, err := range e.answers {
 			if err != nil && (!ended || !errors.Is(err, lifeSentinel(e.c))) {
-				fail("end %d (conn %s, failed=%v): answer %v", i, e.c.StateForTest(), e.c.Failed(), err)
+				fail("end %d (conn %v, err %v): answer %v", i, e.c.State(), e.c.Err(), err)
 			}
 		}
 		if ended {
@@ -311,7 +311,7 @@ func exploreLife(v lifeVariant, sched []lifeStep) (problems []string, reach life
 	if n := env.Procs(); n != 0 {
 		fail("%d processes still parked", n)
 	}
-	if c := ends[0].c; c.Failed() && strings.Contains(c.Err().Error(), "no answer") {
+	if c := ends[0].c; c.Err() != nil && strings.Contains(c.Err().Error(), "no answer") {
 		for _, at := range ackSent {
 			reach.lateConnAck = reach.lateConnAck || at+lateBy > dialed
 		}

@@ -232,7 +232,7 @@ func lifeEvents() []lifeEvent {
 		}),
 		frameEv(frame.TypeConnAck, func(s *lifeStage) (frame.Header, []byte) {
 			inc := s.c.Incarnation()
-			if s.c.Reconnecting() {
+			if s.c.State() == core.Reconnecting {
 				inc++ // the epoch a redial proposes
 			}
 			return frame.Header{OpID: uint64(s.peerID()), Incarnation: inc}, nil
@@ -321,7 +321,7 @@ func TestLifecycleTable(t *testing.T) {
 func checkLifePair(st string, ev lifeEvent, reconnect bool, want string) error {
 	s := stageLife(st, ev.acceptor, reconnect, ev.tweak)
 	defer s.cl.Close()
-	if got := s.c.StateForTest(); got != st {
+	if got := s.c.State().String(); got != st {
 		return fmt.Errorf("staging: the conn is %s", got)
 	}
 	if h := s.c.Health().State; h != st && !(st == stEnded && h == "failed") {
@@ -334,7 +334,7 @@ func checkLifePair(st string, ev lifeEvent, reconnect bool, want string) error {
 			return fmt.Errorf("the table says the %s timer fires here, but it is not armed", ev.timer)
 		}
 		ev.fire(s)
-		if got := s.c.StateForTest(); got != want {
+		if got := s.c.State().String(); got != want {
 			return fmt.Errorf("the conn moved to %s, the table says %s", got, want)
 		}
 		return nil
@@ -347,7 +347,7 @@ func checkLifePair(st string, ev lifeEvent, reconnect bool, want string) error {
 		}
 	}
 	ev.fire(s)
-	if got := s.c.StateForTest(); got != st {
+	if got := s.c.State().String(); got != st {
 		return fmt.Errorf("the conn moved to %s, the table says the event is ignored", got)
 	}
 	if now := s.c.ArmedTimersForTest(); len(now) > len(armed) {

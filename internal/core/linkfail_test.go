@@ -31,7 +31,7 @@ func failPair(t *testing.T, n int, tweak func(*cluster.Config)) (*cluster.Cluste
 	fill(ep0.Mem()[src:src+uint64(n)], 11)
 	doneAt := new(sim.Time)
 	cl.Env.Go("sender", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		*doneAt = cl.Env.Now()
 		if !bytes.Equal(ep1.Mem()[dst:dst+uint64(n)], ep0.Mem()[src:src+uint64(n)]) {
 			t.Error("delivered data corrupted")
@@ -225,7 +225,7 @@ func TestStaleLinkEscapeDisabled(t *testing.T) {
 		var opErr error
 		var returnedAt sim.Time
 		cl.Env.Go("sender", func(p *sim.Proc) {
-			h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+			h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 			h.Wait(p)
 			opErr = h.Err()
 			returnedAt = cl.Env.Now()
@@ -238,7 +238,7 @@ func TestStaleLinkEscapeDisabled(t *testing.T) {
 		if !errors.Is(opErr, core.ErrPeerDead) {
 			t.Fatalf("op error = %v, want ErrPeerDead", opErr)
 		}
-		if !c01.Failed() || c01.Err() == nil {
+		if c01.Err() == nil {
 			t.Error("conn not marked Failed with a cause")
 		}
 		di := ep0.Config().DeadInterval
@@ -269,7 +269,7 @@ func TestFailLinkBothDirections(t *testing.T) {
 	cl.FailLink(0, 1) // node 0's rail 1, both directions
 	done := false
 	cl.Env.Go("sender", func(p *sim.Proc) {
-		c10.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c10.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		done = true
 	})
 	cl.Env.RunUntil(2 * sim.Second)
@@ -373,7 +373,7 @@ func TestLinkFailureScheduleProperty(t *testing.T) {
 
 		var doneAt sim.Time
 		cl.Env.Go("xfer", func(p *sim.Proc) {
-			c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+			must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 			doneAt = cl.Env.Now()
 		})
 		cl.Env.RunUntil(30 * sim.Second)

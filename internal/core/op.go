@@ -11,8 +11,9 @@ import (
 
 // Op describes one remote memory operation: the options-struct form of
 // the paper's positional RDMA_operation arguments. The same struct is
-// accepted by the eager issue path (Conn.Do) and the submission-queue
-// path (Conn.Post + Conn.Ring), so the two surfaces compose.
+// accepted by the eager issue path (Conn.Do, Conn.Run) and the
+// submission-queue path (Conn.Post + Conn.Ring), so the two surfaces
+// compose.
 type Op struct {
 	// Remote is the destination virtual address in the peer's address
 	// space (writes) or the source address to fetch from (reads).
@@ -28,6 +29,13 @@ type Op struct {
 	// Flags combines frame.FenceBefore, frame.FenceAfter, frame.Notify
 	// and frame.Solicit.
 	Flags frame.OpFlags
+	// Handler marks an operation issued from a protocol handler — e.g. a
+	// DSM handler servicing remote requests — whose eager issue cost
+	// (Do, Run) goes to the protocol CPU, like the kernel thread it
+	// models. User-level callers leave it false and pay on the
+	// application CPU, in syscall context. A doorbell (Ring) always runs
+	// on the application CPU.
+	Handler bool
 	// Deadline, when non-zero, is an absolute simulation time by which
 	// the issuer must be released: if the operation has not completed by
 	// then, its handle fires with ErrDeadlineExceeded (and an errored
@@ -49,7 +57,7 @@ type Op struct {
 // arithmetic safe).
 const MaxOpSize = 1 << 30
 
-// Errors returned by the Op issue paths (Do, DoOn, Post, Ring). Each is
+// Errors returned by the Op issue paths (Do, Run, Post, Ring). Each is
 // wrapped with context; test with errors.Is.
 var (
 	// ErrNotEstablished: the connection handshake has not completed.
@@ -89,10 +97,9 @@ var (
 )
 
 // checkOp validates an operation against the connection and endpoint
-// state. It has no side effects; the checks (and their order) mirror the
-// panics of the legacy RDMAOperation path.
+// state. It has no side effects.
 func (c *Conn) checkOp(op Op) error {
-	if c.state == dialing {
+	if c.state == Dialing {
 		return fmt.Errorf("core: operation on unestablished connection to node %d: %w", c.remoteNode, ErrNotEstablished)
 	}
 	if err := c.endedErr(); err != nil {
@@ -139,9 +146,9 @@ func (c *Conn) checkOp(op Op) error {
 // and nil before.
 func (c *Conn) endedErr() error {
 	switch {
-	case c.Failed():
+	case c.Err() != nil:
 		return fmt.Errorf("core: operation on failed connection to node %d: %w", c.remoteNode, c.endErr)
-	case c.Closed():
+	case c.state >= Closing:
 		return fmt.Errorf("core: operation on closed connection to node %d: %w", c.remoteNode, ErrClosed)
 	}
 	return nil
@@ -157,22 +164,13 @@ func within(addr uint64, size int, limit uint64) bool {
 // Do initiates op eagerly on the connection and returns its progress
 // handle, charging the full per-operation issue cost (syscall,
 // descriptor, user→kernel copy for writes) to the calling process on the
-// application CPU. It is the options-struct successor of RDMAOperation
-// and returns an error — ErrNotEstablished, ErrClosed, ErrBadRange,
-// ErrOversized, ... — instead of panicking on invalid use. A caller
-// that only waits for the error has Run, which allocates nothing; many
-// small operations to one peer are cheaper through Post + Ring.
+// application CPU, or on the protocol CPU for an Op.Handler operation.
+// Invalid use returns an error — ErrNotEstablished, ErrClosed,
+// ErrBadRange, ErrOversized, ... — and issues nothing. A caller that
+// only waits for the error has Run, which allocates nothing; many small
+// operations to one peer are cheaper through Post + Ring.
 func (c *Conn) Do(p *sim.Proc, op Op) (*Handle, error) {
-	return c.DoOn(p, c.ep.cpus.App, op)
-}
-
-// DoOn is Do with an explicit CPU to charge the initiation to.
-// User-level callers run in syscall context on the application CPU (use
-// Do); handler-style callers — e.g. a DSM protocol handler servicing
-// remote requests — run on the protocol CPU, like the kernel thread
-// they model.
-func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
-	data, err := c.initiate(p, cpu, op)
+	data, err := c.initiate(p, op)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +183,7 @@ func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
 // allocation. Its handle is pooled: once the outcome is delivered no
 // send record points at it (Conn.finish), so it goes back at once.
 func (c *Conn) Run(p *sim.Proc, op Op) error {
-	data, err := c.initiate(p, c.ep.cpus.App, op)
+	data, err := c.initiate(p, op)
 	if err != nil {
 		return err
 	}
@@ -201,8 +199,9 @@ func (c *Conn) Run(p *sim.Proc, op Op) error {
 }
 
 // initiate validates op, passes the admission gates and charges the
-// eager issue cost to cpu, and returns the write payload's snapshot.
-func (c *Conn) initiate(p *sim.Proc, cpu *sim.Resource, op Op) ([]byte, error) {
+// eager issue cost to the CPU op.Handler picks, and returns the write
+// payload's snapshot.
+func (c *Conn) initiate(p *sim.Proc, op Op) ([]byte, error) {
 	if err := c.checkOp(op); err != nil {
 		return nil, err
 	}
@@ -237,7 +236,9 @@ func (c *Conn) initiate(p *sim.Proc, cpu *sim.Resource, op Op) ([]byte, error) {
 		copyBytes = op.Size
 	}
 	cost := ep.costs.Initiation(copyBytes)
-	if cpu == ep.cpus.App {
+	cpu := ep.cpus.Proto
+	if !op.Handler {
+		cpu = ep.cpus.App
 		ep.Stats.AppProtoTime += cost
 	}
 	p.Exec(cpu, cost)
@@ -272,21 +273,6 @@ func (c *Conn) admitWait(p *sim.Proc, op Op, room func() bool, late func() error
 	}
 }
 
-// MustDo is Do for callers that guarantee the operation is valid; it
-// panics on error, preserving the legacy RDMAOperation contract.
-func (c *Conn) MustDo(p *sim.Proc, op Op) *Handle {
-	return c.MustDoOn(p, c.ep.cpus.App, op)
-}
-
-// MustDoOn is DoOn with the MustDo panic-on-error contract.
-func (c *Conn) MustDoOn(p *sim.Proc, cpu *sim.Resource, op Op) *Handle {
-	h, err := c.DoOn(p, cpu, op)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // enqueueOp creates the send-side record for a validated, paid-for
 // operation and hands it to the protocol thread. Its outcome goes to
 // handle h, or to the completion queue when h is nil (Ring).
@@ -299,7 +285,7 @@ func (c *Conn) enqueueOp(op Op, data []byte, h *Handle) {
 	}
 	c.nextOpID++
 	if ep.qosOn() {
-		// The admission charge (taken in DoOn or Post) transfers onto the
+		// The admission charge (taken in Do, Run or Post) transfers onto the
 		// txOp, which releases it exactly once at completion or failure —
 		// surviving reconnect replay, which re-queues these same objects.
 		t.qosCls, t.qosOps, t.qosBytes = c.opClass(op), 1, op.Size
@@ -328,7 +314,7 @@ func (c *Conn) enqueueOp(op Op, data []byte, h *Handle) {
 // straddled the exit: Do's Exec, Ring's doorbell — ends at once with
 // the exit's cause instead.
 func (c *Conn) issue(t *txOp) {
-	if c.Closed() {
+	if c.state >= Closing {
 		c.endTxOp(t, c.endErr)
 		return
 	}
@@ -398,13 +384,6 @@ func (c *Conn) Post(op Op) error {
 	return nil
 }
 
-// MustPost is Post for callers that guarantee the descriptor is valid.
-func (c *Conn) MustPost(op Op) {
-	if err := c.Post(op); err != nil {
-		panic(err)
-	}
-}
-
 // Ring rings the connection's doorbell on the application CPU: every
 // posted descriptor is issued under a single batched charge
 // (hostmodel.Costs.BatchIssue) and the submission queue empties. It
@@ -412,24 +391,10 @@ func (c *Conn) MustPost(op Op) {
 // free no-op. Completions surface on the completion queue (PollCQ /
 // WaitCQ) in issue order.
 func (c *Conn) Ring(p *sim.Proc) (int, error) {
-	return c.RingOn(p, c.ep.cpus.App)
-}
-
-// MustRing is Ring for callers that guarantee the connection is open.
-func (c *Conn) MustRing(p *sim.Proc) int {
-	n, err := c.Ring(p)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// RingOn is Ring with an explicit CPU to charge the doorbell to.
-func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 	if err := c.endedErr(); err != nil {
 		return 0, err
 	}
-	n := c.SQLen()
+	n := c.sqLen()
 	if n == 0 {
 		return 0, nil
 	}
@@ -445,7 +410,7 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 	ep.sqScratch = nil
 	ep.noteSQDepth(-n)
 	// Snapshot write payloads at ring time (the doorbell is the issue
-	// point), before the batched cost is charged — mirroring DoOn's
+	// point), before the batched cost is charged — mirroring Do's
 	// snapshot-before-Exec order. The snapshot slice is endpoint
 	// scratch (reused ring to ring); the snapshots' ownership transfers
 	// to the issued txOps.
@@ -463,10 +428,8 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 		data = append(data, d)
 	}
 	cost := ep.costs.BatchIssue(n, copyBytes)
-	if cpu == ep.cpus.App {
-		ep.Stats.AppProtoTime += cost
-	}
-	p.Exec(cpu, cost)
+	ep.Stats.AppProtoTime += cost
+	p.Exec(ep.cpus.App, cost)
 	ep.Stats.Doorbells++
 	ep.Stats.SQOps += uint64(n)
 	if ep.doorbellHist != nil {
@@ -578,20 +541,12 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 	c.issue(t)
 }
 
-// SQLen returns the number of descriptors posted but not yet rung.
-func (c *Conn) SQLen() int {
+// sqLen returns the number of descriptors posted but not yet rung.
+func (c *Conn) sqLen() int {
 	if c.queues == nil {
 		return 0
 	}
 	return len(c.queues.sq)
-}
-
-// CQLen returns the number of completions waiting to be polled.
-func (c *Conn) CQLen() int {
-	if c.queues == nil {
-		return 0
-	}
-	return c.queues.cq.Len()
 }
 
 // PollCQ returns the oldest pending completion without blocking. Polling

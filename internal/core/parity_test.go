@@ -59,8 +59,8 @@ func runParity(t *testing.T) (sim.Time, core.Stats, core.Stats) {
 	cl.Env.Go("sender", func(p *sim.Proc) {
 		var hs []*core.Handle
 		for _, op := range parityWorkload(src, dst) {
-			h := c01.MustDo(p, core.Op{Remote: op.remote, Local: op.local,
-				Size: op.size, Kind: op.kind, Flags: op.flags})
+			h := must(c01.Do(p, core.Op{Remote: op.remote, Local: op.local,
+				Size: op.size, Kind: op.kind, Flags: op.flags}))
 			if op.wait {
 				h.Wait(p)
 			} else {

@@ -34,7 +34,7 @@ func TestAdaptiveRTOConverges(t *testing.T) {
 	dst := cl.Nodes[1].EP.Alloc(4096)
 	cl.Env.Go("app", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
-			c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpWrite}).Wait(p)
+			must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpWrite})).Wait(p)
 		}
 	})
 	cl.Env.RunUntil(10 * sim.Second)
@@ -55,7 +55,7 @@ func TestAdaptiveRTOFixedModeUnchanged(t *testing.T) {
 	src := cl.Nodes[0].EP.Alloc(n)
 	dst := cl.Nodes[1].EP.Alloc(n)
 	cl.Env.Go("app", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 	})
 	cl.Env.RunUntil(10 * sim.Second)
 	if cl.Nodes[0].EP.Stats.RttSamples == 0 {
@@ -78,7 +78,7 @@ func TestAdaptiveRTOBackoff(t *testing.T) {
 	dst := cl.Nodes[1].EP.Alloc(4096)
 	cl.FailLink(0, 0) // dead before the first frame leaves
 	cl.Env.Go("app", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpWrite}))
 		h.Wait(p)
 	})
 	cl.Env.RunUntil(2 * sim.Second)
@@ -121,19 +121,19 @@ func TestAllRailsDownFailsEveryWaiter(t *testing.T) {
 	var wrAt, rdAt, cqAt, nfAt sim.Time
 	var poison bool
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p)
 		wrErr, wrAt = h.Err(), cl.Env.Now()
 	})
 	cl.Env.Go("reader", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: rbuf, Size: 1 << 20, Kind: frame.OpRead})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: rbuf, Size: 1 << 20, Kind: frame.OpRead}))
 		h.Wait(p)
 		rdErr, rdAt = h.Err(), cl.Env.Now()
 	})
 	cl.Env.Go("reverse-writer", func(p *sim.Proc) {
 		// Keeps node 1's own send machinery busy so ITS DeadInterval
 		// detection fires too and poisons the notify waiter below.
-		h := c10.MustDo(p, core.Op{Remote: wdst, Local: wsrc, Size: n, Kind: frame.OpWrite})
+		h := must(c10.Do(p, core.Op{Remote: wdst, Local: wsrc, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p)
 	})
 	cl.Env.Go("sq", func(p *sim.Proc) {
@@ -178,8 +178,8 @@ func TestAllRailsDownFailsEveryWaiter(t *testing.T) {
 	if nfAt == 0 || nfAt > lim {
 		t.Errorf("WaitNotify released at %v, want within %v", nfAt, lim)
 	}
-	if !c01.Failed() || !errors.Is(c01.Err(), core.ErrPeerDead) {
-		t.Errorf("conn not marked failed: failed=%v err=%v", c01.Failed(), c01.Err())
+	if !errors.Is(c01.Err(), core.ErrPeerDead) {
+		t.Errorf("conn not marked failed: err=%v", c01.Err())
 	}
 	if cl.Nodes[0].EP.Stats.PeerDeadEvents == 0 {
 		t.Error("no PeerDeadEvents counted")
@@ -207,14 +207,14 @@ func TestResetPropagatesDeath(t *testing.T) {
 		}
 	})
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 	})
 	cl.Env.RunUntil(5 * sim.Second)
-	if !c01.Failed() {
+	if c01.Err() == nil {
 		t.Fatal("sender side never failed")
 	}
-	if !c10.Failed() || !errors.Is(c10.Err(), core.ErrPeerDead) {
-		t.Fatalf("receiver side not failed by Reset: failed=%v err=%v", c10.Failed(), c10.Err())
+	if !errors.Is(c10.Err(), core.ErrPeerDead) {
+		t.Fatalf("receiver side not failed by Reset: err=%v", c10.Err())
 	}
 	if got := cl.Nodes[1].EP.Stats.ResetsRecv; got == 0 {
 		t.Error("no Reset received at node 1")
@@ -240,7 +240,7 @@ func TestRestoreAfterResetNeedsFreshConn(t *testing.T) {
 	cl.Env.After(500*sim.Millisecond, func() { cl.ResumeNode(1) })
 	var oldErr error
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p)
 		oldErr = h.Err()
 	})
@@ -259,12 +259,12 @@ func TestRestoreAfterResetNeedsFreshConn(t *testing.T) {
 	cl.Env.Go("redial", func(p *sim.Proc) { n01 = cl.Nodes[0].EP.Dial(p, 1, 0) })
 	cl.Env.Go("reaccept", func(p *sim.Proc) { n10 = cl.Nodes[1].EP.Accept(p) })
 	cl.Env.RunUntil(3 * sim.Second)
-	if n01 == nil || n10 == nil || n01.Failed() {
+	if n01 == nil || n10 == nil || n01.Err() != nil {
 		t.Fatal("fresh handshake did not complete over restored links")
 	}
 	var done bool
 	cl.Env.Go("writer2", func(p *sim.Proc) {
-		h := n01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+		h := must(n01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p)
 		done = h.Err() == nil
 	})
@@ -275,7 +275,7 @@ func TestRestoreAfterResetNeedsFreshConn(t *testing.T) {
 	if !bytes.Equal(cl.Nodes[1].EP.Mem()[dst:dst+n], cl.Nodes[0].EP.Mem()[src:src+n]) {
 		t.Fatal("data corrupted on fresh connection")
 	}
-	if c10.Failed() {
+	if c10.Err() != nil {
 		// Fine either way: node 1's old end may have died via the Reset
 		// if it slipped out before the rails dropped.
 		return
@@ -297,8 +297,8 @@ func TestOpDeadlineReleasesWaiterOnly(t *testing.T) {
 	var dlErr error
 	var releasedAt sim.Time
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n,
-			Kind: frame.OpWrite, Deadline: 20 * sim.Millisecond})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n,
+			Kind: frame.OpWrite, Deadline: 20 * sim.Millisecond}))
 		h.Wait(p)
 		dlErr, releasedAt = h.Err(), cl.Env.Now()
 	})
@@ -319,7 +319,7 @@ func TestOpDeadlineReleasesWaiterOnly(t *testing.T) {
 	if !bytes.Equal(cl.Nodes[1].EP.Mem()[dst:dst+n], cl.Nodes[0].EP.Mem()[src:src+n]) {
 		t.Fatal("transfer was cancelled with the waiter")
 	}
-	if c01.Failed() {
+	if c01.Err() != nil {
 		t.Error("deadline expiry must not kill the connection")
 	}
 }
@@ -338,8 +338,8 @@ func TestBoundedDial(t *testing.T) {
 	if c == nil {
 		t.Fatal("Dial never returned")
 	}
-	if !c.Failed() || !errors.Is(c.Err(), core.ErrPeerDead) {
-		t.Fatalf("dial to dark node: failed=%v err=%v, want ErrPeerDead", c.Failed(), c.Err())
+	if !errors.Is(c.Err(), core.ErrPeerDead) {
+		t.Fatalf("dial to dark node: err=%v, want ErrPeerDead", c.Err())
 	}
 	// 1 try + 3 retries at connRetry spacing, plus slack.
 	if lim := 5 * core.ConnRetryForTest; end > lim {
@@ -361,7 +361,7 @@ func TestBoundedClose(t *testing.T) {
 	cl.Env.After(2*sim.Millisecond, func() { killAllRails(cl, 1) })
 	var closedAt sim.Time
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p) // returns with ErrPeerDead
 		c01.Close(p)
 		closedAt = cl.Env.Now()
@@ -393,10 +393,10 @@ func TestHeartbeatIdleDetection(t *testing.T) {
 	var at01, at10 sim.Time
 	var tick func()
 	tick = func() {
-		if at01 == 0 && c01.Failed() {
+		if at01 == 0 && c01.Err() != nil {
 			at01 = cl.Env.Now()
 		}
-		if at10 == 0 && c10.Failed() {
+		if at10 == 0 && c10.Err() != nil {
 			at10 = cl.Env.Now()
 		}
 		if at01 == 0 || at10 == 0 {

@@ -96,14 +96,14 @@ func matrixRun(t *testing.T, profile func(*cluster.Config), fault string) (matri
 	fill(ep1.Mem()[src1:src1+32*small+back], 9)
 	done, fenceHeld := 0, false
 	cl.Env.Go("fwd", func(p *sim.Proc) {
-		bigW := c01.MustDo(p, core.Op{Remote: dst1, Local: src0, Size: big, Kind: frame.OpWrite})
+		bigW := must(c01.Do(p, core.Op{Remote: dst1, Local: src0, Size: big, Kind: frame.OpWrite}))
 		for i := 0; i < 32; i++ {
 			off := uint64(big + i*small)
-			c01.MustPost(core.Op{Remote: dst1 + off, Local: src0 + off, Size: small, Kind: frame.OpWrite})
+			noErr(c01.Post(core.Op{Remote: dst1 + off, Local: src0 + off, Size: small, Kind: frame.OpWrite}))
 		}
-		c01.MustRing(p)
-		flagW := c01.MustDo(p, core.Op{Remote: flag, Local: src0, Size: 8, Kind: frame.OpWrite,
-			Flags: frame.FenceBefore | frame.Notify})
+		must(c01.Ring(p))
+		flagW := must(c01.Do(p, core.Op{Remote: flag, Local: src0, Size: 8, Kind: frame.OpWrite,
+			Flags: frame.FenceBefore | frame.Notify}))
 		bigW.Wait(p)
 		for i := 0; i < 32; i++ {
 			if comp := c01.WaitCQ(p); comp.Err != nil {
@@ -111,7 +111,7 @@ func matrixRun(t *testing.T, profile func(*cluster.Config), fault string) (matri
 			}
 		}
 		flagW.Wait(p)
-		c01.MustDo(p, core.Op{Remote: dst1, Local: rdst, Size: rd, Kind: frame.OpRead}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst1, Local: rdst, Size: rd, Kind: frame.OpRead})).Wait(p)
 		done++
 	})
 	cl.Env.Go("flag", func(p *sim.Proc) {
@@ -123,13 +123,13 @@ func matrixRun(t *testing.T, profile func(*cluster.Config), fault string) (matri
 		var h *core.Handle
 		for i := 0; i < 32; i++ {
 			off := uint64(i * small)
-			h = c10.MustDo(p, core.Op{Remote: dst0 + off, Local: src1 + off, Size: small, Kind: frame.OpWrite})
+			h = must(c10.Do(p, core.Op{Remote: dst0 + off, Local: src1 + off, Size: small, Kind: frame.OpWrite}))
 			if i%8 == 7 {
 				h.Wait(p)
 			}
 		}
 		off := uint64(32 * small)
-		c10.MustDo(p, core.Op{Remote: dst0 + off, Local: src1 + off, Size: back, Kind: frame.OpWrite}).Wait(p)
+		must(c10.Do(p, core.Op{Remote: dst0 + off, Local: src1 + off, Size: back, Kind: frame.OpWrite})).Wait(p)
 		done++
 	})
 	end := cl.Env.Run()
@@ -230,11 +230,11 @@ func TestImplicitClassInvisible(t *testing.T) {
 	src, dst := cl.Nodes[0].EP.Alloc(n), cl.Nodes[1].EP.Alloc(n)
 	cl.Env.Go("app", func(p *sim.Proc) {
 		c01.SetClass(2) // stored, ignored: no class table to index
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		for i := 0; i < 4; i++ {
-			c01.MustPost(core.Op{Remote: dst, Local: src, Size: 256, Kind: frame.OpWrite, Class: 3})
+			noErr(c01.Post(core.Op{Remote: dst, Local: src, Size: 256, Kind: frame.OpWrite, Class: 3}))
 		}
-		c01.MustRing(p)
+		must(c01.Ring(p))
 		drainCQ(p, c01, 4)
 	})
 	cl.Env.Run()
@@ -271,7 +271,7 @@ func TestHealthReportsClassQueueDepths(t *testing.T) {
 			c := ep0.Dial(p, 1, 0)
 			c.SetClass(i % 2)
 			src, dst := ep0.Alloc(n), ep1.Alloc(n)
-			c.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+			must(c.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		})
 	}
 	maxCtrl, maxSend := 0, 0

@@ -143,9 +143,6 @@ func (c *Conn) SetClass(cls int) {
 	c.class = int32(cls)
 }
 
-// Class returns the connection's traffic class tag.
-func (c *Conn) Class() int { return int(c.class) }
-
 // ---------------------------------------------------------------------
 // Submission quotas (admission control).
 // ---------------------------------------------------------------------
@@ -220,7 +217,7 @@ func (c *Conn) qosAdmitFast(op Op) (int, bool) {
 	return cls, true
 }
 
-// qosAdmitDo is the blocking admission path (Do/DoOn): the caller waits
+// qosAdmitDo is the blocking admission path (Do/Run): the caller waits
 // (admitWait) until its class has room, the connection dies, or
 // Op.Deadline passes — overload backpressure instead of unbounded
 // queueing.

@@ -168,7 +168,7 @@ func TestQoSRateDeferralRecorded(t *testing.T) {
 	const n = 64 << 10
 	src, dst := cl.Nodes[0].EP.Alloc(n), cl.Nodes[1].EP.Alloc(n)
 	cl.Env.Go("app", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 	})
 	cl.Env.RunUntil(sim.Second)
 	if cl.Nodes[0].EP.Stats.QosRateDeferrals == 0 || rec.Count(obs.EvRateDefer) == 0 {

@@ -300,7 +300,7 @@ func (c *Conn) clearLinkFault(li int, sentAt sim.Time) {
 // re-arming itself unconditionally, so an idle connection with a dead
 // link quiesces instead of keeping the simulation alive forever.
 func (c *Conn) armProbeTimer() {
-	if c.state != live || (c.probeTimer != nil && c.probeTimer.Pending()) {
+	if c.state != Live || (c.probeTimer != nil && c.probeTimer.Pending()) {
 		return
 	}
 	c.probeTimer = c.ep.env.RearmArg(c.probeTimer, linkProbeInterval, probeTick, c)
@@ -309,7 +309,7 @@ func (c *Conn) armProbeTimer() {
 // probeTick is the dead-link probe timer's callback.
 func probeTick(arg any) {
 	c := arg.(*Conn)
-	if c.state != live || c.deadLinks == 0 {
+	if c.state != Live || c.deadLinks == 0 {
 		return
 	}
 	for li := range c.rails {
@@ -366,7 +366,7 @@ func (c *Conn) armRailProbes() {
 
 func railProbeTick(arg any) {
 	c := arg.(*Conn)
-	if c.state != live {
+	if c.state != Live {
 		return
 	}
 	c.sendRailProbe()

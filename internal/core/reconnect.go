@@ -59,9 +59,9 @@ func (c *Conn) peerLost(cause error, sendReset bool) {
 	}
 	c.ep.emit(c.localID, obs.EvPeerDead, reset, int64(c.expiries))
 	switch {
-	case c.state == live && c.ep.cfg.Reconnect:
+	case c.state == Live && c.ep.cfg.Reconnect:
 		c.enterReconnect(sendReset)
-	case c.state == live || c.state == dialing:
+	case c.state == Live || c.state == Dialing:
 		c.failConn(cause, sendReset)
 	}
 }
@@ -76,7 +76,7 @@ func (c *Conn) park(accepting int64) *recoveryState {
 	}
 	ep, r := c.ep, c.recov
 	ep.emit(c.localID, obs.EvReconnect, int64(c.incarnation), accepting)
-	c.to(reconnecting)
+	c.to(Reconnecting)
 	r.since = ep.env.Now()
 	c.stopTimers()
 	if r.span == nil && ep.obs.SpansEnabled() {
@@ -136,7 +136,7 @@ func (c *Conn) passiveWait() sim.Time {
 // treats the newer incarnation as a reconnect rather than a duplicate.
 func redial(arg any) {
 	c := arg.(*Conn)
-	if c.state != reconnecting {
+	if c.state != Reconnecting {
 		return
 	}
 	ep, r := c.ep, c.recov
@@ -160,10 +160,10 @@ func redial(arg any) {
 // parks on the spot so timers and ctrl state drop cleanly, then is
 // reborn straight into the proposed epoch. A closing conn stays closing.
 func (c *Conn) acceptReconnect(inc uint16) {
-	if c.state == live {
+	if c.state == Live {
 		c.park(1)
 	}
-	if c.state == reconnecting {
+	if c.state == Reconnecting {
 		c.rebirth(inc)
 	}
 }
@@ -227,7 +227,7 @@ func (c *Conn) rebirth(inc uint16) {
 	c.incarnation = inc
 	ep.emit(c.localID, obs.EvRebirth, int64(inc), int64(len(journal)))
 	r.pendingIncarn = 0
-	c.to(live)
+	c.to(Live)
 	r.total++
 	ep.Stats.Reconnects++
 	if ep.reconnHist != nil && r.since > 0 {

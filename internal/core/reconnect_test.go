@@ -37,7 +37,7 @@ func TestReconnectResumesWrite(t *testing.T) {
 	var wrErr error
 	var doneAt sim.Time
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p)
 		wrErr, doneAt = h.Err(), cl.Env.Now()
 	})
@@ -58,8 +58,8 @@ func TestReconnectResumesWrite(t *testing.T) {
 	if st0.ReplayedOps == 0 {
 		t.Error("no ops journaled and replayed")
 	}
-	if c01.Failed() || c10.Failed() {
-		t.Errorf("failed=%v/%v: recovery must not reach the terminal state", c01.Failed(), c10.Failed())
+	if c01.Err() != nil || c10.Err() != nil {
+		t.Errorf("err=%v/%v: recovery must not reach the terminal state", c01.Err(), c10.Err())
 	}
 	if c01.Reconnects() == 0 {
 		t.Errorf("conn Reconnects() = %d, want > 0", c01.Reconnects())
@@ -80,9 +80,10 @@ func TestReconnectExhaustsBudget(t *testing.T) {
 	var wrErr error
 	var acked int
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p)
-		wrErr, acked = h.Err(), h.BytesAcked()
+		wrErr = h.Err()
+		acked, _ = h.Progress()
 	})
 	cl.Env.RunUntil(10 * sim.Second)
 	if !errors.Is(wrErr, core.ErrPeerDead) {
@@ -92,14 +93,14 @@ func TestReconnectExhaustsBudget(t *testing.T) {
 	if st.ReconnectsFailed != 1 {
 		t.Errorf("ReconnectsFailed = %d, want 1", st.ReconnectsFailed)
 	}
-	if !c01.Failed() {
+	if c01.Err() == nil {
 		t.Error("conn must reach the terminal Failed state once the budget is spent")
 	}
 	// The failed handle reports how far the transfer provably got; the
 	// replay journal reset the mark, so anything in [0, n] is legal, but
 	// it must not exceed the operation size.
 	if acked < 0 || acked > n {
-		t.Errorf("BytesAcked = %d, want within [0, %d]", acked, n)
+		t.Errorf("Progress done = %d, want within [0, %d]", acked, n)
 	}
 }
 
@@ -121,16 +122,16 @@ func TestRedialAfterIncarnationWrap(t *testing.T) {
 	cl.PauseNode(1)
 	c10.PeerLostForTest()
 	cl.Env.RunUntil(2 * sim.Second)
-	if got := c10.StateForTest(); got != "closed" {
-		t.Fatalf("acceptor conn is %s, want closed once its reconnect wait ran out", got)
+	if got := c10.State(); got != core.Ended {
+		t.Fatalf("acceptor conn is %v, want closed once its reconnect wait ran out", got)
 	}
 	cl.ResumeNode(1)
 	ep1 := cl.Nodes[1].EP
 	before := ep1.Stats.StaleEpochDrops
 	c01.PeerLostForTest()
 	cl.Env.RunUntil(4 * sim.Second)
-	if !c01.Failed() || !errors.Is(c01.Err(), core.ErrPeerDead) {
-		t.Fatalf("dialer is %s (err %v), want failed with ErrPeerDead after its redials", c01.StateForTest(), c01.Err())
+	if !errors.Is(c01.Err(), core.ErrPeerDead) {
+		t.Fatalf("dialer is %s (err %v), want failed with ErrPeerDead after its redials", c01.State(), c01.Err())
 	}
 	if got := ep1.Stats.StaleEpochDrops - before; got != 3 {
 		t.Errorf("acceptor dropped %d ConnReqs as stale, want all 3 redials", got)
@@ -182,8 +183,8 @@ func TestStaleDropsRecorded(t *testing.T) {
 	if noConn != 1 {
 		t.Errorf("%d stale drops recorded under NoConn, want the one redial without a conn", noConn)
 	}
-	if !c10.Established() || c10.Incarnation() != 5 {
-		t.Errorf("acceptor is %s at incarnation %d: a stale frame touched it", c10.StateForTest(), c10.Incarnation())
+	if c10.State() == core.Dialing || c10.Incarnation() != 5 {
+		t.Errorf("acceptor is %s at incarnation %d: a stale frame touched it", c10.State(), c10.Incarnation())
 	}
 }
 
@@ -218,8 +219,8 @@ func TestReconnectExactlyOnceNotify(t *testing.T) {
 	var notifies int
 	cl.Env.Go("writer", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond) // after the reverse path is dead
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n,
-			Kind: frame.OpWrite, Flags: frame.Notify})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n,
+			Kind: frame.OpWrite, Flags: frame.Notify}))
 		h.Wait(p)
 		wrErr = h.Err()
 	})
@@ -285,7 +286,7 @@ func TestReconnectReplayedSolicitAcksPromptly(t *testing.T) {
 	var doneAt sim.Time
 	cl.Env.Go("writer", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond)
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite, Flags: frame.Solicit})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite, Flags: frame.Solicit}))
 		if h.Wait(p); h.Err() != nil {
 			t.Errorf("write returned %v, want recovery across the ack outage", h.Err())
 		}
@@ -333,7 +334,7 @@ func TestReconnectResumesRead(t *testing.T) {
 	var rdErr error
 	done := false
 	cl.Env.Go("reader", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: buf, Size: n, Kind: frame.OpRead})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: buf, Size: n, Kind: frame.OpRead}))
 		h.Wait(p)
 		rdErr, done = h.Err(), true
 	})
@@ -366,8 +367,8 @@ func TestReconnectDeadlineStillFires(t *testing.T) {
 	var dlErr error
 	var releasedAt sim.Time
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n,
-			Kind: frame.OpWrite, Deadline: 20 * sim.Millisecond})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n,
+			Kind: frame.OpWrite, Deadline: 20 * sim.Millisecond}))
 		h.Wait(p)
 		dlErr, releasedAt = h.Err(), cl.Env.Now()
 	})
@@ -383,7 +384,7 @@ func TestReconnectDeadlineStillFires(t *testing.T) {
 	if !bytes.Equal(cl.Nodes[1].EP.Mem()[dst:dst+n], cl.Nodes[0].EP.Mem()[src:src+n]) {
 		t.Fatal("detached transfer did not land after recovery")
 	}
-	if c01.Failed() || c10.Failed() {
+	if c01.Err() != nil || c10.Err() != nil {
 		t.Error("deadline expiry must not kill a recovering connection")
 	}
 }
@@ -409,8 +410,8 @@ func TestReconnectDeadlineReadPoisoned(t *testing.T) {
 	var releasedAt sim.Time
 	cl.Env.Go("reader", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Millisecond)
-		h := c01.MustDo(p, core.Op{Remote: remote, Local: late, Size: n, Kind: frame.OpRead,
-			Deadline: 20 * sim.Millisecond})
+		h := must(c01.Do(p, core.Op{Remote: remote, Local: late, Size: n, Kind: frame.OpRead,
+			Deadline: 20 * sim.Millisecond}))
 		h.Wait(p)
 		dlErr, releasedAt = h.Err(), cl.Env.Now()
 		for ep0.Stats.Reconnects == 0 {
@@ -463,10 +464,10 @@ func TestReconnectOpsIssuedWhileParked(t *testing.T) {
 		// Wait until the outage has certainly been detected (DeadInterval
 		// plus slack), then issue while parked.
 		p.Sleep(100 * sim.Millisecond)
-		if !c01.Reconnecting() {
+		if c01.State() != core.Reconnecting {
 			t.Error("conn not parked in Reconnecting when the op was issued")
 		}
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p)
 		wrErr = h.Err()
 	})
@@ -492,7 +493,7 @@ func TestReconnectOffUnchanged(t *testing.T) {
 	cl.Env.After(2*sim.Millisecond, func() { cl.RestartNode(1, 100*sim.Millisecond) })
 	var wrErr error
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p)
 		wrErr = h.Err()
 	})

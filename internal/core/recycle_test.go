@@ -37,14 +37,14 @@ func TestRecycledRecordsPoisoned(t *testing.T) {
 			fill(ep0.Mem()[src:src+slots*size], byte(r))
 			for i := 0; i < slots; i++ {
 				off := uint64(i * size)
-				c01.MustPost(core.Op{Remote: dst + off, Local: src + off, Size: size, Kind: frame.OpWrite})
+				noErr(c01.Post(core.Op{Remote: dst + off, Local: src + off, Size: size, Kind: frame.OpWrite}))
 			}
 			for i := 0; i < 4; i++ { // coalesced: 4 x 32 B into one container
 				off := uint64(i * 32)
-				c01.MustPost(core.Op{Remote: dst + off, Local: src + off, Size: 32, Kind: frame.OpWrite})
+				noErr(c01.Post(core.Op{Remote: dst + off, Local: src + off, Size: 32, Kind: frame.OpWrite}))
 			}
-			c01.MustPost(core.Op{Remote: dst, Local: back, Size: slots * size, Kind: frame.OpRead})
-			c01.MustRing(p)
+			noErr(c01.Post(core.Op{Remote: dst, Local: back, Size: slots * size, Kind: frame.OpRead}))
+			must(c01.Ring(p))
 			for i := 0; i < slots+5; i++ {
 				if comp := c01.WaitCQ(p); comp.Err != nil {
 					t.Errorf("round %d: %v", r, comp.Err)
@@ -108,18 +108,18 @@ func TestParallelClustersRecycle(t *testing.T) {
 					fill(ep0.Mem()[src:src+size], byte(r+i))
 					for k := 0; k < 8; k++ {
 						off := uint64(k * size / 8)
-						c01.MustPost(core.Op{Remote: dst + off, Local: src + off, Size: size / 8, Kind: frame.OpWrite})
+						noErr(c01.Post(core.Op{Remote: dst + off, Local: src + off, Size: size / 8, Kind: frame.OpWrite}))
 					}
 					for k := 0; k < 4; k++ {
-						c01.MustPost(core.Op{Remote: dst + uint64(k*32), Local: src + uint64(k*32), Size: 32, Kind: frame.OpWrite})
+						noErr(c01.Post(core.Op{Remote: dst + uint64(k*32), Local: src + uint64(k*32), Size: 32, Kind: frame.OpWrite}))
 					}
-					c01.MustRing(p)
+					must(c01.Ring(p))
 					for k := 0; k < 12; k++ {
 						if comp := c01.WaitCQ(p); comp.Err != nil {
 							return
 						}
 					}
-					c01.MustDo(p, core.Op{Remote: dst, Local: back, Size: size, Kind: frame.OpRead}).Wait(p)
+					must(c01.Do(p, core.Op{Remote: dst, Local: back, Size: size, Kind: frame.OpRead})).Wait(p)
 					if !bytes.Equal(ep0.Mem()[back:back+size], ep0.Mem()[src:src+size]) {
 						return
 					}
@@ -155,8 +155,8 @@ func TestStopLetsIdleStorageGo(t *testing.T) {
 	pool := ep0.PoolForTest()
 	var idle *frame.Buf
 	cl.Env.Go("client", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpWrite}).Wait(p)
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpRead}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpWrite})).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: 4096, Kind: frame.OpRead})).Wait(p)
 		idle = pool.Get()
 		pool.Put(idle)
 		if ep0.IdleSnapshotsForTest()+ep1.IdleSnapshotsForTest() == 0 {
@@ -203,7 +203,7 @@ func TestHeldBuffersReturnAtEpochEnd(t *testing.T) {
 			var held []*frame.Buf
 			var err error
 			cl.Env.Go("writer", func(p *sim.Proc) {
-				h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+				h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 				p.Sleep(2 * sim.Millisecond)
 				held, lossy = c10.HeldBufsForTest(), false
 				cl.RestartNode(1, 100*sim.Millisecond)

@@ -282,7 +282,7 @@ func (c *Config) nackAge() sim.Time { return c.NackDelay / 4 }
 // nackTick is the NACK-age timer's callback.
 func nackTick(arg any) {
 	c := arg.(*Conn)
-	if c.state != live || c.gaps == 0 {
+	if c.state != Live || c.gaps == 0 {
 		return
 	}
 	c.queueNack(true)
@@ -293,7 +293,7 @@ func nackTick(arg any) {
 // so NACKs are re-sent if they (or the retransmissions) are lost. It
 // runs right after queueNack, which built c.nack if the conn is live.
 func (c *Conn) armNackTimer() {
-	if c.state != live || c.nack.timer.Pending() {
+	if c.state != Live || c.nack.timer.Pending() {
 		return
 	}
 	c.nack.timer = c.ep.env.RearmArg(c.nack.timer, c.ep.cfg.NackDelay, nackTick, c)
@@ -304,7 +304,7 @@ func (c *Conn) armNackTimer() {
 // prevents repeated NACKs for the same loss within one repair
 // round-trip; force bypasses the age filter half-way (timer path).
 func (c *Conn) queueNack(force bool) {
-	if c.state != live {
+	if c.state != Live {
 		return
 	}
 	cfg := &c.ep.cfg
@@ -338,7 +338,7 @@ func (c *Conn) queueNack(force bool) {
 
 // ctrlPending reports whether an explicit ACK or NACK is due.
 func (c *Conn) ctrlPending() bool {
-	return c.state == live && (c.ackDue || c.nack != nil && len(c.nack.due) > 0)
+	return c.state == Live && (c.ackDue || c.nack != nil && len(c.nack.due) > 0)
 }
 
 // sendCtrl emits one pending explicit ACK or NACK frame.
@@ -376,7 +376,7 @@ func ackTick(arg any) {
 // ackPolicy implements delayed acknowledgements (§2.4): explicit ACKs
 // only after AckEvery frames or AckDelay without reverse traffic.
 func (c *Conn) ackPolicy() {
-	if c.state != live {
+	if c.state != Live {
 		return
 	}
 	c.unackedRx++
@@ -392,7 +392,7 @@ func (c *Conn) ackPolicy() {
 // forceAck schedules an immediate explicit acknowledgement (duplicate
 // seen or go-back-N discard: the sender needs our state now).
 func (c *Conn) forceAck() {
-	if c.state != live {
+	if c.state != Live {
 		return
 	}
 	c.ackDue = true

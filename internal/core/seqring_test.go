@@ -89,7 +89,7 @@ func arqEndpoint(t *testing.T, window int) (*Endpoint, *Conn) {
 	cfg.Window = window
 	ep := NewEndpoint(env, 0, cfg, hostmodel.Default(), hostmodel.NewCPUs("n0"), nil, &phys.Pool{})
 	c := ep.newConn(1, 1)
-	c.to(live) // a white-box conn skips the handshake
+	c.to(Live) // a white-box conn skips the handshake
 	return ep, c
 }
 

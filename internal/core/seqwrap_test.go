@@ -32,7 +32,7 @@ func wrapRun(t *testing.T, mode func(*core.Config), loss bool, base uint32) (clu
 		src[i], dst[i] = from.Alloc(n), to.Alloc(n)
 		fill(from.Mem()[src[i]:src[i]+n], byte(3+i))
 		cl.Env.Go("writer", func(p *sim.Proc) {
-			c.MustDo(p, core.Op{Remote: dst[i], Local: src[i], Size: n, Kind: frame.OpWrite}).Wait(p)
+			must(c.Do(p, core.Op{Remote: dst[i], Local: src[i], Size: n, Kind: frame.OpWrite})).Wait(p)
 		})
 	}
 	end := cl.Env.Run()

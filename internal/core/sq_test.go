@@ -34,12 +34,12 @@ func TestSQBatchDeliversAndCompletes(t *testing.T) {
 	cl.Env.Go("app", func(p *sim.Proc) {
 		for i := 0; i < k; i++ {
 			off := uint64(i * sz)
-			c01.MustPost(core.Op{Remote: dst + off, Local: src + off, Size: sz, Kind: frame.OpWrite})
+			noErr(c01.Post(core.Op{Remote: dst + off, Local: src + off, Size: sz, Kind: frame.OpWrite}))
 		}
-		if got := c01.SQLen(); got != k {
-			t.Errorf("SQLen before ring = %d, want %d", got, k)
+		if got := c01.Health().SQDepth; got != k {
+			t.Errorf("SQ depth before ring = %d, want %d", got, k)
 		}
-		issued = c01.MustRing(p)
+		issued = must(c01.Ring(p))
 		for i := 0; i < k; i++ {
 			comps = append(comps, c01.WaitCQ(p))
 		}
@@ -84,8 +84,8 @@ func TestSQReadCompletesOnCQ(t *testing.T) {
 	fill(cl.Nodes[1].EP.Mem()[remote:remote+n], 3)
 	var ok bool
 	cl.Env.Go("app", func(p *sim.Proc) {
-		c01.MustPost(core.Op{Remote: remote, Local: local, Size: n, Kind: frame.OpRead})
-		c01.MustRing(p)
+		noErr(c01.Post(core.Op{Remote: remote, Local: local, Size: n, Kind: frame.OpRead}))
+		must(c01.Ring(p))
 		comp := c01.WaitCQ(p)
 		ok = comp.Op.Kind == frame.OpRead &&
 			bytes.Equal(cl.Nodes[0].EP.Mem()[local:local+n], cl.Nodes[1].EP.Mem()[remote:remote+n])
@@ -115,12 +115,12 @@ func TestSQFenceAcrossCoalescedBatch(t *testing.T) {
 	fill(cl.Nodes[0].EP.Mem()[src:src+n], 6)
 	var checked, ok bool
 	cl.Env.Go("sender", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dstA, Local: src, Size: n, Kind: frame.OpWrite})
-		c01.MustPost(core.Op{Remote: dstB, Local: src, Size: 8, Kind: frame.OpWrite})
-		c01.MustPost(core.Op{Remote: dstB + 16, Local: src, Size: 8, Kind: frame.OpWrite,
-			Flags: frame.FenceBefore | frame.Notify})
-		c01.MustPost(core.Op{Remote: dstB + 32, Local: src, Size: 8, Kind: frame.OpWrite})
-		c01.MustRing(p)
+		must(c01.Do(p, core.Op{Remote: dstA, Local: src, Size: n, Kind: frame.OpWrite}))
+		noErr(c01.Post(core.Op{Remote: dstB, Local: src, Size: 8, Kind: frame.OpWrite}))
+		noErr(c01.Post(core.Op{Remote: dstB + 16, Local: src, Size: 8, Kind: frame.OpWrite,
+			Flags: frame.FenceBefore | frame.Notify}))
+		noErr(c01.Post(core.Op{Remote: dstB + 32, Local: src, Size: 8, Kind: frame.OpWrite}))
+		must(c01.Ring(p))
 	})
 	cl.Env.Go("receiver", func(p *sim.Proc) {
 		nf := c10.WaitNotify(p)
@@ -150,10 +150,10 @@ func TestSQNotifyFanout(t *testing.T) {
 	var got []core.Notification
 	cl.Env.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < k; i++ {
-			c01.MustPost(core.Op{Remote: dst + uint64(i*16), Local: src + uint64(i*16),
-				Size: 16, Kind: frame.OpWrite, Flags: frame.Notify})
+			noErr(c01.Post(core.Op{Remote: dst + uint64(i*16), Local: src + uint64(i*16),
+				Size: 16, Kind: frame.OpWrite, Flags: frame.Notify}))
 		}
-		c01.MustRing(p)
+		must(c01.Ring(p))
 	})
 	cl.Env.Go("receiver", func(p *sim.Proc) {
 		for i := 0; i < k; i++ {
@@ -192,10 +192,10 @@ func TestSQSolicitBatchCompletes(t *testing.T) {
 			if i == k-1 {
 				flags = frame.Solicit
 			}
-			c01.MustPost(core.Op{Remote: dst + uint64(i*16), Local: src + uint64(i*16),
-				Size: 16, Kind: frame.OpWrite, Flags: flags})
+			noErr(c01.Post(core.Op{Remote: dst + uint64(i*16), Local: src + uint64(i*16),
+				Size: 16, Kind: frame.OpWrite, Flags: flags}))
 		}
-		c01.MustRing(p)
+		must(c01.Ring(p))
 		for i := 0; i < k; i++ {
 			c01.WaitCQ(p)
 		}
@@ -229,9 +229,9 @@ func TestSQDeterminism(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < batch; i++ {
 					off := uint64(i * 64)
-					c01.MustPost(core.Op{Remote: dst + off, Local: src + off, Size: 64, Kind: frame.OpWrite})
+					noErr(c01.Post(core.Op{Remote: dst + off, Local: src + off, Size: 64, Kind: frame.OpWrite}))
 				}
-				c01.MustRing(p)
+				must(c01.Ring(p))
 				for i := 0; i < batch; i++ {
 					c01.WaitCQ(p)
 				}
@@ -267,10 +267,10 @@ func TestSQDisabledIsBitIdentical(t *testing.T) {
 		src := cl.Nodes[0].EP.Alloc(n)
 		dst := cl.Nodes[1].EP.Alloc(n)
 		cl.Env.Go("app", func(p *sim.Proc) {
-			h := c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+			h := must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 			for i := 0; i < 32; i++ {
 				off := uint64(i * small)
-				h = c01.MustDo(p, core.Op{Remote: dst + off, Local: src + off, Size: small, Kind: frame.OpWrite})
+				h = must(c01.Do(p, core.Op{Remote: dst + off, Local: src + off, Size: small, Kind: frame.OpWrite}))
 			}
 			h.Wait(p)
 		})

@@ -35,7 +35,7 @@ func TestStaleIncarnationNeverApplied(t *testing.T) {
 	cl.Env.After(2*sim.Millisecond, func() { cl.RestartNode(1, 150*sim.Millisecond) })
 	var wrErr error
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: wdst, Local: wsrc, Size: wn, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: wdst, Local: wsrc, Size: wn, Kind: frame.OpWrite}))
 		h.Wait(p)
 		wrErr = h.Err()
 	})
@@ -110,7 +110,7 @@ func TestStaleIncarnationNeverApplied(t *testing.T) {
 				inc, got, before+1)
 			return false
 		}
-		return c10.Incarnation() == live && !c10.Reconnecting() && !c10.Failed()
+		return c10.Incarnation() == live && c10.State() != core.Reconnecting && c10.Err() == nil
 	}
 	qc := &quick.Config{
 		MaxCount: 200,
@@ -126,7 +126,7 @@ func TestStaleIncarnationNeverApplied(t *testing.T) {
 	fill(cl.Nodes[0].EP.Mem()[src2:src2+n], 29)
 	var postErr error
 	cl.Env.Go("post", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: dst, Local: src2, Size: n, Kind: frame.OpWrite})
+		h := must(c01.Do(p, core.Op{Remote: dst, Local: src2, Size: n, Kind: frame.OpWrite}))
 		h.Wait(p)
 		postErr = h.Err()
 	})

@@ -85,7 +85,7 @@ func lossyTwoRailRun(t *testing.T, o cluster.ObsOptions) *cluster.Cluster {
 	dst := cl.Nodes[1].EP.Alloc(n)
 	fill(cl.Nodes[0].EP.Mem()[src:src+n], 3)
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite, Flags: frame.Notify}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite, Flags: frame.Notify})).Wait(p)
 	})
 	cl.Env.Run()
 	return cl

@@ -45,7 +45,7 @@ func TestClosedConnEmitsNoFrames(t *testing.T) {
 		return false
 	})
 	cl.Env.Go("writer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 		// Do not Wait: the transfer is deliberately never completed.
 	})
 	var gapsAtClose, timersAtClose int
@@ -115,7 +115,7 @@ func TestTeardownUnderLoad(t *testing.T) {
 					src := ep0.Alloc(n)
 					dst := ep1.Alloc(n)
 					fill(ep0.Mem()[src:src+uint64(n)], byte(i))
-					c.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
+					must(c.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
 					// Close mid-transfer: Close drains the op (under
 					// loss, via repair) before the handshake.
 					p.Sleep(sim.Time(50+i) * sim.Microsecond)
@@ -173,7 +173,7 @@ func TestNackStateBoundedUnderOutage(t *testing.T) {
 	cl.Nodes[0].NICs[1].OutPort().SetDropFilter(blackout)
 	done := false
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
+		must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})).Wait(p)
 		done = true
 	})
 	maxGaps, maxNacks := 0, 0
@@ -248,8 +248,8 @@ func TestFailedConnDropsHeldFrames(t *testing.T) {
 				})
 			}
 			pair := func(p *sim.Proc) (a, b *core.Handle) {
-				a = c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite})
-				b = c01.MustDo(p, core.Op{Remote: dst + n, Local: src + n, Size: n, Kind: frame.OpWrite, Flags: tc.flags})
+				a = must(c01.Do(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}))
+				b = must(c01.Do(p, core.Op{Remote: dst + n, Local: src + n, Size: n, Kind: frame.OpWrite, Flags: tc.flags}))
 				return a, b
 			}
 			var heldLive, staleLive, heldStaged int
@@ -278,7 +278,7 @@ func TestFailedConnDropsHeldFrames(t *testing.T) {
 				t.Errorf("after the repair drained the buffer: %d frames held, %d payload copies still referenced past its length",
 					heldLive, staleLive)
 			}
-			if !c10.Failed() {
+			if c10.Err() == nil {
 				t.Fatal("receiver never declared the silent peer dead")
 			}
 			if held, stale := c10.HeldForTest(); held != 0 || stale != 0 {
@@ -362,7 +362,7 @@ func teardownRun(e teardownExit, w *teardownWork, issueAt sim.Time) (o teardownC
 	base := cl.Env.Now()
 	var watch func()
 	watch = func() {
-		if c01.Closed() {
+		if c01.State() >= core.Closing {
 			o.exitAt = cl.Env.Now()
 			return
 		}
@@ -439,7 +439,7 @@ func TestTeardownEndsEveryWaiter(t *testing.T) {
 			trigger: func(cl *cluster.Cluster, c01, _ *core.Conn, at sim.Time) {
 				var poll func()
 				poll = func() {
-					if c01.Reconnecting() {
+					if c01.State() == core.Reconnecting {
 						cl.Env.Go("close", c01.Close)
 						return
 					}
@@ -475,12 +475,12 @@ func TestTeardownEndsEveryWaiter(t *testing.T) {
 			return wait(p, c, core.Op{Remote: dst, Local: src, Size: 256 << 10, Kind: frame.OpWrite}), false
 		}},
 		{name: "write straddles", straddle: true, run: func(p *sim.Proc, c *core.Conn, src, dst uint64) ([]error, bool) {
-			before := c.Closed()
+			before := c.State() >= core.Closing
 			h, err := c.Do(p, core.Op{Remote: dst, Local: src, Size: big, Kind: frame.OpWrite})
 			if err != nil {
 				return []error{err}, false
 			}
-			straddled := !before && c.Closed()
+			straddled := !before && c.State() >= core.Closing
 			h.Wait(p)
 			return []error{h.Err()}, straddled
 		}},
@@ -497,11 +497,11 @@ func TestTeardownEndsEveryWaiter(t *testing.T) {
 					return []error{err}, false
 				}
 			}
-			before := c.Closed()
+			before := c.State() >= core.Closing
 			if _, err := c.Ring(p); err != nil {
 				return []error{err}, false
 			}
-			straddled := !before && c.Closed()
+			straddled := !before && c.State() >= core.Closing
 			var errs []error
 			for range ops {
 				errs = append(errs, c.WaitCQ(p).Err)
@@ -527,7 +527,7 @@ func TestTeardownEndsEveryWaiter(t *testing.T) {
 			if n := c.WaitNotify(p); n.Len >= 0 {
 				return []error{fmt.Errorf("a notification nobody sent: %+v", n)}, false
 			}
-			if c.Failed() {
+			if c.Err() != nil {
 				return []error{c.Err()}, false
 			}
 			return []error{core.ErrClosed}, false
@@ -579,7 +579,7 @@ func TestTeardownReleasesReadReplyAtPeerClose(t *testing.T) {
 	src, dst := ep1.Alloc(n), cl.Nodes[0].EP.Alloc(n)
 	closed := false
 	cl.Env.Go("client", func(p *sim.Proc) {
-		h := c01.MustDo(p, core.Op{Remote: src, Local: dst, Size: n, Kind: frame.OpRead})
+		h := must(c01.Do(p, core.Op{Remote: src, Local: dst, Size: n, Kind: frame.OpRead}))
 		h.Wait(p)
 		if h.Err() != nil {
 			t.Errorf("read: %v", h.Err())

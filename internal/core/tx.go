@@ -110,16 +110,13 @@ type Handle struct {
 
 // Progress returns how many of the operation's bytes have been
 // acknowledged end-to-end (writes) or landed locally (reads), and the
-// operation's total size.
+// operation's total size. For an operation that failed — deadline
+// expiry, peer death, exhausted reconnects — done is how far the
+// transfer provably got, so a caller re-issuing the work can resume
+// from this offset instead of restarting from byte 0. (A replayed
+// operation resets the mark before re-issuing, so a successful recovery
+// still reports exactly the total on completion.)
 func (h *Handle) Progress() (done, total int) { return int(h.acked), int(h.size) }
-
-// BytesAcked returns the operation's acknowledged-byte high-water mark.
-// For an operation that failed — deadline expiry, peer death, exhausted
-// reconnects — this is how far the transfer provably got, so a caller
-// re-issuing the work can resume from this offset instead of restarting
-// from byte 0. (A replayed operation resets the mark before re-issuing,
-// so a successful recovery still reports exactly Size on completion.)
-func (h *Handle) BytesAcked() int { return int(h.acked) }
 
 // Wait blocks the process until the operation completes: for writes,
 // until every frame is acknowledged end-to-end; for reads, until the
@@ -443,7 +440,7 @@ func (x *arqTx) dropWindow(fl *freelists) {
 // sendable reports whether the connection has data-path work for the
 // protocol thread.
 func (c *Conn) sendable() bool {
-	if c.state != live {
+	if c.state != Live {
 		return false
 	}
 	if len(c.retransQ) > 0 {
@@ -559,7 +556,7 @@ func (c *Conn) noteRepairs(seqs []uint32, cause obs.Kind) {
 // peer-failure detection latency is bounded by DeadInterval itself and
 // not by DeadInterval plus one (possibly backed-off) timeout.
 func (c *Conn) armRTO() {
-	if c.state != live {
+	if c.state != Live {
 		return
 	}
 	d := c.currentRTO(&c.ep.cfg)
@@ -573,7 +570,7 @@ func (c *Conn) armRTO() {
 
 func onRTO(arg any) {
 	c := arg.(*Conn)
-	if c.state != live || c.inflight() == 0 {
+	if c.state != Live || c.inflight() == 0 {
 		return
 	}
 	cfg := &c.ep.cfg
@@ -741,7 +738,7 @@ func (c *Conn) finish(t *txOp, err error) {
 func expireOp(arg any) {
 	t := arg.(*txOp)
 	c := t.c
-	if !t.owed() || c.state == ended {
+	if !t.owed() || c.state == Ended {
 		return // completed (or the conn ended) in the meantime
 	}
 	ep := c.ep

@@ -137,8 +137,7 @@ func (in *Instance) sendDiff(p *sim.Proc, home int, b diffBatch) {
 	mem := in.mem()
 	copy(mem[in.outDiff:], b.buf)
 	dst := in.diffBufAddr(in.self, home)
-	c := in.conns[home]
-	c.MustDo(p, core.Op{Remote: dst, Local: in.outDiff, Size: len(b.buf), Kind: frame.OpWrite})
+	in.do(p, home, core.Op{Remote: dst, Local: in.outDiff, Size: len(b.buf), Kind: frame.OpWrite})
 	in.sendMsg(p, home, msgDiff, b.pages, 0, nil, false)
 	in.Stats.DiffMsgs++
 }

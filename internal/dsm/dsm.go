@@ -204,10 +204,7 @@ func (s *System) WriteShared(addr uint64, data []byte) {
 		home := s.Insts[0].home(pg)
 		pa := s.Insts[home].pageAddr(pg)
 		inPage := int(addr + uint64(off) - pa)
-		n := PageSize - inPage
-		if n > len(data)-off {
-			n = len(data) - off
-		}
+		n := min(PageSize-inPage, len(data)-off)
 		copy(s.Insts[home].mem()[addr+uint64(off):], data[off:off+n])
 		off += n
 	}
@@ -223,10 +220,7 @@ func (s *System) ReadShared(addr uint64, n int) []byte {
 		home := s.Insts[0].home(pg)
 		pa := s.Insts[home].pageAddr(pg)
 		inPage := int(addr + uint64(off) - pa)
-		m := PageSize - inPage
-		if m > n-off {
-			m = n - off
-		}
+		m := min(PageSize-inPage, n-off)
 		copy(out[off:], s.Insts[home].mem()[addr+uint64(off):addr+uint64(off)+uint64(m)])
 		off += m
 	}
@@ -449,8 +443,7 @@ func (in *Instance) fetch(p *sim.Proc, pgs []int) {
 			hs[i-fetchWindow].Wait(p)
 		}
 		addr := in.pageAddr(pg)
-		c := in.conns[in.home(pg)]
-		hs = append(hs, c.MustDo(p, core.Op{Remote: addr, Local: addr, Size: PageSize, Kind: frame.OpRead}))
+		hs = append(hs, in.do(p, in.home(pg), core.Op{Remote: addr, Local: addr, Size: PageSize, Kind: frame.OpRead}))
 		in.Stats.Fetches++
 		in.Stats.FetchBytes += PageSize
 	}
@@ -576,7 +569,7 @@ func (in *Instance) flushDiffs(p *sim.Proc) []uint32 {
 			// Few contiguous changes: deposit them straight into the
 			// home's memory (no home-side software).
 			for _, r := range runs {
-				hs = append(hs, in.conns[home].MustDo(p, core.Op{
+				hs = append(hs, in.do(p, home, core.Op{
 					Remote: pa + uint64(r.off), Local: pa + uint64(r.off),
 					Size: r.n, Kind: frame.OpWrite,
 				}))

@@ -70,19 +70,25 @@ func (in *Instance) noticeAddr(receiverNotice uint64, sender, receiver, class in
 	return receiverNotice + uint64((q*numNoticeBufs+noticeIdx(class))*in.maxNotices*4)
 }
 
+// do issues op on the conn to node `to` and returns its handle. The DSM
+// has no recovery of its own, so an issue error is its one fail-stop,
+// naming the peer and the error.
+func (in *Instance) do(p *sim.Proc, to int, op core.Op) *core.Handle {
+	h, err := in.conns[to].Do(p, op)
+	if err != nil {
+		panic(fmt.Sprintf("dsm: node %d: operation to node %d failed: %v", in.self, to, err))
+	}
+	return h
+}
+
 // sendMsg writes a control message (and its notice array, if any) into
 // the receiver's inbox. handler selects which CPU the initiation is
 // charged to: application context or the service process standing in
-// for a kernel-side handler.
+// for a kernel-side handler (core.Op.Handler).
 func (in *Instance) sendMsg(p *sim.Proc, to, class, lock int, epoch uint32, notices []uint32, handler bool) {
 	if to == in.self {
 		panic("dsm: sendMsg to self")
 	}
-	cpu := in.node.CPUs.App
-	if handler {
-		cpu = in.node.CPUs.Proto
-	}
-	c := in.conns[to]
 	mem := in.mem()
 	if len(notices) > 0 {
 		if len(notices) > in.maxNotices {
@@ -91,9 +97,9 @@ func (in *Instance) sendMsg(p *sim.Proc, to, class, lock int, epoch uint32, noti
 		for i, e := range notices {
 			binary.LittleEndian.PutUint32(mem[in.outNotice+uint64(4*i):], e)
 		}
-		c.MustDoOn(p, cpu, core.Op{
+		in.do(p, to, core.Op{
 			Remote: in.noticeAddr(in.inboxNotice, in.self, to, class),
-			Local:  in.outNotice, Size: 4 * len(notices), Kind: frame.OpWrite,
+			Local:  in.outNotice, Size: 4 * len(notices), Kind: frame.OpWrite, Handler: handler,
 		})
 	}
 	b := mem[in.outCtrl : in.outCtrl+ctrlSlotBytes]
@@ -103,10 +109,10 @@ func (in *Instance) sendMsg(p *sim.Proc, to, class, lock int, epoch uint32, noti
 	binary.LittleEndian.PutUint32(b[9:], uint32(len(notices)))
 	// Backward fence: performed only after the notice write above (and
 	// anything else outstanding on this connection) has been performed.
-	c.MustDoOn(p, cpu, core.Op{
+	in.do(p, to, core.Op{
 		Remote: in.slotAddr(in.inboxCtrl, in.self, to, class),
 		Local:  in.outCtrl, Size: ctrlSlotBytes, Kind: frame.OpWrite,
-		Flags: frame.FenceBefore | frame.Notify,
+		Flags: frame.FenceBefore | frame.Notify, Handler: handler,
 	})
 	in.Stats.RemoteMsgs++
 }

@@ -138,10 +138,7 @@ func New(cl *cluster.Cluster, conns [][]*core.Conn) []*Comm {
 			rxConsumed: make([]int, n),
 			pendingFin: make(map[uint32]*sim.Signal),
 		}
-		peers := n - 1
-		if peers == 0 {
-			peers = 1
-		}
+		peers := max(n-1, 1)
 		c.ringBase = ep.Alloc(peers * RingSlots * SlotBytes)
 		c.creditBase = ep.Alloc(peers * 8) // right after the rings: one region holds both
 		c.notify = ep.NotifyRegion(c.ringBase, int(c.creditBase-c.ringBase)+peers*8)
@@ -159,7 +156,6 @@ func New(cl *cluster.Cluster, conns [][]*core.Conn) []*Comm {
 		comms[i] = c
 	}
 	for _, c := range comms {
-		c := c
 		c.env.Go(fmt.Sprintf("msg-svc-%d", c.node), func(p *sim.Proc) { c.serve(p) })
 		c.registerObs()
 	}
@@ -278,11 +274,25 @@ func (c *Comm) writeSlot(p *sim.Proc, to, s int, kind int, tag int, size int, se
 	binary.LittleEndian.PutUint32(b[12:], seq)
 	binary.LittleEndian.PutUint64(b[16:], addr)
 	copy(b[slotHdr:], payload)
-	c.conns[to].MustDo(p, core.Op{
+	c.write(p, to, core.Op{
 		Remote: c.slotAddr(c.node, to, s), Local: c.outSlot,
 		Size: slotHdr + len(payload), Kind: frame.OpWrite,
 		Flags: frame.FenceBefore | frame.Notify,
 	})
+}
+
+// write issues op to rank `to` without waiting for it.
+func (c *Comm) write(p *sim.Proc, to int, op core.Op) {
+	if _, err := c.conns[to].Do(p, op); err != nil {
+		failStop("write to", to, err)
+	}
+}
+
+// failStop is msg's one fail-stop: msg has no recovery of its own, so
+// an operation with rank peer that fails ends the run, naming the
+// operation, the peer and the error.
+func failStop(what string, peer int, err error) {
+	panic(fmt.Sprintf("msg: %s rank %d failed: %v", what, peer, err))
 }
 
 func (c *Comm) sendEager(p *sim.Proc, to, tag int, data []byte) {
@@ -317,7 +327,7 @@ func (c *Comm) sendRendezvous(p *sim.Proc, to, tag int, data []byte) {
 	// kindPushed's backward fence orders it after the writes.
 	for off := 0; off < len(data); off += SlotBytes {
 		n := copy(c.ep.Mem()[c.outSlot:c.outSlot+SlotBytes], data[off:])
-		c.conns[to].MustDo(p, core.Op{Remote: c.bounce + uint64(off), Local: c.outSlot, Size: n, Kind: frame.OpWrite})
+		c.write(p, to, core.Op{Remote: c.bounce + uint64(off), Local: c.outSlot, Size: n, Kind: frame.OpWrite})
 	}
 	c.sendCtl(p, to, kindPushed, 0, 0, 0, 0)
 }
@@ -331,9 +341,7 @@ func (c *Comm) Recv(p *sim.Proc, from, tag int) []byte {
 	}
 	pr := &postedRecv{from: from, tag: tag}
 	c.posted = append(c.posted, pr)
-	if len(c.posted) > c.Stats.Posted {
-		c.Stats.Posted = len(c.posted)
-	}
+	c.Stats.Posted = max(c.Stats.Posted, len(c.posted))
 	p.Wait(&pr.done)
 	return pr.result
 }
@@ -366,7 +374,7 @@ func (c *Comm) claim(p *sim.Proc, m *inMsg) []byte {
 		c.sendCtl(p, m.from, kindFIN, 0, 0, m.seq, 0)
 		p.Wait(c.pushed)
 	} else if err := c.conns[m.from].Run(p, core.Op{Remote: m.srcAddr, Local: c.bounce, Size: m.size, Kind: frame.OpRead}); err != nil {
-		panic(fmt.Sprintf("msg: rendezvous pull from rank %d failed: %v", m.from, err))
+		failStop("rendezvous pull from", m.from, err)
 	}
 	out := make([]byte, m.size)
 	copy(out, c.ep.Mem()[c.bounce:c.bounce+uint64(m.size)])
@@ -445,9 +453,7 @@ func (c *Comm) handle(p *sim.Proc, n core.Notification) {
 		}
 	}
 	c.unexpected = append(c.unexpected, m)
-	if len(c.unexpected) > c.Stats.UnexpectedMax {
-		c.Stats.UnexpectedMax = len(c.unexpected)
-	}
+	c.Stats.UnexpectedMax = max(c.Stats.UnexpectedMax, len(c.unexpected))
 }
 
 // deliver completes a posted receive. Rendezvous pulls run in their own
@@ -480,8 +486,8 @@ func (c *Comm) creditSlot(p *sim.Proc, from int) {
 	binary.LittleEndian.PutUint32(b[4:], uint32(batch))
 	// Credits bypass the ring: a plain fenced+notifying write into the
 	// sender's credit word.
-	c.conns[from].MustDoOn(p, c.ep.CPUs().Proto, core.Op{
+	c.write(p, from, core.Op{
 		Remote: c.creditAddr(c.node, from), Local: c.outCredit, Size: 8,
-		Kind: frame.OpWrite, Flags: frame.FenceBefore | frame.Notify,
+		Kind: frame.OpWrite, Flags: frame.FenceBefore | frame.Notify, Handler: true,
 	})
 }

@@ -163,20 +163,15 @@ func (c *Client) checkCall(op core.Op) error {
 
 // EligibleBackends returns the backend indices the balancer currently
 // chooses from: not condemned by this stub, and with a connection that
-// is neither failed nor closed. A backend
-// parked in Reconnecting stays eligible — that is what keeps session
-// affinity sticky across recoverable outages. A backend reached through
-// the relay is eligible regardless of its (condemned) direct conn.
+// is not closing or ended. A backend parked in core.Reconnecting stays
+// eligible — that is what keeps session affinity sticky across
+// recoverable outages. A backend reached through the relay is eligible
+// regardless of its (condemned) direct conn.
 func (c *Client) EligibleBackends() []int {
 	el := make([]int, 0, len(c.conns))
 	for i := range c.svc.Backends {
-		if c.dead[i] {
+		if cn := c.conns[i]; c.dead[i] || cn != nil && !c.viaRelay[i] && cn.State() >= core.Closing {
 			continue
-		}
-		if cn := c.conns[i]; cn != nil && !c.viaRelay[i] {
-			if cn.Failed() || cn.Closed() {
-				continue
-			}
 		}
 		el = append(el, i)
 	}
@@ -276,8 +271,7 @@ func (c *Client) callDirect(p *sim.Proc, b int, op core.Op) (error, bool) {
 		op.Class = c.opts.Class // tenant tag rides every call (QoS admission)
 	}
 	if err := cn.Run(p, op); err != nil {
-		if errors.Is(err, core.ErrDeadlineExceeded) &&
-			!cn.Reconnecting() && !cn.Failed() && !cn.Closed() {
+		if errors.Is(err, core.ErrDeadlineExceeded) && cn.State() < core.Reconnecting {
 			// The path is up and the op was merely slower than the
 			// budget: a caller-visible timeout, not a failover trigger.
 			return err, false
@@ -321,7 +315,7 @@ func (c *Client) ensureConn(p *sim.Proc, b int) (*core.Conn, error) {
 	for c.dialing[b] != nil {
 		p.Wait(c.dialing[b])
 	}
-	if cn := c.conns[b]; cn != nil && !cn.Failed() && !cn.Closed() {
+	if cn := c.conns[b]; cn != nil && cn.State() < core.Closing {
 		return cn, nil
 	}
 	sig := &sim.Signal{}
@@ -329,7 +323,7 @@ func (c *Client) ensureConn(p *sim.Proc, b int) (*core.Conn, error) {
 	cn := c.ep.Dial(p, c.svc.Backends[b].Node, c.opts.Links)
 	c.dialing[b] = nil
 	sig.Fire(c.env)
-	if cn.Failed() {
+	if cn.Err() != nil {
 		return nil, fmt.Errorf("svc %s: dial backend %d (node %d): %w",
 			c.svc.Name, b, c.svc.Backends[b].Node, cn.Err())
 	}
@@ -348,17 +342,15 @@ func (c *Client) ensureConn(p *sim.Proc, b int) (*core.Conn, error) {
 // token). On any path failure the whole batch degrades to op-by-op
 // Calls, which carry the full failover machinery.
 func (c *Client) CallBatch(p *sim.Proc, token uint64, ops []core.Op) error {
+	total := 0
 	for _, op := range ops {
 		if err := c.checkCall(op); err != nil {
 			return err
 		}
+		total += op.Size
 	}
 	if len(ops) == 0 {
 		return nil
-	}
-	total := 0
-	for _, op := range ops {
-		total += op.Size
 	}
 	sp := c.ep.Obs().StartLayerSpan(c.ep.Node(), "svc", "call-batch", total)
 	err := c.callBatch(p, token, ops)
@@ -453,8 +445,8 @@ func (c *Client) Close(p *sim.Proc) {
 
 func closeOrAbandon(p *sim.Proc, cn *core.Conn) {
 	switch {
-	case cn == nil || cn.Closed():
-	case cn.Reconnecting() || cn.Failed():
+	case cn == nil || cn.State() >= core.Closing:
+	case cn.State() == core.Reconnecting:
 		cn.Abandon()
 	default:
 		cn.Close(p)

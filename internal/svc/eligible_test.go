@@ -54,7 +54,7 @@ func TestEligibleTracksHealth(t *testing.T) {
 		// in Reconnecting: it must remain eligible.
 		s, _ := reg.Lookup("kv")
 		cl.PauseNode(s.Backends[bound].Node)
-		for !c.conns[bound].Reconnecting() && !c.conns[bound].Failed() {
+		for c.conns[bound].State() != core.Reconnecting && c.conns[bound].Err() == nil {
 			p.Sleep(sim.Millisecond)
 		}
 		if got := c.conns[bound].Health().State; got != "reconnecting" {

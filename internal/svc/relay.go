@@ -107,7 +107,7 @@ func (c *Client) ensureRelay(p *sim.Proc) (*core.Conn, error) {
 	for c.relayDialing != nil {
 		p.Wait(c.relayDialing)
 	}
-	if rc := c.relayConn; rc != nil && !rc.Failed() && !rc.Closed() {
+	if rc := c.relayConn; rc != nil && rc.State() < core.Closing {
 		return rc, nil
 	}
 	relayNode, _ := c.reg.Relay()
@@ -116,7 +116,7 @@ func (c *Client) ensureRelay(p *sim.Proc) (*core.Conn, error) {
 	rc := c.ep.Dial(p, relayNode, c.opts.Links)
 	c.relayDialing = nil
 	sig.Fire(c.env)
-	if rc.Failed() {
+	if rc.Err() != nil {
 		return nil, fmt.Errorf("svc %s: dial relay node %d: %w", c.svc.Name, relayNode, rc.Err())
 	}
 	c.relayConn = rc
@@ -228,7 +228,7 @@ func (r *Relay) forward(p *sim.Proc, slot uint64, call relayEnvelope) error {
 		op.Deadline = r.env.Now() + r.budget
 	}
 	err = cn.Run(p, op)
-	if err != nil && (cn.Reconnecting() || cn.Failed() || cn.Closed()) {
+	if err != nil && cn.State() >= core.Reconnecting {
 		r.dropConn(int(call.Backend))
 	}
 	return err
@@ -255,17 +255,17 @@ func (r *Relay) reply(p *sim.Proc, from int, slot uint64, call relayEnvelope, st
 	if r.budget > 0 {
 		wop.Deadline = r.env.Now() + r.budget
 	}
-	if err := cn.Run(p, wop); err != nil && (cn.Reconnecting() || cn.Failed() || cn.Closed()) {
+	if err := cn.Run(p, wop); err != nil && cn.State() >= core.Reconnecting {
 		r.dropConn(from)
 	}
 }
 
 func (r *Relay) ensureConn(p *sim.Proc, node int) (*core.Conn, error) {
-	if cn := r.conns[node]; cn != nil && !cn.Failed() && !cn.Closed() {
+	if cn := r.conns[node]; cn != nil && cn.State() < core.Closing {
 		return cn, nil
 	}
 	cn := r.ep.Dial(p, node, 0)
-	if cn.Failed() {
+	if cn.Err() != nil {
 		return nil, cn.Err()
 	}
 	r.conns[node] = cn

@@ -129,7 +129,7 @@ func TestRelayBesideDSMAndComm(t *testing.T) {
 		p.Wait(sent)
 	}
 	notifyWrite := func(p *sim.Proc, c *core.Conn, dst, src uint64) {
-		c.MustDo(p, core.Op{Remote: dst, Local: src, Size: 8, Kind: frame.OpWrite, Flags: frame.Notify})
+		must(c.Do(p, core.Op{Remote: dst, Local: src, Size: 8, Kind: frame.OpWrite, Flags: frame.Notify}))
 	}
 	wantPing := func(c *core.Conn, addr uint64, p *sim.Proc) {
 		if nf := c.WaitNotify(p); nf.Addr != addr || nf.Len != 8 {
@@ -233,4 +233,13 @@ func TestRelayBesideDSMAndComm(t *testing.T) {
 	if got != want {
 		t.Errorf("endpoints performed %d notifications, consumers sent %d", got, want)
 	}
+}
+
+// must returns v, panicking on err: an issue call a simulated process
+// makes cannot report to t, and its failure ends the test.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

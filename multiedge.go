@@ -97,6 +97,8 @@ type (
 	Endpoint = core.Endpoint
 	// Conn is one end of a MultiEdge connection.
 	Conn = core.Conn
+	// ConnState is where a connection is in its life (Conn.State).
+	ConnState = core.ConnState
 	// Handle tracks an issued operation's progress (Conn.Do).
 	Handle = core.Handle
 	// Op describes one remote operation for Conn.Do, Conn.Run and
@@ -105,7 +107,8 @@ type (
 	// struct. Do issues it at once and returns its Handle; Run issues it
 	// the same way, waits and returns only the error, allocating nothing;
 	// Post queues it for the next Conn.Ring, which issues a batch under
-	// one doorbell. The caller picks per operation.
+	// one doorbell. The caller picks per operation. Each returns an
+	// error on invalid use and never panics.
 	Op = core.Op
 	// Completion reports one finished submission-queue operation on a
 	// connection's completion queue (Conn.PollCQ / Conn.WaitCQ).
@@ -122,8 +125,20 @@ type (
 	QoSClass = core.QoSClass
 )
 
+// Connection states (Conn.State), in the order a connection moves
+// through them. Only Live exchanges data; from Closing on a connection
+// takes no new work, and Conn.Err says whether it ended because the
+// peer failed.
+const (
+	Dialing      = core.Dialing
+	Live         = core.Live
+	Reconnecting = core.Reconnecting
+	Closing      = core.Closing
+	Ended        = core.Ended
+)
+
 // Operation types and flags for Op.Kind and Op.Flags (used with
-// Conn.Do, Conn.Run, Conn.MustDo and Conn.Post).
+// Conn.Do, Conn.Run and Conn.Post).
 const (
 	OpWrite = frame.OpWrite
 	OpRead  = frame.OpRead
